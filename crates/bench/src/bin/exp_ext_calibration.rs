@@ -12,7 +12,11 @@
 use linklens_bench::{results_path, ExperimentContext};
 use linklens_core::report::{fnum, write_json, Table};
 use linklens_core::temporal::positive_negative_pairs;
+use osn_graph::par;
 use osn_graph::sequence::SnapshotSequence;
+use osn_metrics::exec;
+use osn_metrics::solver::SolverCache;
+use osn_metrics::traits::Metric;
 use osn_ml::data::Dataset;
 use osn_ml::platt::PlattScaler;
 use osn_ml::svm::LinearSvm;
@@ -27,8 +31,10 @@ fn main() {
     let cal_snap = seq.snapshot(t - 1);
 
     let metrics = osn_metrics::all_metrics();
+    let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
     let features = |snap: &osn_graph::snapshot::Snapshot, pairs: &[(u32, u32)]| -> Vec<Vec<f64>> {
-        let cols: Vec<Vec<f64>> = metrics.iter().map(|m| m.score_pairs(snap, pairs)).collect();
+        let mut cache = SolverCache::transient();
+        let cols = exec::score_matrix_cached_t(&refs, snap, pairs, par::max_threads(), &mut cache);
         (0..pairs.len()).map(|i| cols.iter().map(|c| c[i]).collect()).collect()
     };
 

@@ -13,8 +13,9 @@ use linklens_core::filters::{FilterThresholds, TemporalFilter};
 use linklens_core::framework::{unconnected_pair_count, SequenceEvaluator};
 use linklens_core::report::{fnum, write_json, Table};
 use linklens_core::timeseries::{Aggregation, TimeSeriesPredictor};
-use osn_metrics::topk;
+use osn_graph::par;
 use osn_metrics::traits::Metric;
+use osn_metrics::{exec, topk};
 
 /// The metric subset plotted (one per family, as the paper's Fig. 16).
 fn metrics() -> Vec<Box<dyn Metric>> {
@@ -56,8 +57,9 @@ fn main() {
                 correct as f64 / expected
             };
 
-            let basic = ratio_of(base_cands.pairs(), &m.score_pairs(&prev, base_cands.pairs()));
-            let basic_f = ratio_of(filt_cands.pairs(), &m.score_pairs(&prev, filt_cands.pairs()));
+            let score = |pairs| exec::score_pairs_t(m, &prev, pairs, par::max_threads());
+            let basic = ratio_of(base_cands.pairs(), &score(base_cands.pairs()));
+            let basic_f = ratio_of(filt_cands.pairs(), &score(filt_cands.pairs()));
             let tm = ratio_of(base_cands.pairs(), &ts.score_pairs(&seq, m, t, base_cands.pairs()));
             let tm_f =
                 ratio_of(filt_cands.pairs(), &ts.score_pairs(&seq, m, t, filt_cands.pairs()));

@@ -36,6 +36,7 @@ use linklens_bench::bench_merge;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_metrics::candidates::CandidateSet;
+use osn_metrics::solver::SolverCache;
 use osn_metrics::traits::{CandidatePolicy, Metric};
 use std::time::Instant;
 
@@ -231,14 +232,20 @@ fn sweep(scale: f64, days: u32) {
         let scored_pairs = cands.len() * refs.len();
 
         // Stage 2: chunked scoring of every metric over the shared slice.
-        let (score_secs, _cols) =
-            timed(|| osn_metrics::exec::score_matrix_t(&refs, &snap, cands.pairs(), t));
+        let (score_secs, _cols) = timed(|| {
+            let mut cache = SolverCache::transient();
+            osn_metrics::exec::score_matrix_cached_t(&refs, &snap, cands.pairs(), t, &mut cache)
+        });
 
         // Stage 3: fused scoring + streaming top-k (the prediction path —
         // per-chunk heaps merged at the end, never materializing scores).
         let k = (cands.len() / 100).max(10);
-        let (topk_secs, _preds) =
-            timed(|| osn_metrics::exec::predict_top_k_many_t(&refs, &snap, &cands, k, 0x11A5, t));
+        let (topk_secs, _preds) = timed(|| {
+            let mut cache = SolverCache::transient();
+            osn_metrics::exec::predict_top_k_many_cached_t(
+                &refs, &snap, &cands, k, 0x11A5, t, &mut cache,
+            )
+        });
 
         println!(
             "threads={t}: enumerate {:.2}s ({:.0} pairs/s), score {:.2}s ({:.0} pairs/s), \
@@ -405,10 +412,10 @@ fn snapshot_build(scale: f64, days: u32) {
 /// the benchmark behind `BENCH_fused_scoring.json`. Three stages per
 /// worker count:
 ///
-/// 1. per-pair baseline: `score_matrix_per_pair_t` (one sorted-merge
-///    intersection per metric per pair);
-/// 2. fused: `score_matrix_t` (one witness walk per source per chunk
-///    produces every column);
+/// 1. per-pair baseline: each metric's `Metric::score_pairs_cached` hook
+///    (one sorted-merge intersection per metric per pair);
+/// 2. fused: `exec::score_matrix_cached_t` (one witness walk per source
+///    per chunk produces every column);
 /// 3. enumerate+score: `fused::enumerate_and_score_t` (candidate
 ///    enumeration fused into the same walk — no pre-built pair list).
 ///
@@ -432,20 +439,26 @@ fn fused_scoring(scale: f64, days: u32) {
     let cands = CandidateSet::build(&snap, CandidatePolicy::TwoHop, 0);
     let scored_pairs = cands.len() * refs.len();
 
+    let per_pair = |t: usize| -> Vec<Vec<f64>> {
+        let mut cache = SolverCache::transient();
+        refs.iter().map(|m| m.score_pairs_cached(&snap, cands.pairs(), t, &mut cache)).collect()
+    };
+    let fused = |t: usize| {
+        let mut cache = SolverCache::transient();
+        osn_metrics::exec::score_matrix_cached_t(&refs, &snap, cands.pairs(), t, &mut cache)
+    };
     let mut rows = Vec::new();
     for &t in &sweep_thread_counts(&host) {
         // Untimed equality witness first: all three paths must agree.
-        let baseline = osn_metrics::exec::score_matrix_per_pair_t(&refs, &snap, cands.pairs(), t);
-        let fused = osn_metrics::exec::score_matrix_t(&refs, &snap, cands.pairs(), t);
-        assert_eq!(baseline, fused, "fused matrix diverged from per-pair at {t} threads");
+        let baseline = per_pair(t);
+        let fused_cols = fused(t);
+        assert_eq!(baseline, fused_cols, "fused matrix diverged from per-pair at {t} threads");
         let (enum_pairs, enum_cols) = osn_metrics::fused::enumerate_and_score_t(&snap, &kinds, t);
         assert_eq!(enum_pairs, cands.pairs(), "fused enumeration drifted at {t} threads");
         assert_eq!(baseline, enum_cols, "enumerate+score diverged from per-pair at {t} threads");
 
-        let (per_pair_secs, _) =
-            timed(|| osn_metrics::exec::score_matrix_per_pair_t(&refs, &snap, cands.pairs(), t));
-        let (fused_secs, _) =
-            timed(|| osn_metrics::exec::score_matrix_t(&refs, &snap, cands.pairs(), t));
+        let (per_pair_secs, _) = timed(|| per_pair(t));
+        let (fused_secs, _) = timed(|| fused(t));
         let (enum_score_secs, _) =
             timed(|| osn_metrics::fused::enumerate_and_score_t(&snap, &kinds, t));
 
@@ -513,7 +526,6 @@ fn global_scoring(scale: f64, days: u32) {
     use osn_metrics::exec;
     use osn_metrics::katz::KatzSc;
     use osn_metrics::path::{LocalPath, ShortestPath};
-    use osn_metrics::solver::SolverCache;
     use osn_metrics::walk::{LocalRandomWalk, PersonalizedPageRank};
 
     let host = detect_host();
@@ -546,7 +558,7 @@ fn global_scoring(scale: f64, days: u32) {
                 let m = osn_metrics::metric_by_name("Katz-lr").expect("metric");
                 exec::score_pairs_t(m.as_ref(), &snap, pairs, 1)
             }
-            "Katz-sc" => katz_sc.prepare_per_source(&snap).score_chunk(&snap, pairs),
+            "Katz-sc" => katz_sc.score_pairs_per_source(&snap, pairs),
             _ => unreachable!("unknown global metric {name}"),
         }
     };
@@ -653,11 +665,13 @@ fn global_scoring(scale: f64, days: u32) {
         let c = CandidateSet::build(&s, CandidatePolicy::ThreeHop, 0);
         let iters_before = warm_cache.stats.ppr_iterations;
         let warms_before = warm_cache.stats.ppr_warm_starts;
-        let (warm_secs, warm) =
-            timed(|| exec::score_pairs_cached_t(&ppr, &s, c.pairs(), 1, &mut warm_cache));
+        let (warm_secs, warm) = timed(|| {
+            exec::score_matrix_cached_t(&[&ppr], &s, c.pairs(), 1, &mut warm_cache).remove(0)
+        });
         let mut cold_cache = SolverCache::transient();
-        let (cold_secs, cold) =
-            timed(|| exec::score_pairs_cached_t(&ppr, &s, c.pairs(), 1, &mut cold_cache));
+        let (cold_secs, cold) = timed(|| {
+            exec::score_matrix_cached_t(&[&ppr], &s, c.pairs(), 1, &mut cold_cache).remove(0)
+        });
         for i in 0..c.len() {
             let dev = (warm[i] - cold[i]).abs();
             assert!(
@@ -738,7 +752,6 @@ fn global_scoring(scale: f64, days: u32) {
 fn rescal_factorization(scale: f64, days: u32) {
     use osn_metrics::exec;
     use osn_metrics::rescal::Rescal;
-    use osn_metrics::solver::SolverCache;
 
     let host = detect_host();
     // The factorization runs on a 10x-seeded preset: the paper's YouTube
@@ -811,7 +824,7 @@ fn rescal_factorization(scale: f64, days: u32) {
     // refit-per-batch bug this PR fixes would show up right here as
     // `rescal_fits` climbing past 1.
     let mut cache = SolverCache::sweep();
-    let base = exec::score_pairs_cached_t(&rescal, &snap, pairs, 1, &mut cache);
+    let base = exec::score_matrix_cached_t(&[&rescal], &snap, pairs, 1, &mut cache).remove(0);
     assert_eq!(cache.stats.rescal_fits, 1, "priming call must fit exactly once");
     for (i, &p) in pairs.iter().enumerate() {
         let dev = (base[i] - oracle[i]).abs();
@@ -821,9 +834,11 @@ fn rescal_factorization(scale: f64, days: u32) {
         timed(|| pairs.iter().map(|&(u, v)| dense.score(u, v)).collect::<Vec<f64>>());
     let mut scoring_rows = Vec::new();
     for &t in &thread_counts {
-        let scores = exec::score_pairs_cached_t(&rescal, &snap, pairs, t, &mut cache);
+        let scores = exec::score_matrix_cached_t(&[&rescal], &snap, pairs, t, &mut cache).remove(0);
         assert_eq!(scores, base, "batched Rescal scores drifted at {t} workers");
-        let (secs, _) = timed(|| exec::score_pairs_cached_t(&rescal, &snap, pairs, t, &mut cache));
+        let (secs, _) = timed(|| {
+            exec::score_matrix_cached_t(&[&rescal], &snap, pairs, t, &mut cache).remove(0)
+        });
         println!(
             "Rescal scoring threads={t}: per-pair oracle {oracle_secs:.3}s ({:.0} pairs/s), \
              batched {secs:.3}s ({:.0} pairs/s; cached fit reused)",
@@ -856,12 +871,14 @@ fn rescal_factorization(scale: f64, days: u32) {
         );
         let iters_before = warm_cache.stats.rescal_iterations;
         let warms_before = warm_cache.stats.rescal_warm_starts;
-        let (warm_secs, warm) =
-            timed(|| exec::score_pairs_cached_t(&certified, &s, c.pairs(), 1, &mut warm_cache));
+        let (warm_secs, warm) = timed(|| {
+            exec::score_matrix_cached_t(&[&certified], &s, c.pairs(), 1, &mut warm_cache).remove(0)
+        });
         assert!(warm.iter().all(|x| x.is_finite()), "snapshot {si}: warm Rescal score not finite");
         let mut cold_cache = SolverCache::transient();
-        let (cold_secs, cold) =
-            timed(|| exec::score_pairs_cached_t(&certified, &s, c.pairs(), 1, &mut cold_cache));
+        let (cold_secs, cold) = timed(|| {
+            exec::score_matrix_cached_t(&[&certified], &s, c.pairs(), 1, &mut cold_cache).remove(0)
+        });
         assert!(cold.iter().all(|x| x.is_finite()), "snapshot {si}: cold Rescal score not finite");
         let warm_iters = warm_cache.stats.rescal_iterations - iters_before;
         let warm_starts = warm_cache.stats.rescal_warm_starts - warms_before;
@@ -945,7 +962,7 @@ fn e2e_sweep(scale: f64, days: u32) {
     use linklens_core::filters::{FilterThresholds, TemporalFilter};
     use linklens_core::framework::{finite_mean, unconnected_pair_count, SequenceEvaluator};
     use osn_graph::activity::NodeActivity;
-    use osn_metrics::exec;
+    use osn_metrics::topk;
 
     let host = detect_host();
     let threads = osn_graph::par::max_threads();
@@ -975,8 +992,9 @@ fn e2e_sweep(scale: f64, days: u32) {
         let (batched_preds, _) = eval.predictions_many(&refs, t_repr, None);
         for (i, &m) in refs.iter().enumerate() {
             let cands_m = eval.candidates_for_posthoc(&prev, &[m], None);
-            let per_pair =
-                exec::predict_top_k_per_pair_t(m, &prev, &cands_m, k_repr, eval.seed, threads);
+            let mut cache = SolverCache::transient();
+            let scores = m.score_pairs_cached(&prev, cands_m.pairs(), threads, &mut cache);
+            let per_pair = topk::top_k_pairs(cands_m.pairs(), &scores, k_repr, eval.seed);
             assert_eq!(
                 batched_preds[i],
                 per_pair,
@@ -1132,7 +1150,7 @@ fn e2e_sweep(scale: f64, days: u32) {
                 "LP" => lp.score_pairs_per_source(snap, pairs),
                 "LRW" => lrw.score_pairs_per_source_t(snap, pairs, threads),
                 "PPR" => ppr.score_pairs_per_source_t(snap, pairs, threads),
-                "Katz-sc" => katz_sc.prepare_per_source(snap).score_chunk(snap, pairs),
+                "Katz-sc" => katz_sc.score_pairs_per_source(snap, pairs),
                 // Katz-lr has no distinct per-source oracle (each Lanczos
                 // step is already one global matvec); it falls through to
                 // the chunked per-pair path like the locals.
@@ -1165,9 +1183,10 @@ fn e2e_sweep(scale: f64, days: u32) {
                     for &(i, m) in &group {
                         let predicted = per_source_top_k(m.name(), &prev, cands.pairs(), k)
                             .unwrap_or_else(|| {
-                                exec::predict_top_k_per_pair_t(
-                                    m, &prev, &cands, k, eval.seed, threads,
-                                )
+                                let mut cache = SolverCache::transient();
+                                let scores =
+                                    m.score_pairs_cached(&prev, cands.pairs(), threads, &mut cache);
+                                topk::top_k_pairs(cands.pairs(), &scores, k, eval.seed)
                             });
                         let correct = predicted.iter().filter(|p| truth.contains(p)).count();
                         ratios[i].push(if expected > 0.0 {

@@ -107,7 +107,7 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: "refit-in-score-pairs",
-        contract: "a fresh `fit`/`prepare` factorization per `score_pairs` call refits the whole model per batch; reuse the per-snapshot cached fit (prepare_cached / SolverCache) or justify the one-shot path",
+        contract: "a fresh `fit`/`prepare` factorization per `score_pairs` call refits the whole model per batch; reuse the per-snapshot cached fit (the score_pairs_cached hook / SolverCache) or justify the one-shot path",
         rationale: "Refitting ALS per pair batch turns one factorization per snapshot into hundreds; the SolverCache model slots exist so rescal_fits == 1 across a scoring sweep.",
         fix: "- let model = self.fit(snap);\n+ let model = self.fitted_model(snap, cache, threads)?;  // cached per snapshot",
     },
@@ -441,7 +441,7 @@ pub(crate) fn past_matching_brace(tokens: &[Token], open: usize) -> usize {
 }
 
 /// `.common_neighbors(..)` / `.common_neighbor_count(..)` inside the body
-/// of a `score_pairs` / `score_pairs_t` implementation: a fresh sorted-
+/// of a `score_pairs` / `score_pairs_cached` implementation: a fresh sorted-
 /// merge intersection per pair per metric is exactly the cost the fused
 /// source-batched kernel exists to remove. Reference implementations keep
 /// the slow path on purpose and suppress with a justification.
@@ -456,7 +456,7 @@ fn per_pair_intersection(
     while i < tokens.len() {
         if mask[i]
             || ident_at(tokens, i) != Some("fn")
-            || !matches!(ident_at(tokens, i + 1), Some("score_pairs") | Some("score_pairs_t"))
+            || !matches!(ident_at(tokens, i + 1), Some("score_pairs") | Some("score_pairs_cached"))
         {
             i += 1;
             continue;
@@ -575,10 +575,12 @@ fn per_source_power_iteration(
 /// A fresh factorization (`fit(..)` / `prepare(..)`) inside the body of
 /// any `score_pairs*` implementation: refitting the whole model per pair
 /// batch is exactly the cost the per-snapshot model cache
-/// (`SolverCache::store_rescal` / `prepare_cached`) exists to remove.
+/// (`SolverCache::store_rescal` behind the `score_pairs_cached` hook)
+/// exists to remove.
 /// Deliberate one-shot convenience entries suppress with a
 /// justification. Only the exact idents `fit` and `prepare` are gated,
-/// so `prepare_cached`/`fitted_model` (the cache-aware paths) pass.
+/// so `fitted_model` (the cache-aware path) and helpers that merely share
+/// a prefix, like Katz's `prepare_from`, pass.
 fn refit_in_score_pairs(
     info: &FileInfo,
     tokens: &[Token],
@@ -627,7 +629,7 @@ fn refit_in_score_pairs(
                     line: tokens[t].line,
                     message: format!(
                         "`{name}()` inside a score_pairs impl refits the whole model per batch; \
-                         reuse the per-snapshot cached fit (prepare_cached / SolverCache), or \
+                         reuse the per-snapshot cached fit (the score_pairs_cached hook / SolverCache), or \
                          justify the one-shot path with linklens-allow"
                     ),
                     suppressed: false,
@@ -1032,8 +1034,8 @@ mod tests {
     }
 
     #[test]
-    fn intersection_rule_fires_in_score_pairs_t_too() {
-        let src = "fn score_pairs_t(&self, snap: &S, pairs: &[(u32, u32)], threads: usize) -> Vec<f64> {\n  pairs.iter().map(|&(u, v)| snap.common_neighbors(u, v).count() as f64).collect()\n}";
+    fn intersection_rule_fires_in_score_pairs_cached_too() {
+        let src = "fn score_pairs_cached(&self, snap: &S, pairs: &[(u32, u32)], threads: usize, cache: &mut C) -> Vec<f64> {\n  pairs.iter().map(|&(u, v)| snap.common_neighbors(u, v).count() as f64).collect()\n}";
         assert_eq!(active(&check_file(&lib_info("metrics"), src), "per-pair-intersection"), 1);
     }
 
@@ -1118,10 +1120,10 @@ mod tests {
 
     #[test]
     fn refit_rule_skips_cache_aware_paths_and_other_fns() {
-        // `prepare_cached` and `fitted_model` are the cache-aware paths the
-        // rule steers toward; `fit`/`prepare` outside score_pairs bodies
+        // `fitted_model` is the cache-aware path the rule steers toward and
+        // `prepare_from` only shares a prefix; `fit`/`prepare` outside score_pairs bodies
         // (the hoisted call sites) are fine.
-        let src = "fn score_pairs_cached(&self, snap: &S, pairs: &[(u32, u32)], threads: usize, cache: &mut C) -> Vec<f64> {\n  let m = self.fitted_model(snap, cache, threads);\n  let s = self.prepare_cached(snap, cache);\n  vec![]\n}\nfn hoisted(&self, snap: &S) -> Model { self.fit(snap) }\ntrait Metric {\n  fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64>;\n}";
+        let src = "fn score_pairs_cached(&self, snap: &S, pairs: &[(u32, u32)], threads: usize, cache: &mut C) -> Vec<f64> {\n  let m = self.fitted_model(snap, cache, threads);\n  let s = self.prepare_from(snap, cache);\n  vec![]\n}\nfn hoisted(&self, snap: &S) -> Model { self.fit(snap) }\ntrait Metric {\n  fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64>;\n}";
         assert_eq!(active(&check_file(&lib_info("metrics"), src), "refit-in-score-pairs"), 0);
     }
 

@@ -17,9 +17,9 @@
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::temporal::TemporalGraph;
-use osn_graph::NodeId;
-use osn_metrics::topk;
+use osn_graph::{par, NodeId};
 use osn_metrics::traits::Metric;
+use osn_metrics::{exec, topk};
 use serde::Serialize;
 
 /// Sampled AUC of a metric on a transition: the probability that a random
@@ -38,8 +38,8 @@ pub fn auc_of_metric(
     if positives.is_empty() || negatives.is_empty() {
         return 0.5;
     }
-    let pos_scores = metric.score_pairs(snap, positives);
-    let neg_scores = metric.score_pairs(snap, negatives);
+    let pos_scores = exec::score_pairs_t(metric, snap, positives, par::max_threads());
+    let neg_scores = exec::score_pairs_t(metric, snap, negatives, par::max_threads());
     let mut wins = 0.0f64;
     for &p in &pos_scores {
         for &n in &neg_scores {
@@ -136,7 +136,7 @@ impl MissingLinkEval {
         candidates.sort_unstable();
         candidates.dedup();
 
-        let scores = metric.score_pairs(&observed, &candidates);
+        let scores = exec::score_pairs_t(metric, &observed, &candidates, par::max_threads());
         let predicted = topk::top_k_pairs(&candidates, &scores, hide_count, self.seed);
         let recovered = predicted.iter().filter(|p| hidden.contains(p)).count();
         MissingLinkOutcome {

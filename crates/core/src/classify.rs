@@ -29,11 +29,12 @@
 use crate::filters::TemporalFilter;
 use crate::framework::{finite_mean, PredictionOutcome};
 use osn_graph::builder::SnapshotBuilder;
-use osn_graph::sample;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
+use osn_graph::{par, sample};
 use osn_metrics::exec;
+use osn_metrics::solver::SolverCache;
 use osn_metrics::topk;
 use osn_metrics::traits::Metric;
 use osn_ml::data::Dataset;
@@ -291,7 +292,7 @@ impl<'a> ClassificationPipeline<'a> {
                 .filter(|&(u, v)| member_set.contains(&u) && member_set.contains(&v))
                 .collect();
             let k = truth.len();
-            let scores = metric.score_pairs(test_snap, &pairs);
+            let scores = exec::score_pairs_t(metric, test_snap, &pairs, par::max_threads());
             let predicted = topk::top_k_pairs(&pairs, &scores, k, self.config.seed ^ si as u64);
             let correct = predicted.iter().filter(|p| truth.contains(p)).count();
             let expected =
@@ -327,7 +328,8 @@ impl<'a> ClassificationPipeline<'a> {
     /// theirs).
     fn features(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<Vec<f64>> {
         let refs: Vec<&dyn Metric> = self.metrics.iter().map(|m| m.as_ref()).collect();
-        let cols = exec::score_matrix_t(&refs, snap, pairs, osn_graph::par::max_threads());
+        let mut cache = SolverCache::transient();
+        let cols = exec::score_matrix_cached_t(&refs, snap, pairs, par::max_threads(), &mut cache);
         (0..pairs.len()).map(|i| cols.iter().map(|c| c[i]).collect()).collect()
     }
 

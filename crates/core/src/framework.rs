@@ -273,9 +273,8 @@ impl<'a> SequenceEvaluator<'a> {
             }
             .capped(self.max_candidate_pairs);
             // All metrics in the group run on the shared scoring engine:
-            // one (metric × chunk) work pool over the candidate slice
-            // instead of one thread per metric, so a single slow metric
-            // no longer serializes the group.
+            // fused local metrics share one witness walk per source, and
+            // every other metric gets the full worker budget in turn.
             let group_predictions = exec::predict_top_k_many_cached_t(
                 &group_metrics,
                 prev,

@@ -17,9 +17,9 @@ use crate::filters::TemporalFilter;
 use crate::framework::finite_mean;
 use osn_graph::sample;
 use osn_graph::snapshot::Snapshot;
-use osn_graph::{traversal, NodeId};
-use osn_metrics::topk;
+use osn_graph::{par, traversal, NodeId};
 use osn_metrics::traits::Metric;
+use osn_metrics::{exec, topk};
 use serde::Serialize;
 use std::collections::HashSet;
 
@@ -220,7 +220,7 @@ pub fn evaluate_metric_sampled_on(
             .filter(|&(u, v)| member_set.contains(&u) && member_set.contains(&v))
             .collect();
         let k = truth.len();
-        let scores = metric.score_pairs(prev, &pairs);
+        let scores = exec::score_pairs_t(metric, prev, &pairs, par::max_threads());
         let predicted = topk::top_k_pairs(&pairs, &scores, k, spec.seed ^ di as u64);
         let correct = predicted.iter().filter(|p| truth.contains(p)).count();
         let expected = if exact_universe > 0.0 { (k as f64).powi(2) / exact_universe } else { 0.0 };

@@ -11,7 +11,8 @@
 
 use osn_graph::builder::SnapshotBuilder;
 use osn_graph::sequence::SnapshotSequence;
-use osn_graph::NodeId;
+use osn_graph::{par, NodeId};
+use osn_metrics::exec;
 use osn_metrics::traits::Metric;
 
 /// Series aggregation method.
@@ -69,7 +70,7 @@ impl TimeSeriesPredictor {
             let valid: Vec<(NodeId, NodeId)> =
                 // linklens-allow(post-hoc-candidate-retain): node-existence validity on earlier window snapshots, not a §6.2 quality filter — the pair list is caller-chosen, not enumerated here
                 pairs.iter().copied().filter(|&(u, v)| u < n && v < n).collect();
-            let valid_scores = metric.score_pairs(snap, &valid);
+            let valid_scores = exec::score_pairs_t(metric, snap, &valid, par::max_threads());
             let mut scores = vec![0.0; pairs.len()];
             let mut vi = 0;
             for (i, &(u, v)) in pairs.iter().enumerate() {

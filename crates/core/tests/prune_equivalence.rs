@@ -17,6 +17,7 @@ use osn_graph::temporal::TemporalGraph;
 use osn_graph::NodeId;
 use osn_metrics::candidates::CandidateSet;
 use osn_metrics::exec;
+use osn_metrics::solver::SolverCache;
 use osn_metrics::traits::{CandidatePolicy, Metric};
 use proptest::prelude::*;
 
@@ -108,9 +109,14 @@ proptest! {
                 continue;
             }
             let k = (pruned.len() / 2).max(1);
-            let base = exec::predict_top_k_many_t(&refs, &snap, &posthoc, k, 0x11A5, 1);
+            let mut cache = SolverCache::transient();
+            let base =
+                exec::predict_top_k_many_cached_t(&refs, &snap, &posthoc, k, 0x11A5, 1, &mut cache);
             for threads in [1usize, 2, 4, 8] {
-                let got = exec::predict_top_k_many_t(&refs, &snap, &pruned, k, 0x11A5, threads);
+                let mut cache = SolverCache::transient();
+                let got = exec::predict_top_k_many_cached_t(
+                    &refs, &snap, &pruned, k, 0x11A5, threads, &mut cache,
+                );
                 for (i, m) in refs.iter().enumerate() {
                     prop_assert_eq!(
                         &got[i], &base[i],
@@ -145,8 +151,10 @@ proptest! {
             let (batched, _) = eval.predictions_many(&refs, 1, Some(&f));
             for (i, &m) in refs.iter().enumerate() {
                 let posthoc = eval.candidates_for_posthoc(&prev, &[m], Some(&f));
-                let oracle =
-                    exec::predict_top_k_many_t(&[m], &prev, &posthoc, truth.len(), eval.seed, 1);
+                let mut cache = SolverCache::transient();
+                let oracle = exec::predict_top_k_many_cached_t(
+                    &[m], &prev, &posthoc, truth.len(), eval.seed, 1, &mut cache,
+                );
                 prop_assert_eq!(
                     &batched[i], &oracle[0],
                     "{} {}: sweep route != oracle route", preset, m.name()

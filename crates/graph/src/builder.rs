@@ -90,6 +90,7 @@ impl MergeArena {
                 edge_count: 0,
                 prefix_len: 0,
                 tables: std::sync::OnceLock::new(),
+                digest: std::sync::OnceLock::new(),
             },
             off2: Vec::with_capacity(node_capacity + 1),
             nbr2: Vec::with_capacity(entry_capacity),
@@ -288,9 +289,10 @@ impl MergeArena {
         snap.time = time;
         snap.edge_count = prefix_len;
         snap.prefix_len = prefix_len;
-        // The CSR just changed under the snapshot; any degree tables built
-        // against the previous prefix are stale.
+        // The CSR just changed under the snapshot; any degree tables or
+        // digest built against the previous prefix are stale.
         snap.tables.take();
+        snap.digest.take();
     }
 }
 
@@ -361,6 +363,9 @@ mod tests {
                     "prefix {prefix} node {u}"
                 );
             }
+            // The cached adjacency digest is invalidated with the tables.
+            let digest = snap.adjacency_digest();
+            assert_eq!(digest, Snapshot::up_to(&g, prefix).adjacency_digest(), "prefix {prefix}");
         }
     }
 

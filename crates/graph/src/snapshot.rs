@@ -212,8 +212,8 @@ impl DegreeTables {
 ///
 /// `PartialEq`/`Eq` compare the full structural representation (offsets,
 /// neighbor and edge-time arrays, counters) and deliberately ignore the
-/// lazily built [`DegreeTables`] cache, which is what lets the property
-/// tests assert that incrementally advanced snapshots
+/// lazily built [`DegreeTables`] and adjacency-digest caches, which is
+/// what lets the property tests assert that incrementally advanced snapshots
 /// ([`crate::builder::SnapshotBuilder`]) are bit-identical to from-scratch
 /// [`Snapshot::up_to`] builds.
 #[derive(Clone, Debug)]
@@ -229,6 +229,9 @@ pub struct Snapshot {
     /// (the [`crate::builder::SnapshotBuilder`] advance path and the
     /// [`Snapshot::from_edges`] node-count fixup).
     pub(crate) tables: OnceLock<DegreeTables>,
+    /// Lazily computed [`adjacency_digest`](Snapshot::adjacency_digest);
+    /// invalidated together with `tables`.
+    pub(crate) digest: OnceLock<u64>,
 }
 
 impl PartialEq for Snapshot {
@@ -303,6 +306,7 @@ impl Snapshot {
             edge_count: prefix_len,
             prefix_len,
             tables: OnceLock::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -360,6 +364,7 @@ impl Snapshot {
             edge_count: kept_edges,
             prefix_len: self.prefix_len,
             tables: OnceLock::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -400,6 +405,26 @@ impl Snapshot {
     /// on one `OnceLock` initialization and then share the same tables.
     pub fn degree_tables(&self) -> &DegreeTables {
         self.tables.get_or_init(|| DegreeTables::build(self))
+    }
+
+    /// A 64-bit FNV-1a digest of the adjacency structure: the node count,
+    /// every degree, and every sorted neighbor list (edge times are not
+    /// included). Computed on first use and cached beside the
+    /// [`DegreeTables`]. Equal adjacency gives an equal digest, so clones
+    /// and rebuilt prefixes share it; caches of adjacency-derived state
+    /// (`osn_metrics::solver::SolverCache`) key on it.
+    pub fn adjacency_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+            mix(self.n as u64);
+            for w in self.offsets.windows(2) {
+                let nb = &self.neighbors[w[0]..w[1]];
+                mix(nb.len() as u64);
+                nb.iter().for_each(|&v| mix(u64::from(v)));
+            }
+            h
+        })
     }
 
     /// Creation times parallel to [`neighbors`](Self::neighbors).
@@ -593,9 +618,10 @@ impl Snapshot {
         let mut s = Snapshot::up_to(&g, added);
         // `up_to` sizes the node set by arrival; with all arrivals at 0 it
         // already equals n, but keep the contract explicit. The degree
-        // tables (if any were built) are invalidated by the resize.
+        // tables and digest (if any were built) are invalidated by the resize.
         s.n = n;
         s.tables.take();
+        s.digest.take();
         if s.offsets.len() < n + 1 {
             // linklens-allow(unwrap-in-lib): offsets always holds at least the leading zero
             let last = *s.offsets.last().expect("non-empty offsets");
@@ -773,6 +799,21 @@ mod tests {
         let b = Snapshot::up_to(&g, 5);
         let _ = a.degree_tables(); // a has the cache populated, b does not
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn adjacency_digest_follows_adjacency_not_size() {
+        let ring = Snapshot::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let star_plus = Snapshot::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2)]);
+        assert_eq!(ring.edge_count(), star_plus.edge_count());
+        assert_ne!(ring.adjacency_digest(), star_plus.adjacency_digest());
+        // Equal adjacency, independent builds and clones: one digest.
+        let again = Snapshot::from_edges(4, &[(3, 0), (2, 3), (1, 2), (0, 1)]);
+        assert_eq!(ring.adjacency_digest(), again.adjacency_digest());
+        assert_eq!(ring.clone().adjacency_digest(), ring.adjacency_digest());
+        // An isolated extra node changes the adjacency.
+        let wider = Snapshot::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        assert_ne!(ring.adjacency_digest(), wider.adjacency_digest());
     }
 
     #[test]

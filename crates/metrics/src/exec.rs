@@ -2,34 +2,43 @@
 //!
 //! Every scoring surface in LinkLens — single-metric prediction, the
 //! evaluation framework's policy groups, the classification pipeline's
-//! feature matrix — funnels through this module instead of spawning one
-//! thread per metric. The engine splits a shared candidate list into
-//! cache-sized, *source-aligned* chunks and schedules (metric × chunk)
-//! work items over a fixed worker pool ([`osn_graph::par`]).
+//! feature matrix, the serving workers — goes through one of four entry
+//! points:
 //!
-//! Three design points keep results bit-identical to serial execution:
+//! | Entry point | Returns | Solver cache |
+//! |---|---|---|
+//! | [`score_pairs_t`] | one metric's scores | transient |
+//! | [`score_matrix_cached_t`] | one score column per metric | caller's |
+//! | [`predict_top_k_many_cached_t`] | one top-k list per metric | caller's |
+//! | [`score_pairs_targeted`] | one metric's scores on caller-owned kernel state | caller's |
 //!
-//! 1. **Per-snapshot preparation** is hoisted out of the chunk loop:
-//!    [`Metric::prepare`] runs once (factorizations, landmark solves,
-//!    eigendecompositions) and returns a [`PairScorer`] that each chunk
-//!    calls read-only. Scores depend only on (snapshot, pair), never on
-//!    chunk shape.
-//! 2. **Source-aligned chunking** cuts only where `pairs[i].0` changes, so
-//!    group-by-source metrics (SP, LP) still share one BFS/scatter pass
-//!    per source inside a chunk.
-//! 3. **Fused streaming top-k**: each chunk feeds its scores straight into
-//!    a [`TopKAcc`] keyed by *global* pair index; per-chunk heaps merge
-//!    into exactly the serial selection (see [`crate::topk`]) without ever
-//!    materializing the full score vector.
+//! The first three share one batch routine, which splits a metric list in
+//! two:
 //!
-//! Metrics whose batch algorithm is itself parallel (the walk metrics'
-//! per-source passes) opt out of chunking via [`ExecMode::WholeBatch`] and
-//! receive the worker budget through [`Metric::score_pairs_t`].
+//! 1. **Fused metrics** (those advertising [`Metric::fused_kind`]) are
+//!    scored together by the source-batched kernel ([`crate::fused`]):
+//!    one kernel context, source-aligned chunks over the worker pool, one
+//!    witness walk per source yielding every fused column. For top-k,
+//!    each chunk streams its scores into a [`TopKAcc`] keyed by *global*
+//!    pair index, and the per-chunk heaps merge into exactly the serial
+//!    selection (see [`crate::topk`]) without materializing the column.
+//! 2. **Every other metric** is scored whole, in input order, through its
+//!    [`Metric::score_pairs_cached`] hook with the full worker budget and
+//!    the caller's [`SolverCache`]. The default hook cuts source-aligned
+//!    chunks (splitting only where `pairs[i].0` changes, so group-by-source
+//!    metrics like SP and LP keep one BFS per source) and runs
+//!    [`Metric::score_pairs`] on them in parallel; the walk, Katz and
+//!    Rescal metrics override it to solve or factor once per call.
+//!
+//! Every column is checked against its metric's [`ScoreContract`] when
+//! audits are enabled. Scores depend only on (snapshot, pair), so every
+//! entry point is bit-identical to [`Metric::score_pairs`] for every
+//! worker count.
 
 use crate::candidates::CandidateSet;
 use crate::fused::{self, FusedScratch, LocalKind};
 use crate::solver::SolverCache;
-use crate::topk::{self, TopKAcc};
+use crate::topk::TopKAcc;
 use crate::traits::{Metric, ScoreContract};
 use osn_graph::par;
 use osn_graph::snapshot::Snapshot;
@@ -43,7 +52,7 @@ use std::ops::Range;
 ///
 /// `base` is the slice's offset into the full candidate list, so the
 /// reported index is global even when a chunk tripped the check.
-pub fn audit_scores(name: &str, contract: ScoreContract, scores: &[f64], base: usize) {
+fn audit_scores(name: &str, contract: ScoreContract, scores: &[f64], base: usize) {
     if !osn_graph::audit::audit_enabled() {
         return;
     }
@@ -60,50 +69,16 @@ pub fn audit_scores(name: &str, contract: ScoreContract, scores: &[f64], base: u
     }
 }
 
-/// How the engine executes one metric over a pair batch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Split the pair list into source-aligned chunks scored in parallel
-    /// through the metric's prepared [`PairScorer`] (the default).
-    Chunked,
-    /// Hand the metric the whole batch plus a worker budget; the metric
-    /// parallelizes internally (walk metrics: per-source, with per-worker
-    /// scratch reuse).
-    WholeBatch,
-}
-
-/// A read-only scorer produced by [`Metric::prepare`] for one snapshot.
-///
-/// `score_chunk` must be a pure function of `(snapshot, pairs)` — chunk
-/// boundaries must not influence any score, or thread counts would change
-/// predictions.
-pub trait PairScorer: Send + Sync {
-    /// Scores one contiguous slice of the candidate list.
-    fn score_chunk(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64>;
-}
-
-/// The default [`PairScorer`]: delegates every chunk to
-/// [`Metric::score_pairs`]. Correct for any metric whose batch scoring has
-/// no cross-pair state (all the local, Bayes, path, and time-aware
-/// metrics).
-pub struct ScoreAll<'m, M: ?Sized>(pub &'m M);
-
-impl<M: Metric + ?Sized> PairScorer for ScoreAll<'_, M> {
-    fn score_chunk(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        self.0.score_pairs(snap, pairs)
-    }
-}
-
 /// Smallest chunk the engine bothers splitting off: below this, scheduling
 /// overhead beats cache friendliness.
-pub const MIN_CHUNK_PAIRS: usize = 1024;
+const MIN_CHUNK_PAIRS: usize = 1024;
 
 /// Cuts `pairs` into contiguous ranges of roughly `len / (threads × 4)`
 /// pairs (never below [`MIN_CHUNK_PAIRS`]), splitting only where the
 /// source endpoint changes so group-by-source metrics keep their per-source
 /// sharing. Candidate lists are sorted canonically, so equal sources are
 /// always adjacent.
-pub fn source_aligned_chunks(pairs: &[(NodeId, NodeId)], threads: usize) -> Vec<Range<usize>> {
+fn source_aligned_chunks(pairs: &[(NodeId, NodeId)], threads: usize) -> Vec<Range<usize>> {
     let len = pairs.len();
     if len == 0 {
         return Vec::new();
@@ -121,327 +96,140 @@ pub fn source_aligned_chunks(pairs: &[(NodeId, NodeId)], threads: usize) -> Vec<
     out
 }
 
-/// Scores `pairs` with the engine: metrics advertising a
-/// [`Metric::fused_kind`] go through the source-batched fused kernel
-/// ([`crate::fused`], one witness walk per source); everything else is
-/// prepared once and chunked across `threads` workers (or delegated whole
-/// with the worker budget for [`ExecMode::WholeBatch`] metrics). Every
-/// path is bit-identical to every other for every `threads` value.
-pub fn score_pairs_t<M: Metric + ?Sized>(
-    m: &M,
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Vec<f64> {
-    let mut cache = SolverCache::transient();
-    score_pairs_cached_t(m, snap, pairs, threads, &mut cache)
-}
-
-/// [`score_pairs_t`] with a caller-owned [`SolverCache`]: the walk metrics
-/// route their solves through it (sharing the snapshot's transition view
-/// and, on persistent caches, PPR warm-start vectors), and Katz prepares
-/// reuse its adjacency CSR. Other metrics ignore the cache.
-pub fn score_pairs_cached_t<M: Metric + ?Sized>(
-    m: &M,
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-    cache: &mut SolverCache,
-) -> Vec<f64> {
-    if let Some(kind) = m.fused_kind() {
-        return fused_single_scores(m, kind, snap, pairs, threads);
-    }
-    score_pairs_per_pair_cached_t(m, snap, pairs, threads, cache)
-}
-
-/// The pre-fusion scoring path: chunked through the metric's own
-/// [`Metric::score_pairs`], ignoring any [`Metric::fused_kind`]. Kept
-/// public as the equivalence baseline for the fused kernel's property
-/// tests and the `scalecheck` fused-scoring benchmark.
-pub fn score_pairs_per_pair_t<M: Metric + ?Sized>(
-    m: &M,
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Vec<f64> {
-    let mut cache = SolverCache::transient();
-    score_pairs_per_pair_cached_t(m, snap, pairs, threads, &mut cache)
-}
-
-fn score_pairs_per_pair_cached_t<M: Metric + ?Sized>(
-    m: &M,
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-    cache: &mut SolverCache,
-) -> Vec<f64> {
-    match m.exec_mode() {
-        ExecMode::WholeBatch => {
-            let scores = m.score_pairs_cached(snap, pairs, threads, cache);
-            audit_scores(m.name(), m.score_contract(), &scores, 0);
-            scores
-        }
-        ExecMode::Chunked => {
-            let scorer = m.prepare_cached(snap, cache);
-            let chunks = source_aligned_chunks(pairs, threads);
-            if threads <= 1 || chunks.len() <= 1 {
-                let scores = scorer.score_chunk(snap, pairs);
-                audit_scores(m.name(), m.score_contract(), &scores, 0);
-                return scores;
-            }
-            let parts = par::run_indexed(chunks.len(), threads, |c| {
-                let scores = scorer.score_chunk(snap, &pairs[chunks[c].clone()]);
-                audit_scores(m.name(), m.score_contract(), &scores, chunks[c].start);
-                scores
-            });
-            parts.concat()
-        }
-    }
-}
-
-/// The serving-side targeted scoring path: scores one metric over a
-/// (typically small, single-source) pair list with **caller-owned**
-/// kernel state, so a long-lived query worker pays the per-snapshot
-/// setup once per published version instead of once per query.
-///
-/// * Fused metrics score through [`fused::score_columns`] on the caller's
-///   [`FusedCtx`]/[`FusedScratch`] — build the context once per snapshot
-///   (e.g. with [`LocalKind::ALL`]) and reuse it across queries; a single
-///   kind requested out of a wider context is bit-identical to the batch
-///   engine's per-kind context.
-/// * Everything else goes through the cached per-pair path at one worker
-///   (per-source query batches are far below the engine's chunking
-///   threshold), sharing the caller's [`SolverCache`] transition view and
-///   per-source solve vectors across queries at the same version.
-///
-/// Bit-identical to [`score_pairs_cached_t`] with `threads = 1` on a
-/// fresh cache — the contract the serving parity asserts rely on.
-///
-/// # Panics
-/// Debug builds panic when `ctx` was built on a different snapshot than
-/// `snap` (a stale context from a previous published version).
-pub fn score_pairs_targeted<M: Metric + ?Sized>(
-    m: &M,
-    snap: &Snapshot,
-    ctx: &fused::FusedCtx<'_>,
-    scratch: &mut FusedScratch,
-    pairs: &[(NodeId, NodeId)],
-    cache: &mut SolverCache,
-) -> Vec<f64> {
-    debug_assert!(
-        std::ptr::eq(ctx.snapshot(), snap),
-        "targeted scoring with a kernel context from a different snapshot"
-    );
-    if let Some(kind) = m.fused_kind() {
-        let kinds = [kind];
-        let scores = fused::score_columns(ctx, scratch, pairs, &kinds).pop().unwrap_or_default();
-        audit_scores(m.name(), m.score_contract(), &scores, 0);
-        return scores;
-    }
-    score_pairs_per_pair_cached_t(m, snap, pairs, 1, cache)
-}
-
-/// Scores one fused-kernel metric over source-aligned chunks with
-/// per-worker scratch reuse.
-fn fused_single_scores<M: Metric + ?Sized>(
-    m: &M,
-    kind: LocalKind,
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Vec<f64> {
-    let kinds = [kind];
-    let ctx = fused::FusedCtx::build(snap, &kinds);
+/// Scores `pairs` in source-aligned chunks over `threads` workers and
+/// concatenates the chunk scores in order — the parallel half of the
+/// default [`Metric::score_pairs_cached`] hook and of the Katz overrides.
+/// `score` must be a pure function of its slice's pairs, so chunk
+/// boundaries never influence a score.
+pub(crate) fn score_chunked<F>(pairs: &[(NodeId, NodeId)], threads: usize, score: F) -> Vec<f64>
+where
+    F: Fn(&[(NodeId, NodeId)]) -> Vec<f64> + Sync,
+{
     let chunks = source_aligned_chunks(pairs, threads);
     if threads <= 1 || chunks.len() <= 1 {
-        let mut scratch = FusedScratch::new(snap.node_count());
-        let scores =
-            fused::score_columns(&ctx, &mut scratch, pairs, &kinds).pop().unwrap_or_default();
-        audit_scores(m.name(), m.score_contract(), &scores, 0);
-        return scores;
+        return score(pairs);
     }
-    let parts = par::run_indexed_init(
-        chunks.len(),
-        threads,
-        || FusedScratch::new(snap.node_count()),
-        |scratch, c| {
-            let scores = fused::score_columns(&ctx, scratch, &pairs[chunks[c].clone()], &kinds)
-                .pop()
-                .unwrap_or_default();
-            audit_scores(m.name(), m.score_contract(), &scores, chunks[c].start);
-            scores
-        },
-    );
-    parts.concat()
+    par::run_indexed(chunks.len(), threads, |c| score(&pairs[chunks[c].clone()])).concat()
 }
 
-/// Engine-backed top-k prediction with an explicit worker count: fused
-/// metrics score through the source-batched kernel, chunked metrics
-/// stream each chunk's scores into a per-chunk [`TopKAcc`] (global
-/// indices) and merge; whole-batch metrics score once and select serially.
-/// The returned pairs — including tie-break ordering — are identical for
-/// every `threads` value and every path.
-pub fn predict_top_k_t<M: Metric + ?Sized>(
-    m: &M,
+/// The batch routine behind [`score_pairs_t`], [`score_matrix_cached_t`]
+/// and [`predict_top_k_many_cached_t`] (see the module docs). `reduce`
+/// turns one audited score slice — its pairs, its scores and its offset
+/// into `pairs` — into a partial result; `merge` folds one metric's
+/// partials, in pair order, into that metric's output. Non-fused metrics
+/// reduce their whole column as one partial. Outputs are in `metrics`
+/// order.
+fn run<R, O>(
+    metrics: &[&dyn Metric],
     snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    seed: u64,
+    pairs: &[(NodeId, NodeId)],
     threads: usize,
-) -> Vec<(NodeId, NodeId)> {
-    if let Some(kind) = m.fused_kind() {
-        let pairs = cands.pairs();
-        let kinds = [kind];
+    cache: &mut SolverCache,
+    reduce: impl Fn(&[(NodeId, NodeId)], Vec<f64>, usize) -> R + Sync,
+    merge: impl Fn(Vec<R>) -> O,
+) -> Vec<O>
+where
+    R: Send,
+{
+    let threads = threads.max(1);
+    let fused: Vec<(&dyn Metric, LocalKind)> =
+        metrics.iter().filter_map(|&m| m.fused_kind().map(|k| (m, k))).collect();
+    // Fused metrics together: one kernel context, and one witness walk per
+    // source yields every fused column of a chunk.
+    let mut fused_out = Vec::with_capacity(fused.len());
+    if !fused.is_empty() {
+        let kinds: Vec<LocalKind> = fused.iter().map(|&(_, k)| k).collect();
         let ctx = fused::FusedCtx::build(snap, &kinds);
         let chunks = source_aligned_chunks(pairs, threads);
-        let accs = par::run_indexed_init(
+        let chunk_parts = par::run_indexed_init(
             chunks.len(),
-            threads.max(1),
+            threads,
             || FusedScratch::new(snap.node_count()),
             |scratch, c| {
                 let range = chunks[c].clone();
                 let slice = &pairs[range.clone()];
-                let scores =
-                    fused::score_columns(&ctx, scratch, slice, &kinds).pop().unwrap_or_default();
-                audit_scores(m.name(), m.score_contract(), &scores, range.start);
-                let mut acc = TopKAcc::new(k, seed);
-                for (off, (&pair, &score)) in slice.iter().zip(&scores).enumerate() {
-                    acc.push(pair, score, range.start + off);
-                }
-                acc
+                let cols = fused::score_columns(&ctx, scratch, slice, &kinds);
+                fused
+                    .iter()
+                    .zip(cols)
+                    .map(|(&(m, _), col)| {
+                        audit_scores(m.name(), m.score_contract(), &col, range.start);
+                        reduce(slice, col, range.start)
+                    })
+                    .collect::<Vec<R>>()
             },
         );
-        let mut merged = TopKAcc::new(k, seed);
-        for acc in accs {
-            merged.merge(acc);
+        let mut per_metric: Vec<Vec<R>> = fused.iter().map(|_| Vec::new()).collect();
+        for parts in chunk_parts {
+            for (fi, part) in parts.into_iter().enumerate() {
+                per_metric[fi].push(part);
+            }
         }
-        return merged.finish();
+        fused_out.extend(per_metric.into_iter().map(&merge));
     }
-    predict_top_k_per_pair_t(m, snap, cands, k, seed, threads)
-}
-
-/// The pre-fusion top-k path (chunked through [`Metric::score_pairs`],
-/// ignoring [`Metric::fused_kind`]) — the equivalence baseline for the
-/// fused kernel's tests and benchmarks.
-pub fn predict_top_k_per_pair_t<M: Metric + ?Sized>(
-    m: &M,
-    snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<(NodeId, NodeId)> {
-    let mut cache = SolverCache::transient();
-    predict_top_k_per_pair_cached_t(m, snap, cands, k, seed, threads, &mut cache)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn predict_top_k_per_pair_cached_t<M: Metric + ?Sized>(
-    m: &M,
-    snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    seed: u64,
-    threads: usize,
-    cache: &mut SolverCache,
-) -> Vec<(NodeId, NodeId)> {
-    let pairs = cands.pairs();
-    match m.exec_mode() {
-        ExecMode::WholeBatch => {
+    // Every other metric alone with the whole worker budget: the solver and
+    // factorization hooks already parallelize internally, so running two
+    // at once would only oversubscribe the pool.
+    let mut fused_out = fused_out.into_iter();
+    let mut out = Vec::with_capacity(metrics.len());
+    for &m in metrics {
+        if m.fused_kind().is_some() {
+            out.extend(fused_out.next());
+        } else {
             let scores = m.score_pairs_cached(snap, pairs, threads, cache);
             audit_scores(m.name(), m.score_contract(), &scores, 0);
-            topk::top_k_pairs(pairs, &scores, k, seed)
-        }
-        ExecMode::Chunked => {
-            let scorer = m.prepare_cached(snap, cache);
-            let chunks = source_aligned_chunks(pairs, threads);
-            let accs = par::run_indexed(chunks.len(), threads.max(1), |c| {
-                let range = chunks[c].clone();
-                let slice = &pairs[range.clone()];
-                let scores = scorer.score_chunk(snap, slice);
-                audit_scores(m.name(), m.score_contract(), &scores, range.start);
-                let mut acc = TopKAcc::new(k, seed);
-                for (off, (&pair, &score)) in slice.iter().zip(&scores).enumerate() {
-                    acc.push(pair, score, range.start + off);
-                }
-                acc
-            });
-            let mut merged = TopKAcc::new(k, seed);
-            for acc in accs {
-                merged.merge(acc);
-            }
-            merged.finish()
+            out.push(merge(vec![reduce(pairs, scores, 0)]));
         }
     }
+    out
 }
 
-/// One (metric, chunk) work item for the shared pool.
-struct Item {
-    metric: usize,
-    chunk: Range<usize>,
+/// Scores `pairs` for one metric with a transient [`SolverCache`]: fused
+/// metrics through the source-batched kernel, everything else through
+/// its [`Metric::score_pairs_cached`] hook. Bit-identical to
+/// [`Metric::score_pairs`] for every `threads` value.
+pub fn score_pairs_t(
+    m: &dyn Metric,
+    snap: &Snapshot,
+    pairs: &[(NodeId, NodeId)],
+    threads: usize,
+) -> Vec<f64> {
+    score_matrix_cached_t(&[m], snap, pairs, threads, &mut SolverCache::transient())
+        .pop()
+        .unwrap_or_default()
 }
 
-/// Splits metric indices into the fused-kernel group (with their kinds,
-/// parallel-indexed) and everything else.
-fn fused_partition(metrics: &[&dyn Metric]) -> (Vec<usize>, Vec<LocalKind>, Vec<usize>) {
-    let mut fused_idx = Vec::new();
-    let mut kinds = Vec::new();
-    let mut rest = Vec::new();
-    for (i, m) in metrics.iter().enumerate() {
-        match m.fused_kind() {
-            Some(k) => {
-                fused_idx.push(i);
-                kinds.push(k);
-            }
-            None => rest.push(i),
-        }
-    }
-    (fused_idx, kinds, rest)
-}
-
-/// Splits metric indices by execution mode.
-fn by_mode(metrics: &[&dyn Metric]) -> (Vec<usize>, Vec<usize>) {
-    let mut chunked = Vec::new();
-    let mut whole = Vec::new();
-    for (i, m) in metrics.iter().enumerate() {
-        match m.exec_mode() {
-            ExecMode::Chunked => chunked.push(i),
-            ExecMode::WholeBatch => whole.push(i),
-        }
-    }
-    (chunked, whole)
-}
-
-/// Top-k predictions for several metrics over one shared candidate set.
-///
-/// Metrics advertising a [`Metric::fused_kind`] are scored together by the
-/// source-batched kernel — one witness walk per source produces every
-/// fused column at once, with one shared kernel context (degree + Bayes
-/// tables built once, not per metric). All remaining chunked metrics are
-/// prepared in parallel, then their (metric × chunk) items are scheduled
-/// over one `threads`-wide pool — a slow metric no longer serializes the
-/// transition the way one-thread-per-metric did. Whole-batch metrics run
-/// afterwards, each using the full worker budget internally. Results are
-/// in input metric order and bit-identical to `threads = 1`.
-pub fn predict_top_k_many_t(
+/// Score columns (one `Vec<f64>` per metric, aligned with `pairs`) for
+/// several metrics — the classification pipeline's feature-matrix
+/// backend. Fused-kernel metrics are produced together, one witness walk
+/// per source per chunk yielding every fused column at once; the rest are
+/// scored one after another through their hooks with the caller's
+/// [`SolverCache`]: the global metrics share its transition view and, on
+/// a persistent cache, warm-start from the previous snapshot (see
+/// [`crate::solver`]). Column contents are bit-identical for every
+/// `threads` value.
+pub fn score_matrix_cached_t(
     metrics: &[&dyn Metric],
     snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    seed: u64,
+    pairs: &[(NodeId, NodeId)],
     threads: usize,
-) -> Vec<Vec<(NodeId, NodeId)>> {
-    let mut cache = SolverCache::transient();
-    predict_top_k_many_cached_t(metrics, snap, cands, k, seed, threads, &mut cache)
+    cache: &mut SolverCache,
+) -> Vec<Vec<f64>> {
+    run(metrics, snap, pairs, threads, cache, |_, scores, _| scores, |parts| parts.concat())
 }
 
-/// [`predict_top_k_many_t`] with a caller-owned [`SolverCache`]. The
-/// snapshot sweep passes a persistent cache so consecutive snapshots share
-/// warm-start vectors; the cache also fixes the redundant-recompute issue
-/// the one-cache-per-metric path had — every global metric in the group
-/// now reads one shared transition view per snapshot, and each distinct
-/// source endpoint's solve vector is computed once per (metric, snapshot)
-/// via the solver's source plan instead of once per scoring pass.
+/// Top-k predictions for several metrics over one shared candidate set,
+/// with seeded tie-breaking (ties are common for SP and CN).
+///
+/// Fused metrics are scored together by the source-batched kernel, each
+/// chunk streaming into per-chunk [`TopKAcc`] heaps that merge into the
+/// serial selection; every other metric is scored whole through its hook
+/// with the caller's [`SolverCache`] and selected serially. The snapshot
+/// sweep passes a persistent cache, so every global metric in a group
+/// reads one shared transition view per snapshot and PPR warm-starts from
+/// the previous snapshot's converged vectors. Results are in input metric
+/// order and — including tie-break order — identical for every `threads`
+/// value.
 #[allow(clippy::too_many_arguments)]
 pub fn predict_top_k_many_cached_t(
     metrics: &[&dyn Metric],
@@ -452,257 +240,68 @@ pub fn predict_top_k_many_cached_t(
     threads: usize,
     cache: &mut SolverCache,
 ) -> Vec<Vec<(NodeId, NodeId)>> {
-    let pairs = cands.pairs();
-    let threads = threads.max(1);
-    cache.ensure_snapshot(snap);
-    let (fused_idx, kinds, rest) = fused_partition(metrics);
-    if fused_idx.is_empty() {
-        return predict_top_k_many_per_pair_cached_t(metrics, snap, cands, k, seed, threads, cache);
-    }
-    let mut out: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); metrics.len()];
-
-    let ctx = fused::FusedCtx::build(snap, &kinds);
-    let chunks = source_aligned_chunks(pairs, threads);
-    let chunk_accs = par::run_indexed_init(
-        chunks.len(),
+    run(
+        metrics,
+        snap,
+        cands.pairs(),
         threads,
-        || FusedScratch::new(snap.node_count()),
-        |scratch, c| {
-            let range = chunks[c].clone();
-            let slice = &pairs[range.clone()];
-            let cols = fused::score_columns(&ctx, scratch, slice, &kinds);
-            let mut accs: Vec<TopKAcc> = kinds.iter().map(|_| TopKAcc::new(k, seed)).collect();
-            for (ki, col) in cols.iter().enumerate() {
-                let m = metrics[fused_idx[ki]];
-                audit_scores(m.name(), m.score_contract(), col, range.start);
-                for (off, (&pair, &score)) in slice.iter().zip(col).enumerate() {
-                    accs[ki].push(pair, score, range.start + off);
-                }
-            }
-            accs
-        },
-    );
-    let mut merged: Vec<TopKAcc> = kinds.iter().map(|_| TopKAcc::new(k, seed)).collect();
-    for accs in chunk_accs {
-        for (ki, acc) in accs.into_iter().enumerate() {
-            merged[ki].merge(acc);
-        }
-    }
-    for (ki, acc) in merged.into_iter().enumerate() {
-        out[fused_idx[ki]] = acc.finish();
-    }
-
-    if !rest.is_empty() {
-        let rm: Vec<&dyn Metric> = rest.iter().map(|&i| metrics[i]).collect();
-        let preds = predict_top_k_many_per_pair_cached_t(&rm, snap, cands, k, seed, threads, cache);
-        for (j, p) in preds.into_iter().enumerate() {
-            out[rest[j]] = p;
-        }
-    }
-    out
-}
-
-/// The pre-fusion multi-metric top-k path ((metric × chunk) scheduling
-/// through each metric's own scorer, ignoring [`Metric::fused_kind`]) —
-/// the equivalence baseline for the fused kernel's tests and benchmarks.
-pub fn predict_top_k_many_per_pair_t(
-    metrics: &[&dyn Metric],
-    snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<Vec<(NodeId, NodeId)>> {
-    let mut cache = SolverCache::transient();
-    predict_top_k_many_per_pair_cached_t(metrics, snap, cands, k, seed, threads, &mut cache)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn predict_top_k_many_per_pair_cached_t(
-    metrics: &[&dyn Metric],
-    snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    seed: u64,
-    threads: usize,
-    cache: &mut SolverCache,
-) -> Vec<Vec<(NodeId, NodeId)>> {
-    let pairs = cands.pairs();
-    let threads = threads.max(1);
-    let (chunked, whole) = by_mode(metrics);
-    let mut out: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); metrics.len()];
-
-    if !chunked.is_empty() {
-        // Shared reborrow: prepares only read the cache (its transition
-        // view), so they can run in parallel across metrics.
-        let cache_ref: &SolverCache = cache;
-        let scorers = par::run_indexed(chunked.len(), threads, |i| {
-            metrics[chunked[i]].prepare_cached(snap, cache_ref)
-        });
-        let chunks = source_aligned_chunks(pairs, threads);
-        let items: Vec<Item> = chunked
-            .iter()
-            .enumerate()
-            .flat_map(|(si, _)| chunks.iter().map(move |c| Item { metric: si, chunk: c.clone() }))
-            .collect();
-        let accs = par::run_indexed(items.len(), threads, |w| {
-            let item = &items[w];
-            let slice = &pairs[item.chunk.clone()];
-            let scores = scorers[item.metric].score_chunk(snap, slice);
-            let m = metrics[chunked[item.metric]];
-            audit_scores(m.name(), m.score_contract(), &scores, item.chunk.start);
+        cache,
+        |slice, scores, base| {
             let mut acc = TopKAcc::new(k, seed);
             for (off, (&pair, &score)) in slice.iter().zip(&scores).enumerate() {
-                acc.push(pair, score, item.chunk.start + off);
+                acc.push(pair, score, base + off);
             }
             acc
-        });
-        let mut merged: Vec<TopKAcc> = chunked.iter().map(|_| TopKAcc::new(k, seed)).collect();
-        for (item, acc) in items.iter().zip(accs) {
-            merged[item.metric].merge(acc);
-        }
-        for (si, acc) in merged.into_iter().enumerate() {
-            out[chunked[si]] = acc.finish();
-        }
-    }
-    for &mi in &whole {
-        let scores = metrics[mi].score_pairs_cached(snap, pairs, threads, cache);
-        audit_scores(metrics[mi].name(), metrics[mi].score_contract(), &scores, 0);
-        out[mi] = topk::top_k_pairs(pairs, &scores, k, seed);
-    }
-    out
-}
-
-/// Score columns (one `Vec<f64>` per metric, aligned with `pairs`) for
-/// several metrics — the classification pipeline's feature-matrix
-/// backend. Fused-kernel metrics are produced together, one witness walk
-/// per source per chunk yielding every fused column at once; the rest is
-/// scheduled as (metric × chunk) items over one pool. Column contents are
-/// bit-identical for every `threads` value.
-pub fn score_matrix_t(
-    metrics: &[&dyn Metric],
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Vec<Vec<f64>> {
-    let mut cache = SolverCache::transient();
-    score_matrix_cached_t(metrics, snap, pairs, threads, &mut cache)
-}
-
-/// [`score_matrix_t`] with a caller-owned [`SolverCache`] (see
-/// [`predict_top_k_many_cached_t`] for the sharing/warm-start semantics).
-pub fn score_matrix_cached_t(
-    metrics: &[&dyn Metric],
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-    cache: &mut SolverCache,
-) -> Vec<Vec<f64>> {
-    let threads = threads.max(1);
-    cache.ensure_snapshot(snap);
-    let (fused_idx, kinds, rest) = fused_partition(metrics);
-    if fused_idx.is_empty() {
-        return score_matrix_per_pair_cached_t(metrics, snap, pairs, threads, cache);
-    }
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); metrics.len()];
-
-    let ctx = fused::FusedCtx::build(snap, &kinds);
-    let chunks = source_aligned_chunks(pairs, threads);
-    let parts = par::run_indexed_init(
-        chunks.len(),
-        threads,
-        || FusedScratch::new(snap.node_count()),
-        |scratch, c| {
-            let cols = fused::score_columns(&ctx, scratch, &pairs[chunks[c].clone()], &kinds);
-            for (ki, col) in cols.iter().enumerate() {
-                let m = metrics[fused_idx[ki]];
-                audit_scores(m.name(), m.score_contract(), col, chunks[c].start);
-            }
-            cols
         },
-    );
-    let mut columns: Vec<Vec<f64>> =
-        kinds.iter().map(|_| Vec::with_capacity(pairs.len())).collect();
-    for part in parts {
-        for (ki, col) in part.into_iter().enumerate() {
-            columns[ki].extend(col);
-        }
-    }
-    for (ki, col) in columns.into_iter().enumerate() {
-        out[fused_idx[ki]] = col;
-    }
-
-    if !rest.is_empty() {
-        let rm: Vec<&dyn Metric> = rest.iter().map(|&i| metrics[i]).collect();
-        let cols = score_matrix_per_pair_cached_t(&rm, snap, pairs, threads, cache);
-        for (j, col) in cols.into_iter().enumerate() {
-            out[rest[j]] = col;
-        }
-    }
-    out
+        |accs| {
+            let mut merged = TopKAcc::new(k, seed);
+            for acc in accs {
+                merged.merge(acc);
+            }
+            merged.finish()
+        },
+    )
 }
 
-/// The pre-fusion feature-matrix path ((metric × chunk) scheduling through
-/// each metric's own scorer, ignoring [`Metric::fused_kind`]) — the
-/// equivalence baseline for the fused kernel's tests and the `scalecheck`
-/// fused-scoring benchmark.
-pub fn score_matrix_per_pair_t(
-    metrics: &[&dyn Metric],
+/// The serving-side targeted scoring path: scores one metric over a
+/// (typically small, single-source) pair list with **caller-owned**
+/// kernel state, so a long-lived query worker pays the per-snapshot
+/// setup once per published version instead of once per query.
+///
+/// * Fused metrics score through [`fused::score_columns`] on the caller's
+///   [`FusedCtx`](fused::FusedCtx)/[`FusedScratch`] — build the context
+///   once per snapshot (e.g. with [`LocalKind::ALL`]) and reuse it across
+///   queries; a single kind requested out of a wider context is
+///   bit-identical to the batch engine's per-kind context.
+/// * Everything else goes through [`Metric::score_pairs_cached`] at one
+///   worker (per-source query batches are far below the engine's
+///   chunking threshold), sharing the caller's [`SolverCache`] transition
+///   view and per-source solve vectors across queries at the same version.
+///
+/// Bit-identical to [`score_pairs_t`] with `threads = 1` — the contract
+/// the serving parity asserts rely on.
+///
+/// # Panics
+/// Debug builds panic when `ctx` was built on a different snapshot than
+/// `snap` (a stale context from a previous published version).
+pub fn score_pairs_targeted(
+    m: &dyn Metric,
     snap: &Snapshot,
+    ctx: &fused::FusedCtx<'_>,
+    scratch: &mut FusedScratch,
     pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Vec<Vec<f64>> {
-    let mut cache = SolverCache::transient();
-    score_matrix_per_pair_cached_t(metrics, snap, pairs, threads, &mut cache)
-}
-
-fn score_matrix_per_pair_cached_t(
-    metrics: &[&dyn Metric],
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
     cache: &mut SolverCache,
-) -> Vec<Vec<f64>> {
-    let threads = threads.max(1);
-    let (chunked, whole) = by_mode(metrics);
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); metrics.len()];
-
-    if !chunked.is_empty() {
-        // Shared reborrow: prepares only read the cache (its transition
-        // view), so they can run in parallel across metrics.
-        let cache_ref: &SolverCache = cache;
-        let scorers = par::run_indexed(chunked.len(), threads, |i| {
-            metrics[chunked[i]].prepare_cached(snap, cache_ref)
-        });
-        let chunks = source_aligned_chunks(pairs, threads);
-        let items: Vec<Item> = chunked
-            .iter()
-            .enumerate()
-            .flat_map(|(si, _)| chunks.iter().map(move |c| Item { metric: si, chunk: c.clone() }))
-            .collect();
-        let parts = par::run_indexed(items.len(), threads, |w| {
-            let item = &items[w];
-            let scores = scorers[item.metric].score_chunk(snap, &pairs[item.chunk.clone()]);
-            let m = metrics[chunked[item.metric]];
-            audit_scores(m.name(), m.score_contract(), &scores, item.chunk.start);
-            scores
-        });
-        let mut columns: Vec<Vec<f64>> =
-            chunked.iter().map(|_| Vec::with_capacity(pairs.len())).collect();
-        for (item, part) in items.iter().zip(parts) {
-            debug_assert_eq!(columns[item.metric].len(), item.chunk.start);
-            columns[item.metric].extend(part);
-        }
-        for (si, col) in columns.into_iter().enumerate() {
-            out[chunked[si]] = col;
-        }
-    }
-    for &mi in &whole {
-        let scores = metrics[mi].score_pairs_cached(snap, pairs, threads, cache);
-        audit_scores(metrics[mi].name(), metrics[mi].score_contract(), &scores, 0);
-        out[mi] = scores;
-    }
-    out
+) -> Vec<f64> {
+    debug_assert!(
+        std::ptr::eq(ctx.snapshot(), snap),
+        "targeted scoring with a kernel context from a different snapshot"
+    );
+    let scores = match m.fused_kind() {
+        Some(kind) => fused::score_columns(ctx, scratch, pairs, &[kind]).pop().unwrap_or_default(),
+        None => m.score_pairs_cached(snap, pairs, 1, cache),
+    };
+    audit_scores(m.name(), m.score_contract(), &scores, 0);
+    scores
 }
 
 #[cfg(test)]
@@ -716,6 +315,21 @@ mod tests {
             8,
             &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6), (6, 7)],
         )
+    }
+
+    /// Fisher–Yates shuffle driven by a fixed-seed splitmix64 stream.
+    fn shuffled(pairs: &[(NodeId, NodeId)], seed: u64) -> Vec<(NodeId, NodeId)> {
+        let mut out = pairs.to_vec();
+        let mut state = seed;
+        for i in (1..out.len()).rev() {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            out.swap(i, (z % (i as u64 + 1)) as usize);
+        }
+        out
     }
 
     #[test]
@@ -742,11 +356,17 @@ mod tests {
     fn engine_scores_match_direct_scoring() {
         let snap = fixture();
         let cands = CandidateSet::build(&snap, CandidatePolicy::ThreeHop, 0);
-        for m in crate::all_metrics() {
-            let direct = m.score_pairs(&snap, cands.pairs());
-            for threads in [1, 2, 4] {
-                let engine = score_pairs_t(m.as_ref(), &snap, cands.pairs(), threads);
-                assert_eq!(engine, direct, "{} threads={threads}", m.name());
+        // Sorted candidates, and the same list in caller order (the shape
+        // AUC positives/negatives and time-series windows arrive in).
+        let inputs = [cands.pairs().to_vec(), shuffled(cands.pairs(), 0x5EED)];
+        assert_ne!(inputs[0], inputs[1], "the shuffle must reorder the pairs");
+        for pairs in &inputs {
+            for m in crate::all_metrics() {
+                let direct = m.score_pairs(&snap, pairs);
+                for threads in [1, 2, 4] {
+                    let engine = score_pairs_t(m.as_ref(), &snap, pairs, threads);
+                    assert_eq!(engine, direct, "{} threads={threads}", m.name());
+                }
             }
         }
     }
@@ -757,9 +377,11 @@ mod tests {
         let cands = CandidateSet::build(&snap, CandidatePolicy::Global, 2);
         let metrics = crate::all_metrics();
         let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
-        let many = predict_top_k_many_t(&refs, &snap, &cands, 4, 0x11A5, 3);
+        let mut cache = SolverCache::transient();
+        let many = predict_top_k_many_cached_t(&refs, &snap, &cands, 4, 0x11A5, 3, &mut cache);
         for (i, m) in refs.iter().enumerate() {
-            let single = predict_top_k_t(*m, &snap, &cands, 4, 0x11A5, 1);
+            let scores = m.score_pairs(&snap, cands.pairs());
+            let single = crate::topk::top_k_pairs(cands.pairs(), &scores, 4, 0x11A5);
             assert_eq!(many[i], single, "{}", m.name());
         }
     }
@@ -785,9 +407,14 @@ mod tests {
         }
     }
 
+    // The two audit tests below switch paranoid mode on so they also hold
+    // in release builds. Nothing in this test binary switches it off, so
+    // concurrently running tests cannot race them into a disabled audit.
+
     #[test]
     #[should_panic(expected = "non-finite score")]
     fn audit_catches_non_finite_scores() {
+        osn_graph::audit::set_paranoid(true);
         let snap = fixture();
         let bad = Broken { value: f64::NAN, contract: ScoreContract::Finite };
         score_pairs_t(&bad, &snap, &[(0, 4), (1, 5)], 1);
@@ -796,6 +423,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative contract")]
     fn audit_catches_contract_violation() {
+        osn_graph::audit::set_paranoid(true);
         let snap = fixture();
         let bad = Broken { value: -1.0, contract: ScoreContract::FiniteNonNegative };
         score_pairs_t(&bad, &snap, &[(0, 4), (1, 5)], 1);
@@ -839,7 +467,8 @@ mod tests {
         let cands = CandidateSet::build(&snap, CandidatePolicy::ThreeHop, 0);
         let metrics = crate::all_metrics();
         let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
-        let matrix = score_matrix_t(&refs, &snap, cands.pairs(), 4);
+        let matrix =
+            score_matrix_cached_t(&refs, &snap, cands.pairs(), 4, &mut SolverCache::transient());
         for (i, m) in refs.iter().enumerate() {
             assert_eq!(matrix[i], m.score_pairs(&snap, cands.pairs()), "{}", m.name());
         }

@@ -10,7 +10,7 @@
 //! landmark approximation: with `C = K[:, L]` (truncated-series columns for
 //! a landmark set `L`) and `W = K[L, L]`, `K ≈ C W⁺ Cᵀ`.
 
-use crate::exec::PairScorer;
+use crate::exec;
 use crate::solver::SolverCache;
 use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::snapshot::Snapshot;
@@ -51,15 +51,15 @@ impl Default for KatzLr {
     }
 }
 
-/// Prepared Katz-lr state: spectral factors computed once per snapshot;
-/// every chunk is O(r) dot products per pair.
-struct KatzLrScorer {
+/// Katz-lr's spectral factors for one snapshot, computed once per scoring
+/// call; every pair is then O(r) dot products.
+struct KatzLrFactors {
     factors: Vec<f64>,
     vectors: Matrix,
 }
 
-impl PairScorer for KatzLrScorer {
-    fn score_chunk(&self, _snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
+impl KatzLrFactors {
+    fn score(&self, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
         let r = self.factors.len();
         pairs
             .iter()
@@ -86,44 +86,34 @@ impl Metric for KatzLr {
     }
 
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        // linklens-allow(refit-in-score-pairs): one-shot convenience entry; the engine hoists via prepare_cached
-        self.prepare(snap).score_chunk(snap, pairs)
+        self.prepare_from(snap, &adjacency(snap)).score(pairs)
     }
 
-    fn prepare<'a>(&'a self, snap: &Snapshot) -> Box<dyn PairScorer + 'a> {
-        if snap.edge_count() == 0 {
-            return Box::new(KatzLrScorer {
-                factors: Vec::new(),
-                vectors: Matrix::zeros(snap.node_count().max(1), 0),
-            });
-        }
-        let a = adjacency(snap);
-        self.prepare_from(snap, &a)
-    }
-
-    fn prepare_cached<'a>(
-        &'a self,
+    /// Factors once from the cache's shared adjacency CSR (structurally
+    /// identical to the triplet build [`score_pairs`](Metric::score_pairs)
+    /// uses), then scores source-aligned chunks in parallel.
+    fn score_pairs_cached(
+        &self,
         snap: &Snapshot,
-        cache: &SolverCache,
-    ) -> Box<dyn PairScorer + 'a> {
-        if snap.edge_count() == 0 {
-            return self.prepare(snap);
-        }
-        // Reuse the snapshot's shared adjacency CSR instead of rebuilding
-        // it from triplets (the cache owner pointed it at `snap`).
-        match cache.transition() {
-            Some(tv) if tv.node_count() == snap.node_count() => {
-                self.prepare_from(snap, tv.adjacency())
-            }
-            _ => self.prepare(snap),
-        }
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        let factors = self.prepare_from(snap, cache.ensure_snapshot(snap).adjacency());
+        exec::score_chunked(pairs, threads, |chunk| factors.score(chunk))
     }
 }
 
 impl KatzLr {
-    /// Factorization stage shared by the cached and uncached prepare
-    /// paths; `a` is the snapshot's adjacency.
-    fn prepare_from<'a>(&'a self, snap: &Snapshot, a: &SparseMatrix) -> Box<dyn PairScorer + 'a> {
+    /// Factorization stage shared by the reference and the engine hook;
+    /// `a` is the snapshot's adjacency.
+    fn prepare_from(&self, snap: &Snapshot, a: &SparseMatrix) -> KatzLrFactors {
+        if snap.edge_count() == 0 {
+            return KatzLrFactors {
+                factors: Vec::new(),
+                vectors: Matrix::zeros(snap.node_count().max(1), 0),
+            };
+        }
         // Single-start Lanczos recovers one Ritz vector per eigenvalue
         // cluster, so on small graphs (where exact is cheap and spectra are
         // often degenerate by symmetry) use the dense Jacobi solver; the
@@ -168,7 +158,7 @@ impl KatzLr {
                 1.0 / denom - 1.0
             })
             .collect();
-        Box::new(KatzLrScorer { factors, vectors: eig.vectors })
+        KatzLrFactors { factors, vectors: eig.vectors }
     }
 }
 
@@ -226,17 +216,17 @@ impl KatzSc {
     }
 }
 
-/// Prepared Katz-sc state: landmark columns `C` and the solved mixing rows
-/// `M = C (W + δI)⁻¹`, computed once per snapshot. `m_rows = None` marks
-/// both the empty-graph case (`C` empty) and the singular-landmark
-/// fallback, which scores through `C` alone.
-struct KatzScScorer {
+/// Katz-sc's landmark state for one snapshot: landmark columns `C` and
+/// the solved mixing rows `M = C (W + δI)⁻¹`. `m_rows = None` marks both
+/// the empty-graph case (`C` empty) and the singular-landmark fallback,
+/// which scores through `C` alone.
+struct KatzScFactors {
     c: Matrix,
     m_rows: Option<Vec<Vec<f64>>>,
 }
 
-impl PairScorer for KatzScScorer {
-    fn score_chunk(&self, _snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
+impl KatzScFactors {
+    fn score(&self, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
         let l = self.c.cols();
         if l == 0 {
             return vec![0.0; pairs.len()];
@@ -278,65 +268,54 @@ impl Metric for KatzSc {
     }
 
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        // linklens-allow(refit-in-score-pairs): one-shot convenience entry; the engine hoists via prepare_cached
-        self.prepare(snap).score_chunk(snap, pairs)
+        self.prepare_from(snap, &adjacency(snap)).score(pairs)
     }
 
-    fn prepare<'a>(&'a self, snap: &Snapshot) -> Box<dyn PairScorer + 'a> {
-        let n = snap.node_count();
-        if snap.edge_count() == 0 || n == 0 {
-            return Box::new(KatzScScorer { c: Matrix::zeros(n.max(1), 0), m_rows: None });
-        }
-        let a = adjacency(snap);
-        self.prepare_from(snap, &a)
-    }
-
-    fn prepare_cached<'a>(
-        &'a self,
+    /// Builds the landmark state once from the cache's shared adjacency
+    /// CSR, then scores source-aligned chunks in parallel.
+    fn score_pairs_cached(
+        &self,
         snap: &Snapshot,
-        cache: &SolverCache,
-    ) -> Box<dyn PairScorer + 'a> {
-        if snap.edge_count() == 0 || snap.node_count() == 0 {
-            return self.prepare(snap);
-        }
-        // Reuse the snapshot's shared adjacency CSR instead of rebuilding
-        // it from triplets (the cache owner pointed it at `snap`).
-        match cache.transition() {
-            Some(tv) if tv.node_count() == snap.node_count() => {
-                self.prepare_from(snap, tv.adjacency())
-            }
-            _ => self.prepare(snap),
-        }
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        let factors = self.prepare_from(snap, cache.ensure_snapshot(snap).adjacency());
+        exec::score_chunked(pairs, threads, |chunk| factors.score(chunk))
     }
 }
 
 impl KatzSc {
-    /// Landmark stage shared by the cached and uncached prepare paths.
-    fn prepare_from<'a>(&'a self, snap: &Snapshot, a: &SparseMatrix) -> Box<dyn PairScorer + 'a> {
-        let lm = self.pick_landmarks(snap);
-        let c = self.landmark_columns(a, &lm, par::max_threads());
-        self.scorer_from_columns(&lm, c)
+    /// Landmark stage shared by the reference and the engine hook; `a` is
+    /// the snapshot's adjacency.
+    fn prepare_from(&self, snap: &Snapshot, a: &SparseMatrix) -> KatzScFactors {
+        self.factors_with(snap, |lm| self.landmark_columns(a, lm, par::max_threads()))
     }
 
-    /// Per-source reference prepare: identical landmark/mixing stages but
-    /// columns built by [`landmark_columns_per_source`]
-    /// (Self::landmark_columns_per_source). The columns are bit-identical
-    /// to the batched SpMM build, so the returned scorer's output is too —
-    /// kept as the oracle the bench and equivalence tests pin against.
-    pub fn prepare_per_source<'a>(&'a self, snap: &Snapshot) -> Box<dyn PairScorer + 'a> {
+    /// Per-source reference for [`score_pairs`](Metric::score_pairs):
+    /// identical landmark/mixing stages but columns built by
+    /// [`landmark_columns_per_source`](Self::landmark_columns_per_source).
+    /// The columns are bit-identical to the batched SpMM build, so the
+    /// scores are too — kept as the oracle the bench and equivalence tests
+    /// pin against.
+    pub fn score_pairs_per_source(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
+        let a = adjacency(snap);
+        self.factors_with(snap, |lm| self.landmark_columns_per_source(&a, lm)).score(pairs)
+    }
+
+    /// Landmark pick plus the mixing stage shared by every column-building
+    /// path: `C = columns(lm)`, `W = C[lm, :]`, `M = C (W + δI)⁻¹`.
+    fn factors_with(
+        &self,
+        snap: &Snapshot,
+        columns: impl FnOnce(&[NodeId]) -> Matrix,
+    ) -> KatzScFactors {
         let n = snap.node_count();
         if snap.edge_count() == 0 || n == 0 {
-            return self.prepare(snap);
+            return KatzScFactors { c: Matrix::zeros(n.max(1), 0), m_rows: None };
         }
-        let a = adjacency(snap);
         let lm = self.pick_landmarks(snap);
-        let c = self.landmark_columns_per_source(&a, &lm);
-        self.scorer_from_columns(&lm, c)
-    }
-
-    /// Mixing stage shared by every column-building path:
-    /// `W = C[lm, :]`, `M = C (W + δI)⁻¹`.
-    fn scorer_from_columns(&self, lm: &[NodeId], c: Matrix) -> Box<dyn PairScorer + 'static> {
+        let c = columns(&lm);
         let l = lm.len();
         let mut w = Matrix::zeros(l, l);
         for (r_out, &lr) in lm.iter().enumerate() {
@@ -348,7 +327,7 @@ impl KatzSc {
         // Solve (W + δI) Y = Cᵀ column-block-wise: rhs per graph node.
         let rhs: Vec<Vec<f64>> = (0..c.rows()).map(|i| c.row(i).to_vec()).collect();
         let m_rows = w.solve_many(&rhs);
-        Box::new(KatzScScorer { c, m_rows })
+        KatzScFactors { c, m_rows }
     }
 
     /// Truncated Katz columns for all landmarks at once:
@@ -542,13 +521,11 @@ mod tests {
 
     #[test]
     fn transition_view_adjacency_matches_triplet_build() {
-        // prepare_cached swaps the triplet-built adjacency for the cache's
+        // The engine hook swaps the triplet-built adjacency for the cache's
         // shared TransitionView CSR; they must be structurally identical.
         let s = fixture();
         let a = adjacency(&s);
-        let mut cache = SolverCache::transient();
-        cache.ensure_snapshot(&s);
-        let tv = cache.transition().unwrap();
+        let tv = SolverCache::transient().ensure_snapshot(&s);
         let b = tv.adjacency();
         assert_eq!(a.rows(), b.rows());
         for i in 0..a.rows() {
@@ -557,21 +534,22 @@ mod tests {
     }
 
     #[test]
-    fn prepare_cached_scores_match_uncached() {
+    fn cached_hook_scores_match_reference() {
         let s = fixture();
         let pairs = [(0u32, 3u32), (0, 4), (1, 5), (2, 4)];
-        let mut cache = SolverCache::transient();
-        cache.ensure_snapshot(&s);
         let lr = KatzLr::default();
-        assert_eq!(
-            lr.prepare_cached(&s, &cache).score_chunk(&s, &pairs),
-            lr.prepare(&s).score_chunk(&s, &pairs),
-        );
         let sc = KatzSc::default();
-        assert_eq!(
-            sc.prepare_cached(&s, &cache).score_chunk(&s, &pairs),
-            sc.prepare(&s).score_chunk(&s, &pairs),
-        );
+        for threads in [1, 2] {
+            let mut cache = SolverCache::sweep();
+            assert_eq!(
+                lr.score_pairs_cached(&s, &pairs, threads, &mut cache),
+                lr.score_pairs(&s, &pairs)
+            );
+            assert_eq!(
+                sc.score_pairs_cached(&s, &pairs, threads, &mut cache),
+                sc.score_pairs(&s, &pairs)
+            );
+        }
     }
 
     #[test]

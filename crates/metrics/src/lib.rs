@@ -4,7 +4,9 @@
 //! (IMC 2016, Table 3), plus the two Katz implementations the paper
 //! compares (low-rank and scalable-proximity). Every metric implements the
 //! [`traits::Metric`] trait: given a [`osn_graph::snapshot::Snapshot`] and
-//! a batch of unconnected node pairs, produce one ranking score per pair.
+//! a batch of unconnected node pairs, produce one ranking score per pair —
+//! serially through the reference [`traits::Metric::score_pairs`], or in
+//! parallel through the engine hook [`traits::Metric::score_pairs_cached`].
 //!
 //! | Module | Metrics | Paper reference |
 //! |---|---|---|
@@ -36,10 +38,12 @@
 //! caller-chosen pair batch, so the expensive enumeration is shared across
 //! all metrics per snapshot (the evaluation framework exploits this).
 //! Top-k selection with deterministic seeded tie-breaking — the paper's
-//! "random choice among ties" for SP — is in [`topk`]. Parallel execution
-//! (chunked candidate scoring, (metric × chunk) scheduling, fused
-//! streaming top-k) is in [`exec`]; predictions are bit-identical across
-//! worker counts. The local and Bayes metrics are scored through the
+//! "random choice among ties" for SP — is in [`topk`]. Library code scores
+//! only through the engine in [`exec`], which has four entry points
+//! ([`exec::score_pairs_t`], [`exec::score_matrix_cached_t`],
+//! [`exec::predict_top_k_many_cached_t`], [`exec::score_pairs_targeted`]);
+//! predictions are bit-identical to the reference and across worker
+//! counts. The local and Bayes metrics are scored through the
 //! source-batched fused kernel in [`fused`] — one witness walk per source
 //! instead of per-pair intersections — with bit-identical results.
 

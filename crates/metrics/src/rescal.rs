@@ -19,8 +19,8 @@
 //! every thread count), each sweep certifies a sparse Frobenius residual,
 //! and every normal-equations solve is guarded — a singular system
 //! surfaces as [`SolverError::Singular`] instead of the silent
-//! stale-factor skip the original dense loop performed. Pair scoring is
-//! whole-batch ([`ExecMode::WholeBatch`]) through
+//! stale-factor skip the original dense loop performed. The engine hook
+//! ([`Metric::score_pairs_cached`]) scores the whole batch through
 //! [`solver::bilinear_scores_t`], and fitted models register in the
 //! [`SolverCache`] so framework sweeps reuse the fit within a snapshot
 //! and — in certified mode (`tol > 0`) — warm-start the next snapshot's
@@ -30,7 +30,6 @@
 
 use std::sync::Arc;
 
-use crate::exec::{ExecMode, PairScorer};
 use crate::solver::{self, SolverCache, SolverError};
 use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::par;
@@ -348,48 +347,6 @@ impl Rescal {
     }
 }
 
-/// A prepared RESCAL scorer: the ALS fit happens once, pair scoring is
-/// two length-r dot products against the precomputed `XR` — the exact
-/// per-pair fold of [`solver::bilinear_scores_t`], so the chunked path
-/// is bit-identical to the whole-batch path. `None` marks an empty
-/// graph (all scores zero).
-struct RescalScorer {
-    model: Option<(Arc<RescalModel>, Matrix)>,
-}
-
-impl RescalScorer {
-    fn new(model: Option<Arc<RescalModel>>) -> Self {
-        let model = model.map(|m| {
-            let xr = m.x.matmul(&m.r);
-            (m, xr)
-        });
-        RescalScorer { model }
-    }
-}
-
-impl PairScorer for RescalScorer {
-    fn score_chunk(&self, _snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        match &self.model {
-            None => vec![0.0; pairs.len()],
-            Some((model, xr)) => pairs
-                .iter()
-                .map(|&(u, v)| {
-                    let (xu, xv) = (model.x.row(u as usize), model.x.row(v as usize));
-                    let (xru, xrv) = (xr.row(u as usize), xr.row(v as usize));
-                    let mut s = 0.0;
-                    for (p, q) in xru.iter().zip(xv) {
-                        s += p * q;
-                    }
-                    for (p, q) in xrv.iter().zip(xu) {
-                        s += p * q;
-                    }
-                    s
-                })
-                .collect(),
-        }
-    }
-}
-
 impl Metric for Rescal {
     fn name(&self) -> &'static str {
         "Rescal"
@@ -399,22 +356,8 @@ impl Metric for Rescal {
         CandidatePolicy::Global
     }
 
-    fn exec_mode(&self) -> ExecMode {
-        ExecMode::WholeBatch
-    }
-
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        self.score_pairs_t(snap, pairs, par::max_threads())
-    }
-
-    fn score_pairs_t(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Vec<f64> {
-        let mut cache = SolverCache::transient();
-        self.score_pairs_cached(snap, pairs, threads, &mut cache)
+        self.score_pairs_cached(snap, pairs, par::max_threads(), &mut SolverCache::transient())
     }
 
     fn score_pairs_cached(
@@ -432,33 +375,6 @@ impl Metric for Rescal {
             // is a hard invariant violation, same class as an audit panic.
             Err(e) => panic!("{e}"),
         }
-    }
-
-    fn prepare<'a>(&'a self, snap: &Snapshot) -> Box<dyn PairScorer + 'a> {
-        let model = if snap.edge_count() == 0 {
-            None
-        } else {
-            match self.fit_t(snap, par::max_threads()) {
-                Ok(model) => Some(Arc::new(model)),
-                // Same audit panic class as score_pairs_cached: prepare has
-                // no error channel either.
-                Err(e) => panic!("{e}"),
-            }
-        };
-        Box::new(RescalScorer::new(model))
-    }
-
-    fn prepare_cached<'a>(
-        &'a self,
-        snap: &Snapshot,
-        cache: &SolverCache,
-    ) -> Box<dyn PairScorer + 'a> {
-        if let Some(model) = cache.rescal_model(self.fingerprint()) {
-            if model.x.rows() == snap.node_count() {
-                return Box::new(RescalScorer::new(Some(model)));
-            }
-        }
-        self.prepare(snap)
     }
 }
 
@@ -591,8 +507,10 @@ mod tests {
         let model = r.fit(&s).expect("fit");
         let pairs: Vec<(NodeId, NodeId)> = vec![(0, 2), (0, 7), (3, 4), (1, 6)];
         let batched = r.score_pairs(&s, &pairs);
-        let prepared = r.prepare(&s).score_chunk(&s, &pairs);
-        assert_eq!(batched, prepared, "whole-batch and prepared paths must agree bitwise");
+        for threads in [1, 3] {
+            let engine = crate::exec::score_pairs_t(&r, &s, &pairs, threads);
+            assert_eq!(batched, engine, "reference and engine paths must agree bitwise");
+        }
         for (i, &(u, v)) in pairs.iter().enumerate() {
             assert!(
                 (batched[i] - model.score(u, v)).abs() <= 1e-9,

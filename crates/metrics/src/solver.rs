@@ -235,8 +235,9 @@ pub struct SolverStats {
 /// behavior.
 pub struct SolverCache {
     persistent: bool,
-    key: Option<(usize, usize)>,
-    transition: Option<Arc<TransitionView>>,
+    /// The current snapshot's `(node_count, edge_count, adjacency_digest)`
+    /// key and its transition view.
+    current: Option<((usize, usize, u64), Arc<TransitionView>)>,
     // Ordered maps: warm-start caches are lookup-only today, but a
     // BTreeMap guarantees any future iteration (eviction, diagnostics)
     // is deterministic.
@@ -255,8 +256,7 @@ impl SolverCache {
     pub fn transient() -> Self {
         SolverCache {
             persistent: false,
-            key: None,
-            transition: None,
+            current: None,
             ppr_prev: BTreeMap::new(),
             ppr_curr: BTreeMap::new(),
             rescal_prev: None,
@@ -277,30 +277,29 @@ impl SolverCache {
         self.persistent
     }
 
-    /// Points the cache at `snap`, rebuilding the [`TransitionView`] and
-    /// rotating warm vectors (current → previous) when the snapshot
-    /// changed. Keyed on `(node_count, edge_count)` — cheap, and within
-    /// one monotone growth sweep each snapshot adds edges, so the key is
-    /// unique per snapshot.
-    pub fn ensure_snapshot(&mut self, snap: &Snapshot) {
-        let key = (snap.node_count(), snap.edge_count());
-        if self.key == Some(key) {
-            return;
+    /// Points the cache at `snap` and returns its shared
+    /// [`TransitionView`], rebuilding the view and rotating warm vectors
+    /// (current → previous) when the snapshot changed. Keyed on the
+    /// snapshot's content — node count, edge count and
+    /// [`Snapshot::adjacency_digest`] — so two different graphs of equal
+    /// size never share a view, while equal snapshots (clones, rebuilt
+    /// prefixes) still hit.
+    pub fn ensure_snapshot(&mut self, snap: &Snapshot) -> Arc<TransitionView> {
+        let key = (snap.node_count(), snap.edge_count(), snap.adjacency_digest());
+        if let Some((current, tv)) = &self.current {
+            if *current == key {
+                return Arc::clone(tv);
+            }
         }
-        self.key = Some(key);
         self.ppr_prev = std::mem::take(&mut self.ppr_curr);
         self.rescal_prev = self.rescal_curr.take();
         if !self.persistent {
             self.ppr_prev.clear();
             self.rescal_prev = None;
         }
-        self.transition = Some(Arc::new(TransitionView::build(snap)));
-    }
-
-    /// The shared transition view for the snapshot last passed to
-    /// [`ensure_snapshot`](Self::ensure_snapshot), if any.
-    pub fn transition(&self) -> Option<Arc<TransitionView>> {
-        self.transition.clone()
+        let tv = Arc::new(TransitionView::build(snap));
+        self.current = Some((key, Arc::clone(&tv)));
+        tv
     }
 
     /// How many converged PPR source vectors this cache will retain for a
@@ -964,20 +963,17 @@ mod tests {
         let tol = 1e-7;
 
         let mut sweep = SolverCache::sweep();
-        sweep.ensure_snapshot(&snap_a);
-        let tv_a = sweep.transition().unwrap();
+        let tv_a = sweep.ensure_snapshot(&snap_a);
         let _ = ppr_scores_t(&tv_a, &pairs, alpha, tol, 1, &mut sweep, "PPR").unwrap();
         assert!(sweep.stats.ppr_warm_starts == 0, "first snapshot must run cold");
-        sweep.ensure_snapshot(&snap_b);
+        let tv_b = sweep.ensure_snapshot(&snap_b);
         let before = sweep.stats.clone();
-        let tv_b = sweep.transition().unwrap();
         let warm = ppr_scores_t(&tv_b, &pairs, alpha, tol, 1, &mut sweep, "PPR").unwrap();
         let warm_iters = sweep.stats.ppr_iterations - before.ppr_iterations;
         assert!(sweep.stats.ppr_warm_starts > 0, "second snapshot must reuse cached vectors");
 
         let mut cold_cache = SolverCache::transient();
-        cold_cache.ensure_snapshot(&snap_b);
-        let tv_cold = cold_cache.transition().unwrap();
+        let tv_cold = cold_cache.ensure_snapshot(&snap_b);
         let cold = ppr_scores_t(&tv_cold, &pairs, alpha, tol, 1, &mut cold_cache, "PPR").unwrap();
         let cold_iters = cold_cache.stats.ppr_iterations;
 
@@ -1091,6 +1087,61 @@ mod tests {
         // Budget gating: limit 0 stores nothing.
         sweep.store_ppr(5, vec![0.5; 15], 0);
         assert!(sweep.ppr_warm(5).is_none());
+    }
+
+    /// A ring of `n` nodes with chords `(i, i + n/2)` for `i % 3 == offset`.
+    fn chorded_ring(n: usize, offset: usize) -> Snapshot {
+        let mut edges = Vec::new();
+        for i in 0..n {
+            edges.push((i as NodeId, ((i + 1) % n) as NodeId));
+            if i % 3 == offset {
+                edges.push((i as NodeId, ((i + n / 2) % n) as NodeId));
+            }
+        }
+        Snapshot::from_edges(n, &edges)
+    }
+
+    #[test]
+    fn sweep_cache_keys_on_content_not_size() {
+        use crate::traits::Metric;
+        let first = chorded_ring(12, 0);
+        let second = chorded_ring(12, 1);
+        assert_eq!(first.node_count(), second.node_count());
+        assert_eq!(first.edge_count(), second.edge_count());
+        assert_ne!(first, second);
+        let pairs = all_pairs(12);
+        let lrw = crate::walk::LocalRandomWalk::default();
+        let ppr = crate::walk::PersonalizedPageRank::default();
+        let katz = crate::katz::KatzLr::default();
+        let metrics: [&dyn Metric; 3] = [&lrw, &ppr, &katz];
+
+        let score = |m: &dyn Metric, snap: &Snapshot, cache: &mut SolverCache| {
+            crate::exec::score_matrix_cached_t(&[m], snap, &pairs, 1, cache).remove(0)
+        };
+        let mut sweep = SolverCache::sweep();
+        for m in metrics {
+            score(m, &first, &mut sweep);
+        }
+        let warm_before = sweep.stats.ppr_warm_starts;
+        for m in metrics {
+            let reused = score(m, &second, &mut sweep);
+            let fresh = score(m, &second, &mut SolverCache::sweep());
+            if m.name() == "PPR" {
+                // The sweep cache warm-starts PPR from the first graph's
+                // converged vectors by design, so it matches a fresh cache
+                // within the certified warm-start bound, not bit for bit.
+                let bound = 4.0 * ppr.solver_tol() / ppr.alpha;
+                for (i, (r, f)) in reused.iter().zip(&fresh).enumerate() {
+                    assert!((r - f).abs() <= bound, "PPR pair {:?}: {r} vs {f}", pairs[i]);
+                }
+            } else {
+                assert_eq!(reused, fresh, "{} reused the first graph's solver state", m.name());
+            }
+        }
+        assert!(
+            sweep.stats.ppr_warm_starts > warm_before,
+            "the second graph must rotate the first graph's vectors into warm starts"
+        );
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! The `Metric` trait and its candidate policy.
+//!
+//! A metric has one serial reference, [`Metric::score_pairs`], and one
+//! engine hook, [`Metric::score_pairs_cached`]. Library code scores only
+//! through the engine ([`crate::exec`]), which calls the hook (or, for
+//! metrics advertising [`Metric::fused_kind`], the fused kernel); tests,
+//! doc examples and oracle checks call the reference.
 
-use crate::candidates::CandidateSet;
-use crate::exec::{self, ExecMode, PairScorer, ScoreAll};
+use crate::solver::SolverCache;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 
@@ -38,9 +43,9 @@ pub enum ScoreContract {
 ///
 /// Implementations are stateless configuration objects: all per-snapshot
 /// state (factorizations, walk distributions, triangle counts) is computed
-/// inside [`score_pairs`](Metric::score_pairs) for the snapshot at hand.
-/// Callers amortize that cost by scoring all pairs of interest in a single
-/// call.
+/// per scoring call, or read from the caller's [`SolverCache`], for the
+/// snapshot at hand. Callers amortize that cost by scoring all pairs of
+/// interest in a single call.
 pub trait Metric: Sync {
     /// Display name matching the paper's tables ("BRA", "Katz-lr", …).
     fn name(&self) -> &'static str;
@@ -56,95 +61,46 @@ pub trait Metric: Sync {
         ScoreContract::Finite
     }
 
-    /// Scores a batch of (unconnected) pairs against a snapshot. Returns
-    /// one finite score per pair, higher = more likely to connect.
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64>;
-
-    /// How the parallel engine executes this metric (see
-    /// [`ExecMode`]). Chunked by default; metrics whose batch algorithm
-    /// parallelizes internally (the walk metrics) return `WholeBatch`.
-    fn exec_mode(&self) -> ExecMode {
-        ExecMode::Chunked
-    }
-
     /// The fused-kernel column this metric maps to, when it is one of the
     /// local metrics the source-batched kernel ([`crate::fused`]) can
-    /// absorb. `None` (the default) keeps the metric on its own
-    /// [`score_pairs`](Metric::score_pairs) path; the local and Bayes
-    /// metrics override this, and the engine then scores them through one
-    /// shared witness walk per source instead of per-pair intersections —
-    /// bit-identical to the per-pair path.
+    /// absorb. `None` (the default) keeps the metric on its
+    /// [`score_pairs_cached`](Metric::score_pairs_cached) hook; the local
+    /// and Bayes metrics override this, and the engine then scores them
+    /// through one shared witness walk per source instead of per-pair
+    /// intersections — bit-identical to [`score_pairs`](Metric::score_pairs).
     fn fused_kind(&self) -> Option<crate::fused::LocalKind> {
         None
     }
 
-    /// Hoists per-snapshot work (factorizations, landmark solves) out of
-    /// the chunk loop, returning a read-only scorer the engine calls once
-    /// per chunk. The default wraps [`score_pairs`](Metric::score_pairs),
-    /// which is correct for any metric without cross-pair state.
-    fn prepare<'a>(&'a self, snap: &Snapshot) -> Box<dyn PairScorer + 'a> {
-        let _ = snap;
-        Box::new(ScoreAll(self))
-    }
+    /// The serial reference: scores a batch of (unconnected) pairs against
+    /// a snapshot, one finite score per pair, higher = more likely to
+    /// connect. Tests and oracle checks call this; library code scores
+    /// through [`crate::exec`].
+    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64>;
 
-    /// [`score_pairs`](Metric::score_pairs) with an explicit worker
-    /// budget. Only [`ExecMode::WholeBatch`] metrics override this — the
-    /// engine parallelizes Chunked metrics itself.
-    fn score_pairs_t(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Vec<f64> {
-        let _ = threads;
-        self.score_pairs(snap, pairs)
-    }
-
-    /// [`score_pairs_t`](Metric::score_pairs_t) with access to the
-    /// per-snapshot [`SolverCache`](crate::solver::SolverCache). The
-    /// default ignores the cache; the global walk metrics (LRW, PPR)
-    /// override it to share the snapshot's transition view and, on
-    /// persistent caches, warm-start PPR from the previous snapshot's
-    /// converged vectors (which changes iteration counts, never converged
-    /// output beyond the documented tolerance — see [`crate::solver`]).
+    /// The engine's hook: [`score_pairs`](Metric::score_pairs) over
+    /// `threads` workers, with access to the caller's per-snapshot
+    /// [`SolverCache`]. Must be bit-identical to `score_pairs` for every
+    /// `threads` value on a fresh cache.
+    ///
+    /// The default splits `pairs` into source-aligned chunks and runs
+    /// `score_pairs` on them in parallel, which is correct for any metric
+    /// whose scores depend only on (snapshot, pair). Metrics with
+    /// per-snapshot state override it: the walk metrics (LRW, PPR) solve
+    /// on the cache's shared transition view and, on persistent caches,
+    /// warm-start PPR from the previous snapshot's converged vectors
+    /// (which changes iteration counts, never converged output beyond the
+    /// documented tolerance — see [`crate::solver`]); Katz factors once
+    /// from the cache's adjacency; Rescal reuses the cache's fitted model.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
-        cache: &mut crate::solver::SolverCache,
+        cache: &mut SolverCache,
     ) -> Vec<f64> {
         let _ = cache;
-        self.score_pairs_t(snap, pairs, threads)
-    }
-
-    /// [`prepare`](Metric::prepare) with read access to the per-snapshot
-    /// [`SolverCache`](crate::solver::SolverCache), so Chunked metrics
-    /// whose per-snapshot stage runs on the adjacency matrix (the Katz
-    /// family) can reuse the cache's shared [`crate::solver::TransitionView`]
-    /// instead of rebuilding CSR structure. Read-only: prepare runs in
-    /// parallel across metrics.
-    fn prepare_cached<'a>(
-        &'a self,
-        snap: &Snapshot,
-        cache: &crate::solver::SolverCache,
-    ) -> Box<dyn PairScorer + 'a> {
-        let _ = cache;
-        self.prepare(snap)
-    }
-
-    /// Predicts the top-`k` pairs from a pre-built candidate set, with
-    /// seeded tie-breaking (ties are common for SP and CN). Runs on the
-    /// parallel engine with [`osn_graph::par::max_threads`] workers; the
-    /// result is bit-identical for every worker count.
-    fn predict_top_k(
-        &self,
-        snap: &Snapshot,
-        cands: &CandidateSet,
-        k: usize,
-        seed: u64,
-    ) -> Vec<(NodeId, NodeId)> {
-        exec::predict_top_k_t(self, snap, cands, k, seed, osn_graph::par::max_threads())
+        crate::exec::score_chunked(pairs, threads, |chunk| self.score_pairs(snap, chunk))
     }
 }
 

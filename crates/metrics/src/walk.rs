@@ -9,7 +9,6 @@
 //! [`PersonalizedPageRank::score_pairs_per_source_t`]) and the equivalence
 //! tests in `tests/global_equivalence.rs` pin the two paths together.
 
-use crate::exec::ExecMode;
 use crate::solver::{self, SolverCache};
 use crate::traits::{CandidatePolicy, Metric, ScoreContract};
 use osn_graph::par;
@@ -200,22 +199,8 @@ impl Metric for LocalRandomWalk {
         ScoreContract::FiniteNonNegative
     }
 
-    fn exec_mode(&self) -> ExecMode {
-        ExecMode::WholeBatch
-    }
-
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        self.score_pairs_t(snap, pairs, par::max_threads())
-    }
-
-    fn score_pairs_t(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Vec<f64> {
-        let mut cache = SolverCache::transient();
-        self.score_pairs_cached(snap, pairs, threads, &mut cache)
+        self.score_pairs_cached(snap, pairs, par::max_threads(), &mut SolverCache::transient())
     }
 
     fn score_pairs_cached(
@@ -225,9 +210,7 @@ impl Metric for LocalRandomWalk {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        cache.ensure_snapshot(snap);
-        // linklens-allow(unwrap-in-lib): ensure_snapshot always installs a transition view
-        let tv = cache.transition().expect("ensure_snapshot installed a view");
+        let tv = cache.ensure_snapshot(snap);
         match solver::lrw_scores_t(&tv, pairs, self.steps, self.prune, threads, "LRW") {
             Ok(scores) => scores,
             // The Metric trait has no error channel; a tripped solver guard
@@ -323,22 +306,8 @@ impl Metric for PersonalizedPageRank {
         ScoreContract::FiniteNonNegative
     }
 
-    fn exec_mode(&self) -> ExecMode {
-        ExecMode::WholeBatch
-    }
-
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        self.score_pairs_t(snap, pairs, par::max_threads())
-    }
-
-    fn score_pairs_t(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Vec<f64> {
-        let mut cache = SolverCache::transient();
-        self.score_pairs_cached(snap, pairs, threads, &mut cache)
+        self.score_pairs_cached(snap, pairs, par::max_threads(), &mut SolverCache::transient())
     }
 
     fn score_pairs_cached(
@@ -348,9 +317,7 @@ impl Metric for PersonalizedPageRank {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        cache.ensure_snapshot(snap);
-        // linklens-allow(unwrap-in-lib): ensure_snapshot always installs a transition view
-        let tv = cache.transition().expect("ensure_snapshot installed a view");
+        let tv = cache.ensure_snapshot(snap);
         match solver::ppr_scores_t(&tv, pairs, self.alpha, self.solver_tol(), threads, cache, "PPR")
         {
             Ok(scores) => scores,

@@ -178,12 +178,12 @@ proptest! {
             let engine = exec::score_pairs_t(&rescal, &snap, &pairs, threads);
             prop_assert_eq!(&engine, &base, "engine diverged at {} threads", threads);
             let mut cache = SolverCache::sweep();
-            let cached = exec::score_pairs_cached_t(&rescal, &snap, &pairs, threads, &mut cache);
+            let cached = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, threads, &mut cache).remove(0);
             prop_assert_eq!(&cached, &base, "cached path diverged at {} threads", threads);
             prop_assert_eq!(cache.stats.rescal_fits, 1);
             // Re-scoring the same snapshot must reuse the registered
             // model: no second fit, bit-identical scores.
-            let again = exec::score_pairs_cached_t(&rescal, &snap, &pairs, threads, &mut cache);
+            let again = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, threads, &mut cache).remove(0);
             prop_assert_eq!(&again, &base, "model reuse diverged at {} threads", threads);
             prop_assert_eq!(cache.stats.rescal_fits, 1, "cached model was refit");
         }
@@ -212,7 +212,7 @@ proptest! {
         let mut prev_cold = None;
         for edges in &snapshots {
             let snap = Snapshot::from_edges(n, edges);
-            let warm = exec::score_pairs_cached_t(&rescal, &snap, &pairs, 2, &mut warm_cache);
+            let warm = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, 2, &mut warm_cache).remove(0);
             prop_assert!(warm.iter().all(|s| s.is_finite()));
             let cold = rescal.fit_t(&snap, 2).expect("cold fit");
             cold_iters += cold.iterations as u64;

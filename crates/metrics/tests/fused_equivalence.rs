@@ -11,6 +11,8 @@ use osn_graph::NodeId;
 use osn_metrics::candidates::CandidateSet;
 use osn_metrics::exec;
 use osn_metrics::fused::{self, LocalKind};
+use osn_metrics::solver::SolverCache;
+use osn_metrics::topk::top_k_pairs;
 use osn_metrics::traits::{CandidatePolicy, Metric};
 use proptest::prelude::*;
 
@@ -33,6 +35,17 @@ fn fused_metrics() -> Vec<(Box<dyn Metric>, LocalKind)> {
         (m, kind)
     })
     .collect()
+}
+
+/// The per-pair path: the metric's own engine hook, which chunks its
+/// reference `score_pairs` and never touches the fused kernel.
+fn per_pair(
+    m: &dyn Metric,
+    snap: &Snapshot,
+    pairs: &[(NodeId, NodeId)],
+    threads: usize,
+) -> Vec<f64> {
+    m.score_pairs_cached(snap, pairs, threads, &mut SolverCache::transient())
 }
 
 /// Random graphs big enough to give multi-source, multi-witness candidate
@@ -72,8 +85,7 @@ proptest! {
                         &fused, &direct,
                         "{} fused != direct at {} threads ({:?})", m.name(), threads, policy
                     );
-                    let per_pair =
-                        exec::score_pairs_per_pair_t(m.as_ref(), &snap, cands.pairs(), threads);
+                    let per_pair = per_pair(m.as_ref(), &snap, cands.pairs(), threads);
                     prop_assert_eq!(
                         &fused, &per_pair,
                         "{} fused != per-pair at {} threads ({:?})", m.name(), threads, policy
@@ -83,8 +95,9 @@ proptest! {
         }
     }
 
-    /// predict_top_k_t (fused dispatch) returns exactly the pairs — and
-    /// the tie-break order — of the per-pair path, at every thread count.
+    /// The engine's top-k (fused dispatch, streaming per-chunk heaps)
+    /// returns exactly the pairs — and the tie-break order — of the
+    /// per-pair path, at every thread count.
     #[test]
     fn fused_top_k_is_bit_identical((n, edges) in arb_graph()) {
         let snap = Snapshot::from_edges(n, &edges);
@@ -92,10 +105,14 @@ proptest! {
         prop_assume!(!cands.is_empty());
         let k = (cands.len() / 2).max(1);
         for (m, _) in fused_metrics() {
-            let baseline =
-                exec::predict_top_k_per_pair_t(m.as_ref(), &snap, &cands, k, 0x5EED, 1);
+            let scores = per_pair(m.as_ref(), &snap, cands.pairs(), 1);
+            let baseline = top_k_pairs(cands.pairs(), &scores, k, 0x5EED);
             for threads in [1usize, 2, 4, 8] {
-                let fused = exec::predict_top_k_t(m.as_ref(), &snap, &cands, k, 0x5EED, threads);
+                let mut cache = SolverCache::transient();
+                let fused = exec::predict_top_k_many_cached_t(
+                    &[m.as_ref()], &snap, &cands, k, 0x5EED, threads, &mut cache,
+                )
+                .remove(0);
                 prop_assert_eq!(
                     &fused, &baseline,
                     "{} top-k diverged at {} threads", m.name(), threads
@@ -115,11 +132,16 @@ proptest! {
         let metrics = osn_metrics::all_metrics();
         let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
         let k = (cands.len() / 2).max(1);
-        let matrix_base = exec::score_matrix_per_pair_t(&refs, &snap, cands.pairs(), 1);
-        let topk_base = exec::predict_top_k_many_per_pair_t(&refs, &snap, &cands, k, 0x11A5, 1);
+        let matrix_base: Vec<Vec<f64>> =
+            refs.iter().map(|&m| per_pair(m, &snap, cands.pairs(), 1)).collect();
+        let topk_base: Vec<Vec<(NodeId, NodeId)>> =
+            matrix_base.iter().map(|col| top_k_pairs(cands.pairs(), col, k, 0x11A5)).collect();
         for threads in [1usize, 3] {
-            let matrix = exec::score_matrix_t(&refs, &snap, cands.pairs(), threads);
-            let topk = exec::predict_top_k_many_t(&refs, &snap, &cands, k, 0x11A5, threads);
+            let mut cache = SolverCache::transient();
+            let matrix = exec::score_matrix_cached_t(&refs, &snap, cands.pairs(), threads, &mut cache);
+            let topk = exec::predict_top_k_many_cached_t(
+                &refs, &snap, &cands, k, 0x11A5, threads, &mut SolverCache::transient(),
+            );
             for (i, m) in refs.iter().enumerate() {
                 prop_assert_eq!(
                     &matrix[i], &matrix_base[i],

@@ -114,7 +114,7 @@ proptest! {
         let lrw = LocalRandomWalk { steps: 3, prune: 0.0 };
         let reference = lrw.score_pairs_per_source_t(&snap, &pairs, 1);
         for threads in THREADS {
-            let batched = lrw.score_pairs_t(&snap, &pairs, threads);
+            let batched = exec::score_pairs_t(&lrw, &snap, &pairs, threads);
             for i in 0..pairs.len() {
                 prop_assert!(
                     (batched[i] - reference[i]).abs() <= 1e-9,
@@ -137,7 +137,7 @@ proptest! {
         let ppr = PersonalizedPageRank::default();
         let reference = ppr.score_pairs_per_source_t(&snap, &pairs, 1);
         for threads in THREADS {
-            let batched = ppr.score_pairs_t(&snap, &pairs, threads);
+            let batched = exec::score_pairs_t(&ppr, &snap, &pairs, threads);
             for (i, &(u, v)) in pairs.iter().enumerate() {
                 let bound = ppr.epsilon * (snap.degree(u) + snap.degree(v)) as f64
                     + 2.0 * ppr.solver_tol() / ppr.alpha;
@@ -160,7 +160,7 @@ proptest! {
         let pairs = candidate_pairs(&snap);
         prop_assume!(!pairs.is_empty());
         let katz = KatzSc::default();
-        let reference = katz.prepare_per_source(&snap).score_chunk(&snap, &pairs);
+        let reference = katz.score_pairs_per_source(&snap, &pairs);
         prop_assert_eq!(
             &katz.score_pairs(&snap, &pairs), &reference,
             "Katz-sc batched != per-source"
@@ -186,7 +186,7 @@ proptest! {
             for threads in THREADS {
                 let mut cache = SolverCache::sweep();
                 let cached =
-                    exec::score_pairs_cached_t(m.as_ref(), &snap, &pairs, threads, &mut cache);
+                    exec::score_matrix_cached_t(&[m.as_ref()], &snap, &pairs, threads, &mut cache).remove(0);
                 prop_assert_eq!(
                     &cached, &base,
                     "{} cached path diverged at {} threads", name, threads
@@ -213,9 +213,9 @@ proptest! {
         let mut cold_iters = 0u64;
         for edges in &snapshots {
             let snap = Snapshot::from_edges(n, edges);
-            let warm = exec::score_pairs_cached_t(&ppr, &snap, &pairs, 2, &mut warm_cache);
+            let warm = exec::score_matrix_cached_t(&[&ppr], &snap, &pairs, 2, &mut warm_cache).remove(0);
             let mut cold_cache = SolverCache::transient();
-            let cold = exec::score_pairs_cached_t(&ppr, &snap, &pairs, 2, &mut cold_cache);
+            let cold = exec::score_matrix_cached_t(&[&ppr], &snap, &pairs, 2, &mut cold_cache).remove(0);
             cold_iters += cold_cache.stats.ppr_iterations;
             let bound = 4.0 * ppr.solver_tol() / ppr.alpha;
             for i in 0..pairs.len() {

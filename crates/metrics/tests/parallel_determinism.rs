@@ -9,9 +9,22 @@ use osn_graph::snapshot::Snapshot;
 use osn_graph::{traversal, NodeId};
 use osn_metrics::candidates::CandidateSet;
 use osn_metrics::exec;
+use osn_metrics::solver::SolverCache;
 use osn_metrics::topk::{top_k_pairs, TopKAcc};
-use osn_metrics::traits::CandidatePolicy;
+use osn_metrics::traits::{CandidatePolicy, Metric};
 use proptest::prelude::*;
+
+/// One metric's top-k through the engine at `threads` workers.
+fn top_k(
+    m: &dyn Metric,
+    snap: &Snapshot,
+    cands: &CandidateSet,
+    k: usize,
+    threads: usize,
+) -> Vec<(NodeId, NodeId)> {
+    let mut cache = SolverCache::transient();
+    exec::predict_top_k_many_cached_t(&[m], snap, cands, k, 0x5EED, threads, &mut cache).remove(0)
+}
 
 /// Random graphs big enough to give multi-source candidate sets but small
 /// enough that all 15 metrics (including the RESCAL/Katz fits) stay fast.
@@ -42,9 +55,9 @@ proptest! {
             prop_assume!(!cands.is_empty());
             let k = (cands.len() / 2).max(1);
             for m in osn_metrics::all_metrics() {
-                let serial = exec::predict_top_k_t(m.as_ref(), &snap, &cands, k, 0x5EED, 1);
+                let serial = top_k(m.as_ref(), &snap, &cands, k, 1);
                 for threads in [2usize, 4, 8] {
-                    let par = exec::predict_top_k_t(m.as_ref(), &snap, &cands, k, 0x5EED, threads);
+                    let par = top_k(m.as_ref(), &snap, &cands, k, threads);
                     prop_assert_eq!(
                         &serial, &par,
                         "{} with {} threads diverged ({:?} policy)", m.name(), threads, policy

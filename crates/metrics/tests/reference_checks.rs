@@ -132,7 +132,12 @@ proptest! {
         let cands = CandidateSet::build(&snap, CandidatePolicy::TwoHop, 0);
         prop_assume!(!cands.is_empty());
         let metric = osn_metrics::local::ResourceAllocation;
-        let top = metric.predict_top_k(&snap, &cands, k, 7);
+        let threads = osn_graph::par::max_threads();
+        let mut cache = osn_metrics::solver::SolverCache::transient();
+        let top = osn_metrics::exec::predict_top_k_many_cached_t(
+            &[&metric], &snap, &cands, k, 7, threads, &mut cache,
+        )
+        .remove(0);
         let scores = metric.score_pairs(&snap, cands.pairs());
         let expected = osn_metrics::topk::top_k_pairs(cands.pairs(), &scores, k, 7);
         prop_assert_eq!(top, expected);

@@ -261,6 +261,8 @@ mod tests {
         use osn_graph::sequence::SnapshotSequence;
         use osn_graph::snapshot::Snapshot;
         use osn_metrics::candidates::CandidateSet;
+        use osn_metrics::exec;
+        use osn_metrics::solver::SolverCache;
         use osn_metrics::traits::{CandidatePolicy, Metric};
 
         pub struct Eval<'a> {
@@ -293,7 +295,18 @@ mod tests {
                     .iter()
                     .map(|m| {
                         let cands = CandidateSet::build(&prev, CandidatePolicy::TwoHop, 0);
-                        let picked = m.predict_top_k(&prev, &cands, k, 5);
+                        let threads = osn_graph::par::max_threads();
+                        let mut cache = SolverCache::transient();
+                        let picked = exec::predict_top_k_many_cached_t(
+                            &[*m],
+                            &prev,
+                            &cands,
+                            k,
+                            5,
+                            threads,
+                            &mut cache,
+                        )
+                        .remove(0);
                         let correct = picked.iter().filter(|p| truth.contains(p)).count();
                         Outcome {
                             accuracy_ratio: if expected > 0.0 {

@@ -20,7 +20,7 @@ use linklens::core::framework::SequenceEvaluator;
 use linklens::graph::io;
 use linklens::graph::sequence::SnapshotSequence;
 use linklens::graph::stats;
-use linklens::metrics::topk;
+use linklens::metrics::{exec, topk};
 use linklens::prelude::*;
 use linklens::trace::GrowthTrace;
 use std::fs::File;
@@ -297,7 +297,8 @@ fn recommend(args: &[String]) {
         println!("user {user} has no 2-hop candidates (degree {})", snap.degree(user));
         return;
     }
-    let scores = metric.score_pairs(&snap, &cands);
+    let threads = linklens::graph::par::max_threads();
+    let scores = exec::score_pairs_t(metric.as_ref(), &snap, &cands, threads);
     println!(
         "top {} suggestions for user {user} (degree {}), by {}:",
         top.min(cands.len()),
