@@ -25,14 +25,18 @@
 //! 2. **Every other metric** is scored whole, in input order, through its
 //!    [`Metric::score_pairs_cached`] hook with the full worker budget and
 //!    the caller's [`SolverCache`]. The default hook cuts source-aligned
-//!    chunks (splitting only where `pairs[i].0` changes, so group-by-source
-//!    metrics like SP and LP keep one BFS per source) and runs
-//!    [`Metric::score_pairs`] on them in parallel; the walk, Katz and
-//!    Rescal metrics override it to solve or factor once per call.
+//!    chunks (splitting only where `pairs[i].0` changes) and runs
+//!    [`Metric::score_pairs`] on them in parallel; SP and LP group each
+//!    chunk by solve side, one BFS or scan per side. The walk, Katz and
+//!    Rescal metrics override the hook to solve or factor once per call.
 //!
 //! Every column is checked against its metric's [`ScoreContract`] when
-//! audits are enabled. Scores depend only on (snapshot, pair), so every
-//! entry point is bit-identical to [`Metric::score_pairs`] for every
+//! audits are enabled. Scores depend only on (snapshot, pair list): LRW
+//! and PPR score each pair from the solve side its batch picks (see
+//! [`crate::solver`]), so the same pair inside another batch may score
+//! differently within the solvers' certified bounds. Every entry point
+//! hands a non-fused metric's hook the whole pair list, so each is
+//! bit-identical to [`Metric::score_pairs`] on the same list for every
 //! worker count.
 
 use crate::candidates::CandidateSet;
@@ -278,8 +282,10 @@ pub fn predict_top_k_many_cached_t(
 ///   chunking threshold), sharing the caller's [`SolverCache`] transition
 ///   view and per-source solve vectors across queries at the same version.
 ///
-/// Bit-identical to [`score_pairs_t`] with `threads = 1` — the contract
-/// the serving parity asserts rely on.
+/// Bit-identical to [`score_pairs_t`] with `threads = 1` on the same pair
+/// list — the contract the serving parity asserts rely on. A query's
+/// list holds only the source's pairs, so the walk solvers take the
+/// source as the one solve side and solve one column per query.
 ///
 /// # Panics
 /// Debug builds panic when `ctx` was built on a different snapshot than

@@ -1,19 +1,26 @@
 //! Path-based metrics: Shortest Path (SP) and Local Path (LP).
 //!
-//! Production scoring batches sources: SP walks up to 64 BFS sources at
-//! once through [`traversal::MultiSourceBfs`] (one edge touch per combined
-//! frontier level instead of per source), and LP reads its 2-walk counts
-//! from the epoch-stamped [`traversal::Walk2Scan`] scatter core. Distances
-//! and counts are exact integers, so both paths are bit-identical to the
-//! retained per-source references ([`ShortestPath::score_pairs_per_source`],
-//! [`LocalPath::score_pairs_per_source`]).
+//! Production scoring groups a batch by the solve sides of
+//! `crate::solver::SidePlan`, the plan the walk solvers share: each pair
+//! is scored from the endpoint in more of the batch's pairs, so a served
+//! query (every pair holding the source) costs one BFS or one scan. SP
+//! walks up to 64 sides at once through [`traversal::MultiSourceBfs`]
+//! (one edge touch per combined frontier level instead of per source),
+//! and LP reads its 2-walk counts from the epoch-stamped
+//! [`traversal::Walk2Scan`] scatter core. Hop distances and walk counts
+//! are symmetric exact integers, so the result does not depend on which
+//! endpoint is the side, and both paths are bit-identical to the retained
+//! per-source references ([`ShortestPath::score_pairs_per_source`],
+//! [`LocalPath::score_pairs_per_source`]), which group by first endpoint.
 
+use crate::solver::SidePlan;
 use crate::traits::{CandidatePolicy, Metric, ScoreContract};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{traversal, NodeId};
 
-/// Groups `pairs` by first endpoint: returns the index permutation sorted
-/// by source plus the contiguous range of each distinct source.
+/// Groups `pairs` by first endpoint, for the per-source references:
+/// returns the index permutation sorted by source plus the contiguous
+/// range of each distinct source.
 fn source_groups(pairs: &[(NodeId, NodeId)]) -> (Vec<usize>, Vec<std::ops::Range<usize>>) {
     let mut order: Vec<usize> = (0..pairs.len()).collect();
     order.sort_unstable_by_key(|&i| pairs[i].0);
@@ -57,35 +64,33 @@ impl Metric for ShortestPath {
     }
 
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        // Batch up to 64 distinct sources per multi-source BFS: one edge
-        // touch per combined frontier level instead of one BFS per source.
+        // Batch up to 64 sides per multi-source BFS: one edge touch per
+        // combined frontier level instead of one BFS per side.
         let n = snap.node_count();
-        let (order, groups) = source_groups(pairs);
+        let plan = SidePlan::build(pairs);
         let unreached = -f64::from(self.max_depth + 1);
         let mut scores = vec![unreached; pairs.len()];
         let mut bfs = traversal::MultiSourceBfs::new(n);
-        // qmask[v]: bits of the current batch's sources querying v,
+        // qmask[v]: bits of the current batch's sides querying v,
         // cleared between batches via the touched list.
         let mut qmask = vec![0u64; n];
         let mut qtouched: Vec<NodeId> = Vec::new();
-        // (partner, source bit, pair index), sorted so the visit callback
+        // (partner, side bit, pair index), sorted so the visit callback
         // can binary-search the partner's query span.
         let mut queries: Vec<(NodeId, usize, usize)> = Vec::new();
-        for batch in groups.chunks(64) {
-            let sources: Vec<NodeId> = batch.iter().map(|g| pairs[order[g.start]].0).collect();
+        for (b, sources) in plan.sides().chunks(64).enumerate() {
             queries.clear();
-            for (s, g) in batch.iter().enumerate() {
-                for &idx in &order[g.clone()] {
-                    let v = pairs[idx].1;
+            for s in 0..sources.len() {
+                for &(idx, v) in plan.queries(b * 64 + s) {
                     if qmask[v as usize] == 0 {
                         qtouched.push(v);
                     }
                     qmask[v as usize] |= 1u64 << s;
-                    queries.push((v, s, idx));
+                    queries.push((v, s, idx as usize));
                 }
             }
             queries.sort_unstable();
-            bfs.run(snap, &sources, self.max_depth, |v, depth, new_bits| {
+            bfs.run(snap, sources, self.max_depth, |v, depth, new_bits| {
                 let hits = new_bits & qmask[v as usize];
                 if hits == 0 {
                     return;
@@ -163,23 +168,21 @@ impl Metric for LocalPath {
     }
 
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        // The shared epoch-stamped scatter core: one 2-walk scan per
-        // distinct source, O(1) reset between sources.
+        // The shared epoch-stamped scatter core: one 2-walk scan per side,
+        // O(1) reset between sides.
         let mut scan = traversal::Walk2Scan::new(snap.node_count());
-        let (order, groups) = source_groups(pairs);
+        let plan = SidePlan::build(pairs);
         let mut scores = vec![0.0; pairs.len()];
-        for g in groups {
-            let u = pairs[order[g.start]].0;
+        for (si, &u) in plan.sides().iter().enumerate() {
             scan.scan(snap, u);
-            for &idx in &order[g] {
-                let v = pairs[idx].1;
+            for &(idx, v) in plan.queries(si) {
                 // paths² = 2-step walks landing exactly on v.
                 let p2 = f64::from(scan.count(v));
                 // paths³ = Σ_{b ∈ Γ(v)} walk2[b], excluding walks whose
                 // middle edge is (u,b) with b = u … for unconnected (u,v)
                 // walks cannot revisit the endpoints, so A³ is exact.
                 let p3: u32 = snap.neighbors(v).iter().map(|&b| scan.count(b)).sum();
-                scores[idx] = p2 + self.epsilon * f64::from(p3);
+                scores[idx as usize] = p2 + self.epsilon * f64::from(p3);
             }
         }
         scores

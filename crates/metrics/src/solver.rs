@@ -7,21 +7,38 @@
 //! the snapshot's transition structure per step, so the adjacency CSR is
 //! read once per iteration instead of once per source.
 //!
-//! Three pieces live here:
+//! Four pieces live here:
 //!
 //! * [`TransitionView`] — the degree-normalized transition view of a
 //!   snapshot, built once per snapshot (an unweighted adjacency CSR plus a
 //!   degree table; the 1/d(u) normalization is applied on the fly so the
 //!   view is exact, never a rounded matrix).
+//! * `SidePlan` — the batch's *solve sides*: every pair is scored from one
+//!   of its endpoints, so a batch needs one source column (or one scan,
+//!   for SP and LP in [`crate::path`]) per side, not per endpoint.
 //! * [`lrw_scores_t`] / [`ppr_scores_t`] — batched solvers producing one
 //!   score per candidate pair. LRW runs the exact `m`-step walk recursion
 //!   on a block of source columns; PPR solves `(I - (1-α)Pᵀ) p = α e_u`
 //!   with a Chebyshev semi-iteration (residual-based stopping, so the
 //!   answer is tolerance-certified regardless of the starting vector).
+//!   Both evaluate their pair scores one-sided, from the side's column
+//!   alone (see [`crate::walk`] for the reversibility identities).
 //! * [`SolverCache`] — the per-snapshot cache carried across a
 //!   [`osn_graph::sequence::SnapshotSequence`] sweep: the shared
 //!   `TransitionView` plus converged PPR vectors from the previous
 //!   snapshot used to warm-start the next one.
+//!
+//! ## Solve sides
+//!
+//! A pair is solved from the endpoint that occurs in more of the batch's
+//! pairs, the lower id on a tie. A batch whose pairs all contain one node
+//! `s` with distinct partners — every served query with two or more
+//! candidates — therefore has the single side `s` and costs one column.
+//! The plan registers every pair exactly once, as `(pair index, partner)`,
+//! bucketed by side with a stable counting sort over node ids: sides
+//! ascend by id, and queries within a side ascend by pair index. Each
+//! solver advances `min(block_width(n), sides)` columns per block, so a
+//! one-side batch sweeps one column, not the full block width.
 //!
 //! ## Warm-start fixed-point argument
 //!
@@ -32,9 +49,12 @@
 //! holds no matter where the iteration started. Warm-starting from the
 //! previous snapshot's converged vector therefore changes the iteration
 //! count (fewer steps when consecutive snapshots are similar) but never
-//! moves the converged output beyond the existing tolerance: warm and cold
-//! runs each land within `tol/α` of the same fixed point, so their scores
-//! differ by at most `4·tol/α` per pair (two endpoint vectors, two runs).
+//! moves the converged output beyond the existing tolerance. A pair's
+//! one-sided score `p_s[t]·(1 + d_s/d_t)` scales its column's error by
+//! the factor, so each run lands within `(tol/α)·(1 + d_s/d_t)` of the
+//! exact score, and warm and cold runs (same pair list, same side) differ
+//! by at most `2·(tol/α)·(1 + d_max/d_min)` per pair — a factor of 1 when
+//! `d_min = 0`, where both scores are 0 up to the same certified error.
 //! Stale or wrong-sized cache entries are harmless for the same reason —
 //! a warm vector is only ever an initial guess.
 //!
@@ -45,9 +65,11 @@
 //! cross-column reductions), gathers accumulate in ascending-neighbor
 //! order, and a column's result is snapshotted the first time its residual
 //! crosses the tolerance — exactly the value a width-1 run would have
-//! stopped at. Pair scores accumulate endpoint contributions in ascending
-//! source order, matching the reference `c_u·p_uv + c_v·p_vu` evaluation
-//! order.
+//! stopped at. Each pair's score is assigned once, from its side's column,
+//! so no cross-column sum exists whose order could vary. The side itself
+//! is a function of the pair list, so a score depends on (snapshot, pair
+//! list): the same pair scored inside two different batches may take
+//! different sides and differ within the certified error bounds.
 //!
 //! ## Nonfinite-accumulator guard
 //!
@@ -358,42 +380,67 @@ impl SolverCache {
     }
 }
 
-/// Pair batch regrouped by source endpoint: each unique source carries the
-/// list of `(pair index, partner)` queries to resolve against its solved
-/// vector. Both endpoints of every pair appear as sources (the combines
-/// need `p_u[v]` and `p_v[u]`).
-struct SourcePlan {
-    sources: Vec<NodeId>,
+/// Pair batch grouped by solve side (see the module docs): each side
+/// carries the `(pair index, partner)` queries to resolve against its one
+/// solved column or scan. Every pair appears exactly once.
+pub(crate) struct SidePlan {
+    sides: Vec<NodeId>,
     offsets: Vec<usize>,
     queries: Vec<(u32, NodeId)>,
 }
 
-impl SourcePlan {
-    fn build(pairs: &[(NodeId, NodeId)]) -> Self {
+impl SidePlan {
+    pub(crate) fn build(pairs: &[(NodeId, NodeId)]) -> Self {
         assert!(pairs.len() <= u32::MAX as usize, "pair batch exceeds u32 index range");
-        let mut items: Vec<(NodeId, u32, NodeId)> = Vec::with_capacity(pairs.len() * 2);
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            // linklens-allow(truncating-cast): guarded by the batch-size assert above
-            let idx = i as u32;
-            items.push((u, idx, v));
-            items.push((v, idx, u));
+        let span = pairs.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0);
+        let mut in_pairs = vec![0usize; span];
+        for &(u, v) in pairs {
+            in_pairs[u as usize] += 1;
+            in_pairs[v as usize] += 1;
         }
-        items.sort_unstable();
-        let mut sources = Vec::new();
-        let mut offsets = Vec::new();
-        let mut queries = Vec::with_capacity(items.len());
-        for (src, idx, partner) in items {
-            if sources.last() != Some(&src) {
-                sources.push(src);
-                offsets.push(queries.len());
+        // (side, partner): the endpoint in more pairs, the lower id on a tie.
+        let orient = |(u, v): (NodeId, NodeId)| {
+            let (cu, cv) = (in_pairs[u as usize], in_pairs[v as usize]);
+            if cu > cv || (cu == cv && u <= v) {
+                (u, v)
+            } else {
+                (v, u)
             }
-            queries.push((idx, partner));
+        };
+        // Stable counting sort by side: bucket sizes, then bucket starts.
+        let mut start = vec![0usize; span + 1];
+        for &p in pairs {
+            start[orient(p).0 as usize + 1] += 1;
         }
-        offsets.push(queries.len());
-        SourcePlan { sources, offsets, queries }
+        let mut sides = Vec::new();
+        let mut offsets = vec![0];
+        for (node, &len) in start[1..].iter().enumerate() {
+            if len > 0 {
+                sides.push(node as NodeId);
+                offsets.push(offsets[offsets.len() - 1] + len);
+            }
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut queries = vec![(0u32, 0); pairs.len()];
+        for (i, &p) in pairs.iter().enumerate() {
+            let (side, partner) = orient(p);
+            let slot = &mut start[side as usize];
+            // linklens-allow(truncating-cast): guarded by the batch-size assert above
+            queries[*slot] = (i as u32, partner);
+            *slot += 1;
+        }
+        SidePlan { sides, offsets, queries }
     }
 
-    fn queries(&self, si: usize) -> &[(u32, NodeId)] {
+    /// The sides, ascending by node id.
+    pub(crate) fn sides(&self) -> &[NodeId] {
+        &self.sides
+    }
+
+    /// Side `si`'s `(pair index, partner)` queries, ascending by index.
+    pub(crate) fn queries(&self, si: usize) -> &[(u32, NodeId)] {
         &self.queries[self.offsets[si]..self.offsets[si + 1]]
     }
 }
@@ -412,14 +459,16 @@ impl LrwWs {
     }
 }
 
-/// Batched LRW scores for `pairs`: identical recursion to
-/// [`crate::walk::walk_distribution`] (including the degree-share prune
-/// and dangling self-absorption), advanced over blocks of source columns
-/// in one CSR sweep per step. Per-node share sums gather in ascending
-/// neighbor order, which reassociates the reference's frontier-order
-/// additions — scores agree to float-reassociation tolerance (~1e-10 with
-/// `prune = 0`; pruning compares the same `share < prune` expression, so
-/// only knife-edge shares within one ulp of `prune` can differ).
+/// Batched LRW scores for `pairs`, one-sided: `2·(d_s/2E)·π_st(m)` from
+/// the pruned walk of each pair's solve side `s`. The walk is the same
+/// recursion as [`crate::walk::walk_distribution`] (including the
+/// degree-share prune and dangling self-absorption), advanced over blocks
+/// of side columns in one CSR sweep per step. Per-node share sums gather
+/// in ascending neighbor order, which reassociates the reference's
+/// frontier-order additions. With `prune = 0` the score equals the
+/// two-sided reference to float-reassociation tolerance (~1e-10); with
+/// pruning, a step drops at most `prune·2E` of walk mass, so the score
+/// is within `2·m·prune·d_s` of the exact one.
 pub fn lrw_scores_t(
     tv: &TransitionView,
     pairs: &[(NodeId, NodeId)],
@@ -431,8 +480,9 @@ pub fn lrw_scores_t(
     lrw_scores_with_width(tv, pairs, steps, prune, threads, block_width(tv.node_count()), metric)
 }
 
-/// [`lrw_scores_t`] with an explicit block width (results are
-/// bit-identical for every width ≥ 1; exposed for the invariance tests).
+/// [`lrw_scores_t`] with an explicit block width, clamped to the
+/// batch's side count (results are bit-identical for every width ≥ 1;
+/// exposed for the invariance tests).
 pub fn lrw_scores_with_width(
     tv: &TransitionView,
     pairs: &[(NodeId, NodeId)],
@@ -443,26 +493,26 @@ pub fn lrw_scores_with_width(
     metric: &'static str,
 ) -> Result<Vec<f64>, SolverError> {
     let n = tv.node_count();
-    let w = width.max(1);
-    let plan = SourcePlan::build(pairs);
+    let plan = SidePlan::build(pairs);
     let mut scores = vec![0.0; pairs.len()];
-    if plan.sources.is_empty() || n == 0 {
+    if plan.sides.is_empty() || n == 0 {
         return Ok(scores);
     }
+    let w = width.clamp(1, plan.sides.len());
     let two_e = (tv.volume().max(1)) as f64;
-    let nblocks = plan.sources.len().div_ceil(w);
+    let nblocks = plan.sides.len().div_ceil(w);
     let results = par::run_indexed_init(
         nblocks,
         threads.max(1),
         || LrwWs::new(n, w),
         |ws, b| {
-            let range = (b * w)..((b + 1) * w).min(plan.sources.len());
+            let range = (b * w)..((b + 1) * w).min(plan.sides.len());
             lrw_block(tv, &plan, range, steps, prune, two_e, ws, metric)
         },
     );
     for block in results {
         for (idx, val) in block? {
-            scores[idx as usize] += val;
+            scores[idx as usize] = val;
         }
     }
     Ok(scores)
@@ -471,7 +521,7 @@ pub fn lrw_scores_with_width(
 #[allow(clippy::too_many_arguments)]
 fn lrw_block(
     tv: &TransitionView,
-    plan: &SourcePlan,
+    plan: &SidePlan,
     range: Range<usize>,
     steps: usize,
     prune: f64,
@@ -483,7 +533,7 @@ fn lrw_block(
     let w = ws.x.len() / n.max(1);
     ws.x.fill(0.0);
     for (j, si) in range.clone().enumerate() {
-        ws.x[plan.sources[si] as usize * w + j] = 1.0;
+        ws.x[plan.sides[si] as usize * w + j] = 1.0;
     }
     for step in 0..steps {
         ws.y.fill(0.0);
@@ -520,10 +570,11 @@ fn lrw_block(
             return Err(SolverError::NonFinite { metric, iteration: step });
         }
     }
+    // One-sided: by reversibility d_s·π_st = d_t·π_ts, so the two-sided
+    // (d_s/2E)·π_st + (d_t/2E)·π_ts is 2·(d_s/2E)·π_st.
     let mut out = Vec::new();
     for (j, si) in range.enumerate() {
-        let src = plan.sources[si];
-        let coeff = f64::from(tv.degree(src)) / two_e;
+        let coeff = 2.0 * (f64::from(tv.degree(plan.sides[si])) / two_e);
         for &(idx, partner) in plan.queries(si) {
             out.push((idx, coeff * ws.x[partner as usize * w + j]));
         }
@@ -559,18 +610,22 @@ impl PprWs {
 }
 
 struct PprBlockOut {
-    contribs: Vec<(u32, f64)>,
+    scores: Vec<(u32, f64)>,
     store: Vec<(NodeId, Vec<f64>)>,
     iterations: u64,
     warm_starts: u64,
 }
 
-/// Batched PPR scores for `pairs`: solves `(I - (1-α)Pᵀ) p = α e_u` per
-/// source with a blocked Chebyshev semi-iteration (operator spectrum
-/// `[α, 2-α]`), stopping each column at residual `‖r‖₁ ≤ tol_l1`, which
-/// certifies `‖p - p̂‖₁ ≤ tol_l1/α` against the exact fixed point (see
-/// the module docs). Warm-start vectors from `cache` seed the initial
-/// guess; converged vectors are stored back when the cache is persistent.
+/// Batched PPR scores for `pairs`, one-sided: `π_st·(1 + d_s/d_t)` from
+/// the column of each pair's solve side `s` (`π_st` alone when
+/// `d_t = 0`). Solves `(I - (1-α)Pᵀ) p = α e_s` per side with a blocked
+/// Chebyshev semi-iteration (operator spectrum `[α, 2-α]`), stopping each
+/// column at residual `‖r‖₁ ≤ tol_l1`, which certifies
+/// `‖p - p̂‖₁ ≤ tol_l1/α` against the exact fixed point, so each score is
+/// within `(tol_l1/α)·(1 + d_s/d_t)` of the exact two-sided `π_st + π_ts`
+/// (see the module docs). Warm-start vectors from `cache` seed the
+/// initial guess; converged vectors are stored back when the cache is
+/// persistent.
 #[allow(clippy::too_many_arguments)]
 pub fn ppr_scores_t(
     tv: &TransitionView,
@@ -585,8 +640,9 @@ pub fn ppr_scores_t(
     ppr_scores_with_width(tv, pairs, alpha, tol_l1, threads, w, cache, metric)
 }
 
-/// [`ppr_scores_t`] with an explicit block width (results are
-/// bit-identical for every width ≥ 1; exposed for the invariance tests).
+/// [`ppr_scores_t`] with an explicit block width, clamped to the
+/// batch's side count (results are bit-identical for every width ≥ 1;
+/// exposed for the invariance tests).
 #[allow(clippy::too_many_arguments)]
 pub fn ppr_scores_with_width(
     tv: &TransitionView,
@@ -599,14 +655,14 @@ pub fn ppr_scores_with_width(
     metric: &'static str,
 ) -> Result<Vec<f64>, SolverError> {
     let n = tv.node_count();
-    let w = width.max(1);
-    let plan = SourcePlan::build(pairs);
+    let plan = SidePlan::build(pairs);
     let mut scores = vec![0.0; pairs.len()];
-    if plan.sources.is_empty() || n == 0 {
+    if plan.sides.is_empty() || n == 0 {
         return Ok(scores);
     }
+    let w = width.clamp(1, plan.sides.len());
     let store_limit = cache.warm_budget_sources(n);
-    let nblocks = plan.sources.len().div_ceil(w);
+    let nblocks = plan.sides.len().div_ceil(w);
     let results = {
         let cache_ref: &SolverCache = cache;
         par::run_indexed_init(
@@ -614,15 +670,15 @@ pub fn ppr_scores_with_width(
             threads.max(1),
             || PprWs::new(n, w),
             |ws, b| {
-                let range = (b * w)..((b + 1) * w).min(plan.sources.len());
+                let range = (b * w)..((b + 1) * w).min(plan.sides.len());
                 ppr_block(tv, &plan, range, alpha, tol_l1, store_limit, cache_ref, ws, metric)
             },
         )
     };
     for block in results {
         let block = block?;
-        for (idx, val) in block.contribs {
-            scores[idx as usize] += val;
+        for (idx, val) in block.scores {
+            scores[idx as usize] = val;
         }
         for (src, vec) in block.store {
             cache.store_ppr(src, vec, store_limit);
@@ -630,7 +686,7 @@ pub fn ppr_scores_with_width(
         cache.stats.ppr_iterations += block.iterations;
         cache.stats.ppr_warm_starts += block.warm_starts;
     }
-    cache.stats.ppr_sources += plan.sources.len() as u64;
+    cache.stats.ppr_sources += plan.sides.len() as u64;
     Ok(scores)
 }
 
@@ -642,7 +698,7 @@ pub fn ppr_scores_with_width(
 #[allow(clippy::too_many_arguments)]
 fn ppr_block(
     tv: &TransitionView,
-    plan: &SourcePlan,
+    plan: &SidePlan,
     range: Range<usize>,
     alpha: f64,
     tol: f64,
@@ -660,7 +716,7 @@ fn ppr_block(
     // Initial guess: warm vectors where available, zero otherwise.
     ws.x.fill(0.0);
     for (j, si) in range.clone().enumerate() {
-        if let Some(warm) = cache.ppr_warm(plan.sources[si]) {
+        if let Some(warm) = cache.ppr_warm(plan.sides[si]) {
             let len = warm.len().min(n);
             for (i, &v) in warm[..len].iter().enumerate() {
                 ws.x[i * w + j] = v;
@@ -703,7 +759,7 @@ fn ppr_block(
         ws.r[i] = oma * ws.g[i] - ws.x[i];
     }
     for (j, si) in range.clone().enumerate() {
-        ws.r[plan.sources[si] as usize * w + j] += alpha;
+        ws.r[plan.sides[si] as usize * w + j] += alpha;
     }
     ws.d.copy_from_slice(&ws.r);
 
@@ -771,19 +827,26 @@ fn ppr_block(
         k += 1;
     }
 
-    let mut contribs = Vec::new();
+    // One-sided: by reversibility π_ts/d_s = π_st/d_t, so the two-sided
+    // π_st + π_ts is π_st·(1 + d_s/d_t). A partner of degree 0 is never
+    // reached (π_st = 0); its factor is 1, which keeps the score exactly 0.
+    let mut scores = Vec::new();
     let mut store = Vec::new();
     for (j, si) in range.enumerate() {
+        let side = plan.sides[si];
+        let d_side = f64::from(tv.degree(side));
         // linklens-allow(unwrap-in-lib): the loop above only exits once every active column froze
         let vals = query_vals[j].take().expect("column converged");
-        for (&(idx, _), val) in plan.queries(si).iter().zip(vals) {
-            contribs.push((idx, val));
+        for (&(idx, partner), val) in plan.queries(si).iter().zip(vals) {
+            let d_partner = tv.degree(partner);
+            let factor = if d_partner == 0 { 1.0 } else { 1.0 + d_side / f64::from(d_partner) };
+            scores.push((idx, val * factor));
         }
         if let Some(col) = store_cols[j].take() {
-            store.push((plan.sources[si], col));
+            store.push((side, col));
         }
     }
-    Ok(PprBlockOut { contribs, store, iterations, warm_starts })
+    Ok(PprBlockOut { scores, store, iterations, warm_starts })
 }
 
 /// Batched bilinear pair scoring for a fitted factorization `A ≈ X R Xᵀ`:
@@ -981,13 +1044,24 @@ mod tests {
             warm_iters < cold_iters,
             "warm start must cut iterations ({warm_iters} vs {cold_iters})"
         );
-        let bound = 4.0 * tol / alpha;
         for (i, (&wv, &cv)) in warm.iter().zip(&cold).enumerate() {
+            let bound = warm_cold_bound(&snap_b, pairs[i], tol, alpha);
             assert!(
                 (wv - cv).abs() <= bound,
                 "pair {i}: warm {wv} vs cold {cv} beyond fixed-point bound {bound}"
             );
         }
+    }
+
+    /// Warm vs cold PPR bound for one pair: both runs solve the pair from
+    /// the same side `s` (same pair list), each lands within `tol/α` of
+    /// the exact column in L1, and the one-sided score scales that error
+    /// by `1 + d_s/d_t ≤ 1 + d_max/d_min`; so the two runs differ by at
+    /// most `2·(tol/α)·(1 + d_max/d_min)` (factor 1 when `d_min = 0`).
+    fn warm_cold_bound(snap: &Snapshot, (u, v): (NodeId, NodeId), tol: f64, alpha: f64) -> f64 {
+        let (du, dv) = (snap.degree(u) as f64, snap.degree(v) as f64);
+        let factor = if du.min(dv) == 0.0 { 1.0 } else { 1.0 + du.max(dv) / du.min(dv) };
+        2.0 * (tol / alpha) * factor
     }
 
     #[test]
@@ -1050,13 +1124,105 @@ mod tests {
 
     #[test]
     fn source_plan_groups_and_covers() {
-        let pairs = [(3u32, 7u32), (1, 7), (3, 5)];
-        let plan = SourcePlan::build(&pairs);
-        assert_eq!(plan.sources, vec![1, 3, 5, 7]);
-        let total: usize = (0..plan.sources.len()).map(|i| plan.queries(i).len()).sum();
-        assert_eq!(total, 6);
-        assert_eq!(plan.queries(1), &[(0, 7), (2, 5)]); // source 3, pair order
-        assert_eq!(plan.queries(3), &[(0, 3), (1, 1)]); // source 7
+        // Pairs per node: 3 and 7 in two, the rest in one.
+        let pairs = [(3u32, 7u32), (1, 7), (3, 5), (4, 2)];
+        let plan = SidePlan::build(&pairs);
+        // (3,7) ties and goes to 3; (1,7) to 7; (3,5) to 3; (4,2) ties
+        // and goes to 2.
+        assert_eq!(plan.sides(), &[2, 3, 7]);
+        let total: usize = (0..plan.sides().len()).map(|i| plan.queries(i).len()).sum();
+        assert_eq!(total, pairs.len(), "one registration per pair");
+        assert_eq!(plan.queries(0), &[(3, 4)]);
+        assert_eq!(plan.queries(1), &[(0, 7), (2, 5)]); // side 3, pair order
+        assert_eq!(plan.queries(2), &[(1, 1)]);
+        assert!(SidePlan::build(&[]).sides().is_empty());
+    }
+
+    #[test]
+    fn side_plan_registers_each_pair_once_by_the_count_rule() {
+        // A fixed-seed splitmix64 stream of pairs over 40 nodes, both
+        // orientations, with repeats.
+        let mut state = 0x51DE_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound) as NodeId
+        };
+        let pairs: Vec<(NodeId, NodeId)> =
+            (0..500).map(|_| (next(40), next(40))).filter(|&(u, v)| u != v).collect();
+        let mut in_pairs = [0usize; 40];
+        for &(u, v) in &pairs {
+            in_pairs[u as usize] += 1;
+            in_pairs[v as usize] += 1;
+        }
+        let plan = SidePlan::build(&pairs);
+        assert!(plan.sides().windows(2).all(|w| w[0] < w[1]), "sides ascend by id");
+        let mut seen = vec![0usize; pairs.len()];
+        for (si, &side) in plan.sides().iter().enumerate() {
+            let queries = plan.queries(si);
+            assert!(!queries.is_empty(), "side {side} has no pairs");
+            assert!(queries.windows(2).all(|w| w[0].0 < w[1].0), "indices ascend within a side");
+            for &(idx, partner) in queries {
+                let (u, v) = pairs[idx as usize];
+                seen[idx as usize] += 1;
+                assert!((side, partner) == (u, v) || (side, partner) == (v, u));
+                let (cs, cp) = (in_pairs[side as usize], in_pairs[partner as usize]);
+                assert!(
+                    cs > cp || (cs == cp && side < partner),
+                    "pair {:?} solved from {side} ({cs} pairs) not {partner} ({cp} pairs)",
+                    (u, v)
+                );
+            }
+        }
+        assert!(seen.iter().all(|&c| c == 1), "every pair index exactly once");
+    }
+
+    #[test]
+    fn side_plan_puts_a_shared_node_on_the_only_side() {
+        // The shape of a served query: canonical pairs, sorted, all holding
+        // the source s, with s the low id, the high id, or both.
+        let low: Vec<(NodeId, NodeId)> = vec![(5, 8), (5, 9), (5, 12)];
+        let high: Vec<(NodeId, NodeId)> = vec![(1, 9), (4, 9), (7, 9)];
+        let mixed: Vec<(NodeId, NodeId)> = vec![(2, 6), (4, 6), (6, 7), (6, 11)];
+        for (pairs, s) in [(&low, 5), (&high, 9), (&mixed, 6)] {
+            let plan = SidePlan::build(pairs);
+            assert_eq!(plan.sides(), &[s], "{pairs:?}");
+            let want: Vec<(u32, NodeId)> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(u, v))| (i as u32, if u == s { v } else { u }))
+                .collect();
+            assert_eq!(plan.queries(0), &want[..], "{pairs:?}");
+        }
+    }
+
+    #[test]
+    fn walk_scores_are_exact_zero_at_an_isolated_endpoint() {
+        // Nodes 0 and 5 are isolated; 1-2-3-4 is a triangle plus a tail.
+        let snap = Snapshot::from_edges(6, &[(1, 2), (2, 3), (1, 3), (3, 4)]);
+        let tv = TransitionView::build(&snap);
+        // Single pairs tie and solve from the lower id; the batches put
+        // the isolated node on the side ([(2,5),(3,5)]) or among the
+        // partners ([(2,0),(2,5)]).
+        let batches: [&[(NodeId, NodeId)]; 8] = [
+            &[(0, 2)],
+            &[(2, 0)],
+            &[(2, 5)],
+            &[(5, 2)],
+            &[(0, 5)],
+            &[(2, 5), (3, 5)],
+            &[(2, 0), (2, 5)],
+            &[(0, 4), (4, 0), (5, 4), (4, 5)],
+        ];
+        for pairs in batches {
+            let mut cache = SolverCache::transient();
+            let ppr = ppr_scores_t(&tv, pairs, 0.15, 1e-6, 1, &mut cache, "PPR").unwrap();
+            let lrw = lrw_scores_t(&tv, pairs, 3, 0.0, 1, "LRW").unwrap();
+            assert!(ppr.iter().all(|&x| x == 0.0), "PPR {pairs:?}: {ppr:?}");
+            assert!(lrw.iter().all(|&x| x == 0.0), "LRW {pairs:?}: {lrw:?}");
+        }
     }
 
     #[test]
@@ -1130,8 +1296,8 @@ mod tests {
                 // The sweep cache warm-starts PPR from the first graph's
                 // converged vectors by design, so it matches a fresh cache
                 // within the certified warm-start bound, not bit for bit.
-                let bound = 4.0 * ppr.solver_tol() / ppr.alpha;
                 for (i, (r, f)) in reused.iter().zip(&fresh).enumerate() {
+                    let bound = warm_cold_bound(&second, pairs[i], ppr.solver_tol(), ppr.alpha);
                     assert!((r - f).abs() <= bound, "PPR pair {:?}: {r} vs {f}", pairs[i]);
                 }
             } else {

@@ -1,10 +1,31 @@
 //! Random-walk metrics: Local Random Walk (LRW) and Personalized PageRank
 //! (PPR).
 //!
+//! Both are defined two-sided, summing a walk from each endpoint:
+//!
+//! * LRW: `(d_u/2E)·π_uv(m) + (d_v/2E)·π_vu(m)`;
+//! * PPR: `π_u(v) + π_v(u)`.
+//!
+//! On an undirected graph walks are reversible. The `m`-step transition
+//! probabilities satisfy `d_u·π_uv(m) = d_v·π_vu(m)`, and PPR with restart
+//! `α` satisfies `π_u(v)/d_v = π_v(u)/d_u`. So one endpoint's walk carries
+//! both terms. Production scoring evaluates each pair one-sided, from its
+//! batch's *solve side* `s` (see [`crate::solver`]) with partner `t`:
+//!
+//! * LRW: `2·(d_s/2E)·π_st(m)`;
+//! * PPR: `π_s(t)·(1 + d_s/d_t)`, or `π_s(t)` when `d_t = 0`, where
+//!   `π_s(t) = 0` exactly.
+//!
+//! A batch then needs one solved column per side, and a served query (all
+//! pairs holding the source) needs exactly one. The identities are exact
+//! for the exact walks; LRW's `prune` and PPR's solver tolerance break
+//! them by a bounded amount, so a score depends on (snapshot, pair list)
+//! — the side a batch picks — within those bounds.
+//!
 //! Production scoring runs on the batched multi-source solver engine in
-//! [`crate::solver`] (one CSR sweep advances a block of source columns per
-//! step); the original per-source frontier walk and forward-push
-//! implementations are retained as reference oracles
+//! [`crate::solver`] (one CSR sweep advances a block of side columns per
+//! step); the original two-sided per-source frontier walk and
+//! forward-push implementations are retained as reference oracles
 //! ([`LocalRandomWalk::score_pairs_per_source_t`],
 //! [`PersonalizedPageRank::score_pairs_per_source_t`]) and the equivalence
 //! tests in `tests/global_equivalence.rs` pin the two paths together.
@@ -18,12 +39,16 @@ use osn_graph::NodeId;
 /// Local Random Walk \[25\]:
 /// `deg(u)/2|E| · π_uv(m) + deg(v)/2|E| · π_vu(m)`,
 /// where `π_uv(m)` is the probability of an `m`-step walk from `u` ending
-/// at `v`. The paper uses small `m`; we default to `m = 3`.
+/// at `v`. The paper uses small `m`; we default to `m = 3`. The engine
+/// evaluates the equal one-sided form `2·deg(s)/2|E| · π_st(m)` from the
+/// pair's solve side `s` (see the module docs).
 ///
 /// Walk distributions are computed by explicit probability propagation
 /// with a prune threshold: probability mass below `prune` is dropped (and
 /// with it the exponential blow-up around supernodes). `prune = 0`
-/// recovers the exact distribution.
+/// recovers the exact distribution; a step drops at most `prune·2|E|` of
+/// mass, so a pruned one-sided score is within `2·m·prune·deg(s)` of the
+/// exact one.
 #[derive(Clone, Debug)]
 pub struct LocalRandomWalk {
     /// Number of walk steps `m`.
@@ -247,8 +272,11 @@ impl LocalRandomWalk {
 }
 
 /// Personalized PageRank \[5\]: `π_uv + π_vu` with restart probability
-/// `α = 0.15`, approximated by the forward-push algorithm
-/// (Andersen–Chung–Lang): push while any residual exceeds
+/// `α = 0.15`. The engine evaluates the equal one-sided form
+/// `π_st·(1 + deg(s)/deg(t))` from the pair's solve side `s` with a
+/// tolerance-certified batched solve (see the module docs); the
+/// per-source reference approximates both terms by the forward-push
+/// algorithm (Andersen–Chung–Lang): push while any residual exceeds
 /// `epsilon · deg`, giving per-entry error ≤ `epsilon · deg`.
 #[derive(Clone, Debug)]
 pub struct PersonalizedPageRank {

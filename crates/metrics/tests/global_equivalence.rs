@@ -22,7 +22,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Random graphs in the fused_equivalence size band: large enough to give
 /// multi-source batches wider than one MS-BFS word is not feasible at this
-/// size, but the batching/grouping machinery (SourcePlan, source-aligned
+/// size, but the batching/grouping machinery (solve sides, source-aligned
 /// chunks, block widths) is fully exercised.
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
     (8usize..=24).prop_flat_map(|n| {
@@ -72,6 +72,18 @@ fn arb_sweep() -> impl Strategy<Value = (usize, Vec<Vec<(NodeId, NodeId)>>)> {
 
 fn candidate_pairs(snap: &Snapshot) -> Vec<(NodeId, NodeId)> {
     CandidateSet::build(snap, CandidatePolicy::ThreeHop, 0).pairs().to_vec()
+}
+
+/// `1 + d_max/d_min` for a pair: the most the one-sided PPR factor
+/// `1 + d_s/d_t` can scale a solved column's error, whichever endpoint is
+/// the side. 1 when an endpoint is isolated: the factor is 1 there.
+fn side_factor(snap: &Snapshot, (u, v): (NodeId, NodeId)) -> f64 {
+    let (du, dv) = (snap.degree(u) as f64, snap.degree(v) as f64);
+    if du.min(dv) == 0.0 {
+        1.0
+    } else {
+        1.0 + du.max(dv) / du.min(dv)
+    }
 }
 
 proptest! {
@@ -125,10 +137,49 @@ proptest! {
         }
     }
 
-    /// PPR: the Chebyshev solve certifies `‖p - p̂‖₁ ≤ tol/α` and the
-    /// forward-push reference has per-entry error ≤ ε·deg, so each pair's
-    /// combined score may differ by at most
-    /// `ε·(deg u + deg v) + 2·tol/α` — at every thread count.
+    /// LRW at the default prune: the engine scores a pair one-sided,
+    /// `2·(d_s/2E)·π̃_st(m)` from its side `s`, the reference two-sided,
+    /// `(d_u/2E)·π̃_uv(m) + (d_v/2E)·π̃_vu(m)`, both from pruned walks π̃.
+    /// A pruned step drops the mass of every node whose share is below
+    /// `prune`, at most `Σ_x prune·d_x = prune·2E`, and propagation never
+    /// grows an L1 deficit, so after `m` steps every entry of π̃ is within
+    /// `m·prune·2E` of the exact walk π. The exact walk is reversible, so
+    /// both forms equal the same exact score: the engine within
+    /// `2·(d_s/2E)·m·prune·2E = 2·m·prune·d_s`, the reference within
+    /// `m·prune·(d_u+d_v)`. Hence the bound `3·m·prune·(d_u+d_v)`, plus
+    /// `1e-12` of float reassociation — at every thread count.
+    #[test]
+    fn lrw_pruned_within_bound_of_two_sided_reference((n, edges) in arb_graph()) {
+        let snap = Snapshot::from_edges(n, &edges);
+        let pairs = candidate_pairs(&snap);
+        prop_assume!(!pairs.is_empty());
+        let lrw = LocalRandomWalk::default();
+        prop_assert!(lrw.prune > 0.0, "the default must prune for this test to mean anything");
+        let reference = lrw.score_pairs_per_source_t(&snap, &pairs, 1);
+        for threads in THREADS {
+            let batched = exec::score_pairs_t(&lrw, &snap, &pairs, threads);
+            for (i, &(u, v)) in pairs.iter().enumerate() {
+                let bound = 3.0 * lrw.steps as f64 * lrw.prune
+                    * (snap.degree(u) + snap.degree(v)) as f64
+                    + 1e-12;
+                prop_assert!(
+                    (batched[i] - reference[i]).abs() <= bound,
+                    "LRW pair {:?} out of bound at {} threads: {} vs {} (bound {})",
+                    pairs[i], threads, batched[i], reference[i], bound
+                );
+            }
+        }
+    }
+
+    /// PPR: the engine scores a pair one-sided, `p̂_s[t]·(1 + d_s/d_t)`
+    /// from its side's column, which the Chebyshev solve certifies within
+    /// `‖p - p̂‖₁ ≤ tol/α` of the exact column; by reversibility the exact
+    /// one-sided score is the exact two-sided one, so the engine is within
+    /// `(tol/α)·(1 + d_s/d_t) ≤ (tol/α)·(1 + d_max/d_min)` of it (factor 1
+    /// when `d_min = 0`). The forward-push reference has per-entry error
+    /// ≤ ε·deg, `ε·(d_u + d_v)` for its two terms. So each pair may differ
+    /// by at most `ε·(d_u + d_v) + (tol/α)·(1 + d_max/d_min)` — at every
+    /// thread count. With `d_u = d_v` that is `ε·(d_u + d_v) + 2·tol/α`.
     #[test]
     fn ppr_batched_within_bound_of_per_source((n, edges) in arb_graph()) {
         let snap = Snapshot::from_edges(n, &edges);
@@ -140,7 +191,7 @@ proptest! {
             let batched = exec::score_pairs_t(&ppr, &snap, &pairs, threads);
             for (i, &(u, v)) in pairs.iter().enumerate() {
                 let bound = ppr.epsilon * (snap.degree(u) + snap.degree(v)) as f64
-                    + 2.0 * ppr.solver_tol() / ppr.alpha;
+                    + ppr.solver_tol() / ppr.alpha * side_factor(&snap, (u, v));
                 prop_assert!(
                     (batched[i] - reference[i]).abs() <= bound,
                     "PPR pair {:?} out of bound at {} threads: {} vs {} (bound {})",
@@ -199,8 +250,12 @@ proptest! {
     /// the same pairs on each snapshot with one persistent cache must (a)
     /// actually warm-start from the second snapshot on, (b) spend no more
     /// iterations than the cold path, and (c) agree with independent
-    /// cold-start solves within `4·tol/α` per pair (each solve certifies
-    /// `‖p - p̂‖₁ ≤ tol/α`; a pair combines two solves from each side).
+    /// cold-start solves within `2·(tol/α)·(1 + d_max/d_min)` per pair.
+    /// Both runs score the same pair list, so each pair takes the same
+    /// side `s` in both; each solve certifies `‖p - p̂‖₁ ≤ tol/α`, which
+    /// the one-sided factor `1 + d_s/d_t ≤ 1 + d_max/d_min` scales, and the
+    /// two runs each land that close to the same exact score. With
+    /// `d_u = d_v` that is `4·tol/α`.
     #[test]
     fn warm_start_matches_cold_start_across_sweep((n, snapshots) in arb_sweep()) {
         prop_assume!(snapshots.len() >= 2);
@@ -217,8 +272,8 @@ proptest! {
             let mut cold_cache = SolverCache::transient();
             let cold = exec::score_matrix_cached_t(&[&ppr], &snap, &pairs, 2, &mut cold_cache).remove(0);
             cold_iters += cold_cache.stats.ppr_iterations;
-            let bound = 4.0 * ppr.solver_tol() / ppr.alpha;
             for i in 0..pairs.len() {
+                let bound = 2.0 * ppr.solver_tol() / ppr.alpha * side_factor(&snap, pairs[i]);
                 prop_assert!(
                     (warm[i] - cold[i]).abs() <= bound,
                     "warm/cold diverged on pair {:?}: {} vs {} (bound {})",

@@ -257,3 +257,78 @@ fn parse3<A: std::str::FromStr, B: std::str::FromStr, C: std::str::FromStr>(
         _ => Err("err arguments must be numeric".into()),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fixed-seed splitmix64 stream.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// One argument: small, huge, negative, fractional, non-numeric, or a
+    /// metric name.
+    fn hostile_argument(rng: &mut SplitMix) -> String {
+        match rng.below(10) {
+            0..=3 => rng.below(12).to_string(),
+            4 => rng.pick(&["18446744073709551615", "18446744073709551616", "4294967295"]).into(),
+            5 => rng.pick(&["4294967296", "4294967297", "99999999999999999999999"]).into(),
+            6 => format!("-{}", rng.below(1 << 20)),
+            7 => format!("{}.{}", rng.below(100), rng.below(100)),
+            8 => rng.pick(&["abc", "NaN", "inf", "0x10", "1e9", "+", "--", "\u{2603}"]).into(),
+            _ => rng.pick(&["CN", "LP", "LRW", "PPR", "Rescal", "Katz-lr", "nope"]).into(),
+        }
+    }
+
+    #[test]
+    fn hostile_protocol_lines_always_answer_ok_or_err() {
+        let cfg = ServeConfig { workers: 1, k: 3, ..ServeConfig::default() };
+        let server = Server::start(cfg).expect("default metrics resolve");
+        for line in ["node 0", "node 0", "node 1", "node 1", "node 2", "edge 0 1 2", "edge 1 2 2"] {
+            assert!(handle(&server, line).starts_with("ok"), "seed line {line:?}");
+        }
+        assert!(handle(&server, "publish").starts_with("ok publish"));
+
+        let commands = [
+            "node", "edge", "publish", "query", "stats", "quit", "#", "", "bogus", "NODE", "edge2",
+        ];
+        let mut rng = SplitMix(0x11A5_5EED);
+        for _ in 0..2000 {
+            let mut line = rng.pick(&commands).to_string();
+            for _ in 0..rng.below(5) {
+                line.push(' ');
+                line.push_str(&hostile_argument(&mut rng));
+            }
+            let reply = handle(&server, line.trim());
+            assert!(
+                reply.starts_with("ok") || reply.starts_with("err"),
+                "line {line:?} answered {reply:?}"
+            );
+        }
+
+        assert!(handle(&server, "publish").starts_with("ok publish"));
+        assert!(handle(&server, "stats").starts_with("ok stats"));
+        for metric in ["CN", "LRW", "PPR"] {
+            let reply = handle(&server, &format!("query {metric} 0"));
+            assert!(reply.starts_with("ok query"), "{metric}: {reply:?}");
+        }
+        server.shutdown();
+    }
+}

@@ -15,10 +15,15 @@
 //! additionally the precomputed hub list (plus, for a source that *is* a
 //! hub, every unconnected node — the offline hub fan-out seen from the
 //! hub's side). Targets come out canonicalized and sorted, which is the
-//! order the offline set stores them in, so scores and the seeded top-k
-//! tie-break are bit-identical to filtering the offline answer down to
-//! the source (asserted by `tests/serve_equivalence.rs` and the
-//! `--serving-only` scalecheck phase).
+//! order the offline set stores them in. So parity holds against the
+//! offline candidate set *filtered to the source, then scored*: the same
+//! pair list, hence bit-identical scores and seeded top-k tie-breaks
+//! (asserted by `tests/serve_equivalence.rs` and the `--serving-only`
+//! scalecheck phase). Every pair of that list holds the source, so LRW,
+//! PPR, SP and LP solve or scan from the source alone: one column per
+//! uncached walk query. Scoring the whole offline set and filtering the
+//! scores afterwards lets the walk metrics pick other solve sides, which
+//! stays within the solvers' certified bounds but is not bit-equal.
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
@@ -121,7 +126,8 @@ pub fn candidate_targets(
 /// source's candidates, score them through the targeted engine entry
 /// point ([`exec::score_pairs_targeted`]), select the seeded top-k. Pure
 /// in `(snapshot, kernel state, query)` — bit-identical to the offline
-/// per-source oracle at the same snapshot.
+/// candidate set filtered to the source and scored by the batch engine
+/// at the same snapshot.
 // linklens-deterministic: the served answer must equal the offline oracle at the pinned version
 #[allow(clippy::too_many_arguments)]
 pub fn answer_query(
@@ -209,6 +215,39 @@ mod tests {
         let mut scratch = EnumScratch::new(snap.node_count());
         let served = candidate_targets(&snap, 99, CandidatePolicy::Global, &[0, 1], &mut scratch);
         assert!(served.is_empty());
+    }
+
+    #[test]
+    fn walk_queries_solve_one_column_each() {
+        use osn_metrics::fused::LocalKind;
+        let snap = fixture();
+        let ctx = FusedCtx::build(&snap, &LocalKind::ALL);
+        let mut fscratch = FusedScratch::new(snap.node_count());
+        let mut escratch = EnumScratch::new(snap.node_count());
+        let ppr = osn_metrics::walk::PersonalizedPageRank::default();
+        let mut answered = 0;
+        for source in 0..snap.node_count() as NodeId {
+            let policy = ppr.candidate_policy();
+            if candidate_targets(&snap, source, policy, &[], &mut escratch).is_empty() {
+                continue;
+            }
+            let mut solver = SolverCache::transient();
+            answer_query(
+                &ppr,
+                &snap,
+                &ctx,
+                &mut fscratch,
+                &mut escratch,
+                &mut solver,
+                &[],
+                source,
+                4,
+                0x11A5,
+            );
+            assert_eq!(solver.stats.ppr_sources, 1, "PPR query for source {source}");
+            answered += 1;
+        }
+        assert!(answered >= 8, "the fixture must give most sources candidates ({answered})");
     }
 
     #[test]
