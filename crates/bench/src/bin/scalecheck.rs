@@ -1,34 +1,30 @@
-//! Internal calibration probe (not a paper experiment): times one full
-//! metric evaluation per network at the given scale, sweeps the
-//! scoring-engine worker count (1, 2, 4, … clamped at the detected host
-//! cores) into `BENCH_parallel_scaling.json`, compares from-scratch vs
-//! incremental snapshot-sequence sweeps into `BENCH_snapshot_build.json`,
-//! compares the source-batched fused local-metric kernel against the
-//! per-pair scoring path into `BENCH_fused_scoring.json`, compares the
-//! batched frontier/SpMV global-metric engine against its per-source
-//! reference oracles (plus warm vs cold snapshot sweeps) into
-//! `BENCH_global_scoring.json`, compares the blocked ALS factorization
-//! core against the retained dense serial reference on a supernode-heavy
-//! youtube-like snapshot (merged into `BENCH_global_scoring.json` under
-//! `rescal_factorization`), and compares the end-to-end framework sweep
-//! before/after batched-kernel routing — with and without the §6.2
-//! temporal filters pushed into candidate enumeration — into
-//! `BENCH_e2e_sweep.json`, benchmarks the out-of-core large-trace
-//! path (streaming generation into the sectioned cache, windowed sweeps,
-//! snowball-sampled evaluation, per-phase peak RSS) against the
-//! full-materialization baseline into `BENCH_large_trace.json`, and
-//! drives the online ingest + per-user top-k serving stack (linklens-serve)
-//! with a Zipfian query mix interleaved with streaming ingest into
-//! `BENCH_serving.json` — after first asserting every served top-k is
-//! bit-identical to the offline batch answer at the same snapshot version.
+//! Scale checks. Each row of [`SCENARIOS`] checks a fast path against its
+//! reference at scale, untimed, and only then times both. A row's name is
+//! its whole interface: `--{name}-only` selects it, and it writes
+//! `BENCH_{name}.json` stamped `"bench": "{name}"`, dashes becoming
+//! underscores.
+//!
+//! | row | what it checks, then times |
+//! |---|---|
+//! | `parallel-scaling` | Candidate enumeration, scoring of every metric and fused top-k on renren-like at each worker count. |
+//! | `snapshot-build` | Incremental snapshot sweeps against from-scratch builds on every preset, full-CSR digests asserted equal. |
+//! | `fused-scoring` | The fused local-metric kernel and fused enumerate+score against the per-pair path, bit for bit. |
+//! | `global-scoring` | Batched SP/LP/LRW/PPR/Katz against the per-source oracles, a worker sweep, and warm vs cold PPR. |
+//! | `factor-scoring` | The blocked Rescal fit and batched scoring against the dense reference on youtube-like, and warm vs cold certified fits. |
+//! | `e2e-sweep` | The framework sweep: per-pair baseline vs batched routing vs routing with the Table 7 filter pushed into enumeration. |
+//! | `large-trace` | Streaming generation, windowed cache reads and sampled evaluation against full materialization, with peak RSS. |
+//! | `serving` | linklens-serve: a served-vs-offline parity gate, then a Zipfian query mix under tail ingest. |
 //!
 //! ```text
-//! scalecheck [SCALE] [DAYS] [--sweep-only | --snapshot-build-only | --fused-scoring-only | --global-scoring-only | --factor-scoring-only | --e2e-sweep-only | --large-trace-only | --serving-only] [--rss-budget-mb=MB] [--paranoid]
+//! scalecheck [SCALE] [DAYS] [--{row}-only]... [--rss-budget-mb=MB] [--paranoid]
 //! ```
 //!
-//! `--paranoid` turns the runtime invariant audits on in this release
-//! binary: every incremental snapshot advance re-validates the full CSR
-//! and the scoring engine checks every metric's score contract.
+//! SCALE and DAYS default to 0.35 and 90. With no `--{row}-only` flag every
+//! row runs, in table order. `--rss-budget-mb` bounds the large-trace
+//! row's streaming peak RSS. `--paranoid` turns the runtime invariant
+//! audits on in this release binary: every incremental snapshot advance
+//! re-validates the full CSR and the scoring engine checks every metric's
+//! score contract. Any other argument prints usage and exits with status 2.
 
 #![forbid(unsafe_code)]
 
@@ -36,94 +32,175 @@ use linklens_bench::bench_merge;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_metrics::candidates::CandidateSet;
-use osn_metrics::solver::SolverCache;
+use osn_metrics::exec;
+use osn_metrics::solver::{SolverCache, SolverStats};
 use osn_metrics::traits::{CandidatePolicy, Metric};
+use osn_trace::presets::TraceConfig;
+use osn_trace::GrowthTrace;
+use serde_json::{json, Value};
 use std::time::Instant;
+
+/// One scale check: its name and the function that fills its report.
+struct Scenario {
+    name: &'static str,
+    run: fn(&Ctx, &mut Report),
+}
+
+/// Every scale check, in run order.
+const SCENARIOS: [Scenario; 8] = [
+    Scenario { name: "parallel-scaling", run: parallel_scaling },
+    Scenario { name: "snapshot-build", run: snapshot_build },
+    Scenario { name: "fused-scoring", run: fused_scoring },
+    Scenario { name: "global-scoring", run: global_scoring },
+    Scenario { name: "factor-scoring", run: factor_scoring },
+    Scenario { name: "e2e-sweep", run: e2e_sweep },
+    Scenario { name: "large-trace", run: large_trace },
+    Scenario { name: "serving", run: serving },
+];
+
+impl Scenario {
+    fn flag(&self) -> String {
+        format!("--{}-only", self.name)
+    }
+
+    fn bench(&self) -> String {
+        self.name.replace('-', "_")
+    }
+
+    fn file(&self) -> String {
+        format!("BENCH_{}.json", self.bench())
+    }
+
+    /// Runs the row under the shared report header and writes its file.
+    fn execute(&self, ctx: &Ctx) {
+        println!("== {} ==", self.name);
+        let mut report = Report::default();
+        report.set("bench", self.bench());
+        report.set("scale", ctx.scale);
+        report.set("days", ctx.days);
+        report.set("host_cores", ctx.host.effective);
+        report.set("host", ctx.host.json());
+        (self.run)(ctx, &mut report);
+        bench_merge::write_report(&self.file(), &Value::Object(report.fields));
+    }
+}
+
+/// What every row reads.
+struct Ctx {
+    scale: f64,
+    days: u32,
+    host: HostParallelism,
+    /// Upper bound on the large-trace row's streaming peak RSS.
+    rss_budget_mb: Option<f64>,
+}
+
+/// A row's JSON report. Each value is printed once, on one line, when it
+/// is recorded.
+#[derive(Default)]
+struct Report {
+    fields: Vec<(String, Value)>,
+}
+
+impl Report {
+    fn slot(&mut self, key: &str) -> &mut Value {
+        let at = match self.fields.iter().position(|(k, _)| k == key) {
+            Some(at) => at,
+            None => {
+                self.fields.push((key.to_string(), Value::Null));
+                self.fields.len() - 1
+            }
+        };
+        &mut self.fields[at].1
+    }
+
+    /// Sets `key` to `value`.
+    fn set(&mut self, key: &str, value: impl serde::Serialize) {
+        let value = serde_json::to_value(&value);
+        println!("{key}: {}", one_line(&value));
+        *self.slot(key) = value;
+    }
+
+    /// Appends `value` to the list under `key`.
+    fn row(&mut self, key: &str, value: Value) {
+        let slot = self.slot(key);
+        if !matches!(slot, Value::Array(_)) {
+            *slot = Value::Array(Vec::new());
+        }
+        if let Value::Array(items) = slot {
+            println!("{key}[{}]: {}", items.len(), one_line(&value));
+            items.push(value);
+        }
+    }
+}
+
+fn one_line(value: &Value) -> String {
+    serde_json::to_string(value).expect("serialize report value")
+}
+
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    scale: f64,
+    days: u32,
+    paranoid: bool,
+    rss_budget_mb: Option<f64>,
+    /// Indices into [`SCENARIOS`] of the selected rows, ascending; empty
+    /// selects every row.
+    only: Vec<usize>,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed =
+        Args { scale: 0.35, days: 90, paranoid: false, rss_budget_mb: None, only: Vec::new() };
+    let mut positional = 0;
+    for arg in args {
+        if arg == "--paranoid" {
+            parsed.paranoid = true;
+        } else if let Some(mb) = arg.strip_prefix("--rss-budget-mb=") {
+            let mb = mb.parse().map_err(|_| format!("bad --rss-budget-mb value `{mb}`"))?;
+            parsed.rss_budget_mb = Some(mb);
+        } else if let Some(i) = SCENARIOS.iter().position(|s| s.flag() == *arg) {
+            if !parsed.only.contains(&i) {
+                parsed.only.push(i);
+            }
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag `{arg}`"));
+        } else {
+            match positional {
+                0 => parsed.scale = arg.parse().map_err(|_| format!("bad SCALE `{arg}`"))?,
+                1 => parsed.days = arg.parse().map_err(|_| format!("bad DAYS `{arg}`"))?,
+                _ => return Err(format!("unexpected argument `{arg}`")),
+            }
+            positional += 1;
+        }
+    }
+    parsed.only.sort_unstable();
+    Ok(parsed)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let sweep_only = args.iter().any(|a| a == "--sweep-only");
-    let snapshot_build_only = args.iter().any(|a| a == "--snapshot-build-only");
-    let fused_scoring_only = args.iter().any(|a| a == "--fused-scoring-only");
-    let global_scoring_only = args.iter().any(|a| a == "--global-scoring-only");
-    let factor_scoring_only = args.iter().any(|a| a == "--factor-scoring-only");
-    let e2e_sweep_only = args.iter().any(|a| a == "--e2e-sweep-only");
-    let large_trace_only = args.iter().any(|a| a == "--large-trace-only");
-    let serving_only = args.iter().any(|a| a == "--serving-only");
-    let rss_budget_mb: Option<f64> =
-        args.iter().find_map(|a| a.strip_prefix("--rss-budget-mb=").and_then(|v| v.parse().ok()));
-    if args.iter().any(|a| a == "--paranoid") {
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        let flags: Vec<String> = SCENARIOS.iter().map(Scenario::flag).collect();
+        eprintln!(
+            "error: {e}\nusage: scalecheck [SCALE] [DAYS] [{}]... [--rss-budget-mb=MB] [--paranoid]",
+            flags.join(" | ")
+        );
+        std::process::exit(2);
+    });
+    if args.paranoid {
         osn_graph::audit::set_paranoid(true);
         println!("paranoid mode: CSR + score-contract audits enabled");
     }
-    let pos: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let scale: f64 = pos.first().and_then(|s| s.parse().ok()).unwrap_or(0.35);
-    let days: u32 = pos.get(1).and_then(|s| s.parse().ok()).unwrap_or(90);
-
-    if snapshot_build_only {
-        snapshot_build(scale, days);
-        return;
-    }
-    if fused_scoring_only {
-        fused_scoring(scale, days);
-        return;
-    }
-    if global_scoring_only {
-        global_scoring(scale, days);
-        return;
-    }
-    if factor_scoring_only {
-        rescal_factorization(scale, days);
-        return;
-    }
-    if e2e_sweep_only {
-        e2e_sweep(scale, days);
-        return;
-    }
-    if large_trace_only {
-        large_trace(scale, days, rss_budget_mb);
-        return;
-    }
-    if serving_only {
-        serving(scale, days);
-        return;
-    }
-    if !sweep_only {
-        calibration(scale, days);
-    }
-    sweep(scale, days);
-    snapshot_build(scale, days);
-    fused_scoring(scale, days);
-    global_scoring(scale, days);
-    rescal_factorization(scale, days);
-    e2e_sweep(scale, days);
-    large_trace(scale, days, rss_budget_mb);
-    serving(scale, days);
-}
-
-/// The original probe: one full evaluation transition per preset.
-fn calibration(scale: f64, days: u32) {
-    for cfg in osn_trace::presets::TraceConfig::all() {
-        let cfg = cfg.scaled(scale).with_days(days);
-        let trace = cfg.generate(42);
-        let seq = osn_graph::sequence::SnapshotSequence::with_count(&trace, 12);
-        let eval = linklens_core::framework::SequenceEvaluator::new(&seq);
-        let metrics = osn_metrics::all_metrics();
-        let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
-        let t0 = Instant::now();
-        let outs = eval.evaluate_metrics_at(&refs, 9, None);
-        println!(
-            "{}: nodes={} edges={} one-transition(15 metrics)={:?}",
-            cfg.name,
-            trace.node_count(),
-            trace.edge_count(),
-            t0.elapsed()
-        );
-        for o in outs.iter().take(3) {
-            println!(
-                "  {} ratio={:.1} abs={:.4} k={}",
-                o.metric, o.accuracy_ratio, o.absolute_accuracy, o.k
-            );
+    let ctx = Ctx {
+        scale: args.scale,
+        days: args.days,
+        host: detect_host(),
+        rss_budget_mb: args.rss_budget_mb,
+    };
+    for (i, scenario) in SCENARIOS.iter().enumerate() {
+        if args.only.is_empty() || args.only.contains(&i) {
+            scenario.execute(&ctx);
         }
     }
 }
@@ -208,100 +285,122 @@ fn sweep_thread_counts(host: &HostParallelism) -> Vec<usize> {
     counts
 }
 
-/// Worker-count sweep on the renren-like preset (the densest candidate
-/// sets): per-stage pairs/sec at each probed worker count.
-fn sweep(scale: f64, days: u32) {
-    let host = detect_host();
-    let cfg = osn_trace::presets::TraceConfig::renren_like().scaled(scale).with_days(days);
-    let trace = cfg.generate(42);
-    let seq = osn_graph::sequence::SnapshotSequence::with_count(&trace, 12);
-    let snap = seq.snapshot(9);
-    let metrics = osn_metrics::all_metrics();
-    let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
-
-    let thread_counts = sweep_thread_counts(&host);
-
-    let mut rows = Vec::new();
-    let mut cands_len = 0usize;
-    for &t in &thread_counts {
-        // Stage 1: candidate enumeration (distance ≤ 3 scan, the loosest
-        // distance-bounded policy).
-        let (enum_secs, pairs) = timed(|| osn_graph::traversal::pairs_within_t(&snap, 3, t));
-        let cands = CandidateSet::from_pairs(pairs, CandidatePolicy::ThreeHop);
-        cands_len = cands.len();
-        let scored_pairs = cands.len() * refs.len();
-
-        // Stage 2: chunked scoring of every metric over the shared slice.
-        let (score_secs, _cols) = timed(|| {
-            let mut cache = SolverCache::transient();
-            osn_metrics::exec::score_matrix_cached_t(&refs, &snap, cands.pairs(), t, &mut cache)
-        });
-
-        // Stage 3: fused scoring + streaming top-k (the prediction path —
-        // per-chunk heaps merged at the end, never materializing scores).
-        let k = (cands.len() / 100).max(10);
-        let (topk_secs, _preds) = timed(|| {
-            let mut cache = SolverCache::transient();
-            osn_metrics::exec::predict_top_k_many_cached_t(
-                &refs, &snap, &cands, k, 0x11A5, t, &mut cache,
-            )
-        });
-
-        println!(
-            "threads={t}: enumerate {:.2}s ({:.0} pairs/s), score {:.2}s ({:.0} pairs/s), \
-             fused top-k {:.2}s ({:.0} pairs/s)",
-            enum_secs,
-            rate(cands.len(), enum_secs),
-            score_secs,
-            rate(scored_pairs, score_secs),
-            topk_secs,
-            rate(scored_pairs, topk_secs),
-        );
-        rows.push(serde_json::json!({
-            "threads": t,
-            "oversubscribed": t > host.effective,
-            "enumerate_secs": enum_secs,
-            "enumerate_pairs_per_sec": rate(cands.len(), enum_secs),
-            "score_secs": score_secs,
-            "score_pairs_per_sec": rate(scored_pairs, score_secs),
-            "topk_secs": topk_secs,
-            "topk_pairs_per_sec": rate(scored_pairs, topk_secs),
-        }));
+/// Runs `f` at each worker count of [`sweep_thread_counts`] and records the
+/// object it returns under `key`, behind `threads` and `oversubscribed`.
+fn thread_sweep(ctx: &Ctx, report: &mut Report, key: &str, mut f: impl FnMut(usize) -> Value) {
+    for t in sweep_thread_counts(&ctx.host) {
+        let mut row = vec![
+            ("threads".to_string(), json!(t)),
+            ("oversubscribed".to_string(), json!(t > ctx.host.effective)),
+        ];
+        if let Value::Object(fields) = f(t) {
+            row.extend(fields);
+        }
+        report.row(key, Value::Object(row));
     }
-
-    let report = serde_json::json!({
-        "bench": "parallel_scaling",
-        "network": "renren-like",
-        "scale": scale,
-        "days": days,
-        "host_cores": host.effective,
-        "host": host.json(),
-        "nodes": snap.node_count(),
-        "edges": snap.edge_count(),
-        "candidate_pairs": cands_len,
-        "metrics": refs.len(),
-        "note": "pairs/sec; score and topk rates count candidate_pairs x metrics; rows with oversubscribed=true time contention, not scaling",
-        "sweep": rows,
-    });
-    bench_merge::write_report("BENCH_parallel_scaling.json", &report);
 }
 
-/// Deterministic uniform canonical-pair sample (splitmix64 stream) for
-/// scoring-throughput stages whose snapshots are too supernode-heavy for
-/// distance-bounded enumeration to terminate in bench time.
+/// The renren-like trace at the run's scale and length (seed 42).
+fn renren_trace(ctx: &Ctx) -> GrowthTrace {
+    TraceConfig::renren_like().scaled(ctx.scale).with_days(ctx.days).generate(42)
+}
+
+/// The 12-snapshot sequence over `trace` and its snapshot 9, the one the
+/// single-snapshot rows score.
+fn fixture(trace: &GrowthTrace) -> (SnapshotSequence<'_>, Snapshot) {
+    let seq = SnapshotSequence::with_count(trace, 12);
+    let snap = seq.snapshot(9);
+    (seq, snap)
+}
+
+/// Solver counters a warm-vs-cold row reads: the unit its work is counted
+/// in, and (that work, warm starts) from the cache's stats.
+type Counters = (&'static str, fn(&SolverStats) -> (u64, u64));
+
+/// Warm vs cold solves over the late snapshots `6..min(len, 11)`. Each
+/// snapshot's `pairs` are scored at one worker twice: through one sweep
+/// cache that persists across snapshots (warm), and through a fresh
+/// transient cache (cold). `check` sees both columns before the row is
+/// recorded under `key`.
+fn warm_vs_cold(
+    report: &mut Report,
+    key: &str,
+    seq: &SnapshotSequence<'_>,
+    metric: &dyn Metric,
+    (unit, counters): Counters,
+    pairs: impl Fn(usize, &Snapshot) -> CandidateSet,
+    check: impl Fn(usize, &Snapshot, &[(u32, u32)], &[f64], &[f64]),
+) {
+    let mut warm_cache = SolverCache::sweep();
+    for si in 6..seq.len().min(11) {
+        let s = seq.snapshot(si);
+        let c = pairs(si, &s);
+        let score = |cache: &mut SolverCache| {
+            timed(|| exec::score_matrix_cached_t(&[metric], &s, c.pairs(), 1, cache).remove(0))
+        };
+        let (work_before, warms_before) = counters(&warm_cache.stats);
+        let (warm_secs, warm) = score(&mut warm_cache);
+        let mut cold_cache = SolverCache::transient();
+        let (cold_secs, cold) = score(&mut cold_cache);
+        check(si, &s, c.pairs(), &warm, &cold);
+        let (work, warms) = counters(&warm_cache.stats);
+        report.row(
+            key,
+            Value::Object(vec![
+                ("snapshot".into(), json!(si)),
+                ("pairs".into(), json!(c.len())),
+                ("warm_secs".into(), json!(warm_secs)),
+                (format!("warm_{unit}"), json!(work - work_before)),
+                ("warm_starts".into(), json!(warms - warms_before)),
+                ("cold_secs".into(), json!(cold_secs)),
+                (format!("cold_{unit}"), json!(counters(&cold_cache.stats).0)),
+            ]),
+        );
+    }
+}
+
+/// The per-source reference oracle of SP, LP, LRW, PPR and Katz-sc, the
+/// paths the batched engine is checked against; `None` for every other
+/// metric. Katz-lr has no distinct per-source oracle: each Lanczos step is
+/// already one global matvec.
+fn per_source_oracle(
+    name: &str,
+    snap: &Snapshot,
+    pairs: &[(u32, u32)],
+    threads: usize,
+) -> Option<Vec<f64>> {
+    use osn_metrics::katz::KatzSc;
+    use osn_metrics::path::{LocalPath, ShortestPath};
+    use osn_metrics::walk::{LocalRandomWalk, PersonalizedPageRank};
+    Some(match name {
+        "SP" => ShortestPath::default().score_pairs_per_source(snap, pairs),
+        "LP" => LocalPath::default().score_pairs_per_source(snap, pairs),
+        "LRW" => LocalRandomWalk::default().score_pairs_per_source_t(snap, pairs, threads),
+        "PPR" => PersonalizedPageRank::default().score_pairs_per_source_t(snap, pairs, threads),
+        "Katz-sc" => KatzSc::default().score_pairs_per_source(snap, pairs),
+        _ => return None,
+    })
+}
+
+/// splitmix64 step — the deterministic stream the pair sampler, every
+/// serving driver thread and the serving probe set derive from.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Deterministic uniform canonical-pair sample for scoring-throughput
+/// stages whose snapshots are too supernode-heavy for distance-bounded
+/// enumeration to terminate in bench time.
 fn sample_pairs(n: usize, budget: usize, seed: u64) -> Vec<(u32, u32)> {
     let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
     let mut pairs = Vec::with_capacity(budget);
     while pairs.len() < budget {
-        let u = (next() % n.max(2) as u64) as u32;
-        let v = (next() % n.max(2) as u64) as u32;
+        let u = (splitmix64(&mut state) % n.max(2) as u64) as u32;
+        let v = (splitmix64(&mut state) % n.max(2) as u64) as u32;
         if u != v {
             pairs.push(osn_graph::canonical(u, v));
         }
@@ -309,8 +408,17 @@ fn sample_pairs(n: usize, budget: usize, seed: u64) -> Vec<(u32, u32)> {
     pairs
 }
 
+/// Zipfian rank in `[0, n)` by inverse CDF: `floor(exp(U(0, ln n)))`
+/// lands on rank r with probability ∝ 1/r — low node ids are the
+/// popular users a serving query mix concentrates on.
+fn zipf_rank(state: &mut u64, n: usize) -> usize {
+    let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
+    let r = (u * (n as f64).ln()).exp() as usize;
+    r.min(n - 1)
+}
+
 /// Order-sensitive digest of a snapshot's full CSR content, so the
-/// equality check below covers every array, not just summary counts.
+/// equality checks cover every array, not just summary counts.
 fn snapshot_digest(acc: u64, snap: &Snapshot) -> u64 {
     let mut h = acc ^ 0xCBF2_9CE4_8422_2325;
     let mut mix = |x: u64| {
@@ -327,17 +435,63 @@ fn snapshot_digest(acc: u64, snap: &Snapshot) -> u64 {
     h
 }
 
-/// From-scratch vs incremental full-sequence sweeps per preset: the
-/// tentpole benchmark behind `BENCH_snapshot_build.json`. An untimed
+/// Worker-count sweep on the renren-like preset (the densest candidate
+/// sets): per-stage pairs/sec at each probed worker count.
+fn parallel_scaling(ctx: &Ctx, report: &mut Report) {
+    let trace = renren_trace(ctx);
+    let (_seq, snap) = fixture(&trace);
+    let metrics = osn_metrics::all_metrics();
+    let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
+    report.set("network", "renren-like");
+    report.set("nodes", snap.node_count());
+    report.set("edges", snap.edge_count());
+    report.set("metrics", refs.len());
+    report.set("note", "pairs/sec; score and topk rates count candidate_pairs x metrics; rows with oversubscribed=true time contention, not scaling");
+
+    let mut cands_len = 0usize;
+    thread_sweep(ctx, report, "sweep", |t| {
+        // Stage 1: candidate enumeration (distance ≤ 3 scan, the loosest
+        // distance-bounded policy).
+        let (enum_secs, pairs) = timed(|| osn_graph::traversal::pairs_within_t(&snap, 3, t));
+        let cands = CandidateSet::from_pairs(pairs, CandidatePolicy::ThreeHop);
+        cands_len = cands.len();
+        let scored_pairs = cands.len() * refs.len();
+
+        // Stage 2: chunked scoring of every metric over the shared slice.
+        let (score_secs, _cols) = timed(|| {
+            let mut cache = SolverCache::transient();
+            exec::score_matrix_cached_t(&refs, &snap, cands.pairs(), t, &mut cache)
+        });
+
+        // Stage 3: fused scoring + streaming top-k (the prediction path —
+        // per-chunk heaps merged at the end, never materializing scores).
+        let k = (cands.len() / 100).max(10);
+        let (topk_secs, _preds) = timed(|| {
+            let mut cache = SolverCache::transient();
+            exec::predict_top_k_many_cached_t(&refs, &snap, &cands, k, 0x11A5, t, &mut cache)
+        });
+        json!({
+            "enumerate_secs": enum_secs,
+            "enumerate_pairs_per_sec": rate(cands.len(), enum_secs),
+            "score_secs": score_secs,
+            "score_pairs_per_sec": rate(scored_pairs, score_secs),
+            "topk_secs": topk_secs,
+            "topk_pairs_per_sec": rate(scored_pairs, topk_secs),
+        })
+    });
+    report.set("candidate_pairs", cands_len);
+}
+
+/// From-scratch vs incremental full-sequence sweeps per preset. An untimed
 /// verification pass first digests every snapshot on both paths and
 /// asserts the digests match (the property tests assert bit-identity,
 /// this asserts it at scale); the timed passes then measure construction
 /// alone, so the numbers are not diluted by a shared digest cost.
-fn snapshot_build(scale: f64, days: u32) {
-    let mut rows = Vec::new();
+fn snapshot_build(ctx: &Ctx, report: &mut Report) {
+    report.set("note", "full-sequence sweep: Snapshot::up_to per boundary vs one SnapshotBuilder arena; digests cover the full CSR of every snapshot");
     let mut largest: Option<(usize, f64)> = None;
-    for cfg in osn_trace::presets::TraceConfig::all() {
-        let cfg = cfg.scaled(scale).with_days(days);
+    for cfg in TraceConfig::all() {
+        let cfg = cfg.scaled(ctx.scale).with_days(ctx.days);
         let trace = cfg.generate(42);
         let seq = SnapshotSequence::with_count(&trace, 16);
 
@@ -371,46 +525,32 @@ fn snapshot_build(scale: f64, days: u32) {
         });
 
         let speedup = scratch_secs / incr_secs.max(1e-12);
-        println!(
-            "{}: edges={} snapshots={} from-scratch {:.3}s, incremental {:.3}s ({speedup:.1}x)",
-            cfg.name,
-            trace.edge_count(),
-            seq.len(),
-            scratch_secs,
-            incr_secs,
-        );
         if largest.is_none_or(|(e, _)| trace.edge_count() > e) {
             largest = Some((trace.edge_count(), speedup));
         }
-        rows.push(serde_json::json!({
-            "network": cfg.name,
-            "nodes": trace.node_count(),
-            "edges": trace.edge_count(),
-            "snapshots": seq.len(),
-            "from_scratch_secs": scratch_secs,
-            "incremental_secs": incr_secs,
-            "from_scratch_edges_per_sec": rate(trace.edge_count() * seq.len(), scratch_secs),
-            "incremental_edges_per_sec": rate(trace.edge_count() * seq.len(), incr_secs),
-            "speedup": speedup,
-            "digests_equal": true,
-        }));
+        report.row(
+            "presets",
+            json!({
+                "network": cfg.name,
+                "nodes": trace.node_count(),
+                "edges": trace.edge_count(),
+                "snapshots": seq.len(),
+                "from_scratch_secs": scratch_secs,
+                "incremental_secs": incr_secs,
+                "from_scratch_edges_per_sec": rate(trace.edge_count() * seq.len(), scratch_secs),
+                "incremental_edges_per_sec": rate(trace.edge_count() * seq.len(), incr_secs),
+                "speedup": speedup,
+                "digests_equal": true,
+            }),
+        );
     }
-    let report = serde_json::json!({
-        "bench": "snapshot_build",
-        "scale": scale,
-        "days": days,
-        "note": "full-sequence sweep: Snapshot::up_to per boundary vs one SnapshotBuilder arena; digests cover the full CSR of every snapshot",
-        "largest_preset_speedup": largest.map(|(_, s)| s),
-        "presets": rows,
-    });
-    bench_merge::write_report("BENCH_snapshot_build.json", &report);
+    report.set("largest_preset_speedup", largest.map(|(_, s)| s));
 }
 
 /// Fused local-metric kernel vs the per-pair scoring path on the
 /// renren-like preset: all 8 local metrics (CN, JC, AA, RA, PA and the
-/// naive-Bayes BCN, BAA, BRA) over the shared `TwoHop` candidate set —
-/// the benchmark behind `BENCH_fused_scoring.json`. Three stages per
-/// worker count:
+/// naive-Bayes BCN, BAA, BRA) over the shared `TwoHop` candidate set.
+/// Three stages per worker count:
 ///
 /// 1. per-pair baseline: each metric's `Metric::score_pairs_cached` hook
 ///    (one sorted-merge intersection per metric per pair);
@@ -422,12 +562,9 @@ fn snapshot_build(scale: f64, days: u32) {
 /// Every stage's output is asserted equal to the baseline bit for bit
 /// before anything is timed, so a reported speedup can never come from
 /// computing something different.
-fn fused_scoring(scale: f64, days: u32) {
-    let host = detect_host();
-    let cfg = osn_trace::presets::TraceConfig::renren_like().scaled(scale).with_days(days);
-    let trace = cfg.generate(42);
-    let seq = osn_graph::sequence::SnapshotSequence::with_count(&trace, 12);
-    let snap = seq.snapshot(9);
+fn fused_scoring(ctx: &Ctx, report: &mut Report) {
+    let trace = renren_trace(ctx);
+    let (_seq, snap) = fixture(&trace);
 
     let names = ["CN", "JC", "AA", "RA", "PA", "BCN", "BAA", "BRA"];
     let metrics: Vec<Box<dyn Metric>> =
@@ -438,6 +575,12 @@ fn fused_scoring(scale: f64, days: u32) {
 
     let cands = CandidateSet::build(&snap, CandidatePolicy::TwoHop, 0);
     let scored_pairs = cands.len() * refs.len();
+    report.set("network", "renren-like");
+    report.set("nodes", snap.node_count());
+    report.set("edges", snap.edge_count());
+    report.set("candidate_pairs", cands.len());
+    report.set("metrics", names.to_vec());
+    report.set("note", "pairs/sec counts candidate_pairs x metrics; all paths asserted bit-identical before timing; enumerate_and_score additionally re-enumerates the candidate set inside the timed region");
 
     let per_pair = |t: usize| -> Vec<Vec<f64>> {
         let mut cache = SolverCache::transient();
@@ -445,10 +588,9 @@ fn fused_scoring(scale: f64, days: u32) {
     };
     let fused = |t: usize| {
         let mut cache = SolverCache::transient();
-        osn_metrics::exec::score_matrix_cached_t(&refs, &snap, cands.pairs(), t, &mut cache)
+        exec::score_matrix_cached_t(&refs, &snap, cands.pairs(), t, &mut cache)
     };
-    let mut rows = Vec::new();
-    for &t in &sweep_thread_counts(&host) {
+    thread_sweep(ctx, report, "sweep", |t| {
         // Untimed equality witness first: all three paths must agree.
         let baseline = per_pair(t);
         let fused_cols = fused(t);
@@ -461,49 +603,22 @@ fn fused_scoring(scale: f64, days: u32) {
         let (fused_secs, _) = timed(|| fused(t));
         let (enum_score_secs, _) =
             timed(|| osn_metrics::fused::enumerate_and_score_t(&snap, &kinds, t));
-
-        let speedup = per_pair_secs / fused_secs.max(1e-12);
-        println!(
-            "threads={t}: per-pair {per_pair_secs:.3}s ({:.0} pairs/s), fused {fused_secs:.3}s \
-             ({:.0} pairs/s, {speedup:.1}x), enumerate+score {enum_score_secs:.3}s ({:.0} pairs/s)",
-            rate(scored_pairs, per_pair_secs),
-            rate(scored_pairs, fused_secs),
-            rate(scored_pairs, enum_score_secs),
-        );
-        rows.push(serde_json::json!({
-            "threads": t,
-            "oversubscribed": t > host.effective,
+        json!({
             "per_pair_secs": per_pair_secs,
             "per_pair_pairs_per_sec": rate(scored_pairs, per_pair_secs),
             "fused_secs": fused_secs,
             "fused_pairs_per_sec": rate(scored_pairs, fused_secs),
             "enumerate_and_score_secs": enum_score_secs,
             "enumerate_and_score_pairs_per_sec": rate(scored_pairs, enum_score_secs),
-            "fused_speedup": speedup,
+            "fused_speedup": per_pair_secs / fused_secs.max(1e-12),
             "outputs_bit_identical": true,
-        }));
-    }
-
-    let report = serde_json::json!({
-        "bench": "fused_scoring",
-        "network": "renren-like",
-        "scale": scale,
-        "days": days,
-        "host_cores": host.effective,
-        "host": host.json(),
-        "nodes": snap.node_count(),
-        "edges": snap.edge_count(),
-        "candidate_pairs": cands.len(),
-        "metrics": names.to_vec(),
-        "note": "pairs/sec counts candidate_pairs x metrics; all paths asserted bit-identical before timing; enumerate_and_score additionally re-enumerates the candidate set inside the timed region",
-        "sweep": rows,
+        })
     });
-    bench_merge::write_report("BENCH_fused_scoring.json", &report);
 }
 
 /// Batched frontier/SpMV global-metric engine vs its retained per-source
 /// reference oracles on the renren-like preset over the shared `ThreeHop`
-/// candidate set — the benchmark behind `BENCH_global_scoring.json`.
+/// candidate set.
 ///
 /// Per metric (SP, LP, LRW, PPR, Katz-lr, Katz-sc) at one worker: the
 /// batched path and the per-source oracle are scored untimed first and
@@ -515,36 +630,32 @@ fn fused_scoring(scale: f64, days: u32) {
 /// sweep then times the batched paths alone, asserting each stays
 /// bit-identical to its one-worker output; finally a warm-vs-cold PPR
 /// sweep over late snapshots measures what the persistent
-/// [`osn_metrics::solver::SolverCache`] buys, with warm output asserted
-/// within `2·(tol/α)·(1 + d_max/d_min)` of cold per pair.
+/// [`SolverCache`] buys, with warm output asserted within
+/// `2·(tol/α)·(1 + d_max/d_min)` of cold per pair.
 ///
-/// Katz-lr carries no distinct per-source oracle (each Lanczos step is
-/// already one global matvec); its reference is the same serial path at
-/// one worker, so it dilutes the group speedup rather than inflating it.
-fn global_scoring(scale: f64, days: u32) {
+/// Katz-lr's reference is the same serial path at one worker, so it
+/// dilutes the group speedup rather than inflating it.
+fn global_scoring(ctx: &Ctx, report: &mut Report) {
     use osn_graph::par;
-    use osn_metrics::exec;
-    use osn_metrics::katz::KatzSc;
-    use osn_metrics::path::{LocalPath, ShortestPath};
     use osn_metrics::walk::{LocalRandomWalk, PersonalizedPageRank};
 
-    let host = detect_host();
-    let cfg = osn_trace::presets::TraceConfig::renren_like().scaled(scale).with_days(days);
-    let trace = cfg.generate(42);
-    let seq = SnapshotSequence::with_count(&trace, 12);
-    let snap = seq.snapshot(9);
+    let trace = renren_trace(ctx);
+    let (seq, snap) = fixture(&trace);
     let cands = CandidateSet::build(&snap, CandidatePolicy::ThreeHop, 0);
     let pairs = cands.pairs();
 
     let names = ["SP", "LP", "LRW", "PPR", "Katz-lr", "Katz-sc"];
     let metrics: Vec<Box<dyn Metric>> =
         names.iter().map(|n| osn_metrics::metric_by_name(n).expect("global metric")).collect();
+    report.set("network", "renren-like");
+    report.set("nodes", snap.node_count());
+    report.set("edges", snap.edge_count());
+    report.set("candidate_pairs", pairs.len());
+    report.set("metrics", names.to_vec());
+    report.set("note", "batched vs per-source-oracle, equality asserted before timing (bit-identical for SP/LP/Katz, analytic tolerance for LRW/PPR); Katz-lr has no distinct per-source oracle so its reference is the same serial path; LRW/PPR engine scores are one-sided from the pair's solve side (LRW bound 3·m·prune·(d_u+d_v), PPR bound ε·(d_u+d_v) + (tol/α)·(1 + d_max/d_min)); warm rows assert |warm-cold| <= 2·(tol/α)·(1 + d_max/d_min) per pair");
 
-    let sp = ShortestPath::default();
-    let lp = LocalPath::default();
     let lrw = LocalRandomWalk::default();
     let ppr = PersonalizedPageRank::default();
-    let katz_sc = KatzSc::default();
     // `1 + d_max/d_min` for a pair on `s`: the most the one-sided PPR
     // factor `1 + d_side/d_partner` scales a solved column's error (1 when
     // an endpoint is isolated, where the factor is 1).
@@ -557,32 +668,18 @@ fn global_scoring(scale: f64, days: u32) {
         }
     };
 
-    // The per-source oracle for each metric (serial for SP/LP/Katz whose
-    // references are single-threaded by construction).
-    let reference = |name: &str, threads: usize| -> Vec<f64> {
-        match name {
-            "SP" => sp.score_pairs_per_source(&snap, pairs),
-            "LP" => lp.score_pairs_per_source(&snap, pairs),
-            "LRW" => lrw.score_pairs_per_source_t(&snap, pairs, threads),
-            "PPR" => ppr.score_pairs_per_source_t(&snap, pairs, threads),
-            "Katz-lr" => {
-                let m = osn_metrics::metric_by_name("Katz-lr").expect("metric");
-                exec::score_pairs_t(m.as_ref(), &snap, pairs, 1)
-            }
-            "Katz-sc" => katz_sc.score_pairs_per_source(&snap, pairs),
-            _ => unreachable!("unknown global metric {name}"),
-        }
-    };
-
     // --- Stage 1: batched vs reference at one worker, equality first ----
     par::set_thread_override(Some(1));
-    let mut metric_rows = Vec::new();
     let mut batched_at_one: Vec<Vec<f64>> = Vec::new();
     let mut group_ref_secs = 0.0;
     let mut group_batched_secs = 0.0;
     for (name, m) in names.iter().zip(&metrics) {
+        let reference = || {
+            per_source_oracle(name, &snap, pairs, 1)
+                .unwrap_or_else(|| exec::score_pairs_t(m.as_ref(), &snap, pairs, 1))
+        };
         let batched = exec::score_pairs_t(m.as_ref(), &snap, pairs, 1);
-        let oracle = reference(name, 1);
+        let oracle = reference();
         type PairBound<'a> = Box<dyn Fn((u32, u32)) -> f64 + 'a>;
         let tolerance: Option<PairBound> = match *name {
             // Exact algorithms: the batched walkers/SpMM must reproduce
@@ -620,139 +717,75 @@ fn global_scoring(scale: f64, days: u32) {
             }
         }
 
-        let (ref_secs, _) = timed(|| reference(name, 1));
+        let (ref_secs, _) = timed(reference);
         let (batched_secs, _) = timed(|| exec::score_pairs_t(m.as_ref(), &snap, pairs, 1));
-        let speedup = ref_secs / batched_secs.max(1e-12);
         if *name != "SP" && *name != "LP" {
             group_ref_secs += ref_secs;
             group_batched_secs += batched_secs;
         }
-        println!(
-            "{name}: reference {ref_secs:.3}s ({:.0} pairs/s), batched {batched_secs:.3}s \
-             ({:.0} pairs/s, {speedup:.1}x)",
-            rate(pairs.len(), ref_secs),
-            rate(pairs.len(), batched_secs),
+        report.row(
+            "per_metric_threads1",
+            json!({
+                "metric": name,
+                "reference_secs": ref_secs,
+                "reference_pairs_per_sec": rate(pairs.len(), ref_secs),
+                "batched_secs": batched_secs,
+                "batched_pairs_per_sec": rate(pairs.len(), batched_secs),
+                "speedup": ref_secs / batched_secs.max(1e-12),
+                "equality": if *name == "LRW" || *name == "PPR" { "within-tolerance" } else { "bit-identical" },
+            }),
         );
-        metric_rows.push(serde_json::json!({
-            "metric": name,
-            "reference_secs": ref_secs,
-            "reference_pairs_per_sec": rate(pairs.len(), ref_secs),
-            "batched_secs": batched_secs,
-            "batched_pairs_per_sec": rate(pairs.len(), batched_secs),
-            "speedup": speedup,
-            "equality": if *name == "LRW" || *name == "PPR" { "within-tolerance" } else { "bit-identical" },
-        }));
         batched_at_one.push(batched);
     }
-    let group_speedup = group_ref_secs / group_batched_secs.max(1e-12);
-    println!(
-        "solver group (LRW/PPR/Katz): reference {group_ref_secs:.3}s, batched \
-         {group_batched_secs:.3}s ({group_speedup:.1}x)"
-    );
+    report.set("group_speedup_threads1", group_ref_secs / group_batched_secs.max(1e-12));
 
     // --- Stage 2: batched worker-count sweep ----------------------------
-    let mut sweep_rows = Vec::new();
-    for &t in &sweep_thread_counts(&host) {
+    thread_sweep(ctx, report, "batched_thread_sweep", |t| {
         par::set_thread_override(Some(t));
         let mut entries = Vec::new();
         for ((name, m), base) in names.iter().zip(&metrics).zip(&batched_at_one) {
             let scores = exec::score_pairs_t(m.as_ref(), &snap, pairs, t);
             assert_eq!(&scores, base, "{name}: batched output drifted at {t} workers");
             let (secs, _) = timed(|| exec::score_pairs_t(m.as_ref(), &snap, pairs, t));
-            entries.push(serde_json::json!({
+            entries.push(json!({
                 "metric": name,
                 "batched_secs": secs,
                 "batched_pairs_per_sec": rate(pairs.len(), secs),
             }));
         }
-        println!("threads={t}: batched sweep row done (outputs bit-identical to one worker)");
-        sweep_rows.push(serde_json::json!({
-            "threads": t,
-            "oversubscribed": t > host.effective,
-            "metrics": entries,
-        }));
-    }
+        json!({ "metrics": entries })
+    });
 
     // --- Stage 3: warm vs cold PPR across late snapshots ----------------
     par::set_thread_override(Some(1));
-    let mut warm_cache = SolverCache::sweep();
-    let mut warm_rows = Vec::new();
-    // Warm and cold score the same pair list, so each pair takes the same
-    // side in both; each run is within (tol/α)·(1 + d_s/d_t) of the exact
-    // score.
-    let warm_bound =
-        |s: &Snapshot, p: (u32, u32)| 2.0 * ppr.solver_tol() / ppr.alpha * side_factor(s, p);
-    for si in 6..seq.len().min(11) {
-        let s = seq.snapshot(si);
-        let c = CandidateSet::build(&s, CandidatePolicy::ThreeHop, 0);
-        let iters_before = warm_cache.stats.ppr_iterations;
-        let warms_before = warm_cache.stats.ppr_warm_starts;
-        let (warm_secs, warm) = timed(|| {
-            exec::score_matrix_cached_t(&[&ppr], &s, c.pairs(), 1, &mut warm_cache).remove(0)
-        });
-        let mut cold_cache = SolverCache::transient();
-        let (cold_secs, cold) = timed(|| {
-            exec::score_matrix_cached_t(&[&ppr], &s, c.pairs(), 1, &mut cold_cache).remove(0)
-        });
-        for (i, &p) in c.pairs().iter().enumerate() {
-            let dev = (warm[i] - cold[i]).abs();
-            let bound = warm_bound(&s, p);
-            assert!(
-                dev <= bound,
-                "snapshot {si}: warm/cold PPR pair {p:?} diverged {dev:e} beyond {bound:e}"
-            );
-        }
-        let warm_iters = warm_cache.stats.ppr_iterations - iters_before;
-        let warm_starts = warm_cache.stats.ppr_warm_starts - warms_before;
-        let cold_iters = cold_cache.stats.ppr_iterations;
-        println!(
-            "snapshot {si}: PPR warm {warm_secs:.3}s ({warm_iters} iters, {warm_starts} warm \
-             starts), cold {cold_secs:.3}s ({cold_iters} iters)"
-        );
-        warm_rows.push(serde_json::json!({
-            "snapshot": si,
-            "pairs": c.len(),
-            "warm_secs": warm_secs,
-            "warm_iterations": warm_iters,
-            "warm_starts": warm_starts,
-            "cold_secs": cold_secs,
-            "cold_iterations": cold_iters,
-        }));
-    }
-    par::set_thread_override(None);
-
-    let report = serde_json::json!({
-        "bench": "global_scoring",
-        "network": "renren-like",
-        "scale": scale,
-        "days": days,
-        "host_cores": host.effective,
-        "host": host.json(),
-        "nodes": snap.node_count(),
-        "edges": snap.edge_count(),
-        "candidate_pairs": pairs.len(),
-        "metrics": names.to_vec(),
-        "note": "batched vs per-source-oracle, equality asserted before timing (bit-identical for SP/LP/Katz, analytic tolerance for LRW/PPR); Katz-lr has no distinct per-source oracle so its reference is the same serial path; LRW/PPR engine scores are one-sided from the pair's solve side (LRW bound 3·m·prune·(d_u+d_v), PPR bound ε·(d_u+d_v) + (tol/α)·(1 + d_max/d_min)); warm rows assert |warm-cold| <= 2·(tol/α)·(1 + d_max/d_min) per pair",
-        "group_speedup_threads1": group_speedup,
-        "per_metric_threads1": metric_rows,
-        "batched_thread_sweep": sweep_rows,
-        "warm_vs_cold_ppr": warm_rows,
-    });
-    // The Rescal factorization scenario merges into this file under its
-    // own key (it runs as a separate stage / `--factor-scoring-only`);
-    // rewriting the solver rows must not drop an existing section.
-    bench_merge::write_report_preserving(
-        "BENCH_global_scoring.json",
+    warm_vs_cold(
         report,
-        &["rescal_factorization"],
+        "warm_vs_cold_ppr",
+        &seq,
+        &ppr,
+        ("iterations", |s| (s.ppr_iterations, s.ppr_warm_starts)),
+        |_, s| CandidateSet::build(s, CandidatePolicy::ThreeHop, 0),
+        |si, s, pairs, warm, cold| {
+            // Warm and cold score the same pair list, so each pair takes
+            // the same side in both; each run is within
+            // (tol/α)·(1 + d_s/d_t) of the exact score.
+            for (i, &p) in pairs.iter().enumerate() {
+                let dev = (warm[i] - cold[i]).abs();
+                let bound = 2.0 * ppr.solver_tol() / ppr.alpha * side_factor(s, p);
+                assert!(
+                    dev <= bound,
+                    "snapshot {si}: warm/cold PPR pair {p:?} diverged {dev:e} beyond {bound:e}"
+                );
+            }
+        },
     );
+    par::set_thread_override(None);
 }
 
 /// Blocked ALS factorization core vs the retained dense serial reference
 /// on the youtube-like preset — the supernode-heavy degree profile (§4.2:
 /// ~80% of nodes at degree ≤ 3, new edges concentrating on the top-0.1%
-/// hubs) that stresses the CSR row blocking hardest. Merged into
-/// `BENCH_global_scoring.json` under `rescal_factorization`.
+/// hubs) that stresses the CSR row blocking hardest.
 ///
 /// Three stages, equality always asserted untimed first so a reported
 /// speedup can never come from computing something different:
@@ -772,11 +805,9 @@ fn global_scoring(scale: f64, days: u32) {
 ///    vs an independent cold fit per snapshot — ALS warm starts change
 ///    the trajectory, so sweeps/residuals are *measured*, not asserted
 ///    (the equivalence tests pin certification-band parity).
-fn rescal_factorization(scale: f64, days: u32) {
-    use osn_metrics::exec;
+fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     use osn_metrics::rescal::Rescal;
 
-    let host = detect_host();
     // The factorization runs on a 10x-seeded preset: the paper's YouTube
     // graph is ~3M nodes while the preset at the default CLI scale is
     // ~3.5k — too few rows for the blocked kernels' thread sharding to
@@ -786,18 +817,23 @@ fn rescal_factorization(scale: f64, days: u32) {
     // blocks real work. `TraceConfig` documents its fields as public for
     // exactly this kind of recorded tweak.
     const FACTOR_STRESS: usize = 10;
-    let mut cfg = osn_trace::presets::TraceConfig::youtube_like().scaled(scale).with_days(days);
+    let mut cfg = TraceConfig::youtube_like().scaled(ctx.scale).with_days(ctx.days);
     cfg.initial_nodes *= FACTOR_STRESS;
     cfg.initial_edges *= FACTOR_STRESS;
     let trace = cfg.generate(42);
-    let seq = SnapshotSequence::with_count(&trace, 12);
-    let snap = seq.snapshot(9);
+    let (seq, snap) = fixture(&trace);
     let rescal = Rescal::default();
-    let thread_counts = sweep_thread_counts(&host);
+    report.set("network", "youtube-like");
+    report.set("seed_stress_factor", FACTOR_STRESS);
+    report.set("nodes", snap.node_count());
+    report.set("edges", snap.edge_count());
+    report.set("rank", rescal.rank);
+    report.set("fixed_sweeps", rescal.iterations);
+    report.set("note", "blocked spmm_into_t ALS fit vs retained dense serial reference, factors + certified residual asserted bit-identical at every worker count before timing; batched bilinear scoring within 1e-9 of the per-pair model oracle (association order differs) and bit-identical across workers; warm rows use certified early-stop fits (tol=1e-6) through the persistent SolverCache model slots — ALS warm sweeps are measured, not bounded");
 
     // --- Stage 1: blocked fit == dense serial reference, then timing ---
     let dense = rescal.fit_dense_reference(&snap).expect("dense reference fit");
-    for &t in &thread_counts {
+    for t in sweep_thread_counts(&ctx.host) {
         let blocked = rescal.fit_t(&snap, t).expect("blocked fit");
         assert_eq!(
             dense.x.max_abs_diff(&blocked.x),
@@ -812,22 +848,15 @@ fn rescal_factorization(scale: f64, days: u32) {
         assert_eq!(dense.residual, blocked.residual, "certified residual drifted at {t} workers");
     }
     let (dense_secs, _) = timed(|| rescal.fit_dense_reference(&snap).expect("dense reference fit"));
-    let mut fit_rows = Vec::new();
-    for &t in &thread_counts {
+    report.set("dense_reference_secs", dense_secs);
+    thread_sweep(ctx, report, "fit_sweep", |t| {
         let (blocked_secs, _) = timed(|| rescal.fit_t(&snap, t).expect("blocked fit"));
-        let speedup = dense_secs / blocked_secs.max(1e-12);
-        println!(
-            "Rescal fit threads={t}: dense serial {dense_secs:.3}s, blocked {blocked_secs:.3}s \
-             ({speedup:.1}x, bit-identical)"
-        );
-        fit_rows.push(serde_json::json!({
-            "threads": t,
-            "oversubscribed": t > host.effective,
+        json!({
             "blocked_secs": blocked_secs,
-            "speedup_vs_dense": speedup,
+            "speedup_vs_dense": dense_secs / blocked_secs.max(1e-12),
             "bit_identical": true,
-        }));
-    }
+        })
+    });
 
     // --- Stage 2: batched bilinear scoring vs the per-pair oracle -------
     // Distance-bounded enumeration is not usable as a workload generator
@@ -841,11 +870,11 @@ fn rescal_factorization(scale: f64, days: u32) {
         CandidatePolicy::Global,
     );
     let pairs = cands.pairs();
+    report.set("candidate_pairs", pairs.len());
     let oracle: Vec<f64> = pairs.iter().map(|&(u, v)| dense.score(u, v)).collect();
     // One persistent cache: the first call fits and registers the model,
-    // every later call (including all timed ones) reuses it — the
-    // refit-per-batch bug this PR fixes would show up right here as
-    // `rescal_fits` climbing past 1.
+    // every later call (including all timed ones) reuses it — a refit per
+    // batch would show up right here as `rescal_fits` climbing past 1.
     let mut cache = SolverCache::sweep();
     let base = exec::score_matrix_cached_t(&[&rescal], &snap, pairs, 1, &mut cache).remove(0);
     assert_eq!(cache.stats.rescal_fits, 1, "priming call must fit exactly once");
@@ -855,26 +884,18 @@ fn rescal_factorization(scale: f64, days: u32) {
     }
     let (oracle_secs, _) =
         timed(|| pairs.iter().map(|&(u, v)| dense.score(u, v)).collect::<Vec<f64>>());
-    let mut scoring_rows = Vec::new();
-    for &t in &thread_counts {
+    report.set("oracle_scoring_secs", oracle_secs);
+    thread_sweep(ctx, report, "scoring_sweep", |t| {
         let scores = exec::score_matrix_cached_t(&[&rescal], &snap, pairs, t, &mut cache).remove(0);
         assert_eq!(scores, base, "batched Rescal scores drifted at {t} workers");
         let (secs, _) = timed(|| {
             exec::score_matrix_cached_t(&[&rescal], &snap, pairs, t, &mut cache).remove(0)
         });
-        println!(
-            "Rescal scoring threads={t}: per-pair oracle {oracle_secs:.3}s ({:.0} pairs/s), \
-             batched {secs:.3}s ({:.0} pairs/s; cached fit reused)",
-            rate(pairs.len(), oracle_secs),
-            rate(pairs.len(), secs),
-        );
-        scoring_rows.push(serde_json::json!({
-            "threads": t,
-            "oversubscribed": t > host.effective,
+        json!({
             "batched_secs": secs,
             "batched_pairs_per_sec": rate(pairs.len(), secs),
-        }));
-    }
+        })
+    });
     assert_eq!(
         cache.stats.rescal_fits, 1,
         "scoring sweep refit the model instead of reusing the cached fit"
@@ -882,77 +903,36 @@ fn rescal_factorization(scale: f64, days: u32) {
 
     // --- Stage 3: certified warm vs cold fits across late snapshots -----
     let certified = Rescal { iterations: 500, tol: 1e-6, ..Rescal::default() };
-    let mut warm_cache = SolverCache::sweep();
-    let mut warm_rows = Vec::new();
-    for si in 6..seq.len().min(11) {
-        let s = seq.snapshot(si);
+    warm_vs_cold(
+        report,
+        "warm_vs_cold",
+        &seq,
+        &certified,
+        ("sweeps", |s| (s.rescal_iterations, s.rescal_warm_starts)),
         // Same sampled-pair workload as stage 2 (see above): the fit
         // dominates these rows; the pairs only exercise the scoring tail.
-        let c = CandidateSet::from_pairs(
-            sample_pairs(s.node_count(), 100_000, 0x5CA1 + si as u64),
-            CandidatePolicy::Global,
-        );
-        let iters_before = warm_cache.stats.rescal_iterations;
-        let warms_before = warm_cache.stats.rescal_warm_starts;
-        let (warm_secs, warm) = timed(|| {
-            exec::score_matrix_cached_t(&[&certified], &s, c.pairs(), 1, &mut warm_cache).remove(0)
-        });
-        assert!(warm.iter().all(|x| x.is_finite()), "snapshot {si}: warm Rescal score not finite");
-        let mut cold_cache = SolverCache::transient();
-        let (cold_secs, cold) = timed(|| {
-            exec::score_matrix_cached_t(&[&certified], &s, c.pairs(), 1, &mut cold_cache).remove(0)
-        });
-        assert!(cold.iter().all(|x| x.is_finite()), "snapshot {si}: cold Rescal score not finite");
-        let warm_iters = warm_cache.stats.rescal_iterations - iters_before;
-        let warm_starts = warm_cache.stats.rescal_warm_starts - warms_before;
-        let cold_iters = cold_cache.stats.rescal_iterations;
-        println!(
-            "snapshot {si}: Rescal warm {warm_secs:.3}s ({warm_iters} sweeps, {warm_starts} warm \
-             starts), cold {cold_secs:.3}s ({cold_iters} sweeps)"
-        );
-        warm_rows.push(serde_json::json!({
-            "snapshot": si,
-            "pairs": c.len(),
-            "warm_secs": warm_secs,
-            "warm_sweeps": warm_iters,
-            "warm_starts": warm_starts,
-            "cold_secs": cold_secs,
-            "cold_sweeps": cold_iters,
-        }));
-    }
-
-    // --- Merge under `rescal_factorization` without clobbering the rest -
-    let section = serde_json::json!({
-        "network": "youtube-like",
-        "scale": scale,
-        "seed_stress_factor": FACTOR_STRESS,
-        "days": days,
-        "host_cores": host.effective,
-        "host": host.json(),
-        "nodes": snap.node_count(),
-        "edges": snap.edge_count(),
-        "rank": rescal.rank,
-        "fixed_sweeps": rescal.iterations,
-        "candidate_pairs": pairs.len(),
-        "note": "blocked spmm_into_t ALS fit vs retained dense serial reference, factors + certified residual asserted bit-identical at every worker count before timing; batched bilinear scoring within 1e-9 of the per-pair model oracle (association order differs) and bit-identical across workers; warm rows use certified early-stop fits (tol=1e-6) through the persistent SolverCache model slots — ALS warm sweeps are measured, not bounded",
-        "dense_reference_secs": dense_secs,
-        "oracle_scoring_secs": oracle_secs,
-        "fit_sweep": fit_rows,
-        "scoring_sweep": scoring_rows,
-        "warm_vs_cold": warm_rows,
-    });
-    bench_merge::merge_section(
-        "BENCH_global_scoring.json",
-        "rescal_factorization",
-        section,
-        serde_json::json!({ "bench": "global_scoring" }),
+        |si, s| {
+            CandidateSet::from_pairs(
+                sample_pairs(s.node_count(), 100_000, 0x5CA1 + si as u64),
+                CandidatePolicy::Global,
+            )
+        },
+        |si, _, _, warm, cold| {
+            assert!(
+                warm.iter().all(|x| x.is_finite()),
+                "snapshot {si}: warm Rescal score not finite"
+            );
+            assert!(
+                cold.iter().all(|x| x.is_finite()),
+                "snapshot {si}: cold Rescal score not finite"
+            );
+        },
     );
 }
 
 /// End-to-end framework sweep before/after batched-kernel routing, with
 /// and without the §6.2 temporal filters pushed into candidate
-/// enumeration — the benchmark behind `BENCH_e2e_sweep.json`. One row per
-/// Table 7 network (facebook / renren / youtube presets):
+/// enumeration. One row per Table 7 network (facebook / renren / youtube presets):
 ///
 /// * **baseline** — the pre-routing pipeline: from-scratch snapshot per
 ///   transition, per-policy candidate sets rebuilt per group (the
@@ -973,7 +953,7 @@ fn rescal_factorization(scale: f64, days: u32) {
 /// surviving pairs — so no speedup can come from computing something
 /// different. Rescal is excluded: the ALS fit it runs is the same on
 /// both routes (only pair scoring differs, and that is covered by the
-/// dedicated `rescal_factorization` scenario), so including it would
+/// `factor-scoring` row), so including it would
 /// dilute the routing comparison equally on both sides.
 ///
 /// The paper's thresholds were tuned on the real traces; when a Table 7
@@ -981,24 +961,24 @@ fn rescal_factorization(scale: f64, days: u32) {
 /// nothing surviving), the row's thresholds are re-derived from the trace
 /// with `FilterThresholds::discover` — the paper's own §6.2 methodology —
 /// and the JSON records which source was used.
-fn e2e_sweep(scale: f64, days: u32) {
+fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
     use linklens_core::filters::{FilterThresholds, TemporalFilter};
     use linklens_core::framework::{finite_mean, unconnected_pair_count, SequenceEvaluator};
     use osn_graph::activity::NodeActivity;
     use osn_metrics::topk;
 
-    let host = detect_host();
     let threads = osn_graph::par::max_threads();
 
     let metrics: Vec<Box<dyn Metric>> =
         osn_metrics::all_metrics().into_iter().filter(|m| m.name() != "Rescal").collect();
     let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
 
-    let mut rows = Vec::new();
+    report.set("metrics_excluded", vec!["Rescal"]);
+    report.set("note", "baseline = per-transition from-scratch snapshots + per-group post-hoc candidates + chunked per-pair scoring for locals + per-source reference oracles for SP/LP/LRW/PPR/Katz-sc (bit-identical to batched for SP/LP/Katz, within the documented analytic tolerance for LRW/PPR — see BENCH_global_scoring); routed = evaluate_all (incremental sweep, shared enumeration, fused kernel + batched solvers, persistent sweep cache); pruned = routed with the Table 7 filter pushed into enumeration. Equality asserted before timing: batched == per-pair top-k on a representative transition, pruned enumeration == post-hoc filtering on every transition, fused survivor scores == unpruned scores.");
     let mut renren_routing_speedup = None;
-    for cfg in osn_trace::presets::TraceConfig::all() {
+    for cfg in TraceConfig::all() {
         let table7 = FilterThresholds::for_preset(&cfg.name).expect("table 7 preset");
-        let cfg = cfg.scaled(scale).with_days(days);
+        let cfg = cfg.scaled(ctx.scale).with_days(ctx.days);
         let trace = cfg.generate(42);
         let seq = SnapshotSequence::with_count(&trace, 12);
         let eval = SequenceEvaluator::new(&seq);
@@ -1158,29 +1138,6 @@ fn e2e_sweep(scale: f64, days: u32) {
         // ones BENCH_global_scoring asserts the batched engine against —
         // bit-identical for SP/LP/Katz, within the documented analytic
         // tolerance for LRW/PPR).
-        let sp = osn_metrics::path::ShortestPath::default();
-        let lp = osn_metrics::path::LocalPath::default();
-        let lrw = osn_metrics::walk::LocalRandomWalk::default();
-        let ppr = osn_metrics::walk::PersonalizedPageRank::default();
-        let katz_sc = osn_metrics::katz::KatzSc::default();
-        let per_source_top_k = |name: &str,
-                                snap: &Snapshot,
-                                pairs: &[(u32, u32)],
-                                k: usize|
-         -> Option<Vec<(u32, u32)>> {
-            let scores = match name {
-                "SP" => sp.score_pairs_per_source(snap, pairs),
-                "LP" => lp.score_pairs_per_source(snap, pairs),
-                "LRW" => lrw.score_pairs_per_source_t(snap, pairs, threads),
-                "PPR" => ppr.score_pairs_per_source_t(snap, pairs, threads),
-                "Katz-sc" => katz_sc.score_pairs_per_source(snap, pairs),
-                // Katz-lr has no distinct per-source oracle (each Lanczos
-                // step is already one global matvec); it falls through to
-                // the chunked per-pair path like the locals.
-                _ => return None,
-            };
-            Some(osn_metrics::topk::top_k_pairs(pairs, &scores, k, eval.seed))
-        };
         let (baseline_secs, baseline_ratios) = timed(|| {
             let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); refs.len()];
             for t in 1..seq.len() {
@@ -1204,13 +1161,14 @@ fn e2e_sweep(scale: f64, days: u32) {
                     let grefs: Vec<&dyn Metric> = group.iter().map(|&(_, m)| m).collect();
                     let cands = eval.candidates_for_posthoc(&prev, &grefs, None);
                     for &(i, m) in &group {
-                        let predicted = per_source_top_k(m.name(), &prev, cands.pairs(), k)
+                        // Katz-lr and the local metrics have no per-source
+                        // oracle; they take the chunked per-pair path.
+                        let scores = per_source_oracle(m.name(), &prev, cands.pairs(), threads)
                             .unwrap_or_else(|| {
                                 let mut cache = SolverCache::transient();
-                                let scores =
-                                    m.score_pairs_cached(&prev, cands.pairs(), threads, &mut cache);
-                                topk::top_k_pairs(cands.pairs(), &scores, k, eval.seed)
+                                m.score_pairs_cached(&prev, cands.pairs(), threads, &mut cache)
                             });
+                        let predicted = topk::top_k_pairs(cands.pairs(), &scores, k, eval.seed);
                         let correct = predicted.iter().filter(|p| truth.contains(p)).count();
                         ratios[i].push(if expected > 0.0 {
                             correct as f64 / expected
@@ -1261,14 +1219,6 @@ fn e2e_sweep(scale: f64, days: u32) {
             );
         }
 
-        println!(
-            "{}: baseline {baseline_secs:.2}s, routed {routed_secs:.2}s ({routing_speedup:.1}x), \
-             pruned {pruned_secs:.2}s ({total_speedup:.1}x); candidates {cand_full_total} -> \
-             {cand_pruned_total} ({cand_reduction:.1}x, {thresholds_source}); mean ratio \
-             {routed_agg:.2} -> {pruned_agg:.2}",
-            cfg.name,
-        );
-
         let per_metric: Vec<serde_json::Value> = refs
             .iter()
             .enumerate()
@@ -1281,41 +1231,32 @@ fn e2e_sweep(scale: f64, days: u32) {
                 })
             })
             .collect();
-        rows.push(serde_json::json!({
-            "network": cfg.name,
-            "nodes": trace.node_count(),
-            "edges": trace.edge_count(),
-            "transitions": seq.len() - 1,
-            "thresholds_source": thresholds_source,
-            "filter_qualified": filter_qualified,
-            "thresholds": serde_json::to_value(&filter.thresholds),
-            "baseline_secs": baseline_secs,
-            "routed_secs": routed_secs,
-            "pruned_secs": pruned_secs,
-            "routing_speedup": routing_speedup,
-            "total_speedup": total_speedup,
-            "candidates_unpruned": cand_full_total,
-            "candidates_pruned": cand_pruned_total,
-            "candidate_reduction": cand_reduction,
-            "accuracy_ratio_mean_routed": routed_agg,
-            "accuracy_ratio_mean_pruned": pruned_agg,
-            "accuracy_ratio_delta_pruned_vs_routed": pruned_agg - routed_agg,
-            "per_metric": per_metric,
-        }));
+        report.row(
+            "networks",
+            json!({
+                "network": cfg.name,
+                "nodes": trace.node_count(),
+                "edges": trace.edge_count(),
+                "transitions": seq.len() - 1,
+                "thresholds_source": thresholds_source,
+                "filter_qualified": filter_qualified,
+                "thresholds": serde_json::to_value(&filter.thresholds),
+                "baseline_secs": baseline_secs,
+                "routed_secs": routed_secs,
+                "pruned_secs": pruned_secs,
+                "routing_speedup": routing_speedup,
+                "total_speedup": total_speedup,
+                "candidates_unpruned": cand_full_total,
+                "candidates_pruned": cand_pruned_total,
+                "candidate_reduction": cand_reduction,
+                "accuracy_ratio_mean_routed": routed_agg,
+                "accuracy_ratio_mean_pruned": pruned_agg,
+                "accuracy_ratio_delta_pruned_vs_routed": pruned_agg - routed_agg,
+                "per_metric": per_metric,
+            }),
+        );
     }
-
-    let report = serde_json::json!({
-        "bench": "e2e_sweep",
-        "scale": scale,
-        "days": days,
-        "host_cores": host.effective,
-        "host": host.json(),
-        "metrics_excluded": vec!["Rescal"],
-        "note": "baseline = per-transition from-scratch snapshots + per-group post-hoc candidates + chunked per-pair scoring for locals + per-source reference oracles for SP/LP/LRW/PPR/Katz-sc (bit-identical to batched for SP/LP/Katz, within the documented analytic tolerance for LRW/PPR — see BENCH_global_scoring); routed = evaluate_all (incremental sweep, shared enumeration, fused kernel + batched solvers, persistent sweep cache); pruned = routed with the Table 7 filter pushed into enumeration. Equality asserted before timing: batched == per-pair top-k on a representative transition, pruned enumeration == post-hoc filtering on every transition, fused survivor scores == unpruned scores.",
-        "renren_routing_speedup": renren_routing_speedup,
-        "networks": rows,
-    });
-    bench_merge::write_report("BENCH_e2e_sweep.json", &report);
+    report.set("renren_routing_speedup", renren_routing_speedup);
 }
 
 /// Peak resident set size (`VmHWM`) in MiB, from `/proc/self/status`.
@@ -1338,14 +1279,13 @@ fn reset_peak_rss() -> bool {
 /// events straight into the sectioned binary cache, sweep it through the
 /// windowed reader without ever materializing the edge list, and evaluate
 /// a metric on snowball samples — then load the *same* cache fully
-/// in-core as the materialization baseline. Emits
-/// `BENCH_large_trace.json` with generation nodes/s, cache write/read
-/// MB/s, sweep time, per-phase peak RSS (`VmHWM`, reset between phases),
+/// in-core as the materialization baseline. Records generation nodes/s,
+/// cache write/read MB/s, sweep time, per-phase peak RSS (`VmHWM`, reset between phases),
 /// and a sampled-vs-full accuracy agreement check at a mid scale where
 /// the full evaluation is still feasible. The streaming and in-core
 /// sweeps digest every snapshot and the digests are asserted equal — the
 /// two paths must be bit-identical, not merely close.
-fn large_trace(scale: f64, days: u32, rss_budget_mb: Option<f64>) {
+fn large_trace(ctx: &Ctx, report: &mut Report) {
     use linklens_core::sampling::{SampleMethod, SampleSpec};
     use osn_graph::io::{CacheFileWriter, SectionedCacheReader, TraceReader};
     use osn_graph::stream::{StreamingSequence, StreamingSnapshotBuilder, DEFAULT_WINDOW_EDGES};
@@ -1355,11 +1295,15 @@ fn large_trace(scale: f64, days: u32, rss_budget_mb: Option<f64>) {
     const SNAPSHOTS: usize = 12;
     const T_EVAL: usize = 9;
     const SEED: u64 = 42;
-    let host = detect_host();
-    let cfg = osn_trace::presets::TraceConfig::renren_like().scaled(scale).with_days(days);
+    let cfg = TraceConfig::renren_like().scaled(ctx.scale).with_days(ctx.days);
     let cache_path =
         std::env::temp_dir().join(format!("linklens_large_trace_{}.lltc", std::process::id()));
     let rss_reset = reset_peak_rss();
+    report.set("preset", "renren-like");
+    report.set("snapshots", SNAPSHOTS);
+    report.set("eval_transition", T_EVAL);
+    report.set("rss_reset_supported", rss_reset);
+    report.set("rss_budget_mb", ctx.rss_budget_mb);
 
     // ---- phase A: streaming generation straight into the cache -------
     let mut sink = CacheFileWriter::create(&cache_path).expect("create cache file");
@@ -1374,11 +1318,6 @@ fn large_trace(scale: f64, days: u32, rss_budget_mb: Option<f64>) {
     // Generation and cache writing are fused on this path (that is the
     // point), so the write rate is bytes over the fused wall time.
     let write_mb_per_sec = cache_bytes as f64 / (1 << 20) as f64 / gen_secs.max(1e-12);
-    println!(
-        "large_trace: streamed {} nodes / {} edges in {gen_secs:.2}s \
-         ({gen_nodes_per_sec:.0} nodes/s, {write_mb_per_sec:.1} MB/s into {} sections)",
-        summary.nodes, summary.edges, cache_summary.sections
-    );
 
     // ---- raw windowed read throughput --------------------------------
     let (read_secs, read_digest) = timed(|| {
@@ -1441,15 +1380,6 @@ fn large_trace(scale: f64, days: u32, rss_budget_mb: Option<f64>) {
         (spec, est)
     });
     let sampled_peak_mb = peak_rss_mb();
-    println!(
-        "large_trace: streaming sweep {stream_sweep_secs:.2}s, read {read_mb_per_sec:.1} MB/s, \
-         peak RSS {streaming_peak_mb:?} MiB; sampled CN ratio {:.2} ± {:.2} ({} draws at \
-         p={:.3}, {sampled_secs:.2}s, peak RSS {sampled_peak_mb:?} MiB)",
-        sampled.mean_accuracy_ratio,
-        sampled.std_accuracy_ratio,
-        sampled.per_draw_ratios.len(),
-        spec.p
-    );
 
     // ---- phase B: full-materialization baseline on the same cache ----
     if rss_reset {
@@ -1472,10 +1402,6 @@ fn large_trace(scale: f64, days: u32, rss_budget_mb: Option<f64>) {
         stream_digest, incore_digest,
         "streaming sweep diverged from the in-core sweep on the same cache"
     );
-    println!(
-        "large_trace: in-core load {incore_load_secs:.2}s, sweep {incore_sweep_secs:.2}s, \
-         peak RSS {incore_peak_mb:?} MiB (digests match)"
-    );
     // With per-phase VmHWM resets the comparison is meaningful: the
     // streaming phase ran first (over the lower floor) and must not
     // out-allocate full materialization. The slack absorbs allocator
@@ -1489,18 +1415,17 @@ fn large_trace(scale: f64, days: u32, rss_budget_mb: Option<f64>) {
             );
         }
     }
-    if let (Some(budget), Some(s)) = (rss_budget_mb, streaming_peak_mb) {
+    if let (Some(budget), Some(s)) = (ctx.rss_budget_mb, streaming_peak_mb) {
         assert!(
             s <= budget,
             "streaming peak RSS ({s:.1} MiB) exceeds the --rss-budget-mb budget ({budget:.1} MiB)"
         );
-        println!("large_trace: streaming peak RSS {s:.1} MiB within budget {budget:.1} MiB");
     }
     std::fs::remove_file(&cache_path).ok();
 
     // ---- phase C: sampled-vs-full agreement at a feasible mid scale --
-    let mid_scale = scale.min(0.25);
-    let mid_cfg = osn_trace::presets::TraceConfig::renren_like().scaled(mid_scale).with_days(days);
+    let mid_scale = ctx.scale.min(0.25);
+    let mid_cfg = TraceConfig::renren_like().scaled(mid_scale).with_days(ctx.days);
     let mid_trace = mid_cfg.generate(SEED);
     let mid_seq = SnapshotSequence::with_count(&mid_trace, SNAPSHOTS);
     let eval = linklens_core::framework::SequenceEvaluator::new(&mid_seq);
@@ -1531,14 +1456,8 @@ fn large_trace(scale: f64, days: u32, rss_budget_mb: Option<f64>) {
             agreement_factor
         );
     }
-    println!(
-        "large_trace: mid-scale {mid_scale} agreement — full CN ratio {full_ratio:.2} \
-         ({full_correct} correct), sampled {:.2} ± {:.2} (factor {agreement_factor:.2}, \
-         asserted: {agreement_asserted})",
-        mid_sampled.mean_accuracy_ratio, mid_sampled.std_accuracy_ratio
-    );
 
-    let sampled_eval_json = serde_json::json!({
+    let sampled_eval = json!({
         "metric": sampled.metric,
         "draws": sampled.per_draw_ratios.len(),
         "sampling_p": spec.p,
@@ -1550,77 +1469,51 @@ fn large_trace(scale: f64, days: u32, rss_budget_mb: Option<f64>) {
         "secs": sampled_secs,
         "peak_rss_mb": sampled_peak_mb,
     });
-    let streaming_json = serde_json::json!({
-        "nodes": summary.nodes,
-        "edges": summary.edges,
-        "cache_sections": cache_summary.sections,
-        "cache_bytes": cache_bytes,
-        "generation_secs": gen_secs,
-        "generation_nodes_per_sec": gen_nodes_per_sec,
-        "cache_write_mb_per_sec": write_mb_per_sec,
-        "cache_read_secs": read_secs,
-        "cache_read_mb_per_sec": read_mb_per_sec,
-        "read_digest": format!("{read_digest:016x}"),
-        "sweep_secs": stream_sweep_secs,
-        "sweep_digest": format!("{stream_digest:016x}"),
-        "peak_rss_mb": streaming_peak_mb,
-        "sampled_eval": sampled_eval_json,
-    });
-    let in_core_json = serde_json::json!({
-        "load_secs": incore_load_secs,
-        "sweep_secs": incore_sweep_secs,
-        "peak_rss_mb": incore_peak_mb,
-        "sweep_digest": format!("{incore_digest:016x}"),
-    });
-    let agreement_json = serde_json::json!({
-        "mid_scale": mid_scale,
-        "metric": "CN",
-        "full_accuracy_ratio": full_ratio,
-        "full_correct": full_correct,
-        "sampled_mean_accuracy_ratio": mid_sampled.mean_accuracy_ratio,
-        "sampled_std_accuracy_ratio": mid_sampled.std_accuracy_ratio,
-        "sampling_p": mid_spec.p,
-        "draws": mid_spec.draws,
-        "factor": agreement_factor,
-        "tolerance_factor": AGREEMENT_TOLERANCE,
-        "asserted": agreement_asserted,
-    });
-    let report = serde_json::json!({
-        "bench": "large_trace",
-        "scale": scale,
-        "days": days,
-        "preset": "renren-like",
-        "snapshots": SNAPSHOTS,
-        "eval_transition": T_EVAL,
-        "host_cores": host.effective,
-        "host": host.json(),
-        "rss_reset_supported": rss_reset,
-        "rss_budget_mb": rss_budget_mb,
-        "streaming": streaming_json,
-        "in_core_baseline": in_core_json,
-        "agreement": agreement_json,
-        "note": "streaming = generate_streaming -> CacheFileWriter (generation and cache write fused, so cache_write_mb_per_sec shares the generation wall time) -> SectionedCacheReader windowed sweep (StreamingSequence); in_core_baseline = read_cache_file full load + SnapshotSequence sweep of the same cache. The snowball-sampled CN evaluation runs on the streaming path with a size-aware draw fraction (samples target ~6k members regardless of trace size) and its own VmHWM segment — its footprint is the sampled pair universe, identical on both paths, so the streaming-vs-in-core RSS comparison isolates trace materialization. VmHWM is reset between segments via /proc/self/clear_refs when the kernel allows it; sweep digests are asserted bit-identical across the two paths.",
-    });
-    bench_merge::write_report("BENCH_large_trace.json", &report);
-}
-
-/// splitmix64 step — the deterministic stream every driver thread and
-/// sampler in this scenario derives from.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Zipfian rank in `[0, n)` by inverse CDF: `floor(exp(U(0, ln n)))`
-/// lands on rank r with probability ∝ 1/r — low node ids are the
-/// popular users a serving query mix concentrates on.
-fn zipf_rank(state: &mut u64, n: usize) -> usize {
-    let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
-    let r = (u * (n as f64).ln()).exp() as usize;
-    r.min(n - 1)
+    report.set(
+        "streaming",
+        json!({
+            "nodes": summary.nodes,
+            "edges": summary.edges,
+            "cache_sections": cache_summary.sections,
+            "cache_bytes": cache_bytes,
+            "generation_secs": gen_secs,
+            "generation_nodes_per_sec": gen_nodes_per_sec,
+            "cache_write_mb_per_sec": write_mb_per_sec,
+            "cache_read_secs": read_secs,
+            "cache_read_mb_per_sec": read_mb_per_sec,
+            "read_digest": format!("{read_digest:016x}"),
+            "sweep_secs": stream_sweep_secs,
+            "sweep_digest": format!("{stream_digest:016x}"),
+            "peak_rss_mb": streaming_peak_mb,
+            "sampled_eval": sampled_eval,
+        }),
+    );
+    report.set(
+        "in_core_baseline",
+        json!({
+            "load_secs": incore_load_secs,
+            "sweep_secs": incore_sweep_secs,
+            "peak_rss_mb": incore_peak_mb,
+            "sweep_digest": format!("{incore_digest:016x}"),
+        }),
+    );
+    report.set(
+        "agreement",
+        json!({
+            "mid_scale": mid_scale,
+            "metric": "CN",
+            "full_accuracy_ratio": full_ratio,
+            "full_correct": full_correct,
+            "sampled_mean_accuracy_ratio": mid_sampled.mean_accuracy_ratio,
+            "sampled_std_accuracy_ratio": mid_sampled.std_accuracy_ratio,
+            "sampling_p": mid_spec.p,
+            "draws": mid_spec.draws,
+            "factor": agreement_factor,
+            "tolerance_factor": AGREEMENT_TOLERANCE,
+            "asserted": agreement_asserted,
+        }),
+    );
+    report.set("note", "streaming = generate_streaming -> CacheFileWriter (generation and cache write fused, so cache_write_mb_per_sec shares the generation wall time) -> SectionedCacheReader windowed sweep (StreamingSequence); in_core_baseline = read_cache_file full load + SnapshotSequence sweep of the same cache. The snowball-sampled CN evaluation runs on the streaming path with a size-aware draw fraction (samples target ~6k members regardless of trace size) and its own VmHWM segment — its footprint is the sampled pair universe, identical on both paths, so the streaming-vs-in-core RSS comparison isolates trace materialization. VmHWM is reset between segments via /proc/self/clear_refs when the kernel allows it; sweep digests are asserted bit-identical across the two paths.");
 }
 
 /// Offline oracle for one served query: the full candidate universe
@@ -1636,12 +1529,11 @@ fn offline_topk_oracle(
 ) -> Vec<(u32, u32)> {
     let pairs: Vec<(u32, u32)> =
         universe.pairs().iter().copied().filter(|&(a, b)| a == source || b == source).collect();
-    let scores = osn_metrics::exec::score_pairs_t(m, snap, &pairs, 1);
+    let scores = exec::score_pairs_t(m, snap, &pairs, 1);
     osn_metrics::topk::top_k_pairs(&pairs, &scores, k, seed)
 }
 
-/// Online ingest + bounded-latency serving on the renren-like preset —
-/// the scenario behind `BENCH_serving.json`.
+/// Online ingest + bounded-latency serving on the renren-like preset.
 ///
 /// Phases:
 /// 1. **Bootstrap** (untimed): the first 70% of the trace streams through
@@ -1660,13 +1552,11 @@ fn offline_topk_oracle(
 ///    (no global stop-the-world).
 /// 4. **Warm vs cold** (per metric): one forced-miss query at the final
 ///    version vs the same query again from the result cache.
-fn serving(scale: f64, days: u32) {
+fn serving(ctx: &Ctx, report: &mut Report) {
     use linklens_serve::{ServeConfig, Server};
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    let host = detect_host();
-    let cfg = osn_trace::presets::TraceConfig::renren_like().scaled(scale).with_days(days);
-    let trace = cfg.generate(42);
+    let trace = renren_trace(ctx);
     let total_edges = trace.edge_count();
     let bootstrap_edges = (total_edges * 7 / 10).max(1);
     let metric_names: Vec<String> =
@@ -1684,6 +1574,13 @@ fn serving(scale: f64, days: u32) {
     };
     let (k, seed, top_degree) = (serve_cfg.k, serve_cfg.seed, serve_cfg.top_degree);
     let server = Server::start(serve_cfg).expect("serve config resolves");
+    report.set("network", "renren-like");
+    report.set("workers", workers);
+    report.set("edges", total_edges);
+    report.set("bootstrap_edges", bootstrap_edges);
+    report.set("streamed_edges", total_edges - bootstrap_edges);
+    report.set("metrics", &metric_names);
+    report.set("k", k);
 
     // Phase 1: bootstrap ingest (untimed).
     let arrivals = trace.arrivals();
@@ -1700,12 +1597,6 @@ fn serving(scale: f64, days: u32) {
     ingest_range(&server, 0, bootstrap_edges);
     server.publish();
     let pinned = server.current();
-    println!(
-        "serving: bootstrap {} nodes / {} edges published as version {}",
-        pinned.snapshot.node_count(),
-        pinned.snapshot.edge_count(),
-        pinned.version
-    );
 
     // Phase 2a: CSR parity against the offline builder at the same prefix.
     let mut offline = osn_graph::builder::SnapshotBuilder::new(&trace);
@@ -1722,6 +1613,7 @@ fn serving(scale: f64, days: u32) {
     let n_boot = pinned.snapshot.node_count();
     let mut probe_state = 0x5EED_0001u64;
     let probes: Vec<u32> = (0..12).map(|_| zipf_rank(&mut probe_state, n_boot) as u32).collect();
+    report.set("parity_probes", probes.len());
     let mut universes: Vec<(CandidatePolicy, CandidateSet)> = Vec::new();
     for name in &metric_names {
         let m = metrics.iter().find(|m| m.name() == name).expect("served metric exists");
@@ -1748,11 +1640,6 @@ fn serving(scale: f64, days: u32) {
             );
         }
     }
-    println!(
-        "serving: parity gate passed — {} metrics x {} probes bit-identical to offline",
-        metric_names.len(),
-        probes.len()
-    );
 
     // Phase 3: timed — stream the tail through ingest while Zipfian
     // drivers query concurrently.
@@ -1855,26 +1742,38 @@ fn serving(scale: f64, days: u32) {
         publish_rows.iter().map(|&(s, _)| s).sum::<f64>() / publish_count.max(1) as f64;
     let final_stats = server.stats();
     assert_eq!(final_stats.pending_edges, 0, "final publish left edges behind");
-    println!(
-        "serving: {total_queries} queries in {serving_secs:.2}s ({:.0} q/s) over {} versions — \
-         p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms, hit rate {:.2}, {publish_count} publishes \
-         (mean {:.3}s, max {:.3}s)",
-        rate(total_queries, serving_secs),
-        versions.len(),
-        p.p50,
-        p.p95,
-        p.p99,
-        hit_rate,
-        mean_publish_secs,
-        max_publish_secs,
+    report.set("parity", "passed");
+    report.set("queries", total_queries);
+    report.set("queries_per_sec", rate(total_queries, serving_secs));
+    report.set("serving_secs", serving_secs);
+    report.set("latency_ms", json!({ "p50": p.p50, "p95": p.p95, "p99": p.p99 }));
+    report.set("versions_observed", versions.len());
+    report.set(
+        "cache",
+        json!({
+            "hits": hits,
+            "misses": total_queries as u64 - hits,
+            "hit_rate": hit_rate,
+        }),
+    );
+    report.set(
+        "ingest_lag",
+        json!({
+            "publishes": publish_count,
+            "mean_publish_secs": mean_publish_secs,
+            "max_publish_secs": max_publish_secs,
+            "final_pending_edges": final_stats.pending_edges,
+        }),
     );
 
     // Phase 4: warm vs cold per metric at the final version. A cold row
     // is a forced miss (probe sources walk down from the top id until one
     // misses); the warm row repeats the same query as a guaranteed hit.
-    let final_version = server.version();
+    report.set("final_version", server.version());
     let n_final = server.current().snapshot.node_count();
-    let mut warm_cold_rows = Vec::new();
+    report.set("nodes", n_final);
+    // The list stays in the report even when every cold probe is skipped.
+    report.set("warm_vs_cold", Vec::<Value>::new());
     for (mi, name) in metric_names.iter().enumerate() {
         let mut cold: Option<(u32, f64)> = None;
         for probe in (0..n_final as u32).rev().take(64) {
@@ -1898,58 +1797,89 @@ fn serving(scale: f64, days: u32) {
             .expect("warm query answered");
         let warm_ms = q0.elapsed().as_secs_f64() * 1e3;
         assert!(r.cache_hit, "{name}: repeat query at a stable version must hit the cache");
-        println!("serving: {name}: cold {cold_ms:.3}ms, warm {warm_ms:.3}ms (source {probe})");
-        warm_cold_rows.push(serde_json::json!({
-            "metric": name,
-            "source": probe,
-            "cold_ms": cold_ms,
-            "warm_ms": warm_ms,
-        }));
+        report.row(
+            "warm_vs_cold",
+            json!({
+                "metric": name,
+                "source": probe,
+                "cold_ms": cold_ms,
+                "warm_ms": warm_ms,
+            }),
+        );
     }
     server.shutdown();
+    report.set("note", "parity gate (untimed) asserts every served top-k equals the offline batch answer at the pinned snapshot version before anything is timed; the timed phase interleaves a 2-driver Zipfian query mix with streaming ingest (12 publish batches over the trace tail) — versions_observed >= 2 is asserted, i.e. queries kept completing across publishes; warm_vs_cold compares a forced result-cache miss against the same query served from the cache at a stable version");
+}
 
-    let latency_json = serde_json::json!({
-        "p50": p.p50,
-        "p95": p.p95,
-        "p99": p.p99,
-    });
-    let cache_json = serde_json::json!({
-        "hits": hits,
-        "misses": total_queries as u64 - hits,
-        "hit_rate": hit_rate,
-    });
-    let ingest_lag_json = serde_json::json!({
-        "publishes": publish_count,
-        "mean_publish_secs": mean_publish_secs,
-        "max_publish_secs": max_publish_secs,
-        "final_pending_edges": final_stats.pending_edges,
-    });
-    let report = serde_json::json!({
-        "bench": "serving",
-        "network": "renren-like",
-        "scale": scale,
-        "days": days,
-        "host_cores": host.effective,
-        "host": host.json(),
-        "workers": workers,
-        "nodes": n_final,
-        "edges": total_edges,
-        "bootstrap_edges": bootstrap_edges,
-        "streamed_edges": total_edges - bootstrap_edges,
-        "metrics": metric_names,
-        "k": k,
-        "parity": "passed",
-        "parity_probes": probes.len(),
-        "queries": total_queries,
-        "queries_per_sec": rate(total_queries, serving_secs),
-        "serving_secs": serving_secs,
-        "latency_ms": latency_json,
-        "versions_observed": versions.len(),
-        "final_version": final_version,
-        "cache": cache_json,
-        "ingest_lag": ingest_lag_json,
-        "warm_vs_cold": warm_cold_rows,
-        "note": "parity gate (untimed) asserts every served top-k equals the offline batch answer at the pinned snapshot version before anything is timed; the timed phase interleaves a 2-driver Zipfian query mix with streaming ingest (12 publish batches over the trace tail) — versions_observed >= 2 is asserted, i.e. queries kept completing across publishes; warm_vs_cold compares a forced result-cache miss against the same query served from the cache at a stable version",
-    });
-    bench_merge::write_report("BENCH_serving.json", &report);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_arguments_run_every_row_at_the_defaults() {
+        let args = parse(&[]).unwrap();
+        assert_eq!(
+            (args.scale, args.days, args.paranoid, args.rss_budget_mb),
+            (0.35, 90, false, None)
+        );
+        assert!(args.only.is_empty());
+    }
+
+    #[test]
+    fn each_row_flag_selects_its_row() {
+        for (i, scenario) in SCENARIOS.iter().enumerate() {
+            let args = parse(&["0.05", "30", &scenario.flag(), "--paranoid"]).unwrap();
+            assert_eq!(args.only, vec![i], "{}", scenario.name);
+            assert_eq!((args.scale, args.days, args.paranoid), (0.05, 30, true));
+        }
+        let both = parse(&["--serving-only", "--snapshot-build-only"]).unwrap();
+        assert_eq!(both.only, vec![1, 7], "selected rows run in table order");
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for flag in ["--serving-onyl", "--sweep-only", "--paranoid=1", "--rss-budget-mb"] {
+            assert!(parse(&[flag]).is_err(), "{flag}");
+        }
+    }
+
+    #[test]
+    fn rss_budget_must_parse() {
+        assert_eq!(parse(&["--rss-budget-mb=1024"]).unwrap().rss_budget_mb, Some(1024.0));
+        assert!(parse(&["--rss-budget-mb=1O24"]).is_err());
+        assert!(parse(&["--rss-budget-mb="]).is_err());
+    }
+
+    #[test]
+    fn scale_and_days_must_parse() {
+        assert!(parse(&["0,05"]).is_err());
+        assert!(parse(&["0.05", "thirty"]).is_err());
+        assert!(parse(&["0.05", "-3"]).is_err());
+    }
+
+    #[test]
+    fn a_third_positional_is_rejected() {
+        assert!(parse(&["0.05", "30"]).is_ok());
+        assert!(parse(&["0.05", "30", "12"]).is_err());
+    }
+
+    #[test]
+    fn row_names_flags_and_files_are_distinct() {
+        let names: HashSet<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+        let flags: HashSet<String> = SCENARIOS.iter().map(Scenario::flag).collect();
+        let files: HashSet<String> = SCENARIOS.iter().map(Scenario::file).collect();
+        for set in [names.len(), flags.len(), files.len()] {
+            assert_eq!(set, SCENARIOS.len());
+        }
+        let e2e = &SCENARIOS[5];
+        assert_eq!(
+            (e2e.flag(), e2e.bench(), e2e.file()),
+            ("--e2e-sweep-only".into(), "e2e_sweep".into(), "BENCH_e2e_sweep.json".into())
+        );
+    }
 }

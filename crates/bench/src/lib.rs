@@ -227,36 +227,10 @@ pub fn classification_config(
     }
 }
 
-/// Shared read-merge-write helpers for the `BENCH_*.json` reports the
-/// scalecheck scenarios emit. Several scenarios share one report file
-/// (e.g. the Rescal factorization section merges into
-/// `BENCH_global_scoring.json`), so every emitter goes through these
-/// helpers instead of hand-rolling the read/merge/write dance: a rewrite
-/// of one section must never clobber a sibling section written by an
-/// earlier run.
+/// The writer every `BENCH_*.json` report of the scalecheck rows goes
+/// through.
 pub mod bench_merge {
     use serde_json::Value;
-
-    /// Inserts or replaces `key` in an object `Value` (the shim `Value`
-    /// keeps insertion order and exposes no mutable indexing). Non-object
-    /// docs are replaced by a fresh single-key object.
-    pub fn set_key(doc: &mut Value, key: &str, val: Value) {
-        if let Value::Object(entries) = doc {
-            if let Some(slot) = entries.iter_mut().find(|(k, _)| k == key) {
-                slot.1 = val;
-            } else {
-                entries.push((key.to_string(), val));
-            }
-        } else {
-            *doc = Value::Object(vec![(key.to_string(), val)]);
-        }
-    }
-
-    /// Reads `path` as a JSON object and extracts `key`, if both exist.
-    pub fn read_key(path: &str, key: &str) -> Option<Value> {
-        let doc: Value = serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()?;
-        doc.get(key).cloned()
-    }
 
     /// Serializes `report` pretty-printed to `path` and logs the write.
     ///
@@ -269,72 +243,6 @@ pub mod bench_merge {
         std::fs::write(path, text).expect("write bench json");
         // linklens-allow(print-in-lib): harness progress logging for long experiment runs goes to stderr by design
         println!("wrote {path}");
-    }
-
-    /// [`write_report`], but first copies each `preserve` key found in the
-    /// existing file into `report` — for scenarios that own a report file
-    /// other scenarios merge sections into.
-    pub fn write_report_preserving(path: &str, mut report: Value, preserve: &[&str]) {
-        for &key in preserve {
-            if let Some(existing) = read_key(path, key) {
-                set_key(&mut report, key, existing);
-            }
-        }
-        write_report(path, &report);
-    }
-
-    /// Merges `section` into `path` under `key`, leaving every other key
-    /// of the existing document untouched; a missing or unparsable file
-    /// starts from `fallback_doc`.
-    pub fn merge_section(path: &str, key: &str, section: Value, fallback_doc: Value) {
-        let mut doc: Value = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or(fallback_doc);
-        set_key(&mut doc, key, section);
-        write_report(path, &doc);
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use serde_json::json;
-
-        #[test]
-        fn set_key_inserts_and_replaces() {
-            let mut doc = json!({"a": 1});
-            set_key(&mut doc, "b", json!(2));
-            assert_eq!(doc.get("b"), Some(&json!(2)));
-            set_key(&mut doc, "a", json!(9));
-            assert_eq!(doc.get("a"), Some(&json!(9)));
-            let mut scalar = json!(7);
-            set_key(&mut scalar, "k", json!(1));
-            assert_eq!(scalar.get("k"), Some(&json!(1)));
-        }
-
-        #[test]
-        fn merge_section_preserves_siblings() {
-            let dir = std::env::temp_dir().join(format!("bench_merge_{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("report.json");
-            let path = path.to_str().unwrap();
-            write_report(path, &json!({"bench": "demo", "left": 1}));
-            merge_section(path, "right", json!({"x": 2}), json!({"bench": "demo"}));
-            let doc: Value = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-            assert_eq!(doc.get("left"), Some(&json!(1)), "sibling section survived");
-            assert_eq!(doc.get("right").and_then(|r| r.get("x")), Some(&json!(2)));
-            // And the preserving writer keeps the merged section on rewrite.
-            write_report_preserving(path, json!({"bench": "demo", "left": 3}), &["right"]);
-            let doc: Value = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-            assert_eq!(doc.get("left"), Some(&json!(3)));
-            assert!(doc.get("right").is_some(), "preserved key survived the rewrite");
-            std::fs::remove_dir_all(&dir).ok();
-        }
-
-        #[test]
-        fn read_key_missing_cases() {
-            assert!(read_key("/nonexistent/bench.json", "k").is_none());
-        }
     }
 }
 

@@ -302,9 +302,11 @@ pub struct CacheSummary {
 /// interleaves arrival and edge runs therefore produces per-day-range
 /// sections, which is what makes windowed reads line up with sweep deltas.
 ///
-/// The writer validates the invariants readers rely on (non-decreasing
-/// arrival and edge times, canonical endpoints, no self loops, endpoints
-/// already arrived); [`CacheStreamWriter::finish`] writes the footer.
+/// The writer rejects regressing arrival and edge times, self loops and
+/// endpoint ids not yet pushed, and canonicalizes endpoints. It keeps no
+/// arrival times, so it does not check that an edge's endpoints arrived by
+/// its time; the readers reject such an edge.
+/// [`CacheStreamWriter::finish`] writes the footer.
 /// Dropping the writer without finishing leaves a footer-less stream that
 /// readers reject, and the file-backed [`CacheFileWriter`] only renames the
 /// temporary onto the real path in its own `finish`.
@@ -371,7 +373,7 @@ impl<W: Write> CacheStreamWriter<W> {
     }
 
     /// Appends an edge (endpoints canonicalized). Edge times must be
-    /// non-decreasing and both endpoints must already have arrived.
+    /// non-decreasing and both endpoint ids must already have been pushed.
     pub fn push_edge(&mut self, u: NodeId, v: NodeId, t: Timestamp) -> Result<(), TraceIoError> {
         if u == v {
             return Err(TraceIoError::Cache(format!("self loop on node {u}")));
@@ -501,15 +503,17 @@ impl CacheFileWriter {
 /// [`SectionedCacheReader::open`]: verifies the header, every per-section
 /// checksum, and the footer totals, reading payloads in fixed
 /// [`READ_CHUNK`]-byte chunks so a corrupt count can never trigger a
-/// count-sized allocation. `on_edge_section(index, payload_offset, count)`
-/// fires before the section's entries; `on_arrival` / `on_edge` fire per
-/// entry in file order.
+/// count-sized allocation. It also checks every event in O(1) against the
+/// invariants the snapshot builders index by (see [`edge_violation`]), so a
+/// checksum-valid but malformed cache is an error, not a panic further on.
+/// `on_edge_section(index, payload_offset, count)` fires before the
+/// section's entries and `on_edge` per edge in file order; the arrival
+/// times are returned with the totals.
 fn scan_sections<R: Read>(
     r: &mut R,
-    mut on_arrival: impl FnMut(Timestamp),
     mut on_edge_section: impl FnMut(usize, u64, u64),
     mut on_edge: impl FnMut(NodeId, NodeId, Timestamp),
-) -> Result<CacheSummary, TraceIoError> {
+) -> Result<(CacheSummary, Vec<Timestamp>), TraceIoError> {
     let mut header = [0u8; 8];
     read_exact_or(r, &mut header, || "file shorter than header".into())?;
     if header[..4] != CACHE_MAGIC {
@@ -526,6 +530,8 @@ fn scan_sections<R: Read>(
     let mut nodes: u64 = 0;
     let mut edges: u64 = 0;
     let mut sections: u64 = 0;
+    let mut arrivals: Vec<Timestamp> = Vec::new();
+    let mut last_edge_t: Timestamp = 0;
     let mut chunk = vec![0u8; READ_CHUNK];
     loop {
         let idx = sections as usize;
@@ -559,11 +565,12 @@ fn scan_sections<R: Read>(
             if r.read(&mut probe)? != 0 {
                 return Err(TraceIoError::Cache("trailing data after footer".into()));
             }
-            return Ok(CacheSummary {
+            let summary = CacheSummary {
                 nodes: nodes as usize,
                 edges: edges as usize,
                 sections: sections as usize,
-            });
+            };
+            return Ok((summary, arrivals));
         }
         if kind != SECTION_ARRIVALS && kind != SECTION_EDGES {
             return Err(TraceIoError::Cache(format!("section {idx}: unknown kind 0x{kind:02X}")));
@@ -582,6 +589,9 @@ fn scan_sections<R: Read>(
         if kind == SECTION_EDGES {
             on_edge_section(idx, pos, count);
         }
+        // The first broken invariant, reported once the checksum has
+        // passed, so a corrupt byte still reads as a checksum mismatch.
+        let mut violation: Option<String> = None;
         let mut remaining = total;
         while remaining > 0 {
             let take = remaining.min(READ_CHUNK as u64) as usize;
@@ -592,7 +602,14 @@ fn scan_sections<R: Read>(
             if kind == SECTION_ARRIVALS {
                 for e in chunk[..take].chunks_exact(8) {
                     // linklens-allow(unwrap-in-lib): chunks_exact(8) yields 8-byte slices
-                    on_arrival(u64::from_le_bytes(e.try_into().expect("u64 entry")));
+                    let t = u64::from_le_bytes(e.try_into().expect("u64 entry"));
+                    match arrivals.last() {
+                        Some(&last) if t < last && violation.is_none() => {
+                            violation = Some(format!("arrival time {t} regresses below {last}"));
+                        }
+                        _ => {}
+                    }
+                    arrivals.push(t);
                 }
             } else {
                 for e in chunk[..take].chunks_exact(16) {
@@ -602,6 +619,10 @@ fn scan_sections<R: Read>(
                     let v = u32::from_le_bytes(e[4..8].try_into().expect("u32"));
                     // linklens-allow(unwrap-in-lib): fixed-width ranges of a 16-byte entry
                     let t = u64::from_le_bytes(e[8..16].try_into().expect("u64"));
+                    if violation.is_none() {
+                        violation = edge_violation(&arrivals, last_edge_t, u, v, t);
+                        last_edge_t = t;
+                    }
                     on_edge(u, v, t);
                 }
             }
@@ -619,6 +640,12 @@ fn scan_sections<R: Read>(
                 section_name(kind)
             )));
         }
+        if let Some(msg) = violation {
+            return Err(TraceIoError::Cache(format!(
+                "section {idx} ({}): {msg}",
+                section_name(kind)
+            )));
+        }
         if kind == SECTION_ARRIVALS {
             nodes += count;
         } else {
@@ -626,6 +653,36 @@ fn scan_sections<R: Read>(
         }
         sections += 1;
     }
+}
+
+/// The first invariant edge `(u, v, t)` breaks, given the arrival times
+/// read so far and the previous edge's time; `None` for a valid edge. The
+/// pair must be canonical (`u < v`, so no self loop), `v` must have an
+/// arrival record already, both endpoints must have arrived by `t`, and
+/// `t` must not precede the previous edge.
+fn edge_violation(
+    arrivals: &[Timestamp],
+    last_t: Timestamp,
+    u: NodeId,
+    v: NodeId,
+    t: Timestamp,
+) -> Option<String> {
+    if u >= v {
+        return Some(format!("edge ({u}, {v}) is not a canonical pair"));
+    }
+    let Some(&arrival_v) = arrivals.get(v as usize) else {
+        return Some(format!(
+            "edge ({u}, {v}) references a node with no arrival record ({} read)",
+            arrivals.len()
+        ));
+    };
+    if arrivals[u as usize].max(arrival_v) > t {
+        return Some(format!("edge ({u}, {v}) at t={t} predates an endpoint's arrival"));
+    }
+    if t < last_t {
+        return Some(format!("edge time {t} regresses below {last_t}"));
+    }
+    None
 }
 
 /// Writes a trace in the sectioned binary cache format (see
@@ -646,18 +703,17 @@ pub fn write_cache<W: Write>(trace: &TemporalGraph, writer: W) -> Result<(), Tra
 }
 
 /// Reads a trace written by [`write_cache`] / [`CacheStreamWriter`],
-/// verifying magic, version, and every per-section checksum in one
-/// streaming pass (fixed 64 KiB chunks — corruption is detected without a
-/// full-file allocation, and the error names the bad section). Any mismatch
+/// verifying magic, version, every per-section checksum and every event in
+/// one streaming pass (fixed 64 KiB chunks — corruption is detected without
+/// a full-file allocation, and the error names the bad section). Any mismatch
 /// returns [`TraceIoError::Cache`] so callers can fall back to the text
 /// source.
 pub fn read_cache<R: Read>(reader: R) -> Result<TemporalGraph, TraceIoError> {
     let mut r = BufReader::new(reader);
-    let mut arrivals: Vec<Timestamp> = Vec::new();
     let mut edges: Vec<(NodeId, NodeId, Timestamp)> = Vec::new();
-    scan_sections(&mut r, |t| arrivals.push(t), |_, _, _| {}, |u, v, t| edges.push((u, v, t)))?;
-    // `from_events` re-validates every TemporalGraph invariant, so even a
-    // hand-crafted cache cannot smuggle in an inconsistent trace.
+    let (_, arrivals) = scan_sections(&mut r, |_, _, _| {}, |u, v, t| edges.push((u, v, t)))?;
+    // The scan has checked every event, so `from_events` cannot panic; it
+    // drops any duplicate pair, keeping the earliest.
     Ok(TemporalGraph::from_events(arrivals, edges))
 }
 
@@ -796,17 +852,15 @@ pub struct SectionedCacheReader {
 }
 
 impl SectionedCacheReader {
-    /// Opens and integrity-checks a cache file (every section checksum plus
-    /// the footer totals).
+    /// Opens and integrity-checks a cache file (every section checksum,
+    /// every event, and the footer totals).
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, TraceIoError> {
         let file = std::fs::File::open(path)?;
-        let mut arrivals: Vec<Timestamp> = Vec::new();
         let mut sections: Vec<EdgeSection> = Vec::new();
-        let summary = {
+        let (summary, arrivals) = {
             let mut r = BufReader::new(&file);
             scan_sections(
                 &mut r,
-                |t| arrivals.push(t),
                 |_, payload_offset, count| {
                     let start = sections.last().map(|s| s.start + s.count).unwrap_or(0);
                     sections.push(EdgeSection { payload_offset, start, count: count as usize });
@@ -1294,6 +1348,138 @@ mod tests {
             assert_eq!(&window[..], &g.edges()[start..end], "window {start}..{end}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A v2 cache with one arrivals section and (if any edges) one edges
+    /// section, written byte by byte with valid checksums, so it can hold
+    /// events the writer would refuse.
+    fn hand_built(arrivals: &[Timestamp], edges: &[(NodeId, NodeId, Timestamp)]) -> Vec<u8> {
+        let mut out = CACHE_MAGIC.to_vec();
+        out.extend_from_slice(&CACHE_VERSION.to_le_bytes());
+        let mut section = |kind: u8, count: usize, payload: Vec<u8>| {
+            let mut h = Fnv1a::new();
+            h.update(&[kind]);
+            h.update(&(count as u64).to_le_bytes());
+            h.update(&payload);
+            out.push(kind);
+            out.extend_from_slice(&(count as u64).to_le_bytes());
+            out.extend_from_slice(&payload);
+            out.extend_from_slice(&h.finish().to_le_bytes());
+        };
+        section(
+            SECTION_ARRIVALS,
+            arrivals.len(),
+            arrivals.iter().flat_map(|t| t.to_le_bytes()).collect(),
+        );
+        if !edges.is_empty() {
+            let payload = edges
+                .iter()
+                .flat_map(|&(u, v, t)| {
+                    [&u.to_le_bytes()[..], &v.to_le_bytes(), &t.to_le_bytes()].concat()
+                })
+                .collect();
+            section(SECTION_EDGES, edges.len(), payload);
+        }
+        let sections = 1 + u64::from(!edges.is_empty());
+        let mut tail = Vec::new();
+        for total in [arrivals.len() as u64, edges.len() as u64, sections] {
+            tail.extend_from_slice(&total.to_le_bytes());
+        }
+        let mut h = Fnv1a::new();
+        h.update(&[SECTION_FOOTER]);
+        h.update(&tail);
+        out.push(SECTION_FOOTER);
+        out.extend_from_slice(&tail);
+        out.extend_from_slice(&h.finish().to_le_bytes());
+        out
+    }
+
+    /// Both readers must return a cache error for `bytes`, not panic and
+    /// not accept it.
+    fn assert_both_readers_reject(case: &str, bytes: &[u8]) {
+        match read_cache(bytes) {
+            Err(TraceIoError::Cache(_)) => {}
+            other => panic!("{case}: read_cache returned {:?}", other.map(|g| g.edge_count())),
+        }
+        let tag: String = case.chars().map(|c| if c.is_alphanumeric() { c } else { '-' }).collect();
+        let path =
+            std::env::temp_dir().join(format!("linklens-reject-{}-{tag}.llc", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let opened = SectionedCacheReader::open(&path);
+        let _ = std::fs::remove_file(&path);
+        match opened {
+            Err(TraceIoError::Cache(_)) => {}
+            other => {
+                panic!("{case}: SectionedCacheReader::open returned {:?}", other.map(|r| r.edges))
+            }
+        }
+    }
+
+    #[test]
+    fn hand_built_caches_of_valid_traces_read() {
+        let good = hand_built(&[0, 0, 3], &[(0, 1, 2), (1, 2, 3)]);
+        assert_eq!(read_cache(&good[..]).unwrap().edge_count(), 2);
+        let path =
+            std::env::temp_dir().join(format!("linklens-hand-built-{}.llc", std::process::id()));
+        std::fs::write(&path, &good).unwrap();
+        let opened = SectionedCacheReader::open(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(opened.unwrap().edge_count(), 2);
+    }
+
+    #[test]
+    fn edge_before_its_endpoints_arrive_is_an_error() {
+        // The writer checks endpoint ids, not arrival times, so it accepts
+        // this edge; the readers must not.
+        let mut w = CacheStreamWriter::new(Vec::new()).unwrap();
+        w.push_arrival(100).unwrap();
+        w.push_arrival(100).unwrap();
+        w.push_edge(0, 1, 50).unwrap();
+        let (bytes, _) = w.finish().unwrap();
+        assert_both_readers_reject("edge before arrival", &bytes);
+    }
+
+    #[test]
+    fn self_loop_is_an_error() {
+        assert_both_readers_reject("self loop", &hand_built(&[0, 0], &[(1, 1, 5)]));
+    }
+
+    #[test]
+    fn endpoint_id_past_the_node_count_is_an_error() {
+        assert_both_readers_reject("unknown endpoint", &hand_built(&[0, 0], &[(0, 5, 5)]));
+    }
+
+    #[test]
+    fn regressing_arrival_is_an_error() {
+        assert_both_readers_reject("regressing arrival", &hand_built(&[5, 3], &[]));
+    }
+
+    #[test]
+    fn regressing_edge_time_is_an_error() {
+        let bytes = hand_built(&[0, 0, 0], &[(0, 1, 10), (0, 2, 5)]);
+        assert_both_readers_reject("regressing edge time", &bytes);
+    }
+
+    #[test]
+    fn non_canonical_pair_is_an_error() {
+        assert_both_readers_reject("non-canonical pair", &hand_built(&[0, 0], &[(1, 0, 5)]));
+    }
+
+    #[test]
+    fn truncation_at_every_offset_is_an_error_in_both_readers() {
+        let g = chain(12);
+        let mut w = CacheStreamWriter::with_section_bytes(Vec::new(), 48).unwrap();
+        for &t in g.arrivals() {
+            w.push_arrival(t).unwrap();
+        }
+        for e in g.edges() {
+            w.push_edge(e.u, e.v, e.t).unwrap();
+        }
+        let (bytes, summary) = w.finish().unwrap();
+        assert!(summary.sections >= 6, "48-byte sections split the trace");
+        for len in 0..bytes.len() {
+            assert_both_readers_reject(&format!("truncated to {len} bytes"), &bytes[..len]);
+        }
     }
 
     #[test]
