@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use osn_graph::snapshot::Snapshot;
-use osn_graph::traversal;
+use osn_graph::{par, traversal};
 use osn_metrics::katz::KatzLr;
 use osn_metrics::traits::Metric;
 use osn_metrics::walk::{LocalRandomWalk, PersonalizedPageRank};
@@ -15,7 +15,8 @@ fn setup() -> (Snapshot, Vec<(u32, u32)>) {
     let cfg = TraceConfig::facebook_like().scaled(0.08).with_days(45);
     let trace = cfg.generate(42);
     let snap = Snapshot::up_to(&trace, trace.edge_count());
-    let pairs: Vec<_> = traversal::two_hop_pairs(&snap).into_iter().take(5_000).collect();
+    let pairs: Vec<_> =
+        traversal::two_hop_pairs(&snap, None, par::max_threads()).into_iter().take(5_000).collect();
     (snap, pairs)
 }
 
@@ -23,10 +24,12 @@ fn bench_candidate_width(c: &mut Criterion) {
     let (snap, _) = setup();
     let mut group = c.benchmark_group("candidates");
     group.sample_size(10);
-    group.bench_function("two_hop", |b| b.iter(|| traversal::two_hop_pairs(&snap)));
-    group.bench_function("three_hop", |b| b.iter(|| traversal::pairs_within(&snap, 3)));
-    let two = traversal::two_hop_pairs(&snap).len();
-    let three = traversal::pairs_within(&snap, 3).len();
+    let threads = par::max_threads();
+    group.bench_function("two_hop", |b| b.iter(|| traversal::two_hop_pairs(&snap, None, threads)));
+    group
+        .bench_function("three_hop", |b| b.iter(|| traversal::within3_pairs(&snap, None, threads)));
+    let two = traversal::two_hop_pairs(&snap, None, threads).len();
+    let three = traversal::within3_pairs(&snap, None, threads).len();
     eprintln!("[ablation] candidate width: 2-hop {two} pairs vs ≤3-hop {three} pairs");
     group.finish();
 }

@@ -8,14 +8,14 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use osn_graph::snapshot::Snapshot;
-use osn_graph::traversal;
+use osn_graph::{par, traversal};
 use osn_trace::presets::TraceConfig;
 
 fn bench_metrics(c: &mut Criterion) {
     let cfg = TraceConfig::renren_like().scaled(0.06).with_days(45);
     let trace = cfg.generate(42);
     let snap = Snapshot::up_to(&trace, trace.edge_count());
-    let pairs = traversal::two_hop_pairs(&snap);
+    let pairs = traversal::two_hop_pairs(&snap, None, par::max_threads());
     let batch: Vec<_> = pairs.iter().copied().take(20_000).collect();
     eprintln!(
         "benchmark graph: {} nodes, {} edges, batch of {} pairs",

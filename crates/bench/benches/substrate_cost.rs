@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use osn_graph::snapshot::Snapshot;
-use osn_graph::{sample, stats, traversal};
+use osn_graph::{par, sample, stats, traversal};
 use osn_ml::data::Dataset;
 use osn_ml::svm::LinearSvm;
 use osn_ml::Classifier;
@@ -21,8 +21,13 @@ fn bench_substrate(c: &mut Criterion) {
     group.bench_function("snapshot_build", |b| {
         b.iter(|| Snapshot::up_to(&trace, trace.edge_count()))
     });
-    group.bench_function("two_hop_pairs", |b| b.iter(|| traversal::two_hop_pairs(&snap)));
-    group.bench_function("pairs_within_3", |b| b.iter(|| traversal::pairs_within(&snap, 3)));
+    let threads = par::max_threads();
+    group.bench_function("two_hop_pairs", |b| {
+        b.iter(|| traversal::two_hop_pairs(&snap, None, threads))
+    });
+    group.bench_function("within3_pairs", |b| {
+        b.iter(|| traversal::within3_pairs(&snap, None, threads))
+    });
     group.bench_function("triangle_counts", |b| b.iter(|| stats::triangle_counts(&snap)));
     group.bench_function("snapshot_properties", |b| {
         b.iter(|| stats::snapshot_properties(&snap, 20))

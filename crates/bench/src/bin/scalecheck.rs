@@ -8,7 +8,7 @@
 //! |---|---|
 //! | `parallel-scaling` | Candidate enumeration, scoring of every metric and fused top-k on renren-like at each worker count. |
 //! | `snapshot-build` | Incremental snapshot sweeps against from-scratch builds on every preset, full-CSR digests asserted equal. |
-//! | `fused-scoring` | The fused local-metric kernel and fused enumerate+score against the per-pair path, bit for bit. |
+//! | `fused-scoring` | The fused local-metric kernel against the per-pair path, bit for bit. |
 //! | `global-scoring` | Batched SP/LP/LRW/PPR/Katz against the per-source oracles, a worker sweep, and warm vs cold PPR. |
 //! | `factor-scoring` | The blocked Rescal fit and batched scoring against the dense reference on youtube-like, and warm vs cold certified fits. |
 //! | `e2e-sweep` | The framework sweep: per-pair baseline vs batched routing vs routing with the Table 7 filter pushed into enumeration. |
@@ -452,7 +452,7 @@ fn parallel_scaling(ctx: &Ctx, report: &mut Report) {
     thread_sweep(ctx, report, "sweep", |t| {
         // Stage 1: candidate enumeration (distance ≤ 3 scan, the loosest
         // distance-bounded policy).
-        let (enum_secs, pairs) = timed(|| osn_graph::traversal::pairs_within_t(&snap, 3, t));
+        let (enum_secs, pairs) = timed(|| osn_graph::traversal::within3_pairs(&snap, None, t));
         let cands = CandidateSet::from_pairs(pairs, CandidatePolicy::ThreeHop);
         cands_len = cands.len();
         let scored_pairs = cands.len() * refs.len();
@@ -550,18 +550,17 @@ fn snapshot_build(ctx: &Ctx, report: &mut Report) {
 /// Fused local-metric kernel vs the per-pair scoring path on the
 /// renren-like preset: all 8 local metrics (CN, JC, AA, RA, PA and the
 /// naive-Bayes BCN, BAA, BRA) over the shared `TwoHop` candidate set.
-/// Three stages per worker count:
+/// Two stages per worker count:
 ///
 /// 1. per-pair baseline: each metric's `Metric::score_pairs_cached` hook
 ///    (one sorted-merge intersection per metric per pair);
 /// 2. fused: `exec::score_matrix_cached_t` (one witness walk per source
-///    per chunk produces every column);
-/// 3. enumerate+score: `fused::enumerate_and_score_t` (candidate
-///    enumeration fused into the same walk — no pre-built pair list).
+///    per chunk produces every column).
 ///
-/// Every stage's output is asserted equal to the baseline bit for bit
-/// before anything is timed, so a reported speedup can never come from
-/// computing something different.
+/// Before anything is timed, the two-hop enumeration at the row's worker
+/// count is asserted equal to the shared candidate set, and the fused
+/// output equal to the baseline bit for bit, so a reported speedup can
+/// never come from computing something different.
 fn fused_scoring(ctx: &Ctx, report: &mut Report) {
     let trace = renren_trace(ctx);
     let (_seq, snap) = fixture(&trace);
@@ -570,8 +569,6 @@ fn fused_scoring(ctx: &Ctx, report: &mut Report) {
     let metrics: Vec<Box<dyn Metric>> =
         names.iter().map(|n| osn_metrics::metric_by_name(n).expect("local metric")).collect();
     let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
-    let kinds: Vec<osn_metrics::fused::LocalKind> =
-        refs.iter().map(|m| m.fused_kind().expect("local metrics are fused")).collect();
 
     let cands = CandidateSet::build(&snap, CandidatePolicy::TwoHop, 0);
     let scored_pairs = cands.len() * refs.len();
@@ -580,7 +577,7 @@ fn fused_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("edges", snap.edge_count());
     report.set("candidate_pairs", cands.len());
     report.set("metrics", names.to_vec());
-    report.set("note", "pairs/sec counts candidate_pairs x metrics; all paths asserted bit-identical before timing; enumerate_and_score additionally re-enumerates the candidate set inside the timed region");
+    report.set("note", "pairs/sec counts candidate_pairs x metrics; both paths asserted bit-identical before timing, and the two-hop enumeration at each thread count asserted equal to the scored candidate set");
 
     let per_pair = |t: usize| -> Vec<Vec<f64>> {
         let mut cache = SolverCache::transient();
@@ -591,25 +588,20 @@ fn fused_scoring(ctx: &Ctx, report: &mut Report) {
         exec::score_matrix_cached_t(&refs, &snap, cands.pairs(), t, &mut cache)
     };
     thread_sweep(ctx, report, "sweep", |t| {
-        // Untimed equality witness first: all three paths must agree.
+        // Untimed equality witness first: both paths must agree.
         let baseline = per_pair(t);
         let fused_cols = fused(t);
         assert_eq!(baseline, fused_cols, "fused matrix diverged from per-pair at {t} threads");
-        let (enum_pairs, enum_cols) = osn_metrics::fused::enumerate_and_score_t(&snap, &kinds, t);
-        assert_eq!(enum_pairs, cands.pairs(), "fused enumeration drifted at {t} threads");
-        assert_eq!(baseline, enum_cols, "enumerate+score diverged from per-pair at {t} threads");
+        let enum_pairs = osn_graph::traversal::two_hop_pairs(&snap, None, t);
+        assert_eq!(enum_pairs, cands.pairs(), "two-hop enumeration drifted at {t} threads");
 
         let (per_pair_secs, _) = timed(|| per_pair(t));
         let (fused_secs, _) = timed(|| fused(t));
-        let (enum_score_secs, _) =
-            timed(|| osn_metrics::fused::enumerate_and_score_t(&snap, &kinds, t));
         json!({
             "per_pair_secs": per_pair_secs,
             "per_pair_pairs_per_sec": rate(scored_pairs, per_pair_secs),
             "fused_secs": fused_secs,
             "fused_pairs_per_sec": rate(scored_pairs, fused_secs),
-            "enumerate_and_score_secs": enum_score_secs,
-            "enumerate_and_score_pairs_per_sec": rate(scored_pairs, enum_score_secs),
             "fused_speedup": per_pair_secs / fused_secs.max(1e-12),
             "outputs_bit_identical": true,
         })
@@ -938,23 +930,24 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
 ///   transition, per-policy candidate sets rebuilt per group (the
 ///   distance-≤3 base paid twice), every metric scored through the
 ///   per-pair / per-source paths with transient solver caches;
-/// * **routed** — [`SequenceEvaluator::evaluate_all`]: one incremental
-///   snapshot sweep, shared candidate enumeration per policy group, the
-///   fused kernel + batched solver engine behind one persistent sweep
-///   cache, streaming per-chunk top-k;
+/// * **routed** —
+///   [`SequenceEvaluator::evaluate_all`](linklens_core::framework::SequenceEvaluator::evaluate_all):
+///   one incremental snapshot sweep, shared candidate enumeration per
+///   policy group, the fused kernel + batched solver engine behind one
+///   persistent sweep cache, streaming per-chunk top-k;
 /// * **pruned** — the routed sweep with the network's Table 7 filter
 ///   pushed into the enumeration walks as a `PruneSpec`.
 ///
 /// Before anything is timed: the batched route is asserted bit-identical
 /// to the per-pair route on a representative transition, the pruned
 /// candidate sets are asserted identical to post-hoc filtering across
-/// *every* transition, and the fused scores computed inside the pruned
-/// walk are asserted bit-identical to the unpruned scores at the
-/// surviving pairs — so no speedup can come from computing something
-/// different. Rescal is excluded: the ALS fit it runs is the same on
-/// both routes (only pair scoring differs, and that is covered by the
-/// `factor-scoring` row), so including it would
-/// dilute the routing comparison equally on both sides.
+/// *every* transition, and the engine's fused scores of each pruned
+/// candidate set are asserted bit-identical to each metric's reference
+/// scores on those pairs — so no speedup can come from computing
+/// something different. Rescal is excluded: the ALS fit it runs is the
+/// same on both routes (only pair scoring differs, and that is covered by
+/// the `factor-scoring` row), so including it would dilute the routing
+/// comparison equally on both sides.
 ///
 /// The paper's thresholds were tuned on the real traces; when a Table 7
 /// row is degenerate on a synthetic preset (< 10x candidate reduction or
@@ -964,7 +957,6 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
 fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
     use linklens_core::filters::{FilterThresholds, TemporalFilter};
     use linklens_core::framework::{finite_mean, unconnected_pair_count, SequenceEvaluator};
-    use osn_graph::activity::NodeActivity;
     use osn_metrics::topk;
 
     let threads = osn_graph::par::max_threads();
@@ -1087,7 +1079,7 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
         // while accumulating the candidate totals the reduction claim
         // rests on.
         let mut cand_full_total = 0usize;
-        let mut cand_pruned_total = 0usize;
+        let mut cand_kept_total = 0usize;
         {
             let mut sweep = seq.snapshots();
             for t in 1..seq.len() {
@@ -1102,28 +1094,33 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
                     cfg.name
                 );
                 cand_full_total += full.len();
-                cand_pruned_total += pruned.len();
+                cand_kept_total += pruned.len();
             }
         }
-        let cand_reduction = cand_full_total as f64 / cand_pruned_total.max(1) as f64;
+        let cand_reduction = cand_full_total as f64 / cand_kept_total.max(1) as f64;
 
         // ---- untimed equality pre-pass 3: survivor scores ------------
-        // Fused scores computed inside the pruned walk equal the
-        // unpruned scores at the surviving pairs.
+        // Per policy group, the engine's fused scores of the pruned
+        // candidate set equal each metric's reference scores on it.
+        for policy in [CandidatePolicy::TwoHop, CandidatePolicy::ThreeHop, CandidatePolicy::Global]
         {
-            let spec = filter.prune_spec();
-            let act = NodeActivity::build(&prev, spec.window());
-            let fused: Vec<(&dyn Metric, osn_metrics::fused::LocalKind)> =
-                refs.iter().filter_map(|&m| m.fused_kind().map(|k| (m, k))).collect();
-            let kinds: Vec<osn_metrics::fused::LocalKind> = fused.iter().map(|&(_, k)| k).collect();
-            let (p_pairs, p_cols) = osn_metrics::fused::enumerate_and_score_pruned_t(
-                &prev, &kinds, &act, &spec, threads,
-            );
-            for (ki, &(m, _)) in fused.iter().enumerate() {
+            let group: Vec<&dyn Metric> = refs
+                .iter()
+                .copied()
+                .filter(|m| m.fused_kind().is_some() && m.candidate_policy() == policy)
+                .collect();
+            if group.is_empty() {
+                continue;
+            }
+            let pruned = eval.candidates_for(&prev, &group, Some(&filter));
+            let mut cache = SolverCache::transient();
+            let cols =
+                exec::score_matrix_cached_t(&group, &prev, pruned.pairs(), threads, &mut cache);
+            for (col, &m) in cols.iter().zip(&group) {
                 assert_eq!(
-                    p_cols[ki],
-                    m.score_pairs(&prev, &p_pairs),
-                    "{}: {} pruned-walk scores != unpruned scores on survivors",
+                    col,
+                    &m.score_pairs(&prev, pruned.pairs()),
+                    "{}: {} fused scores of the pruned set != reference scores",
                     cfg.name,
                     m.name()
                 );
@@ -1247,7 +1244,7 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
                 "routing_speedup": routing_speedup,
                 "total_speedup": total_speedup,
                 "candidates_unpruned": cand_full_total,
-                "candidates_pruned": cand_pruned_total,
+                "candidates_pruned": cand_kept_total,
                 "candidate_reduction": cand_reduction,
                 "accuracy_ratio_mean_routed": routed_agg,
                 "accuracy_ratio_mean_pruned": pruned_agg,

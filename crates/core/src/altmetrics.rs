@@ -131,7 +131,8 @@ impl MissingLinkEval {
         let observed = Snapshot::up_to(&g, added.max(1));
 
         // Candidates: hidden edges + 2-hop distractors of the observed graph.
-        let mut candidates = osn_graph::traversal::two_hop_pairs(&observed);
+        let mut candidates =
+            osn_graph::traversal::two_hop_pairs(&observed, None, par::max_threads());
         candidates.extend(hidden_edges.iter().copied());
         candidates.sort_unstable();
         candidates.dedup();

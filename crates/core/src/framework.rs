@@ -14,11 +14,11 @@
 //! filter path survives as [`SequenceEvaluator::candidates_for_posthoc`],
 //! the oracle the pruned path is property-tested against.
 
-use osn_graph::activity::{NodeActivity, PruneSpec};
+use osn_graph::activity::{NodeActivity, Prune, PruneSpec};
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
-use osn_metrics::candidates::{CandidateSet, Prune};
+use osn_metrics::candidates::CandidateSet;
 use osn_metrics::exec;
 use osn_metrics::solver::SolverCache;
 use osn_metrics::traits::{CandidatePolicy, Metric};
@@ -125,7 +125,7 @@ pub struct SequenceEvaluator<'a> {
     /// candidate set under the `Global` policy (PA / Rescal).
     pub top_degree_candidates: usize,
     /// Hard cap on candidate pairs per policy group (0 = unlimited); see
-    /// [`CandidateSet::build_capped`].
+    /// [`CandidateSet::capped`].
     pub max_candidate_pairs: usize,
     /// Tie-break seed for top-k selection.
     pub seed: u64,
@@ -175,13 +175,8 @@ impl<'a> SequenceEvaluator<'a> {
             metrics.iter().map(|m| m.candidate_policy()).max().unwrap_or(CandidatePolicy::TwoHop);
         let ctx = Self::prune_ctx(filter, snap);
         let prune: Prune<'_> = ctx.as_ref().map(|(act, spec)| (act, spec));
-        CandidateSet::build_capped_pruned(
-            snap,
-            policy,
-            self.top_degree_candidates,
-            self.max_candidate_pairs,
-            prune,
-        )
+        CandidateSet::build_pruned(snap, policy, self.top_degree_candidates, prune)
+            .capped(self.max_candidate_pairs)
     }
 
     /// The post-hoc oracle [`candidates_for`](Self::candidates_for) is
@@ -434,12 +429,8 @@ impl<'a> SequenceEvaluator<'a> {
         if truth.is_empty() {
             return 0.0;
         }
-        let cands = CandidateSet::build_capped(
-            &prev,
-            policy,
-            self.top_degree_candidates,
-            0, // uncapped: the ceiling must be exact
-        );
+        // Uncapped: the ceiling must be exact.
+        let cands = CandidateSet::build(&prev, policy, self.top_degree_candidates);
         let set: HashSet<(NodeId, NodeId)> = cands.pairs().iter().copied().collect();
         truth.iter().filter(|p| set.contains(p)).count() as f64 / truth.len() as f64
     }

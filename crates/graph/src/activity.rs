@@ -10,8 +10,8 @@
 //! sources before their frontier is walked and doomed targets the moment
 //! they are discovered. The CN time gap is the one genuinely per-pair
 //! feature, and the two-hop frontier walk already visits every witness —
-//! [`crate::traversal::TwoHopScan::scan_pruned`] folds it into the scan
-//! at one `max` per traversal hit.
+//! [`crate::traversal::two_hop_pairs`] folds it into its walk at one
+//! `max` per 2-path.
 //!
 //! Everything here reproduces the post-hoc expressions *bit-for-bit*:
 //! idle days are `(t - last) as f64 / DAY as f64` (the `pair_features`
@@ -44,6 +44,12 @@ pub struct PruneSpec {
     /// `d_CN`: max days since the latest common-neighbor arrival.
     pub cn_gap_days: f64,
 }
+
+/// Optional §6.2 pruning context for the candidate enumerators:
+/// `Some((activity, spec))` pushes the Table 7 criteria into enumeration
+/// itself (doomed sources never walk, doomed targets drop at discovery),
+/// `None` enumerates the full universe.
+pub type Prune<'a> = Option<(&'a NodeActivity, &'a PruneSpec)>;
 
 impl PruneSpec {
     /// The recent-edge window in trace seconds — the exact conversion the

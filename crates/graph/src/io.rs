@@ -12,9 +12,12 @@
 //! ```
 //!
 //! Blank (or whitespace-only) lines and `#` comments are ignored, and CRLF
-//! line endings are tolerated. Real-world edge lists without arrival
-//! records load via [`read_edge_list`], which infers arrivals as first
-//! appearance.
+//! line endings are tolerated. Edges may come out of time order, and
+//! duplicates are dropped. [`read_trace`] rejects, naming the line, a
+//! regressing arrival, a node id beyond `u32`, a self loop, an edge whose
+//! endpoint has no earlier arrival record, and an edge before an
+//! endpoint's arrival. Real-world edge lists without arrival records load
+//! via [`read_edge_list`], which infers arrivals as first appearance.
 //!
 //! For repeated runs over the same trace, [`write_cache`] / [`read_cache`]
 //! provide a versioned, checksummed binary format that skips text parsing
@@ -115,12 +118,27 @@ pub fn read_trace<R: Read>(reader: R) -> Result<TemporalGraph, TraceIoError> {
                         ),
                     ));
                 }
+                if arrivals.last().is_some_and(|&last| t < last) {
+                    return Err(TraceIoError::Parse(
+                        lineno,
+                        format!("arrival {t} precedes the previous node's arrival"),
+                    ));
+                }
                 arrivals.push(t);
             }
             "e" => {
-                let u = field("u")? as NodeId;
-                let v = field("v")? as NodeId;
+                let mut node = |name: &str| -> Result<NodeId, TraceIoError> {
+                    let x = field(name)?;
+                    NodeId::try_from(x).map_err(|_| {
+                        TraceIoError::Parse(lineno, format!("{name} {x} is not a node id"))
+                    })
+                };
+                let u = node("u")?;
+                let v = node("v")?;
                 let t = field("t")?;
+                if let Some(msg) = edge_error(&arrivals, u, v, t) {
+                    return Err(TraceIoError::Parse(lineno, msg));
+                }
                 edges.push((u, v, t));
             }
             other => return Err(TraceIoError::Parse(lineno, format!("unknown record '{other}'"))),
@@ -141,6 +159,20 @@ pub fn read_trace<R: Read>(reader: R) -> Result<TemporalGraph, TraceIoError> {
         }
     }
     Ok(TemporalGraph::from_events(arrivals, edges))
+}
+
+/// Why the v1 edge record `e u v t` is invalid after the arrival records
+/// read so far, if it is: a self loop, an endpoint without an arrival
+/// record, or an edge before an endpoint's arrival.
+fn edge_error(arrivals: &[Timestamp], u: NodeId, v: NodeId, t: Timestamp) -> Option<String> {
+    if u == v {
+        return Some(format!("self loop on node {u}"));
+    }
+    [u, v].into_iter().find_map(|x| match arrivals.get(x as usize) {
+        None => Some(format!("node {x} has no arrival record before this edge")),
+        Some(&a) if t < a => Some(format!("edge at {t} precedes node {x}'s arrival at {a}")),
+        Some(_) => None,
+    })
 }
 
 /// Reads a bare `u v ts` edge list (whitespace separated, `#` comments),
@@ -1100,6 +1132,52 @@ mod tests {
         // Edge lists commonly carry extra columns (weights); tolerate them.
         let g = read_edge_list("1 2 10 0.5\n".as_bytes()).unwrap();
         assert_eq!(g.edge_count(), 1);
+    }
+
+    /// `read_trace` on `text` must fail with a parse error at `line`.
+    fn assert_parse_error_at(text: &str, line: usize) {
+        match read_trace(text.as_bytes()) {
+            Err(TraceIoError::Parse(l, _)) if l == line => {}
+            Err(e) => panic!("expected a parse error at line {line}, got {e}"),
+            Ok(g) => {
+                panic!("expected a parse error at line {line}, loaded {} edges", g.edge_count())
+            }
+        }
+    }
+
+    #[test]
+    fn text_self_loop_is_an_error() {
+        assert_parse_error_at("n 2\na 0 0\na 1 0\ne 1 1 5\n", 4);
+    }
+
+    #[test]
+    fn text_endpoint_without_arrival_record_is_an_error() {
+        assert_parse_error_at("n 2\na 0 0\na 1 0\ne 0 5 5\n", 4);
+    }
+
+    #[test]
+    fn text_edge_before_its_endpoints_arrive_is_an_error() {
+        assert_parse_error_at("n 2\na 0 0\na 1 100\ne 0 1 50\n", 4);
+    }
+
+    #[test]
+    fn text_regressing_arrival_is_an_error() {
+        assert_parse_error_at("n 2\na 0 5\na 1 3\n", 3);
+    }
+
+    #[test]
+    fn text_node_id_beyond_u32_is_an_error() {
+        // 2^32 + 1 must not truncate to node 1 and load as edge (0, 1).
+        assert_parse_error_at("n 2\na 0 0\na 1 0\ne 0 4294967297 5\n", 4);
+    }
+
+    #[test]
+    fn text_out_of_order_and_duplicate_edges_still_load() {
+        let g =
+            read_trace("n 3\na 0 0\na 1 0\na 2 0\ne 1 2 9\ne 0 1 4\ne 1 0 7\n".as_bytes()).unwrap();
+        let edges: Vec<(NodeId, NodeId, Timestamp)> =
+            g.edges().iter().map(|e| (e.u, e.v, e.t)).collect();
+        assert_eq!(edges, vec![(0, 1, 4), (1, 2, 9)]);
     }
 
     #[test]

@@ -12,21 +12,17 @@
 //!   high-degree nodes — so the candidate set adds every pair touching the
 //!   top-degree nodes.
 //!
-//! [`CandidateSet::build`] materializes the union once per snapshot and is
-//! shared by all metrics under evaluation. This mirrors the paper's own
-//! approximation strategy (its PA implementation "only considers top-K
-//! node pairs", §3.2) and is documented as such in DESIGN.md.
+//! [`CandidateSet::build`] materializes the union once per snapshot, from
+//! the two enumerators of [`osn_graph::traversal`] (`two_hop_pairs` and
+//! `within3_pairs`), and is shared by all metrics under evaluation. This
+//! mirrors the paper's own approximation strategy (its PA implementation
+//! "only considers top-K node pairs", §3.2) and is documented as such in
+//! DESIGN.md.
 
 use crate::traits::CandidatePolicy;
-use osn_graph::activity::{NodeActivity, PruneSpec};
+use osn_graph::activity::Prune;
 use osn_graph::snapshot::Snapshot;
-use osn_graph::{traversal, NodeId};
-
-/// Optional §6.2 pruning context threaded through the candidate builders:
-/// `Some((activity, spec))` pushes the Table 7 criteria into enumeration
-/// itself (doomed sources never walk, doomed targets drop at discovery),
-/// `None` enumerates the full policy universe.
-pub type Prune<'a> = Option<(&'a NodeActivity, &'a PruneSpec)>;
+use osn_graph::{par, traversal, NodeId};
 
 /// A deduplicated, canonically ordered batch of unconnected node pairs.
 #[derive(Clone, Debug)]
@@ -42,11 +38,6 @@ impl CandidateSet {
     /// * `ThreeHop` — unconnected pairs at distance 2 or 3.
     /// * `Global` — `ThreeHop` plus all unconnected pairs touching the
     ///   `top_degree` highest-degree nodes.
-    ///
-    /// `TwoHop` enumeration and the fused scoring kernel's
-    /// enumerate-and-score pass ([`crate::fused::enumerate_and_score_t`])
-    /// both walk [`osn_graph::traversal::TwoHopScan`], so the two pair
-    /// sets are the same list by construction, not by coincidence.
     pub fn build(snap: &Snapshot, policy: CandidatePolicy, top_degree: usize) -> Self {
         Self::build_pruned(snap, policy, top_degree, None)
     }
@@ -55,7 +46,7 @@ impl CandidateSet {
     /// enumeration walks themselves. With `Some` pruning the result equals
     /// post-hoc Table 7 filtering of the unpruned set — same pairs, same
     /// order (property-tested in `linklens-core`) — but rejected pairs are
-    /// never materialized, scored, or even slot-assigned.
+    /// never materialized or scored.
     pub fn build_pruned(
         snap: &Snapshot,
         policy: CandidatePolicy,
@@ -64,15 +55,7 @@ impl CandidateSet {
     ) -> Self {
         match policy {
             CandidatePolicy::TwoHop => {
-                let pairs = match prune {
-                    None => traversal::two_hop_pairs(snap),
-                    Some((act, spec)) => traversal::two_hop_pairs_pruned_t(
-                        snap,
-                        act,
-                        spec,
-                        osn_graph::par::max_threads(),
-                    ),
-                };
+                let pairs = traversal::two_hop_pairs(snap, prune, par::max_threads());
                 CandidateSet { pairs, policy }
             }
             CandidatePolicy::ThreeHop => Self::three_hop_from_base(Self::within3_base(snap, prune)),
@@ -88,12 +71,7 @@ impl CandidateSet {
     /// and [`global_from_base`](Self::global_from_base), instead of paying
     /// the bounded-BFS twice per snapshot.
     pub fn within3_base(snap: &Snapshot, prune: Prune<'_>) -> Vec<(NodeId, NodeId)> {
-        match prune {
-            None => traversal::pairs_within(snap, 3),
-            Some((act, spec)) => {
-                traversal::pairs_within_pruned_t(snap, 3, act, spec, osn_graph::par::max_threads())
-            }
-        }
+        traversal::within3_pairs(snap, prune, par::max_threads())
     }
 
     /// Wraps a [`within3_base`](Self::within3_base) enumeration as the
@@ -144,36 +122,14 @@ impl CandidateSet {
         CandidateSet { pairs, policy: CandidatePolicy::Global }
     }
 
-    /// Like [`build`](Self::build) but caps the candidate count: when the
-    /// enumeration exceeds `max_pairs`, a deterministic stride subsample is
-    /// kept. This is a documented approximation for supernode-heavy
+    /// Caps the candidate count: when the set exceeds `max_pairs`, a
+    /// deterministic stride subsample is kept (`max_pairs = 0` ⇒
+    /// uncapped). This is a documented approximation for supernode-heavy
     /// snapshots whose 2-hop pair count explodes quadratically (the paper
-    /// hit the same wall and restricted PA to top-K pairs, §3.2).
-    pub fn build_capped(
-        snap: &Snapshot,
-        policy: CandidatePolicy,
-        top_degree: usize,
-        max_pairs: usize,
-    ) -> Self {
-        Self::build(snap, policy, top_degree).capped(max_pairs)
-    }
-
-    /// [`build_capped`](Self::build_capped) with pruning pushed into
-    /// enumeration. The cap applies *after* pruning: rejected pairs never
-    /// crowd surviving ones out of the subsample (the post-hoc order —
-    /// cap, then filter — loses real candidates to the stride whenever
-    /// the cap binds).
-    pub fn build_capped_pruned(
-        snap: &Snapshot,
-        policy: CandidatePolicy,
-        top_degree: usize,
-        max_pairs: usize,
-        prune: Prune<'_>,
-    ) -> Self {
-        Self::build_pruned(snap, policy, top_degree, prune).capped(max_pairs)
-    }
-
-    /// Applies the deterministic stride cap (`max_pairs = 0` ⇒ uncapped).
+    /// hit the same wall and restricted PA to top-K pairs, §3.2). Chained
+    /// after [`build_pruned`](Self::build_pruned), the cap applies *after*
+    /// pruning, so rejected pairs never crowd surviving ones out of the
+    /// subsample.
     pub fn capped(mut self, max_pairs: usize) -> Self {
         if max_pairs > 0 && self.pairs.len() > max_pairs {
             let stride = self.pairs.len().div_ceil(max_pairs);
@@ -237,6 +193,7 @@ impl CandidateSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osn_graph::activity::{NodeActivity, PruneSpec};
 
     /// Path 0-1-2-3-4 plus hub 5 connected to 0.
     fn fixture() -> Snapshot {
@@ -286,26 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_enumeration_cannot_drift_from_two_hop_build() {
-        // Ring + chords: enough structure for multi-witness candidates.
-        let n = 30u32;
-        let mut edges = Vec::new();
-        for i in 0..n {
-            edges.push(osn_graph::canonical(i, (i + 1) % n));
-            if i % 4 == 0 {
-                edges.push(osn_graph::canonical(i, (i + 9) % n));
-            }
-        }
-        let s = Snapshot::from_edges(n as usize, &edges);
-        let built = CandidateSet::build(&s, CandidatePolicy::TwoHop, 0);
-        for threads in [1, 3] {
-            let (pairs, _) =
-                crate::fused::enumerate_and_score_t(&s, &[crate::fused::LocalKind::Cn], threads);
-            assert_eq!(pairs, built.pairs(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn from_pairs_repairs_messy_input() {
         // Reversed pairs, duplicates (including a reversed duplicate),
         // self-pairs, unsorted order — the repaired set must satisfy the
@@ -325,7 +262,7 @@ mod tests {
         assert_eq!(c.pairs(), &clean[..]);
     }
 
-    /// Temporal ring + chords shared by the pruning drift tests.
+    /// Temporal ring + chords for the pruning test.
     fn temporal_fixture() -> Snapshot {
         use osn_graph::temporal::TemporalGraph;
         let n = 30u32;
@@ -381,24 +318,6 @@ mod tests {
             assert_eq!(pruned.pairs(), &posthoc[..], "{policy:?}");
             assert!(pruned.len() < full.len(), "{policy:?}: fixture must drop pairs");
             assert!(!pruned.is_empty(), "{policy:?}: fixture must keep pairs");
-        }
-    }
-
-    #[test]
-    fn pruned_fused_enumeration_cannot_drift_from_pruned_build() {
-        let s = temporal_fixture();
-        let spec = probe_spec();
-        let act = NodeActivity::build(&s, spec.window());
-        let built = CandidateSet::build_pruned(&s, CandidatePolicy::TwoHop, 0, Some((&act, &spec)));
-        for threads in [1, 3] {
-            let (pairs, _) = crate::fused::enumerate_and_score_pruned_t(
-                &s,
-                &[crate::fused::LocalKind::Cn],
-                &act,
-                &spec,
-                threads,
-            );
-            assert_eq!(pairs, built.pairs(), "threads={threads}");
         }
     }
 

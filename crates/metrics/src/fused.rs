@@ -26,22 +26,17 @@
 //! * derived scores reuse the exact per-pair expressions, including JC's
 //!   integer union arithmetic and PA's integer degree product.
 //!
-//! [`enumerate_and_score_t`] fuses candidate *enumeration* into the same
-//! pass via the shared [`osn_graph::traversal::TwoHopScan`] walk, so a
-//! `TwoHop`-policy sweep never materializes the pair list separately —
-//! and cannot drift from [`crate::candidates::CandidateSet::build`],
-//! which uses the same walk.
+//! The kernel scores a pair list built beforehand
+//! ([`crate::candidates::CandidateSet`], or a served query's targets); it
+//! never enumerates candidates itself.
 
 use crate::bayes::BayesContext;
-use crate::traits::Metric;
-use osn_graph::activity::{NodeActivity, PruneSpec};
 use osn_graph::snapshot::{DegreeTables, Snapshot};
-use osn_graph::traversal::TwoHopScan;
-use osn_graph::{par, NodeId};
+use osn_graph::NodeId;
 
 /// The local metric a fused column computes. Metrics advertise their kind
-/// through [`Metric::fused_kind`]; the engine groups all advertised kinds
-/// of a batch into one kernel pass.
+/// through [`Metric::fused_kind`](crate::traits::Metric::fused_kind); the
+/// engine groups all advertised kinds of a batch into one kernel pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LocalKind {
     /// Common Neighbors: `|Γ(u) ∩ Γ(v)|`.
@@ -84,12 +79,6 @@ impl LocalKind {
     /// (these force [`FusedCtx::build`] to compute the Bayes tables).
     pub fn is_bayes(self) -> bool {
         matches!(self, LocalKind::Bcn | LocalKind::Baa | LocalKind::Bra)
-    }
-
-    /// Looks up the advertised kinds of a metric batch: `Some` entry per
-    /// metric the kernel can absorb, `None` for everything else.
-    pub fn of_metrics(metrics: &[&dyn Metric]) -> Vec<Option<LocalKind>> {
-        metrics.iter().map(|m| m.fused_kind()).collect()
     }
 }
 
@@ -386,145 +375,11 @@ pub fn score_columns(
     cols
 }
 
-/// Enumerates the two-hop candidate pairs of `snap` *and* scores every
-/// kind in `kinds` for each, in the same CSR pass — the `TwoHop` policy
-/// never materializes the pair list separately. Returns the pairs in
-/// [`osn_graph::traversal::two_hop_pairs`] order (bit-identical for every
-/// `threads` value) plus one score column per kind.
-///
-/// Enumeration goes through the shared [`TwoHopScan`] walk — the same
-/// helper [`CandidateSet::build`](crate::candidates::CandidateSet::build)
-/// uses — so the fused pair set cannot drift from the enumerate-only path.
-pub fn enumerate_and_score_t(
-    snap: &Snapshot,
-    kinds: &[LocalKind],
-    threads: usize,
-) -> (Vec<(NodeId, NodeId)>, Vec<Vec<f64>>) {
-    enumerate_and_score_impl(snap, kinds, threads, None)
-}
-
-/// [`enumerate_and_score_t`] with §6.2 pruning pushed into the shared
-/// scan ([`TwoHopScan::scan_pruned`]): doomed sources skip their frontier
-/// walk, doomed targets never occupy accumulator slots, and the CN-gap
-/// verdict falls out of the walk's own witness arrivals. Surviving pairs
-/// get *bit-identical* scores to the unpruned kernel — every witness of a
-/// surviving target still contributes, in the same ascending-`w` order —
-/// and the pair list equals
-/// [`CandidateSet::build_pruned`](crate::candidates::CandidateSet::build_pruned)
-/// under the `TwoHop` policy, which uses the same walk.
-pub fn enumerate_and_score_pruned_t(
-    snap: &Snapshot,
-    kinds: &[LocalKind],
-    act: &NodeActivity,
-    spec: &PruneSpec,
-    threads: usize,
-) -> (Vec<(NodeId, NodeId)>, Vec<Vec<f64>>) {
-    enumerate_and_score_impl(snap, kinds, threads, Some((act, spec)))
-}
-
-fn enumerate_and_score_impl(
-    snap: &Snapshot,
-    kinds: &[LocalKind],
-    threads: usize,
-    prune: Option<(&NodeActivity, &PruneSpec)>,
-) -> (Vec<(NodeId, NodeId)>, Vec<Vec<f64>>) {
-    let ctx = FusedCtx::build(snap, kinds);
-    let n = snap.node_count();
-    let threads = threads.clamp(1, n.max(1));
-    let run_block = |scan: &mut TwoHopScan,
-                     scratch: &mut FusedScratch,
-                     sources: std::ops::Range<usize>|
-     -> (Vec<(NodeId, NodeId)>, Vec<Vec<f64>>) {
-        let needs = Needs::of(kinds);
-        let mut pairs = Vec::new();
-        let mut cols: Vec<Vec<f64>> = kinds.iter().map(|_| Vec::new()).collect();
-        for u in sources {
-            let u = u as NodeId;
-            // One walk enumerates candidates AND accumulates witnesses:
-            // each hit arrives in ascending-w order with a dense slot.
-            // The pruned and unpruned scans share this callback, so a
-            // surviving slot accumulates exactly the unpruned sums.
-            let on_hit = |scratch: &mut FusedScratch, w: NodeId, slot: usize, first: bool| {
-                if first {
-                    if needs.cn {
-                        scratch.cn.push(0);
-                    }
-                    if needs.aa {
-                        scratch.aa.push(0.0);
-                    }
-                    if needs.ra {
-                        scratch.ra.push(0.0);
-                    }
-                    if needs.blogr {
-                        scratch.blogr.push(0.0);
-                    }
-                    if needs.baa {
-                        scratch.baa.push(0.0);
-                    }
-                    if needs.bra {
-                        scratch.bra.push(0.0);
-                    }
-                }
-                scratch.hit(&ctx, &needs, w, slot);
-            };
-            match prune {
-                None => {
-                    scan.scan(snap, u, |w, _v, slot, first| on_hit(scratch, w, slot, first));
-                    for (slot, &v) in scan.last_candidates().iter().enumerate() {
-                        pairs.push((u, v));
-                        for (ki, &kind) in kinds.iter().enumerate() {
-                            cols[ki].push(ctx.derive(kind, scratch, u, v, slot));
-                        }
-                    }
-                }
-                Some((act, spec)) => {
-                    scan.scan_pruned(snap, u, act, spec, |w, _v, slot, first| {
-                        on_hit(scratch, w, slot, first)
-                    });
-                    for (slot, v) in scan.last_survivors() {
-                        pairs.push((u, v));
-                        for (ki, &kind) in kinds.iter().enumerate() {
-                            cols[ki].push(ctx.derive(kind, scratch, u, v, slot));
-                        }
-                    }
-                }
-            }
-            scratch.cn.clear();
-            scratch.aa.clear();
-            scratch.ra.clear();
-            scratch.blogr.clear();
-            scratch.baa.clear();
-            scratch.bra.clear();
-        }
-        (pairs, cols)
-    };
-    let parts = if threads == 1 {
-        vec![run_block(&mut TwoHopScan::new(n), &mut FusedScratch::new(n), 0..n)]
-    } else {
-        let blocks = par::block_ranges(n, threads * 8);
-        par::run_indexed_init(
-            blocks.len(),
-            threads,
-            || (TwoHopScan::new(n), FusedScratch::new(n)),
-            |(scan, scratch), b| run_block(scan, scratch, blocks[b].clone()),
-        )
-    };
-    let mut pairs = Vec::new();
-    let mut cols: Vec<Vec<f64>> = kinds.iter().map(|_| Vec::new()).collect();
-    for (p, c) in parts {
-        pairs.extend(p);
-        for (ki, col) in c.into_iter().enumerate() {
-            cols[ki].extend(col);
-        }
-    }
-    (pairs, cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidates::CandidateSet;
-    use crate::traits::CandidatePolicy;
+    use crate::traits::{CandidatePolicy, Metric};
 
     const ALL_KINDS: [LocalKind; 8] = [
         LocalKind::Cn,
@@ -604,66 +459,6 @@ mod tests {
         assert_eq!(scratch.epoch, 1, "wraparound restarts the epoch at 1");
         assert!(scratch.seen.iter().all(|&e| e <= 1), "stamps hard-reset on wrap");
         assert_eq!(score_columns(&ctx, &mut scratch, &pairs, &kinds), baseline, "post-wrap");
-    }
-
-    #[test]
-    fn enumerate_and_score_matches_candidate_set() {
-        let snap = fixture();
-        let cands = CandidateSet::build(&snap, CandidatePolicy::TwoHop, 0);
-        for threads in [1, 2, 4] {
-            let (pairs, cols) = enumerate_and_score_t(&snap, &ALL_KINDS, threads);
-            assert_eq!(pairs, cands.pairs(), "threads={threads}");
-            for (ki, &kind) in ALL_KINDS.iter().enumerate() {
-                let m = kind_metric(kind);
-                assert_eq!(cols[ki], m.score_pairs(&snap, &pairs), "{kind:?} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_enumeration_scores_surviving_pairs_bit_identically() {
-        use osn_graph::temporal::TemporalGraph;
-        let n = 30u32;
-        let mut g = TemporalGraph::new();
-        for _ in 0..n {
-            g.add_node(0);
-        }
-        let mut edges = Vec::new();
-        for i in 0..n {
-            edges.push(osn_graph::canonical(i, (i + 1) % n));
-            if i % 4 == 0 {
-                edges.push(osn_graph::canonical(i, (i + 9) % n));
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        let mut timed: Vec<(NodeId, NodeId, osn_graph::Timestamp)> = edges
-            .into_iter()
-            .map(|(a, b)| (a, b, ((a * 13 + b * 7) % n) as osn_graph::Timestamp * osn_graph::DAY))
-            .collect();
-        timed.sort_by_key(|&(_, _, t)| t);
-        for (a, b, t) in timed {
-            g.add_edge(a, b, t);
-        }
-        let snap = Snapshot::up_to(&g, g.edge_count());
-        let spec = PruneSpec {
-            active_idle_days: 12.0,
-            inactive_idle_days: 22.0,
-            window_days: 7.0,
-            min_recent_edges: 1,
-            cn_gap_days: 15.0,
-        };
-        let act = NodeActivity::build(&snap, spec.window());
-        let (full_pairs, _) = enumerate_and_score_t(&snap, &ALL_KINDS, 1);
-        for threads in [1, 2, 4] {
-            let (pairs, cols) =
-                enumerate_and_score_pruned_t(&snap, &ALL_KINDS, &act, &spec, threads);
-            assert!(!pairs.is_empty() && pairs.len() < full_pairs.len(), "fixture must prune");
-            for (ki, &kind) in ALL_KINDS.iter().enumerate() {
-                let m = kind_metric(kind);
-                assert_eq!(cols[ki], m.score_pairs(&snap, &pairs), "{kind:?} threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -461,7 +461,7 @@ impl LrwWs {
 
 /// Batched LRW scores for `pairs`, one-sided: `2·(d_s/2E)·π_st(m)` from
 /// the pruned walk of each pair's solve side `s`. The walk is the same
-/// recursion as [`crate::walk::walk_distribution`] (including the
+/// recursion as the reference's `walk::walk_distribution` (including the
 /// degree-share prune and dangling self-absorption), advanced over blocks
 /// of side columns in one CSR sweep per step. Per-node share sums gather
 /// in ascending neighbor order, which reassociates the reference's

@@ -46,7 +46,7 @@ proptest! {
 
     /// predict_top_k with 1 worker == with N workers, for all metrics and
     /// both enumeration-backed candidate policies (TwoHop and Global,
-    /// which routes through `pairs_within` + the hub merge).
+    /// which routes through `within3_pairs` + the hub merge).
     #[test]
     fn predictions_are_thread_count_invariant((n, edges) in arb_graph()) {
         let snap = Snapshot::from_edges(n, &edges);
@@ -72,12 +72,28 @@ proptest! {
     #[test]
     fn enumeration_is_thread_count_invariant((n, edges) in arb_graph()) {
         let snap = Snapshot::from_edges(n, &edges);
-        let two_serial = traversal::two_hop_pairs_t(&snap, 1);
-        let within_serial = traversal::pairs_within_t(&snap, 3, 1);
+        let two_serial = traversal::two_hop_pairs(&snap, None, 1);
+        let within_serial = traversal::within3_pairs(&snap, None, 1);
         for threads in [2usize, 3, 5, 8] {
-            prop_assert_eq!(&two_serial, &traversal::two_hop_pairs_t(&snap, threads));
-            prop_assert_eq!(&within_serial, &traversal::pairs_within_t(&snap, 3, threads));
+            prop_assert_eq!(&two_serial, &traversal::two_hop_pairs(&snap, None, threads));
+            prop_assert_eq!(&within_serial, &traversal::within3_pairs(&snap, None, threads));
         }
+    }
+
+    /// The sampled pipeline's subset enumeration is the whole-graph
+    /// two-hop list filtered to member pairs, in the same order.
+    #[test]
+    fn two_hop_among_is_the_member_filter_of_two_hop(
+        (n, edges) in arb_graph(),
+        picks in proptest::collection::vec(0u32..2, 20),
+    ) {
+        let snap = Snapshot::from_edges(n, &edges);
+        let members: Vec<NodeId> = (0..n as NodeId).filter(|&v| picks[v as usize] == 1).collect();
+        let filtered: Vec<(NodeId, NodeId)> = traversal::two_hop_pairs(&snap, None, 1)
+            .into_iter()
+            .filter(|&(u, v)| members.contains(&u) && members.contains(&v))
+            .collect();
+        prop_assert_eq!(traversal::two_hop_pairs_among(&snap, &members), filtered);
     }
 
     /// Chunked top-k (per-chunk heaps with global indices, merged) selects

@@ -14,14 +14,16 @@
 //! targets for `TwoHop`, distance-2/3 for `ThreeHop`, and for `Global`
 //! additionally the precomputed hub list (plus, for a source that *is* a
 //! hub, every unconnected node — the offline hub fan-out seen from the
-//! hub's side). Targets come out canonicalized and sorted, which is the
-//! order the offline set stores them in. So parity holds against the
-//! offline candidate set *filtered to the source, then scored*: the same
-//! pair list, hence bit-identical scores and seeded top-k tie-breaks
-//! (asserted by `tests/serve_equivalence.rs` and the `--serving-only`
-//! scalecheck phase). Every pair of that list holds the source, so LRW,
-//! PPR, SP and LP solve or scan from the source alone: one column per
-//! uncached walk query. Scoring the whole offline set and filtering the
+//! hub's side). The served pairs are the source's offline pairs,
+//! canonicalized, in ascending order. The offline set need not hold them
+//! in that order: a two-hop set keeps each source's targets in
+//! witness-discovery order. Parity holds against the offline candidate
+//! set *filtered to the source, then scored*: the same pairs, whose
+//! scores do not depend on their order, and seeded top-k ties break on a
+//! per-pair hash, so the answers are bit-identical (asserted by
+//! `tests/serve_equivalence.rs` and the `--serving-only` scalecheck
+//! phase). Every pair holds the source, so LRW, PPR, SP and LP solve or
+//! scan from the source alone: one column per uncached walk query. Scoring the whole offline set and filtering the
 //! scores afterwards lets the walk metrics pick other solve sides, which
 //! stays within the solvers' certified bounds but is not bit-equal.
 
@@ -57,10 +59,11 @@ impl EnumScratch {
     }
 }
 
-/// Enumerates the candidate pairs containing `source` under `policy` —
+/// Enumerates the candidate pairs containing `source` under `policy`:
 /// exactly the pairs of the offline candidate set that touch the source,
-/// in the offline (canonical, ascending) order. `hubs` is the
-/// per-version top-degree list the `Global` policy fans out to.
+/// canonical and in ascending order (which need not be the offline set's
+/// order). `hubs` is the per-version top-degree list the `Global` policy
+/// fans out to.
 // linklens-deterministic: serving enumeration must equal the offline candidate set filtered to the source
 pub fn candidate_targets(
     snap: &Snapshot,
@@ -176,6 +179,13 @@ mod tests {
         )
     }
 
+    /// Edges 0-1, 0-2, 1-5, 2-3: the offline two-hop set discovers source
+    /// 0's targets as 5 (via 1) then 3 (via 2), so its order differs from
+    /// the served ascending order.
+    fn discovery_order_fixture() -> Snapshot {
+        Snapshot::from_edges(6, &[(0, 1), (0, 2), (1, 5), (2, 3)])
+    }
+
     fn offline_filtered(
         snap: &Snapshot,
         policy: CandidatePolicy,
@@ -190,23 +200,41 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn enumeration_equals_offline_filter_for_every_policy_and_source() {
-        let snap = fixture();
-        let top_degree = 3;
+    /// The `top_degree` highest-degree nodes of `snap`, as the serving
+    /// store precomputes them.
+    fn hubs_of(snap: &Snapshot, top_degree: usize) -> Vec<NodeId> {
         let mut by_degree: Vec<NodeId> = (0..snap.node_count() as NodeId).collect();
         by_degree.sort_unstable_by_key(|&u| std::cmp::Reverse(snap.degree(u)));
         by_degree.truncate(top_degree);
-        let mut scratch = EnumScratch::new(snap.node_count());
-        for policy in [CandidatePolicy::TwoHop, CandidatePolicy::ThreeHop, CandidatePolicy::Global]
-        {
-            let hubs: &[NodeId] = if policy == CandidatePolicy::Global { &by_degree } else { &[] };
-            for source in 0..snap.node_count() as NodeId {
-                let served = candidate_targets(&snap, source, policy, hubs, &mut scratch);
-                let offline = offline_filtered(&snap, policy, top_degree, source);
-                assert_eq!(served, offline, "{policy:?} source {source}");
+        by_degree
+    }
+
+    #[test]
+    fn enumeration_equals_offline_filter_for_every_policy_and_source() {
+        let top_degree = 3;
+        for snap in [fixture(), discovery_order_fixture()] {
+            let by_degree = hubs_of(&snap, top_degree);
+            let mut scratch = EnumScratch::new(snap.node_count());
+            for policy in
+                [CandidatePolicy::TwoHop, CandidatePolicy::ThreeHop, CandidatePolicy::Global]
+            {
+                let hubs: &[NodeId] =
+                    if policy == CandidatePolicy::Global { &by_degree } else { &[] };
+                for source in 0..snap.node_count() as NodeId {
+                    let served = candidate_targets(&snap, source, policy, hubs, &mut scratch);
+                    let mut offline = offline_filtered(&snap, policy, top_degree, source);
+                    offline.sort_unstable();
+                    assert_eq!(served, offline, "{policy:?} source {source}");
+                }
             }
         }
+        // The served order is ascending even where the offline order is not.
+        let snap = discovery_order_fixture();
+        let offline = offline_filtered(&snap, CandidatePolicy::TwoHop, top_degree, 0);
+        assert_eq!(offline, vec![(0, 5), (0, 3)]);
+        let mut scratch = EnumScratch::new(snap.node_count());
+        let served = candidate_targets(&snap, 0, CandidatePolicy::TwoHop, &[], &mut scratch);
+        assert_eq!(served, vec![(0, 3), (0, 5)]);
     }
 
     #[test]
@@ -253,37 +281,38 @@ mod tests {
     #[test]
     fn answer_matches_offline_oracle_per_metric() {
         use osn_metrics::fused::LocalKind;
-        let snap = fixture();
         let top_degree = 2;
-        let mut by_degree: Vec<NodeId> = (0..snap.node_count() as NodeId).collect();
-        by_degree.sort_unstable_by_key(|&u| std::cmp::Reverse(snap.degree(u)));
-        by_degree.truncate(top_degree);
-        let ctx = FusedCtx::build(&snap, &LocalKind::ALL);
-        let mut fscratch = FusedScratch::new(snap.node_count());
-        let mut escratch = EnumScratch::new(snap.node_count());
-        for m in osn_metrics::all_metrics() {
-            let mut solver = SolverCache::transient();
-            let hubs: &[NodeId] =
-                if m.candidate_policy() == CandidatePolicy::Global { &by_degree } else { &[] };
-            for source in [0u32, 3, 6, 9] {
-                let served = answer_query(
-                    m.as_ref(),
-                    &snap,
-                    &ctx,
-                    &mut fscratch,
-                    &mut escratch,
-                    &mut solver,
-                    hubs,
-                    source,
-                    4,
-                    0x11A5,
-                );
-                // The oracle: offline filtered candidates, batch engine
-                // scores, same seeded selection.
-                let pairs = offline_filtered(&snap, m.candidate_policy(), top_degree, source);
-                let scores = osn_metrics::exec::score_pairs_t(m.as_ref(), &snap, &pairs, 1);
-                let oracle = topk::top_k_pairs(&pairs, &scores, 4, 0x11A5);
-                assert_eq!(served, oracle, "{} source {source}", m.name());
+        for (snap, sources) in
+            [(fixture(), [0u32, 3, 6, 9]), (discovery_order_fixture(), [0, 1, 2, 3])]
+        {
+            let by_degree = hubs_of(&snap, top_degree);
+            let ctx = FusedCtx::build(&snap, &LocalKind::ALL);
+            let mut fscratch = FusedScratch::new(snap.node_count());
+            let mut escratch = EnumScratch::new(snap.node_count());
+            for m in osn_metrics::all_metrics() {
+                let mut solver = SolverCache::transient();
+                let hubs: &[NodeId] =
+                    if m.candidate_policy() == CandidatePolicy::Global { &by_degree } else { &[] };
+                for source in sources {
+                    let served = answer_query(
+                        m.as_ref(),
+                        &snap,
+                        &ctx,
+                        &mut fscratch,
+                        &mut escratch,
+                        &mut solver,
+                        hubs,
+                        source,
+                        4,
+                        0x11A5,
+                    );
+                    // The oracle: offline filtered candidates in offline
+                    // order, batch engine scores, same seeded selection.
+                    let pairs = offline_filtered(&snap, m.candidate_policy(), top_degree, source);
+                    let scores = osn_metrics::exec::score_pairs_t(m.as_ref(), &snap, &pairs, 1);
+                    let oracle = topk::top_k_pairs(&pairs, &scores, 4, 0x11A5);
+                    assert_eq!(served, oracle, "{} source {source}", m.name());
+                }
             }
         }
     }

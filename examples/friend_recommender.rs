@@ -58,7 +58,7 @@ fn main() {
     // --- Train: label pairs of G_{t-2} by connectivity in G_{t-1}. ---
     let train_snap = seq.snapshot(t - 2);
     let truth: std::collections::HashSet<_> = seq.new_edges(t - 1).into_iter().collect();
-    let candidates = traversal::two_hop_pairs(&train_snap);
+    let candidates = traversal::two_hop_pairs(&train_snap, None, threads);
 
     // Undersample: all positives, 30 negatives per positive.
     let positives: Vec<_> = candidates.iter().copied().filter(|p| truth.contains(p)).collect();
@@ -97,7 +97,7 @@ fn main() {
 
     // --- Recommend: rank current 2-hop pairs on the latest snapshot. ---
     let now = seq.snapshot(t - 1);
-    let cands = traversal::two_hop_pairs(&now);
+    let cands = traversal::two_hop_pairs(&now, None, threads);
     let feats = features(&now, &cands, &mut cache);
     let scores: Vec<f64> = feats.iter().map(|f| svm.decision(&scaler.transform(f))).collect();
     let top = topk::top_k_pairs(&cands, &scores, 10, 1);

@@ -253,7 +253,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -68,7 +68,7 @@ fn classification_features_match_metric_scores() {
     let trace = tiny_trace(TraceConfig::renren_like, 4);
     let seq = SnapshotSequence::with_count(&trace, 6);
     let snap = seq.snapshot(2);
-    let pairs = linklens::graph::traversal::two_hop_pairs(&snap);
+    let pairs = linklens::graph::traversal::two_hop_pairs(&snap, None, 1);
     let sample: Vec<_> = pairs.into_iter().take(20).collect();
     let cn_scores = CommonNeighbors.score_pairs(&snap, &sample);
     for (i, &(u, v)) in sample.iter().enumerate() {
@@ -121,7 +121,7 @@ fn timeseries_wraps_any_metric() {
     let seq = SnapshotSequence::with_count(&trace, 6);
     let snap = seq.snapshot(3);
     let pairs: Vec<_> =
-        linklens::graph::traversal::two_hop_pairs(&snap).into_iter().take(50).collect();
+        linklens::graph::traversal::two_hop_pairs(&snap, None, 1).into_iter().take(50).collect();
     for agg in [Aggregation::MovingAverage, Aggregation::LinearRegression] {
         let ts = TimeSeriesPredictor { window: 3, aggregation: agg };
         let scores = ts.score_pairs(&seq, &CommonNeighbors, 4, &pairs);
