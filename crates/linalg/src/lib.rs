@@ -7,9 +7,11 @@
 //!   LU solve (partial pivoting), Cholesky, and Householder QR.
 //! * [`sparse::SparseMatrix`] — CSR sparse matrices with sparse×vector and
 //!   sparse×dense products (the adjacency-matrix work-horse).
-//! * [`lanczos`] — a symmetric Lanczos eigensolver with full
-//!   reorthogonalization, used for the low-rank Katz approximation
-//!   (Katz ≈ U f(Λ) Uᵀ) and validated against a dense Jacobi reference.
+//! * [`lanczos`] — the symmetric eigensolvers behind the low-rank Katz
+//!   approximation (Katz ≈ U f(Λ) Uᵀ): a dense Householder + implicit-QL
+//!   solver, and Lanczos with full reorthogonalization whose tridiagonal
+//!   projection goes through the same QL step. The tests hold both to a
+//!   cyclic Jacobi oracle.
 //! * [`factor`] — a blocked ALS factorization core (`A ≈ X R Xᵀ`) that
 //!   routes `A·X` products through the thread-parallel CSR kernels,
 //!   certifies a sparse Frobenius residual per sweep, and surfaces

@@ -62,8 +62,8 @@ impl std::fmt::Display for CsrError {
     }
 }
 
-/// Below this many rows the `*_t` products stay serial: spawning workers
-/// costs more than the whole sweep.
+/// Below this many rows [`SparseMatrix::spmm_into_t`] stays serial:
+/// spawning workers costs more than the whole sweep.
 const PAR_ROW_THRESHOLD: usize = 256;
 
 /// A CSR (compressed sparse row) `f64` matrix.
@@ -220,40 +220,6 @@ impl SparseMatrix {
                 acc += v * x[c as usize];
             }
             *yi = acc;
-        }
-    }
-
-    /// Like [`matvec_into`](Self::matvec_into) with row-range
-    /// parallelism over the shared worker pool: output rows are
-    /// partitioned into contiguous blocks computed independently. Each
-    /// row's accumulation is the identical ascending-column fold the
-    /// serial path performs, so the result is bit-identical to
-    /// [`matvec_into`](Self::matvec_into) for every `threads` value.
-    pub fn matvec_into_t(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        if threads <= 1 || self.rows < PAR_ROW_THRESHOLD {
-            self.matvec_into(x, y);
-            return;
-        }
-        let blocks = osn_graph::par::block_ranges(self.rows, threads * 4);
-        let parts = osn_graph::par::run_indexed(blocks.len(), threads, |b| {
-            let range = blocks[b].clone();
-            let mut out = vec![0.0; range.len()];
-            for (o, i) in out.iter_mut().zip(range) {
-                let (cols, vals) = self.row(i);
-                let mut acc = 0.0;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    acc += v * x[c as usize];
-                }
-                *o = acc;
-            }
-            out
-        });
-        let mut at = 0;
-        for part in parts {
-            y[at..at + part.len()].copy_from_slice(&part);
-            at += part.len();
         }
     }
 
@@ -474,18 +440,6 @@ mod tests {
         let err = SparseMatrix::from_csr(1, 2, vec![0, 1], vec![5], vec![1.0]).unwrap_err();
         assert!(matches!(err, CsrError::ColumnOrder { row: 0, col: 5 }));
         assert!(!format!("{err}").is_empty());
-    }
-
-    #[test]
-    fn parallel_matvec_is_bit_identical() {
-        let a = big_fixture();
-        let x: Vec<f64> = (0..a.cols()).map(|i| (i as f64 * 0.37).sin()).collect();
-        let serial = a.matvec(&x);
-        for threads in [1, 2, 4, 8] {
-            let mut y = vec![0.0; a.rows()];
-            a.matvec_into_t(&x, &mut y, threads);
-            assert_eq!(y, serial, "threads={threads}");
-        }
     }
 
     #[test]

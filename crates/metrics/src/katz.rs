@@ -11,11 +11,11 @@
 //! a landmark set `L`) and `W = K[L, L]`, `K ≈ C W⁺ Cᵀ`.
 
 use crate::exec;
-use crate::solver::SolverCache;
+use crate::solver::{SolverCache, SolverError};
 use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{par, NodeId};
-use osn_linalg::lanczos::lanczos_top_k_t;
+use osn_linalg::lanczos::{lanczos_top_k, symmetric_eigen, EigenError};
 use osn_linalg::{Matrix, SparseMatrix};
 
 /// Shared Katz attenuation default (the paper uses β = 0.001 after \[1\]).
@@ -60,17 +60,11 @@ struct KatzLrFactors {
 
 impl KatzLrFactors {
     fn score(&self, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        let r = self.factors.len();
         pairs
             .iter()
             .map(|&(u, v)| {
-                (0..r)
-                    .map(|k| {
-                        self.factors[k]
-                            * self.vectors[(u as usize, k)]
-                            * self.vectors[(v as usize, k)]
-                    })
-                    .sum()
+                let (ru, rv) = (self.vectors.row(u as usize), self.vectors.row(v as usize));
+                self.factors.iter().zip(ru).zip(rv).map(|((f, x), y)| f * x * y).sum()
             })
             .collect()
     }
@@ -86,7 +80,12 @@ impl Metric for KatzLr {
     }
 
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        self.prepare_from(snap, &adjacency(snap)).score(pairs)
+        match self.prepare_from(snap, &adjacency(snap)) {
+            Ok(factors) => factors.score(pairs),
+            // The Metric trait has no error channel; a failed eigensolve
+            // is a hard invariant violation, same class as an audit panic.
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Factors once from the cache's shared adjacency CSR (structurally
@@ -99,56 +98,48 @@ impl Metric for KatzLr {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        let factors = self.prepare_from(snap, cache.ensure_snapshot(snap).adjacency());
-        exec::score_chunked(pairs, threads, |chunk| factors.score(chunk))
+        match self.prepare_from(snap, cache.ensure_snapshot(snap).adjacency()) {
+            Ok(factors) => exec::score_chunked(pairs, threads, |chunk| factors.score(chunk)),
+            // As in score_pairs: no error channel, so re-raise.
+            Err(e) => panic!("{e}"),
+        }
     }
 }
 
 impl KatzLr {
     /// Factorization stage shared by the reference and the engine hook;
     /// `a` is the snapshot's adjacency.
-    fn prepare_from(&self, snap: &Snapshot, a: &SparseMatrix) -> KatzLrFactors {
+    ///
+    /// # Errors
+    /// The eigensolver's failure as a [`SolverError`]: a non-finite
+    /// spectrum, or a QL step that used up its iteration budget.
+    fn prepare_from(
+        &self,
+        snap: &Snapshot,
+        a: &SparseMatrix,
+    ) -> Result<KatzLrFactors, SolverError> {
         if snap.edge_count() == 0 {
-            return KatzLrFactors {
+            return Ok(KatzLrFactors {
                 factors: Vec::new(),
                 vectors: Matrix::zeros(snap.node_count().max(1), 0),
-            };
+            });
         }
         // Single-start Lanczos recovers one Ritz vector per eigenvalue
         // cluster, so on small graphs (where exact is cheap and spectra are
-        // often degenerate by symmetry) use the dense Jacobi solver; the
-        // Lanczos path is for large snapshots where extremal clusters are
-        // all the ranking needs.
+        // often degenerate by symmetry) factor the whole adjacency with the
+        // dense Householder + QL solver; the Lanczos path is for large
+        // snapshots where extremal clusters are all the ranking needs.
         let eig = if snap.node_count() <= 256 {
-            let mut full = osn_linalg::lanczos::jacobi_eigen(&a.to_dense());
-            let keep = self.rank.min(full.values.len());
-            let mut order: Vec<usize> = (0..full.values.len()).collect();
-            // NaN-safe magnitude ordering: total_cmp sorts any NaN
-            // deterministically instead of panicking mid-sort.
-            order.sort_by(|&i, &j| full.values[j].abs().total_cmp(&full.values[i].abs()));
-            let mut vectors = Matrix::zeros(snap.node_count(), keep);
-            let mut values = Vec::with_capacity(keep);
-            for (out, &col) in order.iter().take(keep).enumerate() {
-                values.push(full.values[col]);
-                for r in 0..snap.node_count() {
-                    vectors[(r, out)] = full.vectors[(r, col)];
-                }
-            }
-            full.values = values;
-            full.vectors = vectors;
-            full
+            symmetric_eigen(&a.to_dense()).map(|full| full.top_by_magnitude(self.rank))
         } else {
-            // Threaded SpMV inside Lanczos is bit-identical for any worker
-            // count (see `lanczos_top_k_t`), so the factorization stays
-            // deterministic.
-            lanczos_top_k_t(
-                a,
-                self.rank.min(snap.node_count()),
-                self.max_iter,
-                self.seed,
-                par::max_threads(),
-            )
-        };
+            lanczos_top_k(a, self.rank.min(snap.node_count()), self.max_iter, self.seed)
+        }
+        .map_err(|e| match e {
+            EigenError::NonFinite => SolverError::NonFinite { metric: "Katz-lr", iteration: 0 },
+            EigenError::NoConvergence { iterations } => {
+                SolverError::NoConvergence { metric: "Katz-lr", iterations }
+            }
+        })?;
         // f(λ) = 1/(1-βλ) - 1, clamped away from the pole.
         let factors: Vec<f64> = eig
             .values
@@ -158,7 +149,7 @@ impl KatzLr {
                 1.0 / denom - 1.0
             })
             .collect();
-        KatzLrFactors { factors, vectors: eig.vectors }
+        Ok(KatzLrFactors { factors, vectors: eig.vectors })
     }
 }
 
