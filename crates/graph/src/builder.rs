@@ -91,6 +91,7 @@ impl MergeArena {
                 prefix_len: 0,
                 tables: std::sync::OnceLock::new(),
                 digest: std::sync::OnceLock::new(),
+                triangles: std::sync::OnceLock::new(),
             },
             off2: Vec::with_capacity(node_capacity + 1),
             nbr2: Vec::with_capacity(entry_capacity),
@@ -289,10 +290,12 @@ impl MergeArena {
         snap.time = time;
         snap.edge_count = prefix_len;
         snap.prefix_len = prefix_len;
-        // The CSR just changed under the snapshot; any degree tables or
-        // digest built against the previous prefix are stale.
+        // The CSR just changed under the snapshot; any degree tables,
+        // digest or triangle counts built against the previous prefix are
+        // stale.
         snap.tables.take();
         snap.digest.take();
+        snap.triangles.take();
     }
 }
 
@@ -363,9 +366,12 @@ mod tests {
                     "prefix {prefix} node {u}"
                 );
             }
-            // The cached adjacency digest is invalidated with the tables.
+            // The cached adjacency digest and triangle counts are
+            // invalidated with the tables.
             let digest = snap.adjacency_digest();
             assert_eq!(digest, Snapshot::up_to(&g, prefix).adjacency_digest(), "prefix {prefix}");
+            let fresh = crate::stats::triangle_counts(&Snapshot::up_to(&g, prefix));
+            assert_eq!(snap.triangle_counts(), &fresh[..], "prefix {prefix}");
         }
     }
 

@@ -212,10 +212,10 @@ impl DegreeTables {
 ///
 /// `PartialEq`/`Eq` compare the full structural representation (offsets,
 /// neighbor and edge-time arrays, counters) and deliberately ignore the
-/// lazily built [`DegreeTables`] and adjacency-digest caches, which is
-/// what lets the property tests assert that incrementally advanced snapshots
-/// ([`crate::builder::SnapshotBuilder`]) are bit-identical to from-scratch
-/// [`Snapshot::up_to`] builds.
+/// lazily built [`DegreeTables`], adjacency-digest and triangle-count
+/// caches, which is what lets the property tests assert that incrementally
+/// advanced snapshots ([`crate::builder::SnapshotBuilder`]) are
+/// bit-identical to from-scratch [`Snapshot::up_to`] builds.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub(crate) n: usize,
@@ -232,6 +232,9 @@ pub struct Snapshot {
     /// Lazily computed [`adjacency_digest`](Snapshot::adjacency_digest);
     /// invalidated together with `tables`.
     pub(crate) digest: OnceLock<u64>,
+    /// Lazily computed [`triangle_counts`](Snapshot::triangle_counts);
+    /// invalidated together with `tables`.
+    pub(crate) triangles: OnceLock<Vec<u64>>,
 }
 
 impl PartialEq for Snapshot {
@@ -307,6 +310,7 @@ impl Snapshot {
             prefix_len,
             tables: OnceLock::new(),
             digest: OnceLock::new(),
+            triangles: OnceLock::new(),
         }
     }
 
@@ -365,6 +369,7 @@ impl Snapshot {
             prefix_len: self.prefix_len,
             tables: OnceLock::new(),
             digest: OnceLock::new(),
+            triangles: OnceLock::new(),
         }
     }
 
@@ -405,6 +410,15 @@ impl Snapshot {
     /// on one `OnceLock` initialization and then share the same tables.
     pub fn degree_tables(&self) -> &DegreeTables {
         self.tables.get_or_init(|| DegreeTables::build(self))
+    }
+
+    /// Per-node triangle counts ([`crate::stats::triangle_counts`]), counted
+    /// on first use and cached for the snapshot's lifetime. The
+    /// naive-Bayes witness weights read them, so a served version counts
+    /// once however many workers score it: concurrent first callers block
+    /// on one `OnceLock` initialization and share its result.
+    pub fn triangle_counts(&self) -> &[u64] {
+        self.triangles.get_or_init(|| crate::stats::triangle_counts(self))
     }
 
     /// A 64-bit FNV-1a digest of the adjacency structure: the node count,
@@ -618,10 +632,12 @@ impl Snapshot {
         let mut s = Snapshot::up_to(&g, added);
         // `up_to` sizes the node set by arrival; with all arrivals at 0 it
         // already equals n, but keep the contract explicit. The degree
-        // tables and digest (if any were built) are invalidated by the resize.
+        // tables, digest and triangle counts (if any were built) are
+        // invalidated by the resize.
         s.n = n;
         s.tables.take();
         s.digest.take();
+        s.triangles.take();
         if s.offsets.len() < n + 1 {
             // linklens-allow(unwrap-in-lib): offsets always holds at least the leading zero
             let last = *s.offsets.last().expect("non-empty offsets");
@@ -797,7 +813,9 @@ mod tests {
         let g = fixture();
         let a = Snapshot::up_to(&g, 5);
         let b = Snapshot::up_to(&g, 5);
-        let _ = a.degree_tables(); // a has the cache populated, b does not
+        // a has the caches populated, b does not
+        let _ = a.degree_tables();
+        let _ = a.triangle_counts();
         assert_eq!(a, b);
     }
 

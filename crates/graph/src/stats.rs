@@ -66,26 +66,42 @@ pub fn degree_histogram(snap: &Snapshot) -> Vec<usize> {
 
 /// Per-node triangle counts: `out[u]` = number of triangles containing `u`.
 ///
-/// Uses the standard oriented enumeration (each triangle found exactly once
-/// at its lowest-id vertex, then credited to all three corners), so total
-/// work is O(Σ deg(w)^{3/2}) in practice.
+/// The degree-ordered forward count: every edge points from the endpoint
+/// earlier in `(degree, id)` order to the later one, so each node keeps at
+/// most O(√|E|) out-neighbours. For each node `u` the kernel stamps `u`'s
+/// out-list in a marker array and scans the out-lists of its
+/// out-neighbours; a stamped hit `w` in `v`'s list closes triangle
+/// `(u, v, w)`. Each triangle is found exactly once, at its earliest
+/// corner, and credited to all three, for O(|E|·√|E|) work in all.
+///
+/// Uncached: [`Snapshot::triangle_counts`] runs this once per snapshot and
+/// keeps the result.
 pub fn triangle_counts(snap: &Snapshot) -> Vec<u64> {
     let n = snap.node_count();
-    let mut tri = vec![0u64; n];
+    let before = |a: NodeId, b: NodeId| (snap.degree(a), a) < (snap.degree(b), b);
+    let mut out_off = Vec::with_capacity(n + 1);
+    let mut out: Vec<NodeId> = Vec::with_capacity(snap.edge_count());
+    out_off.push(0);
     for u in 0..n as NodeId {
-        let nu = snap.neighbors(u);
-        for (i, &v) in nu.iter().enumerate() {
-            if v <= u {
-                continue;
-            }
-            for &w in &nu[i + 1..] {
-                if w > v && snap.has_edge(v, w) {
-                    tri[u as usize] += 1;
-                    tri[v as usize] += 1;
+        out.extend(snap.neighbors(u).iter().copied().filter(|&v| before(u, v)));
+        out_off.push(out.len());
+    }
+    let mut tri = vec![0u64; n];
+    let mut mark = vec![false; n];
+    for u in 0..n {
+        let out_u = &out[out_off[u]..out_off[u + 1]];
+        out_u.iter().for_each(|&v| mark[v as usize] = true);
+        for &v in out_u {
+            let v = v as usize;
+            for &w in &out[out_off[v]..out_off[v + 1]] {
+                if mark[w as usize] {
+                    tri[u] += 1;
+                    tri[v] += 1;
                     tri[w as usize] += 1;
                 }
             }
         }
+        out_u.iter().for_each(|&v| mark[v as usize] = false);
     }
     tri
 }

@@ -14,9 +14,10 @@
 use crate::fused::LocalKind;
 use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::snapshot::Snapshot;
-use osn_graph::{stats, NodeId};
+use osn_graph::NodeId;
 
-/// Precomputed per-snapshot naive-Bayes quantities. Shared with the fused
+/// Precomputed per-snapshot naive-Bayes quantities, derived from the
+/// snapshot's cached [`Snapshot::triangle_counts`]. Shared with the fused
 /// kernel (`crate::fused`), which builds its BAA/BRA weight tables on top.
 pub(crate) struct BayesContext {
     pub(crate) log_s: f64,
@@ -30,7 +31,7 @@ impl BayesContext {
         let e = snap.edge_count() as f64;
         // Guard tiny graphs: s must stay positive for the log.
         let s = (n * (n - 1.0) / (2.0 * e.max(1.0)) - 1.0).max(1e-9);
-        let tri = stats::triangle_counts(snap);
+        let tri = snap.triangle_counts();
         let log_r = (0..snap.node_count())
             .map(|w| {
                 let d = snap.degree(w as NodeId) as f64;

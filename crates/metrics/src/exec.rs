@@ -274,9 +274,9 @@ pub fn predict_top_k_many_cached_t(
 ///
 /// * Fused metrics score through [`fused::score_columns`] on the caller's
 ///   [`FusedCtx`](fused::FusedCtx)/[`FusedScratch`] — build the context
-///   once per snapshot (e.g. with [`LocalKind::ALL`]) and reuse it across
-///   queries; a single kind requested out of a wider context is
-///   bit-identical to the batch engine's per-kind context.
+///   once per snapshot for the kinds served and reuse it across queries;
+///   a single kind requested out of a wider context is bit-identical to
+///   the batch engine's per-kind context.
 /// * Everything else goes through [`Metric::score_pairs_cached`] at one
 ///   worker (per-source query batches are far below the engine's
 ///   chunking threshold), sharing the caller's [`SolverCache`] transition

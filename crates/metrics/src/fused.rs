@@ -59,11 +59,12 @@ pub enum LocalKind {
 
 impl LocalKind {
     /// Every kind the kernel computes. A [`FusedCtx`] built with this
-    /// list can score any fused metric — the serving query path builds
-    /// one such context per snapshot version and scores single kinds out
-    /// of it (bit-identical to a context built for that kind alone, since
+    /// list can score any fused metric, and scoring one kind out of it is
+    /// bit-identical to a context built for that kind alone, since
     /// [`score_columns`] derives its accumulator needs from the requested
-    /// kinds, not the built ones).
+    /// kinds, not the built ones. The serving workers do not use it: each
+    /// builds its context from the kinds of the metrics it serves, so a
+    /// server with no Bayes metric never counts triangles.
     pub const ALL: [LocalKind; 8] = [
         LocalKind::Cn,
         LocalKind::Jc,
@@ -152,9 +153,12 @@ impl<'s> FusedCtx<'s> {
         self.snap
     }
 
-    /// Prepares the kernel context for `kinds` on `snap`. The degree
-    /// tables come from the snapshot's [`Snapshot::degree_tables`] cache;
-    /// Bayes tables are computed here iff a Bayes kind is present.
+    /// Prepares the kernel context for `kinds` on `snap`; it can score any
+    /// subset of `kinds`. The degree tables come from the snapshot's
+    /// [`Snapshot::degree_tables`] cache. Iff a Bayes kind is present, the
+    /// Bayes weight tables are derived here from the snapshot's cached
+    /// [`Snapshot::triangle_counts`]: the snapshot counts once, and each
+    /// context built on it pays one O(n) pass over the nodes.
     pub fn build(snap: &'s Snapshot, kinds: &[LocalKind]) -> Self {
         let tables = snap.degree_tables();
         let bayes = if kinds.iter().any(|k| k.is_bayes()) {

@@ -22,7 +22,7 @@
 //! duration of one `HashMap` operation, never across scoring.
 
 use osn_graph::NodeId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -104,17 +104,18 @@ impl ResultCache {
     /// still holds at `new_version`, drops the rest.
     ///
     /// `prev_version` is the version the promoted entries were computed
-    /// at; `touched` is the set of nodes within two hops of any delta
-    /// endpoint in the *new* snapshot; `promotable[metric]` marks the
-    /// delta-local metrics (see the module docs). Passing `touched =
-    /// None` flushes everything except same-`new_version` entries (used
-    /// when the touched set grew past the configured bound and computing
-    /// it stopped being worth it).
+    /// at; `touched[u]` marks the nodes within two hops of any delta
+    /// endpoint in the *new* snapshot, one flag per node of that
+    /// snapshot, and a source outside the array counts as touched;
+    /// `promotable[metric]` marks the delta-local metrics (see the module
+    /// docs). Passing `touched = None` flushes everything except
+    /// same-`new_version` entries (used when the touched set grew past the
+    /// configured bound and computing it stopped being worth it).
     pub fn advance(
         &self,
         prev_version: u64,
         new_version: u64,
-        touched: Option<&HashSet<NodeId>>,
+        touched: Option<&[bool]>,
         promotable: &[bool],
     ) {
         for shard in &self.shards {
@@ -128,7 +129,8 @@ impl ResultCache {
                 }
                 let Some(touched) = touched else { return false };
                 let promotable = promotable.get(metric as usize).copied().unwrap_or(false);
-                if promotable && entry.version == prev_version && !touched.contains(&source) {
+                let untouched = touched.get(source as usize) == Some(&false);
+                if promotable && entry.version == prev_version && untouched {
                     entry.version = new_version;
                     true
                 } else {
@@ -185,11 +187,14 @@ mod tests {
         c.put(1, 0, 5, topk(1)); // promotable metric, untouched source
         c.put(1, 0, 6, topk(2)); // promotable metric, touched source
         c.put(1, 1, 5, topk(3)); // non-promotable metric
-        let touched: HashSet<NodeId> = [6].into_iter().collect();
+        c.put(1, 0, 7, topk(4)); // promotable metric, source outside the array
+        let mut touched = vec![false; 7];
+        touched[6] = true;
         c.advance(1, 2, Some(&touched), &[true, false]);
         assert!(c.get(2, 0, 5).is_some(), "untouched local entry promoted");
         assert!(c.get(2, 0, 6).is_none(), "touched source dropped");
         assert!(c.get(2, 1, 5).is_none(), "non-local metric dropped");
+        assert!(c.get(2, 0, 7).is_none(), "source outside the array dropped, not promoted");
         assert_eq!(c.len(), 1);
     }
 

@@ -13,16 +13,21 @@
 //! 2. **Serving** — `workers` threads drain the bounded
 //!    [`admission::Admission`] queue. Each worker pins the current
 //!    [`store::Versioned`], builds the fused kernel context once for that
-//!    version, and answers queries through the targeted engine entry
-//!    point ([`osn_metrics::exec::score_pairs_targeted`]) — per-source
-//!    work proportional to the source's candidate neighborhood, not the
-//!    snapshot. Answers are bit-identical to the offline batch engine at
-//!    the pinned version (asserted by `tests/serve_equivalence.rs`).
+//!    version over the local kinds its configured metrics use, and
+//!    answers queries through the targeted engine entry point
+//!    ([`osn_metrics::exec::score_pairs_targeted`]) — per-source work
+//!    proportional to the source's candidate neighborhood, not the
+//!    snapshot. The triangle counts the Bayes kinds read are counted once
+//!    per snapshot ([`Snapshot::triangle_counts`]) and shared by every
+//!    worker; a server with no Bayes metric never counts them. Answers
+//!    are bit-identical to the offline batch engine at the pinned version
+//!    (asserted by `tests/serve_equivalence.rs`).
 //! 3. **Result cache** — a sharded [`cache::ResultCache`] keyed
-//!    `(version, metric, source)`. On publish, entries for delta-local
-//!    metrics whose source lies outside the delta's two-hop ball are
-//!    promoted to the new version; everything else is dropped. `get` is
-//!    version-exact, so a stale answer is structurally unservable.
+//!    `(version, metric, source)`. On publish, the delta's two-hop ball is
+//!    marked in a node-indexed array; entries for delta-local metrics
+//!    whose source lies outside it are promoted to the new version, and
+//!    everything else is dropped. `get` is version-exact, so a stale
+//!    answer is structurally unservable.
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +45,6 @@ use osn_metrics::fused::{FusedCtx, FusedScratch, LocalKind};
 use osn_metrics::solver::SolverCache;
 use osn_metrics::traits::CandidatePolicy;
 use query::EnumScratch;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -233,7 +237,11 @@ impl Server {
 
     /// Folds all pending ingest into a new published version, invalidates
     /// the result cache for sources the delta's two-hop ball touched, and
-    /// swaps the new snapshot in for subsequent queries.
+    /// swaps the new snapshot in for subsequent queries. Two publishes
+    /// racing past the ingest lock may reach the swap out of order; the
+    /// store keeps the newer version ([`SnapshotStore::swap`]). A late
+    /// invalidation can only cost hits: `get` is version-exact, so no
+    /// entry it leaves behind is served at the newer version.
     pub fn publish(&self) -> PublishOutcome {
         let (prev_version, publication) = {
             let mut live = lock_live(&self.live);
@@ -254,7 +262,7 @@ impl Server {
         let touched =
             touched_two_ball(&publication.snapshot, &publication.delta, self.cfg.promote_limit);
         let flushed = touched.is_none();
-        self.cache.advance(prev_version, publication.version, touched.as_ref(), &self.promotable);
+        self.cache.advance(prev_version, publication.version, touched.as_deref(), &self.promotable);
         self.store.swap(next);
         self.publishes.fetch_add(1, Ordering::Relaxed);
         PublishOutcome {
@@ -362,45 +370,45 @@ fn lock_workers(m: &Mutex<Vec<JoinHandle<()>>>) -> std::sync::MutexGuard<'_, Vec
     }
 }
 
-/// All nodes within two hops of any delta endpoint in `snap` — the
-/// sources whose cached answers a publish may have changed (see
-/// [`cache::ResultCache::advance`]). `None` once the ball exceeds
-/// `limit`, signalling the caller to flush instead.
+/// Marks every node within two hops of any delta endpoint in `snap` —
+/// the sources whose cached answers a publish may have changed (see
+/// [`cache::ResultCache::advance`]). `ball[u]` is true for a touched node,
+/// and the array covers exactly `snap`'s nodes. `None` once the ball
+/// holds more than `limit` nodes, signalling the caller to flush instead.
 fn touched_two_ball(
     snap: &Snapshot,
     delta: &[(NodeId, NodeId)],
     limit: usize,
-) -> Option<HashSet<NodeId>> {
-    let mut ball: HashSet<NodeId> = HashSet::new();
+) -> Option<Vec<bool>> {
+    let mut ball = vec![false; snap.node_count()];
     let mut frontier: Vec<NodeId> = Vec::new();
     for &(u, v) in delta {
         for e in [u, v] {
-            if ball.insert(e) {
+            if let Some(slot @ false) = ball.get_mut(e as usize) {
+                *slot = true;
                 frontier.push(e);
             }
         }
     }
+    let mut size = frontier.len();
     // Two BFS rings from every endpoint at once.
     for _ in 0..2 {
-        if ball.len() > limit {
+        if size > limit {
             return None;
         }
         let mut next: Vec<NodeId> = Vec::new();
         for &w in &frontier {
-            if (w as usize) < snap.node_count() {
-                for &x in snap.neighbors(w) {
-                    if ball.insert(x) {
-                        next.push(x);
-                    }
+            for &x in snap.neighbors(w) {
+                if !ball[x as usize] {
+                    ball[x as usize] = true;
+                    next.push(x);
                 }
             }
         }
+        size += next.len();
         frontier = next;
     }
-    if ball.len() > limit {
-        return None;
-    }
-    Some(ball)
+    (size <= limit).then_some(ball)
 }
 
 /// One scoring worker: pin the current version, build the fused kernel
@@ -419,17 +427,20 @@ fn worker_loop(
     if metrics.len() != cfg.metrics.len() {
         return;
     }
+    let kinds: Vec<LocalKind> = metrics.iter().filter_map(|m| m.fused_kind()).collect();
     let mut carried: Option<Query> = None;
     'repin: loop {
         let pinned = store.current();
         let snap: &Snapshot = &pinned.snapshot;
-        // Per-version kernel state: one fused context over all local
-        // kinds (scoring any subset of a superset context is
-        // bit-identical to a dedicated context), one scratch pair, and a
-        // fresh transient solver cache — transient caches never
-        // warm-start, which keeps global-metric answers bit-identical to
-        // an offline cold solve at this snapshot.
-        let ctx = FusedCtx::build(snap, &LocalKind::ALL);
+        // Per-version kernel state: one fused context over the served
+        // metrics' local kinds (scoring one kind out of it is
+        // bit-identical to a dedicated context; the Bayes kinds read the
+        // snapshot's shared triangle counts, so only the first worker to
+        // pin a version counts them), one scratch pair, and a fresh
+        // transient solver cache — transient caches never warm-start,
+        // which keeps global-metric answers bit-identical to an offline
+        // cold solve at this snapshot.
+        let ctx = FusedCtx::build(snap, &kinds);
         let mut fused_scratch = FusedScratch::new(snap.node_count());
         let mut enum_scratch = EnumScratch::new(snap.node_count());
         let mut solver = SolverCache::transient();
@@ -562,9 +573,10 @@ mod tests {
     fn touched_ball_bounds_and_flush() {
         let snap = Snapshot::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let ball = touched_two_ball(&snap, &[(1, 2)], 100).unwrap();
-        // Endpoints 1,2; ring 1 adds 0,3; ring 2 adds 4.
-        let expect: HashSet<NodeId> = [0, 1, 2, 3, 4].into_iter().collect();
-        assert_eq!(ball, expect);
+        // Endpoints 1,2; ring 1 adds 0,3; ring 2 adds 4. One flag per node.
+        assert_eq!(ball, vec![true, true, true, true, true, false]);
+        assert_eq!(touched_two_ball(&snap, &[(1, 2)], 5), Some(ball), "a ball of 5 fits 5");
+        assert!(touched_two_ball(&snap, &[(1, 2)], 4).is_none(), "ring 2 passes the limit");
         assert!(touched_two_ball(&snap, &[(1, 2)], 2).is_none(), "limit forces flush");
     }
 }

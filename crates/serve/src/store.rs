@@ -2,12 +2,13 @@
 //!
 //! Ingest prepares the next [`Versioned`] entirely off to the side (the
 //! streaming CSR merge, the hub list, the invalidation set) and installs
-//! it with one O(1) pointer swap under a write lock. Query workers
-//! [`pin`](SnapshotStore::current) the current version by cloning the
-//! `Arc` under a read lock — after that they hold the snapshot with no
-//! lock at all, so a worker mid-query never blocks a publish and a
-//! publish never invalidates what a pinned reader sees. Two queries
-//! answered at the same [`Versioned::version`] saw byte-identical state.
+//! it with one O(1) pointer swap under a write lock, never over a newer
+//! version. Query workers [`pin`](SnapshotStore::current) the current
+//! version by cloning the `Arc` under a read lock — after that they hold
+//! the snapshot with no lock at all, so a worker mid-query never blocks a
+//! publish and a publish never invalidates what a pinned reader sees. Two
+//! queries answered at the same [`Versioned::version`] saw byte-identical
+//! state.
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
@@ -76,14 +77,20 @@ impl SnapshotStore {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Installs `next` as the current version. O(1) under the write
-    /// lock — all merge/derive work happens before this call.
+    /// Installs `next` as the current version unless the store already
+    /// holds a newer one, so the store never moves backwards: two
+    /// publishes racing to the swap leave the later version current,
+    /// whichever arrives last. O(1) under the write lock — all
+    /// merge/derive work happens before this call.
     pub fn swap(&self, next: Versioned) {
         let next_version = next.version;
         let mut guard = match self.current.write() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
+        if next_version < guard.version {
+            return;
+        }
         *guard = Arc::new(next);
         self.version.store(next_version, Ordering::Release);
     }
@@ -106,6 +113,17 @@ mod tests {
         assert_eq!(pinned.snapshot.edge_count(), 1, "pinned snapshot unchanged");
         assert_eq!(store.version(), 2);
         assert_eq!(store.current().snapshot.edge_count(), 2);
+    }
+
+    #[test]
+    fn swap_never_moves_backwards() {
+        let store = SnapshotStore::new(Versioned::derive(1, snap(&[(0, 1)], 3), 2));
+        store.swap(Versioned::derive(3, snap(&[(0, 1), (1, 2), (0, 2)], 3), 2));
+        // A publish that lost the race to the swap arrives late.
+        store.swap(Versioned::derive(2, snap(&[(0, 1), (1, 2)], 3), 2));
+        assert_eq!(store.version(), 3);
+        assert_eq!(store.current().version, 3);
+        assert_eq!(store.current().snapshot.edge_count(), 3);
     }
 
     #[test]
