@@ -121,9 +121,18 @@ impl SampledEstimate {
 /// The sampled test universe on `snap` for sorted `members`: every
 /// unconnected member pair when that fits under `max_universe_pairs`,
 /// otherwise the candidate-restricted universe (2-hop member pairs plus
-/// all pairs touching the 20 highest-degree members). Returns the pairs
-/// and the *exact* unconnected-pair count of the sample — the accuracy-
-/// ratio denominator is always exact, whichever universe was scored.
+/// all pairs touching the 20 highest-degree members, the hubs). Returns the
+/// pairs, sorted and distinct, and the *exact* unconnected-pair count of
+/// the sample — the accuracy-ratio denominator is always exact, whichever
+/// universe was scored.
+///
+/// The restricted universe is built member by member, already in order:
+/// a hub's pairs are every later member it is not adjacent to, one merge
+/// of the member list with its neighbours; any other member's pairs are
+/// its 2-hop targets ([`traversal::two_hop_pairs_among`]) plus the later
+/// hubs it is not adjacent to, sorted as one short run. The hubs are the
+/// first 20 members after an unstable sort by descending degree, which
+/// fixes the choice among members tied on degree.
 ///
 /// Shared between the §5 classification pipeline and the sampled metric
 /// evaluation so both judge against the identical universe construction.
@@ -133,11 +142,11 @@ pub fn sampled_universe(
     max_universe_pairs: usize,
 ) -> (Vec<(NodeId, NodeId)>, f64) {
     let s = members.len() as f64;
-    let member_set: HashSet<NodeId> = members.iter().copied().collect();
+    let is_member = membership(snap.node_count(), members);
     let mut edges_inside = 0usize;
     for &u in members {
         for &v in snap.neighbors(u) {
-            if v > u && member_set.contains(&v) {
+            if v > u && is_member[v as usize] {
                 edges_inside += 1;
             }
         }
@@ -147,21 +156,51 @@ pub fn sampled_universe(
     let pairs = if exhaustive_count <= max_universe_pairs {
         traversal::all_pairs_among(snap, members)
     } else {
-        let mut pairs = traversal::two_hop_pairs_among(snap, members);
+        let two_hop = traversal::two_hop_pairs_among(snap, members);
         let mut by_degree = members.to_vec();
         by_degree.sort_unstable_by_key(|&u| std::cmp::Reverse(snap.degree(u)));
-        for &h in by_degree.iter().take(20) {
-            for &v in members {
-                if v != h && !snap.has_edge(h, v) {
-                    pairs.push(osn_graph::canonical(h, v));
+        let mut hubs: Vec<NodeId> = by_degree.iter().take(20).copied().collect();
+        hubs.sort_unstable();
+        let mut pairs = Vec::with_capacity(two_hop.len() + hubs.len() * members.len());
+        let mut rest = &two_hop[..];
+        let mut run: Vec<NodeId> = Vec::new();
+        for (i, &u) in members.iter().enumerate() {
+            // `two_hop` holds the members' runs in member order.
+            let (targets, tail) = rest.split_at(rest.partition_point(|&(a, _)| a == u));
+            rest = tail;
+            if hubs.binary_search(&u).is_ok() {
+                let nbrs = snap.neighbors(u);
+                let mut j = nbrs.partition_point(|&x| x <= u);
+                for &v in &members[i + 1..] {
+                    while j < nbrs.len() && nbrs[j] < v {
+                        j += 1;
+                    }
+                    if nbrs.get(j) != Some(&v) {
+                        pairs.push((u, v));
+                    }
                 }
+            } else {
+                run.clear();
+                run.extend(targets.iter().map(|&(_, v)| v));
+                let later = &hubs[hubs.partition_point(|&h| h <= u)..];
+                run.extend(later.iter().copied().filter(|&h| !snap.has_edge(u, h)));
+                run.sort_unstable();
+                run.dedup();
+                pairs.extend(run.iter().map(|&v| (u, v)));
             }
         }
-        pairs.sort_unstable();
-        pairs.dedup();
         pairs
     };
     (pairs, exact_universe)
+}
+
+/// Sample membership as a marker array over the `n` nodes of a snapshot.
+fn membership(n: usize, members: &[NodeId]) -> Vec<bool> {
+    let mut is_member = vec![false; n];
+    for &m in members {
+        is_member[m as usize] = true;
+    }
+    is_member
 }
 
 /// Node subsets for every draw, in draw order — deterministic in
@@ -209,16 +248,14 @@ pub fn evaluate_metric_sampled_on(
     let mut ks = Vec::with_capacity(members_per_draw.len());
     let mut sizes = Vec::with_capacity(members_per_draw.len());
     for (di, members) in members_per_draw.iter().enumerate() {
-        let member_set: HashSet<NodeId> = members.iter().copied().collect();
+        let is_member = membership(prev.node_count(), members);
+        let inside = |x: NodeId| is_member.get(x as usize).copied().unwrap_or(false);
         let (mut pairs, exact_universe) = sampled_universe(prev, members, spec.max_universe_pairs);
         if let Some(f) = filter {
             pairs = f.filter_pairs(prev, &pairs);
         }
-        let truth: HashSet<(NodeId, NodeId)> = truth_full
-            .iter()
-            .copied()
-            .filter(|&(u, v)| member_set.contains(&u) && member_set.contains(&v))
-            .collect();
+        let truth: HashSet<(NodeId, NodeId)> =
+            truth_full.iter().copied().filter(|&(u, v)| inside(u) && inside(v)).collect();
         let k = truth.len();
         let scores = exec::score_pairs_t(metric, prev, &pairs, par::max_threads());
         let predicted = topk::top_k_pairs(&pairs, &scores, k, spec.seed ^ di as u64);

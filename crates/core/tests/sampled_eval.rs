@@ -1,9 +1,10 @@
 //! Properties of the sampled-evaluation mode (DESIGN.md §16): the
 //! estimate is bit-identical for a fixed seed across worker counts,
 //! cache section sizes, and reader window sizes; snowball draws handle
-//! multi-component graphs by documented restart; and the sampled mean
-//! accuracy ratio tracks the full evaluation on a small preset in the
-//! regime where the full evaluation is itself statistically meaningful.
+//! multi-component graphs by documented restart; the candidate-restricted
+//! universe equals its whole-list oracle; and the sampled mean accuracy
+//! ratio tracks the full evaluation on a small preset in the regime where
+//! the full evaluation is itself statistically meaningful.
 
 use linklens_core::framework::SequenceEvaluator;
 use linklens_core::sampling::{self, SampleMethod, SampleSpec};
@@ -12,7 +13,7 @@ use osn_graph::sample::snowball;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::stream::{StreamingSequence, StreamingSnapshotBuilder};
-use osn_graph::NodeId;
+use osn_graph::{traversal, NodeId};
 use osn_metrics::local::CommonNeighbors;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -201,5 +202,84 @@ proptest! {
                 "restart never left the seed component"
             );
         }
+    }
+}
+
+/// The candidate-restricted universe built the direct way, as the oracle
+/// for [`sampling::sampled_universe`]'s member-by-member construction: the
+/// whole-graph two-hop walk filtered to member pairs, every unconnected
+/// pair touching one of the 20 highest-degree members (the same hub rule),
+/// then one sort and dedup of the whole list. The exact universe count is
+/// the number of unconnected member pairs, counted pair by pair.
+fn restricted_universe_oracle(snap: &Snapshot, members: &[NodeId]) -> (Vec<(NodeId, NodeId)>, f64) {
+    let is_member = |x: NodeId| members.binary_search(&x).is_ok();
+    let mut pairs: Vec<(NodeId, NodeId)> = traversal::two_hop_pairs(snap, None, 1)
+        .into_iter()
+        .filter(|&(u, v)| is_member(u) && is_member(v))
+        .collect();
+    let mut by_degree = members.to_vec();
+    by_degree.sort_unstable_by_key(|&u| std::cmp::Reverse(snap.degree(u)));
+    for &h in by_degree.iter().take(20) {
+        for &v in members {
+            if v != h && !snap.has_edge(h, v) {
+                pairs.push(osn_graph::canonical(h, v));
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let exact = members
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &u)| members[i + 1..].iter().map(move |&v| (u, v)))
+        .filter(|&(u, v)| !snap.has_edge(u, v))
+        .count();
+    (pairs, exact as f64)
+}
+
+/// Random graphs of up to 60 nodes for the restricted universe: random
+/// edges over the first `n - isolated` nodes, optionally a ring through
+/// them (every node of degree 2 or more, so degrees tie at the hub cutoff)
+/// and optionally a node adjacent to every other node. Each node is a
+/// member when its pick is below `density`, so samples range from none to
+/// all 60 nodes, on both sides of the 20 hubs.
+fn arb_sample_graph() -> impl Strategy<Value = (Snapshot, Vec<NodeId>)> {
+    (3usize..=60).prop_flat_map(|n| {
+        let edge = (0..n as NodeId, 0..n as NodeId);
+        let shape = (0usize..=n / 4, 0u8..2, 0u8..2);
+        let picks = (proptest::collection::vec(0u8..4, n), 1u8..=4);
+        (proptest::collection::vec(edge, 0..2 * n), shape, picks).prop_map(
+            move |(raw, (isolated, ring, star), (picks, density))| {
+                let linked = (n - isolated) as NodeId;
+                let mut edges: Vec<(NodeId, NodeId)> = raw
+                    .into_iter()
+                    .map(|(a, b)| (a % linked, b % linked))
+                    .filter(|&(a, b)| a != b)
+                    .collect();
+                if ring == 1 || edges.is_empty() {
+                    edges.extend((0..linked).map(|i| (i, (i + 1) % linked)));
+                }
+                if star == 1 {
+                    edges.extend((1..n as NodeId).map(|v| (0, v)));
+                }
+                let members = (0..n as NodeId).filter(|&v| picks[v as usize] < density).collect();
+                (Snapshot::from_edges(n, &edges), members)
+            },
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A cap of 0 forces the candidate-restricted universe for every
+    /// sample of two or more members; its pairs, in order, and its exact
+    /// universe count equal the whole-list oracle's.
+    #[test]
+    fn restricted_universe_equals_the_whole_list_oracle((snap, members) in arb_sample_graph()) {
+        let (pairs, exact) = sampling::sampled_universe(&snap, &members, 0);
+        let (want, want_exact) = restricted_universe_oracle(&snap, &members);
+        prop_assert_eq!(pairs, want, "members {:?}", members);
+        prop_assert_eq!(exact.to_bits(), want_exact.to_bits());
     }
 }

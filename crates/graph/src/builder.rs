@@ -157,7 +157,8 @@ impl<'a> SnapshotBuilder<'a> {
         let delta = &self.trace.edges()[self.cur_prefix..prefix_len];
         let time = self.trace.edges()[prefix_len - 1].t;
         let new_n = self.trace.nodes_at(time);
-        self.arena.apply(delta, new_n, time, prefix_len);
+        let merged = self.arena.apply(delta, new_n, time, prefix_len);
+        debug_assert!(merged.is_ok(), "a TemporalGraph holds each pair once: {merged:?}");
         self.cur_prefix = prefix_len;
         self.started = true;
         if crate::audit::audit_enabled() {
@@ -180,13 +181,19 @@ impl MergeArena {
     /// yields bit-identical CSRs — every merge reproduces exactly the
     /// `Snapshot::up_to` layout for its prefix — which is what lets
     /// windowed sweeps pick their read size freely.
+    ///
+    /// A pair already in the CSR, or twice in `edges`, is an `Err` naming
+    /// the pair (canonical). The merge sees every such repeat as two equal
+    /// neighbours, either side by side in a sorted delta group or where a
+    /// delta entry meets the old run, so the check costs one comparison per
+    /// delta entry. On `Err` the current snapshot is left as it was.
     pub(crate) fn apply(
         &mut self,
         edges: &[TimedEdge],
         new_n: usize,
         time: Timestamp,
         prefix_len: usize,
-    ) {
+    ) -> Result<(), (NodeId, NodeId)> {
         let old_n = self.snap.n;
         debug_assert!(new_n >= old_n, "node arrivals are non-decreasing");
         if self.dcur.len() < new_n {
@@ -251,21 +258,31 @@ impl MergeArena {
             let group = &mut self.staging[self.doff[u] as usize..self.doff[u + 1] as usize];
             if group.len() > 1 {
                 group.sort_unstable_by_key(|&(v, _)| v);
+                if let Some(w) = group.windows(2).find(|w| w[0].0 == w[1].0) {
+                    return Err(crate::canonical(u as NodeId, w[0].0));
+                }
             }
             let group = &self.staging[self.doff[u] as usize..self.doff[u + 1] as usize];
             let (lo, hi) = (old_off(u), old_off(u + 1));
             let mut i = lo;
             let mut j = 0usize;
+            let mut repeat = None;
             while i < hi && j < group.len() {
                 if old_nbr[i] < group[j].0 {
                     self.nbr2.push(old_nbr[i]);
                     self.tm2.push(old_tm[i]);
                     i += 1;
                 } else {
+                    if old_nbr[i] == group[j].0 {
+                        repeat = Some(group[j].0);
+                    }
                     self.nbr2.push(group[j].0);
                     self.tm2.push(group[j].1);
                     j += 1;
                 }
+            }
+            if let Some(v) = repeat {
+                return Err(crate::canonical(u as NodeId, v));
             }
             if i < hi {
                 self.nbr2.extend_from_slice(&old_nbr[i..hi]);
@@ -296,6 +313,7 @@ impl MergeArena {
         snap.tables.take();
         snap.digest.take();
         snap.triangles.take();
+        Ok(())
     }
 }
 

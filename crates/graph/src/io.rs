@@ -27,6 +27,15 @@
 //! [`CacheFileWriter`] on the way out and [`SectionedCacheReader`] (behind
 //! the [`TraceReader`] trait) on the way in, so neither side ever holds the
 //! full edge list in memory.
+//!
+//! Unlike the text format, a cache never holds a pair twice. The writer
+//! does not check this, since that would take a set of every pair written;
+//! the readers reject a cache that breaks it, naming the pair.
+//! [`read_cache`] does so while it builds the trace, and a
+//! [`SectionedCacheReader`] sweep does so in the CSR merge of
+//! [`crate::stream::StreamingSnapshotBuilder::advance_to`], where the two
+//! copies meet as equal neighbours. Opening a [`SectionedCacheReader`]
+//! stays O(1) per event and does not look for repeats.
 
 use crate::temporal::{TemporalGraph, TimedEdge};
 use crate::{NodeId, Timestamp};
@@ -406,6 +415,11 @@ impl<W: Write> CacheStreamWriter<W> {
 
     /// Appends an edge (endpoints canonicalized). Edge times must be
     /// non-decreasing and both endpoint ids must already have been pushed.
+    ///
+    /// The pair must also be new, but the writer does not check that:
+    /// doing so would take a set of every pair written, tens of MiB at a
+    /// million edges. Both readers reject a cache that holds a pair twice
+    /// (see the module docs).
     pub fn push_edge(&mut self, u: NodeId, v: NodeId, t: Timestamp) -> Result<(), TraceIoError> {
         if u == v {
             return Err(TraceIoError::Cache(format!("self loop on node {u}")));
@@ -739,14 +753,34 @@ pub fn write_cache<W: Write>(trace: &TemporalGraph, writer: W) -> Result<(), Tra
 /// one streaming pass (fixed 64 KiB chunks — corruption is detected without
 /// a full-file allocation, and the error names the bad section). Any mismatch
 /// returns [`TraceIoError::Cache`] so callers can fall back to the text
-/// source.
+/// source. So does a pair the cache holds twice: the error names the pair,
+/// and no copy is dropped silently.
 pub fn read_cache<R: Read>(reader: R) -> Result<TemporalGraph, TraceIoError> {
     let mut r = BufReader::new(reader);
     let mut edges: Vec<(NodeId, NodeId, Timestamp)> = Vec::new();
     let (_, arrivals) = scan_sections(&mut r, |_, _, _| {}, |u, v, t| edges.push((u, v, t)))?;
-    // The scan has checked every event, so `from_events` cannot panic; it
-    // drops any duplicate pair, keeping the earliest.
-    Ok(TemporalGraph::from_events(arrivals, edges))
+    checked_graph(arrivals, edges.into_iter())
+}
+
+/// The in-core trace of cache events a scan has already checked, in file
+/// order. The scan leaves `add_edge` nothing to panic on; a pair it finds
+/// already added is an error naming the pair.
+fn checked_graph(
+    arrivals: Vec<Timestamp>,
+    edges: impl ExactSizeIterator<Item = (NodeId, NodeId, Timestamp)>,
+) -> Result<TemporalGraph, TraceIoError> {
+    let mut g = TemporalGraph::with_capacity(arrivals, edges.len());
+    for (u, v, t) in edges {
+        if !g.add_edge(u, v, t) {
+            return Err(repeated_pair(u, v));
+        }
+    }
+    Ok(g)
+}
+
+/// The error both cache readers return for a pair the cache holds twice.
+pub(crate) fn repeated_pair(u: NodeId, v: NodeId) -> TraceIoError {
+    TraceIoError::Cache(format!("edge ({u}, {v}) appears twice"))
 }
 
 /// [`read_cache`] from a filesystem path.
@@ -909,7 +943,8 @@ impl SectionedCacheReader {
     }
 
     /// Materializes the entire trace as an in-core [`TemporalGraph`],
-    /// re-validating every invariant via `from_events`.
+    /// re-validating every invariant on insertion and, like [`read_cache`],
+    /// rejecting a pair the cache holds twice.
     ///
     /// This is the small-trace convenience path: it allocates the full edge
     /// list. Large-trace consumers should stay on
@@ -920,9 +955,7 @@ impl SectionedCacheReader {
         let mut window: Vec<TimedEdge> = Vec::new();
         let total = self.edges;
         self.read_edge_window(0, total, &mut window)?;
-        let events: Vec<(NodeId, NodeId, Timestamp)> =
-            window.into_iter().map(|e| (e.u, e.v, e.t)).collect();
-        Ok(TemporalGraph::from_events(self.arrivals.clone(), events))
+        checked_graph(self.arrivals.clone(), window.into_iter().map(|e| (e.u, e.v, e.t)))
     }
 }
 
@@ -1541,6 +1574,66 @@ mod tests {
     #[test]
     fn non_canonical_pair_is_an_error() {
         assert_both_readers_reject("non-canonical pair", &hand_built(&[0, 0], &[(1, 0, 5)]));
+    }
+
+    /// A cache holding the pair (0, 1) twice, with another edge between
+    /// the copies. Its checksums are valid, and the writer would take it.
+    fn repeated_pair_cache() -> Vec<u8> {
+        hand_built(&[0, 0, 0], &[(0, 1, 2), (1, 2, 3), (0, 1, 4)])
+    }
+
+    #[test]
+    fn read_cache_rejects_a_repeated_pair() {
+        let bytes = repeated_pair_cache();
+        match read_cache(&bytes[..]) {
+            Err(TraceIoError::Cache(msg)) => assert!(msg.contains("(0, 1)"), "{msg}"),
+            other => panic!("read_cache returned {:?}", other.map(|g| g.edge_count())),
+        }
+        let path =
+            std::env::temp_dir().join(format!("linklens-repeat-full-{}.llc", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = SectionedCacheReader::open(&path).unwrap().load_full();
+        let _ = std::fs::remove_file(&path);
+        match loaded {
+            Err(TraceIoError::Cache(msg)) => assert!(msg.contains("(0, 1)"), "{msg}"),
+            other => panic!("load_full returned {:?}", other.map(|g| g.edge_count())),
+        }
+    }
+
+    /// Opens the repeated-pair cache (opening does not look for repeats)
+    /// and sweeps it at window cap `max_window`. The advance must fail
+    /// naming the pair, and the builder must hold no snapshot with a
+    /// repeated neighbour. Returns the prefix the builder stopped at.
+    fn streamed_repeat_stops_at(max_window: usize) -> usize {
+        let path = std::env::temp_dir()
+            .join(format!("linklens-repeat-stream-{}-{max_window}.llc", std::process::id()));
+        std::fs::write(&path, repeated_pair_cache()).unwrap();
+        let reader = SectionedCacheReader::open(&path);
+        let _ = std::fs::remove_file(&path);
+        let mut builder =
+            crate::stream::StreamingSnapshotBuilder::with_max_window(reader.unwrap(), max_window);
+        match builder.advance_to(3) {
+            Err(TraceIoError::Cache(msg)) => assert!(msg.contains("(0, 1)"), "{msg}"),
+            other => panic!("advance returned {:?}", other.map(|s| s.edge_count())),
+        }
+        if let Some(snap) = builder.current() {
+            snap.validate().unwrap();
+        }
+        builder.prefix_len()
+    }
+
+    #[test]
+    fn streaming_sweep_rejects_a_pair_repeated_across_windows() {
+        // One edge per window: the second copy meets the first in the old
+        // CSR run, after the two clean windows have merged.
+        assert_eq!(streamed_repeat_stops_at(1), 2);
+    }
+
+    #[test]
+    fn streaming_sweep_rejects_a_pair_repeated_within_a_window() {
+        // The default cap reads all three edges at once: both copies sit in
+        // node 0's sorted delta group, and nothing is merged.
+        assert_eq!(streamed_repeat_stops_at(crate::stream::DEFAULT_WINDOW_EDGES), 0);
     }
 
     #[test]

@@ -182,7 +182,8 @@ impl LiveGraph {
         let delta: Vec<(NodeId, NodeId)> = delta_edges.iter().map(|e| (e.u, e.v)).collect();
         let time = self.trace.edges()[prefix - 1].t;
         let new_n = self.trace.nodes_at(time);
-        self.arena.apply(delta_edges, new_n, time, prefix);
+        let merged = self.arena.apply(delta_edges, new_n, time, prefix);
+        debug_assert!(merged.is_ok(), "ingest drops repeated pairs: {merged:?}");
         self.published_prefix = prefix;
         self.version += 1;
         if crate::audit::audit_enabled() {

@@ -10,8 +10,14 @@
 //! [`crate::io::SectionedCacheReader`] — holding only
 //!
 //! * the arrival vector (8 bytes/node),
-//! * the CSR of the current snapshot (the sweep's product), and
+//! * the CSR of the current snapshot (the sweep's product), in a double
+//!   buffer sized once for the whole trace, and
 //! * one bounded delta window of edges at a time.
+//!
+//! The double buffer holds `2 × edge_count` entries per side from the
+//! start, as [`crate::builder::SnapshotBuilder`]'s does: grown by doubling
+//! instead, its last advances would hold a front buffer up to twice the
+//! final CSR beside the back buffer being written.
 //!
 //! Window size is a pure I/O knob: [`MergeArena`](crate::builder) applies a
 //! delta split across several windows bit-identically to one big merge, so
@@ -55,10 +61,11 @@ impl<R: TraceReader> StreamingSnapshotBuilder<R> {
 
     /// Creates a builder with an explicit cap on the edges resident in the
     /// delta window. Any positive cap produces identical snapshots; small
-    /// caps trade syscalls for memory.
+    /// caps trade syscalls for memory. The CSR double buffer is reserved
+    /// for the whole trace here, once.
     pub fn with_max_window(reader: R, max_window: usize) -> Self {
         assert!(max_window > 0, "window must hold at least one edge");
-        let arena = MergeArena::new(reader.node_count(), 0);
+        let arena = MergeArena::new(reader.node_count(), 2 * reader.edge_count());
         StreamingSnapshotBuilder {
             reader,
             arena,
@@ -95,6 +102,11 @@ impl<R: TraceReader> StreamingSnapshotBuilder<R> {
     /// most `max_window` edges. Re-requesting the current prefix is a no-op
     /// returning the same view.
     ///
+    /// A pair the trace holds twice is a [`TraceIoError::Cache`] naming
+    /// it, whether its copies fall in one window or in two; the builder
+    /// then stays at the end of the last window merged cleanly, and never
+    /// returns a snapshot with a repeated neighbour.
+    ///
     /// # Panics
     /// Panics if `prefix_len` is zero, exceeds the trace length, or moves
     /// backwards (snapshots are append-only; build a fresh builder to
@@ -113,10 +125,12 @@ impl<R: TraceReader> StreamingSnapshotBuilder<R> {
             // linklens-allow(unwrap-in-lib): the loop guard makes the window non-empty
             let time = self.window.last().expect("non-empty delta window").t;
             let new_n = self.reader.nodes_at(time);
-            self.arena.apply(&self.window, new_n, time, end);
+            self.arena
+                .apply(&self.window, new_n, time, end)
+                .map_err(|(u, v)| crate::io::repeated_pair(u, v))?;
             self.cur_prefix = end;
+            self.started = true;
         }
-        self.started = true;
         if crate::audit::audit_enabled() {
             if let Err(e) = self.arena.snap.validate() {
                 panic!("snapshot invariant violated after advance to prefix {prefix_len}: {e}");

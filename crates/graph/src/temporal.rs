@@ -94,15 +94,21 @@ impl TemporalGraph {
             assert!(w[0] <= w[1], "node arrivals must be non-decreasing");
         }
         edges.sort_by_key(|&(_, _, t)| t);
-        let mut g = TemporalGraph {
-            edges: Vec::with_capacity(edges.len()),
-            node_arrival: arrivals,
-            seen: HashSet::with_capacity(edges.len()),
-        };
+        let mut g = TemporalGraph::with_capacity(arrivals, edges.len());
         for (u, v, t) in edges {
             g.add_edge(u, v, t);
         }
         g
+    }
+
+    /// An edgeless trace over `arrivals`, which the caller has checked are
+    /// non-decreasing, with room for `edges` edges.
+    pub(crate) fn with_capacity(arrivals: Vec<Timestamp>, edges: usize) -> Self {
+        TemporalGraph {
+            edges: Vec::with_capacity(edges),
+            node_arrival: arrivals,
+            seen: HashSet::with_capacity(edges),
+        }
     }
 
     /// Total number of nodes ever registered.

@@ -9,6 +9,12 @@
 //! [`all_pairs_among`] over a sampled node subset. The whole-graph
 //! enumerators take an optional §6.2 [`Prune`] context and a worker count,
 //! and return the same list for every worker count.
+//!
+//! [`two_hop_pairs_among`] walks member-restricted witness lists: for each
+//! node `w`, the list `Γ(w) ∩ M` of the sample `M`, filled once per call in
+//! member order. The walk from a member then visits only the 2-paths that
+//! end at a member, so it costs `Σ_w |Γ(w) ∩ M|²` plus `Σ_{u∈M} deg(u)`
+//! instead of `Σ_{u∈M} Σ_{w∈Γ(u)} deg(w)`.
 
 use crate::activity::{NodeActivity, Prune, PruneSpec};
 use crate::snapshot::Snapshot;
@@ -105,7 +111,7 @@ pub fn two_hop_pairs(snap: &Snapshot, prune: Prune<'_>, threads: usize) -> Vec<(
         for u in sources {
             let u = u as NodeId;
             let targets = match prune {
-                None => scan.candidates(snap, u, |_| true),
+                None => scan.candidates(snap, u),
                 Some((act, spec)) => scan.survivors(snap, u, act, spec),
             };
             out.extend(targets.iter().map(|&v| (u, v)));
@@ -169,8 +175,8 @@ where
 ///
 /// A walk from `u` stamps `Γ(u)` into an epoch-stamped marker array, then
 /// visits every 2-path `u – w – v` in ascending-`w` order and keeps each
-/// unstamped `v > u` that passes the caller's filter, stamping it too.
-/// Candidates therefore come out in witness-discovery order, each once.
+/// unstamped `v > u`, stamping it too. Candidates therefore come out in
+/// witness-discovery order, each once.
 ///
 /// Epochs make per-source reset O(1): bumping the epoch invalidates every
 /// stamp at once. On wraparound (the epoch counter returning to 0 after
@@ -179,7 +185,8 @@ where
 /// epoch.
 struct TwoHopScan {
     epoch: u32,
-    /// `mark[x] == epoch` ⇔ `x ∈ Γ(u)` or the walk already reached `x`.
+    /// `mark[x] == epoch` ⇔ `x ∈ Γ(u)` (member walks: `x ∈ Γ(u) ∩ M`) or
+    /// the walk already reached `x`.
     mark: Vec<u32>,
     /// Pruned walks only, valid iff `mark[x] == epoch`: the index of `x`
     /// in `cand`, or [`SKIP`].
@@ -219,23 +226,39 @@ impl TwoHopScan {
         self.epoch
     }
 
-    /// The candidates of `u` that pass `keep`, in discovery order: distinct
-    /// unconnected nodes `v > u` at distance exactly 2. A target failing
-    /// `keep` is never stamped, so a narrow filter keeps the walk's writes
-    /// to its own targets. Borrow is valid until the next walk.
-    fn candidates(
-        &mut self,
-        snap: &Snapshot,
-        u: NodeId,
-        keep: impl Fn(NodeId) -> bool,
-    ) -> &[NodeId] {
+    /// The candidates of `u`, in discovery order: distinct unconnected
+    /// nodes `v > u` at distance exactly 2. Borrow is valid until the next
+    /// walk.
+    fn candidates(&mut self, snap: &Snapshot, u: NodeId) -> &[NodeId] {
         let e = self.begin();
         for &w in snap.neighbors(u) {
             self.mark[w as usize] = e;
         }
         for &w in snap.neighbors(u) {
             for &v in snap.neighbors(w) {
-                if v > u && keep(v) && self.mark[v as usize] != e {
+                if v > u && self.mark[v as usize] != e {
+                    self.mark[v as usize] = e;
+                    self.cand.push(v);
+                }
+            }
+        }
+        &self.cand
+    }
+
+    /// The candidates of member `u` among the members `lists` was built
+    /// for, in [`candidates`](Self::candidates)' discovery order: the
+    /// witnesses `w ∈ Γ(u)` come in ascending order, and each contributes
+    /// its unstamped members `v > u` in ascending order. Only member
+    /// targets can be kept, so only `u`'s member neighbours are stamped.
+    fn member_candidates(&mut self, snap: &Snapshot, u: NodeId, lists: &MemberLists) -> &[NodeId] {
+        let e = self.begin();
+        for &w in lists.of(u) {
+            self.mark[w as usize] = e;
+        }
+        for &w in snap.neighbors(u) {
+            let list = lists.of(w);
+            for &v in &list[list.partition_point(|&v| v <= u)..] {
+                if self.mark[v as usize] != e {
                     self.mark[v as usize] = e;
                     self.cand.push(v);
                 }
@@ -513,22 +536,69 @@ impl Walk2Scan {
     }
 }
 
+/// Member-restricted witness lists: for every node `w`, the members of a
+/// sorted subset `M` adjacent to it, `Γ(w) ∩ M`, in ascending order. Stored
+/// as one CSR of `Σ_{m∈M} deg(m)` entries.
+struct MemberLists {
+    /// `start[w]..start[w + 1]` indexes `w`'s list in `items`.
+    start: Vec<usize>,
+    items: Vec<NodeId>,
+}
+
+impl MemberLists {
+    /// Fills every list in one pass per member. `members` must be strictly
+    /// ascending.
+    fn new(snap: &Snapshot, members: &[NodeId]) -> Self {
+        let n = snap.node_count();
+        let mut start = vec![0usize; n + 1];
+        for &m in members {
+            for &w in snap.neighbors(m) {
+                start[w as usize] += 1;
+            }
+        }
+        // Inclusive prefix sums: `start[w]` becomes the end of `w`'s list.
+        let mut total = 0;
+        for s in &mut start {
+            total += *s;
+            *s = total;
+        }
+        // Filling each list back to front, members in descending order,
+        // leaves it ascending and moves `start[w]` down to its beginning.
+        let mut items = vec![0; total];
+        for &m in members.iter().rev() {
+            for &w in snap.neighbors(m) {
+                start[w as usize] -= 1;
+                items[start[w as usize]] = m;
+            }
+        }
+        MemberLists { start, items }
+    }
+
+    /// `Γ(w) ∩ M`, ascending.
+    fn of(&self, w: NodeId) -> &[NodeId] {
+        let w = w as usize;
+        &self.items[self.start[w]..self.start[w + 1]]
+    }
+}
+
 /// Unconnected 2-hop pairs restricted to a sorted node subset: both
 /// endpoints must be members, but the shared neighbor may be anyone. The
-/// walk is [`two_hop_pairs`]'s with non-member targets dropped, so the
-/// result is its list filtered to member pairs, in the same order. Used by
-/// the sampled classification pipeline.
+/// result is [`two_hop_pairs`]'s list filtered to member pairs, in the same
+/// order: members in turn, each member's targets in witness-discovery
+/// order. Used by the sampled evaluation and classification pipelines.
+///
+/// The walk reads each witness's member list `Γ(w) ∩ M` (see the module
+/// docs) instead of all of `Γ(w)`, so it visits only the 2-paths that end
+/// at a member: O(Σ_w |Γ(w) ∩ M|² + Σ_{u∈M} deg(u)).
+///
+/// `members` must be strictly ascending.
 pub fn two_hop_pairs_among(snap: &Snapshot, members: &[NodeId]) -> Vec<(NodeId, NodeId)> {
     debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
-    let n = snap.node_count();
-    let mut is_member = vec![false; n];
-    for &m in members {
-        is_member[m as usize] = true;
-    }
-    let mut scan = TwoHopScan::new(n);
+    let lists = MemberLists::new(snap, members);
+    let mut scan = TwoHopScan::new(snap.node_count());
     let mut out = Vec::new();
     for &u in members {
-        let targets = scan.candidates(snap, u, |v| is_member[v as usize]);
+        let targets = scan.member_candidates(snap, u, &lists);
         out.extend(targets.iter().map(|&v| (u, v)));
     }
     out
@@ -668,7 +738,7 @@ mod tests {
         let mut scan = TwoHopScan::new(40);
         let mut via_scan = Vec::new();
         for u in 0..40 {
-            for &v in scan.candidates(&s, u, |_| true) {
+            for &v in scan.candidates(&s, u) {
                 via_scan.push((u, v));
             }
         }
@@ -679,16 +749,16 @@ mod tests {
     fn scan_epoch_wraparound_resets_stamps() {
         let s = Snapshot::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (1, 4)]);
         let mut scan = TwoHopScan::new(5);
-        let baseline: Vec<NodeId> = scan.candidates(&s, 0, |_| true).to_vec();
+        let baseline: Vec<NodeId> = scan.candidates(&s, 0).to_vec();
         // Leave stale stamps from a normal scan, then force the counter to
         // the brink so the next two scans cross the wraparound boundary.
         scan.epoch = u32::MAX - 1;
-        assert_eq!(scan.candidates(&s, 0, |_| true), &baseline[..], "epoch == u32::MAX");
+        assert_eq!(scan.candidates(&s, 0), &baseline[..], "epoch == u32::MAX");
         assert_eq!(scan.epoch, u32::MAX);
-        assert_eq!(scan.candidates(&s, 0, |_| true), &baseline[..], "wrapped scan");
+        assert_eq!(scan.candidates(&s, 0), &baseline[..], "wrapped scan");
         assert_eq!(scan.epoch, 1, "wraparound restarts the epoch at 1");
         assert!(scan.mark.iter().all(|&e| e <= 1), "stamps hard-reset on wrap");
-        assert_eq!(scan.candidates(&s, 0, |_| true), &baseline[..], "post-wrap scan");
+        assert_eq!(scan.candidates(&s, 0), &baseline[..], "post-wrap scan");
     }
 
     /// Ring + chords fixture used by several invariance tests.
@@ -889,7 +959,7 @@ mod tests {
         for u in 0..s.node_count() as NodeId {
             let survivors = scan.survivors(&s, u, &act, &spec).to_vec();
             let want: Vec<NodeId> = scan
-                .candidates(&s, u, |_| true)
+                .candidates(&s, u)
                 .iter()
                 .copied()
                 .filter(|&v| {
@@ -918,7 +988,7 @@ mod tests {
             // The survivors are the unpruned walk's hits that pass every
             // criterion, in the unpruned discovery order.
             let want: Vec<NodeId> = scan
-                .candidates(&s, u, |_| true)
+                .candidates(&s, u)
                 .iter()
                 .copied()
                 .filter(|&v| spec.pair_passes(&s, &act, u, v))

@@ -81,14 +81,23 @@ proptest! {
     }
 
     /// The sampled pipeline's subset enumeration is the whole-graph
-    /// two-hop list filtered to member pairs, in the same order.
+    /// two-hop list filtered to member pairs, in the same order. With
+    /// `star` set, an extra non-member node is adjacent to every member, so
+    /// one witness list holds the whole sample.
     #[test]
     fn two_hop_among_is_the_member_filter_of_two_hop(
-        (n, edges) in arb_graph(),
+        (n, mut edges) in arb_graph(),
         picks in proptest::collection::vec(0u32..2, 20),
+        star in 0u8..2,
     ) {
-        let snap = Snapshot::from_edges(n, &edges);
         let members: Vec<NodeId> = (0..n as NodeId).filter(|&v| picks[v as usize] == 1).collect();
+        let n = if star == 1 {
+            edges.extend(members.iter().map(|&m| (m, n as NodeId)));
+            n + 1
+        } else {
+            n
+        };
+        let snap = Snapshot::from_edges(n, &edges);
         let filtered: Vec<(NodeId, NodeId)> = traversal::two_hop_pairs(&snap, None, 1)
             .into_iter()
             .filter(|&(u, v)| members.contains(&u) && members.contains(&v))
