@@ -7,6 +7,15 @@
 //! the snapshot's transition structure per step, so the adjacency CSR is
 //! read once per iteration instead of once per source.
 //!
+//! Each step is that one sweep and nothing more. For each row `v` in
+//! ascending order it gathers the neighbours' degree shares
+//! (`gather_row`: eight columns at a time in a register accumulator, one
+//! scalar for a one-column block), updates the row's solution, residual
+//! and direction (PPR) or its next walk mass (LRW), folds the residual
+//! norms or the finite check, and writes the row's shares for the next
+//! step into a second share buffer. A block's workspace holds exactly its
+//! own columns, so the last block of a batch sweeps no empty ones.
+//!
 //! Four pieces live here:
 //!
 //! * [`TransitionView`] — the degree-normalized transition view of a
@@ -38,7 +47,8 @@
 //! bucketed by side with a stable counting sort over node ids: sides
 //! ascend by id, and queries within a side ascend by pair index. Each
 //! solver advances `min(block_width(n), sides)` columns per block, so a
-//! one-side batch sweeps one column, not the full block width.
+//! one-side batch sweeps one column, not the full block width, and a
+//! batch's last block sweeps only the sides left over.
 //!
 //! ## Warm-start fixed-point argument
 //!
@@ -62,14 +72,17 @@
 //!
 //! Both solvers are bit-identical across thread counts *and* block widths:
 //! every per-column update uses iteration-indexed scalars only (no
-//! cross-column reductions), gathers accumulate in ascending-neighbor
-//! order, and a column's result is snapshotted the first time its residual
-//! crosses the tolerance — exactly the value a width-1 run would have
-//! stopped at. Each pair's score is assigned once, from its side's column,
-//! so no cross-column sum exists whose order could vary. The side itself
-//! is a function of the pair list, so a score depends on (snapshot, pair
-//! list): the same pair scored inside two different batches may take
-//! different sides and differ within the certified error bounds.
+//! cross-column reductions), each column's gather folds from `0.0` in
+//! ascending-neighbor order whatever lane it sits in, and a column's
+//! result is snapshotted the first time its residual crosses the
+//! tolerance — exactly the value a width-1 run would have stopped at.
+//! `tests/walk_kernels.rs` holds both kernels, at every width, to
+//! one-column references bit for bit. Each pair's score is assigned once,
+//! from its side's column, so no cross-column sum exists whose order
+//! could vary. The side itself is a function of the pair list, so a score
+//! depends on (snapshot, pair list): the same pair scored inside two
+//! different batches may take different sides and differ within the
+//! certified error bounds.
 //!
 //! ## Nonfinite-accumulator guard
 //!
@@ -221,9 +234,10 @@ impl TransitionView {
 }
 
 /// Block width (number of source columns advanced per CSR sweep) for a
-/// snapshot of `n` nodes: sized so the ~5 working vectors of the PPR
-/// solver fit in about 8 MiB, clamped to `[1, 64]`. A function of `n`
-/// only — never the thread count — so results are machine-independent.
+/// snapshot of `n` nodes: sized so the 5 `n`-row working buffers of the
+/// PPR solver fit in about 8 MiB, clamped to `[1, 64]`. Scores are
+/// bit-identical at every width (see the module docs), so the width is
+/// purely a cache-size choice.
 pub fn block_width(n: usize) -> usize {
     ((8usize << 20) / (40 * n.max(1))).clamp(1, 64)
 }
@@ -232,7 +246,9 @@ pub fn block_width(n: usize) -> usize {
 /// the warm-vs-cold benchmark and the warm-start tests read these.
 #[derive(Debug, Clone, Default)]
 pub struct SolverStats {
-    /// Total Chebyshev iterations spent across all PPR source columns.
+    /// Sum over PPR source columns of the iteration at which each column
+    /// converged. A block sweeps until its slowest column converges, so
+    /// the sweeps run exceed this count.
     pub ppr_iterations: u64,
     /// PPR source columns that started from a cached warm vector.
     pub ppr_warm_starts: u64,
@@ -445,17 +461,77 @@ impl SidePlan {
     }
 }
 
-/// Per-worker LRW workspace: current distribution, next distribution, and
-/// the pruned per-node shares, each `n × width` row-major.
-struct LrwWs {
-    x: Vec<f64>,
-    y: Vec<f64>,
-    s: Vec<f64>,
+/// Columns a [`gather_row`] folds at once in its register accumulator.
+const LANES: usize = 8;
+
+/// Gathers one row of `Pᵀ z` from the degree shares `z / d` of the
+/// row's neighbours `nbrs`: each column of `out` is the sum of their
+/// entries in the row-major `shares` of `out.len()` columns, in ascending
+/// neighbour order from `0.0`. Eight columns at a time sit in a register
+/// accumulator; a one-column block, a served query's solve, folds one
+/// scalar.
+#[inline]
+fn gather_row(nbrs: &[u32], shares: &[f64], out: &mut [f64]) {
+    let w = out.len();
+    if w == 1 {
+        let mut acc = 0.0;
+        for &u in nbrs {
+            acc += shares[u as usize];
+        }
+        out[0] = acc;
+        return;
+    }
+    let mut full = out.chunks_exact_mut(LANES);
+    for (c, lanes) in (&mut full).enumerate() {
+        fold_lanes(nbrs, shares, w, c * LANES, lanes);
+    }
+    let tail = full.into_remainder();
+    if !tail.is_empty() {
+        fold_lanes(nbrs, shares, w, w - tail.len(), tail);
+    }
 }
 
-impl LrwWs {
-    fn new(n: usize, w: usize) -> Self {
-        LrwWs { x: vec![0.0; n * w], y: vec![0.0; n * w], s: vec![0.0; n * w] }
+/// [`gather_row`]'s accumulator: folds columns `at..at + out.len()` (at
+/// most [`LANES`]) of the neighbours' rows of the `w`-column `shares`
+/// into `out`. Always inlined, so a full chunk's width is a constant.
+#[inline(always)]
+fn fold_lanes(nbrs: &[u32], shares: &[f64], w: usize, at: usize, out: &mut [f64]) {
+    let mut acc = [0.0; LANES];
+    let acc = &mut acc[..out.len()];
+    for &u in nbrs {
+        let row = &shares[u as usize * w + at..][..acc.len()];
+        for (a, &s) in acc.iter_mut().zip(row) {
+            *a += s;
+        }
+    }
+    out.copy_from_slice(acc);
+}
+
+/// Per-worker LRW workspace, sized per block to `n` rows of the block's
+/// `w` columns, row-major: the walk distribution, which each step
+/// overwrites row by row with the next one, and the pruned per-node
+/// shares of the current step and of the next.
+#[derive(Default)]
+struct LrwWs {
+    x: Vec<f64>,
+    s: Vec<f64>,
+    s_next: Vec<f64>,
+}
+
+/// Writes the degree shares of row `z` of a node of degree `deg` into
+/// `s`: `z / deg`, set to `0.0` below `floor`, and `0.0` throughout on a
+/// dangling row. LRW's floor is its prune; PPR's is `-∞`, which keeps
+/// every share.
+#[inline]
+fn degree_shares(z: &[f64], deg: u32, floor: f64, s: &mut [f64]) {
+    if deg == 0 {
+        s.fill(0.0);
+        return;
+    }
+    let dd = f64::from(deg);
+    for (s, &z) in s.iter_mut().zip(z) {
+        let share = z / dd;
+        *s = if share < floor { 0.0 } else { share };
     }
 }
 
@@ -501,15 +577,10 @@ pub fn lrw_scores_with_width(
     let w = width.clamp(1, plan.sides.len());
     let two_e = (tv.volume().max(1)) as f64;
     let nblocks = plan.sides.len().div_ceil(w);
-    let results = par::run_indexed_init(
-        nblocks,
-        threads.max(1),
-        || LrwWs::new(n, w),
-        |ws, b| {
-            let range = (b * w)..((b + 1) * w).min(plan.sides.len());
-            lrw_block(tv, &plan, range, steps, prune, two_e, ws, metric)
-        },
-    );
+    let results = par::run_indexed_init(nblocks, threads.max(1), LrwWs::default, |ws, b| {
+        let range = (b * w)..((b + 1) * w).min(plan.sides.len());
+        lrw_block(tv, &plan, range, steps, prune, two_e, ws, metric)
+    });
     for block in results {
         for (idx, val) in block? {
             scores[idx as usize] = val;
@@ -530,43 +601,38 @@ fn lrw_block(
     metric: &'static str,
 ) -> Result<Vec<(u32, f64)>, SolverError> {
     let n = tv.node_count();
-    let w = ws.x.len() / n.max(1);
-    ws.x.fill(0.0);
+    let w = range.len();
+    let LrwWs { x, s, s_next } = ws;
+    x.clear();
+    x.resize(n * w, 0.0);
+    // The shares are written before they are read, so keep any contents.
+    s.resize(n * w, 0.0);
+    s_next.resize(n * w, 0.0);
     for (j, si) in range.clone().enumerate() {
-        ws.x[plan.sides[si] as usize * w + j] = 1.0;
+        x[plan.sides[si] as usize * w + j] = 1.0;
     }
+    for ((x, s), &deg) in x.chunks_exact(w).zip(s.chunks_exact_mut(w)).zip(&tv.degree) {
+        degree_shares(x, deg, prune, s);
+    }
+    // One pass per step: each row's next value from its neighbours' shares
+    // (a dangling row self-absorbs its mass), then that row's next shares.
     for step in 0..steps {
-        ws.y.fill(0.0);
-        // Phase A: per-node pruned shares (same division and comparison as
-        // the per-source reference); dangling nodes self-absorb.
-        for u in 0..n {
-            let d = tv.degree[u];
-            let row = u * w;
-            if d == 0 {
-                for j in 0..w {
-                    ws.y[row + j] += ws.x[row + j];
-                    ws.s[row + j] = 0.0;
+        let mut finite = true;
+        let rows = x.chunks_exact_mut(w).zip(s_next.chunks_exact_mut(w)).zip(&tv.degree);
+        for (v, ((x, s_next), &deg)) in rows.enumerate() {
+            if deg == 0 {
+                // A dangling row keeps its mass, added to a zeroed sum.
+                for x in x.iter_mut() {
+                    *x += 0.0;
                 }
-                continue;
+            } else {
+                gather_row(tv.neighbors(v as NodeId), s, x);
             }
-            let dd = f64::from(d);
-            for j in 0..w {
-                let share = ws.x[row + j] / dd;
-                ws.s[row + j] = if share < prune { 0.0 } else { share };
-            }
+            finite &= x.iter().all(|v| v.is_finite());
+            degree_shares(x, deg, prune, s_next);
         }
-        // Phase B: gather shares along in-edges, ascending neighbor order.
-        for v in 0..n {
-            let row = v * w;
-            for &u in tv.neighbors(v as NodeId) {
-                let src_row = u as usize * w;
-                for j in 0..w {
-                    ws.y[row + j] += ws.s[src_row + j];
-                }
-            }
-        }
-        std::mem::swap(&mut ws.x, &mut ws.y);
-        if ws.x.iter().any(|v| !v.is_finite()) {
+        std::mem::swap(s, s_next);
+        if !finite {
             return Err(SolverError::NonFinite { metric, iteration: step });
         }
     }
@@ -576,37 +642,26 @@ fn lrw_block(
     for (j, si) in range.enumerate() {
         let coeff = 2.0 * (f64::from(tv.degree(plan.sides[si])) / two_e);
         for &(idx, partner) in plan.queries(si) {
-            out.push((idx, coeff * ws.x[partner as usize * w + j]));
+            out.push((idx, coeff * x[partner as usize * w + j]));
         }
     }
     Ok(out)
 }
 
-/// Per-worker PPR workspace: solution, residual, Chebyshev direction,
-/// degree-normalized shares, and gather target, each `n × width`
-/// row-major; plus per-column norms and done flags.
+/// Per-worker PPR workspace, sized per block to `n` rows of the block's
+/// `w` columns, row-major: solution, residual, Chebyshev direction, and
+/// the direction's degree shares for the current step and for the next;
+/// plus one gathered row, the per-column residual norms and done flags.
+#[derive(Default)]
 struct PprWs {
     x: Vec<f64>,
     r: Vec<f64>,
     d: Vec<f64>,
     s: Vec<f64>,
+    s_next: Vec<f64>,
     g: Vec<f64>,
     norms: Vec<f64>,
     done: Vec<bool>,
-}
-
-impl PprWs {
-    fn new(n: usize, w: usize) -> Self {
-        PprWs {
-            x: vec![0.0; n * w],
-            r: vec![0.0; n * w],
-            d: vec![0.0; n * w],
-            s: vec![0.0; n * w],
-            g: vec![0.0; n * w],
-            norms: vec![0.0; w],
-            done: vec![false; w],
-        }
-    }
 }
 
 struct PprBlockOut {
@@ -665,15 +720,10 @@ pub fn ppr_scores_with_width(
     let nblocks = plan.sides.len().div_ceil(w);
     let results = {
         let cache_ref: &SolverCache = cache;
-        par::run_indexed_init(
-            nblocks,
-            threads.max(1),
-            || PprWs::new(n, w),
-            |ws, b| {
-                let range = (b * w)..((b + 1) * w).min(plan.sides.len());
-                ppr_block(tv, &plan, range, alpha, tol_l1, store_limit, cache_ref, ws, metric)
-            },
-        )
+        par::run_indexed_init(nblocks, threads.max(1), PprWs::default, |ws, b| {
+            let range = (b * w)..((b + 1) * w).min(plan.sides.len());
+            ppr_block(tv, &plan, range, alpha, tol_l1, store_limit, cache_ref, ws, metric)
+        })
     };
     for block in results {
         let block = block?;
@@ -708,121 +758,115 @@ fn ppr_block(
     metric: &'static str,
 ) -> Result<PprBlockOut, SolverError> {
     let n = tv.node_count();
-    let w = ws.norms.len();
-    let active = range.len();
+    let w = range.len();
     let oma = 1.0 - alpha;
     let mut warm_starts = 0u64;
+    let PprWs { x, r, d, s, s_next, g, norms, done } = ws;
+    x.clear();
+    x.resize(n * w, 0.0);
+    // The rest is written before it is read, so keep any contents.
+    for buf in [&mut *r, &mut *d, &mut *s, &mut *s_next] {
+        buf.resize(n * w, 0.0);
+    }
+    g.resize(w, 0.0);
+    norms.clear();
+    norms.resize(w, 0.0);
+    done.clear();
+    done.resize(w, false);
 
     // Initial guess: warm vectors where available, zero otherwise.
-    ws.x.fill(0.0);
     for (j, si) in range.clone().enumerate() {
         if let Some(warm) = cache.ppr_warm(plan.sides[si]) {
-            let len = warm.len().min(n);
-            for (i, &v) in warm[..len].iter().enumerate() {
-                ws.x[i * w + j] = v;
+            for (row, &v) in x.chunks_exact_mut(w).zip(warm) {
+                row[j] = v;
             }
             warm_starts += 1;
         }
     }
 
-    // Applies M z = (1-α)·Pᵀ z via shares s = z/d (dangling rows emit
-    // nothing) gathered in ascending-neighbor order into g.
-    fn gather(tv: &TransitionView, z: &[f64], s: &mut [f64], g: &mut [f64], w: usize) {
-        let n = tv.node_count();
-        for u in 0..n {
-            let d = tv.degree[u];
-            let row = u * w;
-            if d == 0 {
-                s[row..row + w].fill(0.0);
-            } else {
-                let dd = f64::from(d);
-                for j in 0..w {
-                    s[row + j] = z[row + j] / dd;
-                }
-            }
+    // r = b - A x0 = α e_src - x0 + (1-α)Pᵀ x0, gathered from the shares
+    // of x0; the first direction is r, and its norms and shares follow.
+    // The block's sides ascend, so a cursor finds each column's source row.
+    for ((x, s), &deg) in x.chunks_exact(w).zip(s.chunks_exact_mut(w)).zip(&tv.degree) {
+        degree_shares(x, deg, f64::NEG_INFINITY, s);
+    }
+    let sides = &plan.sides[range.clone()];
+    let mut next_side = 0;
+    let rows = x.chunks_exact(w).zip(r.chunks_exact_mut(w)).zip(d.chunks_exact_mut(w));
+    for (v, (((x, r), d), (s_next, &deg))) in
+        rows.zip(s_next.chunks_exact_mut(w).zip(&tv.degree)).enumerate()
+    {
+        gather_row(tv.neighbors(v as NodeId), s, g);
+        for ((r, &g), &x) in r.iter_mut().zip(&*g).zip(x) {
+            *r = oma * g - x;
         }
-        g.fill(0.0);
-        for v in 0..n {
-            let row = v * w;
-            for &u in tv.neighbors(v as NodeId) {
-                let src_row = u as usize * w;
-                for j in 0..w {
-                    g[row + j] += s[src_row + j];
-                }
-            }
+        if sides.get(next_side) == Some(&(v as NodeId)) {
+            r[next_side] += alpha;
+            next_side += 1;
         }
+        d.copy_from_slice(r);
+        for (norm, &r) in norms.iter_mut().zip(&*r) {
+            *norm += r.abs();
+        }
+        degree_shares(d, deg, f64::NEG_INFINITY, s_next);
     }
-
-    // r = b - A x0 = α e_src - x0 + (1-α)Pᵀ x0.
-    gather(tv, &ws.x, &mut ws.s, &mut ws.g, w);
-    for i in 0..n * w {
-        ws.r[i] = oma * ws.g[i] - ws.x[i];
-    }
-    for (j, si) in range.clone().enumerate() {
-        ws.r[plan.sides[si] as usize * w + j] += alpha;
-    }
-    ws.d.copy_from_slice(&ws.r);
+    std::mem::swap(s, s_next);
 
     let sigma1 = 1.0 / oma;
     let delta = oma;
     let mut rho = oma;
-    for (j, flag) in ws.done.iter_mut().enumerate() {
-        *flag = j >= active;
-    }
-    let mut query_vals: Vec<Option<Vec<f64>>> = vec![None; active];
-    let mut store_cols: Vec<Option<Vec<f64>>> = vec![None; active];
+    let mut query_vals: Vec<Option<Vec<f64>>> = vec![None; w];
+    let mut store_cols: Vec<Option<Vec<f64>>> = vec![None; w];
     let mut iterations = 0u64;
     let mut k = 0usize;
 
     loop {
-        // Column residual norms, accumulated row-major so the fold order
-        // per column is independent of the block width.
-        ws.norms.fill(0.0);
-        for i in 0..n {
-            let row = i * w;
-            for j in 0..active {
-                ws.norms[j] += ws.r[row + j].abs();
-            }
+        // `norms` holds each column's residual L1 norm, folded over the
+        // rows in ascending order, so it is independent of the block width.
+        if norms.iter().any(|norm| !norm.is_finite()) {
+            return Err(SolverError::NonFinite { metric, iteration: k });
         }
-        for j in 0..active {
-            if !ws.norms[j].is_finite() {
-                return Err(SolverError::NonFinite { metric, iteration: k });
-            }
-        }
-        for j in 0..active {
-            if !ws.done[j] && ws.norms[j] <= tol {
-                ws.done[j] = true;
+        for j in 0..w {
+            if !done[j] && norms[j] <= tol {
+                done[j] = true;
                 iterations += k as u64;
                 let si = range.start + j;
-                let vals =
-                    plan.queries(si).iter().map(|&(_, p)| ws.x[p as usize * w + j]).collect();
+                let vals = plan.queries(si).iter().map(|&(_, p)| x[p as usize * w + j]).collect();
                 query_vals[j] = Some(vals);
                 if si < store_limit {
-                    store_cols[j] = Some((0..n).map(|i| ws.x[i * w + j]).collect());
+                    store_cols[j] = Some(x.chunks_exact(w).map(|row| row[j]).collect());
                 }
             }
         }
-        if ws.done.iter().all(|&d| d) {
+        if done.iter().all(|&d| d) {
             break;
         }
         if k >= PPR_MAX_ITERS {
             return Err(SolverError::NoConvergence { metric, iterations: k });
         }
 
-        // x += d;  r -= A d  (A d = d - (1-α)Pᵀ d)
-        for i in 0..n * w {
-            ws.x[i] += ws.d[i];
-        }
-        gather(tv, &ws.d, &mut ws.s, &mut ws.g, w);
-        for i in 0..n * w {
-            ws.r[i] -= ws.d[i] - oma * ws.g[i];
-        }
+        // One pass over the rows: x += d; r -= A d (A d = d - (1-α)Pᵀ d,
+        // gathered from the shares of d); the next direction
+        // d = a·d + c·r; the new residual's norms; the next shares.
         let rho_next = 1.0 / (2.0 * sigma1 - rho);
         let a = rho_next * rho;
         let c = 2.0 * rho_next / delta;
-        for i in 0..n * w {
-            ws.d[i] = a * ws.d[i] + c * ws.r[i];
+        norms.fill(0.0);
+        let rows = x.chunks_exact_mut(w).zip(r.chunks_exact_mut(w)).zip(d.chunks_exact_mut(w));
+        for (v, (((x, r), d), (s_next, &deg))) in
+            rows.zip(s_next.chunks_exact_mut(w).zip(&tv.degree)).enumerate()
+        {
+            gather_row(tv.neighbors(v as NodeId), s, g);
+            let cols = x.iter_mut().zip(r.iter_mut()).zip(d.iter_mut()).zip(&*g);
+            for ((((x, r), d), &g), norm) in cols.zip(norms.iter_mut()) {
+                *x += *d;
+                *r -= *d - oma * g;
+                *d = a * *d + c * *r;
+                *norm += r.abs();
+            }
+            degree_shares(d, deg, f64::NEG_INFINITY, s_next);
         }
+        std::mem::swap(s, s_next);
         rho = rho_next;
         k += 1;
     }
