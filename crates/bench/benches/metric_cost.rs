@@ -4,11 +4,14 @@
 //! (CN/JC/AA/RA/B*) in minutes, walk/path metrics (LRW, PPR, LP) in hours,
 //! and embedding metrics (Rescal, Katz, SP) in days. These benches measure
 //! the same ordering on one snapshot: every metric scores the same 2-hop
-//! candidate batch.
+//! candidate batch through the engine (`exec::score_pairs_t`), the path
+//! production runs, at one worker, so no metric gets more cores than
+//! another.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{par, traversal};
+use osn_metrics::exec;
 use osn_trace::presets::TraceConfig;
 
 fn bench_metrics(c: &mut Criterion) {
@@ -30,7 +33,7 @@ fn bench_metrics(c: &mut Criterion) {
         group.bench_function(metric.name(), |b| {
             b.iter_batched(
                 || batch.clone(),
-                |pairs| metric.score_pairs(&snap, &pairs),
+                |pairs| exec::score_pairs_t(metric.as_ref(), &snap, &pairs, 1),
                 BatchSize::LargeInput,
             )
         });

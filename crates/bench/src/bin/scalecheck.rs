@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 use linklens_bench::bench_merge;
+use linklens_bench::oracles;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_metrics::candidates::CandidateSet;
@@ -359,29 +360,6 @@ fn warm_vs_cold(
     }
 }
 
-/// The per-source reference oracle of SP, LP, LRW, PPR and Katz-sc, the
-/// paths the batched engine is checked against; `None` for every other
-/// metric. Katz-lr has no distinct per-source oracle: each Lanczos step is
-/// already one global matvec.
-fn per_source_oracle(
-    name: &str,
-    snap: &Snapshot,
-    pairs: &[(u32, u32)],
-    threads: usize,
-) -> Option<Vec<f64>> {
-    use osn_metrics::katz::KatzSc;
-    use osn_metrics::path::{LocalPath, ShortestPath};
-    use osn_metrics::walk::{LocalRandomWalk, PersonalizedPageRank};
-    Some(match name {
-        "SP" => ShortestPath::default().score_pairs_per_source(snap, pairs),
-        "LP" => LocalPath::default().score_pairs_per_source(snap, pairs),
-        "LRW" => LocalRandomWalk::default().score_pairs_per_source_t(snap, pairs, threads),
-        "PPR" => PersonalizedPageRank::default().score_pairs_per_source_t(snap, pairs, threads),
-        "Katz-sc" => KatzSc::default().score_pairs_per_source(snap, pairs),
-        _ => return None,
-    })
-}
-
 /// splitmix64 step — the deterministic stream the pair sampler, every
 /// serving driver thread and the serving probe set derive from.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -552,8 +530,10 @@ fn snapshot_build(ctx: &Ctx, report: &mut Report) {
 /// naive-Bayes BCN, BAA, BRA) over the shared `TwoHop` candidate set.
 /// Two stages per worker count:
 ///
-/// 1. per-pair baseline: each metric's `Metric::score_pairs_cached` hook
-///    (one sorted-merge intersection per metric per pair);
+/// 1. per-pair baseline: each metric's per-pair reference from
+///    [`oracles::local`] in source-aligned chunks through
+///    `exec::score_chunked` (one sorted-merge intersection per metric per
+///    pair);
 /// 2. fused: `exec::score_matrix_cached_t` (one witness walk per source
 ///    per chunk produces every column).
 ///
@@ -580,8 +560,13 @@ fn fused_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("note", "pairs/sec counts candidate_pairs x metrics; both paths asserted bit-identical before timing, and the two-hop enumeration at each thread count asserted equal to the scored candidate set");
 
     let per_pair = |t: usize| -> Vec<Vec<f64>> {
-        let mut cache = SolverCache::transient();
-        refs.iter().map(|m| m.score_pairs_cached(&snap, cands.pairs(), t, &mut cache)).collect()
+        names
+            .iter()
+            .map(|n| {
+                let oracle = oracles::local::per_pair(n).expect("local metric");
+                exec::score_chunked(cands.pairs(), t, |chunk| oracle(&snap, chunk))
+            })
+            .collect()
     };
     let fused = |t: usize| {
         let mut cache = SolverCache::transient();
@@ -667,7 +652,7 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
     let mut group_batched_secs = 0.0;
     for (name, m) in names.iter().zip(&metrics) {
         let reference = || {
-            per_source_oracle(name, &snap, pairs, 1)
+            oracles::per_source(name, &snap, pairs, 1)
                 .unwrap_or_else(|| exec::score_pairs_t(m.as_ref(), &snap, pairs, 1))
         };
         let batched = exec::score_pairs_t(m.as_ref(), &snap, pairs, 1);
@@ -782,8 +767,8 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
 /// Three stages, equality always asserted untimed first so a reported
 /// speedup can never come from computing something different:
 ///
-/// 1. **fit**: `fit_dense_reference` (serial `matmul_dense` loop, the
-///    property-tested oracle) vs the blocked `fit_t` (thread-parallel
+/// 1. **fit**: [`oracles::rescal::fit_dense`] (serial `matmul_dense`
+///    loop, the property-tested oracle) vs the blocked `fit_t` (thread-parallel
 ///    `spmm_into_t` products + sparse residual certification) — factors
 ///    and certified residual asserted bit-identical at every probed
 ///    worker count, then both fits timed;
@@ -824,7 +809,7 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("note", "blocked spmm_into_t ALS fit vs retained dense serial reference, factors + certified residual asserted bit-identical at every worker count before timing; batched bilinear scoring within 1e-9 of the per-pair model oracle (association order differs) and bit-identical across workers; warm rows use certified early-stop fits (tol=1e-6) through the persistent SolverCache model slots — ALS warm sweeps are measured, not bounded");
 
     // --- Stage 1: blocked fit == dense serial reference, then timing ---
-    let dense = rescal.fit_dense_reference(&snap).expect("dense reference fit");
+    let dense = oracles::rescal::fit_dense(&rescal, &snap).expect("dense reference fit");
     for t in sweep_thread_counts(&ctx.host) {
         let blocked = rescal.fit_t(&snap, t).expect("blocked fit");
         assert_eq!(
@@ -839,7 +824,8 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
         );
         assert_eq!(dense.residual, blocked.residual, "certified residual drifted at {t} workers");
     }
-    let (dense_secs, _) = timed(|| rescal.fit_dense_reference(&snap).expect("dense reference fit"));
+    let (dense_secs, _) =
+        timed(|| oracles::rescal::fit_dense(&rescal, &snap).expect("dense reference fit"));
     report.set("dense_reference_secs", dense_secs);
     thread_sweep(ctx, report, "fit_sweep", |t| {
         let (blocked_secs, _) = timed(|| rescal.fit_t(&snap, t).expect("blocked fit"));
@@ -922,6 +908,21 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     );
 }
 
+/// The per-pair route of the e2e sweep's baseline: a fused metric's
+/// per-pair reference in source-aligned chunks over `threads` workers;
+/// any other metric through its hook with a transient cache.
+fn per_pair_route(
+    m: &dyn Metric,
+    snap: &Snapshot,
+    pairs: &[(u32, u32)],
+    threads: usize,
+) -> Vec<f64> {
+    match oracles::local::per_pair(m.name()) {
+        Some(oracle) => exec::score_chunked(pairs, threads, |chunk| oracle(snap, chunk)),
+        None => m.score_pairs_cached(snap, pairs, threads, &mut SolverCache::transient()),
+    }
+}
+
 /// End-to-end framework sweep before/after batched-kernel routing, with
 /// and without the §6.2 temporal filters pushed into candidate
 /// enumeration. One row per Table 7 network (facebook / renren / youtube presets):
@@ -986,9 +987,8 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
         let k_repr = truth.len();
         let (batched_preds, _) = eval.predictions_many(&refs, t_repr, None);
         for (i, &m) in refs.iter().enumerate() {
-            let cands_m = eval.candidates_for_posthoc(&prev, &[m], None);
-            let mut cache = SolverCache::transient();
-            let scores = m.score_pairs_cached(&prev, cands_m.pairs(), threads, &mut cache);
+            let cands_m = oracles::candidates::posthoc(&eval, &prev, &[m], None);
+            let scores = per_pair_route(m, &prev, cands_m.pairs(), threads);
             let per_pair = topk::top_k_pairs(cands_m.pairs(), &scores, k_repr, eval.seed);
             assert_eq!(
                 batched_preds[i],
@@ -1086,7 +1086,7 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
                 let p = sweep.next().expect("sweep yields len() snapshots");
                 let full = eval.candidates_for(p, &refs, None);
                 let pruned = eval.candidates_for(p, &refs, Some(&filter));
-                let posthoc = eval.candidates_for_posthoc(p, &refs, Some(&filter));
+                let posthoc = oracles::candidates::posthoc(&eval, p, &refs, Some(&filter));
                 assert_eq!(
                     pruned.pairs(),
                     posthoc.pairs(),
@@ -1117,9 +1117,10 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
             let cols =
                 exec::score_matrix_cached_t(&group, &prev, pruned.pairs(), threads, &mut cache);
             for (col, &m) in cols.iter().zip(&group) {
+                let oracle = oracles::local::per_pair(m.name()).expect("fused metric");
                 assert_eq!(
                     col,
-                    &m.score_pairs(&prev, pruned.pairs()),
+                    &oracle(&prev, pruned.pairs()),
                     "{}: {} fused scores of the pruned set != reference scores",
                     cfg.name,
                     m.name()
@@ -1130,11 +1131,11 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
         // ---- timed config A: pre-routing baseline --------------------
         // The pre-kernel pipeline: every metric scored without the fused
         // kernel or the batched solver engine. Local metrics go through
-        // the chunked per-pair `score_pairs` path; solver metrics go
-        // through the retained per-source reference oracles (the same
-        // ones BENCH_global_scoring asserts the batched engine against —
-        // bit-identical for SP/LP/Katz, within the documented analytic
-        // tolerance for LRW/PPR).
+        // their chunked per-pair references; solver metrics go through
+        // the per-source references (the same ones BENCH_global_scoring
+        // asserts the batched engine against — bit-identical for
+        // SP/LP/Katz, within the documented analytic tolerance for
+        // LRW/PPR).
         let (baseline_secs, baseline_ratios) = timed(|| {
             let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); refs.len()];
             for t in 1..seq.len() {
@@ -1156,15 +1157,12 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
                         continue;
                     }
                     let grefs: Vec<&dyn Metric> = group.iter().map(|&(_, m)| m).collect();
-                    let cands = eval.candidates_for_posthoc(&prev, &grefs, None);
+                    let cands = oracles::candidates::posthoc(&eval, &prev, &grefs, None);
                     for &(i, m) in &group {
                         // Katz-lr and the local metrics have no per-source
-                        // oracle; they take the chunked per-pair path.
-                        let scores = per_source_oracle(m.name(), &prev, cands.pairs(), threads)
-                            .unwrap_or_else(|| {
-                                let mut cache = SolverCache::transient();
-                                m.score_pairs_cached(&prev, cands.pairs(), threads, &mut cache)
-                            });
+                        // oracle; they take the per-pair route.
+                        let scores = oracles::per_source(m.name(), &prev, cands.pairs(), threads)
+                            .unwrap_or_else(|| per_pair_route(m, &prev, cands.pairs(), threads));
                         let predicted = topk::top_k_pairs(cands.pairs(), &scores, k, eval.seed);
                         let correct = predicted.iter().filter(|p| truth.contains(p)).count();
                         ratios[i].push(if expected > 0.0 {

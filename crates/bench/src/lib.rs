@@ -16,9 +16,15 @@
 //! `--quick` is shorthand for a small scale/short trace used by CI and
 //! smoke tests. Every binary prints aligned text tables and writes the raw
 //! rows as JSON under `results/`.
+//!
+//! [`oracles`] holds the reference implementations the scoring engine is
+//! checked against: `scalecheck` calls them directly, and the library
+//! crates' integration tests reach them as a dev-dependency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod oracles;
 
 use osn_graph::sequence::SnapshotSequence;
 use osn_trace::presets::TraceConfig;

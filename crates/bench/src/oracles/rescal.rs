@@ -1,0 +1,103 @@
+//! The serial dense reference for Rescal's blocked ALS core.
+
+use osn_graph::snapshot::Snapshot;
+use osn_linalg::{factor, Matrix, SparseMatrix};
+use osn_metrics::rescal::{Rescal, RescalModel};
+use osn_metrics::solver::SolverError;
+
+/// The original `matmul_dense` ALS loop, with the same guarded updates
+/// and residual certification as [`Rescal::fit_t`]. The blocked kernel's
+/// per-row fold is arithmetic-identical to `matmul_dense`, so the two
+/// fits are bit-identical at every thread count.
+///
+/// # Errors
+///
+/// The same structured errors as [`Rescal::fit_t`], at the same sweep.
+pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, SolverError> {
+    let n = snap.node_count();
+    let r = rescal.rank.min(n.max(1));
+    let edges: Vec<(u32, u32)> = snap.edges().collect();
+    let a = SparseMatrix::adjacency(n, &edges);
+
+    let mut x = factor::init_factors(n, r, rescal.seed);
+    let mut core = Matrix::identity(r);
+    let mut prev = f64::INFINITY;
+    let mut residual = f64::NAN;
+    let mut iterations = 0;
+    let mut converged = rescal.tol <= 0.0;
+
+    for it in 0..rescal.iterations {
+        // --- X update ---
+        // numer = A X (Rᵀ + R)   (A symmetric).
+        let ax = a.matmul_dense(&x);
+        let r_sym = &core.transpose() + &core;
+        let numer = ax.matmul(&r_sym);
+        // denom = R G Rᵀ + Rᵀ G R + λI, G = XᵀX.
+        let g = x.gram();
+        let rg = core.matmul(&g);
+        let mut denom = &rg.matmul(&core.transpose()) + &core.transpose().matmul(&g).matmul(&core);
+        for d in 0..r {
+            denom[(d, d)] += rescal.lambda;
+        }
+        // X = numer · denom⁻¹  ⇒ solve denomᵀ Xᵀ = numerᵀ row-wise.
+        let denom_t = denom.transpose();
+        let rhs: Vec<Vec<f64>> = (0..n).map(|i| numer.row(i).to_vec()).collect();
+        let rows = denom_t
+            .solve_many(&rhs)
+            .ok_or(SolverError::Singular { metric: "Rescal", iteration: it })?;
+        for (i, row) in rows.iter().enumerate() {
+            x.row_mut(i).copy_from_slice(row);
+        }
+
+        // --- R update ---
+        // R = (G + λI)⁻¹ Xᵀ A X (G + λI)⁻¹.
+        let mut g_reg = x.gram();
+        for d in 0..r {
+            g_reg[(d, d)] += rescal.lambda;
+        }
+        let ax = a.matmul_dense(&x); // n × r
+        let xtax = x.transpose().matmul(&ax); // r × r
+                                              // Left solve: (G+λI) Y = XᵀAX.
+        let rhs: Vec<Vec<f64>> = (0..r).map(|j| (0..r).map(|i| xtax[(i, j)]).collect()).collect();
+        let cols = g_reg
+            .solve_many(&rhs)
+            .ok_or(SolverError::Singular { metric: "Rescal", iteration: it })?;
+        let mut y = Matrix::zeros(r, r);
+        for (j, coljj) in cols.iter().enumerate() {
+            for i in 0..r {
+                y[(i, j)] = coljj[i];
+            }
+        }
+        // Right solve: R (G+λI) = Y ⇒ (G+λI)ᵀ Rᵀ = Yᵀ.
+        let rhs2: Vec<Vec<f64>> = (0..r).map(|i| y.row(i).to_vec()).collect();
+        let rows = g_reg
+            .transpose()
+            .solve_many(&rhs2)
+            .ok_or(SolverError::Singular { metric: "Rescal", iteration: it })?;
+        for (i, row) in rows.iter().enumerate() {
+            core.row_mut(i).copy_from_slice(row);
+        }
+
+        if x.data().iter().chain(core.data()).any(|v| !v.is_finite()) {
+            return Err(SolverError::NonFinite { metric: "Rescal", iteration: it });
+        }
+
+        residual = factor::frobenius_residual(&a, &x, &core, 1);
+        if !residual.is_finite() {
+            return Err(SolverError::NonFinite { metric: "Rescal", iteration: it });
+        }
+        iterations = it + 1;
+        if rescal.tol > 0.0 && prev.is_finite() && prev - residual <= rescal.tol * prev.max(1.0) {
+            converged = true;
+            break;
+        }
+        prev = residual;
+    }
+    if !converged {
+        return Err(SolverError::NoConvergence { metric: "Rescal", iterations });
+    }
+    if residual.is_nan() {
+        residual = factor::frobenius_residual(&a, &x, &core, 1);
+    }
+    Ok(RescalModel { x, r: core, residual, iterations, warm_started: false })
+}

@@ -95,15 +95,15 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: "per-pair-intersection",
-        contract: "a fresh `common_neighbors`/`common_neighbor_count` merge per pair inside a `score_pairs` impl; route local metrics through the fused kernel or justify the slow path",
+        contract: "a fresh `common_neighbors`/`common_neighbor_count` merge per pair inside a `score_pairs` impl; route local metrics through the fused kernel and keep per-pair references in `linklens_bench::oracles`",
         rationale: "One sorted-merge intersection per pair per metric is the cost the source-batched fused kernel removed (16x); reintroducing it in an engine path silently regresses the sweep.",
-        fix: "Advertise fused_kind() so the engine batches by source; reference oracles keep the slow path with a justified allow.",
+        fix: "Advertise fused_kind() so the engine batches by source; a per-pair reference belongs in linklens_bench::oracles as a plain function, not in a scoring method.",
     },
     RuleSpec {
         name: "per-source-power-iteration",
-        contract: "a fresh per-source solve (`walk_distribution`/`forward_push`/`two_pass_scores`/`bfs_distances`) inside a `score_pairs` impl; route global metrics through the batched solver engine or justify the reference path",
+        contract: "a fresh per-source solve (`walk_distribution`/`forward_push`/`two_pass_scores`/`bfs_distances`) inside a `score_pairs` impl; route global metrics through the batched solver engine and keep per-source references in `linklens_bench::oracles`",
         rationale: "One full power-iteration or BFS per source per call is the cost the blocked multi-source solvers removed (6.6x); engine paths must go through osn_metrics::solver.",
-        fix: "Route through score_pairs_cached + SolverCache; per-source reference oracles keep the slow path with a justified allow.",
+        fix: "Route through score_pairs_cached + SolverCache; a per-source reference belongs in linklens_bench::oracles as a plain function, not in a scoring method.",
     },
     RuleSpec {
         name: "refit-in-score-pairs",
@@ -286,9 +286,10 @@ pub(crate) fn phase1(info: &FileInfo, tokens: &[Token], mask: &[bool]) -> Vec<Di
         }
         if !info.is_shim && info.kind == FileKind::Lib {
             print_in_lib(info, tokens, mask, &mut diags);
-            per_pair_intersection(info, tokens, mask, &mut diags);
-            per_source_power_iteration(info, tokens, mask, &mut diags);
-            refit_in_score_pairs(info, tokens, mask, &mut diags);
+            for scan in [&PER_PAIR_INTERSECTION, &PER_SOURCE_POWER_ITERATION, &REFIT_IN_SCORE_PAIRS]
+            {
+                scan_scoring_bodies(scan, info, tokens, mask, &mut diags);
+            }
             full_trace_materialization(info, tokens, mask, &mut diags);
         }
         if !info.is_shim
@@ -440,137 +441,62 @@ pub(crate) fn past_matching_brace(tokens: &[Token], open: usize) -> usize {
     j
 }
 
+/// One engine-policing rule over scoring-method bodies: a call to one of
+/// `callees` inside the body of any `fn` whose name passes `method` is a
+/// finding.
+struct BodyScan {
+    rule: &'static str,
+    /// Which `fn` names are scoring methods for this rule.
+    method: fn(&str) -> bool,
+    /// The calls the rule flags.
+    callees: &'static [&'static str],
+    /// Only `.name(` method calls count; otherwise any `name(` call does
+    /// (path-qualified and method calls included).
+    method_call: bool,
+    /// The diagnostic text for a call to `name`.
+    message: fn(&str) -> String,
+}
+
 /// `.common_neighbors(..)` / `.common_neighbor_count(..)` inside the body
 /// of a `score_pairs` / `score_pairs_cached` implementation: a fresh sorted-
 /// merge intersection per pair per metric is exactly the cost the fused
-/// source-batched kernel exists to remove. Reference implementations keep
-/// the slow path on purpose and suppress with a justification.
-fn per_pair_intersection(
-    info: &FileInfo,
-    tokens: &[Token],
-    mask: &[bool],
-    out: &mut Vec<Diagnostic>,
-) {
-    const MERGES: &[&str] = &["common_neighbors", "common_neighbor_count"];
-    let mut i = 0;
-    while i < tokens.len() {
-        if mask[i]
-            || ident_at(tokens, i) != Some("fn")
-            || !matches!(ident_at(tokens, i + 1), Some("score_pairs") | Some("score_pairs_cached"))
-        {
-            i += 1;
-            continue;
-        }
-        // Find the body's `{`; hitting `;` first means a bodyless trait
-        // declaration, which has nothing to flag.
-        let mut j = i + 2;
-        let mut open = None;
-        while j < tokens.len() {
-            match tokens[j].tok {
-                Tok::Punct('{') => {
-                    open = Some(j);
-                    break;
-                }
-                Tok::Punct(';') => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(open) = open else {
-            i = j + 1;
-            continue;
-        };
-        let end = past_matching_brace(tokens, open);
-        for t in open..end.min(tokens.len()) {
-            if mask[t] || !punct_at(tokens, t, '.') {
-                continue;
-            }
-            let Some(name) = ident_at(tokens, t + 1) else { continue };
-            if MERGES.contains(&name) && punct_at(tokens, t + 2, '(') {
-                out.push(Diagnostic {
-                    rule: "per-pair-intersection",
-                    path: info.path.clone(),
-                    line: tokens[t + 1].line,
-                    message: format!(
-                        "`.{name}()` inside a score_pairs impl pays one sorted-merge intersection per pair; \
-                         advertise a fused_kind so the engine batches by source, or justify the slow path \
-                         with linklens-allow"
-                    ),
-                    suppressed: false, baselined: false,
-                });
-            }
-        }
-        i = end;
-    }
-}
+/// source-batched kernel exists to remove. The per-pair references live
+/// in `linklens_bench::oracles` as plain functions, outside any scoring
+/// method.
+const PER_PAIR_INTERSECTION: BodyScan = BodyScan {
+    rule: "per-pair-intersection",
+    method: |n| matches!(n, "score_pairs" | "score_pairs_cached"),
+    callees: &["common_neighbors", "common_neighbor_count"],
+    method_call: true,
+    message: |name| {
+        format!(
+            "`.{name}()` inside a score_pairs impl pays one sorted-merge intersection per pair; \
+             advertise a fused_kind so the engine batches by source, or justify the slow path \
+             with linklens-allow"
+        )
+    },
+};
 
 /// A fresh per-source power-iteration or frontier solve
 /// (`walk_distribution`, `forward_push`, `two_pass_scores`,
 /// `bfs_distances`) inside the body of any `score_pairs*` implementation:
 /// one full solve per source per call is exactly the cost the batched
-/// solver engine ([`osn_metrics::solver`]) exists to remove. The retained
-/// per-source reference oracles keep the slow path on purpose and
-/// suppress with a justification. Matched by name prefix, so
-/// `score_pairs_per_source` and friends are gated too.
-fn per_source_power_iteration(
-    info: &FileInfo,
-    tokens: &[Token],
-    mask: &[bool],
-    out: &mut Vec<Diagnostic>,
-) {
-    const SOLVES: &[&str] =
-        &["walk_distribution", "forward_push", "two_pass_scores", "bfs_distances"];
-    let mut i = 0;
-    while i < tokens.len() {
-        if mask[i]
-            || ident_at(tokens, i) != Some("fn")
-            || !ident_at(tokens, i + 1).is_some_and(|n| n.starts_with("score_pairs"))
-        {
-            i += 1;
-            continue;
-        }
-        // Find the body's `{`; hitting `;` first means a bodyless trait
-        // declaration, which has nothing to flag.
-        let mut j = i + 2;
-        let mut open = None;
-        while j < tokens.len() {
-            match tokens[j].tok {
-                Tok::Punct('{') => {
-                    open = Some(j);
-                    break;
-                }
-                Tok::Punct(';') => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(open) = open else {
-            i = j + 1;
-            continue;
-        };
-        let end = past_matching_brace(tokens, open);
-        for t in open..end.min(tokens.len()) {
-            if mask[t] {
-                continue;
-            }
-            let Some(name) = ident_at(tokens, t) else { continue };
-            if SOLVES.contains(&name) && punct_at(tokens, t + 1, '(') {
-                out.push(Diagnostic {
-                    rule: "per-source-power-iteration",
-                    path: info.path.clone(),
-                    line: tokens[t].line,
-                    message: format!(
-                        "`{name}()` inside a score_pairs impl pays one full solve per source per call; \
-                         route the metric through the batched solver engine, or justify the reference \
-                         path with linklens-allow"
-                    ),
-                    suppressed: false, baselined: false,
-                });
-            }
-        }
-        i = end;
-    }
-}
+/// solver engine ([`osn_metrics::solver`]) exists to remove. Matched by
+/// name prefix, so every scoring method is gated; the per-source
+/// references live in `linklens_bench::oracles` as plain functions.
+const PER_SOURCE_POWER_ITERATION: BodyScan = BodyScan {
+    rule: "per-source-power-iteration",
+    method: |n| n.starts_with("score_pairs"),
+    callees: &["walk_distribution", "forward_push", "two_pass_scores", "bfs_distances"],
+    method_call: false,
+    message: |name| {
+        format!(
+            "`{name}()` inside a score_pairs impl pays one full solve per source per call; \
+             route the metric through the batched solver engine, or justify the reference \
+             path with linklens-allow"
+        )
+    },
+};
 
 /// A fresh factorization (`fit(..)` / `prepare(..)`) inside the body of
 /// any `score_pairs*` implementation: refitting the whole model per pair
@@ -581,18 +507,34 @@ fn per_source_power_iteration(
 /// justification. Only the exact idents `fit` and `prepare` are gated,
 /// so `fitted_model` (the cache-aware path) and helpers that merely share
 /// a prefix, like Katz's `prepare_from`, pass.
-fn refit_in_score_pairs(
+const REFIT_IN_SCORE_PAIRS: BodyScan = BodyScan {
+    rule: "refit-in-score-pairs",
+    method: |n| n.starts_with("score_pairs"),
+    callees: &["fit", "prepare"],
+    method_call: false,
+    message: |name| {
+        format!(
+            "`{name}()` inside a score_pairs impl refits the whole model per batch; \
+             reuse the per-snapshot cached fit (the score_pairs_cached hook / SolverCache), or \
+             justify the one-shot path with linklens-allow"
+        )
+    },
+};
+
+/// Runs one [`BodyScan`] over a file: finds each scoring method's body
+/// and flags the rule's calls inside it.
+fn scan_scoring_bodies(
+    scan: &BodyScan,
     info: &FileInfo,
     tokens: &[Token],
     mask: &[bool],
     out: &mut Vec<Diagnostic>,
 ) {
-    const REFITS: &[&str] = &["fit", "prepare"];
     let mut i = 0;
     while i < tokens.len() {
         if mask[i]
             || ident_at(tokens, i) != Some("fn")
-            || !ident_at(tokens, i + 1).is_some_and(|n| n.starts_with("score_pairs"))
+            || !ident_at(tokens, i + 1).is_some_and(scan.method)
         {
             i += 1;
             continue;
@@ -617,21 +559,25 @@ fn refit_in_score_pairs(
             continue;
         };
         let end = past_matching_brace(tokens, open);
-        for t in open..end.min(tokens.len()) {
-            if mask[t] {
+        for (t, &masked) in mask.iter().enumerate().take(end).skip(open) {
+            if masked {
                 continue;
             }
-            let Some(name) = ident_at(tokens, t) else { continue };
-            if REFITS.contains(&name) && punct_at(tokens, t + 1, '(') {
+            let at = if scan.method_call {
+                if !punct_at(tokens, t, '.') {
+                    continue;
+                }
+                t + 1
+            } else {
+                t
+            };
+            let Some(name) = ident_at(tokens, at) else { continue };
+            if scan.callees.contains(&name) && punct_at(tokens, at + 1, '(') {
                 out.push(Diagnostic {
-                    rule: "refit-in-score-pairs",
+                    rule: scan.rule,
                     path: info.path.clone(),
-                    line: tokens[t].line,
-                    message: format!(
-                        "`{name}()` inside a score_pairs impl refits the whole model per batch; \
-                         reuse the per-snapshot cached fit (the score_pairs_cached hook / SolverCache), or \
-                         justify the one-shot path with linklens-allow"
-                    ),
+                    line: tokens[at].line,
+                    message: (scan.message)(name),
                     suppressed: false,
                     baselined: false,
                 });

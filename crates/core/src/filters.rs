@@ -320,14 +320,19 @@ impl TemporalFilter {
         self.thresholds.prune_spec()
     }
 
-    /// Filters a candidate batch, preserving order — the post-hoc oracle
-    /// the pruned enumeration path is property-tested against.
+    /// Filters a caller-chosen pair list, preserving order. Production
+    /// calls it where the pairs are not enumerated here: the sampled
+    /// evaluator's sampled universe (`sampling`) and the classifier's
+    /// labelled training and test pairs (`classify`). The post-hoc oracle
+    /// the pruned enumeration is property-tested against is the
+    /// candidate function in `linklens_bench::oracles`, which builds the
+    /// full candidate set and calls this.
     pub fn filter_pairs(
         &self,
         snap: &Snapshot,
         pairs: &[(NodeId, NodeId)],
     ) -> Vec<(NodeId, NodeId)> {
-        // linklens-allow(post-hoc-candidate-retain): this IS the post-hoc oracle that pruned enumeration is verified against
+        // linklens-allow(post-hoc-candidate-retain): the pair list is caller-chosen (sampled universe, labelled classifier pairs), not enumerated here, so there is no walk to push the predicate into
         pairs.iter().copied().filter(|&(u, v)| self.passes(snap, u, v)).collect()
     }
 

@@ -11,8 +11,8 @@
 //! advertised [`Metric::fused_kind`]s, shared solver transition views for
 //! the rest — with per-chunk streaming top-k accumulators, so the full
 //! (pairs × metrics) score matrix is never materialized. The post-hoc
-//! filter path survives as [`SequenceEvaluator::candidates_for_posthoc`],
-//! the oracle the pruned path is property-tested against.
+//! filter path, the oracle the pruned path is property-tested against,
+//! lives in `linklens_bench::oracles`.
 
 use osn_graph::activity::{NodeActivity, Prune, PruneSpec};
 use osn_graph::sequence::SnapshotSequence;
@@ -177,31 +177,6 @@ impl<'a> SequenceEvaluator<'a> {
         let prune: Prune<'_> = ctx.as_ref().map(|(act, spec)| (act, spec));
         CandidateSet::build_pruned(snap, policy, self.top_degree_candidates, prune)
             .capped(self.max_candidate_pairs)
-    }
-
-    /// The post-hoc oracle [`candidates_for`](Self::candidates_for) is
-    /// verified against: build the *full* (uncapped-filter) candidate set,
-    /// then apply the Table 7 criteria pair by pair via
-    /// [`TemporalFilter::filter_pairs`], preserving enumeration order.
-    /// Kept for tests, benches, and the scalecheck equality pre-pass; the
-    /// sweep itself never takes this path.
-    pub fn candidates_for_posthoc(
-        &self,
-        snap: &Snapshot,
-        metrics: &[&dyn Metric],
-        filter: Option<&TemporalFilter>,
-    ) -> CandidateSet {
-        let policy =
-            metrics.iter().map(|m| m.candidate_policy()).max().unwrap_or(CandidatePolicy::TwoHop);
-        let cands = CandidateSet::build(snap, policy, self.top_degree_candidates);
-        let cands = match filter {
-            None => cands,
-            Some(f) => {
-                let kept = f.filter_pairs(snap, cands.pairs());
-                CandidateSet::from_filtered_pairs(kept, policy)
-            }
-        };
-        cands.capped(self.max_candidate_pairs)
     }
 
     /// The sweep's scoring core: top-k predictions for every metric on one

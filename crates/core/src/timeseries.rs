@@ -160,7 +160,7 @@ mod tests {
         let ma = TimeSeriesPredictor { window: 3, aggregation: Aggregation::MovingAverage };
         let pairs = [(10u32, 11u32)];
         let ma_score = ma.score_pairs(&seq, &CommonNeighbors, t, &pairs)[0];
-        let now = CommonNeighbors.score_pairs(&seq.snapshot(t - 1), &pairs)[0];
+        let now = exec::score_pairs_t(&CommonNeighbors, &seq.snapshot(t - 1), &pairs, 1)[0];
         // CN grows over time, so the trailing average sits below the
         // current value.
         assert!(ma_score < now, "MA {ma_score} should lag current {now}");
@@ -188,7 +188,7 @@ mod tests {
         let ts = TimeSeriesPredictor { window: 1, aggregation: Aggregation::MovingAverage };
         let pairs = [(10u32, 11u32), (0u32, 1u32)];
         let got = ts.score_pairs(&seq, &CommonNeighbors, t, &pairs);
-        let direct = CommonNeighbors.score_pairs(&seq.snapshot(t - 1), &pairs);
+        let direct = exec::score_pairs_t(&CommonNeighbors, &seq.snapshot(t - 1), &pairs, 1);
         assert_eq!(got, direct);
     }
 

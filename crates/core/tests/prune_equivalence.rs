@@ -2,12 +2,14 @@
 //! oracle: for every Table 7 preset, every candidate policy, and every
 //! worker count, pruning the temporal criteria *inside* candidate
 //! enumeration must yield exactly the pairs — in exactly the order — that
-//! post-hoc [`TemporalFilter::filter_pairs`] keeps on the unpruned set,
+//! post-hoc [`TemporalFilter::filter_pairs`] keeps on the unpruned set
+//! (`linklens_bench::oracles::candidates::posthoc`),
 //! and the batched top-k over those survivors must be bit-identical to
 //! the oracle path's. This is the property that lets the framework sweep
 //! route every filtered evaluation through the pruned walks without ever
 //! re-checking a pair.
 
+use linklens_bench::oracles;
 use linklens_core::filters::{FilterThresholds, TemporalFilter};
 use linklens_core::framework::SequenceEvaluator;
 use osn_graph::activity::NodeActivity;
@@ -103,7 +105,7 @@ proptest! {
                 FilterThresholds::for_preset(preset).expect("known preset"),
             );
             let pruned = eval.candidates_for(&snap, &refs, Some(&f));
-            let posthoc = eval.candidates_for_posthoc(&snap, &refs, Some(&f));
+            let posthoc = oracles::candidates::posthoc(&eval, &snap, &refs, Some(&f));
             prop_assert_eq!(pruned.pairs(), posthoc.pairs(), "{}: candidate drift", preset);
             if pruned.is_empty() {
                 continue;
@@ -150,7 +152,7 @@ proptest! {
             );
             let (batched, _) = eval.predictions_many(&refs, 1, Some(&f));
             for (i, &m) in refs.iter().enumerate() {
-                let posthoc = eval.candidates_for_posthoc(&prev, &[m], Some(&f));
+                let posthoc = oracles::candidates::posthoc(&eval, &prev, &[m], Some(&f));
                 let mut cache = SolverCache::transient();
                 let oracle = exec::predict_top_k_many_cached_t(
                     &[m], &prev, &posthoc, truth.len(), eval.seed, 1, &mut cache,

@@ -10,15 +10,21 @@
 //! * BAA / BRA re-use AA's / RA's witness weights on `(log s + log R_w)`.
 //!
 //! Scores can be negative (they are log-odds); only the ranking matters.
+//! Like the plain local metrics, these advertise a
+//! [`Metric::fused_kind`], and each hook is the engine call that scores
+//! them through the fused kernel.
 
+use crate::exec;
 use crate::fused::LocalKind;
+use crate::solver::SolverCache;
 use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 
 /// Precomputed per-snapshot naive-Bayes quantities, derived from the
-/// snapshot's cached [`Snapshot::triangle_counts`]. Shared with the fused
-/// kernel (`crate::fused`), which builds its BAA/BRA weight tables on top.
+/// snapshot's cached [`Snapshot::triangle_counts`]. The fused kernel
+/// (`crate::fused`) builds it and derives its BAA/BRA weight tables from
+/// it.
 pub(crate) struct BayesContext {
     pub(crate) log_s: f64,
     /// `log R_w` per node.
@@ -60,21 +66,14 @@ impl Metric for BayesCommonNeighbors {
         Some(LocalKind::Bcn)
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        let ctx = BayesContext::build(snap);
-        pairs
-            .iter()
-            .map(|&(u, v)| {
-                let mut cn = 0usize;
-                let mut acc = 0.0;
-                // linklens-allow(per-pair-intersection): reference implementation; the engine routes batches through the fused kernel
-                for w in snap.common_neighbors(u, v) {
-                    cn += 1;
-                    acc += ctx.log_r[w as usize];
-                }
-                cn as f64 * ctx.log_s + acc
-            })
-            .collect()
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_pairs_t(self, snap, pairs, threads)
     }
 }
 
@@ -94,17 +93,14 @@ impl Metric for BayesAdamicAdar {
         Some(LocalKind::Baa)
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        let ctx = BayesContext::build(snap);
-        pairs
-            .iter()
-            .map(|&(u, v)| {
-                // linklens-allow(per-pair-intersection): reference implementation; the engine routes batches through the fused kernel
-                snap.common_neighbors(u, v)
-                    .map(|w| (ctx.log_s + ctx.log_r[w as usize]) / (snap.degree(w) as f64).ln())
-                    .sum()
-            })
-            .collect()
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_pairs_t(self, snap, pairs, threads)
     }
 }
 
@@ -125,23 +121,21 @@ impl Metric for BayesResourceAllocation {
         Some(LocalKind::Bra)
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        let ctx = BayesContext::build(snap);
-        pairs
-            .iter()
-            .map(|&(u, v)| {
-                // linklens-allow(per-pair-intersection): reference implementation; the engine routes batches through the fused kernel
-                snap.common_neighbors(u, v)
-                    .map(|w| (ctx.log_s + ctx.log_r[w as usize]) / snap.degree(w) as f64)
-                    .sum()
-            })
-            .collect()
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_pairs_t(self, snap, pairs, threads)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::score_pairs_t;
 
     /// Fixture where witness quality differs: witness 1 closes its only
     /// wedge into a triangle; witness 5 has the same degree but an open
@@ -172,7 +166,7 @@ mod tests {
         // compare (3,4) against an equal-CN pair witnessed by node 1.
         // Both witnesses have degree 2, so plain CN ties them; BCN must not.
         let s = closing_vs_open();
-        let scores = BayesCommonNeighbors.score_pairs(&s, &[(3, 4)]);
+        let scores = score_pairs_t(&BayesCommonNeighbors, &s, &[(3, 4)], 1);
         // Witness 5 has log R < 0, so BCN < log s · 1.
         let ctx = BayesContext::build(&s);
         assert!(scores[0] < ctx.log_s);
@@ -182,18 +176,18 @@ mod tests {
     fn all_bayes_metrics_zero_without_common_neighbors() {
         let s = closing_vs_open();
         let pair = [(3, 6)]; // no shared neighbor
-        assert_eq!(BayesCommonNeighbors.score_pairs(&s, &pair), vec![0.0]);
-        assert_eq!(BayesAdamicAdar.score_pairs(&s, &pair), vec![0.0]);
-        assert_eq!(BayesResourceAllocation.score_pairs(&s, &pair), vec![0.0]);
+        assert_eq!(score_pairs_t(&BayesCommonNeighbors, &s, &pair, 1), vec![0.0]);
+        assert_eq!(score_pairs_t(&BayesAdamicAdar, &s, &pair, 1), vec![0.0]);
+        assert_eq!(score_pairs_t(&BayesResourceAllocation, &s, &pair, 1), vec![0.0]);
     }
 
     #[test]
     fn baa_bra_share_sign_structure_with_bcn() {
         let s = closing_vs_open();
         let pairs = [(3, 4), (0, 4)];
-        let bcn = BayesCommonNeighbors.score_pairs(&s, &pairs);
-        let baa = BayesAdamicAdar.score_pairs(&s, &pairs);
-        let bra = BayesResourceAllocation.score_pairs(&s, &pairs);
+        let bcn = score_pairs_t(&BayesCommonNeighbors, &s, &pairs, 1);
+        let baa = score_pairs_t(&BayesAdamicAdar, &s, &pairs, 1);
+        let bra = score_pairs_t(&BayesResourceAllocation, &s, &pairs, 1);
         for i in 0..pairs.len() {
             assert_eq!(bcn[i] == 0.0, baa[i] == 0.0);
             assert_eq!(baa[i] == 0.0, bra[i] == 0.0);
@@ -204,7 +198,7 @@ mod tests {
     fn dense_graph_prior_is_guarded() {
         // Complete graph minus one edge: s would be ≤ 0 without the guard.
         let s = Snapshot::from_edges(3, &[(0, 1), (1, 2)]);
-        let scores = BayesCommonNeighbors.score_pairs(&s, &[(0, 2)]);
+        let scores = score_pairs_t(&BayesCommonNeighbors, &s, &[(0, 2)], 1);
         assert!(scores[0].is_finite());
     }
 
@@ -213,8 +207,8 @@ mod tests {
         let s = closing_vs_open();
         for m in [&BayesCommonNeighbors as &dyn Metric, &BayesAdamicAdar, &BayesResourceAllocation]
         {
-            let a = m.score_pairs(&s, &[(3, 4)])[0];
-            let b = m.score_pairs(&s, &[(4, 3)])[0];
+            let a = score_pairs_t(m, &s, &[(3, 4)], 1)[0];
+            let b = score_pairs_t(m, &s, &[(4, 3)], 1)[0];
             assert_eq!(a, b, "{} asymmetric", m.name());
         }
     }

@@ -24,20 +24,19 @@
 //!    selection (see [`crate::topk`]) without materializing the column.
 //! 2. **Every other metric** is scored whole, in input order, through its
 //!    [`Metric::score_pairs_cached`] hook with the full worker budget and
-//!    the caller's [`SolverCache`]. The default hook cuts source-aligned
-//!    chunks (splitting only where `pairs[i].0` changes) and runs
-//!    [`Metric::score_pairs`] on them in parallel; SP and LP group each
-//!    chunk by solve side, one BFS or scan per side. The walk, Katz and
-//!    Rescal metrics override the hook to solve or factor once per call.
+//!    the caller's [`SolverCache`]. SP, LP and the time-aware metrics cut
+//!    source-aligned chunks through [`score_chunked`] (splitting only
+//!    where `pairs[i].0` changes) and score them in parallel; SP and LP
+//!    group each chunk by solve side, one BFS or scan per side. The walk,
+//!    Katz and Rescal metrics solve or factor once per call.
 //!
 //! Every column is checked against its metric's [`ScoreContract`] when
 //! audits are enabled. Scores depend only on (snapshot, pair list): LRW
 //! and PPR score each pair from the solve side its batch picks (see
 //! [`crate::solver`]), so the same pair inside another batch may score
 //! differently within the solvers' certified bounds. Every entry point
-//! hands a non-fused metric's hook the whole pair list, so each is
-//! bit-identical to [`Metric::score_pairs`] on the same list for every
-//! worker count.
+//! hands a non-fused metric's hook the whole pair list, so all of them
+//! give the same scores on the same list for every worker count.
 
 use crate::candidates::CandidateSet;
 use crate::fused::{self, FusedScratch, LocalKind};
@@ -101,11 +100,12 @@ fn source_aligned_chunks(pairs: &[(NodeId, NodeId)], threads: usize) -> Vec<Rang
 }
 
 /// Scores `pairs` in source-aligned chunks over `threads` workers and
-/// concatenates the chunk scores in order — the parallel half of the
-/// default [`Metric::score_pairs_cached`] hook and of the Katz overrides.
-/// `score` must be a pure function of its slice's pairs, so chunk
-/// boundaries never influence a score.
-pub(crate) fn score_chunked<F>(pairs: &[(NodeId, NodeId)], threads: usize, score: F) -> Vec<f64>
+/// concatenates the chunk scores in order: the parallel half of every
+/// [`Metric::score_pairs_cached`] hook whose scores depend only on
+/// (snapshot, pair), and of the Katz hooks. `score` must be a pure
+/// function of its slice's pairs, so chunk boundaries never influence a
+/// score.
+pub fn score_chunked<F>(pairs: &[(NodeId, NodeId)], threads: usize, score: F) -> Vec<f64>
 where
     F: Fn(&[(NodeId, NodeId)]) -> Vec<f64> + Sync,
 {
@@ -190,8 +190,8 @@ where
 
 /// Scores `pairs` for one metric with a transient [`SolverCache`]: fused
 /// metrics through the source-batched kernel, everything else through
-/// its [`Metric::score_pairs_cached`] hook. Bit-identical to
-/// [`Metric::score_pairs`] for every `threads` value.
+/// its [`Metric::score_pairs_cached`] hook. Bit-identical for every
+/// `threads` value.
 pub fn score_pairs_t(
     m: &dyn Metric,
     snap: &Snapshot,
@@ -323,21 +323,6 @@ mod tests {
         )
     }
 
-    /// Fisher–Yates shuffle driven by a fixed-seed splitmix64 stream.
-    fn shuffled(pairs: &[(NodeId, NodeId)], seed: u64) -> Vec<(NodeId, NodeId)> {
-        let mut out = pairs.to_vec();
-        let mut state = seed;
-        for i in (1..out.len()).rev() {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            out.swap(i, (z % (i as u64 + 1)) as usize);
-        }
-        out
-    }
-
     #[test]
     fn chunks_are_source_aligned_and_cover() {
         let pairs: Vec<(NodeId, NodeId)> =
@@ -359,25 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_scores_match_direct_scoring() {
-        let snap = fixture();
-        let cands = CandidateSet::build(&snap, CandidatePolicy::ThreeHop, 0);
-        // Sorted candidates, and the same list in caller order (the shape
-        // AUC positives/negatives and time-series windows arrive in).
-        let inputs = [cands.pairs().to_vec(), shuffled(cands.pairs(), 0x5EED)];
-        assert_ne!(inputs[0], inputs[1], "the shuffle must reorder the pairs");
-        for pairs in &inputs {
-            for m in crate::all_metrics() {
-                let direct = m.score_pairs(&snap, pairs);
-                for threads in [1, 2, 4] {
-                    let engine = score_pairs_t(m.as_ref(), &snap, pairs, threads);
-                    assert_eq!(engine, direct, "{} threads={threads}", m.name());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn multi_metric_predictions_match_single_metric() {
         let snap = fixture();
         let cands = CandidateSet::build(&snap, CandidatePolicy::Global, 2);
@@ -386,7 +352,7 @@ mod tests {
         let mut cache = SolverCache::transient();
         let many = predict_top_k_many_cached_t(&refs, &snap, &cands, 4, 0x11A5, 3, &mut cache);
         for (i, m) in refs.iter().enumerate() {
-            let scores = m.score_pairs(&snap, cands.pairs());
+            let scores = score_pairs_t(*m, &snap, cands.pairs(), 1);
             let single = crate::topk::top_k_pairs(cands.pairs(), &scores, 4, 0x11A5);
             assert_eq!(many[i], single, "{}", m.name());
         }
@@ -408,7 +374,13 @@ mod tests {
         fn score_contract(&self) -> ScoreContract {
             self.contract
         }
-        fn score_pairs(&self, _snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
+        fn score_pairs_cached(
+            &self,
+            _snap: &Snapshot,
+            pairs: &[(NodeId, NodeId)],
+            _threads: usize,
+            _cache: &mut SolverCache,
+        ) -> Vec<f64> {
             vec![self.value; pairs.len()]
         }
     }
@@ -476,7 +448,7 @@ mod tests {
         let matrix =
             score_matrix_cached_t(&refs, &snap, cands.pairs(), 4, &mut SolverCache::transient());
         for (i, m) in refs.iter().enumerate() {
-            assert_eq!(matrix[i], m.score_pairs(&snap, cands.pairs()), "{}", m.name());
+            assert_eq!(matrix[i], score_pairs_t(*m, &snap, cands.pairs(), 1), "{}", m.name());
         }
     }
 }

@@ -9,22 +9,22 @@
 //! Katz-lr scores in O(r) per pair. Katz-sc instead takes a Nyström-style
 //! landmark approximation: with `C = K[:, L]` (truncated-series columns for
 //! a landmark set `L`) and `W = K[L, L]`, `K ≈ C W⁺ Cᵀ`.
+//!
+//! Both hooks factor once per call from the [`SolverCache`]'s shared
+//! adjacency CSR and score source-aligned chunks in parallel. The dense
+//! truncated series and Katz-sc's per-landmark column loop are reference
+//! oracles in `linklens_bench::oracles`.
 
 use crate::exec;
 use crate::solver::{SolverCache, SolverError};
 use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::snapshot::Snapshot;
-use osn_graph::{par, NodeId};
+use osn_graph::NodeId;
 use osn_linalg::lanczos::{lanczos_top_k, symmetric_eigen, EigenError};
 use osn_linalg::{Matrix, SparseMatrix};
 
 /// Shared Katz attenuation default (the paper uses β = 0.001 after \[1\]).
 pub const DEFAULT_BETA: f64 = 1e-3;
-
-fn adjacency(snap: &Snapshot) -> SparseMatrix {
-    let edges: Vec<(u32, u32)> = snap.edges().collect();
-    SparseMatrix::adjacency(snap.node_count(), &edges)
-}
 
 /// Low-rank Katz (Katz-lr): rank-`rank` Lanczos eigendecomposition of the
 /// adjacency, scored as `Σ_k f(λ_k) U[u,k] U[v,k]` with
@@ -79,18 +79,8 @@ impl Metric for KatzLr {
         CandidatePolicy::ThreeHop
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        match self.prepare_from(snap, &adjacency(snap)) {
-            Ok(factors) => factors.score(pairs),
-            // The Metric trait has no error channel; a failed eigensolve
-            // is a hard invariant violation, same class as an audit panic.
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Factors once from the cache's shared adjacency CSR (structurally
-    /// identical to the triplet build [`score_pairs`](Metric::score_pairs)
-    /// uses), then scores source-aligned chunks in parallel.
+    /// Factors once from the cache's shared adjacency CSR, then scores
+    /// source-aligned chunks in parallel.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
@@ -100,15 +90,15 @@ impl Metric for KatzLr {
     ) -> Vec<f64> {
         match self.prepare_from(snap, cache.ensure_snapshot(snap).adjacency()) {
             Ok(factors) => exec::score_chunked(pairs, threads, |chunk| factors.score(chunk)),
-            // As in score_pairs: no error channel, so re-raise.
+            // The Metric trait has no error channel; a failed eigensolve
+            // is a hard invariant violation, same class as an audit panic.
             Err(e) => panic!("{e}"),
         }
     }
 }
 
 impl KatzLr {
-    /// Factorization stage shared by the reference and the engine hook;
-    /// `a` is the snapshot's adjacency.
+    /// The hook's factorization stage; `a` is the snapshot's adjacency.
     ///
     /// # Errors
     /// The eigensolver's failure as a [`SolverError`]: a non-finite
@@ -258,12 +248,9 @@ impl Metric for KatzSc {
         CandidatePolicy::ThreeHop
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        self.prepare_from(snap, &adjacency(snap)).score(pairs)
-    }
-
-    /// Builds the landmark state once from the cache's shared adjacency
-    /// CSR, then scores source-aligned chunks in parallel.
+    /// Builds the landmark columns once from the cache's shared adjacency
+    /// CSR on `threads` workers, then scores source-aligned chunks in
+    /// parallel.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
@@ -271,63 +258,56 @@ impl Metric for KatzSc {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        let factors = self.prepare_from(snap, cache.ensure_snapshot(snap).adjacency());
-        exec::score_chunked(pairs, threads, |chunk| factors.score(chunk))
+        let tv = cache.ensure_snapshot(snap);
+        self.score_with_columns(snap, pairs, threads, |lm| {
+            self.landmark_columns(tv.adjacency(), lm, threads)
+        })
     }
 }
 
 impl KatzSc {
-    /// Landmark stage shared by the reference and the engine hook; `a` is
-    /// the snapshot's adjacency.
-    fn prepare_from(&self, snap: &Snapshot, a: &SparseMatrix) -> KatzScFactors {
-        self.factors_with(snap, |lm| self.landmark_columns(a, lm, par::max_threads()))
-    }
-
-    /// Per-source reference for [`score_pairs`](Metric::score_pairs):
-    /// identical landmark/mixing stages but columns built by
-    /// [`landmark_columns_per_source`](Self::landmark_columns_per_source).
-    /// The columns are bit-identical to the batched SpMM build, so the
-    /// scores are too — kept as the oracle the bench and equivalence tests
-    /// pin against.
-    pub fn score_pairs_per_source(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        let a = adjacency(snap);
-        self.factors_with(snap, |lm| self.landmark_columns_per_source(&a, lm)).score(pairs)
-    }
-
-    /// Landmark pick plus the mixing stage shared by every column-building
-    /// path: `C = columns(lm)`, `W = C[lm, :]`, `M = C (W + δI)⁻¹`.
-    fn factors_with(
+    /// Scores `pairs` over `threads` workers from the landmark columns
+    /// `columns` builds for the picked landmarks, through Katz-sc's
+    /// landmark pick and mixing stage: `C = columns(lm)`, `W = C[lm, :]`,
+    /// `M = C (W + δI)⁻¹`, `score(u, v) = M[u, :] · C[v, :]`. The hook
+    /// passes [`landmark_columns`](Self::landmark_columns); a reference
+    /// that builds the columns another way gets the scores they imply.
+    pub fn score_with_columns(
         &self,
         snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
         columns: impl FnOnce(&[NodeId]) -> Matrix,
-    ) -> KatzScFactors {
+    ) -> Vec<f64> {
         let n = snap.node_count();
-        if snap.edge_count() == 0 || n == 0 {
-            return KatzScFactors { c: Matrix::zeros(n.max(1), 0), m_rows: None };
-        }
-        let lm = self.pick_landmarks(snap);
-        let c = columns(&lm);
-        let l = lm.len();
-        let mut w = Matrix::zeros(l, l);
-        for (r_out, &lr) in lm.iter().enumerate() {
-            for j in 0..l {
-                w[(r_out, j)] = c[(lr as usize, j)];
+        let factors = if snap.edge_count() == 0 || n == 0 {
+            KatzScFactors { c: Matrix::zeros(n.max(1), 0), m_rows: None }
+        } else {
+            let lm = self.pick_landmarks(snap);
+            let c = columns(&lm);
+            let l = lm.len();
+            let mut w = Matrix::zeros(l, l);
+            for (r_out, &lr) in lm.iter().enumerate() {
+                for j in 0..l {
+                    w[(r_out, j)] = c[(lr as usize, j)];
+                }
+                w[(r_out, r_out)] += self.ridge;
             }
-            w[(r_out, r_out)] += self.ridge;
-        }
-        // Solve (W + δI) Y = Cᵀ column-block-wise: rhs per graph node.
-        let rhs: Vec<Vec<f64>> = (0..c.rows()).map(|i| c.row(i).to_vec()).collect();
-        let m_rows = w.solve_many(&rhs);
-        KatzScFactors { c, m_rows }
+            // Solve (W + δI) Y = Cᵀ column-block-wise: rhs per graph node.
+            let rhs: Vec<Vec<f64>> = (0..c.rows()).map(|i| c.row(i).to_vec()).collect();
+            let m_rows = w.solve_many(&rhs);
+            KatzScFactors { c, m_rows }
+        };
+        exec::score_chunked(pairs, threads, |chunk| factors.score(chunk))
     }
 
     /// Truncated Katz columns for all landmarks at once:
     /// `C[:, j] = Σ_{i=1..T} βⁱ Aⁱ e_{lm[j]}`, each series term one SpMM
     /// over the `n × l` block, so `A`'s CSR is swept `T` times total
-    /// instead of `T` times per landmark. Bit-identical per column to
-    /// [`landmark_columns_per_source`](Self::landmark_columns_per_source)
-    /// for every thread count (the row fold visits the same neighbors in
-    /// the same ascending order).
+    /// instead of `T` times per landmark. Bit-identical per column, at
+    /// every thread count, to one SpMV per term per landmark (the row fold
+    /// visits the same neighbors in the same ascending order); that loop
+    /// is the reference oracle in `linklens_bench::oracles`.
     pub fn landmark_columns(&self, a: &SparseMatrix, lm: &[NodeId], threads: usize) -> Matrix {
         let n = a.rows();
         let l = lm.len();
@@ -348,56 +328,18 @@ impl KatzSc {
         }
         c
     }
-
-    /// Per-landmark reference for [`landmark_columns`](Self::landmark_columns):
-    /// the original one-SpMV-per-term-per-landmark loop, kept as the
-    /// oracle the batched SpMM path is pinned against.
-    pub fn landmark_columns_per_source(&self, a: &SparseMatrix, lm: &[NodeId]) -> Matrix {
-        let n = a.rows();
-        let l = lm.len();
-        let mut c = Matrix::zeros(n, l);
-        let mut col = vec![0.0; n];
-        let mut next = vec![0.0; n];
-        for (j, &src) in lm.iter().enumerate() {
-            col.iter_mut().for_each(|x| *x = 0.0);
-            col[src as usize] = 1.0;
-            let mut weight = 1.0;
-            let mut acc = vec![0.0; n];
-            for _ in 0..self.series_terms {
-                a.matvec_into(&col, &mut next);
-                std::mem::swap(&mut col, &mut next);
-                weight *= self.beta;
-                for (av, &cv) in acc.iter_mut().zip(col.iter()) {
-                    *av += weight * cv;
-                }
-            }
-            for (i, &v) in acc.iter().enumerate() {
-                c[(i, j)] = v;
-            }
-        }
-        c
-    }
-}
-
-/// Exact truncated Katz (dense reference; tests and toy graphs only).
-pub fn exact_katz_truncated(snap: &Snapshot, beta: f64, terms: usize) -> Matrix {
-    let n = snap.node_count();
-    let a = adjacency(snap).to_dense();
-    let mut power = Matrix::identity(n);
-    let mut acc = Matrix::zeros(n, n);
-    let mut weight = 1.0;
-    for _ in 0..terms {
-        power = power.matmul(&a);
-        weight *= beta;
-        let term = &power * weight;
-        acc = &acc + &term;
-    }
-    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::score_pairs_t;
+
+    /// The triplet-built adjacency the dense references read.
+    fn adjacency(snap: &Snapshot) -> SparseMatrix {
+        let edges: Vec<(u32, u32)> = snap.edges().collect();
+        SparseMatrix::adjacency(snap.node_count(), &edges)
+    }
 
     /// Two triangles bridged: 0-1-2 triangle, 3-4-5 triangle, bridge 2-3.
     fn fixture() -> Snapshot {
@@ -437,7 +379,7 @@ mod tests {
         let lr = KatzLr { beta, rank: 6, max_iter: 60, seed: 3 };
         let exact = exact_katz(&s, beta);
         let pairs = [(0, 3), (0, 4), (1, 5), (2, 4)];
-        let got = lr.score_pairs(&s, &pairs);
+        let got = score_pairs_t(&lr, &s, &pairs, 1);
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let want = exact[(u as usize, v as usize)];
             assert!((got[i] - want).abs() < 1e-6, "pair ({u},{v}): got {} want {want}", got[i]);
@@ -448,32 +390,15 @@ mod tests {
     fn katz_lr_ranks_near_over_far() {
         let s = fixture();
         let lr = KatzLr::default();
-        let scores = lr.score_pairs(&s, &[(1, 3), (1, 5)]);
+        let scores = score_pairs_t(&lr, &s, &[(1, 3), (1, 5)], 1);
         assert!(scores[0] > scores[1], "distance-2 pair must beat distance-3");
-    }
-
-    #[test]
-    fn katz_sc_all_landmarks_matches_truncated_series() {
-        // With every node a landmark, the Nyström identity C W⁻¹ Cᵀ = K_T
-        // holds exactly (K_T = truncated Katz) when W is invertible.
-        let s = fixture();
-        let beta = 0.05;
-        let terms = 5;
-        let sc = KatzSc { beta, landmarks: 6, series_terms: terms, ridge: 1e-12 };
-        let exact = exact_katz_truncated(&s, beta, terms);
-        let pairs = [(0, 3), (0, 4), (1, 5)];
-        let got = sc.score_pairs(&s, &pairs);
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            let want = exact[(u as usize, v as usize)];
-            assert!((got[i] - want).abs() < 1e-6, "pair ({u},{v}): got {} want {want}", got[i]);
-        }
     }
 
     #[test]
     fn katz_sc_few_landmarks_still_ranks_sanely() {
         let s = fixture();
         let sc = KatzSc { landmarks: 3, ..Default::default() };
-        let scores = sc.score_pairs(&s, &[(1, 3), (1, 5)]);
+        let scores = score_pairs_t(&sc, &s, &[(1, 3), (1, 5)], 1);
         assert!(scores[0] > scores[1]);
     }
 
@@ -493,27 +418,14 @@ mod tests {
         let s = Snapshot::from_edges(3, &[(0, 1)]);
         // Not empty, but test the guard path via a pair on a fresh snapshot.
         let lr = KatzLr::default();
-        let scores = lr.score_pairs(&s, &[(0, 2)]);
+        let scores = score_pairs_t(&lr, &s, &[(0, 2)], 1);
         assert!(scores[0].abs() < 1e-9, "no path 0→2 exists");
     }
 
     #[test]
-    fn landmark_columns_batched_matches_per_source_bitwise() {
-        let s = fixture();
-        let a = adjacency(&s);
-        let sc = KatzSc { landmarks: 4, ..Default::default() };
-        let lm = sc.pick_landmarks(&s);
-        let want = sc.landmark_columns_per_source(&a, &lm);
-        for threads in [1, 2, 4] {
-            let got = sc.landmark_columns(&a, &lm, threads);
-            assert_eq!(got.data(), want.data(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn transition_view_adjacency_matches_triplet_build() {
-        // The engine hook swaps the triplet-built adjacency for the cache's
-        // shared TransitionView CSR; they must be structurally identical.
+        // The hooks read the cache's shared TransitionView CSR, the dense
+        // references a triplet build; they must be structurally identical.
         let s = fixture();
         let a = adjacency(&s);
         let tv = SolverCache::transient().ensure_snapshot(&s);
@@ -522,33 +434,5 @@ mod tests {
         for i in 0..a.rows() {
             assert_eq!(a.row(i), b.row(i), "row {i}");
         }
-    }
-
-    #[test]
-    fn cached_hook_scores_match_reference() {
-        let s = fixture();
-        let pairs = [(0u32, 3u32), (0, 4), (1, 5), (2, 4)];
-        let lr = KatzLr::default();
-        let sc = KatzSc::default();
-        for threads in [1, 2] {
-            let mut cache = SolverCache::sweep();
-            assert_eq!(
-                lr.score_pairs_cached(&s, &pairs, threads, &mut cache),
-                lr.score_pairs(&s, &pairs)
-            );
-            assert_eq!(
-                sc.score_pairs_cached(&s, &pairs, threads, &mut cache),
-                sc.score_pairs(&s, &pairs)
-            );
-        }
-    }
-
-    #[test]
-    fn exact_truncated_reference_matches_hand_count() {
-        // Path 0-1-2: K_2[0][2] = β²·(# 2-walks) = β².
-        let s = Snapshot::from_edges(3, &[(0, 1), (1, 2)]);
-        let k = exact_katz_truncated(&s, 0.1, 2);
-        assert!((k[(0, 2)] - 0.01).abs() < 1e-12);
-        assert!((k[(0, 1)] - 0.1).abs() < 1e-12);
     }
 }

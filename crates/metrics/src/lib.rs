@@ -4,9 +4,9 @@
 //! (IMC 2016, Table 3), plus the two Katz implementations the paper
 //! compares (low-rank and scalable-proximity). Every metric implements the
 //! [`traits::Metric`] trait: given a [`osn_graph::snapshot::Snapshot`] and
-//! a batch of unconnected node pairs, produce one ranking score per pair —
-//! serially through the reference [`traits::Metric::score_pairs`], or in
-//! parallel through the engine hook [`traits::Metric::score_pairs_cached`].
+//! a batch of unconnected node pairs, produce one ranking score per pair
+//! through its one scoring method, the engine hook
+//! [`traits::Metric::score_pairs_cached`].
 //!
 //! | Module | Metrics | Paper reference |
 //! |---|---|---|
@@ -25,12 +25,12 @@
 //!
 //! ```
 //! use osn_graph::snapshot::Snapshot;
+//! use osn_metrics::exec;
 //! use osn_metrics::local::ResourceAllocation;
-//! use osn_metrics::traits::Metric;
 //!
 //! // A square with one diagonal: does (1, 3) close next?
 //! let snap = Snapshot::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
-//! let scores = ResourceAllocation.score_pairs(&snap, &[(1, 3)]);
+//! let scores = exec::score_pairs_t(&ResourceAllocation, &snap, &[(1, 3)], 1);
 //! assert!(scores[0] > 0.0, "two shared neighbors back the pair");
 //! ```
 //!
@@ -38,14 +38,19 @@
 //! caller-chosen pair batch, so the expensive enumeration is shared across
 //! all metrics per snapshot (the evaluation framework exploits this).
 //! Top-k selection with deterministic seeded tie-breaking — the paper's
-//! "random choice among ties" for SP — is in [`topk`]. Library code scores
-//! only through the engine in [`exec`], which has four entry points
+//! "random choice among ties" for SP — is in [`topk`]. Callers score
+//! through the engine in [`exec`], which has four entry points
 //! ([`exec::score_pairs_t`], [`exec::score_matrix_cached_t`],
 //! [`exec::predict_top_k_many_cached_t`], [`exec::score_pairs_targeted`]);
-//! predictions are bit-identical to the reference and across worker
-//! counts. The local and Bayes metrics are scored through the
-//! source-batched fused kernel in [`fused`] — one witness walk per source
-//! instead of per-pair intersections — with bit-identical results.
+//! predictions are bit-identical across worker counts. The local and
+//! Bayes metrics are scored through the source-batched fused kernel in
+//! [`fused`], one witness walk per source instead of per-pair
+//! intersections.
+//!
+//! The crate holds only code the engine runs. The reference
+//! implementations the engine is tested and benchmarked against (per-pair
+//! local scores, per-source walks and BFS, the dense Rescal fit, the
+//! truncated Katz series) live in `linklens_bench::oracles`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,12 @@
 //! Neighborhood heuristics: CN, JC, AA, RA, PA (Table 3 rows 1–4 and 13).
+//!
+//! These metrics advertise a [`Metric::fused_kind`], so the engine scores
+//! them through the source-batched kernel in [`crate::fused`]; each hook
+//! is that same engine call.
 
+use crate::exec;
 use crate::fused::LocalKind;
+use crate::solver::SolverCache;
 use crate::traits::{CandidatePolicy, Metric, ScoreContract};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
@@ -25,9 +31,14 @@ impl Metric for CommonNeighbors {
         Some(LocalKind::Cn)
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        // linklens-allow(per-pair-intersection): reference implementation; the engine routes batches through the fused kernel
-        pairs.iter().map(|&(u, v)| snap.common_neighbor_count(u, v) as f64).collect()
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_pairs_t(self, snap, pairs, threads)
     }
 }
 
@@ -52,20 +63,14 @@ impl Metric for JaccardCoefficient {
         Some(LocalKind::Jc)
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        pairs
-            .iter()
-            .map(|&(u, v)| {
-                // linklens-allow(per-pair-intersection): reference implementation; the engine routes batches through the fused kernel
-                let inter = snap.common_neighbor_count(u, v);
-                let union = snap.degree(u) + snap.degree(v) - inter;
-                if union == 0 {
-                    0.0
-                } else {
-                    inter as f64 / union as f64
-                }
-            })
-            .collect()
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_pairs_t(self, snap, pairs, threads)
     }
 }
 
@@ -90,14 +95,14 @@ impl Metric for AdamicAdar {
         Some(LocalKind::Aa)
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        pairs
-            .iter()
-            .map(|&(u, v)| {
-                // linklens-allow(per-pair-intersection): reference implementation; the engine routes batches through the fused kernel
-                snap.common_neighbors(u, v).map(|w| 1.0 / (snap.degree(w) as f64).ln()).sum()
-            })
-            .collect()
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_pairs_t(self, snap, pairs, threads)
     }
 }
 
@@ -121,12 +126,14 @@ impl Metric for ResourceAllocation {
         Some(LocalKind::Ra)
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        pairs
-            .iter()
-            // linklens-allow(per-pair-intersection): reference implementation; the engine routes batches through the fused kernel
-            .map(|&(u, v)| snap.common_neighbors(u, v).map(|w| 1.0 / snap.degree(w) as f64).sum())
-            .collect()
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_pairs_t(self, snap, pairs, threads)
     }
 }
 
@@ -151,14 +158,21 @@ impl Metric for PreferentialAttachment {
         Some(LocalKind::Pa)
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        pairs.iter().map(|&(u, v)| (snap.degree(u) * snap.degree(v)) as f64).collect()
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_pairs_t(self, snap, pairs, threads)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::score_pairs_t;
 
     /// Square 0-1-2-3 with diagonal 0-2 and pendant 4 attached to 0.
     ///
@@ -177,7 +191,10 @@ mod tests {
     fn cn_counts() {
         let s = fixture();
         // Pair (1,3): common neighbors {0, 2}.
-        assert_eq!(CommonNeighbors.score_pairs(&s, &[(1, 3), (1, 4), (2, 4)]), vec![2.0, 1.0, 1.0]);
+        assert_eq!(
+            score_pairs_t(&CommonNeighbors, &s, &[(1, 3), (1, 4), (2, 4)], 1),
+            vec![2.0, 1.0, 1.0]
+        );
     }
 
     #[test]
@@ -185,7 +202,7 @@ mod tests {
         let s = fixture();
         // (1,3): Γ(1)={0,2}, Γ(3)={0,2} → inter 2, union 2 → 1.0.
         // (1,4): Γ(4)={0} → inter 1, union 2 → 0.5.
-        let scores = JaccardCoefficient.score_pairs(&s, &[(1, 3), (1, 4)]);
+        let scores = score_pairs_t(&JaccardCoefficient, &s, &[(1, 3), (1, 4)], 1);
         assert_eq!(scores, vec![1.0, 0.5]);
     }
 
@@ -193,7 +210,7 @@ mod tests {
     fn jc_isolated_pair_is_zero() {
         let s = Snapshot::from_edges(3, &[(0, 1)]);
         // Node 2 is isolated; (1,2) has union = {0}, inter = 0.
-        assert_eq!(JaccardCoefficient.score_pairs(&s, &[(1, 2)]), vec![0.0]);
+        assert_eq!(score_pairs_t(&JaccardCoefficient, &s, &[(1, 2)], 1), vec![0.0]);
     }
 
     #[test]
@@ -201,7 +218,7 @@ mod tests {
         let s = fixture();
         // (1,3) witnesses: 0 (deg 4) and 2 (deg 3).
         let expect = 1.0 / 4.0_f64.ln() + 1.0 / 3.0_f64.ln();
-        let got = AdamicAdar.score_pairs(&s, &[(1, 3)])[0];
+        let got = score_pairs_t(&AdamicAdar, &s, &[(1, 3)], 1)[0];
         assert!((got - expect).abs() < 1e-12);
     }
 
@@ -209,7 +226,7 @@ mod tests {
     fn ra_weights_inverse_degree() {
         let s = fixture();
         let expect = 1.0 / 4.0 + 1.0 / 3.0;
-        let got = ResourceAllocation.score_pairs(&s, &[(1, 3)])[0];
+        let got = score_pairs_t(&ResourceAllocation, &s, &[(1, 3)], 1)[0];
         assert!((got - expect).abs() < 1e-12);
     }
 
@@ -218,8 +235,8 @@ mod tests {
         // RA ≤ CN/2 because every witness has degree ≥ 2.
         let s = fixture();
         let pairs = [(1, 3), (1, 4), (2, 4), (3, 4)];
-        let ra = ResourceAllocation.score_pairs(&s, &pairs);
-        let cn = CommonNeighbors.score_pairs(&s, &pairs);
+        let ra = score_pairs_t(&ResourceAllocation, &s, &pairs, 1);
+        let cn = score_pairs_t(&CommonNeighbors, &s, &pairs, 1);
         for (r, c) in ra.iter().zip(&cn) {
             assert!(*r <= c / 2.0 + 1e-12);
         }
@@ -230,8 +247,8 @@ mod tests {
         let s = fixture();
         // deg(1)=2, deg(3)=2 → 4; deg(0)=4 … pair (0, 2) is an edge but PA
         // scores any pair it is handed.
-        assert_eq!(PreferentialAttachment.score_pairs(&s, &[(1, 3)]), vec![4.0]);
-        assert_eq!(PreferentialAttachment.score_pairs(&s, &[(1, 4)]), vec![2.0]);
+        assert_eq!(score_pairs_t(&PreferentialAttachment, &s, &[(1, 3)], 1), vec![4.0]);
+        assert_eq!(score_pairs_t(&PreferentialAttachment, &s, &[(1, 4)], 1), vec![2.0]);
     }
 
     #[test]
@@ -245,8 +262,8 @@ mod tests {
             &ResourceAllocation,
             &PreferentialAttachment,
         ] {
-            let a = m.score_pairs(&s, &[(1, 3)])[0];
-            let b = m.score_pairs(&s, &[(3, 1)])[0];
+            let a = score_pairs_t(m, &s, &[(1, 3)], 1)[0];
+            let b = score_pairs_t(m, &s, &[(3, 1)], 1)[0];
             assert_eq!(a, b, "{} asymmetric", m.name());
         }
     }

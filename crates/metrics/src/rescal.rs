@@ -25,8 +25,8 @@
 //! [`SolverCache`] so framework sweeps reuse the fit within a snapshot
 //! and — in certified mode (`tol > 0`) — warm-start the next snapshot's
 //! fit from the previous factors, like PPR warm-starts its columns.
-//! [`Rescal::fit_dense_reference`] retains the original serial dense loop
-//! as the property-tested oracle.
+//! The original serial dense loop is the property-tested oracle in
+//! `linklens_bench::oracles`.
 
 use std::sync::Arc;
 
@@ -219,103 +219,6 @@ impl Rescal {
         })
     }
 
-    /// Serial dense reference fit: the original `matmul_dense` ALS loop,
-    /// kept as the property-tested oracle for the blocked core. Performs
-    /// the same guarded updates and residual certification; since the
-    /// blocked kernel's per-row fold is arithmetic-identical to
-    /// `matmul_dense`, the two fits are bit-identical — the contract
-    /// `factor_equivalence` pins at every thread count.
-    pub fn fit_dense_reference(&self, snap: &Snapshot) -> Result<RescalModel, SolverError> {
-        let n = snap.node_count();
-        let r = self.rank.min(n.max(1));
-        let edges: Vec<(u32, u32)> = snap.edges().collect();
-        let a = SparseMatrix::adjacency(n, &edges);
-
-        let mut x = factor::init_factors(n, r, self.seed);
-        let mut core = Matrix::identity(r);
-        let mut prev = f64::INFINITY;
-        let mut residual = f64::NAN;
-        let mut iterations = 0;
-        let mut converged = self.tol <= 0.0;
-
-        for it in 0..self.iterations {
-            // --- X update ---
-            // numer = A X (Rᵀ + R)   (A symmetric).
-            let ax = a.matmul_dense(&x);
-            let r_sym = &core.transpose() + &core;
-            let numer = ax.matmul(&r_sym);
-            // denom = R G Rᵀ + Rᵀ G R + λI, G = XᵀX.
-            let g = x.gram();
-            let rg = core.matmul(&g);
-            let mut denom =
-                &rg.matmul(&core.transpose()) + &core.transpose().matmul(&g).matmul(&core);
-            for d in 0..r {
-                denom[(d, d)] += self.lambda;
-            }
-            // X = numer · denom⁻¹  ⇒ solve denomᵀ Xᵀ = numerᵀ row-wise.
-            let denom_t = denom.transpose();
-            let rhs: Vec<Vec<f64>> = (0..n).map(|i| numer.row(i).to_vec()).collect();
-            let rows = denom_t
-                .solve_many(&rhs)
-                .ok_or(SolverError::Singular { metric: "Rescal", iteration: it })?;
-            for (i, row) in rows.iter().enumerate() {
-                x.row_mut(i).copy_from_slice(row);
-            }
-
-            // --- R update ---
-            // R = (G + λI)⁻¹ Xᵀ A X (G + λI)⁻¹.
-            let mut g_reg = x.gram();
-            for d in 0..r {
-                g_reg[(d, d)] += self.lambda;
-            }
-            let ax = a.matmul_dense(&x); // n × r
-            let xtax = x.transpose().matmul(&ax); // r × r
-                                                  // Left solve: (G+λI) Y = XᵀAX.
-            let rhs: Vec<Vec<f64>> =
-                (0..r).map(|j| (0..r).map(|i| xtax[(i, j)]).collect()).collect();
-            let cols = g_reg
-                .solve_many(&rhs)
-                .ok_or(SolverError::Singular { metric: "Rescal", iteration: it })?;
-            let mut y = Matrix::zeros(r, r);
-            for (j, coljj) in cols.iter().enumerate() {
-                for i in 0..r {
-                    y[(i, j)] = coljj[i];
-                }
-            }
-            // Right solve: R (G+λI) = Y ⇒ (G+λI)ᵀ Rᵀ = Yᵀ.
-            let rhs2: Vec<Vec<f64>> = (0..r).map(|i| y.row(i).to_vec()).collect();
-            let rows = g_reg
-                .transpose()
-                .solve_many(&rhs2)
-                .ok_or(SolverError::Singular { metric: "Rescal", iteration: it })?;
-            for (i, row) in rows.iter().enumerate() {
-                core.row_mut(i).copy_from_slice(row);
-            }
-
-            if x.data().iter().chain(core.data()).any(|v| !v.is_finite()) {
-                return Err(SolverError::NonFinite { metric: "Rescal", iteration: it });
-            }
-
-            residual = factor::frobenius_residual(&a, &x, &core, 1);
-            if !residual.is_finite() {
-                return Err(SolverError::NonFinite { metric: "Rescal", iteration: it });
-            }
-            iterations = it + 1;
-            if self.tol > 0.0 && prev.is_finite() && prev - residual <= self.tol * prev.max(1.0) {
-                converged = true;
-                break;
-            }
-            prev = residual;
-        }
-        if !converged {
-            return Err(SolverError::NoConvergence { metric: "Rescal", iterations });
-        }
-        if residual.is_nan() {
-            residual = factor::frobenius_residual(&a, &x, &core, 1);
-        }
-        Ok(RescalModel { x, r: core, residual, iterations, warm_started: false })
-    }
-
     /// The per-snapshot fitted model for the engine paths: reuses the
     /// cache's current-snapshot model when the config fingerprint
     /// matches, otherwise fits (warm-starting from the previous
@@ -356,10 +259,6 @@ impl Metric for Rescal {
         CandidatePolicy::Global
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        self.score_pairs_cached(snap, pairs, par::max_threads(), &mut SolverCache::transient())
-    }
-
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
@@ -381,6 +280,7 @@ impl Metric for Rescal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::score_pairs_t;
 
     /// Two 4-cliques sharing no edge, bridged 3-4.
     fn two_cliques() -> Snapshot {
@@ -444,7 +344,7 @@ mod tests {
         edges.push((3, 4));
         let s = Snapshot::from_edges(8, &edges);
         let r = Rescal { rank: 4, iterations: 30, lambda: 0.1, ..Default::default() };
-        let scores = r.score_pairs(&s, &[(0, 2), (0, 7)]);
+        let scores = score_pairs_t(&r, &s, &[(0, 2), (0, 7)], 1);
         assert!(
             scores[0] > scores[1],
             "missing intra-clique edge should outrank cross-clique pair: {scores:?}"
@@ -497,7 +397,7 @@ mod tests {
     fn singular_fit_panics_in_audit_class_on_score_pairs() {
         let s = Snapshot::from_edges(4, &[(0, 1)]);
         let bad = Rescal { rank: 3, iterations: 5, lambda: 0.0, ..Default::default() };
-        let _ = bad.score_pairs(&s, &[(0, 2)]);
+        let _ = score_pairs_t(&bad, &s, &[(0, 2)], 1);
     }
 
     #[test]
@@ -506,11 +406,8 @@ mod tests {
         let r = Rescal { rank: 4, ..Default::default() };
         let model = r.fit(&s).expect("fit");
         let pairs: Vec<(NodeId, NodeId)> = vec![(0, 2), (0, 7), (3, 4), (1, 6)];
-        let batched = r.score_pairs(&s, &pairs);
-        for threads in [1, 3] {
-            let engine = crate::exec::score_pairs_t(&r, &s, &pairs, threads);
-            assert_eq!(batched, engine, "reference and engine paths must agree bitwise");
-        }
+        let batched = score_pairs_t(&r, &s, &pairs, 1);
+        assert_eq!(batched, score_pairs_t(&r, &s, &pairs, 3), "engine must not depend on workers");
         for (i, &(u, v)) in pairs.iter().enumerate() {
             assert!(
                 (batched[i] - model.score(u, v)).abs() <= 1e-9,

@@ -13,6 +13,8 @@
 //! the cited alternative temporal approach, and an ablation point between
 //! "static metric" and "static metric + temporal filter".
 
+use crate::exec;
+use crate::solver::SolverCache;
 use crate::traits::{CandidatePolicy, Metric, ScoreContract};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{NodeId, Timestamp, DAY};
@@ -80,8 +82,19 @@ impl Metric for RecencyCommonNeighbors {
         ScoreContract::FiniteNonNegative
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        pairs.iter().map(|&(u, v)| weighted_cn_sum(snap, u, v, self.tau_days, |_, w| w)).collect()
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_chunked(pairs, threads, |chunk| {
+            chunk
+                .iter()
+                .map(|&(u, v)| weighted_cn_sum(snap, u, v, self.tau_days, |_, w| w))
+                .collect()
+        })
     }
 }
 
@@ -111,15 +124,23 @@ impl Metric for RecencyAdamicAdar {
         ScoreContract::FiniteNonNegative
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        pairs
-            .iter()
-            .map(|&(u, v)| {
-                weighted_cn_sum(snap, u, v, self.tau_days, |w, weight| {
-                    weight / (snap.degree(w) as f64).ln()
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_chunked(pairs, threads, |chunk| {
+            chunk
+                .iter()
+                .map(|&(u, v)| {
+                    weighted_cn_sum(snap, u, v, self.tau_days, |w, weight| {
+                        weight / (snap.degree(w) as f64).ln()
+                    })
                 })
-            })
-            .collect()
+                .collect()
+        })
     }
 }
 
@@ -149,21 +170,30 @@ impl Metric for RecencyResourceAllocation {
         ScoreContract::FiniteNonNegative
     }
 
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        pairs
-            .iter()
-            .map(|&(u, v)| {
-                weighted_cn_sum(snap, u, v, self.tau_days, |w, weight| {
-                    weight / snap.degree(w) as f64
+    fn score_pairs_cached(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+        _cache: &mut SolverCache,
+    ) -> Vec<f64> {
+        exec::score_chunked(pairs, threads, |chunk| {
+            chunk
+                .iter()
+                .map(|&(u, v)| {
+                    weighted_cn_sum(snap, u, v, self.tau_days, |w, weight| {
+                        weight / snap.degree(w) as f64
+                    })
                 })
-            })
-            .collect()
+                .collect()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::score_pairs_t;
     use crate::local::{AdamicAdar, CommonNeighbors, ResourceAllocation};
     use osn_graph::temporal::TemporalGraph;
 
@@ -187,7 +217,7 @@ mod tests {
         // Remove the fresh witness: score should drop by nearly 1 (weight
         // ≈ 1); removing the stale witness drops almost nothing.
         let tcn = RecencyCommonNeighbors { tau_days: 5.0 };
-        let full = tcn.score_pairs(&s, &[(0, 1)])[0];
+        let full = score_pairs_t(&tcn, &s, &[(0, 1)], 1)[0];
         assert!(full > 0.99 && full < 1.1, "fresh≈1 + stale≈0, got {full}");
     }
 
@@ -196,14 +226,14 @@ mod tests {
         let s = fixture();
         let pairs = [(0u32, 1u32)];
         let tau = 1e12;
-        let tcn = RecencyCommonNeighbors { tau_days: tau }.score_pairs(&s, &pairs)[0];
-        let cn = CommonNeighbors.score_pairs(&s, &pairs)[0];
+        let tcn = score_pairs_t(&RecencyCommonNeighbors { tau_days: tau }, &s, &pairs, 1)[0];
+        let cn = score_pairs_t(&CommonNeighbors, &s, &pairs, 1)[0];
         assert!((tcn - cn).abs() < 1e-6, "tCN {tcn} vs CN {cn}");
-        let taa = RecencyAdamicAdar { tau_days: tau }.score_pairs(&s, &pairs)[0];
-        let aa = AdamicAdar.score_pairs(&s, &pairs)[0];
+        let taa = score_pairs_t(&RecencyAdamicAdar { tau_days: tau }, &s, &pairs, 1)[0];
+        let aa = score_pairs_t(&AdamicAdar, &s, &pairs, 1)[0];
         assert!((taa - aa).abs() < 1e-6);
-        let tra = RecencyResourceAllocation { tau_days: tau }.score_pairs(&s, &pairs)[0];
-        let ra = ResourceAllocation.score_pairs(&s, &pairs)[0];
+        let tra = score_pairs_t(&RecencyResourceAllocation { tau_days: tau }, &s, &pairs, 1)[0];
+        let ra = score_pairs_t(&ResourceAllocation, &s, &pairs, 1)[0];
         assert!((tra - ra).abs() < 1e-6);
     }
 
@@ -221,10 +251,10 @@ mod tests {
         g.add_edge(5, 3, 30 * DAY + 1);
         let s = Snapshot::up_to(&g, 4);
         let tcn = RecencyCommonNeighbors { tau_days: 5.0 };
-        let scores = tcn.score_pairs(&s, &[(0, 1), (4, 5)]);
+        let scores = score_pairs_t(&tcn, &s, &[(0, 1), (4, 5)], 1);
         assert!(scores[1] > scores[0], "fresh wedge should outrank stale: {scores:?}");
         // The static metric ties them.
-        let cn = CommonNeighbors.score_pairs(&s, &[(0, 1), (4, 5)]);
+        let cn = score_pairs_t(&CommonNeighbors, &s, &[(0, 1), (4, 5)], 1);
         assert_eq!(cn[0], cn[1]);
     }
 
@@ -233,8 +263,8 @@ mod tests {
         let s = fixture();
         let pairs = [(0u32, 1u32)];
         for tau in [1.0, 5.0, 50.0] {
-            let t = RecencyCommonNeighbors { tau_days: tau }.score_pairs(&s, &pairs)[0];
-            let stat = CommonNeighbors.score_pairs(&s, &pairs)[0];
+            let t = score_pairs_t(&RecencyCommonNeighbors { tau_days: tau }, &s, &pairs, 1)[0];
+            let stat = score_pairs_t(&CommonNeighbors, &s, &pairs, 1)[0];
             assert!(t <= stat + 1e-12);
             assert!(t >= 0.0);
         }

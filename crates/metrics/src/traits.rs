@@ -1,10 +1,11 @@
 //! The `Metric` trait and its candidate policy.
 //!
-//! A metric has one serial reference, [`Metric::score_pairs`], and one
-//! engine hook, [`Metric::score_pairs_cached`]. Library code scores only
-//! through the engine ([`crate::exec`]), which calls the hook (or, for
-//! metrics advertising [`Metric::fused_kind`], the fused kernel); tests,
-//! doc examples and oracle checks call the reference.
+//! A metric has one scoring method, the engine hook
+//! [`Metric::score_pairs_cached`]. Every caller scores through the engine
+//! ([`crate::exec`]), which calls the hook, or, for metrics advertising
+//! [`Metric::fused_kind`], the fused kernel. Reference implementations
+//! for tests and benches live outside the library, in
+//! `linklens_bench::oracles`.
 
 use crate::solver::SolverCache;
 use osn_graph::snapshot::Snapshot;
@@ -67,41 +68,35 @@ pub trait Metric: Sync {
     /// [`score_pairs_cached`](Metric::score_pairs_cached) hook; the local
     /// and Bayes metrics override this, and the engine then scores them
     /// through one shared witness walk per source instead of per-pair
-    /// intersections — bit-identical to [`score_pairs`](Metric::score_pairs).
+    /// intersections.
     fn fused_kind(&self) -> Option<crate::fused::LocalKind> {
         None
     }
 
-    /// The serial reference: scores a batch of (unconnected) pairs against
-    /// a snapshot, one finite score per pair, higher = more likely to
-    /// connect. Tests and oracle checks call this; library code scores
-    /// through [`crate::exec`].
-    fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64>;
-
-    /// The engine's hook: [`score_pairs`](Metric::score_pairs) over
-    /// `threads` workers, with access to the caller's per-snapshot
-    /// [`SolverCache`]. Must be bit-identical to `score_pairs` for every
-    /// `threads` value on a fresh cache.
+    /// Scores a batch of (unconnected) pairs against a snapshot over
+    /// `threads` workers, one finite score per pair, higher = more likely
+    /// to connect, with access to the caller's per-snapshot
+    /// [`SolverCache`]. Scores must not depend on `threads`.
     ///
-    /// The default splits `pairs` into source-aligned chunks and runs
-    /// `score_pairs` on them in parallel, which is correct for any metric
-    /// whose scores depend only on (snapshot, pair). Metrics with
-    /// per-snapshot state override it: the walk metrics (LRW, PPR) solve
-    /// on the cache's shared transition view and, on persistent caches,
-    /// warm-start PPR from the previous snapshot's converged vectors
-    /// (which changes iteration counts, never converged output beyond the
-    /// documented tolerance — see [`crate::solver`]); Katz factors once
-    /// from the cache's adjacency; Rescal reuses the cache's fitted model.
+    /// The engine calls this for every metric without a
+    /// [`fused_kind`](Metric::fused_kind); a fused metric's hook is
+    /// [`crate::exec::score_pairs_t`], so a direct call runs the kernel
+    /// the engine runs. Metrics whose scores depend only on (snapshot,
+    /// pair) score source-aligned chunks in parallel through
+    /// [`crate::exec::score_chunked`]. Metrics with per-snapshot state
+    /// solve or factor once per call: the walk metrics (LRW, PPR) on the
+    /// cache's shared transition view, warm-starting PPR from the
+    /// previous snapshot's converged vectors on persistent caches (which
+    /// changes iteration counts, never converged output beyond the
+    /// documented tolerance, see [`crate::solver`]); Katz on the cache's
+    /// adjacency; Rescal reusing the cache's fitted model.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
         cache: &mut SolverCache,
-    ) -> Vec<f64> {
-        let _ = cache;
-        crate::exec::score_chunked(pairs, threads, |chunk| self.score_pairs(snap, chunk))
-    }
+    ) -> Vec<f64>;
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Blocked-vs-dense equivalence for the ALS factorization core: the
 //! blocked fit (CSR `spmm_into_t` products, sparse residual
-//! certification) must reproduce the retained serial dense reference
+//! certification) must reproduce the serial dense reference in
+//! `linklens_bench::oracles::rescal`
 //! **bit for bit** at every thread count — the per-row CSR fold is
 //! arithmetic-identical to `matmul_dense`, so no tolerance is needed —
 //! and certified warm-started sweeps must agree with cold starts on
@@ -8,6 +9,7 @@
 //! Singular systems must surface as structured errors, never silent
 //! stale-factor fits.
 
+use linklens_bench::oracles;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 use osn_metrics::candidates::CandidateSet;
@@ -94,7 +96,7 @@ fn big_ring_with_chords() -> Snapshot {
 fn blocked_fit_bit_identical_above_parallel_threshold() {
     let snap = big_ring_with_chords();
     let rescal = Rescal { iterations: 8, ..Default::default() };
-    let dense = rescal.fit_dense_reference(&snap).expect("dense reference fit");
+    let dense = oracles::rescal::fit_dense(&rescal, &snap).expect("dense reference fit");
     for threads in THREADS {
         let blocked = rescal.fit_t(&snap, threads).expect("blocked fit");
         assert_eq!(
@@ -121,15 +123,15 @@ fn singular_system_recovery_is_deterministic() {
     let snap = Snapshot::from_edges(4, &[(0, 1)]);
     let bad = Rescal { rank: 3, iterations: 5, lambda: 0.0, ..Default::default() };
     let blocked = bad.fit(&snap).expect_err("blocked fit must surface the singular system");
-    let dense =
-        bad.fit_dense_reference(&snap).expect_err("dense fit must surface the singular system");
+    let dense = oracles::rescal::fit_dense(&bad, &snap)
+        .expect_err("dense fit must surface the singular system");
     assert_eq!(blocked, dense, "both paths must report the identical structured error");
     assert!(matches!(blocked, SolverError::Singular { metric: "Rescal", .. }), "got {blocked:?}");
     // Recovery: the same system with any positive ridge fits cleanly and
     // both paths still agree bit for bit.
     let good = Rescal { lambda: 0.01, ..bad };
     let b = good.fit(&snap).expect("regularized blocked fit");
-    let d = good.fit_dense_reference(&snap).expect("regularized dense fit");
+    let d = oracles::rescal::fit_dense(&good, &snap).expect("regularized dense fit");
     assert_eq!(b.x.max_abs_diff(&d.x), 0.0);
     assert_eq!(b.r.max_abs_diff(&d.r), 0.0);
 }
@@ -146,7 +148,7 @@ proptest! {
         let fixed = Rescal::default();
         let certified = Rescal { iterations: 500, tol: 1e-6, ..Default::default() };
         for rescal in [&fixed, &certified] {
-            let dense = rescal.fit_dense_reference(&snap).expect("dense reference fit");
+            let dense = oracles::rescal::fit_dense(rescal, &snap).expect("dense reference fit");
             for threads in THREADS {
                 let blocked = rescal.fit_t(&snap, threads).expect("blocked fit");
                 prop_assert_eq!(
@@ -173,7 +175,7 @@ proptest! {
         let pairs = candidate_pairs(&snap);
         prop_assume!(!pairs.is_empty());
         let rescal = Rescal::default();
-        let base = rescal.score_pairs(&snap, &pairs);
+        let base = rescal.score_pairs_cached(&snap, &pairs, 1, &mut SolverCache::transient());
         for threads in THREADS {
             let engine = exec::score_pairs_t(&rescal, &snap, &pairs, threads);
             prop_assert_eq!(&engine, &base, "engine diverged at {} threads", threads);

@@ -1,16 +1,17 @@
 //! Bit-identity of the source-batched fused scoring kernel: for every
 //! local metric (CN, JC, AA, RA, PA, BCN, BAA, BRA), every engine entry
 //! point, and every worker count, the fused path must produce *the same
-//! bits* as the per-pair reference path — same scores, same top-k pairs in
-//! the same order. Runs with audits forced on (the same checks
-//! `--paranoid` enables in release), so the kernel also satisfies every
-//! metric's score contract along the way.
+//! bits* as the per-pair references in `linklens_bench::oracles::local` —
+//! same scores, same top-k pairs in the same order. Runs with audits
+//! forced on (the same checks `--paranoid` enables in release), so the
+//! kernel also satisfies every metric's score contract along the way.
 
+use linklens_bench::oracles;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 use osn_metrics::candidates::CandidateSet;
 use osn_metrics::exec;
-use osn_metrics::fused::LocalKind;
+use osn_metrics::fused::{self, FusedCtx, FusedScratch, LocalKind};
 use osn_metrics::solver::SolverCache;
 use osn_metrics::topk::top_k_pairs;
 use osn_metrics::traits::{CandidatePolicy, Metric};
@@ -37,15 +38,61 @@ fn fused_metrics() -> Vec<(Box<dyn Metric>, LocalKind)> {
     .collect()
 }
 
-/// The per-pair path: the metric's own engine hook, which chunks its
-/// reference `score_pairs` and never touches the fused kernel.
+/// The per-pair path: a fused metric's reference from the oracle module
+/// in source-aligned chunks over `threads` workers, as the engine chunks
+/// a batch; any other metric through its own hook.
 fn per_pair(
     m: &dyn Metric,
     snap: &Snapshot,
     pairs: &[(NodeId, NodeId)],
     threads: usize,
 ) -> Vec<f64> {
-    m.score_pairs_cached(snap, pairs, threads, &mut SolverCache::transient())
+    match oracles::local::per_pair(m.name()) {
+        Some(oracle) => exec::score_chunked(pairs, threads, |chunk| oracle(snap, chunk)),
+        None => m.score_pairs_cached(snap, pairs, threads, &mut SolverCache::transient()),
+    }
+}
+
+/// The serial per-pair reference of a fused metric, over the whole batch.
+fn direct(m: &dyn Metric, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
+    oracles::local::per_pair(m.name()).expect("fused metric")(snap, pairs)
+}
+
+/// Two bridged triangles plus a pendant path.
+fn fixture() -> Snapshot {
+    Snapshot::from_edges(
+        8,
+        &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6), (6, 7)],
+    )
+}
+
+/// The kernel's columns for every kind at once, out of one context.
+fn all_columns(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<Vec<f64>> {
+    let ctx = FusedCtx::build(snap, &LocalKind::ALL);
+    let mut scratch = FusedScratch::new(snap.node_count());
+    fused::score_columns(&ctx, &mut scratch, pairs, &LocalKind::ALL)
+}
+
+#[test]
+fn fused_columns_match_per_pair_scoring() {
+    let snap = fixture();
+    let cands = CandidateSet::build(&snap, CandidatePolicy::ThreeHop, 0);
+    let cols = all_columns(&snap, cands.pairs());
+    for ((m, kind), col) in fused_metrics().into_iter().zip(cols) {
+        assert_eq!(col, direct(m.as_ref(), &snap, cands.pairs()), "{kind:?}");
+    }
+}
+
+#[test]
+fn fused_handles_duplicate_and_noncanonical_pairs() {
+    let snap = fixture();
+    // Duplicates, a reversed pair, and an existing edge — the kernel
+    // must score whatever it is handed, like the per-pair path does.
+    let pairs = [(0u32, 4u32), (0, 4), (4, 0), (0, 1), (1, 7)];
+    let cols = all_columns(&snap, &pairs);
+    for ((m, kind), col) in fused_metrics().into_iter().zip(cols) {
+        assert_eq!(col, direct(m.as_ref(), &snap, &pairs), "{kind:?}");
+    }
 }
 
 /// Random graphs big enough to give multi-source, multi-witness candidate
@@ -67,8 +114,8 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// score_pairs_t (fused dispatch) == the metric's own score_pairs ==
-    /// the per-pair engine path, bit for bit, at every thread count, on
+    /// score_pairs_t (fused dispatch) == the serial per-pair reference ==
+    /// the chunked per-pair reference, bit for bit, at every thread count, on
     /// both a TwoHop and a Global candidate set (the latter includes
     /// distance-3 and hub pairs the walk must score as zero-witness).
     #[test]
@@ -78,7 +125,7 @@ proptest! {
             let cands = CandidateSet::build(&snap, policy, 3);
             prop_assume!(!cands.is_empty());
             for (m, _) in fused_metrics() {
-                let direct = m.score_pairs(&snap, cands.pairs());
+                let direct = direct(m.as_ref(), &snap, cands.pairs());
                 for threads in [1usize, 2, 4, 8] {
                     let fused = exec::score_pairs_t(m.as_ref(), &snap, cands.pairs(), threads);
                     prop_assert_eq!(

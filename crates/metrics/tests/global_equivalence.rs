@@ -1,12 +1,14 @@
 //! Batched-vs-reference equivalence for the global metrics: the batched
 //! frontier/SpMV engine (multi-source BFS for SP, epoch-stamped 2-walk
 //! scans for LP, blocked multi-source iteration for LRW/PPR, SpMM landmark
-//! columns for Katz-sc) must reproduce its retained per-source oracle —
+//! columns for Katz-sc) must reproduce its per-source oracle from
+//! `linklens_bench::oracles` —
 //! bit for bit where the algorithm is exact (SP, LP, Katz-sc), within the
 //! documented analytic tolerance where it is iterative (LRW, PPR) — at
 //! every thread count, and warm-started sweeps must agree with cold
 //! starts across a randomized snapshot sequence.
 
+use linklens_bench::oracles;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 use osn_metrics::candidates::CandidateSet;
@@ -14,7 +16,7 @@ use osn_metrics::exec;
 use osn_metrics::katz::KatzSc;
 use osn_metrics::path::{LocalPath, ShortestPath};
 use osn_metrics::solver::SolverCache;
-use osn_metrics::traits::{CandidatePolicy, Metric};
+use osn_metrics::traits::CandidatePolicy;
 use osn_metrics::walk::{LocalRandomWalk, PersonalizedPageRank};
 use proptest::prelude::*;
 
@@ -86,13 +88,29 @@ fn side_factor(snap: &Snapshot, (u, v): (NodeId, NodeId)) -> f64 {
     }
 }
 
+/// Katz-sc's batched SpMM landmark columns equal the per-landmark SpMV
+/// oracle's bit for bit, column by column, at every thread count.
+#[test]
+fn landmark_columns_batched_matches_per_source_bitwise() {
+    // Two triangles bridged: 0-1-2 triangle, 3-4-5 triangle, bridge 2-3.
+    let s = Snapshot::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]);
+    let tv = SolverCache::transient().ensure_snapshot(&s);
+    let a = tv.adjacency();
+    let sc = KatzSc { landmarks: 4, ..Default::default() };
+    let lm = sc.pick_landmarks(&s);
+    let want = oracles::katz::landmark_columns(&sc, a, &lm);
+    for threads in [1, 2, 4] {
+        let got = sc.landmark_columns(a, &lm, threads);
+        assert_eq!(got.data(), want.data(), "threads={threads}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// SP and LP: the batched frontier walkers (MS-BFS / Walk2Scan) are
     /// exact algorithms, so they must equal their per-source references
-    /// bit for bit, through both the direct and the engine entry points,
-    /// at every thread count.
+    /// bit for bit through the engine at every thread count.
     #[test]
     fn sp_lp_batched_equal_per_source_bit_identical((n, edges) in arb_graph()) {
         let snap = Snapshot::from_edges(n, &edges);
@@ -100,12 +118,9 @@ proptest! {
         prop_assume!(!pairs.is_empty());
 
         let sp = ShortestPath::default();
-        let sp_ref = sp.score_pairs_per_source(&snap, &pairs);
-        prop_assert_eq!(&sp.score_pairs(&snap, &pairs), &sp_ref, "SP batched != per-source");
-
+        let sp_ref = oracles::path::shortest_path(&sp, &snap, &pairs);
         let lp = LocalPath::default();
-        let lp_ref = lp.score_pairs_per_source(&snap, &pairs);
-        prop_assert_eq!(&lp.score_pairs(&snap, &pairs), &lp_ref, "LP batched != per-source");
+        let lp_ref = oracles::path::local_path(&lp, &snap, &pairs);
 
         for threads in THREADS {
             let sp_t = exec::score_pairs_t(&sp, &snap, &pairs, threads);
@@ -124,7 +139,7 @@ proptest! {
         let pairs = candidate_pairs(&snap);
         prop_assume!(!pairs.is_empty());
         let lrw = LocalRandomWalk { steps: 3, prune: 0.0 };
-        let reference = lrw.score_pairs_per_source_t(&snap, &pairs, 1);
+        let reference = oracles::walk::local_random_walk(&lrw, &snap, &pairs, 1);
         for threads in THREADS {
             let batched = exec::score_pairs_t(&lrw, &snap, &pairs, threads);
             for i in 0..pairs.len() {
@@ -155,7 +170,7 @@ proptest! {
         prop_assume!(!pairs.is_empty());
         let lrw = LocalRandomWalk::default();
         prop_assert!(lrw.prune > 0.0, "the default must prune for this test to mean anything");
-        let reference = lrw.score_pairs_per_source_t(&snap, &pairs, 1);
+        let reference = oracles::walk::local_random_walk(&lrw, &snap, &pairs, 1);
         for threads in THREADS {
             let batched = exec::score_pairs_t(&lrw, &snap, &pairs, threads);
             for (i, &(u, v)) in pairs.iter().enumerate() {
@@ -186,7 +201,7 @@ proptest! {
         let pairs = candidate_pairs(&snap);
         prop_assume!(!pairs.is_empty());
         let ppr = PersonalizedPageRank::default();
-        let reference = ppr.score_pairs_per_source_t(&snap, &pairs, 1);
+        let reference = oracles::walk::personalized_pagerank(&ppr, &snap, &pairs, 1);
         for threads in THREADS {
             let batched = exec::score_pairs_t(&ppr, &snap, &pairs, threads);
             for (i, &(u, v)) in pairs.iter().enumerate() {
@@ -202,20 +217,17 @@ proptest! {
     }
 
     /// Katz-sc: the batched SpMM landmark build folds each row in the same
-    /// ascending-neighbor order as the per-landmark SpMV loop, so the full
-    /// prepare → score pipeline must be bit-identical to the per-source
-    /// oracle at every thread count.
+    /// ascending-neighbor order as the per-landmark SpMV loop, so the
+    /// engine's scores must be bit-identical to the oracle's, which run
+    /// the same mixing stage on per-landmark columns, at every thread
+    /// count.
     #[test]
     fn katz_sc_batched_equals_per_source((n, edges) in arb_graph()) {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = candidate_pairs(&snap);
         prop_assume!(!pairs.is_empty());
         let katz = KatzSc::default();
-        let reference = katz.score_pairs_per_source(&snap, &pairs);
-        prop_assert_eq!(
-            &katz.score_pairs(&snap, &pairs), &reference,
-            "Katz-sc batched != per-source"
-        );
+        let reference = oracles::katz::katz_sc(&katz, &snap, &pairs);
         for threads in THREADS {
             let engine = exec::score_pairs_t(&katz, &snap, &pairs, threads);
             prop_assert_eq!(&engine, &reference, "Katz-sc engine diverged at {} threads", threads);

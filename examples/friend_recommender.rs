@@ -72,9 +72,11 @@ fn main() {
 
     // On the first snapshot the sweep cache runs cold, so the batched
     // columns must be bit-identical to the legacy one-metric-at-a-time
-    // path the example used before the engine existed.
-    let legacy_cols: Vec<Vec<f64>> =
-        metrics.iter().map(|m| m.score_pairs(&train_snap, &positives)).collect();
+    // path: each metric scored alone with a transient solver cache.
+    let legacy_cols: Vec<Vec<f64>> = metrics
+        .iter()
+        .map(|m| exec::score_pairs_t(m.as_ref(), &train_snap, &positives, threads))
+        .collect();
     let batched_cols =
         exec::score_matrix_cached_t(&metric_refs, &train_snap, &positives, threads, &mut cache);
     assert_eq!(
@@ -105,7 +107,8 @@ fn main() {
     // Same top-k as the legacy path, warm solver state and all: recompute
     // the recommendation features one metric at a time and assert the
     // ranked pairs agree.
-    let legacy_now: Vec<Vec<f64>> = metrics.iter().map(|m| m.score_pairs(&now, &cands)).collect();
+    let legacy_now: Vec<Vec<f64>> =
+        metrics.iter().map(|m| exec::score_pairs_t(m.as_ref(), &now, &cands, threads)).collect();
     let legacy_scores: Vec<f64> = (0..cands.len())
         .map(|i| {
             let row: Vec<f64> = legacy_now.iter().map(|c| c[i]).collect();

@@ -110,7 +110,7 @@ fn katz_lr_dense_path_matches_a_jacobi_built_katz_lr() {
                 pairs.push((u, v));
             }
         }
-        let got = lr.score_pairs(&snap, &pairs);
+        let got = linklens::metrics::exec::score_pairs_t(&lr, &snap, &pairs, 1);
         let mut worst = 0.0f64;
         for (&(u, v), got) in pairs.iter().zip(&got) {
             let want: f64 = (0..kept.values.len())

@@ -1,14 +1,14 @@
-//! Property-based tests over the metric implementations, run on randomized
-//! small graphs: symmetry, bounds, cross-metric consistency, and agreement
-//! with brute-force reference implementations.
+//! Property-based tests over the metric implementations, scored through
+//! the engine on randomized small graphs: symmetry, bounds, cross-metric
+//! consistency, and agreement with brute-force reference implementations.
 
 use linklens::graph::snapshot::Snapshot;
 use linklens::graph::NodeId;
+use linklens::metrics::exec::score_pairs_t;
 use linklens::metrics::local::{
     AdamicAdar, CommonNeighbors, JaccardCoefficient, PreferentialAttachment, ResourceAllocation,
 };
 use linklens::metrics::path::LocalPath;
-use linklens::metrics::traits::Metric;
 use proptest::prelude::*;
 
 /// Strategy: a random graph of 4..=16 nodes with random edges, guaranteed
@@ -50,8 +50,8 @@ proptest! {
         for metric in linklens::metrics::all_metrics() {
             // Skip stochastic-precision metrics whose two-pass grouping is
             // still deterministic; all metrics must be pair-order invariant.
-            let a = metric.score_pairs(&snap, &pairs);
-            let b = metric.score_pairs(&snap, &reversed);
+            let a = score_pairs_t(metric.as_ref(), &snap, &pairs, 1);
+            let b = score_pairs_t(metric.as_ref(), &snap, &reversed, 1);
             for i in 0..pairs.len() {
                 prop_assert!(a[i].is_finite(), "{} produced non-finite score", metric.name());
                 prop_assert!((a[i] - b[i]).abs() < 1e-9,
@@ -65,8 +65,8 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let jc = JaccardCoefficient.score_pairs(&snap, &pairs);
-        let cn = CommonNeighbors.score_pairs(&snap, &pairs);
+        let jc = score_pairs_t(&JaccardCoefficient, &snap, &pairs, 1);
+        let cn = score_pairs_t(&CommonNeighbors, &snap, &pairs, 1);
         for i in 0..pairs.len() {
             prop_assert!((0.0..=1.0).contains(&jc[i]));
             prop_assert_eq!(jc[i] == 0.0, cn[i] == 0.0, "JC and CN must vanish together");
@@ -78,9 +78,9 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let cn = CommonNeighbors.score_pairs(&snap, &pairs);
-        let ra = ResourceAllocation.score_pairs(&snap, &pairs);
-        let aa = AdamicAdar.score_pairs(&snap, &pairs);
+        let cn = score_pairs_t(&CommonNeighbors, &snap, &pairs, 1);
+        let ra = score_pairs_t(&ResourceAllocation, &snap, &pairs, 1);
+        let aa = score_pairs_t(&AdamicAdar, &snap, &pairs, 1);
         for i in 0..pairs.len() {
             // Witness degree ≥ 2 ⇒ RA ≤ CN/2 and AA ≤ CN/ln 2.
             prop_assert!(ra[i] <= cn[i] / 2.0 + 1e-9);
@@ -94,7 +94,7 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let cn = CommonNeighbors.score_pairs(&snap, &pairs);
+        let cn = score_pairs_t(&CommonNeighbors, &snap, &pairs, 1);
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let brute = (0..n as NodeId)
                 .filter(|&w| w != u && w != v && snap.has_edge(u, w) && snap.has_edge(v, w))
@@ -108,8 +108,8 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let lp = LocalPath { epsilon: 0.0 }.score_pairs(&snap, &pairs);
-        let cn = CommonNeighbors.score_pairs(&snap, &pairs);
+        let lp = score_pairs_t(&LocalPath { epsilon: 0.0 }, &snap, &pairs, 1);
+        let cn = score_pairs_t(&CommonNeighbors, &snap, &pairs, 1);
         prop_assert_eq!(lp, cn);
     }
 
@@ -118,7 +118,7 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let pa = PreferentialAttachment.score_pairs(&snap, &pairs);
+        let pa = score_pairs_t(&PreferentialAttachment, &snap, &pairs, 1);
         for (i, &(u, v)) in pairs.iter().enumerate() {
             prop_assert_eq!(pa[i], (snap.degree(u) * snap.degree(v)) as f64);
         }
@@ -129,7 +129,7 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let scores = CommonNeighbors.score_pairs(&snap, &pairs);
+        let scores = score_pairs_t(&CommonNeighbors, &snap, &pairs, 1);
         let top = linklens::metrics::topk::top_k_pairs(&pairs, &scores, k, 1);
         prop_assert!(top.len() == k.min(pairs.len()));
         // Every selected pair's score must be ≥ every unselected pair's.

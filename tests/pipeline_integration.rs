@@ -70,7 +70,7 @@ fn classification_features_match_metric_scores() {
     let snap = seq.snapshot(2);
     let pairs = linklens::graph::traversal::two_hop_pairs(&snap, None, 1);
     let sample: Vec<_> = pairs.into_iter().take(20).collect();
-    let cn_scores = CommonNeighbors.score_pairs(&snap, &sample);
+    let cn_scores = linklens::metrics::exec::score_pairs_t(&CommonNeighbors, &snap, &sample, 1);
     for (i, &(u, v)) in sample.iter().enumerate() {
         assert_eq!(cn_scores[i], snap.common_neighbor_count(u, v) as f64);
     }
