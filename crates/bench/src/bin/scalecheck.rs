@@ -61,7 +61,7 @@ const SCENARIOS: [Scenario; 8] = [
 
 impl Scenario {
     fn flag(&self) -> String {
-        format!("--{}-only", self.name)
+        linklens_bench::row_flag(self.name)
     }
 
     fn bench(&self) -> String {
@@ -154,16 +154,13 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed =
         Args { scale: 0.35, days: 90, paranoid: false, rss_budget_mb: None, only: Vec::new() };
     let mut positional = 0;
-    for arg in args {
+    let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+    parsed.only = linklens_bench::select_rows(args, &names, |arg, _| {
         if arg == "--paranoid" {
             parsed.paranoid = true;
         } else if let Some(mb) = arg.strip_prefix("--rss-budget-mb=") {
             let mb = mb.parse().map_err(|_| format!("bad --rss-budget-mb value `{mb}`"))?;
             parsed.rss_budget_mb = Some(mb);
-        } else if let Some(i) = SCENARIOS.iter().position(|s| s.flag() == *arg) {
-            if !parsed.only.contains(&i) {
-                parsed.only.push(i);
-            }
         } else if arg.starts_with("--") {
             return Err(format!("unknown flag `{arg}`"));
         } else {
@@ -174,8 +171,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             }
             positional += 1;
         }
-    }
-    parsed.only.sort_unstable();
+        Ok(())
+    })?;
     Ok(parsed)
 }
 
@@ -773,7 +770,7 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
 ///    and certified residual asserted bit-identical at every probed
 ///    worker count, then both fits timed;
 /// 2. **scoring**: the batched bilinear pair-scoring path vs the
-///    per-pair `RescalModel::score` oracle over the Global candidate set
+///    per-pair `oracles::rescal::model_score` over the Global candidate set
 ///    (different association order, so within 1e-9 rather than bitwise;
 ///    the batched path itself is asserted bit-identical across worker
 ///    counts), then both timed;
@@ -849,7 +846,8 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     );
     let pairs = cands.pairs();
     report.set("candidate_pairs", pairs.len());
-    let oracle: Vec<f64> = pairs.iter().map(|&(u, v)| dense.score(u, v)).collect();
+    let oracle: Vec<f64> =
+        pairs.iter().map(|&(u, v)| oracles::rescal::model_score(&dense, u, v)).collect();
     // One persistent cache: the first call fits and registers the model,
     // every later call (including all timed ones) reuses it — a refit per
     // batch would show up right here as `rescal_fits` climbing past 1.
@@ -860,8 +858,9 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
         let dev = (base[i] - oracle[i]).abs();
         assert!(dev <= 1e-9, "pair {p:?}: batched score deviates {dev:e} from the model oracle");
     }
-    let (oracle_secs, _) =
-        timed(|| pairs.iter().map(|&(u, v)| dense.score(u, v)).collect::<Vec<f64>>());
+    let (oracle_secs, _) = timed(|| {
+        pairs.iter().map(|&(u, v)| oracles::rescal::model_score(&dense, u, v)).collect::<Vec<f64>>()
+    });
     report.set("oracle_scoring_secs", oracle_secs);
     thread_sweep(ctx, report, "scoring_sweep", |t| {
         let scores = exec::score_matrix_cached_t(&[&rescal], &snap, pairs, t, &mut cache).remove(0);

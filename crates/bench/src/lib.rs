@@ -1,21 +1,19 @@
 //! # linklens-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md §5 for the index), plus criterion microbenches of the
-//! substrate and metrics.
+//! The experiment harness: two table-driven binaries plus criterion
+//! microbenches of the substrate and metrics.
 //!
-//! All binaries share the [`ExperimentContext`]: three synthetic traces
-//! (facebook-like, renren-like, youtube-like) generated at a common scale,
-//! snapshotted into ≥ 15 snapshots as in Table 2. The scale is tunable so
-//! the full suite fits any time budget:
+//! * `experiments` reproduces the paper's tables and figures. Each is a
+//!   row of [`experiments::EXPERIMENTS`] (DESIGN.md §5 has the index),
+//!   sharing one [`experiments::Context`]: the common flags, the three
+//!   synthetic traces (facebook-like, renren-like, youtube-like) and the
+//!   Figure 5 sweep, each built at most once, on first use.
+//! * `scalecheck` checks each fast path against its reference at scale,
+//!   then times both, one row per scenario.
 //!
-//! ```text
-//! exp_fig5 [--scale 0.5] [--days 90] [--seed 42] [--quick]
-//! ```
-//!
-//! `--quick` is shorthand for a small scale/short trace used by CI and
-//! smoke tests. Every binary prints aligned text tables and writes the raw
-//! rows as JSON under `results/`.
+//! Both name a row the same way: `--{name}-only` selects it (see
+//! [`select_rows`]), and its name, dashes becoming underscores, names its
+//! output file.
 //!
 //! [`oracles`] holds the reference implementations the scoring engine is
 //! checked against: `scalecheck` calls them directly, and the library
@@ -24,213 +22,39 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod oracles;
 
-use osn_graph::sequence::SnapshotSequence;
-use osn_trace::presets::TraceConfig;
-use osn_trace::GrowthTrace;
-
-/// Common experiment configuration parsed from CLI arguments.
-#[derive(Clone, Debug)]
-pub struct ExperimentContext {
-    /// Trace scale factor in (0, 1].
-    pub scale: f64,
-    /// Simulated days per trace.
-    pub days: u32,
-    /// Master seed.
-    pub seed: u64,
-    /// Target snapshot count per sequence.
-    pub snapshots: usize,
-    /// Quick mode (CI smoke).
-    pub quick: bool,
+/// The flag that selects row `name`: `--{name}-only`.
+pub fn row_flag(name: &str) -> String {
+    format!("--{name}-only")
 }
 
-impl Default for ExperimentContext {
-    fn default() -> Self {
-        ExperimentContext { scale: 1.0, days: 120, seed: 42, snapshots: 16, quick: false }
-    }
-}
-
-impl ExperimentContext {
-    /// Parses `--scale`, `--days`, `--seed`, `--snapshots`, `--quick` from
-    /// the process arguments. Unknown arguments abort with usage help.
-    pub fn from_args() -> Self {
-        let mut ctx = ExperimentContext::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let take_value = |i: &mut usize| -> String {
-                *i += 1;
-                args.get(*i).unwrap_or_else(|| usage_exit("missing value")).clone()
-            };
-            match args[i].as_str() {
-                "--scale" => {
-                    ctx.scale =
-                        take_value(&mut i).parse().unwrap_or_else(|_| usage_exit("bad --scale"))
-                }
-                "--days" => {
-                    ctx.days =
-                        take_value(&mut i).parse().unwrap_or_else(|_| usage_exit("bad --days"))
-                }
-                "--seed" => {
-                    ctx.seed =
-                        take_value(&mut i).parse().unwrap_or_else(|_| usage_exit("bad --seed"))
-                }
-                "--snapshots" => {
-                    ctx.snapshots =
-                        take_value(&mut i).parse().unwrap_or_else(|_| usage_exit("bad --snapshots"))
-                }
-                "--quick" => ctx.quick = true,
-                "--help" | "-h" => usage_exit(""),
-                other => usage_exit(&format!("unknown argument {other}")),
-            }
-            i += 1;
-        }
-        if ctx.quick {
-            ctx.scale = ctx.scale.min(0.12);
-            ctx.days = ctx.days.min(45);
-            ctx.snapshots = ctx.snapshots.min(8);
-        }
-        ctx
-    }
-
-    /// The three network presets at this context's scale/length.
-    pub fn configs(&self) -> Vec<TraceConfig> {
-        TraceConfig::all().into_iter().map(|c| c.scaled(self.scale).with_days(self.days)).collect()
-    }
-
-    /// Generates all three traces (deterministic in the seed).
-    pub fn traces(&self) -> Vec<(TraceConfig, GrowthTrace)> {
-        self.configs()
-            .into_iter()
-            .map(|c| {
-                let t = c.generate(self.seed);
-                (c, t)
-            })
-            .collect()
-    }
-
-    /// Builds the standard snapshot sequence over a trace.
-    pub fn sequence<'a>(&self, trace: &'a GrowthTrace) -> SnapshotSequence<'a> {
-        SnapshotSequence::with_count(trace, self.snapshots)
-    }
-
-    /// A middle "measurement" transition index — what the paper calls "the
-    /// Renren snapshot at 55M edges" style single-snapshot analyses.
-    pub fn mid_transition(&self) -> usize {
-        (self.snapshots * 3 / 4).max(2)
-    }
-}
-
-/// One network's full metric sweep: the Figure 5 data plus the per-snapshot
-/// properties and λ₂ series that several other experiments reuse.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct NetworkSweep {
-    /// Network preset name.
-    pub network: String,
-    /// Metric display names in column order.
-    pub metric_names: Vec<String>,
-    /// `outcomes[metric][transition]` (transitions `1..T`).
-    pub outcomes: Vec<Vec<linklens_core::framework::PredictionOutcome>>,
-    /// λ₂ per transition (fraction of truth edges that close 2-hop pairs).
-    pub lambda2: Vec<f64>,
-    /// Per-*observed*-snapshot network properties (indices `0..T-1`).
-    pub properties: Vec<osn_graph::stats::SnapshotProperties>,
-}
-
-/// Runs the full 12-metric Figure 5 sweep over all three networks. This is
-/// the most expensive shared computation, so the result is cached as JSON
-/// under `results/` keyed by the context parameters; delete the file to
-/// force a re-run.
-pub fn run_or_load_metric_sweep(ctx: &ExperimentContext) -> Vec<NetworkSweep> {
-    let cache = results_path(&format!(
-        "metric_sweep_s{}_d{}_n{}_seed{}.json",
-        ctx.scale, ctx.days, ctx.snapshots, ctx.seed
-    ));
-    if let Ok(body) = std::fs::read_to_string(&cache) {
-        if let Ok(sweeps) = serde_json::from_str::<Vec<NetworkSweep>>(&body) {
-            // linklens-allow(print-in-lib): harness progress logging for long experiment runs goes to stderr by design
-            eprintln!("[sweep] loaded cached sweep from {}", cache.display());
-            return sweeps;
+/// The command-line loop of the table-driven binaries. An argument equal
+/// to the [`row_flag`] of one of `rows` selects that row; every other
+/// argument goes to `other`, which may take the arguments after it from
+/// `rest` as its values. Returns the selected rows' indices, ascending and
+/// without repeats; an empty list selects every row.
+///
+/// # Errors
+///
+/// The first error `other` returns.
+pub fn select_rows<'a>(
+    args: &'a [String],
+    rows: &[&str],
+    mut other: impl FnMut(&'a str, &mut std::slice::Iter<'a, String>) -> Result<(), String>,
+) -> Result<Vec<usize>, String> {
+    let mut only = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match rows.iter().position(|&name| row_flag(name) == *arg) {
+            Some(i) if !only.contains(&i) => only.push(i),
+            Some(_) => {}
+            None => other(arg.as_str(), &mut rest)?,
         }
     }
-    let metrics = osn_metrics::figure5_metrics();
-    let refs: Vec<&dyn osn_metrics::traits::Metric> = metrics.iter().map(|m| m.as_ref()).collect();
-    let mut sweeps = Vec::new();
-    for (cfg, trace) in ctx.traces() {
-        // linklens-allow(print-in-lib): harness progress logging for long experiment runs goes to stderr by design
-        eprintln!(
-            "[sweep] {}: {} nodes, {} edges",
-            cfg.name,
-            trace.node_count(),
-            trace.edge_count()
-        );
-        let seq = ctx.sequence(&trace);
-        let eval = linklens_core::framework::SequenceEvaluator::new(&seq);
-        let started = std::time::Instant::now();
-        let outcomes = eval.evaluate_all(&refs, None);
-        let mut lambda2 = Vec::new();
-        let mut properties = Vec::new();
-        // One incremental sweep serves both property series; the final
-        // snapshot is never observed, so it is never materialized.
-        let mut sweep = seq.snapshots();
-        for t in 1..seq.len() {
-            let prev = sweep.next().expect("sweep yields every boundary");
-            lambda2.push(osn_graph::stats::two_hop_edge_ratio(prev, &seq.new_edges(t)));
-            properties.push(osn_graph::stats::snapshot_properties(prev, 30));
-        }
-        // linklens-allow(print-in-lib): harness progress logging for long experiment runs goes to stderr by design
-        eprintln!("[sweep] {} done in {:?}", cfg.name, started.elapsed());
-        sweeps.push(NetworkSweep {
-            network: cfg.name.clone(),
-            metric_names: refs.iter().map(|m| m.name().to_string()).collect(),
-            outcomes,
-            lambda2,
-            properties,
-        });
-    }
-    let _ = linklens_core::report::write_json(&cache, &sweeps);
-    sweeps
-}
-
-/// Chooses the snowball percentage so the sampled set holds roughly
-/// `target_nodes` nodes at transition `t` — the analogue of the paper's
-/// "p = 100% for Facebook, 2% for Renren/YouTube" scaling rule (§5.1).
-pub fn sampling_p_for(
-    seq: &osn_graph::sequence::SnapshotSequence<'_>,
-    t: usize,
-    target_nodes: usize,
-) -> f64 {
-    (target_nodes as f64 / snapshot_node_count(seq, t - 1) as f64).min(1.0)
-}
-
-/// Node count of snapshot `i` — an O(log n) arrival lookup, no CSR build.
-fn snapshot_node_count(seq: &osn_graph::sequence::SnapshotSequence<'_>, i: usize) -> usize {
-    let time = seq.trace().edges()[seq.boundary(i) - 1].t;
-    seq.trace().nodes_at(time)
-}
-
-/// Standard classification setup shared by the §5/§6 experiment binaries.
-pub fn classification_config(
-    seq: &osn_graph::sequence::SnapshotSequence<'_>,
-    t: usize,
-    ctx: &ExperimentContext,
-) -> linklens_core::classify::ClassificationConfig {
-    // Mirror the paper's §5.1 rule: the smallest network (Facebook) is used
-    // whole (p = 100%), the larger two are snowball-sampled. "Small" here
-    // means the whole graph fits the evaluation budget.
-    let nodes = snapshot_node_count(seq, t - 1);
-    let sampling_p = if nodes <= 2_600 {
-        1.0
-    } else {
-        sampling_p_for(seq, t, if ctx.quick { 250 } else { 600 })
-    };
-    linklens_core::classify::ClassificationConfig {
-        sampling_p,
-        n_seeds: if ctx.quick { 2 } else { 5 },
-        seed: ctx.seed,
-        ..Default::default()
-    }
+    only.sort_unstable();
+    Ok(only)
 }
 
 /// The writer every `BENCH_*.json` report of the scalecheck rows goes
@@ -322,50 +146,68 @@ pub mod stats {
     }
 }
 
-fn usage_exit(msg: &str) -> ! {
-    if !msg.is_empty() {
-        // linklens-allow(print-in-lib): harness progress logging for long experiment runs goes to stderr by design
-        eprintln!("error: {msg}");
-    }
-    // linklens-allow(print-in-lib): harness progress logging for long experiment runs goes to stderr by design
-    eprintln!(
-        "usage: exp_* [--scale F] [--days N] [--seed N] [--snapshots N] [--quick]\n\
-         Reproduces one table/figure of Liu et al. (IMC 2016); see DESIGN.md §5."
-    );
-    std::process::exit(2);
-}
-
-/// Where experiment JSON payloads land.
-pub fn results_path(name: &str) -> std::path::PathBuf {
-    std::path::PathBuf::from("results").join(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use experiments::Context;
+
+    fn context(scale: f64, days: u32, snapshots: usize) -> Context {
+        let mut ctx = Context::default();
+        (ctx.scale, ctx.days, ctx.snapshots) = (scale, days, snapshots);
+        ctx
+    }
 
     #[test]
     fn default_context_produces_three_traces() {
-        let ctx = ExperimentContext { scale: 0.05, days: 25, ..Default::default() };
+        let ctx = context(0.05, 25, 16);
         let traces = ctx.traces();
         assert_eq!(traces.len(), 3);
-        for (cfg, t) in &traces {
+        for (cfg, t) in traces {
             assert!(t.edge_count() > 0, "{} empty", cfg.name);
         }
+        assert!(std::ptr::eq(traces, ctx.traces()), "traces are generated once");
     }
 
     #[test]
     fn sequence_has_requested_snapshots() {
-        let ctx = ExperimentContext { scale: 0.05, days: 25, snapshots: 6, ..Default::default() };
-        let (_, trace) = ctx.traces().remove(0);
-        let seq = ctx.sequence(&trace);
+        let ctx = context(0.05, 25, 6);
+        let seq = ctx.sequence(&ctx.traces()[0].1);
         assert_eq!(seq.len(), 6);
     }
 
     #[test]
     fn mid_transition_in_range() {
-        let ctx = ExperimentContext { snapshots: 16, ..Default::default() };
+        let ctx = context(1.0, 120, 16);
         let t = ctx.mid_transition();
         assert!((2..16).contains(&t));
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn row_flags_select_rows_in_table_order_once() {
+        let rows = ["a", "b-c", "d"];
+        let args = strings(&["--d-only", "--a-only", "--d-only"]);
+        let only = select_rows(&args, &rows, |arg, _| Err(arg.to_string())).unwrap();
+        assert_eq!(only, vec![0, 2]);
+        let none = select_rows(&[], &rows, |arg, _| Err(arg.to_string())).unwrap();
+        assert!(none.is_empty(), "no flag selects every row");
+    }
+
+    #[test]
+    fn other_arguments_take_their_values_from_the_rest() {
+        let args = strings(&["--n", "3", "--b-c-only", "--m"]);
+        let mut seen = Vec::new();
+        let only = select_rows(&args, &["a", "b-c"], |arg, rest| {
+            seen.push((arg.to_string(), rest.next().cloned()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(only, vec![1]);
+        assert_eq!(seen, vec![("--n".into(), Some("3".into())), ("--m".into(), None)]);
+        let err = select_rows(&args, &["a"], |arg, _| Err(format!("bad {arg}")));
+        assert_eq!(err, Err("bad --n".into()));
     }
 }

@@ -1,6 +1,8 @@
-//! The serial dense reference for Rescal's blocked ALS core.
+//! The serial dense reference for Rescal's blocked ALS core, and the
+//! per-pair bilinear score the batched scoring path is checked against.
 
 use osn_graph::snapshot::Snapshot;
+use osn_graph::NodeId;
 use osn_linalg::{factor, Matrix, SparseMatrix};
 use osn_metrics::rescal::{Rescal, RescalModel};
 use osn_metrics::solver::SolverError;
@@ -100,4 +102,30 @@ pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, Solver
         residual = factor::frobenius_residual(&a, &x, &core, 1);
     }
     Ok(RescalModel { x, r: core, residual, iterations, warm_started: false })
+}
+
+/// The bilinear score `x_uᵀ R x_v + x_vᵀ R x_u` of a fitted model, folded
+/// per pair as `Σ_i x[i]·(R·x)[i]`. The batched
+/// [`bilinear_scores_t`](osn_metrics::solver::bilinear_scores_t) folds
+/// `X R` first, so the two agree to reassociation tolerance, not bit for
+/// bit.
+pub fn model_score(model: &RescalModel, u: NodeId, v: NodeId) -> f64 {
+    let xu = model.x.row(u as usize);
+    let xv = model.x.row(v as usize);
+    let r = &model.r;
+    let k = r.rows();
+    let mut uv = 0.0;
+    let mut vu = 0.0;
+    for i in 0..k {
+        let ri = r.row(i);
+        let mut ru_v = 0.0;
+        let mut rv_u = 0.0;
+        for j in 0..k {
+            ru_v += ri[j] * xv[j];
+            rv_u += ri[j] * xu[j];
+        }
+        uv += xu[i] * ru_v;
+        vu += xv[i] * rv_u;
+    }
+    uv + vu
 }

@@ -16,8 +16,11 @@
 //! * every `fn score_*` / `fn predict*` (Metric implementations and the
 //!   exec/framework entry points),
 //! * every function in the fused/solver/factor kernel files,
+//! * every function of the experiment rows, whose output is committed
+//!   under `results/`,
 //! * every method of `SnapshotBuilder`,
-//! * anything marked `// linklens-deterministic`.
+//! * anything marked `// linklens-deterministic` in a scanned file (a
+//!   marker anywhere else is itself a finding, `unscanned-marker`).
 //!
 //! Everything name-reachable from a root is "on the deterministic
 //! surface" and gets the [`crate::dataflow`] rules.
@@ -28,16 +31,22 @@ use crate::workspace::{FileInfo, FileKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose library code is subject to the phase-2 dataflow rules.
-/// Bench and bin targets are excluded on purpose: timing reads and
-/// console output are legitimate there. `serve` is in scope both for the
-/// shared dataflow rules and for `blocking-in-query-path`, which guards
-/// its marked query handlers.
-const SCOPE_CRATES: &[&str] = &["graph", "metrics", "linalg", "core", "ml", "trace", "serve"];
+/// Bin, bench and test targets are excluded on purpose: timing reads and
+/// console output are legitimate there. `bench` is in scope for its
+/// library, which holds the experiment rows and the oracles. `serve` is
+/// in scope both for the shared dataflow rules and for
+/// `blocking-in-query-path`, which guards its marked query handlers.
+const SCOPE_CRATES: &[&str] =
+    &["graph", "metrics", "linalg", "core", "ml", "trace", "serve", "bench"];
 
 /// Files whose every function is a deterministic root: the batched
 /// kernels whose bit-identity the equivalence suites pin.
 const KERNEL_FILES: &[&str] =
     &["crates/metrics/src/fused.rs", "crates/metrics/src/solver.rs", "crates/linalg/src/factor.rs"];
+
+/// Directories whose every function is a deterministic root: the
+/// experiment rows, so a new row is on the surface without a marker.
+const ROOT_DIRS: &[&str] = &["crates/bench/src/experiments/"];
 
 /// Impl blocks whose every method is a deterministic root.
 const ROOT_IMPLS: &[&str] = &["SnapshotBuilder"];
@@ -81,6 +90,9 @@ fn root_reason(file: &ParsedFile, f: &crate::symbols::FnSym) -> Option<String> {
     }
     if KERNEL_FILES.contains(&file.info.path.as_str()) {
         return Some(format!("kernel file {}", file.info.path));
+    }
+    if ROOT_DIRS.iter().any(|dir| file.info.path.starts_with(dir)) {
+        return Some(format!("experiment row file {}", file.info.path));
     }
     if let Some(ctx) = &f.impl_ctx {
         if ROOT_IMPLS.contains(&ctx.as_str()) {
@@ -223,12 +235,31 @@ mod tests {
     }
 
     #[test]
+    fn experiment_rows_are_roots_without_a_marker() {
+        let row = parse_file(
+            &info("crates/bench/src/experiments/bias.rs", "bench"),
+            "fn table5(ctx: &Context) -> Value { most_predicted(ctx) }\nfn most_predicted(ctx: &Context) {}",
+        );
+        let oracle = parse_file(
+            &info("crates/bench/src/oracles/local.rs", "bench"),
+            "fn common_neighbors_pair(u: u32) {}",
+        );
+        let s = surface(&[row, oracle]);
+        assert!(s.origin("table5").unwrap().contains("experiment row file"));
+        assert!(s.origin("most_predicted").is_some());
+        assert!(
+            s.origin("common_neighbors_pair").is_none(),
+            "bench library code is scanned, not rooted"
+        );
+    }
+
+    #[test]
     fn out_of_scope_files_and_test_fns_contribute_nothing() {
         let bench = parse_file(
             &FileInfo {
-                path: "crates/bench/src/lib.rs".into(),
+                path: "crates/bench/src/bin/scalecheck.rs".into(),
                 krate: "bench".into(),
-                kind: FileKind::Lib,
+                kind: FileKind::Bin,
                 is_crate_root: true,
                 is_shim: false,
             },

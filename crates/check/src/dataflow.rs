@@ -12,7 +12,10 @@
 //!   terminals (`count`/`any`/`all`/`contains`/`is_empty`/`len`/
 //!   `min`/`max`), `collect` into an unordered or self-ordering
 //!   container, and a `collect` into a binding that the very next
-//!   statement sorts.
+//!   statement sorts with a plain `sort`/`sort_unstable`. A keyed sort
+//!   (`sort_by`, `sort_by_key`, …) is not exempt: entries whose keys tie
+//!   keep the unordered order, so it needs a justified allow that says
+//!   why its key cannot tie.
 //! * `unordered-float-reduction` — `sum`/`product`/`fold`/`reduce`
 //!   folded over such an iteration: float addition is not associative,
 //!   so the fold order must be pinned even though the result "looks"
@@ -22,6 +25,8 @@
 //! * `panic-in-deterministic-path` — `panic!`-family macros that are
 //!   neither audit-gated (`audit_enabled` in the enclosing body) nor a
 //!   structured-error re-raise (`Err(e) => panic!(..)`).
+//! * `unscanned-marker` — a `// linklens-deterministic` marker in a file
+//!   outside the analyzer's scope, where nothing would check it.
 //! * `blocking-in-query-path` — lock acquisitions, blocking I/O, or
 //!   snapshot rebuilds inside the `serve` crate's query handlers (the
 //!   functions carrying a `// linklens-deterministic` marker): the
@@ -189,12 +194,14 @@ fn let_binding(tokens: &[crate::lexer::Token], site: usize) -> Option<(String, V
 }
 
 /// True when the statement directly after `end` (a `;`) starts with
-/// `name.sort…` — the collect-then-sort idiom that pins the order before
-/// anything downstream can observe it.
+/// `name.sort(` or `name.sort_unstable(` — the collect-then-sort idiom
+/// that pins the order before anything downstream can observe it. Only a
+/// sort on the whole element pins it: a keyed sort leaves entries whose
+/// keys tie in the order the unordered iteration produced.
 fn next_stmt_sorts(tokens: &[crate::lexer::Token], end: usize, name: &str) -> bool {
     ident_at(tokens, end + 1) == Some(name)
         && punct_at(tokens, end + 2, '.')
-        && ident_at(tokens, end + 3).is_some_and(|m| m.starts_with("sort"))
+        && ident_at(tokens, end + 3).is_some_and(|m| m == "sort" || m == "sort_unstable")
 }
 
 fn unordered_iteration(
@@ -294,6 +301,23 @@ fn unordered_iteration(
                 "iteration order of `{name}` (HashMap/HashSet) escapes on the deterministic \
                  surface (via {origin}); collect into an ordered container, sort the collected \
                  Vec in the next statement, or end the chain in an order-free terminal"
+            ),
+        ));
+    }
+}
+
+/// Flags every `// linklens-deterministic` marker of a file the dataflow
+/// rules do not scan: the marker would otherwise be silently ignored.
+pub(crate) fn unscanned_markers(file: &ParsedFile, out: &mut Vec<Diagnostic>) {
+    for line in crate::symbols::marker_lines(&file.lexed) {
+        out.push(Diagnostic::new(
+            "unscanned-marker",
+            &file.info.path,
+            line,
+            format!(
+                "`linklens-deterministic` marker in `{}`, which the determinism analysis does not \
+                 scan; nothing checks what it marks",
+                file.info.path
             ),
         ));
     }
@@ -523,6 +547,18 @@ mod tests {
             "fn score_pairs(set: &HashSet<u32>) -> Vec<u32> {\n  let mut picked: Vec<u32> = set.iter().copied().collect();\n  picked.sort_unstable();\n  picked\n}",
         );
         assert_eq!(count(&d, "unordered-iteration-in-deterministic-path"), 0);
+    }
+
+    #[test]
+    fn only_a_plain_sort_exempts_the_collect() {
+        let keyed = run(
+            "fn score_pairs(m: &HashMap<u32, usize>) -> Vec<u32> {\n  let mut by: Vec<u32> = m.keys().copied().collect();\n  by.sort_unstable_by_key(|u| m[u]);\n  by\n}",
+        );
+        assert_eq!(count(&keyed, "unordered-iteration-in-deterministic-path"), 1);
+        let plain = run(
+            "fn score_pairs(m: &HashMap<u32, usize>) -> Vec<u32> {\n  let mut by: Vec<u32> = m.keys().copied().collect();\n  by.sort();\n  by\n}",
+        );
+        assert_eq!(count(&plain, "unordered-iteration-in-deterministic-path"), 0);
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! * `print-in-lib` — `println!`-family output in library crates.
 //!
 //! On top of those single-file rules, the checker runs a *workspace*
-//! analysis: every file is parsed into a symbol index ([`symbols`]), an
+//! analysis: every file is parsed into a symbol index (`symbols`), an
 //! over-approximate call graph computes the functions reachable from the
-//! deterministic surface ([`callgraph`]), and dataflow rules
-//! ([`dataflow`]) prove that surface free of unordered `HashMap`/`HashSet`
+//! deterministic surface (`callgraph`), and dataflow rules
+//! (`dataflow`) prove that surface free of unordered `HashMap`/`HashSet`
 //! iteration, unpinned float reductions, nondeterministic sources, and
 //! unsanctioned panics. Pre-existing findings live in a committed
 //! [`baseline`] ratchet that may only shrink.
@@ -89,11 +89,14 @@ pub fn check_sources(sources: Vec<(FileInfo, String)>) -> RunSummary {
         parsed.iter().map(|p| rules::phase1(&p.info, &p.lexed.tokens, &p.mask)).collect();
 
     // Phase 2: deterministic surface over the whole workspace, dataflow
-    // rules over every in-scope file.
+    // rules over every in-scope file, and a finding for each marker the
+    // dataflow rules would never see.
     let surface = callgraph::surface(&parsed);
     for (p, diags) in parsed.iter().zip(per_file.iter_mut()) {
         if callgraph::in_scope(&p.info) {
             dataflow::check_file(p, &surface, diags);
+        } else {
+            dataflow::unscanned_markers(p, diags);
         }
     }
 

@@ -9,7 +9,7 @@
 //!
 //! This module holds the *phase-1* (single-file) rules and the shared rule
 //! table; the *phase-2* dataflow rules over the workspace symbol graph
-//! live in [`crate::dataflow`] and are registered here so `--explain`,
+//! live in the private `dataflow` module and are registered here so `--explain`,
 //! suppression auditing, and the reports all draw from one table.
 //!
 //! ## Suppressions
@@ -59,6 +59,7 @@ pub(crate) const PHASE2_RULES: &[&str] = &[
     "unordered-float-reduction",
     "panic-in-deterministic-path",
     "blocking-in-query-path",
+    "unscanned-marker",
 ];
 
 /// Every rule the checker knows.
@@ -126,7 +127,7 @@ pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         name: "unordered-iteration-in-deterministic-path",
         contract: "iterating a `HashMap`/`HashSet` on the deterministic surface in an order that can reach scores, top-k, or serialized output; use an order-stable structure or pin the order with a sort",
-        rationale: "std HashMap/HashSet iteration order varies per process and per instance; one unordered iteration feeding a Vec, a fold, or serialized output makes every downstream accuracy number irreproducible — exactly the silent evaluation corruption 'Evaluating Link Prediction Methods' warns about. Iterations that provably cannot carry order out (.count()/.any()/.all(), collects into unordered or self-ordering containers, or a collect immediately followed by a sort of the same binding) are exempt.",
+        rationale: "std HashMap/HashSet iteration order varies per process and per instance; one unordered iteration feeding a Vec, a fold, or serialized output makes every downstream accuracy number irreproducible — exactly the silent evaluation corruption 'Evaluating Link Prediction Methods' warns about. Iterations that provably cannot carry order out (.count()/.any()/.all(), collects into unordered or self-ordering containers, or a collect immediately followed by a plain sort/sort_unstable of the same binding) are exempt. A keyed sort is not: entries whose keys tie keep the unordered order, as Table 5's most-predicted-node cut once did.",
         fix: "- let picked: Vec<_> = set.iter().copied().filter(keep).collect();\n+ let mut picked: Vec<_> = set.iter().copied().filter(keep).collect();\n+ picked.sort_unstable();  // order pinned before anything downstream sees it\n(or switch the container to BTreeMap/BTreeSet)",
     },
     RuleSpec {
@@ -152,6 +153,12 @@ pub const RULES: &[RuleSpec] = &[
         contract: "a lock acquisition, blocking I/O, or snapshot rebuild inside a marked `serve` query handler; the bounded-latency query path must stay lock-free and compute-only",
         rationale: "linklens-serve promises bounded per-query latency concurrently with ingest: workers pin an immutable snapshot and score without shared state. One `.lock()` held across scoring serializes every worker behind ingest, one blocking read stalls the queue, and one SnapshotBuilder rebuild per query is the stop-the-world the versioned swap exists to avoid.",
         fix: "- let snap = self.live.lock().unwrap().snapshot();  // inside the handler\n+ let pinned = store.current();  // version-pinned Arc swap, taken outside scoring\n(or justify a sanctioned case: // linklens-allow(blocking-in-query-path): wait-free counter, never held across scoring)",
+    },
+    RuleSpec {
+        name: "unscanned-marker",
+        contract: "a `// linklens-deterministic` marker in a file the determinism analysis does not scan (bins, tests, benches, examples, shims); nothing checks what it marks",
+        rationale: "A marker says the function's output must not depend on hash order, clocks or thread count. Outside the scanned library files the dataflow rules never run, so the marker would promise a check that does not happen, and a reader would trust code nobody checked.",
+        fix: "Move the marked code into a scanned library file (every function under crates/bench/src/experiments/ is on the surface without a marker), or delete the marker.",
     },
     RuleSpec {
         name: "stale-allow",
@@ -255,7 +262,7 @@ pub(crate) fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
 
 /// Checks one file with the phase-1 rules only, returning every diagnostic
 /// (suppressed ones flagged). The workspace engine instead runs
-/// [`phase1`] + the phase-2 dataflow pass and then [`finish_file`], so
+/// `phase1` + the phase-2 dataflow pass and then `finish_file`, so
 /// suppression and directive auditing see both phases; this single-file
 /// entry point exists for targeted use and passes `full = false` so
 /// directives naming phase-2 rules are never misjudged stale.

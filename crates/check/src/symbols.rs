@@ -72,7 +72,7 @@ pub(crate) fn parse_file(info: &FileInfo, src: &str) -> ParsedFile {
 
 /// Marker lines: every comment that *is* a `linklens-deterministic`
 /// directive (must start the comment, like `linklens-allow`).
-fn marker_lines(lexed: &Lexed) -> Vec<u32> {
+pub(crate) fn marker_lines(lexed: &Lexed) -> Vec<u32> {
     lexed
         .comments
         .iter()

@@ -123,7 +123,58 @@ fn seeded_blocking_in_query_path_is_caught_and_suppressible() {
     assert_eq!(active_of(&summary, "blocking-in-query-path").len(), 0);
 }
 
+/// Table 5's most-predicted-node cut as it once read: a `HashMap`'s keys
+/// collected and sorted by count alone, so nodes tied at the cut came out
+/// in per-process hash order.
+const TP_KEYED_SORT: &str = "fn table5_fx(predicted: &[(u32, u32)]) -> Vec<u32> {\n\
+                             \x20   let mut freq: HashMap<u32, usize> = HashMap::new();\n\
+                             \x20   for &(u, v) in predicted {\n\
+                             \x20       *freq.entry(u).or_default() += 1;\n\
+                             \x20       *freq.entry(v).or_default() += 1;\n\
+                             \x20   }\n\
+                             \x20   let mut by_freq: Vec<u32> = freq.keys().copied().collect();\n\
+                             \x20   by_freq.sort_unstable_by_key(|u| std::cmp::Reverse(freq[u]));\n\
+                             \x20   by_freq\n\
+                             }\n";
+
+#[test]
+fn seeded_keyed_sort_after_a_hashmap_collect_is_caught() {
+    // An experiment row is a root without a marker.
+    let summary = run(vec![fx("crates/bench/src/experiments/fx_bias.rs", TP_KEYED_SORT)]);
+    let hits = active_of(&summary, "unordered-iteration-in-deterministic-path");
+    assert_eq!(hits.len(), 1, "{:?}", summary.diagnostics);
+    assert_eq!(hits[0].line, 7);
+    assert!(hits[0].message.contains("experiment row file"), "{}", hits[0].message);
+}
+
+#[test]
+fn seeded_marker_outside_the_scope_is_caught() {
+    // The same code in a binary, marked: the dataflow rules never read
+    // bins, so the marker itself is the finding.
+    let marked = format!("// linklens-deterministic: committed results\n{TP_KEYED_SORT}");
+    let summary = run(vec![fx("crates/bench/src/bin/fx_runner.rs", &marked)]);
+    let hits = active_of(&summary, "unscanned-marker");
+    assert_eq!(hits.len(), 1, "{:?}", summary.diagnostics);
+    assert_eq!(hits[0].line, 1);
+    assert_eq!(active_of(&summary, "unordered-iteration-in-deterministic-path").len(), 0);
+
+    // In a scanned library file the marker does its job instead.
+    let summary = run(vec![fx("crates/core/src/fx_marked.rs", &marked)]);
+    assert_eq!(active_of(&summary, "unscanned-marker").len(), 0);
+    assert_eq!(active_of(&summary, "unordered-iteration-in-deterministic-path").len(), 1);
+}
+
 // --- seeded true negatives ---------------------------------------------
+
+#[test]
+fn plain_sort_after_a_hashmap_collect_is_clean() {
+    let src = TP_KEYED_SORT.replace(
+        "by_freq.sort_unstable_by_key(|u| std::cmp::Reverse(freq[u]));",
+        "by_freq.sort_unstable();",
+    );
+    let summary = run(vec![fx("crates/bench/src/experiments/fx_bias.rs", &src)]);
+    assert!(!summary.has_violations(), "{:?}", summary.diagnostics);
+}
 
 #[test]
 fn sorted_vec_rewrite_is_clean() {

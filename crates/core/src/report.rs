@@ -1,10 +1,10 @@
-//! Plain-text tables and JSON persistence for the experiment binaries.
+//! Plain-text tables and JSON persistence for the experiment runner.
 
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// An aligned plain-text table, the output format of every `exp_*` binary.
+/// An aligned plain-text table, the output format of every experiment row.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct Table {
     /// Table caption printed above the header.

@@ -39,7 +39,7 @@ pub const DEFAULT_WINDOW_EDGES: usize = 1 << 20;
 /// edges in bounded windows instead of borrowing an in-core edge list.
 ///
 /// The out-of-core counterpart of [`crate::builder::SnapshotBuilder`]: the
-/// same [`MergeArena`] produces the same bit-identical CSRs, but the delta
+/// same `MergeArena` merge core produces the same bit-identical CSRs, but the delta
 /// for each advance is fetched through [`TraceReader::read_edge_window`] in
 /// chunks of at most `max_window` edges.
 #[derive(Debug)]

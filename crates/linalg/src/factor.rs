@@ -161,8 +161,8 @@ pub fn init_factors(n: usize, rank: usize, seed: u64) -> Matrix {
 /// Nothing `n × n` is ever materialized, so this doubles as the
 /// per-sweep certification check at preset scale.
 ///
-/// The nonzero passes are parallelized over fixed [`RESIDUAL_ROW_CHUNK`]
-/// row chunks whose partial sums are folded in chunk order, so the value
+/// The nonzero passes are parallelized over fixed 1024-row chunks
+/// whose partial sums are folded in chunk order, so the value
 /// is bit-identical for every `threads` count.
 pub fn frobenius_residual(a: &SparseMatrix, x: &Matrix, r: &Matrix, threads: usize) -> f64 {
     assert_eq!(a.rows(), a.cols(), "adjacency must be square");

@@ -100,31 +100,6 @@ impl std::fmt::Debug for RescalModel {
 }
 
 impl RescalModel {
-    /// The bilinear score `x_uᵀ R x_v + x_vᵀ R x_u`, folded per pair as
-    /// `Σ_i x[i]·(R·x)[i]` — the per-pair oracle association the batched
-    /// [`solver::bilinear_scores_t`] path is cross-checked against (to
-    /// reassociation tolerance; the batched path folds `X R` first).
-    pub fn score(&self, u: NodeId, v: NodeId) -> f64 {
-        let xu = self.x.row(u as usize);
-        let xv = self.x.row(v as usize);
-        let r = &self.r;
-        let k = r.rows();
-        let mut uv = 0.0;
-        let mut vu = 0.0;
-        for i in 0..k {
-            let ri = r.row(i);
-            let mut ru_v = 0.0;
-            let mut rv_u = 0.0;
-            for j in 0..k {
-                ru_v += ri[j] * xv[j];
-                rv_u += ri[j] * xu[j];
-            }
-            uv += xu[i] * ru_v;
-            vu += xv[i] * rv_u;
-        }
-        uv + vu
-    }
-
     /// Frobenius reconstruction error `‖A − XRXᵀ‖_F`, computed sparsely
     /// over the nonzeros plus a trace-correction term — nothing `n × n`
     /// is materialized, so this is safe at preset scale and equals the
@@ -352,14 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn scores_symmetric() {
-        let s = two_cliques();
-        let r = Rescal::default();
-        let model = r.fit(&s).expect("fit");
-        assert!((model.score(0, 5) - model.score(5, 0)).abs() < 1e-12);
-    }
-
-    #[test]
     fn deterministic_fit() {
         let s = two_cliques();
         let r = Rescal::default();
@@ -398,23 +365,5 @@ mod tests {
         let s = Snapshot::from_edges(4, &[(0, 1)]);
         let bad = Rescal { rank: 3, iterations: 5, lambda: 0.0, ..Default::default() };
         let _ = score_pairs_t(&bad, &s, &[(0, 2)], 1);
-    }
-
-    #[test]
-    fn batched_path_matches_per_pair_oracle() {
-        let s = two_cliques();
-        let r = Rescal { rank: 4, ..Default::default() };
-        let model = r.fit(&s).expect("fit");
-        let pairs: Vec<(NodeId, NodeId)> = vec![(0, 2), (0, 7), (3, 4), (1, 6)];
-        let batched = score_pairs_t(&r, &s, &pairs, 1);
-        assert_eq!(batched, score_pairs_t(&r, &s, &pairs, 3), "engine must not depend on workers");
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            assert!(
-                (batched[i] - model.score(u, v)).abs() <= 1e-9,
-                "pair ({u},{v}): batched {} vs oracle {}",
-                batched[i],
-                model.score(u, v)
-            );
-        }
     }
 }

@@ -7,7 +7,8 @@
 //! and certified warm-started sweeps must agree with cold starts on
 //! certification outcome across randomized monotone snapshot sequences.
 //! Singular systems must surface as structured errors, never silent
-//! stale-factor fits.
+//! stale-factor fits. Batched bilinear scoring must agree with the
+//! per-pair model score in the same module to reassociation tolerance.
 
 use linklens_bench::oracles;
 use osn_graph::snapshot::Snapshot;
@@ -15,7 +16,7 @@ use osn_graph::NodeId;
 use osn_metrics::candidates::CandidateSet;
 use osn_metrics::exec;
 use osn_metrics::rescal::Rescal;
-use osn_metrics::solver::{SolverCache, SolverError};
+use osn_metrics::solver::{bilinear_scores_t, SolverCache, SolverError};
 use osn_metrics::traits::{CandidatePolicy, Metric};
 use proptest::prelude::*;
 
@@ -110,6 +111,85 @@ fn blocked_fit_bit_identical_above_parallel_threshold() {
             "R diverged from dense reference at {threads} threads"
         );
         assert_eq!(dense.residual, blocked.residual);
+    }
+}
+
+/// Two 4-cliques sharing no edge, bridged 3-4.
+fn two_cliques() -> Snapshot {
+    let mut edges = Vec::new();
+    for a in 0..4u32 {
+        for b in a + 1..4 {
+            edges.push((a, b));
+        }
+    }
+    for a in 4..8u32 {
+        for b in a + 1..8 {
+            edges.push((a, b));
+        }
+    }
+    edges.push((3, 4));
+    Snapshot::from_edges(8, &edges)
+}
+
+#[test]
+fn scores_symmetric() {
+    let model = Rescal::default().fit(&two_cliques()).expect("fit");
+    let score = |u, v| oracles::rescal::model_score(&model, u, v);
+    assert!((score(0, 5) - score(5, 0)).abs() < 1e-12);
+}
+
+#[test]
+fn batched_path_matches_per_pair_oracle() {
+    let s = two_cliques();
+    let r = Rescal { rank: 4, ..Default::default() };
+    let model = r.fit(&s).expect("fit");
+    let pairs: Vec<(NodeId, NodeId)> = vec![(0, 2), (0, 7), (3, 4), (1, 6)];
+    let batched = exec::score_pairs_t(&r, &s, &pairs, 1);
+    assert_eq!(
+        batched,
+        exec::score_pairs_t(&r, &s, &pairs, 3),
+        "engine must not depend on workers"
+    );
+    for (i, &(u, v)) in pairs.iter().enumerate() {
+        let oracle = oracles::rescal::model_score(&model, u, v);
+        assert!(
+            (batched[i] - oracle).abs() <= 1e-9,
+            "pair ({u},{v}): batched {} vs oracle {oracle}",
+            batched[i]
+        );
+    }
+}
+
+#[test]
+fn bilinear_scores_match_model_oracle_at_every_thread_count() {
+    // A 24-node ring with a chord from every third node across the ring.
+    let n = 24;
+    let mut edges = Vec::new();
+    for i in 0..n {
+        edges.push((i as NodeId, ((i + 1) % n) as NodeId));
+        if i % 3 == 0 {
+            edges.push((i as NodeId, ((i + n / 2) % n) as NodeId));
+        }
+    }
+    let snap = Snapshot::from_edges(n, &edges);
+    let model = Rescal { rank: 4, ..Default::default() }.fit(&snap).expect("fit");
+    let pairs: Vec<(NodeId, NodeId)> =
+        (0..n as NodeId).flat_map(|u| (u + 1..n as NodeId).map(move |v| (u, v))).collect();
+    let base = bilinear_scores_t(&model.x, &model.r, &pairs, 1);
+    for (i, &(u, v)) in pairs.iter().enumerate() {
+        let oracle = oracles::rescal::model_score(&model, u, v);
+        assert!(
+            (base[i] - oracle).abs() <= 1e-9 * oracle.abs().max(1.0),
+            "pair ({u},{v}): batched {} vs oracle {oracle}",
+            base[i]
+        );
+    }
+    for threads in [2usize, 4, 8] {
+        assert_eq!(
+            bilinear_scores_t(&model.x, &model.r, &pairs, threads),
+            base,
+            "bilinear scoring diverged at {threads} threads"
+        );
     }
 }
 

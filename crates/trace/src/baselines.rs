@@ -10,7 +10,7 @@
 //!   attachment is the *generative model*, so PA must beat the
 //!   neighborhood metrics.
 //!
-//! The test-suite and the `exp_ext_nulls` experiment use these to validate
+//! The test-suite and the `ext-nulls` experiment row use these to validate
 //! the metric implementations end-to-end: an implementation bug that
 //! *inflates* accuracy would show up as "beating random on ER", which is
 //! impossible for a correct pipeline.

@@ -26,8 +26,9 @@ use rand::{Rng, SeedableRng};
 /// Runs the friendship model.
 ///
 /// # Panics
-/// Panics if `cfg.kind` is not [`NetworkKind::Friendship`].
-pub fn generate(cfg: &TraceConfig, seed: u64) -> GrowthTrace {
+/// Panics if `cfg.kind` is not [`NetworkKind::Friendship`]. Its one caller,
+/// [`TraceConfig::generate`], calls it only for that kind.
+pub(crate) fn generate(cfg: &TraceConfig, seed: u64) -> GrowthTrace {
     let NetworkKind::Friendship {
         closure_start,
         closure_end,
@@ -36,6 +37,7 @@ pub fn generate(cfg: &TraceConfig, seed: u64) -> GrowthTrace {
         recency_window,
     } = cfg.kind
     else {
+        // linklens-allow(panic-in-deterministic-path): TraceConfig::generate, the only caller, dispatches here on this kind
         panic!("friendship::generate requires a Friendship config");
     };
     let params = LifecycleParams {

@@ -29,11 +29,13 @@ use rand::{Rng, SeedableRng};
 /// Runs the subscription model.
 ///
 /// # Panics
-/// Panics if `cfg.kind` is not [`NetworkKind::Subscription`].
-pub fn generate(cfg: &TraceConfig, seed: u64) -> GrowthTrace {
+/// Panics if `cfg.kind` is not [`NetworkKind::Subscription`]. Its one caller,
+/// [`TraceConfig::generate`], calls it only for that kind.
+pub(crate) fn generate(cfg: &TraceConfig, seed: u64) -> GrowthTrace {
     let NetworkKind::Subscription { zipf_exponent, subscribe_share, fresh_subscriber_bias } =
         cfg.kind
     else {
+        // linklens-allow(panic-in-deterministic-path): TraceConfig::generate, the only caller, dispatches here on this kind
         panic!("subscription::generate requires a Subscription config");
     };
     let params = LifecycleParams {

@@ -66,8 +66,8 @@ fn auc_of_good_metric_beats_half_on_generated_data() {
     let (pos, neg) = positive_negative_pairs(&seq, t, 800, 3);
     let auc = auc_of_metric(&ResourceAllocation, &snap, &pos, &neg);
     // The margin is modest at this tiny test scale (most negative pairs tie
-    // at score 0, counting half) — the release-scale exp_ext_auc binary
-    // shows the full separation.
+    // at score 0, counting half) — the release-scale `ext-auc` experiment
+    // row shows the full separation.
     assert!(auc > 0.52, "RA should carry signal on closure-driven data, got {auc}");
 }
 
