@@ -9,7 +9,7 @@
 //! | `parallel-scaling` | Candidate enumeration, scoring of every metric and fused top-k on renren-like at each worker count. |
 //! | `snapshot-build` | Incremental snapshot sweeps against from-scratch builds on every preset, full-CSR digests asserted equal. |
 //! | `fused-scoring` | The fused local-metric kernel against the per-pair path, bit for bit. |
-//! | `global-scoring` | Batched SP/LP/LRW/PPR/Katz against the per-source oracles, a worker sweep, and warm vs cold PPR. |
+//! | `global-scoring` | Batched SP/LP/LRW/PPR/Katz against their `oracles::contract` references, a worker sweep, and warm vs cold PPR. |
 //! | `factor-scoring` | The blocked Rescal fit and batched scoring against the dense reference on youtube-like, and warm vs cold certified fits. |
 //! | `e2e-sweep` | The framework sweep: per-pair baseline vs batched routing vs routing with the Table 7 filter pushed into enumeration. |
 //! | `large-trace` | Streaming generation, windowed cache reads and sampled evaluation against full materialization, with peak RSS. |
@@ -527,17 +527,18 @@ fn snapshot_build(ctx: &Ctx, report: &mut Report) {
 /// naive-Bayes BCN, BAA, BRA) over the shared `TwoHop` candidate set.
 /// Two stages per worker count:
 ///
-/// 1. per-pair baseline: each metric's per-pair reference from
-///    [`oracles::local`] in source-aligned chunks through
-///    `exec::score_chunked` (one sorted-merge intersection per metric per
-///    pair);
+/// 1. per-pair baseline: each metric's reference from
+///    [`oracles::contract`], the per-pair functions of [`oracles::local`]
+///    in source-aligned chunks through `exec::score_chunked` (one
+///    sorted-merge intersection per metric per pair);
 /// 2. fused: `exec::score_matrix_cached_t` (one witness walk per source
 ///    per chunk produces every column).
 ///
 /// Before anything is timed, the two-hop enumeration at the row's worker
 /// count is asserted equal to the shared candidate set, and the fused
-/// output equal to the baseline bit for bit, so a reported speedup can
-/// never come from computing something different.
+/// output to meet each metric's contract with the baseline (bit for
+/// bit), so a reported speedup can never come from computing something
+/// different.
 fn fused_scoring(ctx: &Ctx, report: &mut Report) {
     let trace = renren_trace(ctx);
     let (_seq, snap) = fixture(&trace);
@@ -556,13 +557,12 @@ fn fused_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("metrics", names.to_vec());
     report.set("note", "pairs/sec counts candidate_pairs x metrics; both paths asserted bit-identical before timing, and the two-hop enumeration at each thread count asserted equal to the scored candidate set");
 
+    let contracts: Vec<oracles::Contract> =
+        names.iter().map(|n| oracles::contract(n).expect("every metric has a contract")).collect();
     let per_pair = |t: usize| -> Vec<Vec<f64>> {
-        names
+        contracts
             .iter()
-            .map(|n| {
-                let oracle = oracles::local::per_pair(n).expect("local metric");
-                exec::score_chunked(cands.pairs(), t, |chunk| oracle(&snap, chunk))
-            })
+            .map(|c| c.reference.as_ref().expect("local reference")(&snap, cands.pairs(), t))
             .collect()
     };
     let fused = |t: usize| {
@@ -573,7 +573,11 @@ fn fused_scoring(ctx: &Ctx, report: &mut Report) {
         // Untimed equality witness first: both paths must agree.
         let baseline = per_pair(t);
         let fused_cols = fused(t);
-        assert_eq!(baseline, fused_cols, "fused matrix diverged from per-pair at {t} threads");
+        for (i, c) in contracts.iter().enumerate() {
+            c.check(&snap, cands.pairs(), &fused_cols[i], &baseline[i]).unwrap_or_else(|e| {
+                panic!("{}: fused column diverged from per-pair at {t} threads: {e}", names[i])
+            });
+        }
         let enum_pairs = osn_graph::traversal::two_hop_pairs(&snap, None, t);
         assert_eq!(enum_pairs, cands.pairs(), "two-hop enumeration drifted at {t} threads");
 
@@ -595,23 +599,24 @@ fn fused_scoring(ctx: &Ctx, report: &mut Report) {
 /// candidate set.
 ///
 /// Per metric (SP, LP, LRW, PPR, Katz-lr, Katz-sc) at one worker: the
-/// batched path and the per-source oracle are scored untimed first and
-/// asserted equal — bit for bit for the exact algorithms (SP, LP, both
-/// Katz), within the documented analytic tolerance for the iterative
+/// batched path and the reference from [`oracles::contract`] are scored
+/// untimed first and checked against the metric's contract — bit for bit
+/// for the exact algorithms (SP, LP, Katz-sc, and Katz-lr against its own
+/// serial path), within the bound the contract derives for the iterative
 /// solvers (LRW, PPR) — then both are timed. The headline
 /// `group_speedup_threads1` is total reference time over total batched
 /// time for the solver group {LRW, PPR, Katz-lr, Katz-sc}. A worker-count
 /// sweep then times the batched paths alone, asserting each stays
 /// bit-identical to its one-worker output; finally a warm-vs-cold PPR
 /// sweep over late snapshots measures what the persistent
-/// [`SolverCache`] buys, with warm output asserted within
-/// `2·(tol/α)·(1 + d_max/d_min)` of cold per pair.
+/// [`SolverCache`] buys, with warm output asserted within twice
+/// [`oracles::walk::ppr_solve_bound`] of cold per pair.
 ///
 /// Katz-lr's reference is the same serial path at one worker, so it
 /// dilutes the group speedup rather than inflating it.
 fn global_scoring(ctx: &Ctx, report: &mut Report) {
     use osn_graph::par;
-    use osn_metrics::walk::{LocalRandomWalk, PersonalizedPageRank};
+    use osn_metrics::walk::PersonalizedPageRank;
 
     let trace = renren_trace(ctx);
     let (seq, snap) = fixture(&trace);
@@ -626,21 +631,9 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("edges", snap.edge_count());
     report.set("candidate_pairs", pairs.len());
     report.set("metrics", names.to_vec());
-    report.set("note", "batched vs per-source-oracle, equality asserted before timing (bit-identical for SP/LP/Katz, analytic tolerance for LRW/PPR); Katz-lr has no distinct per-source oracle so its reference is the same serial path; LRW/PPR engine scores are one-sided from the pair's solve side (LRW bound 3·m·prune·(d_u+d_v), PPR bound ε·(d_u+d_v) + (tol/α)·(1 + d_max/d_min)); warm rows assert |warm-cold| <= 2·(tol/α)·(1 + d_max/d_min) per pair");
+    report.set("note", "batched vs per-source-oracle, equality asserted before timing (bit-identical for SP/LP/Katz, analytic tolerance for LRW/PPR); Katz-lr has no distinct per-source oracle so its reference is the same serial path; LRW/PPR engine scores are one-sided from the pair's solve side (within oracles::walk::lrw_bound and ppr_bound); warm rows assert |warm-cold| <= 2·oracles::walk::ppr_solve_bound per pair");
 
-    let lrw = LocalRandomWalk::default();
     let ppr = PersonalizedPageRank::default();
-    // `1 + d_max/d_min` for a pair on `s`: the most the one-sided PPR
-    // factor `1 + d_side/d_partner` scales a solved column's error (1 when
-    // an endpoint is isolated, where the factor is 1).
-    let side_factor = |s: &Snapshot, (u, v): (u32, u32)| {
-        let (du, dv) = (s.degree(u) as f64, s.degree(v) as f64);
-        if du.min(dv) == 0.0 {
-            1.0
-        } else {
-            1.0 + du.max(dv) / du.min(dv)
-        }
-    };
 
     // --- Stage 1: batched vs reference at one worker, equality first ----
     par::set_thread_override(Some(1));
@@ -648,48 +641,17 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
     let mut group_ref_secs = 0.0;
     let mut group_batched_secs = 0.0;
     for (name, m) in names.iter().zip(&metrics) {
-        let reference = || {
-            oracles::per_source(name, &snap, pairs, 1)
-                .unwrap_or_else(|| exec::score_pairs_t(m.as_ref(), &snap, pairs, 1))
+        let contract = oracles::contract(name).expect("every metric has a contract");
+        // Katz-lr has no reference: it is held to, and timed against, its
+        // own serial path.
+        let reference = || match &contract.reference {
+            Some(reference) => reference(&snap, pairs, 1),
+            None => exec::score_pairs_t(m.as_ref(), &snap, pairs, 1),
         };
         let batched = exec::score_pairs_t(m.as_ref(), &snap, pairs, 1);
-        let oracle = reference();
-        type PairBound<'a> = Box<dyn Fn((u32, u32)) -> f64 + 'a>;
-        let tolerance: Option<PairBound> = match *name {
-            // Exact algorithms: the batched walkers/SpMM must reproduce
-            // the oracle bit for bit.
-            "SP" | "LP" | "Katz-lr" | "Katz-sc" => None,
-            // The engine scores one-sided from the pair's solve side s,
-            // the reference two-sided, both from pruned walks. A pruned
-            // step drops at most prune·2E of mass, so the engine is within
-            // 2·m·prune·d_s of the exact (reversible) score and the
-            // reference within m·prune·(d_u+d_v); plus reassociation.
-            "LRW" => Some(Box::new(|(u, v)| {
-                3.0 * lrw.steps as f64 * lrw.prune * (snap.degree(u) + snap.degree(v)) as f64
-                    + 1e-12
-            })),
-            // Chebyshev certifies ‖p-p̂‖₁ ≤ tol/α for the side's column,
-            // which the one-sided factor 1 + d_s/d_t scales; forward-push
-            // has per-entry error ≤ ε·deg on each of its two terms.
-            "PPR" => Some(Box::new(|(u, v)| {
-                ppr.epsilon * (snap.degree(u) + snap.degree(v)) as f64
-                    + ppr.solver_tol() / ppr.alpha * side_factor(&snap, (u, v))
-            })),
-            _ => unreachable!(),
-        };
-        match tolerance {
-            None => assert_eq!(batched, oracle, "{name}: batched diverged from per-source oracle"),
-            Some(bound) => {
-                for (i, &p) in pairs.iter().enumerate() {
-                    let dev = (batched[i] - oracle[i]).abs();
-                    assert!(
-                        dev <= bound(p),
-                        "{name}: pair {p:?} deviates {dev:e} beyond tolerance {:e}",
-                        bound(p)
-                    );
-                }
-            }
-        }
+        contract
+            .check(&snap, pairs, &batched, &reference())
+            .unwrap_or_else(|e| panic!("{name}: batched diverged from its reference: {e}"));
 
         let (ref_secs, _) = timed(reference);
         let (batched_secs, _) = timed(|| exec::score_pairs_t(m.as_ref(), &snap, pairs, 1));
@@ -706,7 +668,7 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
                 "batched_secs": batched_secs,
                 "batched_pairs_per_sec": rate(pairs.len(), batched_secs),
                 "speedup": ref_secs / batched_secs.max(1e-12),
-                "equality": if *name == "LRW" || *name == "PPR" { "within-tolerance" } else { "bit-identical" },
+                "equality": if contract.bound.is_some() { "within-tolerance" } else { "bit-identical" },
             }),
         );
         batched_at_one.push(batched);
@@ -741,11 +703,11 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
         |_, s| CandidateSet::build(s, CandidatePolicy::ThreeHop, 0),
         |si, s, pairs, warm, cold| {
             // Warm and cold score the same pair list, so each pair takes
-            // the same side in both; each run is within
-            // (tol/α)·(1 + d_s/d_t) of the exact score.
+            // the same side in both; each run is within the solve bound
+            // of the exact score.
             for (i, &p) in pairs.iter().enumerate() {
                 let dev = (warm[i] - cold[i]).abs();
-                let bound = 2.0 * ppr.solver_tol() / ppr.alpha * side_factor(s, p);
+                let bound = 2.0 * oracles::walk::ppr_solve_bound(&ppr, s, p);
                 assert!(
                     dev <= bound,
                     "snapshot {si}: warm/cold PPR pair {p:?} diverged {dev:e} beyond {bound:e}"
@@ -907,18 +869,23 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     );
 }
 
-/// The per-pair route of the e2e sweep's baseline: a fused metric's
-/// per-pair reference in source-aligned chunks over `threads` workers;
-/// any other metric through its hook with a transient cache.
+/// The per-pair route the e2e sweep's batched route must reproduce bit
+/// for bit: the metric's reference over `threads` workers when
+/// [`oracles::contract`] holds the engine to it exactly (the local
+/// metrics' per-pair references in source-aligned chunks, and the
+/// per-source SP, LP and Katz-sc); any other metric through its hook with
+/// a transient cache.
 fn per_pair_route(
     m: &dyn Metric,
     snap: &Snapshot,
     pairs: &[(u32, u32)],
     threads: usize,
 ) -> Vec<f64> {
-    match oracles::local::per_pair(m.name()) {
-        Some(oracle) => exec::score_chunked(pairs, threads, |chunk| oracle(snap, chunk)),
-        None => m.score_pairs_cached(snap, pairs, threads, &mut SolverCache::transient()),
+    match oracles::contract(m.name()) {
+        Some(oracles::Contract { reference: Some(reference), bound: None }) => {
+            reference(snap, pairs, threads)
+        }
+        _ => m.score_pairs_cached(snap, pairs, threads, &mut SolverCache::transient()),
     }
 }
 
@@ -1116,14 +1083,17 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
             let cols =
                 exec::score_matrix_cached_t(&group, &prev, pruned.pairs(), threads, &mut cache);
             for (col, &m) in cols.iter().zip(&group) {
-                let oracle = oracles::local::per_pair(m.name()).expect("fused metric");
-                assert_eq!(
-                    col,
-                    &oracle(&prev, pruned.pairs()),
-                    "{}: {} fused scores of the pruned set != reference scores",
-                    cfg.name,
-                    m.name()
-                );
+                let want = per_pair_route(m, &prev, pruned.pairs(), 1);
+                oracles::contract(m.name())
+                    .expect("every metric has a contract")
+                    .check(&prev, pruned.pairs(), col, &want)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "{}: {} fused scores of the pruned set != reference scores: {e}",
+                            cfg.name,
+                            m.name()
+                        )
+                    });
             }
         }
 
@@ -1158,10 +1128,17 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
                     let grefs: Vec<&dyn Metric> = group.iter().map(|&(_, m)| m).collect();
                     let cands = oracles::candidates::posthoc(&eval, &prev, &grefs, None);
                     for &(i, m) in &group {
-                        // Katz-lr and the local metrics have no per-source
-                        // oracle; they take the per-pair route.
-                        let scores = oracles::per_source(m.name(), &prev, cands.pairs(), threads)
-                            .unwrap_or_else(|| per_pair_route(m, &prev, cands.pairs(), threads));
+                        // Every reference, LRW's and PPR's included; Katz-lr
+                        // has none and takes its hook.
+                        let scores = match oracles::contract(m.name()).and_then(|c| c.reference) {
+                            Some(reference) => reference(&prev, cands.pairs(), threads),
+                            None => m.score_pairs_cached(
+                                &prev,
+                                cands.pairs(),
+                                threads,
+                                &mut SolverCache::transient(),
+                            ),
+                        };
                         let predicted = topk::top_k_pairs(cands.pairs(), &scores, k, eval.seed);
                         let correct = predicted.iter().filter(|p| truth.contains(p)).count();
                         ratios[i].push(if expected > 0.0 {
@@ -1283,7 +1260,7 @@ fn large_trace(ctx: &Ctx, report: &mut Report) {
     use linklens_core::sampling::{SampleMethod, SampleSpec};
     use osn_graph::io::{CacheFileWriter, SectionedCacheReader, TraceReader};
     use osn_graph::stream::{StreamingSequence, StreamingSnapshotBuilder, DEFAULT_WINDOW_EDGES};
-    use osn_metrics::local::CommonNeighbors;
+    use osn_metrics::fused::LocalKind;
     use std::collections::HashSet;
 
     const SNAPSHOTS: usize = 12;
@@ -1353,7 +1330,7 @@ fn large_trace(ctx: &Ctx, report: &mut Report) {
     if rss_reset {
         assert!(reset_peak_rss(), "clear_refs worked once but not twice");
     }
-    let cn = CommonNeighbors;
+    let cn = LocalKind::Cn;
     // Size-aware draw fraction: snowball samples target a bounded member
     // count so the sampled universe (and its memory) does not grow with
     // the trace — the whole point of sampled evaluation at large scale.

@@ -11,9 +11,8 @@ use linklens_core::temporal::positive_negative_pairs;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{par, stats};
-use osn_metrics::bayes::BayesResourceAllocation;
 use osn_metrics::exec;
-use osn_metrics::local::{AdamicAdar, CommonNeighbors, ResourceAllocation};
+use osn_metrics::fused::LocalKind;
 use osn_metrics::solver::SolverCache;
 use osn_metrics::timeaware::{
     RecencyAdamicAdar, RecencyCommonNeighbors, RecencyResourceAllocation,
@@ -147,7 +146,13 @@ fn per_transition(trace: &GrowthTrace, snapshots: usize) -> Vec<(f64, f64)> {
             let prev = sweep.next().expect("sweep covers every observed snapshot");
             let lambda2 = stats::two_hop_edge_ratio(prev, &seq.new_edges(t));
             let out = eval
-                .evaluate_metrics_on(&[&BayesResourceAllocation], prev, t, None)
+                .evaluate_metrics_on_cached(
+                    &[&LocalKind::Bra],
+                    prev,
+                    t,
+                    None,
+                    &mut SolverCache::transient(),
+                )
                 .pop()
                 .expect("one metric in, one out");
             (lambda2, out.accuracy_ratio)
@@ -238,9 +243,9 @@ pub(super) fn recency(ctx: &Context, con: &mut Console) -> Value {
 
         type Family = (&'static str, Box<dyn Metric>, Box<dyn Metric>);
         let families: Vec<Family> = vec![
-            ("CN", Box::new(CommonNeighbors), Box::new(RecencyCommonNeighbors::default())),
-            ("AA", Box::new(AdamicAdar), Box::new(RecencyAdamicAdar::default())),
-            ("RA", Box::new(ResourceAllocation), Box::new(RecencyResourceAllocation::default())),
+            ("CN", Box::new(LocalKind::Cn), Box::new(RecencyCommonNeighbors::default())),
+            ("AA", Box::new(LocalKind::Aa), Box::new(RecencyAdamicAdar::default())),
+            ("RA", Box::new(LocalKind::Ra), Box::new(RecencyResourceAllocation::default())),
         ];
         let mut table = Table::new(
             format!("Extension ({}, transition {t}): recency weighting vs filtering", cfg.name),
@@ -248,7 +253,8 @@ pub(super) fn recency(ctx: &Context, con: &mut Console) -> Value {
         );
         for (name, stat, rec) in &families {
             let ratio = |m: &dyn Metric, f: Option<&TemporalFilter>| {
-                eval.evaluate_metrics_on(&[m], &prev, t, f)[0].accuracy_ratio
+                let mut cache = SolverCache::transient();
+                eval.evaluate_metrics_on_cached(&[m], &prev, t, f, &mut cache)[0].accuracy_ratio
             };
             let s = ratio(stat.as_ref(), None);
             let r = ratio(rec.as_ref(), None);

@@ -3,6 +3,7 @@
 use super::{Console, Context};
 use linklens_core::report::{fnum, Table};
 use osn_graph::snapshot::Snapshot;
+use osn_graph::temporal::DailyGrowth;
 use osn_graph::{stats, DAY};
 use serde_json::Value;
 
@@ -83,13 +84,23 @@ pub(super) fn fig1(ctx: &Context, con: &mut Console) -> Value {
             ]);
         }
         con.print(&table.render());
-        // Growth factor across halves — the "exponential trajectory" check.
-        let half = daily.len() / 2;
-        let first: usize = daily[..half].iter().map(|d| d.new_edges).sum();
-        let second: usize = daily[half..].iter().map(|d| d.new_edges).sum();
-        con.println(&format!(
-            "edge growth factor (2nd half / 1st half): {:.2}\n",
+        // Growth factors across the halves of the growth days — the
+        // "exponential trajectory" check. Day 0 holds the seed graph, so
+        // it belongs to neither half.
+        let growth = daily.get(1..).unwrap_or_default();
+        let half = growth.len() / 2;
+        let factor = |count: fn(&DailyGrowth) -> usize| {
+            let first: usize = growth[..half].iter().map(count).sum();
+            let second: usize = growth[half..].iter().map(count).sum();
             second as f64 / first.max(1) as f64
+        };
+        con.println(&format!(
+            "growth factor (days {}-{} / days 1-{}): edges {:.2}, nodes {:.2}\n",
+            half + 1,
+            growth.len(),
+            half,
+            factor(|d| d.new_edges),
+            factor(|d| d.new_nodes)
         ));
         payload.push(serde_json::json!({
             "network": cfg.name,

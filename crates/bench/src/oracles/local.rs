@@ -1,28 +1,17 @@
 //! Per-pair references for the eight fused local metrics: one sorted-merge
 //! intersection of `Γ(u)` and `Γ(v)` per pair, per metric. The fused
 //! kernel (`osn_metrics::fused`) reproduces these expressions, and their
-//! summation order, bit for bit.
+//! summation order, bit for bit; [`super::contract`] names each one's
+//! metric.
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 
-/// A per-pair reference: one score per pair of the batch.
-pub type PairScorer = fn(&Snapshot, &[(NodeId, NodeId)]) -> Vec<f64>;
-
-/// The per-pair reference of the fused metric named `name` (CN, JC, AA,
-/// RA, PA, BCN, BAA or BRA); `None` for every other metric.
-pub fn per_pair(name: &str) -> Option<PairScorer> {
-    Some(match name {
-        "CN" => common_neighbors,
-        "JC" => jaccard_coefficient,
-        "AA" => adamic_adar,
-        "RA" => resource_allocation,
-        "PA" => preferential_attachment,
-        "BCN" => bayes_common_neighbors,
-        "BAA" => bayes_adamic_adar,
-        "BRA" => bayes_resource_allocation,
-        _ => return None,
-    })
+/// Sums a pair's witness terms left to right from `+0.0`, as the fused
+/// kernel's accumulators do; `Iterator::sum` starts from `-0.0`, which a
+/// pair without witnesses would keep.
+fn witness_sum(terms: impl Iterator<Item = f64>) -> f64 {
+    terms.fold(0.0, |acc, term| acc + term)
 }
 
 /// Common Neighbors: `|Γ(u) ∩ Γ(v)|`.
@@ -52,7 +41,7 @@ pub fn adamic_adar(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
     pairs
         .iter()
         .map(|&(u, v)| {
-            snap.common_neighbors(u, v).map(|w| 1.0 / (snap.degree(w) as f64).ln()).sum()
+            witness_sum(snap.common_neighbors(u, v).map(|w| 1.0 / (snap.degree(w) as f64).ln()))
         })
         .collect()
 }
@@ -61,7 +50,9 @@ pub fn adamic_adar(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
 pub fn resource_allocation(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
     pairs
         .iter()
-        .map(|&(u, v)| snap.common_neighbors(u, v).map(|w| 1.0 / snap.degree(w) as f64).sum())
+        .map(|&(u, v)| {
+            witness_sum(snap.common_neighbors(u, v).map(|w| 1.0 / snap.degree(w) as f64))
+        })
         .collect()
 }
 
@@ -71,8 +62,8 @@ pub fn preferential_attachment(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> V
 }
 
 /// The naive-Bayes quantities `(log s, log R_w per node)`, from the
-/// snapshot's cached triangle counts by the expressions
-/// `osn_metrics::bayes` uses: `s = |V|(|V|−1)/(2|E|) − 1` (guarded
+/// snapshot's cached triangle counts by the expressions the fused
+/// kernel's naive-Bayes tables use: `s = |V|(|V|−1)/(2|E|) − 1` (guarded
 /// positive) and `R_w = (N_△w + 1) / (N_∧w + 1)`.
 fn bayes_weights(snap: &Snapshot) -> (f64, Vec<f64>) {
     let n = snap.node_count() as f64;
@@ -113,9 +104,10 @@ pub fn bayes_adamic_adar(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64
     pairs
         .iter()
         .map(|&(u, v)| {
-            snap.common_neighbors(u, v)
-                .map(|w| (log_s + log_r[w as usize]) / (snap.degree(w) as f64).ln())
-                .sum()
+            witness_sum(
+                snap.common_neighbors(u, v)
+                    .map(|w| (log_s + log_r[w as usize]) / (snap.degree(w) as f64).ln()),
+            )
         })
         .collect()
 }
@@ -126,9 +118,10 @@ pub fn bayes_resource_allocation(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) ->
     pairs
         .iter()
         .map(|&(u, v)| {
-            snap.common_neighbors(u, v)
-                .map(|w| (log_s + log_r[w as usize]) / snap.degree(w) as f64)
-                .sum()
+            witness_sum(
+                snap.common_neighbors(u, v)
+                    .map(|w| (log_s + log_r[w as usize]) / snap.degree(w) as f64),
+            )
         })
         .collect()
 }

@@ -6,8 +6,8 @@
 //! * PPR: `π_u(v) + π_v(u)`, each term within `ε·deg` of exact.
 //!
 //! The engine scores each pair one-sided from its batch's solve side, so
-//! the two agree within the bounds `osn_metrics::walk` documents, not bit
-//! for bit.
+//! the two agree within [`lrw_bound`] and [`ppr_bound`], derived below,
+//! not bit for bit.
 
 use osn_graph::par;
 use osn_graph::snapshot::Snapshot;
@@ -228,6 +228,58 @@ pub fn personalized_pagerank(
         |_, _, puv, pvu| puv + pvu,
         threads,
     )
+}
+
+/// `1 + d_max/d_min` for a pair: the most the one-sided PPR factor
+/// `1 + d_s/d_t` can scale a solved column's error, whichever endpoint is
+/// the pair's solve side `s`. 1 when an endpoint is isolated: the factor
+/// is 1 there.
+pub fn side_factor(snap: &Snapshot, (u, v): (NodeId, NodeId)) -> f64 {
+    let (du, dv) = (snap.degree(u) as f64, snap.degree(v) as f64);
+    if du.min(dv) == 0.0 {
+        1.0
+    } else {
+        1.0 + du.max(dv) / du.min(dv)
+    }
+}
+
+/// How far the engine's PPR score of a pair may sit from the exact
+/// score: `(tol/α)·(1 + d_max/d_min)`. The engine scores a pair
+/// one-sided, `p̂_s[t]·(1 + d_s/d_t)` from its side's column, which the
+/// Chebyshev solve certifies within `‖p − p̂‖₁ ≤ tol/α` of the exact
+/// column; by reversibility the exact one-sided score is the exact
+/// two-sided one, and [`side_factor`] bounds the factor. Two engine runs
+/// on the same pair list take the same side for each pair, so a warm and
+/// a cold start may differ by twice this.
+pub fn ppr_solve_bound(ppr: &PersonalizedPageRank, snap: &Snapshot, pair: (NodeId, NodeId)) -> f64 {
+    ppr.solver_tol() / ppr.alpha * side_factor(snap, pair)
+}
+
+/// How far the engine's PPR score of `(u, v)` may sit from
+/// [`personalized_pagerank`]'s: `ε·(d_u + d_v) + `[`ppr_solve_bound`].
+/// The forward-push reference has per-entry error at most `ε·deg`, so
+/// `ε·(d_u + d_v)` over its two terms, and the engine is within
+/// [`ppr_solve_bound`] of the exact score. With `d_u = d_v` that is
+/// `ε·(d_u + d_v) + 2·tol/α`.
+pub fn ppr_bound(ppr: &PersonalizedPageRank, snap: &Snapshot, (u, v): (NodeId, NodeId)) -> f64 {
+    ppr.epsilon * (snap.degree(u) + snap.degree(v)) as f64 + ppr_solve_bound(ppr, snap, (u, v))
+}
+
+/// How far the engine's LRW score of `(u, v)` may sit from
+/// [`local_random_walk`]'s: `3·m·prune·(d_u + d_v) + 1e-12`.
+///
+/// The engine scores a pair one-sided, `2·(d_s/2E)·π̃_st(m)` from its side
+/// `s`, the reference two-sided, `(d_u/2E)·π̃_uv(m) + (d_v/2E)·π̃_vu(m)`,
+/// both from pruned walks `π̃`. A pruned step drops the mass of every node
+/// whose share is below `prune`, at most `Σ_x prune·d_x = prune·2E`, and
+/// propagation never grows an L1 deficit, so after `m` steps every entry
+/// of `π̃` is within `m·prune·2E` of the exact walk `π`. The exact walk is
+/// reversible, so both forms equal the same exact score: the engine
+/// within `2·(d_s/2E)·m·prune·2E = 2·m·prune·d_s`, the reference within
+/// `m·prune·(d_u + d_v)`. Hence the bound, plus `1e-12` of float
+/// reassociation; with `prune = 0` only the reassociation term is left.
+pub fn lrw_bound(lrw: &LocalRandomWalk, snap: &Snapshot, (u, v): (NodeId, NodeId)) -> f64 {
+    3.0 * lrw.steps as f64 * lrw.prune * (snap.degree(u) + snap.degree(v)) as f64 + 1e-12
 }
 
 #[cfg(test)]

@@ -152,7 +152,7 @@ impl MissingLinkEval {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osn_metrics::local::{CommonNeighbors, PreferentialAttachment};
+    use osn_metrics::fused::LocalKind;
 
     /// A clustered graph where CN carries strong signal: three 5-cliques.
     fn cliquey() -> Snapshot {
@@ -178,22 +178,22 @@ mod tests {
         // here pick pairs with many common neighbors vs cross-clique pairs.
         let positives = vec![(0, 1), (5, 6), (10, 11)]; // actually edges, but CN scores them high
         let negatives = vec![(0, 12), (1, 7), (3, 13)];
-        let auc = auc_of_metric(&CommonNeighbors, &s, &positives, &negatives);
+        let auc = auc_of_metric(&LocalKind::Cn, &s, &positives, &negatives);
         assert!(auc > 0.9, "CN should separate cliques, got {auc}");
     }
 
     #[test]
     fn auc_degenerate_inputs() {
         let s = cliquey();
-        assert_eq!(auc_of_metric(&CommonNeighbors, &s, &[], &[(0, 12)]), 0.5);
-        assert_eq!(auc_of_metric(&CommonNeighbors, &s, &[(0, 1)], &[]), 0.5);
+        assert_eq!(auc_of_metric(&LocalKind::Cn, &s, &[], &[(0, 12)]), 0.5);
+        assert_eq!(auc_of_metric(&LocalKind::Cn, &s, &[(0, 1)], &[]), 0.5);
     }
 
     #[test]
     fn auc_ties_count_half() {
         let s = cliquey();
         // Cross-clique pairs all score 0 under CN → pure ties → 0.5.
-        let auc = auc_of_metric(&CommonNeighbors, &s, &[(0, 12)], &[(1, 13)]);
+        let auc = auc_of_metric(&LocalKind::Cn, &s, &[(0, 12)], &[(1, 13)]);
         assert_eq!(auc, 0.5);
     }
 
@@ -201,7 +201,7 @@ mod tests {
     fn missing_link_recovery_beats_chance_on_cliques() {
         let s = cliquey();
         let eval = MissingLinkEval { hide_fraction: 0.15, seed: 3 };
-        let out = eval.run(&CommonNeighbors, &s);
+        let out = eval.run(&LocalKind::Cn, &s);
         assert!(out.hidden >= 1);
         assert!(
             out.recovery_rate > 0.3,
@@ -216,8 +216,8 @@ mod tests {
         // Fresh eval instances, identical config: the entire outcome must
         // match, pinning the hidden-edge choice and candidate order (not
         // just the headline count).
-        let a = MissingLinkEval { hide_fraction: 0.2, seed: 9 }.run(&CommonNeighbors, &s);
-        let b = MissingLinkEval { hide_fraction: 0.2, seed: 9 }.run(&CommonNeighbors, &s);
+        let a = MissingLinkEval { hide_fraction: 0.2, seed: 9 }.run(&LocalKind::Cn, &s);
+        let b = MissingLinkEval { hide_fraction: 0.2, seed: 9 }.run(&LocalKind::Cn, &s);
         assert_eq!(a.hidden, b.hidden);
         assert_eq!(a.recovered, b.recovered);
         assert_eq!(a.recovery_rate, b.recovery_rate);
@@ -227,8 +227,8 @@ mod tests {
     fn different_metrics_differ_on_recovery() {
         let s = cliquey();
         let eval = MissingLinkEval { hide_fraction: 0.2, seed: 5 };
-        let cn = eval.run(&CommonNeighbors, &s);
-        let pa = eval.run(&PreferentialAttachment, &s);
+        let cn = eval.run(&LocalKind::Cn, &s);
+        let pa = eval.run(&LocalKind::Pa, &s);
         // Not asserting which wins (PA is degree-driven and cliques are
         // regular), just that the protocol discriminates.
         assert!(cn.recovery_rate != pa.recovery_rate || cn.recovered == cn.hidden);

@@ -542,7 +542,7 @@ mod tests {
     use super::*;
     use osn_graph::temporal::TemporalGraph;
     use osn_graph::DAY;
-    use osn_metrics::local::{CommonNeighbors, ResourceAllocation};
+    use osn_metrics::fused::LocalKind;
 
     /// A ring trace with heavy triadic closure so CN features are
     /// informative, long enough for 3 snapshots.
@@ -569,7 +569,7 @@ mod tests {
     }
 
     fn cheap_metrics() -> Vec<Box<dyn Metric>> {
-        vec![Box::new(CommonNeighbors), Box::new(ResourceAllocation)]
+        vec![Box::new(LocalKind::Cn), Box::new(LocalKind::Ra)]
     }
 
     #[test]
@@ -627,7 +627,7 @@ mod tests {
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 2, ..Default::default() };
         let pipe = ClassificationPipeline::new(&seq, cfg).with_metrics(cheap_metrics());
-        let out = pipe.evaluate_metric_on_sample(&CommonNeighbors, 2, None);
+        let out = pipe.evaluate_metric_on_sample(&LocalKind::Cn, 2, None);
         assert_eq!(out.metric, "CN");
         assert!(out.accuracy_ratio > 0.0);
     }

@@ -276,8 +276,8 @@ impl<'a> SequenceEvaluator<'a> {
     /// Evaluates several metrics on transition `t` sharing one candidate
     /// enumeration (and one optional filter pass). Builds `G_{t-1}` from
     /// scratch; when walking many transitions in order, prefer
-    /// [`evaluate_metrics_on`](Self::evaluate_metrics_on) fed by a
-    /// [`SnapshotSequence::snapshots`] sweep.
+    /// [`evaluate_metrics_on_cached`](Self::evaluate_metrics_on_cached) fed
+    /// by a [`SnapshotSequence::snapshots`] sweep.
     pub fn evaluate_metrics_at(
         &self,
         metrics: &[&dyn Metric],
@@ -286,25 +286,14 @@ impl<'a> SequenceEvaluator<'a> {
     ) -> Vec<PredictionOutcome> {
         assert!(t >= 1 && t < self.seq.len(), "transition index out of range");
         let prev = self.seq.snapshot(t - 1);
-        self.evaluate_metrics_on(metrics, &prev, t, filter)
+        self.evaluate_metrics_on_cached(metrics, &prev, t, filter, &mut SolverCache::transient())
     }
 
     /// Evaluates several metrics on transition `t` given an
-    /// already-materialized observed snapshot `prev = G_{t-1}` — the
-    /// sweep-friendly core of [`evaluate_metrics_at`](Self::evaluate_metrics_at).
-    pub fn evaluate_metrics_on(
-        &self,
-        metrics: &[&dyn Metric],
-        prev: &Snapshot,
-        t: usize,
-        filter: Option<&TemporalFilter>,
-    ) -> Vec<PredictionOutcome> {
-        let mut cache = SolverCache::transient();
-        self.evaluate_metrics_on_cached(metrics, prev, t, filter, &mut cache)
-    }
-
-    /// [`evaluate_metrics_on`](Self::evaluate_metrics_on) with a
-    /// caller-owned solver cache. [`evaluate_all`](Self::evaluate_all)
+    /// already-materialized observed snapshot `prev = G_{t-1}` and a
+    /// caller-owned solver cache — the sweep-friendly core of
+    /// [`evaluate_metrics_at`](Self::evaluate_metrics_at), which passes a
+    /// [`SolverCache::transient`]. [`evaluate_all`](Self::evaluate_all)
     /// passes a persistent [`SolverCache::sweep`] so every snapshot shares
     /// one transition view across its policy groups and PPR warm-starts
     /// from the previous snapshot's converged vectors (fewer iterations;
@@ -473,7 +462,7 @@ pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use osn_graph::temporal::TemporalGraph;
-    use osn_metrics::local::CommonNeighbors;
+    use osn_metrics::fused::LocalKind;
 
     /// A trace engineered so CN prediction is perfect: square closes both
     /// diagonals in the second half.
@@ -499,7 +488,7 @@ mod tests {
         let trace = closing_square();
         let seq = SnapshotSequence::by_edge_delta(&trace, 4);
         let eval = SequenceEvaluator::new(&seq);
-        let out = eval.evaluate_metric(&CommonNeighbors, 1);
+        let out = eval.evaluate_metric(&LocalKind::Cn, 1);
         // Ground truth: (0,2), (1,3), (0,4). (4,5) excluded? Node 4 and 5
         // arrived at t=0 → all exist. So k = 4. CN can predict the two
         // diagonals but (0,4) and (4,5) share no neighbors.
@@ -514,7 +503,7 @@ mod tests {
         let trace = closing_square();
         let seq = SnapshotSequence::by_edge_delta(&trace, 4);
         let eval = SequenceEvaluator::new(&seq);
-        let out = eval.evaluate_metric(&CommonNeighbors, 1);
+        let out = eval.evaluate_metric(&LocalKind::Cn, 1);
         // G_0: 6 nodes, 4 edges → U = 15 - 4 = 11; k = 4 → E|R| = 16/11.
         assert!((out.random_expected - 16.0 / 11.0).abs() < 1e-12);
         assert!((out.accuracy_ratio - 2.0 / (16.0 / 11.0)).abs() < 1e-12);
@@ -525,7 +514,7 @@ mod tests {
         let trace = closing_square();
         let seq = SnapshotSequence::by_edge_delta(&trace, 2);
         let eval = SequenceEvaluator::new(&seq);
-        let metrics: Vec<&dyn Metric> = vec![&CommonNeighbors];
+        let metrics: Vec<&dyn Metric> = vec![&LocalKind::Cn];
         let all = eval.evaluate_all(&metrics, None);
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].len(), seq.len() - 1);
@@ -536,7 +525,7 @@ mod tests {
         let trace = closing_square();
         let seq = SnapshotSequence::by_edge_delta(&trace, 4);
         let eval = SequenceEvaluator::new(&seq);
-        let (pred, truth) = eval.predictions(&CommonNeighbors, 1, None);
+        let (pred, truth) = eval.predictions(&LocalKind::Cn, 1, None);
         assert_eq!(truth.len(), 4);
         assert!(pred.len() <= 4);
         assert!(pred.contains(&(0, 2)) || pred.contains(&(1, 3)));
@@ -559,7 +548,7 @@ mod tests {
         let three = eval.truth_coverage(osn_metrics::traits::CandidatePolicy::ThreeHop, 1);
         assert!(three >= two);
         // And no metric can beat the ceiling.
-        let out = eval.evaluate_metric(&CommonNeighbors, 1);
+        let out = eval.evaluate_metric(&LocalKind::Cn, 1);
         assert!(out.absolute_accuracy <= two + 1e-12);
     }
 
@@ -591,9 +580,15 @@ mod tests {
         let trace = closing_square();
         let seq = SnapshotSequence::by_edge_delta(&trace, 4);
         let eval = SequenceEvaluator::new(&seq);
-        let metrics: Vec<&dyn Metric> = vec![&CommonNeighbors];
+        let metrics: Vec<&dyn Metric> = vec![&LocalKind::Cn];
         let prev = seq.snapshot(0);
-        let on = eval.evaluate_metrics_on(&metrics, &prev, 1, None);
+        let on = eval.evaluate_metrics_on_cached(
+            &metrics,
+            &prev,
+            1,
+            None,
+            &mut SolverCache::transient(),
+        );
         let at = eval.evaluate_metrics_at(&metrics, 1, None);
         assert_eq!(on[0].correct, at[0].correct);
         assert_eq!(on[0].k, at[0].k);
@@ -611,7 +606,7 @@ mod tests {
         let trace = closing_square();
         let seq = SnapshotSequence::by_edge_delta(&trace, 2);
         let eval = SequenceEvaluator::new(&seq);
-        let metrics: Vec<&dyn Metric> = vec![&CommonNeighbors];
+        let metrics: Vec<&dyn Metric> = vec![&LocalKind::Cn];
         let all = eval.evaluate_all(&metrics, None);
         let best = best_absolute_accuracy(&all[0]);
         assert!(best >= all[0][0].absolute_accuracy);

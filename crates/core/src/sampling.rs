@@ -275,7 +275,7 @@ mod tests {
     use osn_graph::sequence::SnapshotSequence;
     use osn_graph::temporal::TemporalGraph;
     use osn_graph::DAY;
-    use osn_metrics::local::CommonNeighbors;
+    use osn_metrics::fused::LocalKind;
 
     fn closure_trace() -> TemporalGraph {
         let mut g = TemporalGraph::new();
@@ -304,7 +304,7 @@ mod tests {
         let prev = seq.snapshot(1);
         let truth = truth_at(&seq, 2);
         let spec = SampleSpec { p: 1.0, draws: 2, ..Default::default() };
-        let est = evaluate_metric_sampled_on(&CommonNeighbors, &prev, &truth, 2, None, &spec);
+        let est = evaluate_metric_sampled_on(&LocalKind::Cn, &prev, &truth, 2, None, &spec);
         assert_eq!(est.mean_k, truth.len() as f64, "p=1 samples everything");
         assert_eq!(est.per_draw_ratios.len(), 2);
         assert!(est.mean_accuracy_ratio > 1.0, "closure trace must beat random");
@@ -320,8 +320,8 @@ mod tests {
         let truth = truth_at(&seq, 2);
         for method in [SampleMethod::Snowball, SampleMethod::RandomNodes] {
             let spec = SampleSpec { method, p: 0.5, draws: 3, ..Default::default() };
-            let a = evaluate_metric_sampled_on(&CommonNeighbors, &prev, &truth, 2, None, &spec);
-            let b = evaluate_metric_sampled_on(&CommonNeighbors, &prev, &truth, 2, None, &spec);
+            let a = evaluate_metric_sampled_on(&LocalKind::Cn, &prev, &truth, 2, None, &spec);
+            let b = evaluate_metric_sampled_on(&LocalKind::Cn, &prev, &truth, 2, None, &spec);
             assert_eq!(a.per_draw_ratios, b.per_draw_ratios, "{method:?} must be reproducible");
             assert_eq!(a.mean_sample_size, b.mean_sample_size);
         }
@@ -351,7 +351,7 @@ mod tests {
         let prev = seq.snapshot(1);
         let truth = HashSet::new();
         let spec = SampleSpec { p: 0.5, draws: 2, ..Default::default() };
-        let est = evaluate_metric_sampled_on(&CommonNeighbors, &prev, &truth, 2, None, &spec);
+        let est = evaluate_metric_sampled_on(&LocalKind::Cn, &prev, &truth, 2, None, &spec);
         assert!(est.mean_accuracy_ratio.is_nan());
         assert!(est.per_draw_ratios.iter().all(|r| r.is_nan()));
         assert_eq!(est.mean_k, 0.0);

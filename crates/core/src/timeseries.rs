@@ -121,7 +121,7 @@ fn extrapolate(ys: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use osn_graph::temporal::TemporalGraph;
-    use osn_metrics::local::CommonNeighbors;
+    use osn_metrics::fused::LocalKind;
 
     /// Star that accretes spokes over time: CN(1,2) grows as hub edges
     /// appear. Nodes 1..k are connected to hub 0 one per snapshot... here
@@ -159,8 +159,8 @@ mod tests {
         let t = seq.len() - 1;
         let ma = TimeSeriesPredictor { window: 3, aggregation: Aggregation::MovingAverage };
         let pairs = [(10u32, 11u32)];
-        let ma_score = ma.score_pairs(&seq, &CommonNeighbors, t, &pairs)[0];
-        let now = exec::score_pairs_t(&CommonNeighbors, &seq.snapshot(t - 1), &pairs, 1)[0];
+        let ma_score = ma.score_pairs(&seq, &LocalKind::Cn, t, &pairs)[0];
+        let now = exec::score_pairs_t(&LocalKind::Cn, &seq.snapshot(t - 1), &pairs, 1)[0];
         // CN grows over time, so the trailing average sits below the
         // current value.
         assert!(ma_score < now, "MA {ma_score} should lag current {now}");
@@ -175,8 +175,8 @@ mod tests {
         let lr = TimeSeriesPredictor { window: 3, aggregation: Aggregation::LinearRegression };
         let ma = TimeSeriesPredictor { window: 3, aggregation: Aggregation::MovingAverage };
         let pairs = [(10u32, 11u32)];
-        let lr_score = lr.score_pairs(&seq, &CommonNeighbors, t, &pairs)[0];
-        let ma_score = ma.score_pairs(&seq, &CommonNeighbors, t, &pairs)[0];
+        let lr_score = lr.score_pairs(&seq, &LocalKind::Cn, t, &pairs)[0];
+        let ma_score = ma.score_pairs(&seq, &LocalKind::Cn, t, &pairs)[0];
         assert!(lr_score > ma_score, "LR should extrapolate an increasing series above its mean");
     }
 
@@ -187,8 +187,8 @@ mod tests {
         let t = 2;
         let ts = TimeSeriesPredictor { window: 1, aggregation: Aggregation::MovingAverage };
         let pairs = [(10u32, 11u32), (0u32, 1u32)];
-        let got = ts.score_pairs(&seq, &CommonNeighbors, t, &pairs);
-        let direct = exec::score_pairs_t(&CommonNeighbors, &seq.snapshot(t - 1), &pairs, 1);
+        let got = ts.score_pairs(&seq, &LocalKind::Cn, t, &pairs);
+        let direct = exec::score_pairs_t(&LocalKind::Cn, &seq.snapshot(t - 1), &pairs, 1);
         assert_eq!(got, direct);
     }
 
@@ -198,7 +198,7 @@ mod tests {
         let seq = SnapshotSequence::by_edge_delta(&trace, 3);
         // t = 1 has only snapshot 0 behind it; a window of 4 must not panic.
         let ts = TimeSeriesPredictor { window: 4, aggregation: Aggregation::MovingAverage };
-        let got = ts.score_pairs(&seq, &CommonNeighbors, 1, &[(10, 11)]);
+        let got = ts.score_pairs(&seq, &LocalKind::Cn, 1, &[(10, 11)]);
         assert_eq!(got.len(), 1);
     }
 }

@@ -14,7 +14,7 @@ use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::stream::{StreamingSequence, StreamingSnapshotBuilder};
 use osn_graph::{traversal, NodeId};
-use osn_metrics::local::CommonNeighbors;
+use osn_metrics::fused::LocalKind;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -46,7 +46,7 @@ fn streaming_estimate(
     let mut builder = StreamingSnapshotBuilder::with_max_window(seq.into_reader(), max_window);
     let prev = builder.advance_to(boundary).expect("advance");
     let est = sampling::evaluate_metric_sampled_on(
-        &CommonNeighbors,
+        &LocalKind::Cn,
         prev,
         &truth,
         t_eval,
@@ -104,7 +104,7 @@ fn sampled_mean_ratio_tracks_full_evaluation_on_small_preset() {
     let trace = cfg.generate(42);
     let seq = SnapshotSequence::with_count(&trace, 12);
     let eval = SequenceEvaluator::new(&seq);
-    let cn = CommonNeighbors;
+    let cn = LocalKind::Cn;
     let t = 6;
     let full = &eval.evaluate_metrics_at(&[&cn], t, None)[0];
     let full_correct = (full.absolute_accuracy * full.k as f64).round();
@@ -138,8 +138,8 @@ fn random_node_sampling_is_deterministic_too() {
     let eval = SequenceEvaluator::new(&seq);
     let spec =
         SampleSpec { method: SampleMethod::RandomNodes, p: 0.4, draws: 4, ..SampleSpec::default() };
-    let a = eval.evaluate_metric_sampled(&CommonNeighbors, 5, None, &spec);
-    let b = eval.evaluate_metric_sampled(&CommonNeighbors, 5, None, &spec);
+    let a = eval.evaluate_metric_sampled(&LocalKind::Cn, 5, None, &spec);
+    let b = eval.evaluate_metric_sampled(&LocalKind::Cn, 5, None, &spec);
     assert_eq!(a.per_draw_ratios.len(), 4);
     assert!(a
         .per_draw_ratios

@@ -10,14 +10,10 @@
 //! * BAA / BRA re-use AA's / RA's witness weights on `(log s + log R_w)`.
 //!
 //! Scores can be negative (they are log-odds); only the ranking matters.
-//! Like the plain local metrics, these advertise a
-//! [`Metric::fused_kind`], and each hook is the engine call that scores
-//! them through the fused kernel.
+//! The three metrics are the kernel kinds `LocalKind::{Bcn, Baa, Bra}`
+//! (see [`crate::fused::LocalKind`]); the fused kernel derives its
+//! per-witness weight tables from the [`BayesContext`] built here.
 
-use crate::exec;
-use crate::fused::LocalKind;
-use crate::solver::SolverCache;
-use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 
@@ -50,92 +46,12 @@ impl BayesContext {
     }
 }
 
-/// Local-naive-Bayes Common Neighbors (BCN) \[26\].
-pub struct BayesCommonNeighbors;
-
-impl Metric for BayesCommonNeighbors {
-    fn name(&self) -> &'static str {
-        "BCN"
-    }
-
-    fn candidate_policy(&self) -> CandidatePolicy {
-        CandidatePolicy::TwoHop
-    }
-
-    fn fused_kind(&self) -> Option<LocalKind> {
-        Some(LocalKind::Bcn)
-    }
-
-    fn score_pairs_cached(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-        _cache: &mut SolverCache,
-    ) -> Vec<f64> {
-        exec::score_pairs_t(self, snap, pairs, threads)
-    }
-}
-
-/// Local-naive-Bayes Adamic/Adar (BAA) \[26\].
-pub struct BayesAdamicAdar;
-
-impl Metric for BayesAdamicAdar {
-    fn name(&self) -> &'static str {
-        "BAA"
-    }
-
-    fn candidate_policy(&self) -> CandidatePolicy {
-        CandidatePolicy::TwoHop
-    }
-
-    fn fused_kind(&self) -> Option<LocalKind> {
-        Some(LocalKind::Baa)
-    }
-
-    fn score_pairs_cached(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-        _cache: &mut SolverCache,
-    ) -> Vec<f64> {
-        exec::score_pairs_t(self, snap, pairs, threads)
-    }
-}
-
-/// Local-naive-Bayes Resource Allocation (BRA) \[26\] — the strongest metric
-/// on Renren in the paper.
-pub struct BayesResourceAllocation;
-
-impl Metric for BayesResourceAllocation {
-    fn name(&self) -> &'static str {
-        "BRA"
-    }
-
-    fn candidate_policy(&self) -> CandidatePolicy {
-        CandidatePolicy::TwoHop
-    }
-
-    fn fused_kind(&self) -> Option<LocalKind> {
-        Some(LocalKind::Bra)
-    }
-
-    fn score_pairs_cached(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-        _cache: &mut SolverCache,
-    ) -> Vec<f64> {
-        exec::score_pairs_t(self, snap, pairs, threads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::score_pairs_t;
+    use crate::fused::LocalKind;
+    use crate::traits::Metric;
 
     /// Fixture where witness quality differs: witness 1 closes its only
     /// wedge into a triangle; witness 5 has the same degree but an open
@@ -166,7 +82,7 @@ mod tests {
         // compare (3,4) against an equal-CN pair witnessed by node 1.
         // Both witnesses have degree 2, so plain CN ties them; BCN must not.
         let s = closing_vs_open();
-        let scores = score_pairs_t(&BayesCommonNeighbors, &s, &[(3, 4)], 1);
+        let scores = score_pairs_t(&LocalKind::Bcn, &s, &[(3, 4)], 1);
         // Witness 5 has log R < 0, so BCN < log s · 1.
         let ctx = BayesContext::build(&s);
         assert!(scores[0] < ctx.log_s);
@@ -176,18 +92,18 @@ mod tests {
     fn all_bayes_metrics_zero_without_common_neighbors() {
         let s = closing_vs_open();
         let pair = [(3, 6)]; // no shared neighbor
-        assert_eq!(score_pairs_t(&BayesCommonNeighbors, &s, &pair, 1), vec![0.0]);
-        assert_eq!(score_pairs_t(&BayesAdamicAdar, &s, &pair, 1), vec![0.0]);
-        assert_eq!(score_pairs_t(&BayesResourceAllocation, &s, &pair, 1), vec![0.0]);
+        assert_eq!(score_pairs_t(&LocalKind::Bcn, &s, &pair, 1), vec![0.0]);
+        assert_eq!(score_pairs_t(&LocalKind::Baa, &s, &pair, 1), vec![0.0]);
+        assert_eq!(score_pairs_t(&LocalKind::Bra, &s, &pair, 1), vec![0.0]);
     }
 
     #[test]
     fn baa_bra_share_sign_structure_with_bcn() {
         let s = closing_vs_open();
         let pairs = [(3, 4), (0, 4)];
-        let bcn = score_pairs_t(&BayesCommonNeighbors, &s, &pairs, 1);
-        let baa = score_pairs_t(&BayesAdamicAdar, &s, &pairs, 1);
-        let bra = score_pairs_t(&BayesResourceAllocation, &s, &pairs, 1);
+        let bcn = score_pairs_t(&LocalKind::Bcn, &s, &pairs, 1);
+        let baa = score_pairs_t(&LocalKind::Baa, &s, &pairs, 1);
+        let bra = score_pairs_t(&LocalKind::Bra, &s, &pairs, 1);
         for i in 0..pairs.len() {
             assert_eq!(bcn[i] == 0.0, baa[i] == 0.0);
             assert_eq!(baa[i] == 0.0, bra[i] == 0.0);
@@ -198,17 +114,16 @@ mod tests {
     fn dense_graph_prior_is_guarded() {
         // Complete graph minus one edge: s would be ≤ 0 without the guard.
         let s = Snapshot::from_edges(3, &[(0, 1), (1, 2)]);
-        let scores = score_pairs_t(&BayesCommonNeighbors, &s, &[(0, 2)], 1);
+        let scores = score_pairs_t(&LocalKind::Bcn, &s, &[(0, 2)], 1);
         assert!(scores[0].is_finite());
     }
 
     #[test]
     fn scores_symmetric() {
         let s = closing_vs_open();
-        for m in [&BayesCommonNeighbors as &dyn Metric, &BayesAdamicAdar, &BayesResourceAllocation]
-        {
-            let a = score_pairs_t(m, &s, &[(3, 4)], 1)[0];
-            let b = score_pairs_t(m, &s, &[(4, 3)], 1)[0];
+        for m in [LocalKind::Bcn, LocalKind::Baa, LocalKind::Bra] {
+            let a = score_pairs_t(&m, &s, &[(3, 4)], 1)[0];
+            let b = score_pairs_t(&m, &s, &[(4, 3)], 1)[0];
             assert_eq!(a, b, "{} asymmetric", m.name());
         }
     }

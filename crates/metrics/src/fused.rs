@@ -20,7 +20,7 @@
 //! * the outer walk visits witnesses `w ∈ Γ(u)` in ascending order — the
 //!   same order a sorted-merge intersection of `Γ(u)` and `Γ(v)` yields —
 //!   so every per-candidate accumulator sees its terms in the per-pair
-//!   summation order (f64 `sum()` folds left-to-right from `0.0`);
+//!   summation order, both folding left to right from `+0.0`;
 //! * each term is computed by the same expression as the per-pair path
 //!   (`1.0 / (deg as f64).ln()`, `(log_s + log_r[w]) / deg as f64`, …),
 //!   cached once per snapshot instead of recomputed per witness;
@@ -35,26 +35,35 @@ use crate::bayes::BayesContext;
 use osn_graph::snapshot::{DegreeTables, Snapshot};
 use osn_graph::NodeId;
 
-/// The local metric a fused column computes. Metrics advertise their kind
-/// through [`Metric::fused_kind`](crate::traits::Metric::fused_kind); the
-/// engine groups all advertised kinds of a batch into one kernel pass.
+/// One of the eight local metrics, and the column the fused kernel
+/// computes for it. Each kind is itself a
+/// [`Metric`](crate::traits::Metric) named by the paper's abbreviation,
+/// whose [`fused_kind`](crate::traits::Metric::fused_kind) is itself; the
+/// engine groups all the kinds of a batch into one kernel pass. Sums run
+/// over the witnesses `w ∈ Γ(u) ∩ Γ(v)`, which always have degree ≥ 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LocalKind {
-    /// Common Neighbors: `|Γ(u) ∩ Γ(v)|`.
+    /// Common Neighbors (CN) \[32\]: `|Γ(u) ∩ Γ(v)|`.
     Cn,
-    /// Jaccard's Coefficient: `|Γ(u) ∩ Γ(v)| / |Γ(u) ∪ Γ(v)|`.
+    /// Jaccard's Coefficient (JC) \[23\]: `|Γ(u) ∩ Γ(v)| / |Γ(u) ∪ Γ(v)|`,
+    /// zero when both neighborhoods are empty.
     Jc,
-    /// Adamic/Adar: `Σ_w 1 / ln(deg w)`.
+    /// Adamic/Adar (AA) \[2\]: `Σ_w 1 / ln(deg w)`; a witness's degree is
+    /// at least 2, so the log never vanishes.
     Aa,
-    /// Resource Allocation: `Σ_w 1 / deg w`.
+    /// Resource Allocation (RA) \[45\]: `Σ_w 1 / deg w`.
     Ra,
-    /// Preferential Attachment: `deg(u) · deg(v)` (no witnesses needed).
+    /// Preferential Attachment (PA) \[6\]: `deg(u) · deg(v)`, no witnesses
+    /// needed — the "rich get richer" score the paper finds near-useless
+    /// on friendship networks (§4.2).
     Pa,
-    /// Local-naive-Bayes CN: `|Γ(u) ∩ Γ(v)|·log s + Σ_w log R_w`.
+    /// Local-naive-Bayes CN (BCN) \[26\]:
+    /// `|Γ(u) ∩ Γ(v)|·log s + Σ_w log R_w`.
     Bcn,
-    /// Local-naive-Bayes AA: `Σ_w (log s + log R_w) / ln(deg w)`.
+    /// Local-naive-Bayes AA (BAA) \[26\]: `Σ_w (log s + log R_w) / ln(deg w)`.
     Baa,
-    /// Local-naive-Bayes RA: `Σ_w (log s + log R_w) / deg w`.
+    /// Local-naive-Bayes RA (BRA) \[26\]: `Σ_w (log s + log R_w) / deg w` —
+    /// the strongest metric on Renren in the paper.
     Bra,
 }
 

@@ -10,8 +10,7 @@
 //!
 //! | Module | Metrics | Paper reference |
 //! |---|---|---|
-//! | [`local`] | CN, JC, AA, RA, PA | \[32\], \[23\], \[2\], \[45\], \[6\] |
-//! | [`bayes`] | BCN, BAA, BRA (local naive Bayes) | \[26\] |
+//! | [`fused`] | CN, JC, AA, RA, PA and the local naive-Bayes BCN, BAA, BRA: the eight variants of [`fused::LocalKind`] | \[32\], \[23\], \[2\], \[45\], \[6\], \[26\] |
 //! | [`path`] | SP (shortest path), LP (local path, ε = 1e-4) | \[20\], \[45\] |
 //! | [`walk`] | LRW (m = 3), PPR (α = 0.15, forward push) | \[25\], \[5\] |
 //! | [`katz`] | Katz-lr (rank-r Lanczos), Katz-sc (landmarks) | \[1\], \[38\] |
@@ -26,11 +25,11 @@
 //! ```
 //! use osn_graph::snapshot::Snapshot;
 //! use osn_metrics::exec;
-//! use osn_metrics::local::ResourceAllocation;
+//! use osn_metrics::fused::LocalKind;
 //!
 //! // A square with one diagonal: does (1, 3) close next?
 //! let snap = Snapshot::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
-//! let scores = exec::score_pairs_t(&ResourceAllocation, &snap, &[(1, 3)], 1);
+//! let scores = exec::score_pairs_t(&LocalKind::Ra, &snap, &[(1, 3)], 1);
 //! assert!(scores[0] > 0.0, "two shared neighbors back the pair");
 //! ```
 //!
@@ -42,10 +41,10 @@
 //! through the engine in [`exec`], which has four entry points
 //! ([`exec::score_pairs_t`], [`exec::score_matrix_cached_t`],
 //! [`exec::predict_top_k_many_cached_t`], [`exec::score_pairs_targeted`]);
-//! predictions are bit-identical across worker counts. The local and
-//! Bayes metrics are scored through the source-batched fused kernel in
-//! [`fused`], one witness walk per source instead of per-pair
-//! intersections.
+//! predictions are bit-identical across worker counts. The eight local
+//! metrics are one type, [`fused::LocalKind`], scored through the
+//! source-batched fused kernel in [`fused`]: one witness walk per source
+//! instead of per-pair intersections.
 //!
 //! The crate holds only code the engine runs. The reference
 //! implementations the engine is tested and benchmarked against (per-pair
@@ -55,12 +54,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bayes;
+mod bayes;
 pub mod candidates;
 pub mod exec;
 pub mod fused;
 pub mod katz;
-pub mod local;
+mod local;
 pub mod path;
 pub mod rescal;
 pub mod solver;
@@ -69,6 +68,7 @@ pub mod topk;
 pub mod traits;
 pub mod walk;
 
+use fused::LocalKind;
 use traits::Metric;
 
 /// All metric instances with the paper's parameters, in Table 4's column
@@ -76,13 +76,13 @@ use traits::Metric;
 /// because their naive-Bayes variants dominate them).
 pub fn all_metrics() -> Vec<Box<dyn Metric>> {
     vec![
-        Box::new(local::CommonNeighbors),
-        Box::new(local::JaccardCoefficient),
-        Box::new(local::AdamicAdar),
-        Box::new(local::ResourceAllocation),
-        Box::new(bayes::BayesCommonNeighbors),
-        Box::new(bayes::BayesAdamicAdar),
-        Box::new(bayes::BayesResourceAllocation),
+        Box::new(LocalKind::Cn),
+        Box::new(LocalKind::Jc),
+        Box::new(LocalKind::Aa),
+        Box::new(LocalKind::Ra),
+        Box::new(LocalKind::Bcn),
+        Box::new(LocalKind::Baa),
+        Box::new(LocalKind::Bra),
         Box::new(path::LocalPath::default()),
         Box::new(walk::LocalRandomWalk::default()),
         Box::new(walk::PersonalizedPageRank::default()),
@@ -90,7 +90,7 @@ pub fn all_metrics() -> Vec<Box<dyn Metric>> {
         Box::new(katz::KatzLr::default()),
         Box::new(katz::KatzSc::default()),
         Box::new(rescal::Rescal::default()),
-        Box::new(local::PreferentialAttachment),
+        Box::new(LocalKind::Pa),
     ]
 }
 

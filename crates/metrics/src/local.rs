@@ -1,8 +1,10 @@
-//! Neighborhood heuristics: CN, JC, AA, RA, PA (Table 3 rows 1–4 and 13).
+//! The eight local metrics of Table 3 — CN, JC, AA, RA, PA and the
+//! naive-Bayes BCN, BAA, BRA — as one [`Metric`]: the kernel's
+//! [`LocalKind`], whose variants carry each formula and citation.
 //!
-//! These metrics advertise a [`Metric::fused_kind`], so the engine scores
-//! them through the source-batched kernel in [`crate::fused`]; each hook
-//! is that same engine call.
+//! Every kind advertises itself as its [`Metric::fused_kind`], so the
+//! engine scores it through the source-batched kernel in
+//! [`crate::fused`]; the hook is that same engine call.
 
 use crate::exec;
 use crate::fused::LocalKind;
@@ -11,151 +13,42 @@ use crate::traits::{CandidatePolicy, Metric, ScoreContract};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 
-/// Common Neighbors [Newman 2001]: `|Γ(u) ∩ Γ(v)|`.
-pub struct CommonNeighbors;
-
-impl Metric for CommonNeighbors {
+impl Metric for LocalKind {
+    /// The paper's abbreviation.
     fn name(&self) -> &'static str {
-        "CN"
+        match self {
+            LocalKind::Cn => "CN",
+            LocalKind::Jc => "JC",
+            LocalKind::Aa => "AA",
+            LocalKind::Ra => "RA",
+            LocalKind::Pa => "PA",
+            LocalKind::Bcn => "BCN",
+            LocalKind::Baa => "BAA",
+            LocalKind::Bra => "BRA",
+        }
     }
 
+    /// `Global` for PA, which scores pairs with no common neighbor;
+    /// `TwoHop` for every witness sum.
     fn candidate_policy(&self) -> CandidatePolicy {
-        CandidatePolicy::TwoHop
+        match self {
+            LocalKind::Pa => CandidatePolicy::Global,
+            _ => CandidatePolicy::TwoHop,
+        }
     }
 
+    /// `Finite` for the Bayes kinds, whose log-odds go below zero;
+    /// `FiniteNonNegative` for the counts and inverse-degree sums.
     fn score_contract(&self) -> ScoreContract {
-        ScoreContract::FiniteNonNegative
+        if self.is_bayes() {
+            ScoreContract::Finite
+        } else {
+            ScoreContract::FiniteNonNegative
+        }
     }
 
     fn fused_kind(&self) -> Option<LocalKind> {
-        Some(LocalKind::Cn)
-    }
-
-    fn score_pairs_cached(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-        _cache: &mut SolverCache,
-    ) -> Vec<f64> {
-        exec::score_pairs_t(self, snap, pairs, threads)
-    }
-}
-
-/// Jaccard's Coefficient \[23\]: `|Γ(u) ∩ Γ(v)| / |Γ(u) ∪ Γ(v)|`.
-/// Zero when both neighborhoods are empty.
-pub struct JaccardCoefficient;
-
-impl Metric for JaccardCoefficient {
-    fn name(&self) -> &'static str {
-        "JC"
-    }
-
-    fn candidate_policy(&self) -> CandidatePolicy {
-        CandidatePolicy::TwoHop
-    }
-
-    fn score_contract(&self) -> ScoreContract {
-        ScoreContract::FiniteNonNegative
-    }
-
-    fn fused_kind(&self) -> Option<LocalKind> {
-        Some(LocalKind::Jc)
-    }
-
-    fn score_pairs_cached(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-        _cache: &mut SolverCache,
-    ) -> Vec<f64> {
-        exec::score_pairs_t(self, snap, pairs, threads)
-    }
-}
-
-/// Adamic/Adar \[2\]: `Σ_{w ∈ Γ(u) ∩ Γ(v)} 1 / log(deg(w))`.
-/// Common neighbors always have degree ≥ 2, so the log never vanishes.
-pub struct AdamicAdar;
-
-impl Metric for AdamicAdar {
-    fn name(&self) -> &'static str {
-        "AA"
-    }
-
-    fn candidate_policy(&self) -> CandidatePolicy {
-        CandidatePolicy::TwoHop
-    }
-
-    fn score_contract(&self) -> ScoreContract {
-        ScoreContract::FiniteNonNegative
-    }
-
-    fn fused_kind(&self) -> Option<LocalKind> {
-        Some(LocalKind::Aa)
-    }
-
-    fn score_pairs_cached(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-        _cache: &mut SolverCache,
-    ) -> Vec<f64> {
-        exec::score_pairs_t(self, snap, pairs, threads)
-    }
-}
-
-/// Resource Allocation \[45\]: `Σ_{w ∈ Γ(u) ∩ Γ(v)} 1 / deg(w)`.
-pub struct ResourceAllocation;
-
-impl Metric for ResourceAllocation {
-    fn name(&self) -> &'static str {
-        "RA"
-    }
-
-    fn candidate_policy(&self) -> CandidatePolicy {
-        CandidatePolicy::TwoHop
-    }
-
-    fn score_contract(&self) -> ScoreContract {
-        ScoreContract::FiniteNonNegative
-    }
-
-    fn fused_kind(&self) -> Option<LocalKind> {
-        Some(LocalKind::Ra)
-    }
-
-    fn score_pairs_cached(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-        _cache: &mut SolverCache,
-    ) -> Vec<f64> {
-        exec::score_pairs_t(self, snap, pairs, threads)
-    }
-}
-
-/// Preferential Attachment \[6\]: `deg(u) · deg(v)` — the "rich get richer"
-/// score the paper finds near-useless on friendship networks (§4.2).
-pub struct PreferentialAttachment;
-
-impl Metric for PreferentialAttachment {
-    fn name(&self) -> &'static str {
-        "PA"
-    }
-
-    fn candidate_policy(&self) -> CandidatePolicy {
-        CandidatePolicy::Global
-    }
-
-    fn score_contract(&self) -> ScoreContract {
-        ScoreContract::FiniteNonNegative
-    }
-
-    fn fused_kind(&self) -> Option<LocalKind> {
-        Some(LocalKind::Pa)
+        Some(*self)
     }
 
     fn score_pairs_cached(
@@ -192,7 +85,7 @@ mod tests {
         let s = fixture();
         // Pair (1,3): common neighbors {0, 2}.
         assert_eq!(
-            score_pairs_t(&CommonNeighbors, &s, &[(1, 3), (1, 4), (2, 4)], 1),
+            score_pairs_t(&LocalKind::Cn, &s, &[(1, 3), (1, 4), (2, 4)], 1),
             vec![2.0, 1.0, 1.0]
         );
     }
@@ -202,7 +95,7 @@ mod tests {
         let s = fixture();
         // (1,3): Γ(1)={0,2}, Γ(3)={0,2} → inter 2, union 2 → 1.0.
         // (1,4): Γ(4)={0} → inter 1, union 2 → 0.5.
-        let scores = score_pairs_t(&JaccardCoefficient, &s, &[(1, 3), (1, 4)], 1);
+        let scores = score_pairs_t(&LocalKind::Jc, &s, &[(1, 3), (1, 4)], 1);
         assert_eq!(scores, vec![1.0, 0.5]);
     }
 
@@ -210,7 +103,7 @@ mod tests {
     fn jc_isolated_pair_is_zero() {
         let s = Snapshot::from_edges(3, &[(0, 1)]);
         // Node 2 is isolated; (1,2) has union = {0}, inter = 0.
-        assert_eq!(score_pairs_t(&JaccardCoefficient, &s, &[(1, 2)], 1), vec![0.0]);
+        assert_eq!(score_pairs_t(&LocalKind::Jc, &s, &[(1, 2)], 1), vec![0.0]);
     }
 
     #[test]
@@ -218,7 +111,7 @@ mod tests {
         let s = fixture();
         // (1,3) witnesses: 0 (deg 4) and 2 (deg 3).
         let expect = 1.0 / 4.0_f64.ln() + 1.0 / 3.0_f64.ln();
-        let got = score_pairs_t(&AdamicAdar, &s, &[(1, 3)], 1)[0];
+        let got = score_pairs_t(&LocalKind::Aa, &s, &[(1, 3)], 1)[0];
         assert!((got - expect).abs() < 1e-12);
     }
 
@@ -226,7 +119,7 @@ mod tests {
     fn ra_weights_inverse_degree() {
         let s = fixture();
         let expect = 1.0 / 4.0 + 1.0 / 3.0;
-        let got = score_pairs_t(&ResourceAllocation, &s, &[(1, 3)], 1)[0];
+        let got = score_pairs_t(&LocalKind::Ra, &s, &[(1, 3)], 1)[0];
         assert!((got - expect).abs() < 1e-12);
     }
 
@@ -235,8 +128,8 @@ mod tests {
         // RA ≤ CN/2 because every witness has degree ≥ 2.
         let s = fixture();
         let pairs = [(1, 3), (1, 4), (2, 4), (3, 4)];
-        let ra = score_pairs_t(&ResourceAllocation, &s, &pairs, 1);
-        let cn = score_pairs_t(&CommonNeighbors, &s, &pairs, 1);
+        let ra = score_pairs_t(&LocalKind::Ra, &s, &pairs, 1);
+        let cn = score_pairs_t(&LocalKind::Cn, &s, &pairs, 1);
         for (r, c) in ra.iter().zip(&cn) {
             assert!(*r <= c / 2.0 + 1e-12);
         }
@@ -247,23 +140,30 @@ mod tests {
         let s = fixture();
         // deg(1)=2, deg(3)=2 → 4; deg(0)=4 … pair (0, 2) is an edge but PA
         // scores any pair it is handed.
-        assert_eq!(score_pairs_t(&PreferentialAttachment, &s, &[(1, 3)], 1), vec![4.0]);
-        assert_eq!(score_pairs_t(&PreferentialAttachment, &s, &[(1, 4)], 1), vec![2.0]);
+        assert_eq!(score_pairs_t(&LocalKind::Pa, &s, &[(1, 3)], 1), vec![4.0]);
+        assert_eq!(score_pairs_t(&LocalKind::Pa, &s, &[(1, 4)], 1), vec![2.0]);
+    }
+
+    #[test]
+    fn each_kind_is_named_and_scored_as_in_the_paper() {
+        let names = ["CN", "JC", "AA", "RA", "PA", "BCN", "BAA", "BRA"];
+        for (kind, name) in LocalKind::ALL.into_iter().zip(names) {
+            assert_eq!(kind.name(), name);
+            assert_eq!(kind.fused_kind(), Some(kind), "{name} must advertise its kernel kind");
+            let global = kind == LocalKind::Pa;
+            assert_eq!(kind.candidate_policy() == CandidatePolicy::Global, global, "{name}");
+            let finite = kind.is_bayes();
+            assert_eq!(kind.score_contract() == ScoreContract::Finite, finite, "{name}");
+        }
     }
 
     #[test]
     fn scores_are_symmetric_under_pair_order() {
         // The trait takes canonical pairs, but the formulas must not care.
         let s = fixture();
-        for m in [
-            &CommonNeighbors as &dyn Metric,
-            &JaccardCoefficient,
-            &AdamicAdar,
-            &ResourceAllocation,
-            &PreferentialAttachment,
-        ] {
-            let a = score_pairs_t(m, &s, &[(1, 3)], 1)[0];
-            let b = score_pairs_t(m, &s, &[(3, 1)], 1)[0];
+        for m in [LocalKind::Cn, LocalKind::Jc, LocalKind::Aa, LocalKind::Ra, LocalKind::Pa] {
+            let a = score_pairs_t(&m, &s, &[(1, 3)], 1)[0];
+            let b = score_pairs_t(&m, &s, &[(3, 1)], 1)[0];
             assert_eq!(a, b, "{} asymmetric", m.name());
         }
     }

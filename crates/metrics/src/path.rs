@@ -235,7 +235,7 @@ mod tests {
         let lp = LocalPath { epsilon: 0.0 };
         let pairs = [(0, 2), (0, 3), (2, 4)];
         let got = score_pairs_t(&lp, &s, &pairs, 1);
-        let cn = score_pairs_t(&crate::local::CommonNeighbors, &s, &pairs, 1);
+        let cn = score_pairs_t(&crate::fused::LocalKind::Cn, &s, &pairs, 1);
         assert_eq!(got, cn);
     }
 }

@@ -194,7 +194,7 @@ impl Metric for RecencyResourceAllocation {
 mod tests {
     use super::*;
     use crate::exec::score_pairs_t;
-    use crate::local::{AdamicAdar, CommonNeighbors, ResourceAllocation};
+    use crate::fused::LocalKind;
     use osn_graph::temporal::TemporalGraph;
 
     /// Pair (0,1) with two witnesses: node 2 via fresh edges, node 3 via
@@ -227,13 +227,13 @@ mod tests {
         let pairs = [(0u32, 1u32)];
         let tau = 1e12;
         let tcn = score_pairs_t(&RecencyCommonNeighbors { tau_days: tau }, &s, &pairs, 1)[0];
-        let cn = score_pairs_t(&CommonNeighbors, &s, &pairs, 1)[0];
+        let cn = score_pairs_t(&LocalKind::Cn, &s, &pairs, 1)[0];
         assert!((tcn - cn).abs() < 1e-6, "tCN {tcn} vs CN {cn}");
         let taa = score_pairs_t(&RecencyAdamicAdar { tau_days: tau }, &s, &pairs, 1)[0];
-        let aa = score_pairs_t(&AdamicAdar, &s, &pairs, 1)[0];
+        let aa = score_pairs_t(&LocalKind::Aa, &s, &pairs, 1)[0];
         assert!((taa - aa).abs() < 1e-6);
         let tra = score_pairs_t(&RecencyResourceAllocation { tau_days: tau }, &s, &pairs, 1)[0];
-        let ra = score_pairs_t(&ResourceAllocation, &s, &pairs, 1)[0];
+        let ra = score_pairs_t(&LocalKind::Ra, &s, &pairs, 1)[0];
         assert!((tra - ra).abs() < 1e-6);
     }
 
@@ -254,7 +254,7 @@ mod tests {
         let scores = score_pairs_t(&tcn, &s, &[(0, 1), (4, 5)], 1);
         assert!(scores[1] > scores[0], "fresh wedge should outrank stale: {scores:?}");
         // The static metric ties them.
-        let cn = score_pairs_t(&CommonNeighbors, &s, &[(0, 1), (4, 5)], 1);
+        let cn = score_pairs_t(&LocalKind::Cn, &s, &[(0, 1), (4, 5)], 1);
         assert_eq!(cn[0], cn[1]);
     }
 
@@ -264,7 +264,7 @@ mod tests {
         let pairs = [(0u32, 1u32)];
         for tau in [1.0, 5.0, 50.0] {
             let t = score_pairs_t(&RecencyCommonNeighbors { tau_days: tau }, &s, &pairs, 1)[0];
-            let stat = score_pairs_t(&CommonNeighbors, &s, &pairs, 1)[0];
+            let stat = score_pairs_t(&LocalKind::Cn, &s, &pairs, 1)[0];
             assert!(t <= stat + 1e-12);
             assert!(t >= 0.0);
         }

@@ -65,10 +65,10 @@ pub trait Metric: Sync {
     /// The fused-kernel column this metric maps to, when it is one of the
     /// local metrics the source-batched kernel ([`crate::fused`]) can
     /// absorb. `None` (the default) keeps the metric on its
-    /// [`score_pairs_cached`](Metric::score_pairs_cached) hook; the local
-    /// and Bayes metrics override this, and the engine then scores them
-    /// through one shared witness walk per source instead of per-pair
-    /// intersections.
+    /// [`score_pairs_cached`](Metric::score_pairs_cached) hook; each
+    /// [`LocalKind`](crate::fused::LocalKind), the eight local metrics,
+    /// returns itself, and the engine then scores them through one shared
+    /// witness walk per source instead of per-pair intersections.
     fn fused_kind(&self) -> Option<crate::fused::LocalKind> {
         None
     }

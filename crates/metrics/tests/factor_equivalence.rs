@@ -10,69 +10,19 @@
 //! stale-factor fits. Batched bilinear scoring must agree with the
 //! per-pair model score in the same module to reassociation tolerance.
 
+mod common;
+
+use common::{arb_graph, arb_sweep, candidate_pairs};
 use linklens_bench::oracles;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
-use osn_metrics::candidates::CandidateSet;
 use osn_metrics::exec;
 use osn_metrics::rescal::Rescal;
 use osn_metrics::solver::{bilinear_scores_t, SolverCache, SolverError};
-use osn_metrics::traits::{CandidatePolicy, Metric};
+use osn_metrics::traits::Metric;
 use proptest::prelude::*;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Random graphs in the global_equivalence size band. Small graphs stay
-/// under the kernel's parallel-row threshold (the serial fallback), so
-/// the large-fixture test below covers the genuinely threaded path.
-fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
-    (8usize..=24).prop_flat_map(|n| {
-        let edge = (0..n as u32, 0..n as u32)
-            .prop_filter("no loop", |(a, b)| a != b)
-            .prop_map(|(a, b)| osn_graph::canonical(a, b));
-        proptest::collection::vec(edge, 4..50).prop_map(move |mut e| {
-            e.sort_unstable();
-            e.dedup();
-            (n, e)
-        })
-    })
-}
-
-/// A monotone snapshot sweep: a base edge set plus 2 growth batches, each
-/// adding at least one new edge (distinct `(nodes, edges)` cache keys).
-fn arb_sweep() -> impl Strategy<Value = (usize, Vec<Vec<(NodeId, NodeId)>>)> {
-    fn edge(n: usize) -> impl Strategy<Value = (NodeId, NodeId)> {
-        (0..n as u32, 0..n as u32)
-            .prop_filter("no loop", |(a, b)| a != b)
-            .prop_map(|(a, b)| osn_graph::canonical(a, b))
-    }
-    (10usize..=20).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(edge(n), 6..30),
-            proptest::collection::vec(proptest::collection::vec(edge(n), 1..8), 2..=2),
-        )
-            .prop_map(move |(base, extras)| {
-                let mut snapshots = Vec::new();
-                let mut acc = base;
-                acc.sort_unstable();
-                acc.dedup();
-                snapshots.push(acc.clone());
-                for batch in extras {
-                    acc.extend(batch);
-                    acc.sort_unstable();
-                    acc.dedup();
-                    if acc.len() > snapshots.last().unwrap().len() {
-                        snapshots.push(acc.clone());
-                    }
-                }
-                (n, snapshots)
-            })
-    })
-}
-
-fn candidate_pairs(snap: &Snapshot) -> Vec<(NodeId, NodeId)> {
-    CandidateSet::build(snap, CandidatePolicy::ThreeHop, 0).pairs().to_vec()
-}
 
 /// A deterministic graph large enough to cross the CSR kernel's
 /// parallel-row threshold (256 rows) and the residual reduction's
@@ -223,7 +173,7 @@ proptest! {
     /// bit — factors and certified residual — at every thread count, in
     /// both fixed-sweep and certified early-stop mode.
     #[test]
-    fn blocked_fit_equals_dense_reference_bit_identical((n, edges) in arb_graph()) {
+    fn blocked_fit_equals_dense_reference_bit_identical((n, edges) in arb_graph(8..=24, 4..50)) {
         let snap = Snapshot::from_edges(n, &edges);
         let fixed = Rescal::default();
         let certified = Rescal { iterations: 500, tol: 1e-6, ..Default::default() };
@@ -250,7 +200,7 @@ proptest! {
     /// must reproduce the direct scoring bit for bit at every thread
     /// count, and a persistent cache must fit exactly once per snapshot.
     #[test]
-    fn engine_paths_match_direct_scoring((n, edges) in arb_graph()) {
+    fn engine_paths_match_direct_scoring((n, edges) in arb_graph(8..=24, 4..50)) {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = candidate_pairs(&snap);
         prop_assume!(!pairs.is_empty());

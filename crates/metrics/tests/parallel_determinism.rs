@@ -1,76 +1,41 @@
-//! Determinism properties of the parallel scoring engine: for every
-//! metric, every candidate-enumeration path, and every worker count, the
-//! engine must produce *bit-identical* predictions — the same pairs in the
-//! same order — as the serial execution. This is the engine's core
-//! contract (DESIGN.md, "parallel execution model") and what lets bench
-//! runs at different `--threads` settings be compared directly.
+//! Determinism properties of the parallel engine: for every metric, every
+//! candidate-enumeration path and every worker count, the engine must
+//! produce *bit-identical* predictions — the same pairs in the same order
+//! — as the serial execution (through the engine harness,
+//! `common/harness.rs`); enumeration must give the serial scan's pair
+//! lists; and chunked top-k selection must equal the one-pass selection.
+//! This is the engine's core contract (DESIGN.md, "parallel execution
+//! model") and what lets bench runs at different `--threads` settings be
+//! compared directly.
 
+mod common;
+
+use common::arb_graph;
+use common::harness::{self, every, Entry};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{traversal, NodeId};
-use osn_metrics::candidates::CandidateSet;
-use osn_metrics::exec;
-use osn_metrics::solver::SolverCache;
 use osn_metrics::topk::{top_k_pairs, TopKAcc};
-use osn_metrics::traits::{CandidatePolicy, Metric};
+use osn_metrics::traits::CandidatePolicy;
 use proptest::prelude::*;
-
-/// One metric's top-k through the engine at `threads` workers.
-fn top_k(
-    m: &dyn Metric,
-    snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    threads: usize,
-) -> Vec<(NodeId, NodeId)> {
-    let mut cache = SolverCache::transient();
-    exec::predict_top_k_many_cached_t(&[m], snap, cands, k, 0x5EED, threads, &mut cache).remove(0)
-}
-
-/// Random graphs big enough to give multi-source candidate sets but small
-/// enough that all 15 metrics (including the RESCAL/Katz fits) stay fast.
-fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
-    (8usize..=20).prop_flat_map(|n| {
-        let edge = (0..n as u32, 0..n as u32)
-            .prop_filter("no loop", |(a, b)| a != b)
-            .prop_map(|(a, b)| osn_graph::canonical(a, b));
-        proptest::collection::vec(edge, 4..40).prop_map(move |mut e| {
-            e.sort_unstable();
-            e.dedup();
-            (n, e)
-        })
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// predict_top_k with 1 worker == with N workers, for all metrics and
-    /// both enumeration-backed candidate policies (TwoHop and Global,
-    /// which routes through `within3_pairs` + the hub merge).
+    /// Every metric's scores, served slices and top-k at 1, 2 and 4
+    /// workers, on both enumeration-backed candidate policies (`TwoHop`
+    /// and `Global`, which routes through `within3_pairs` and the hub
+    /// merge), reproduce the serial scores that meet its contract.
     #[test]
-    fn predictions_are_thread_count_invariant((n, edges) in arb_graph()) {
-        let snap = Snapshot::from_edges(n, &edges);
-        for policy in [CandidatePolicy::TwoHop, CandidatePolicy::Global] {
-            let cands = CandidateSet::build(&snap, policy, 3);
-            prop_assume!(!cands.is_empty());
-            let k = (cands.len() / 2).max(1);
-            for m in osn_metrics::all_metrics() {
-                let serial = top_k(m.as_ref(), &snap, &cands, k, 1);
-                for threads in [2usize, 4, 8] {
-                    let par = top_k(m.as_ref(), &snap, &cands, k, threads);
-                    prop_assert_eq!(
-                        &serial, &par,
-                        "{} with {} threads diverged ({:?} policy)", m.name(), threads, policy
-                    );
-                }
-            }
-        }
+    fn predictions_are_thread_count_invariant(graph in arb_graph(8..=20, 4..40)) {
+        let lists = [(CandidatePolicy::TwoHop, 3), (CandidatePolicy::Global, 3)];
+        let entries = [Entry::Scores, Entry::TopK, Entry::Targeted];
+        harness::check_lists(&graph, &lists, every, &entries, None)?;
     }
 
     /// Candidate enumeration itself is worker-count invariant: the merged
     /// per-source partitions equal the serial scan, in order.
     #[test]
-    fn enumeration_is_thread_count_invariant((n, edges) in arb_graph()) {
+    fn enumeration_is_thread_count_invariant((n, edges) in arb_graph(8..=20, 4..40)) {
         let snap = Snapshot::from_edges(n, &edges);
         let two_serial = traversal::two_hop_pairs(&snap, None, 1);
         let within_serial = traversal::within3_pairs(&snap, None, 1);
@@ -86,7 +51,7 @@ proptest! {
     /// one witness list holds the whole sample.
     #[test]
     fn two_hop_among_is_the_member_filter_of_two_hop(
-        (n, mut edges) in arb_graph(),
+        (n, mut edges) in arb_graph(8..=20, 4..40),
         picks in proptest::collection::vec(0u32..2, 20),
         star in 0u8..2,
     ) {

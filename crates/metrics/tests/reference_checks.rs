@@ -1,28 +1,21 @@
-//! Randomized reference checks: the approximate metric implementations
-//! (Katz-lr, Katz-sc, LRW), scored through the engine, against
-//! brute-force/dense computations on small random graphs.
+//! Reference checks: every metric on a fixed graph through the engine
+//! harness (`common/harness.rs`), and the approximate metric
+//! implementations (Katz-lr, Katz-sc, LRW), scored through the engine,
+//! against brute-force/dense computations on small random graphs.
 
-use linklens_bench::oracles;
+mod common;
+
+use common::arb_graph;
+use common::harness::{self, every, fixture};
 use linklens_bench::oracles::katz::exact_katz_truncated;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
+use osn_metrics::candidates::CandidateSet;
 use osn_metrics::exec::score_pairs_t;
 use osn_metrics::katz::{KatzLr, KatzSc};
+use osn_metrics::traits::CandidatePolicy;
 use osn_metrics::walk::LocalRandomWalk;
 use proptest::prelude::*;
-
-fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
-    (5usize..=12).prop_flat_map(|n| {
-        let edge = (0..n as u32, 0..n as u32)
-            .prop_filter("no loop", |(a, b)| a != b)
-            .prop_map(|(a, b)| osn_graph::canonical(a, b));
-        proptest::collection::vec(edge, 2..25).prop_map(move |mut e| {
-            e.sort_unstable();
-            e.dedup();
-            (n, e)
-        })
-    })
-}
 
 fn unconnected_pairs(snap: &Snapshot) -> Vec<(NodeId, NodeId)> {
     let n = snap.node_count() as NodeId;
@@ -35,6 +28,19 @@ fn unconnected_pairs(snap: &Snapshot) -> Vec<(NodeId, NodeId)> {
         }
     }
     out
+}
+
+/// Every metric through every entry point on the fixture's `ThreeHop`
+/// and `Global` (2 hubs) lists, sorted, shuffled and with duplicates,
+/// against its reference, or its one-worker scores without one.
+#[test]
+fn engine_scores_match_direct_scoring() {
+    let snap = fixture();
+    for (policy, top_degree) in [(CandidatePolicy::ThreeHop, 0), (CandidatePolicy::Global, 2)] {
+        let cands = CandidateSet::build(&snap, policy, top_degree);
+        harness::check(&snap, cands.pairs(), every, &harness::ALL, None)
+            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+    }
 }
 
 #[test]
@@ -59,7 +65,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn katz_lr_small_graphs_are_exact((n, edges) in arb_graph()) {
+    fn katz_lr_small_graphs_are_exact((n, edges) in arb_graph(5..=12, 2..25)) {
         // For n ≤ 256 KatzLr takes the dense-eigen path: full rank must be
         // numerically exact against (I − βA)⁻¹ − I truncated to many terms.
         let snap = Snapshot::from_edges(n, &edges);
@@ -78,7 +84,7 @@ proptest! {
     }
 
     #[test]
-    fn katz_sc_full_landmarks_match_series((n, edges) in arb_graph()) {
+    fn katz_sc_full_landmarks_match_series((n, edges) in arb_graph(5..=12, 2..25)) {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         prop_assume!(!pairs.is_empty());
@@ -97,7 +103,7 @@ proptest! {
     }
 
     #[test]
-    fn lrw_matches_dense_power_iteration((n, edges) in arb_graph()) {
+    fn lrw_matches_dense_power_iteration((n, edges) in arb_graph(5..=12, 2..25)) {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         prop_assume!(!pairs.is_empty());
@@ -144,97 +150,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn predict_top_k_consistent_with_score_pairs((n, edges) in arb_graph(), k in 1usize..6) {
-        use osn_metrics::candidates::CandidateSet;
-        use osn_metrics::traits::CandidatePolicy;
-        let snap = Snapshot::from_edges(n, &edges);
-        let cands = CandidateSet::build(&snap, CandidatePolicy::TwoHop, 0);
-        prop_assume!(!cands.is_empty());
-        let metric = osn_metrics::local::ResourceAllocation;
-        let threads = osn_graph::par::max_threads();
-        let mut cache = osn_metrics::solver::SolverCache::transient();
-        let top = osn_metrics::exec::predict_top_k_many_cached_t(
-            &[&metric], &snap, &cands, k, 7, threads, &mut cache,
-        )
-        .remove(0);
-        let scores = oracles::local::resource_allocation(&snap, cands.pairs());
-        let expected = osn_metrics::topk::top_k_pairs(cands.pairs(), &scores, k, 7);
-        prop_assert_eq!(top, expected);
-    }
-}
-
-/// Fisher–Yates shuffle driven by a fixed-seed splitmix64 stream.
-fn shuffled(pairs: &[(NodeId, NodeId)], seed: u64) -> Vec<(NodeId, NodeId)> {
-    let mut out = pairs.to_vec();
-    let mut state = seed;
-    for i in (1..out.len()).rev() {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        out.swap(i, (z % (i as u64 + 1)) as usize);
-    }
-    out
-}
-
-/// The engine on sorted candidates, and on the same list in caller order
-/// (the shape AUC positives/negatives and time-series windows arrive in),
-/// at 1, 2 and 4 workers, against each metric's reference: bit for bit
-/// for the per-pair local references and the SP, LP and Katz-sc
-/// per-source ones; LRW and PPR within the bounds `global_equivalence`
-/// derives for their two-sided references. Katz-lr and Rescal have no
-/// separate reference, so their scores must equal the one-worker scores.
-#[test]
-fn engine_scores_match_direct_scoring() {
-    use osn_metrics::candidates::CandidateSet;
-    use osn_metrics::traits::CandidatePolicy;
-    use osn_metrics::walk::PersonalizedPageRank;
-
-    // Two bridged triangles plus a pendant path.
-    let snap = Snapshot::from_edges(
-        8,
-        &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6), (6, 7)],
-    );
-    let cands = CandidateSet::build(&snap, CandidatePolicy::ThreeHop, 0);
-    let inputs = [cands.pairs().to_vec(), shuffled(cands.pairs(), 0x5EED)];
-    assert_ne!(inputs[0], inputs[1], "the shuffle must reorder the pairs");
-    let (lrw, ppr) = (LocalRandomWalk::default(), PersonalizedPageRank::default());
-    for pairs in &inputs {
-        for m in osn_metrics::all_metrics() {
-            let name = m.name();
-            let reference = match oracles::local::per_pair(name) {
-                Some(oracle) => Some(oracle(&snap, pairs)),
-                None => oracles::per_source(name, &snap, pairs, 1),
-            };
-            let one = score_pairs_t(m.as_ref(), &snap, pairs, 1);
-            for threads in [1, 2, 4] {
-                let engine = score_pairs_t(m.as_ref(), &snap, pairs, threads);
-                match (name, &reference) {
-                    ("LRW" | "PPR", Some(reference)) => {
-                        for (i, &(u, v)) in pairs.iter().enumerate() {
-                            let (du, dv) = (snap.degree(u) as f64, snap.degree(v) as f64);
-                            let bound = if name == "LRW" {
-                                3.0 * lrw.steps as f64 * lrw.prune * (du + dv) + 1e-12
-                            } else {
-                                let side = if du.min(dv) == 0.0 {
-                                    1.0
-                                } else {
-                                    1.0 + du.max(dv) / du.min(dv)
-                                };
-                                ppr.epsilon * (du + dv) + ppr.solver_tol() / ppr.alpha * side
-                            };
-                            let dev = (engine[i] - reference[i]).abs();
-                            assert!(dev <= bound, "{name} pair {:?} threads={threads}", pairs[i]);
-                        }
-                    }
-                    (_, Some(reference)) => {
-                        assert_eq!(&engine, reference, "{name} threads={threads}")
-                    }
-                    (_, None) => assert_eq!(engine, one, "{name} threads={threads}"),
-                }
-            }
-        }
-    }
 }

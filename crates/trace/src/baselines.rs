@@ -10,8 +10,9 @@
 //!   attachment is the *generative model*, so PA must beat the
 //!   neighborhood metrics.
 //!
-//! The test-suite and the `ext-nulls` experiment row use these to validate
-//! the metric implementations end-to-end: an implementation bug that
+//! The root crate's `tests/extension_features.rs` and the `ext-nulls`
+//! experiment row use these to validate the metric implementations
+//! end-to-end, through the evaluation framework: an implementation bug that
 //! *inflates* accuracy would show up as "beating random on ER", which is
 //! impossible for a correct pipeline.
 
@@ -225,99 +226,5 @@ mod tests {
         let c = barabasi_albert_growth(10, 5, 2, 10, 7);
         let d = barabasi_albert_growth(10, 5, 2, 10, 7);
         assert_eq!(c.edges(), d.edges());
-    }
-
-    #[test]
-    fn no_metric_beats_random_on_er() {
-        // The headline calibration property: structural predictors cannot
-        // beat random on structureless growth. Averaged over transitions to
-        // tame variance; threshold leaves room for noise.
-        let g = erdos_renyi_growth(250, 0, 120, 24, 11);
-        let seq = osn_graph::sequence::SnapshotSequence::with_count(&g, 7);
-        let eval = linklens_core_shim::evaluator(&seq);
-        for metric in [
-            Box::new(osn_metrics::local::CommonNeighbors) as Box<dyn osn_metrics::traits::Metric>,
-            Box::new(osn_metrics::local::ResourceAllocation),
-        ] {
-            let mut total = 0.0;
-            let mut count = 0;
-            for t in 2..seq.len() {
-                let out = eval.evaluate_metrics_at(&[metric.as_ref()], t, None);
-                total += out[0].accuracy_ratio;
-                count += 1;
-            }
-            let mean = total / count as f64;
-            assert!(
-                mean < 6.0,
-                "{} should not strongly beat random on ER (mean ratio {mean:.2})",
-                metric.name()
-            );
-        }
-    }
-
-    /// The trace crate cannot depend on linklens-core (cycle), so the ER
-    /// calibration test re-implements the tiny evaluation inline.
-    mod linklens_core_shim {
-        use osn_graph::sequence::SnapshotSequence;
-        use osn_graph::snapshot::Snapshot;
-        use osn_metrics::candidates::CandidateSet;
-        use osn_metrics::exec;
-        use osn_metrics::solver::SolverCache;
-        use osn_metrics::traits::{CandidatePolicy, Metric};
-
-        pub struct Eval<'a> {
-            seq: &'a SnapshotSequence<'a>,
-        }
-
-        pub fn evaluator<'a>(seq: &'a SnapshotSequence<'a>) -> Eval<'a> {
-            Eval { seq }
-        }
-
-        pub struct Outcome {
-            pub accuracy_ratio: f64,
-        }
-
-        impl<'a> Eval<'a> {
-            pub fn evaluate_metrics_at(
-                &self,
-                metrics: &[&dyn Metric],
-                t: usize,
-                _filter: Option<()>,
-            ) -> Vec<Outcome> {
-                let prev: Snapshot = self.seq.snapshot(t - 1);
-                let truth: std::collections::HashSet<_> =
-                    self.seq.new_edges(t).into_iter().collect();
-                let k = truth.len();
-                let n = prev.node_count() as f64;
-                let universe = n * (n - 1.0) / 2.0 - prev.edge_count() as f64;
-                let expected = (k as f64).powi(2) / universe;
-                metrics
-                    .iter()
-                    .map(|m| {
-                        let cands = CandidateSet::build(&prev, CandidatePolicy::TwoHop, 0);
-                        let threads = osn_graph::par::max_threads();
-                        let mut cache = SolverCache::transient();
-                        let picked = exec::predict_top_k_many_cached_t(
-                            &[*m],
-                            &prev,
-                            &cands,
-                            k,
-                            5,
-                            threads,
-                            &mut cache,
-                        )
-                        .remove(0);
-                        let correct = picked.iter().filter(|p| truth.contains(p)).count();
-                        Outcome {
-                            accuracy_ratio: if expected > 0.0 {
-                                correct as f64 / expected
-                            } else {
-                                0.0
-                            },
-                        }
-                    })
-                    .collect()
-            }
-        }
     }
 }

@@ -42,10 +42,10 @@ fn main() {
     let t = seq.len() * 3 / 4;
     println!("\npredicting snapshot {t} from {}:", t - 1);
     let metrics: Vec<Box<dyn Metric>> = vec![
-        Box::new(CommonNeighbors),
-        Box::new(ResourceAllocation),
-        Box::new(BayesResourceAllocation),
-        Box::new(PreferentialAttachment),
+        Box::new(LocalKind::Cn),
+        Box::new(LocalKind::Ra),
+        Box::new(LocalKind::Bra),
+        Box::new(LocalKind::Pa),
     ];
     for metric in &metrics {
         let out = eval.evaluate_metric(metric.as_ref(), t);

@@ -39,7 +39,7 @@ fn main() {
 
     // 3. Quantify the search-space reduction and the accuracy lift.
     let eval = SequenceEvaluator::new(&seq);
-    let bra = BayesResourceAllocation;
+    let bra = LocalKind::Bra;
     for (label, filter) in [
         ("no filter", None),
         ("discovered", Some(TemporalFilter::new(discovered))),

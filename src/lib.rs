@@ -28,7 +28,7 @@
 //!
 //! // Predict the next snapshot's edges with Resource Allocation.
 //! let eval = SequenceEvaluator::new(&seq);
-//! let outcome = eval.evaluate_metric(&ResourceAllocation, 1);
+//! let outcome = eval.evaluate_metric(&LocalKind::Ra, 1);
 //! assert!(outcome.accuracy_ratio >= 0.0);
 //! ```
 
@@ -56,12 +56,8 @@ pub mod prelude {
     };
     pub use osn_metrics::{
         all_metrics,
-        bayes::{BayesAdamicAdar, BayesCommonNeighbors, BayesResourceAllocation},
+        fused::LocalKind,
         katz::{KatzLr, KatzSc},
-        local::{
-            AdamicAdar, CommonNeighbors, JaccardCoefficient, PreferentialAttachment,
-            ResourceAllocation,
-        },
         path::{LocalPath, ShortestPath},
         rescal::Rescal,
         traits::Metric,

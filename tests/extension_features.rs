@@ -1,13 +1,15 @@
 //! Integration tests for the extension features: trace I/O round trips
 //! through the full pipeline, disruption events against the evaluation
-//! machinery, time-aware metrics inside the evaluator, and the alternative
-//! evaluation protocols on generated data.
+//! machinery, time-aware metrics inside the evaluator, the alternative
+//! evaluation protocols on generated data, and the Erdős–Rényi null model
+//! through the evaluator.
 
 use linklens::core::altmetrics::{auc_of_metric, MissingLinkEval};
 use linklens::core::temporal::positive_negative_pairs;
 use linklens::graph::io;
 use linklens::metrics::timeaware::RecencyResourceAllocation;
 use linklens::prelude::*;
+use linklens::trace::baselines::erdos_renyi_growth;
 use linklens::trace::events::{apply, Disruption};
 
 fn small_trace() -> linklens::trace::GrowthTrace {
@@ -24,7 +26,7 @@ fn io_round_trip_preserves_predictions() {
     let run = |t: &linklens::trace::GrowthTrace| {
         let seq = SnapshotSequence::with_count(t, 6);
         let eval = SequenceEvaluator::new(&seq);
-        let out = eval.evaluate_metric(&BayesResourceAllocation, 4);
+        let out = eval.evaluate_metric(&LocalKind::Bra, 4);
         (out.k, out.correct, out.accuracy_ratio)
     };
     assert_eq!(run(&trace), run(&back), "round trip must not change results");
@@ -41,7 +43,7 @@ fn merged_trace_flows_through_evaluation() {
     let seq = SnapshotSequence::with_count(&merged, 6);
     let eval = SequenceEvaluator::new(&seq);
     for t in 1..seq.len() {
-        let out = eval.evaluate_metric(&CommonNeighbors, t);
+        let out = eval.evaluate_metric(&LocalKind::Cn, t);
         assert!(out.accuracy_ratio.is_finite());
     }
 }
@@ -64,7 +66,7 @@ fn auc_of_good_metric_beats_half_on_generated_data() {
     let t = 4;
     let snap = seq.snapshot(t - 1);
     let (pos, neg) = positive_negative_pairs(&seq, t, 800, 3);
-    let auc = auc_of_metric(&ResourceAllocation, &snap, &pos, &neg);
+    let auc = auc_of_metric(&LocalKind::Ra, &snap, &pos, &neg);
     // The margin is modest at this tiny test scale (most negative pairs tie
     // at score 0, counting half) — the release-scale `ext-auc` experiment
     // row shows the full separation.
@@ -81,8 +83,8 @@ fn missing_link_protocol_on_generated_data() {
     let t = 4;
     let snap = seq.snapshot(t - 1);
     let eval = SequenceEvaluator::new(&seq);
-    let future = eval.evaluate_metric(&ResourceAllocation, t);
-    let missing = MissingLinkEval { hide_fraction: 0.05, seed: 7 }.run(&ResourceAllocation, &snap);
+    let future = eval.evaluate_metric(&LocalKind::Ra, t);
+    let missing = MissingLinkEval { hide_fraction: 0.05, seed: 7 }.run(&LocalKind::Ra, &snap);
     assert!(missing.hidden > 0);
     assert!(missing.recovered > 0, "closure-heavy data must be partially recoverable");
     assert!((0.0..=1.0).contains(&missing.recovery_rate));
@@ -101,6 +103,28 @@ fn edge_list_import_then_full_pipeline() {
     assert_eq!(back.edge_count(), trace.edge_count());
     let seq = SnapshotSequence::with_count(&back, 6);
     let eval = SequenceEvaluator::new(&seq);
-    let out = eval.evaluate_metric(&CommonNeighbors, 4);
+    let out = eval.evaluate_metric(&LocalKind::Cn, 4);
     assert!(out.k > 0);
+}
+
+/// The headline calibration property of the null models: structural
+/// predictors cannot beat random on structureless growth. Averaged over
+/// transitions to tame variance; the threshold leaves room for noise.
+#[test]
+fn no_metric_beats_random_on_er() {
+    let g = erdos_renyi_growth(250, 0, 120, 24, 11);
+    let seq = SnapshotSequence::with_count(&g, 7);
+    let mut eval = SequenceEvaluator::new(&seq);
+    eval.seed = 5;
+    for metric in [LocalKind::Cn, LocalKind::Ra] {
+        let ratios: Vec<f64> = (2..seq.len())
+            .map(|t| eval.evaluate_metrics_at(&[&metric], t, None)[0].accuracy_ratio)
+            .collect();
+        let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+        assert!(
+            mean < 6.0,
+            "{} should not strongly beat random on ER (mean ratio {mean:.2})",
+            metric.name()
+        );
+    }
 }

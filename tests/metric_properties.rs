@@ -5,9 +5,7 @@
 use linklens::graph::snapshot::Snapshot;
 use linklens::graph::NodeId;
 use linklens::metrics::exec::score_pairs_t;
-use linklens::metrics::local::{
-    AdamicAdar, CommonNeighbors, JaccardCoefficient, PreferentialAttachment, ResourceAllocation,
-};
+use linklens::metrics::fused::LocalKind;
 use linklens::metrics::path::LocalPath;
 use proptest::prelude::*;
 
@@ -65,8 +63,8 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let jc = score_pairs_t(&JaccardCoefficient, &snap, &pairs, 1);
-        let cn = score_pairs_t(&CommonNeighbors, &snap, &pairs, 1);
+        let jc = score_pairs_t(&LocalKind::Jc, &snap, &pairs, 1);
+        let cn = score_pairs_t(&LocalKind::Cn, &snap, &pairs, 1);
         for i in 0..pairs.len() {
             prop_assert!((0.0..=1.0).contains(&jc[i]));
             prop_assert_eq!(jc[i] == 0.0, cn[i] == 0.0, "JC and CN must vanish together");
@@ -78,9 +76,9 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let cn = score_pairs_t(&CommonNeighbors, &snap, &pairs, 1);
-        let ra = score_pairs_t(&ResourceAllocation, &snap, &pairs, 1);
-        let aa = score_pairs_t(&AdamicAdar, &snap, &pairs, 1);
+        let cn = score_pairs_t(&LocalKind::Cn, &snap, &pairs, 1);
+        let ra = score_pairs_t(&LocalKind::Ra, &snap, &pairs, 1);
+        let aa = score_pairs_t(&LocalKind::Aa, &snap, &pairs, 1);
         for i in 0..pairs.len() {
             // Witness degree ≥ 2 ⇒ RA ≤ CN/2 and AA ≤ CN/ln 2.
             prop_assert!(ra[i] <= cn[i] / 2.0 + 1e-9);
@@ -94,7 +92,7 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let cn = score_pairs_t(&CommonNeighbors, &snap, &pairs, 1);
+        let cn = score_pairs_t(&LocalKind::Cn, &snap, &pairs, 1);
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let brute = (0..n as NodeId)
                 .filter(|&w| w != u && w != v && snap.has_edge(u, w) && snap.has_edge(v, w))
@@ -109,7 +107,7 @@ proptest! {
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
         let lp = score_pairs_t(&LocalPath { epsilon: 0.0 }, &snap, &pairs, 1);
-        let cn = score_pairs_t(&CommonNeighbors, &snap, &pairs, 1);
+        let cn = score_pairs_t(&LocalKind::Cn, &snap, &pairs, 1);
         prop_assert_eq!(lp, cn);
     }
 
@@ -118,7 +116,7 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let pa = score_pairs_t(&PreferentialAttachment, &snap, &pairs, 1);
+        let pa = score_pairs_t(&LocalKind::Pa, &snap, &pairs, 1);
         for (i, &(u, v)) in pairs.iter().enumerate() {
             prop_assert_eq!(pa[i], (snap.degree(u) * snap.degree(v)) as f64);
         }
@@ -129,7 +127,7 @@ proptest! {
         let snap = Snapshot::from_edges(n, &edges);
         let pairs = unconnected_pairs(&snap);
         if pairs.is_empty() { return Ok(()); }
-        let scores = score_pairs_t(&CommonNeighbors, &snap, &pairs, 1);
+        let scores = score_pairs_t(&LocalKind::Cn, &snap, &pairs, 1);
         let top = linklens::metrics::topk::top_k_pairs(&pairs, &scores, k, 1);
         prop_assert!(top.len() == k.min(pairs.len()));
         // Every selected pair's score must be ≥ every unselected pair's.

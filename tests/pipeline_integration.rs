@@ -39,8 +39,8 @@ fn evaluation_is_deterministic() {
     let trace = tiny_trace(TraceConfig::facebook_like, 2);
     let seq = SnapshotSequence::with_count(&trace, 6);
     let eval = SequenceEvaluator::new(&seq);
-    let a = eval.evaluate_metric(&BayesResourceAllocation, 3);
-    let b = eval.evaluate_metric(&BayesResourceAllocation, 3);
+    let a = eval.evaluate_metric(&LocalKind::Bra, 3);
+    let b = eval.evaluate_metric(&LocalKind::Bra, 3);
     assert_eq!(a.correct, b.correct);
     assert_eq!(a.accuracy_ratio, b.accuracy_ratio);
 }
@@ -52,7 +52,7 @@ fn filters_prune_but_never_invent_candidates() {
     let eval = SequenceEvaluator::new(&seq);
     let snap = seq.snapshot(3);
     let filter = TemporalFilter::new(FilterThresholds::renren());
-    let m = BayesResourceAllocation;
+    let m = LocalKind::Bra;
     let unfiltered = eval.candidates_for(&snap, &[&m], None);
     let filtered = eval.candidates_for(&snap, &[&m], Some(&filter));
     assert!(filtered.len() <= unfiltered.len());
@@ -70,7 +70,7 @@ fn classification_features_match_metric_scores() {
     let snap = seq.snapshot(2);
     let pairs = linklens::graph::traversal::two_hop_pairs(&snap, None, 1);
     let sample: Vec<_> = pairs.into_iter().take(20).collect();
-    let cn_scores = linklens::metrics::exec::score_pairs_t(&CommonNeighbors, &snap, &sample, 1);
+    let cn_scores = linklens::metrics::exec::score_pairs_t(&LocalKind::Cn, &snap, &sample, 1);
     for (i, &(u, v)) in sample.iter().enumerate() {
         assert_eq!(cn_scores[i], snap.common_neighbor_count(u, v) as f64);
     }
@@ -124,7 +124,7 @@ fn timeseries_wraps_any_metric() {
         linklens::graph::traversal::two_hop_pairs(&snap, None, 1).into_iter().take(50).collect();
     for agg in [Aggregation::MovingAverage, Aggregation::LinearRegression] {
         let ts = TimeSeriesPredictor { window: 3, aggregation: agg };
-        let scores = ts.score_pairs(&seq, &CommonNeighbors, 4, &pairs);
+        let scores = ts.score_pairs(&seq, &LocalKind::Cn, 4, &pairs);
         assert_eq!(scores.len(), pairs.len());
         assert!(scores.iter().all(|s| s.is_finite()));
     }
@@ -140,7 +140,7 @@ fn all_presets_flow_through_the_full_stack() {
         let trace = tiny_trace(*preset, 10 + i as u64);
         let seq = SnapshotSequence::with_count(&trace, 5);
         let eval = SequenceEvaluator::new(&seq);
-        let out = eval.evaluate_metric(&CommonNeighbors, 3);
+        let out = eval.evaluate_metric(&LocalKind::Cn, 3);
         assert!(out.accuracy_ratio >= 0.0);
         let props = linklens::graph::stats::snapshot_properties(&seq.snapshot(2), 10);
         assert!(props.nodes > 0 && props.edges > 0);

@@ -123,7 +123,7 @@ proptest! {
         let seq = SnapshotSequence::by_edge_delta(&g, g.edge_count() / 3);
         let eval = linklens::core::framework::SequenceEvaluator::new(&seq);
         for t in 1..seq.len() {
-            let out = eval.evaluate_metric(&linklens::metrics::local::CommonNeighbors, t);
+            let out = eval.evaluate_metric(&linklens::metrics::fused::LocalKind::Cn, t);
             // correct ≤ k, ratio = correct / (k²/U).
             prop_assert!(out.correct <= out.k);
             if out.k > 0 && out.random_expected > 0.0 {
