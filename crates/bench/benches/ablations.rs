@@ -37,7 +37,7 @@ fn bench_candidate_width(c: &mut Criterion) {
         .bench_function("three_hop", |b| b.iter(|| traversal::within3_pairs(&snap, None, threads)));
     let two = traversal::two_hop_pairs(&snap, None, threads).len();
     let three = traversal::within3_pairs(&snap, None, threads).len();
-    eprintln!("[ablation] candidate width: 2-hop {two} pairs vs ≤3-hop {three} pairs");
+    println!("[ablation] candidate width: 2-hop {two} pairs vs ≤3-hop {three} pairs");
     group.finish();
 }
 
@@ -50,7 +50,7 @@ fn bench_ppr_eps(c: &mut Criterion) {
         let ppr = PersonalizedPageRank { alpha: 0.15, epsilon: eps };
         let approx = score(&ppr, &snap, &pairs);
         let max_err = approx.iter().zip(&exact).map(|(a, e)| (a - e).abs()).fold(0.0, f64::max);
-        eprintln!("[ablation] PPR ε={eps:e}: max abs error vs ε=1e-7 is {max_err:.2e}");
+        println!("[ablation] PPR ε={eps:e}: max abs error vs ε=1e-7 is {max_err:.2e}");
         group.bench_function(format!("eps_{eps:e}"), |b| b.iter(|| score(&ppr, &snap, &pairs)));
     }
     group.finish();
@@ -71,7 +71,7 @@ fn bench_katz_rank(c: &mut Criterion) {
             idx.into_iter().take(100).collect()
         };
         let overlap = top(&approx).intersection(&top(&reference)).count();
-        eprintln!("[ablation] Katz-lr rank {rank}: top-100 overlap with rank-128 = {overlap}/100");
+        println!("[ablation] Katz-lr rank {rank}: top-100 overlap with rank-128 = {overlap}/100");
         group.bench_function(format!("rank_{rank}"), |b| b.iter(|| score(&katz, &snap, &pairs)));
     }
     group.finish();

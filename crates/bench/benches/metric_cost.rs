@@ -20,7 +20,7 @@ fn bench_metrics(c: &mut Criterion) {
     let snap = Snapshot::up_to(&trace, trace.edge_count());
     let pairs = traversal::two_hop_pairs(&snap, None, par::max_threads());
     let batch: Vec<_> = pairs.iter().copied().take(20_000).collect();
-    eprintln!(
+    println!(
         "benchmark graph: {} nodes, {} edges, batch of {} pairs",
         snap.node_count(),
         snap.edge_count(),

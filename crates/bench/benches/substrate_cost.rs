@@ -13,7 +13,7 @@ fn bench_substrate(c: &mut Criterion) {
     let cfg = TraceConfig::facebook_like().scaled(0.2).with_days(60);
     let trace = cfg.generate(42);
     let snap = Snapshot::up_to(&trace, trace.edge_count());
-    eprintln!("substrate graph: {} nodes, {} edges", snap.node_count(), snap.edge_count());
+    println!("substrate graph: {} nodes, {} edges", snap.node_count(), snap.edge_count());
 
     let mut group = c.benchmark_group("substrate");
     group.sample_size(10);

@@ -700,10 +700,10 @@ mod tests {
             "// linklens-deterministic: serving parity handler\npub fn candidate_targets(snap: &Snapshot, source: u32) -> Vec<(u32, u32)> {\n  let mut out = Vec::new();\n  for v in snap.neighbors(source) { out.push((source, v)); }\n  out\n}",
         );
         assert_eq!(count(&d, "blocking-in-query-path"), 0);
-        // Suppression travels through the shared allow machinery; check
-        // via the full single-file path in rules::check_file equivalent:
-        // here we only assert the raw finding exists for the suppressor
-        // test in rules.rs fixtures.
+        // Suppression travels through the shared allow machinery, which
+        // this module does not run; the fixture test
+        // `seeded_blocking_in_query_path_is_caught_and_suppressible`
+        // covers a justified allow end to end.
     }
 
     #[test]

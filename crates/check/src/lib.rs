@@ -1,6 +1,6 @@
 //! # linklens-check
 //!
-//! Dependency-light static analysis for the LinkLens workspace. The
+//! Dependency-free static analysis for the LinkLens workspace. The
 //! paper's conclusions rest on correct ranking of real-valued scores and
 //! correct CSR snapshot construction; one NaN-unsafe comparator or one
 //! truncated offset silently reorders predictions. This crate turns those
@@ -13,7 +13,9 @@
 //!   substrate (`graph`, `metrics`, `linalg`, `core`);
 //! * `missing-forbid-unsafe` — every crate root keeps
 //!   `#![forbid(unsafe_code)]`;
-//! * `print-in-lib` — `println!`-family output in library crates.
+//! * `print-in-lib` — `println!`-family output in library crates;
+//! * `full-trace-materialization` — `load_full` / `read_cache` /
+//!   `read_cache_file` in library code, where traces must stream.
 //!
 //! On top of those single-file rules, the checker runs a *workspace*
 //! analysis: every file is parsed into a symbol index (`symbols`), an
@@ -21,16 +23,16 @@
 //! deterministic surface (`callgraph`), and dataflow rules
 //! (`dataflow`) prove that surface free of unordered `HashMap`/`HashSet`
 //! iteration, unpinned float reductions, nondeterministic sources, and
-//! unsanctioned panics. Pre-existing findings live in a committed
-//! [`baseline`] ratchet that may only shrink.
+//! unsanctioned panics, and the serve crate's marked query handlers free
+//! of locks, blocking I/O and snapshot rebuilds.
 //!
 //! Violations are suppressed per line with
 //! `// linklens-allow(rule): justification`; a missing justification, an
 //! unknown rule name, or a directive that no longer suppresses anything is
-//! itself a violation. The `linklens-check` binary exits nonzero on any
-//! active violation, speaks `--json` for CI, `--sarif` for annotation
-//! tooling, `--fix-report` for a markdown delta summary, and
-//! `--explain <rule>` for the full rationale of any rule.
+//! itself a violation. The `linklens-check` binary prints one
+//! `path:line: [rule] message` line per active violation and a closing
+//! tally, exits nonzero on any active violation, and prints the full
+//! rationale of any rule under `--explain <rule>`.
 //!
 //! The lexer is hand-rolled (see [`lexer`]) so the shims directory stays
 //! small: no `syn`, no proc-macro machinery — tokens are enough for every
@@ -48,7 +50,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 mod callgraph;
 mod dataflow;
 pub mod lexer;
@@ -78,7 +79,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<RunSummary> {
 }
 
 /// The pure core of [`check_workspace`]: same two-phase analysis over
-/// in-memory sources. Fixture tests drive this directly.
+/// in-memory sources. Fixture and rule tests drive this directly.
 pub fn check_sources(sources: Vec<(FileInfo, String)>) -> RunSummary {
     let files_checked = sources.len();
 
@@ -104,7 +105,7 @@ pub fn check_sources(sources: Vec<(FileInfo, String)>) -> RunSummary {
     let mut diagnostics = Vec::new();
     for (p, mut diags) in parsed.iter().zip(per_file) {
         let allows = rules::parse_allows(&p.lexed.comments);
-        rules::finish_file(&p.info, &p.lexed.tokens, &p.mask, &allows, &mut diags, true);
+        rules::finish_file(&p.info, &p.lexed.tokens, &p.mask, &allows, &mut diags);
         diagnostics.extend(diags);
     }
     RunSummary { files_checked, diagnostics }

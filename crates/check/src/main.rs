@@ -1,66 +1,41 @@
 //! `linklens-check` — the workspace lint pass.
 //!
 //! ```text
-//! linklens-check [ROOT] [--json] [--fix-report] [--baseline FILE]
-//!                [--write-baseline FILE] [--sarif FILE]
+//! linklens-check [ROOT]
 //! linklens-check --explain RULE
 //! ```
 //!
 //! Checks every `.rs` file under ROOT (default: the workspace root this
 //! binary was built from, else the current directory) with the two-phase
-//! analysis in [`linklens_check`]. Exits 0 when clean, 1 on any active
-//! violation, 2 on usage or I/O errors.
+//! analysis in [`linklens_check`] and prints one `path:line: [rule]
+//! message` line per active violation, then a closing tally. Exits 0 when
+//! clean, 1 on any active violation, 2 on usage or I/O errors.
 //!
-//! * `--json` — machine-readable report on stdout (for the CI lint job);
-//! * `--fix-report` — markdown summary of violations by rule and crate,
-//!   ready to paste into a PR description;
-//! * `--baseline FILE` — apply the committed ratchet: findings recorded
-//!   there are reported but do not fail; new findings (or growth within a
-//!   bucket) still do;
-//! * `--write-baseline FILE` — regenerate the ratchet from the current
-//!   findings (after fixing, to tighten it);
-//! * `--sarif FILE` — additionally write a SARIF 2.1.0 report for CI
-//!   annotation tooling;
-//! * `--explain RULE` — print the rule's contract, rationale, and a fix
-//!   example from the same table the checker enforces.
+//! `--explain RULE` prints the rule's contract, rationale, and a fix
+//! example from the same table the checker enforces.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::exit;
 
-const USAGE: &str = "usage: linklens-check [ROOT] [--json] [--fix-report] \
-                     [--baseline FILE] [--write-baseline FILE] [--sarif FILE]\n\
+const USAGE: &str = "usage: linklens-check [ROOT]\n\
                      \x20      linklens-check --explain RULE";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json = false;
-    let mut fix_report = false;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline_path: Option<PathBuf> = None;
-    let mut sarif_path: Option<PathBuf> = None;
     let mut explain: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
 
-    let mut it = args.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut take_value = |flag: &str| match it.next() {
-            Some(v) => v,
-            None => {
-                eprintln!("{flag} needs a value\n{USAGE}");
-                exit(2);
-            }
-        };
         match arg.as_str() {
-            "--json" => json = true,
-            "--fix-report" => fix_report = true,
-            "--baseline" => baseline_path = Some(PathBuf::from(take_value("--baseline"))),
-            "--write-baseline" => {
-                write_baseline_path = Some(PathBuf::from(take_value("--write-baseline")));
-            }
-            "--sarif" => sarif_path = Some(PathBuf::from(take_value("--sarif"))),
-            "--explain" => explain = Some(take_value("--explain")),
+            "--explain" => match it.next() {
+                Some(rule) => explain = Some(rule),
+                None => {
+                    eprintln!("--explain needs a value\n{USAGE}");
+                    exit(2);
+                }
+            },
             other if other.starts_with("--") => {
                 eprintln!("unknown flag {other}\n{USAGE}");
                 exit(2);
@@ -79,59 +54,14 @@ fn main() {
     }
 
     let root = positional.first().map_or_else(default_root, PathBuf::from);
-    let mut run = match linklens_check::check_workspace(&root) {
+    let run = match linklens_check::check_workspace(&root) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("linklens-check: cannot scan {}: {e}", root.display());
             exit(2);
         }
     };
-
-    let mut tighten_notes = Vec::new();
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("linklens-check: cannot read baseline {}: {e}", path.display());
-                exit(2);
-            }
-        };
-        let base = match linklens_check::baseline::Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("linklens-check: {e}");
-                exit(2);
-            }
-        };
-        tighten_notes = linklens_check::baseline::apply(&mut run, &base);
-    }
-
-    if let Some(path) = &write_baseline_path {
-        let text = linklens_check::baseline::Baseline::render(&run);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("linklens-check: cannot write baseline {}: {e}", path.display());
-            exit(2);
-        }
-    }
-
-    if let Some(path) = &sarif_path {
-        let text = linklens_check::report::render_sarif(&run);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("linklens-check: cannot write SARIF {}: {e}", path.display());
-            exit(2);
-        }
-    }
-
-    if fix_report {
-        print!("{}", linklens_check::report::render_markdown(&run));
-    } else if json {
-        println!("{}", linklens_check::report::render_json(&run));
-    } else {
-        print!("{}", linklens_check::report::render_text(&run));
-    }
-    for note in &tighten_notes {
-        eprintln!("linklens-check: {note}");
-    }
+    print!("{}", linklens_check::report::render_text(&run));
     exit(i32::from(run.has_violations()));
 }
 

@@ -1,10 +1,8 @@
-//! Rendering diagnostics: human text, machine `--json`, SARIF for CI
-//! annotations, and the `--fix-report` markdown summary future PRs paste
-//! into descriptions. All renderers return strings; printing is the
-//! binary's job (`print-in-lib` applies to this crate too).
+//! The checker's report: one `path:line: [rule] message` line per active
+//! finding and a closing tally. The renderer returns a string; printing
+//! is the binary's job (`print-in-lib` applies to this crate too).
 
-use crate::rules::{Diagnostic, RULES};
-use std::collections::BTreeMap;
+use crate::rules::Diagnostic;
 
 /// Aggregated result of one checker run.
 #[derive(Debug)]
@@ -14,20 +12,14 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Diagnostics that fail the run (not covered by an allow, not
-    /// absorbed by the baseline ratchet).
+    /// Diagnostics that fail the run (not covered by an allow).
     pub fn active(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| !d.suppressed && !d.baselined)
+        self.diagnostics.iter().filter(|d| !d.suppressed)
     }
 
     /// Allow-covered findings, kept visible for reporting.
     pub fn suppressed(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(|d| d.suppressed)
-    }
-
-    /// Baseline-absorbed findings: enumerated, may only shrink.
-    pub fn baselined(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| !d.suppressed && d.baselined)
     }
 
     pub fn has_violations(&self) -> bool {
@@ -41,145 +33,12 @@ pub fn render_text(run: &RunSummary) -> String {
     for d in run.active() {
         out.push_str(&format!("{}:{}: [{}] {}\n", d.path, d.line, d.rule, d.message));
     }
-    for d in run.baselined() {
-        out.push_str(&format!("{}:{}: [{}] (baselined) {}\n", d.path, d.line, d.rule, d.message));
-    }
     let active = run.active().count();
     let suppressed = run.suppressed().count();
-    let baselined = run.baselined().count();
     out.push_str(&format!(
-        "linklens-check: {} file(s), {} violation(s), {} suppressed by linklens-allow, {} baselined\n",
-        run.files_checked, active, suppressed, baselined
+        "linklens-check: {} file(s), {} violation(s), {} suppressed by linklens-allow\n",
+        run.files_checked, active, suppressed
     ));
-    out
-}
-
-/// Stable JSON for CI and tooling.
-pub fn render_json(run: &RunSummary) -> String {
-    let entry = |d: &Diagnostic| {
-        serde_json::json!({
-            "rule": d.rule,
-            "path": d.path,
-            "line": d.line,
-            "message": d.message,
-        })
-    };
-    let violations: Vec<_> = run.active().map(entry).collect();
-    let suppressed: Vec<_> = run.suppressed().map(entry).collect();
-    let baselined: Vec<_> = run.baselined().map(entry).collect();
-    let report = serde_json::json!({
-        "tool": "linklens-check",
-        "files_checked": run.files_checked,
-        "violation_count": violations.len(),
-        "suppressed_count": suppressed.len(),
-        "baselined_count": baselined.len(),
-        "violations": violations,
-        "suppressed": suppressed,
-        "baselined": baselined,
-    });
-    serde_json::to_string_pretty(&report).unwrap_or_else(|_| "{}".to_string())
-}
-
-/// SARIF 2.1.0, minimal profile: enough for GitHub code-scanning style
-/// annotation and for archival as a CI artifact. Active findings are
-/// `error`, baseline-absorbed ones `note`; suppressed findings are
-/// omitted (they are policy, not problems).
-pub fn render_sarif(run: &RunSummary) -> String {
-    let rules: Vec<_> = RULES
-        .iter()
-        .map(|r| {
-            serde_json::json!({
-                "id": r.name,
-                "shortDescription": serde_json::json!({ "text": r.contract }),
-            })
-        })
-        .collect();
-    let result = |d: &Diagnostic, level: &str| {
-        let region = serde_json::json!({ "startLine": d.line });
-        let artifact = serde_json::json!({ "uri": d.path });
-        let physical = serde_json::json!({
-            "artifactLocation": artifact,
-            "region": region,
-        });
-        let location = serde_json::json!({ "physicalLocation": physical });
-        serde_json::json!({
-            "ruleId": d.rule,
-            "level": level,
-            "message": serde_json::json!({ "text": d.message }),
-            "locations": serde_json::json!([location]),
-        })
-    };
-    let mut results: Vec<_> = run.active().map(|d| result(d, "error")).collect();
-    results.extend(run.baselined().map(|d| result(d, "note")));
-    let driver = serde_json::json!({
-        "name": "linklens-check",
-        "rules": rules,
-    });
-    let sarif_run = serde_json::json!({
-        "tool": serde_json::json!({ "driver": driver }),
-        "results": results,
-    });
-    let sarif = serde_json::json!({
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": serde_json::json!([sarif_run]),
-    });
-    serde_json::to_string_pretty(&sarif).unwrap_or_else(|_| "{}".to_string())
-}
-
-/// Crate a diagnostic path belongs to, for the per-crate breakdown.
-fn crate_of(path: &str) -> String {
-    crate::workspace::classify(path).map_or_else(|| "(other)".to_string(), |i| i.krate)
-}
-
-/// Markdown summary by rule and crate: the `--fix-report` payload.
-pub fn render_markdown(run: &RunSummary) -> String {
-    let mut out = String::new();
-    out.push_str("## linklens-check report\n\n");
-    let active = run.active().count();
-    let suppressed = run.suppressed().count();
-    let baselined = run.baselined().count();
-    out.push_str(&format!(
-        "{} file(s) checked — **{} violation(s)**, {} suppressed by `linklens-allow`, {} baselined.\n\n",
-        run.files_checked, active, suppressed, baselined
-    ));
-
-    // rule -> (active, suppressed)
-    let mut by_rule: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    // (crate, rule) -> count (active only)
-    let mut by_crate: BTreeMap<(String, &str), usize> = BTreeMap::new();
-    for d in &run.diagnostics {
-        let slot = by_rule.entry(d.rule).or_default();
-        if d.suppressed || d.baselined {
-            slot.1 += 1;
-        } else {
-            slot.0 += 1;
-            *by_crate.entry((crate_of(&d.path), d.rule)).or_default() += 1;
-        }
-    }
-
-    out.push_str("| rule | violations | suppressed/baselined |\n|---|---:|---:|\n");
-    for r in RULES {
-        let (a, s) = by_rule.get(r.name).copied().unwrap_or((0, 0));
-        out.push_str(&format!("| `{}` | {a} | {s} |\n", r.name));
-    }
-    out.push('\n');
-
-    if by_crate.is_empty() {
-        out.push_str("No active violations — the workspace is clean.\n");
-    } else {
-        out.push_str(
-            "### Active violations by crate\n\n| crate | rule | count |\n|---|---|---:|\n",
-        );
-        for ((krate, rule), count) in &by_crate {
-            out.push_str(&format!("| `{krate}` | `{rule}` | {count} |\n"));
-        }
-        out.push('\n');
-        out.push_str("### Locations\n\n");
-        for d in run.active() {
-            out.push_str(&format!("- `{}:{}` — `{}`\n", d.path, d.line, d.rule));
-        }
-    }
     out
 }
 
@@ -188,33 +47,14 @@ mod tests {
     use super::*;
 
     fn sample() -> RunSummary {
+        let mut allowed =
+            Diagnostic::new("print-in-lib", "crates/core/src/report.rs", 4, "print".into());
+        allowed.suppressed = true;
         RunSummary {
             files_checked: 3,
             diagnostics: vec![
-                Diagnostic {
-                    rule: "unwrap-in-lib",
-                    path: "crates/graph/src/io.rs".into(),
-                    line: 10,
-                    message: "boom".into(),
-                    suppressed: false,
-                    baselined: false,
-                },
-                Diagnostic {
-                    rule: "print-in-lib",
-                    path: "crates/core/src/report.rs".into(),
-                    line: 4,
-                    message: "print".into(),
-                    suppressed: true,
-                    baselined: false,
-                },
-                Diagnostic {
-                    rule: "truncating-cast",
-                    path: "crates/graph/src/csr.rs".into(),
-                    line: 7,
-                    message: "old debt".into(),
-                    suppressed: false,
-                    baselined: true,
-                },
+                Diagnostic::new("unwrap-in-lib", "crates/graph/src/io.rs", 10, "boom".into()),
+                allowed,
             ],
         }
     }
@@ -224,64 +64,14 @@ mod tests {
         let text = render_text(&sample());
         assert!(text.contains("crates/graph/src/io.rs:10: [unwrap-in-lib] boom"));
         assert!(!text.contains("report.rs:4"));
-        assert!(text.contains("csr.rs:7: [truncating-cast] (baselined) old debt"));
         assert!(text.contains("1 violation(s), 1 suppressed"));
-        assert!(text.contains("1 baselined"));
-    }
-
-    #[test]
-    fn json_report_round_trips() {
-        let json = render_json(&sample());
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid json");
-        assert_eq!(v.get("violation_count"), Some(&serde_json::Value::Number(1.0)));
-        assert_eq!(v.get("suppressed_count"), Some(&serde_json::Value::Number(1.0)));
-        assert_eq!(v.get("baselined_count"), Some(&serde_json::Value::Number(1.0)));
-        let first = match v.get("violations") {
-            Some(serde_json::Value::Array(items)) => &items[0],
-            other => panic!("violations should be an array, got {other:?}"),
-        };
-        assert_eq!(first.get("rule"), Some(&serde_json::Value::String("unwrap-in-lib".into())));
-    }
-
-    #[test]
-    fn sarif_report_levels_active_vs_baselined() {
-        let sarif = render_sarif(&sample());
-        let v: serde_json::Value = serde_json::from_str(&sarif).expect("valid sarif json");
-        assert_eq!(v.get("version"), Some(&serde_json::Value::String("2.1.0".into())));
-        let runs = match v.get("runs") {
-            Some(serde_json::Value::Array(items)) => items,
-            other => panic!("runs should be an array, got {other:?}"),
-        };
-        let results = match runs[0].get("results") {
-            Some(serde_json::Value::Array(items)) => items,
-            other => panic!("results should be an array, got {other:?}"),
-        };
-        // active error + baselined note; the suppressed finding is absent.
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].get("level"), Some(&serde_json::Value::String("error".into())));
-        assert_eq!(results[1].get("level"), Some(&serde_json::Value::String("note".into())));
-        // Every rule in the table is declared to SARIF consumers.
-        let driver = runs[0].get("tool").and_then(|t| t.get("driver")).expect("driver");
-        let rules = match driver.get("rules") {
-            Some(serde_json::Value::Array(items)) => items,
-            other => panic!("rules should be an array, got {other:?}"),
-        };
-        assert_eq!(rules.len(), RULES.len());
-    }
-
-    #[test]
-    fn markdown_report_breaks_down_by_rule_and_crate() {
-        let md = render_markdown(&sample());
-        assert!(md.contains("## linklens-check report"));
-        assert!(md.contains("| `unwrap-in-lib` | 1 | 0 |"));
-        assert!(md.contains("| `print-in-lib` | 0 | 1 |"));
-        assert!(md.contains("| `graph` | `unwrap-in-lib` | 1 |"));
     }
 
     #[test]
     fn clean_run_reports_clean() {
         let run = RunSummary { files_checked: 5, diagnostics: vec![] };
         assert!(!run.has_violations());
-        assert!(render_markdown(&run).contains("workspace is clean"));
+        assert!(render_text(&run)
+            .ends_with("5 file(s), 0 violation(s), 0 suppressed by linklens-allow\n"));
     }
 }

@@ -1,4 +1,5 @@
-//! The repo-specific lint rules and the per-file checking engine.
+//! The repo-specific lint rules, the shared rule table, and the
+//! per-file suppression pass.
 //!
 //! Every rule pattern-matches the token stream from [`crate::lexer`]; no
 //! rule ever sees string-literal or comment contents, so quoted code can
@@ -9,8 +10,8 @@
 //!
 //! This module holds the *phase-1* (single-file) rules and the shared rule
 //! table; the *phase-2* dataflow rules over the workspace symbol graph
-//! live in the private `dataflow` module and are registered here so `--explain`,
-//! suppression auditing, and the reports all draw from one table.
+//! live in the private `dataflow` module and are registered here so
+//! `--explain` and suppression auditing draw from one table.
 //!
 //! ## Suppressions
 //!
@@ -23,7 +24,7 @@
 //! `stale-allow` — so suppressions stay auditable instead of rotting into
 //! cargo-cult annotations.
 
-use crate::lexer::{self, Comment, Tok, Token};
+use crate::lexer::{Comment, Tok, Token};
 use crate::workspace::{FileInfo, FileKind};
 
 /// Crates whose library code the `unwrap-in-lib` and `truncating-cast`
@@ -34,33 +35,20 @@ const GATED_CRATES: &[&str] = &["graph", "metrics", "linalg", "core"];
 const NARROW_INTS: &[&str] = &["u32", "u16", "u8", "i32", "i16", "i8"];
 
 /// One rule's full documentation: the table below is the single source of
-/// truth for rule names, the one-line contracts shown in reports, and the
-/// rationale + fix examples printed by `linklens-check --explain` — the
-/// explain output can never drift from what the checker enforces.
+/// truth for rule names and for the contract, rationale and fix example
+/// printed by `linklens-check --explain` — the explain output can never
+/// drift from what the checker enforces.
 #[derive(Debug)]
 pub struct RuleSpec {
     /// The name used in diagnostics and `linklens-allow` directives.
     pub name: &'static str,
-    /// One-line contract (report tables, SARIF short description).
+    /// One-line contract.
     pub contract: &'static str,
     /// Why the rule exists, in terms of the paper's correctness argument.
     pub rationale: &'static str,
     /// A minimal before/after fix example.
     pub fix: &'static str,
 }
-
-/// Rules enforced by the phase-2 workspace analysis (symbol graph +
-/// dataflow) rather than per-file token scans. `stale-allow` judgements in
-/// single-file contexts skip directives naming these, since a lone file
-/// cannot prove a workspace-level suppression unnecessary.
-pub(crate) const PHASE2_RULES: &[&str] = &[
-    "unordered-iteration-in-deterministic-path",
-    "nondeterministic-source-in-deterministic-path",
-    "unordered-float-reduction",
-    "panic-in-deterministic-path",
-    "blocking-in-query-path",
-    "unscanned-marker",
-];
 
 /// Every rule the checker knows.
 pub const RULES: &[RuleSpec] = &[
@@ -93,30 +81,6 @@ pub const RULES: &[RuleSpec] = &[
         contract: "`println!`-family output in library code; diagnostics must travel through return values",
         rationale: "Library prints interleave nondeterministically with bench/CLI output and cannot be captured by callers; structured results keep runs comparable.",
         fix: "- eprintln!(\"skipping row {i}\");\n+ skipped.push(i);  // and return it",
-    },
-    RuleSpec {
-        name: "per-pair-intersection",
-        contract: "a fresh `common_neighbors`/`common_neighbor_count` merge per pair inside a `score_pairs` impl; route local metrics through the fused kernel and keep per-pair references in `linklens_bench::oracles`",
-        rationale: "One sorted-merge intersection per pair per metric is the cost the source-batched fused kernel removed (16x); reintroducing it in an engine path silently regresses the sweep.",
-        fix: "Advertise fused_kind() so the engine batches by source; a per-pair reference belongs in linklens_bench::oracles as a plain function, not in a scoring method.",
-    },
-    RuleSpec {
-        name: "per-source-power-iteration",
-        contract: "a fresh per-source solve (`walk_distribution`/`forward_push`/`two_pass_scores`/`bfs_distances`) inside a `score_pairs` impl; route global metrics through the batched solver engine and keep per-source references in `linklens_bench::oracles`",
-        rationale: "One full power-iteration or BFS per source per call is the cost the blocked multi-source solvers removed (6.6x); engine paths must go through osn_metrics::solver.",
-        fix: "Route through score_pairs_cached + SolverCache; a per-source reference belongs in linklens_bench::oracles as a plain function, not in a scoring method.",
-    },
-    RuleSpec {
-        name: "refit-in-score-pairs",
-        contract: "a fresh `fit`/`prepare` factorization per `score_pairs` call refits the whole model per batch; reuse the per-snapshot cached fit (the score_pairs_cached hook / SolverCache) or justify the one-shot path",
-        rationale: "Refitting ALS per pair batch turns one factorization per snapshot into hundreds; the SolverCache model slots exist so rescal_fits == 1 across a scoring sweep.",
-        fix: "- let model = self.fit(snap);\n+ let model = self.fitted_model(snap, cache, threads)?;  // cached per snapshot",
-    },
-    RuleSpec {
-        name: "post-hoc-candidate-retain",
-        contract: "`.retain()`/`.filter()` on a candidate-pair collection in core/metrics library code filters after enumeration; push the predicate into the walk as a PruneSpec or justify the post-hoc oracle",
-        rationale: "Every pair rejected after enumeration was still enumerated, slot-assigned, and possibly scored; the §6.2 pruning pushdown cut candidates 11.6x by filtering inside the walk.",
-        fix: "- pairs.retain(|p| filter.keeps(p));\n+ let pairs = enumerate_with(PruneSpec::from(filter));  // predicate inside the walk",
     },
     RuleSpec {
         name: "full-trace-materialization",
@@ -197,25 +161,13 @@ pub struct Diagnostic {
     pub line: u32,
     pub message: String,
     /// True when a `linklens-allow` directive covers this finding; the
-    /// checker reports suppressed findings in `--fix-report` but they do
-    /// not fail the run.
+    /// report counts suppressed findings but they do not fail the run.
     pub suppressed: bool,
-    /// True when the committed baseline ratchet absorbs this finding: it
-    /// is enumerated (text, JSON, SARIF `note`) but does not fail the run.
-    /// Only the engine's baseline pass ever sets this.
-    pub baselined: bool,
 }
 
 impl Diagnostic {
     pub fn new(rule: &'static str, path: &str, line: u32, message: String) -> Self {
-        Diagnostic {
-            rule,
-            path: path.to_string(),
-            line,
-            message,
-            suppressed: false,
-            baselined: false,
-        }
+        Diagnostic { rule, path: path.to_string(), line, message, suppressed: false }
     }
 }
 
@@ -260,24 +212,9 @@ pub(crate) fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
         .collect()
 }
 
-/// Checks one file with the phase-1 rules only, returning every diagnostic
-/// (suppressed ones flagged). The workspace engine instead runs
-/// `phase1` + the phase-2 dataflow pass and then `finish_file`, so
-/// suppression and directive auditing see both phases; this single-file
-/// entry point exists for targeted use and passes `full = false` so
-/// directives naming phase-2 rules are never misjudged stale.
-pub fn check_file(info: &FileInfo, src: &str) -> Vec<Diagnostic> {
-    let lexed = lexer::lex(src);
-    let mask = lexer::test_mask(&lexed.tokens);
-    let allows = parse_allows(&lexed.comments);
-    let mut diags = phase1(info, &lexed.tokens, &mask);
-    finish_file(info, &lexed.tokens, &mask, &allows, &mut diags, false);
-    diags
-}
-
 /// Runs every single-file (phase-1) rule over one lexed file. No
 /// suppression is applied here — the caller finishes with [`finish_file`]
-/// once all rule passes (including phase 2, if any) have contributed.
+/// once the phase-2 dataflow pass has contributed too.
 pub(crate) fn phase1(info: &FileInfo, tokens: &[Token], mask: &[bool]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let test_code = matches!(info.kind, FileKind::Test | FileKind::Bench);
@@ -293,17 +230,7 @@ pub(crate) fn phase1(info: &FileInfo, tokens: &[Token], mask: &[bool]) -> Vec<Di
         }
         if !info.is_shim && info.kind == FileKind::Lib {
             print_in_lib(info, tokens, mask, &mut diags);
-            for scan in [&PER_PAIR_INTERSECTION, &PER_SOURCE_POWER_ITERATION, &REFIT_IN_SCORE_PAIRS]
-            {
-                scan_scoring_bodies(scan, info, tokens, mask, &mut diags);
-            }
             full_trace_materialization(info, tokens, mask, &mut diags);
-        }
-        if !info.is_shim
-            && matches!(info.krate.as_str(), "core" | "metrics")
-            && info.kind == FileKind::Lib
-        {
-            post_hoc_candidate_retain(info, tokens, mask, &mut diags);
         }
     }
     if info.is_crate_root {
@@ -320,16 +247,14 @@ fn lines_masked(tokens: &[Token], mask: &[bool], lo: u32, hi: u32) -> bool {
 
 /// Applies suppressions to `diags`, audits the directives themselves
 /// (`unjustified-allow`, `unknown-rule`, `stale-allow`), and sorts the
-/// result. `full = true` means the phase-2 dataflow rules also ran over
-/// this file, so a directive naming one of them can be judged stale; the
-/// single-file compat path passes `false` and skips that judgement.
+/// result. Both phases have run over the file by then, so a directive
+/// naming any rule can be judged stale.
 pub(crate) fn finish_file(
     info: &FileInfo,
     tokens: &[Token],
     mask: &[bool],
     allows: &[Allow],
     diags: &mut Vec<Diagnostic>,
-    full: bool,
 ) {
     // Apply suppressions: an allow on the violation's line or the line
     // directly above it covers the violation.
@@ -367,16 +292,11 @@ pub(crate) fn finish_file(
         // Stale-allow: a well-formed directive that suppressed nothing.
         // Malformed directives are already flagged above; directives in
         // test code are outside every rule's scope, so "suppressed
-        // nothing" proves nothing there. Without the phase-2 pass (`full
-        // = false`), directives naming a phase-2 rule are skipped too —
-        // a lone file cannot prove a workspace-level suppression unused.
+        // nothing" proves nothing there.
         if !a.justified || any_unknown {
             continue;
         }
         if test_file || lines_masked(tokens, mask, a.line, a.end_line + 1) {
-            continue;
-        }
-        if !full && a.rules.iter().any(|r| PHASE2_RULES.contains(&r.as_str())) {
             continue;
         }
         let used = diags.iter().any(|d| d.suppressed && covers(a, d.rule, d.line));
@@ -448,190 +368,6 @@ pub(crate) fn past_matching_brace(tokens: &[Token], open: usize) -> usize {
     j
 }
 
-/// One engine-policing rule over scoring-method bodies: a call to one of
-/// `callees` inside the body of any `fn` whose name passes `method` is a
-/// finding.
-struct BodyScan {
-    rule: &'static str,
-    /// Which `fn` names are scoring methods for this rule.
-    method: fn(&str) -> bool,
-    /// The calls the rule flags.
-    callees: &'static [&'static str],
-    /// Only `.name(` method calls count; otherwise any `name(` call does
-    /// (path-qualified and method calls included).
-    method_call: bool,
-    /// The diagnostic text for a call to `name`.
-    message: fn(&str) -> String,
-}
-
-/// `.common_neighbors(..)` / `.common_neighbor_count(..)` inside the body
-/// of a `score_pairs` / `score_pairs_cached` implementation: a fresh sorted-
-/// merge intersection per pair per metric is exactly the cost the fused
-/// source-batched kernel exists to remove. The per-pair references live
-/// in `linklens_bench::oracles` as plain functions, outside any scoring
-/// method.
-const PER_PAIR_INTERSECTION: BodyScan = BodyScan {
-    rule: "per-pair-intersection",
-    method: |n| matches!(n, "score_pairs" | "score_pairs_cached"),
-    callees: &["common_neighbors", "common_neighbor_count"],
-    method_call: true,
-    message: |name| {
-        format!(
-            "`.{name}()` inside a score_pairs impl pays one sorted-merge intersection per pair; \
-             advertise a fused_kind so the engine batches by source, or justify the slow path \
-             with linklens-allow"
-        )
-    },
-};
-
-/// A fresh per-source power-iteration or frontier solve
-/// (`walk_distribution`, `forward_push`, `two_pass_scores`,
-/// `bfs_distances`) inside the body of any `score_pairs*` implementation:
-/// one full solve per source per call is exactly the cost the batched
-/// solver engine ([`osn_metrics::solver`]) exists to remove. Matched by
-/// name prefix, so every scoring method is gated; the per-source
-/// references live in `linklens_bench::oracles` as plain functions.
-const PER_SOURCE_POWER_ITERATION: BodyScan = BodyScan {
-    rule: "per-source-power-iteration",
-    method: |n| n.starts_with("score_pairs"),
-    callees: &["walk_distribution", "forward_push", "two_pass_scores", "bfs_distances"],
-    method_call: false,
-    message: |name| {
-        format!(
-            "`{name}()` inside a score_pairs impl pays one full solve per source per call; \
-             route the metric through the batched solver engine, or justify the reference \
-             path with linklens-allow"
-        )
-    },
-};
-
-/// A fresh factorization (`fit(..)` / `prepare(..)`) inside the body of
-/// any `score_pairs*` implementation: refitting the whole model per pair
-/// batch is exactly the cost the per-snapshot model cache
-/// (`SolverCache::store_rescal` behind the `score_pairs_cached` hook)
-/// exists to remove.
-/// Deliberate one-shot convenience entries suppress with a
-/// justification. Only the exact idents `fit` and `prepare` are gated,
-/// so `fitted_model` (the cache-aware path) and helpers that merely share
-/// a prefix, like Katz's `prepare_from`, pass.
-const REFIT_IN_SCORE_PAIRS: BodyScan = BodyScan {
-    rule: "refit-in-score-pairs",
-    method: |n| n.starts_with("score_pairs"),
-    callees: &["fit", "prepare"],
-    method_call: false,
-    message: |name| {
-        format!(
-            "`{name}()` inside a score_pairs impl refits the whole model per batch; \
-             reuse the per-snapshot cached fit (the score_pairs_cached hook / SolverCache), or \
-             justify the one-shot path with linklens-allow"
-        )
-    },
-};
-
-/// Runs one [`BodyScan`] over a file: finds each scoring method's body
-/// and flags the rule's calls inside it.
-fn scan_scoring_bodies(
-    scan: &BodyScan,
-    info: &FileInfo,
-    tokens: &[Token],
-    mask: &[bool],
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut i = 0;
-    while i < tokens.len() {
-        if mask[i]
-            || ident_at(tokens, i) != Some("fn")
-            || !ident_at(tokens, i + 1).is_some_and(scan.method)
-        {
-            i += 1;
-            continue;
-        }
-        // Find the body's `{`; hitting `;` first means a bodyless trait
-        // declaration, which has nothing to flag.
-        let mut j = i + 2;
-        let mut open = None;
-        while j < tokens.len() {
-            match tokens[j].tok {
-                Tok::Punct('{') => {
-                    open = Some(j);
-                    break;
-                }
-                Tok::Punct(';') => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(open) = open else {
-            i = j + 1;
-            continue;
-        };
-        let end = past_matching_brace(tokens, open);
-        for (t, &masked) in mask.iter().enumerate().take(end).skip(open) {
-            if masked {
-                continue;
-            }
-            let at = if scan.method_call {
-                if !punct_at(tokens, t, '.') {
-                    continue;
-                }
-                t + 1
-            } else {
-                t
-            };
-            let Some(name) = ident_at(tokens, at) else { continue };
-            if scan.callees.contains(&name) && punct_at(tokens, at + 1, '(') {
-                out.push(Diagnostic {
-                    rule: scan.rule,
-                    path: info.path.clone(),
-                    line: tokens[at].line,
-                    message: (scan.message)(name),
-                    suppressed: false,
-                    baselined: false,
-                });
-            }
-        }
-        i = end;
-    }
-}
-
-/// `.retain(..)` / `.filter(..)` chained off a receiver whose name smells
-/// like a candidate-pair collection (`*pair*` / `*cand*`) in `core` /
-/// `metrics` library code. Filtering candidates *after* enumeration is the
-/// post-hoc path the §6.2 pruning pushdown exists to remove: every
-/// rejected pair was still enumerated, slot-assigned, and — when the
-/// filter runs after scoring — scored. Push the predicate into the walk
-/// as a `PruneSpec`; the retained post-hoc oracle justifies itself with
-/// linklens-allow.
-fn post_hoc_candidate_retain(
-    info: &FileInfo,
-    tokens: &[Token],
-    mask: &[bool],
-    out: &mut Vec<Diagnostic>,
-) {
-    for i in 0..tokens.len() {
-        if mask[i] || !punct_at(tokens, i, '.') {
-            continue;
-        }
-        let Some(name) = ident_at(tokens, i + 1) else { continue };
-        if (name != "retain" && name != "filter") || !punct_at(tokens, i + 2, '(') {
-            continue;
-        }
-        if receiver_chain_mentions_candidates(tokens, i) {
-            out.push(Diagnostic {
-                rule: "post-hoc-candidate-retain",
-                path: info.path.clone(),
-                line: tokens[i + 1].line,
-                message: format!(
-                    "`.{name}()` on a candidate-pair collection filters after enumeration; push the \
-                     predicate into the walk as a PruneSpec, or justify the post-hoc oracle with \
-                     linklens-allow"
-                ),
-                suppressed: false, baselined: false,
-            });
-        }
-    }
-}
-
 /// A full edge-list materialization call (`load_full`, `read_cache`,
 /// `read_cache_file`) in library code: the sectioned cache and the
 /// windowed streaming reader (DESIGN.md §16) exist so large traces never
@@ -657,50 +393,17 @@ fn full_trace_materialization(
         if i >= 1 && ident_at(tokens, i - 1) == Some("fn") {
             continue;
         }
-        out.push(Diagnostic {
-            rule: "full-trace-materialization",
-            path: info.path.clone(),
-            line: tokens[i].line,
-            message: format!(
+        out.push(Diagnostic::new(
+            "full-trace-materialization",
+            &info.path,
+            tokens[i].line,
+            format!(
                 "`{name}()` materializes the full edge list in RAM; stream the trace through the \
                  windowed reader (StreamingSequence / StreamingSnapshotBuilder), or justify the \
                  small-trace in-core path with linklens-allow"
             ),
-            suppressed: false,
-            baselined: false,
-        });
+        ));
     }
-}
-
-/// Walks the method-call receiver chain leftward from the `.` at `dot`,
-/// skipping over argument lists and index expressions, and reports whether
-/// any chain ident names a candidate-pair collection. The chain ends at
-/// the first token that cannot belong to a receiver expression.
-fn receiver_chain_mentions_candidates(tokens: &[Token], dot: usize) -> bool {
-    let mut depth = 0i32;
-    let mut j = dot;
-    while j > 0 {
-        j -= 1;
-        match &tokens[j].tok {
-            Tok::Punct(')') | Tok::Punct(']') => depth += 1,
-            Tok::Punct('(') | Tok::Punct('[') => {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            }
-            Tok::Ident(s) if depth == 0 => {
-                let lower = s.to_ascii_lowercase();
-                if lower.contains("pair") || lower.contains("cand") {
-                    return true;
-                }
-            }
-            Tok::Punct('.') | Tok::Punct('?') | Tok::Punct(':') if depth == 0 => {}
-            _ if depth == 0 => break,
-            _ => {}
-        }
-    }
-    false
 }
 
 /// `partial_cmp(..)` immediately chained into `.unwrap()` / `.expect(..)`.
@@ -719,15 +422,14 @@ fn nan_unsafe_ordering(
             && matches!(ident_at(tokens, after + 1), Some("unwrap") | Some("expect"))
             && punct_at(tokens, after + 2, '(')
         {
-            out.push(Diagnostic {
-                rule: "nan-unsafe-ordering",
-                path: info.path.clone(),
-                line: tokens[i].line,
-                message: "partial_cmp + unwrap/expect panics on NaN keys (and misorders if the expect is ever \
+            out.push(Diagnostic::new(
+                "nan-unsafe-ordering",
+                &info.path,
+                tokens[i].line,
+                "partial_cmp + unwrap/expect panics on NaN keys (and misorders if the expect is ever \
                           loosened); sort with f64::total_cmp instead"
                     .to_string(),
-                suppressed: false, baselined: false,
-            });
+            ));
         }
     }
 }
@@ -740,16 +442,15 @@ fn truncating_cast(info: &FileInfo, tokens: &[Token], mask: &[bool], out: &mut V
         }
         if let Some(ty) = ident_at(tokens, i + 1) {
             if NARROW_INTS.contains(&ty) {
-                out.push(Diagnostic {
-                    rule: "truncating-cast",
-                    path: info.path.clone(),
-                    line: tokens[i].line,
-                    message: format!(
+                out.push(Diagnostic::new(
+                    "truncating-cast",
+                    &info.path,
+                    tokens[i].line,
+                    format!(
                         "`as {ty}` silently truncates out-of-range values; use a checked conversion or \
                          justify the bound with linklens-allow"
                     ),
-                    suppressed: false, baselined: false,
-                });
+                ));
             }
         }
     }
@@ -763,17 +464,16 @@ fn unwrap_in_lib(info: &FileInfo, tokens: &[Token], mask: &[bool], out: &mut Vec
         }
         let Some(name) = ident_at(tokens, i + 1) else { continue };
         if (name == "unwrap" || name == "expect") && punct_at(tokens, i + 2, '(') {
-            out.push(Diagnostic {
-                rule: "unwrap-in-lib",
-                path: info.path.clone(),
-                line: tokens[i + 1].line,
-                message: format!(
+            out.push(Diagnostic::new(
+                "unwrap-in-lib",
+                &info.path,
+                tokens[i + 1].line,
+                format!(
                     "`.{name}()` in `{}` library code; return a Result/Option or justify the invariant \
                      with linklens-allow",
                     info.krate
                 ),
-                suppressed: false, baselined: false,
-            });
+            ));
         }
     }
 }
@@ -792,17 +492,15 @@ fn print_in_lib(info: &FileInfo, tokens: &[Token], mask: &[bool], out: &mut Vec<
             if i >= 1 && ident_at(tokens, i - 1) == Some("macro_rules") {
                 continue;
             }
-            out.push(Diagnostic {
-                rule: "print-in-lib",
-                path: info.path.clone(),
-                line: tokens[i].line,
-                message: format!(
+            out.push(Diagnostic::new(
+                "print-in-lib",
+                &info.path,
+                tokens[i].line,
+                format!(
                     "`{name}!` in `{}` library code; diagnostics must travel through return values",
                     info.krate
                 ),
-                suppressed: false,
-                baselined: false,
-            });
+            ));
         }
     }
 }
@@ -820,14 +518,12 @@ fn missing_forbid_unsafe(info: &FileInfo, tokens: &[Token], out: &mut Vec<Diagno
             && matches!(&w[7].tok, Tok::Punct(']'))
     });
     if !found {
-        out.push(Diagnostic {
-            rule: "missing-forbid-unsafe",
-            path: info.path.clone(),
-            line: 1,
-            message: "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
-            suppressed: false,
-            baselined: false,
-        });
+        out.push(Diagnostic::new(
+            "missing-forbid-unsafe",
+            &info.path,
+            1,
+            "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
+        ));
     }
 }
 
@@ -843,6 +539,10 @@ mod tests {
             is_crate_root: false,
             is_shim: false,
         }
+    }
+
+    fn check_file(info: &FileInfo, src: &str) -> Vec<Diagnostic> {
+        crate::check_sources(vec![(info.clone(), src.to_string())]).diagnostics
     }
 
     fn active(diags: &[Diagnostic], rule: &str) -> usize {
@@ -974,172 +674,6 @@ mod tests {
     fn print_rule_suppressed_by_allow() {
         let src = "fn f() {\n  // linklens-allow(print-in-lib): one-time misconfiguration warning, no return channel\n  eprintln!(\"warning\");\n}";
         assert_eq!(active(&check_file(&lib_info("graph"), src), "print-in-lib"), 0);
-    }
-
-    // --- per-pair-intersection -----------------------------------------
-
-    #[test]
-    fn intersection_rule_fires_inside_score_pairs_bodies() {
-        let src = "impl Metric for Cn {\n  fn score_pairs(&self, snap: &Snapshot, pairs: &[(u32, u32)]) -> Vec<f64> {\n    pairs.iter().map(|&(u, v)| snap.common_neighbor_count(u, v) as f64).collect()\n  }\n}";
-        let d = check_file(&lib_info("metrics"), src);
-        assert_eq!(active(&d, "per-pair-intersection"), 1);
-        assert_eq!(d.iter().find(|x| x.rule == "per-pair-intersection").map(|x| x.line), Some(3));
-    }
-
-    #[test]
-    fn intersection_rule_fires_in_score_pairs_cached_too() {
-        let src = "fn score_pairs_cached(&self, snap: &S, pairs: &[(u32, u32)], threads: usize, cache: &mut C) -> Vec<f64> {\n  pairs.iter().map(|&(u, v)| snap.common_neighbors(u, v).count() as f64).collect()\n}";
-        assert_eq!(active(&check_file(&lib_info("metrics"), src), "per-pair-intersection"), 1);
-    }
-
-    #[test]
-    fn intersection_rule_skips_bodyless_trait_decls_and_other_fns() {
-        let src = "trait Metric {\n  fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64>;\n}\nfn stats(snap: &S) -> usize { snap.common_neighbor_count(0, 1) }";
-        assert_eq!(active(&check_file(&lib_info("metrics"), src), "per-pair-intersection"), 0);
-    }
-
-    #[test]
-    fn intersection_rule_suppressed_by_allow() {
-        let src = "fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64> {\n  // linklens-allow(per-pair-intersection): reference implementation, engine uses the fused kernel\n  pairs.iter().map(|&(u, v)| snap.common_neighbor_count(u, v) as f64).collect()\n}";
-        let d = check_file(&lib_info("metrics"), src);
-        assert_eq!(active(&d, "per-pair-intersection"), 0);
-        assert_eq!(
-            d.iter().filter(|x| x.rule == "per-pair-intersection" && x.suppressed).count(),
-            1
-        );
-    }
-
-    #[test]
-    fn intersection_rule_exempt_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n  fn score_pairs(snap: &S) -> f64 { snap.common_neighbor_count(0, 1) as f64 }\n}";
-        assert_eq!(active(&check_file(&lib_info("metrics"), src), "per-pair-intersection"), 0);
-    }
-
-    // --- per-source-power-iteration ------------------------------------
-
-    #[test]
-    fn power_iteration_rule_fires_inside_score_pairs_bodies() {
-        let src = "impl Metric for Ppr {\n  fn score_pairs(&self, snap: &Snapshot, pairs: &[(u32, u32)]) -> Vec<f64> {\n    for &(u, _) in pairs { forward_push(snap, u, self.alpha, self.epsilon, &mut scr); }\n    vec![]\n  }\n}";
-        let d = check_file(&lib_info("metrics"), src);
-        assert_eq!(active(&d, "per-source-power-iteration"), 1);
-        assert_eq!(
-            d.iter().find(|x| x.rule == "per-source-power-iteration").map(|x| x.line),
-            Some(3)
-        );
-    }
-
-    #[test]
-    fn power_iteration_rule_fires_on_per_source_references_too() {
-        // Prefix match: `score_pairs_per_source_t` is gated like
-        // `score_pairs`, so reference oracles must carry an allow.
-        let src = "fn score_pairs_per_source_t(&self, snap: &S, pairs: &[(u32, u32)], threads: usize) -> Vec<f64> {\n  two_pass_scores(snap, pairs, |s, src, scr| walk_distribution(s, src, 3, 0.0, scr), threads)\n}";
-        assert_eq!(active(&check_file(&lib_info("metrics"), src), "per-source-power-iteration"), 2);
-    }
-
-    #[test]
-    fn power_iteration_rule_fires_on_path_qualified_calls() {
-        let src = "fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64> {\n  let dist = traversal::bfs_distances(snap, 0, 6);\n  vec![]\n}";
-        assert_eq!(active(&check_file(&lib_info("metrics"), src), "per-source-power-iteration"), 1);
-    }
-
-    #[test]
-    fn power_iteration_rule_skips_other_fns_and_bodyless_decls() {
-        let src = "trait Metric {\n  fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64>;\n}\nfn helper(snap: &S) -> Vec<u32> { bfs_distances(snap, 0, 6) }";
-        assert_eq!(active(&check_file(&lib_info("metrics"), src), "per-source-power-iteration"), 0);
-    }
-
-    #[test]
-    fn power_iteration_rule_suppressed_by_allow() {
-        let src = "fn score_pairs_per_source(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64> {\n  // linklens-allow(per-source-power-iteration): reference oracle, engine uses the batched walker\n  let dist = bfs_distances(snap, 0, 6);\n  vec![]\n}";
-        let d = check_file(&lib_info("metrics"), src);
-        assert_eq!(active(&d, "per-source-power-iteration"), 0);
-        assert_eq!(
-            d.iter().filter(|x| x.rule == "per-source-power-iteration" && x.suppressed).count(),
-            1
-        );
-    }
-
-    // --- refit-in-score-pairs ------------------------------------------
-
-    #[test]
-    fn refit_rule_fires_on_fit_and_prepare_inside_score_pairs_bodies() {
-        let src = "impl Metric for Rescal {\n  fn score_pairs(&self, snap: &Snapshot, pairs: &[(u32, u32)]) -> Vec<f64> {\n    self.prepare(snap).score_chunk(snap, pairs)\n  }\n}";
-        let d = check_file(&lib_info("metrics"), src);
-        assert_eq!(active(&d, "refit-in-score-pairs"), 1);
-        assert_eq!(d.iter().find(|x| x.rule == "refit-in-score-pairs").map(|x| x.line), Some(3));
-        let src2 = "fn score_pairs_t(&self, snap: &S, pairs: &[(u32, u32)], threads: usize) -> Vec<f64> {\n  let model = self.fit(snap);\n  vec![]\n}";
-        assert_eq!(active(&check_file(&lib_info("metrics"), src2), "refit-in-score-pairs"), 1);
-    }
-
-    #[test]
-    fn refit_rule_skips_cache_aware_paths_and_other_fns() {
-        // `fitted_model` is the cache-aware path the rule steers toward and
-        // `prepare_from` only shares a prefix; `fit`/`prepare` outside score_pairs bodies
-        // (the hoisted call sites) are fine.
-        let src = "fn score_pairs_cached(&self, snap: &S, pairs: &[(u32, u32)], threads: usize, cache: &mut C) -> Vec<f64> {\n  let m = self.fitted_model(snap, cache, threads);\n  let s = self.prepare_from(snap, cache);\n  vec![]\n}\nfn hoisted(&self, snap: &S) -> Model { self.fit(snap) }\ntrait Metric {\n  fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64>;\n}";
-        assert_eq!(active(&check_file(&lib_info("metrics"), src), "refit-in-score-pairs"), 0);
-    }
-
-    #[test]
-    fn refit_rule_exempt_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n  fn score_pairs(m: &M, snap: &S) -> Vec<f64> { m.prepare(snap).score_chunk(snap, &[]) }\n}";
-        assert_eq!(active(&check_file(&lib_info("metrics"), src), "refit-in-score-pairs"), 0);
-    }
-
-    #[test]
-    fn refit_rule_suppressed_by_allow() {
-        let src = "fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64> {\n  // linklens-allow(refit-in-score-pairs): one-shot convenience entry; the engine hoists via prepare_cached\n  self.prepare(snap).score_chunk(snap, pairs)\n}";
-        let d = check_file(&lib_info("metrics"), src);
-        assert_eq!(active(&d, "refit-in-score-pairs"), 0);
-        assert_eq!(
-            d.iter().filter(|x| x.rule == "refit-in-score-pairs" && x.suppressed).count(),
-            1
-        );
-    }
-
-    // --- post-hoc-candidate-retain -------------------------------------
-
-    #[test]
-    fn posthoc_rule_fires_on_retain_and_filter_over_candidate_pairs() {
-        let src = "fn shrink(cands: &mut Vec<(u32, u32)>) { cands.retain(|&(u, v)| u < v); }";
-        assert_eq!(active(&check_file(&lib_info("core"), src), "post-hoc-candidate-retain"), 1);
-        let src2 = "fn shrink(pairs: &[(u32, u32)]) -> Vec<(u32, u32)> {\n  pairs.iter().copied().filter(|&(u, v)| u < v).collect()\n}";
-        let d = check_file(&lib_info("metrics"), src2);
-        assert_eq!(active(&d, "post-hoc-candidate-retain"), 1);
-        assert_eq!(
-            d.iter().find(|x| x.rule == "post-hoc-candidate-retain").map(|x| x.line),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn posthoc_rule_scoped_to_core_and_metrics_lib_code() {
-        let src = "fn shrink(cands: &mut Vec<(u32, u32)>) { cands.retain(|&(u, v)| u < v); }";
-        assert_eq!(active(&check_file(&lib_info("graph"), src), "post-hoc-candidate-retain"), 0);
-        let src_test = "#[cfg(test)]\nmod tests { fn t(pairs: &mut Vec<(u32, u32)>) { pairs.retain(|_| true); } }";
-        assert_eq!(
-            active(&check_file(&lib_info("core"), src_test), "post-hoc-candidate-retain"),
-            0
-        );
-    }
-
-    #[test]
-    fn posthoc_rule_clean_on_unrelated_receivers_and_filter_pairs() {
-        // `filter_pairs` is ident-matched, not prefix-matched, and chains
-        // whose receivers carry no pair/candidate ident never fire.
-        let src = "fn f(metrics: &[u32], s: &S, pairs: &[(u32, u32)]) -> Vec<u32> {\n  let kept = s.filter_pairs(snap, pairs);\n  metrics.iter().filter(|m| **m > 0).copied().collect()\n}";
-        assert_eq!(active(&check_file(&lib_info("core"), src), "post-hoc-candidate-retain"), 0);
-    }
-
-    #[test]
-    fn posthoc_rule_suppressed_by_allow() {
-        let src = "fn oracle(pairs: &[(u32, u32)]) -> Vec<(u32, u32)> {\n  // linklens-allow(post-hoc-candidate-retain): this is the post-hoc oracle itself\n  pairs.iter().copied().filter(|&(u, v)| u < v).collect()\n}";
-        let d = check_file(&lib_info("core"), src);
-        assert_eq!(active(&d, "post-hoc-candidate-retain"), 0);
-        assert_eq!(
-            d.iter().filter(|x| x.rule == "post-hoc-candidate-retain" && x.suppressed).count(),
-            1
-        );
     }
 
     // --- full-trace-materialization ------------------------------------

@@ -2,10 +2,8 @@
 //! the same [`linklens_check::check_sources`] entry point the real run
 //! uses. Each fixture seeds a known true positive or true negative, so
 //! these tests pin the analyzer's behavior end to end: symbol indexing,
-//! call-graph reachability, dataflow rules, suppression audit, and the
-//! baseline ratchet.
+//! call-graph reachability, dataflow rules, and the suppression audit.
 
-use linklens_check::baseline::{self, Baseline};
 use linklens_check::report::RunSummary;
 use linklens_check::rules::RULES;
 use linklens_check::{check_sources, workspace};
@@ -238,80 +236,6 @@ fn phase2_rules_can_be_suppressed_and_audited_like_any_other() {
                }\n";
     let summary = run(vec![fx("crates/graph/src/fx_stale2.rs", src)]);
     assert_eq!(active_of(&summary, "stale-allow").len(), 1, "{:?}", summary.diagnostics);
-}
-
-// --- baseline ratchet ----------------------------------------------------
-
-#[test]
-fn baseline_round_trips_and_absorbs_known_findings() {
-    let mut first = run(vec![fx("crates/metrics/src/fx_topk.rs", TP_TOPK)]);
-    assert!(first.has_violations());
-
-    let text = Baseline::render(&first);
-    let base = Baseline::parse(&text).expect("rendered baseline parses");
-    let notes = baseline::apply(&mut first, &base);
-    assert!(notes.is_empty(), "fresh baseline has no slack: {notes:?}");
-    assert!(!first.has_violations(), "baselined run must pass");
-    assert_eq!(first.baselined().count(), 1);
-}
-
-#[test]
-fn baseline_rejects_growth_within_a_bucket() {
-    // Baseline admits one finding in this file; the run has two.
-    let two = "fn score_pairs_fx(scores: &HashMap<u32, f64>) -> Vec<u32> {\n\
-               \x20   let a: Vec<u32> = scores.keys().copied().collect();\n\
-               \x20   let b: Vec<u32> = scores.keys().copied().collect();\n\
-               \x20   a\n\
-               }\n";
-    let base = Baseline::parse(
-        "{\"tool\":\"linklens-check\",\"format\":1,\"buckets\":{\
-         \"unordered-iteration-in-deterministic-path|crates/metrics/src/fx_topk.rs\":1}}",
-    )
-    .expect("handcrafted baseline parses");
-    let mut summary = run(vec![fx("crates/metrics/src/fx_topk.rs", two)]);
-    baseline::apply(&mut summary, &base);
-    assert_eq!(summary.baselined().count(), 1);
-    assert_eq!(summary.active().count(), 1, "the second finding must still fail");
-    assert!(summary.has_violations());
-}
-
-#[test]
-fn baseline_rejects_new_buckets_entirely() {
-    // A baseline for a different file covers nothing here.
-    let base = Baseline::parse(
-        "{\"tool\":\"linklens-check\",\"format\":1,\"buckets\":{\
-         \"unordered-iteration-in-deterministic-path|crates/metrics/src/elsewhere.rs\":3}}",
-    )
-    .expect("handcrafted baseline parses");
-    let mut summary = run(vec![fx("crates/metrics/src/fx_topk.rs", TP_TOPK)]);
-    let notes = baseline::apply(&mut summary, &base);
-    assert!(summary.has_violations(), "new findings are not absorbed");
-    assert!(!notes.is_empty(), "the unused bucket produces a tighten note");
-}
-
-#[test]
-fn baseline_shrinkage_produces_tighten_notes() {
-    let base = Baseline::parse(
-        "{\"tool\":\"linklens-check\",\"format\":1,\"buckets\":{\
-         \"unordered-iteration-in-deterministic-path|crates/metrics/src/fx_topk.rs\":5}}",
-    )
-    .expect("handcrafted baseline parses");
-    let mut summary = run(vec![fx("crates/metrics/src/fx_topk.rs", TP_TOPK)]);
-    let notes = baseline::apply(&mut summary, &base);
-    assert!(!summary.has_violations());
-    assert_eq!(notes.len(), 1, "{notes:?}");
-    assert!(notes[0].contains("4 unused"), "{notes:?}");
-}
-
-#[test]
-fn committed_baseline_is_parseable_and_empty() {
-    // The repo ships a zero-debt ratchet: it must stay parseable, and any
-    // future bucket additions should be a deliberate, reviewed decision.
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let text = std::fs::read_to_string(root.join("check-baseline.json"))
-        .expect("check-baseline.json is committed at the workspace root");
-    let base = Baseline::parse(&text).expect("committed baseline parses");
-    assert!(base.buckets.is_empty(), "the committed ratchet is supposed to be clean");
 }
 
 // --- rule table ----------------------------------------------------------

@@ -332,16 +332,7 @@ impl TemporalFilter {
         snap: &Snapshot,
         pairs: &[(NodeId, NodeId)],
     ) -> Vec<(NodeId, NodeId)> {
-        // linklens-allow(post-hoc-candidate-retain): the pair list is caller-chosen (sampled universe, labelled classifier pairs), not enumerated here, so there is no walk to push the predicate into
         pairs.iter().copied().filter(|&(u, v)| self.passes(snap, u, v)).collect()
-    }
-
-    /// Fraction of pairs removed (diagnostic).
-    pub fn rejection_rate(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> f64 {
-        if pairs.is_empty() {
-            return 0.0;
-        }
-        1.0 - self.filter_pairs(snap, pairs).len() as f64 / pairs.len() as f64
     }
 }
 
@@ -445,8 +436,6 @@ mod tests {
         let s = fixture();
         let kept = tight().filter_pairs(&s, &[(3, 4), (0, 2), (4, 5)]);
         assert_eq!(kept, vec![(0, 2)]);
-        let rate = tight().rejection_rate(&s, &[(3, 4), (0, 2), (4, 5)]);
-        assert!((rate - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

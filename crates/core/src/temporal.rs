@@ -101,14 +101,6 @@ pub fn positive_negative_pairs_on(
     (positives, negatives)
 }
 
-/// An empirical CDF over `f64` values; infinite values are kept and land at
-/// the top of the curve.
-pub fn cdf(mut values: Vec<f64>) -> Vec<(f64, f64)> {
-    values.sort_by(f64::total_cmp);
-    let n = values.len() as f64;
-    values.iter().enumerate().map(|(i, &x)| (x, (i + 1) as f64 / n)).collect()
-}
-
 /// Fraction of `values` strictly below `threshold` — reads a CDF point the
 /// way the paper quotes them ("more than 90% of positive node pairs have
 /// < 3 days idle time").
@@ -202,17 +194,6 @@ mod tests {
             assert!(!prev.has_edge(p.0, p.1), "negative is an existing edge");
         }
         assert!(!neg.is_empty());
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let c = cdf(vec![3.0, 1.0, 2.0, 2.0]);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.last().unwrap().1, 1.0);
-        for w in c.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 
     #[test]

@@ -68,7 +68,6 @@ impl TimeSeriesPredictor {
             // zero-for-unknown semantics.
             let n = snap.node_count() as NodeId;
             let valid: Vec<(NodeId, NodeId)> =
-                // linklens-allow(post-hoc-candidate-retain): node-existence validity on earlier window snapshots, not a §6.2 quality filter — the pair list is caller-chosen, not enumerated here
                 pairs.iter().copied().filter(|&(u, v)| u < n && v < n).collect();
             let valid_scores = exec::score_pairs_t(metric, snap, &valid, par::max_threads());
             let mut scores = vec![0.0; pairs.len()];

@@ -54,16 +54,6 @@ fn percentile_sorted(sorted: &[usize], q: f64) -> f64 {
     sorted[rank - 1] as f64
 }
 
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(snap: &Snapshot) -> Vec<usize> {
-    let max = (0..snap.node_count() as NodeId).map(|u| snap.degree(u)).max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for u in 0..snap.node_count() as NodeId {
-        hist[snap.degree(u)] += 1;
-    }
-    hist
-}
-
 /// Per-node triangle counts: `out[u]` = number of triangles containing `u`.
 ///
 /// The degree-ordered forward count: every edge points from the endpoint

@@ -72,11 +72,6 @@ pub fn connected_components(snap: &Snapshot) -> (Vec<u32>, Vec<usize>) {
     (comp, sizes)
 }
 
-/// Size of the largest connected component (0 for an empty graph).
-pub fn largest_component_size(snap: &Snapshot) -> usize {
-    connected_components(snap).1.into_iter().max().unwrap_or(0)
-}
-
 /// Unbounded BFS distance between two nodes, or `None` if disconnected.
 pub fn distance(snap: &Snapshot, u: NodeId, v: NodeId) -> Option<u32> {
     if u == v {
@@ -639,7 +634,6 @@ mod tests {
         let mut sorted = sizes.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 1, 2, 3]);
-        assert_eq!(largest_component_size(&s), 3);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!    scored together by the source-batched kernel ([`crate::fused`]):
 //!    one kernel context, source-aligned chunks over the worker pool, one
 //!    witness walk per source yielding every fused column. For top-k,
-//!    each chunk streams its scores into a [`TopKAcc`] keyed by *global*
-//!    pair index, and the per-chunk heaps merge into exactly the serial
-//!    selection (see [`crate::topk`]) without materializing the column.
+//!    each chunk streams its scores into a [`TopKAcc`], and the per-chunk
+//!    heaps merge into exactly the serial selection (see [`crate::topk`])
+//!    without materializing the column.
 //! 2. **Every other metric** is scored whole, in input order, through its
 //!    [`Metric::score_pairs_cached`] hook with the full worker budget and
 //!    the caller's [`SolverCache`]. SP, LP and the time-aware metrics cut
@@ -118,18 +118,17 @@ where
 
 /// The batch routine behind [`score_pairs_t`], [`score_matrix_cached_t`]
 /// and [`predict_top_k_many_cached_t`] (see the module docs). `reduce`
-/// turns one audited score slice — its pairs, its scores and its offset
-/// into `pairs` — into a partial result; `merge` folds one metric's
-/// partials, in pair order, into that metric's output. Non-fused metrics
-/// reduce their whole column as one partial. Outputs are in `metrics`
-/// order.
+/// turns one audited score slice — its pairs and its scores — into a
+/// partial result; `merge` folds one metric's partials, in pair order,
+/// into that metric's output. Non-fused metrics reduce their whole column
+/// as one partial. Outputs are in `metrics` order.
 fn run<R, O>(
     metrics: &[&dyn Metric],
     snap: &Snapshot,
     pairs: &[(NodeId, NodeId)],
     threads: usize,
     cache: &mut SolverCache,
-    reduce: impl Fn(&[(NodeId, NodeId)], Vec<f64>, usize) -> R + Sync,
+    reduce: impl Fn(&[(NodeId, NodeId)], Vec<f64>) -> R + Sync,
     merge: impl Fn(Vec<R>) -> O,
 ) -> Vec<O>
 where
@@ -158,7 +157,7 @@ where
                     .zip(cols)
                     .map(|(&(m, _), col)| {
                         audit_scores(m.name(), m.score_contract(), &col, range.start);
-                        reduce(slice, col, range.start)
+                        reduce(slice, col)
                     })
                     .collect::<Vec<R>>()
             },
@@ -182,7 +181,7 @@ where
         } else {
             let scores = m.score_pairs_cached(snap, pairs, threads, cache);
             audit_scores(m.name(), m.score_contract(), &scores, 0);
-            out.push(merge(vec![reduce(pairs, scores, 0)]));
+            out.push(merge(vec![reduce(pairs, scores)]));
         }
     }
     out
@@ -219,7 +218,7 @@ pub fn score_matrix_cached_t(
     threads: usize,
     cache: &mut SolverCache,
 ) -> Vec<Vec<f64>> {
-    run(metrics, snap, pairs, threads, cache, |_, scores, _| scores, |parts| parts.concat())
+    run(metrics, snap, pairs, threads, cache, |_, scores| scores, |parts| parts.concat())
 }
 
 /// Top-k predictions for several metrics over one shared candidate set,
@@ -250,10 +249,10 @@ pub fn predict_top_k_many_cached_t(
         cands.pairs(),
         threads,
         cache,
-        |slice, scores, base| {
+        |slice, scores| {
             let mut acc = TopKAcc::new(k, seed);
-            for (off, (&pair, &score)) in slice.iter().zip(&scores).enumerate() {
-                acc.push(pair, score, base + off);
+            for (&pair, &score) in slice.iter().zip(&scores) {
+                acc.push(pair, score);
             }
             acc
         },

@@ -337,6 +337,21 @@ mod tests {
     }
 
     #[test]
+    fn transient_cache_fits_once_per_snapshot() {
+        // A serve worker scores every miss of one version on one
+        // transient cache: the second call reuses the first call's fit.
+        let s = two_cliques();
+        let r = Rescal::default();
+        let pairs = [(0, 5), (1, 2), (3, 7)];
+        let mut cache = SolverCache::transient();
+        let first = r.score_pairs_cached(&s, &pairs, 1, &mut cache);
+        let second = r.score_pairs_cached(&s, &pairs, 1, &mut cache);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&first), bits(&second));
+        assert_eq!(cache.stats.rescal_fits, 1);
+    }
+
+    #[test]
     fn rank_clamped_to_node_count() {
         let s = Snapshot::from_edges(3, &[(0, 1), (1, 2)]);
         let r = Rescal { rank: 50, iterations: 5, ..Default::default() };

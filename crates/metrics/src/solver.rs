@@ -1,7 +1,8 @@
 //! Batched frontier/SpMV solver engine for the global walk metrics.
 //!
 //! The per-source reference implementations of LRW and PPR
-//! ([`crate::walk`]) advance one random-walk or push frontier at a time.
+//! (`linklens_bench::oracles::walk`) advance one random-walk or push
+//! frontier at a time.
 //! This module replaces them on the production path with *blocked
 //! multi-source iteration*: `B` source columns advance through one sweep of
 //! the snapshot's transition structure per step, so the adjacency CSR is
@@ -264,13 +265,13 @@ pub struct SolverStats {
 
 /// Per-snapshot solver state carried across a snapshot sweep.
 ///
-/// Holds the shared [`TransitionView`] for the current snapshot and (when
-/// persistent) converged PPR vectors from the current and previous
-/// snapshots, used purely as warm-start initial guesses — correctness
-/// never depends on their freshness (see the module docs). Transient
-/// caches (the default inside one-shot scoring entry points) never retain
-/// vectors, so single-snapshot callers keep bit-identical cold-start
-/// behavior.
+/// Holds the shared [`TransitionView`] and the fitted Rescal model for
+/// the current snapshot and, when persistent, converged PPR vectors from
+/// the current and previous snapshots and the previous snapshot's Rescal
+/// model, used purely as warm-start initial guesses — correctness never
+/// depends on their freshness (see the module docs). Transient caches
+/// (the default inside one-shot scoring entry points) never warm-start,
+/// so single-snapshot callers keep bit-identical cold-start behavior.
 pub struct SolverCache {
     persistent: bool,
     /// The current snapshot's `(node_count, edge_count, adjacency_digest)`
@@ -288,9 +289,10 @@ pub struct SolverCache {
 }
 
 impl SolverCache {
-    /// A throwaway cache for a single scoring call: shares the
-    /// `TransitionView` within the call but never retains warm vectors,
-    /// so repeated calls stay bit-identical.
+    /// A cache for scoring at one snapshot: shares the `TransitionView`
+    /// and the current snapshot's fitted Rescal model (a pure function of
+    /// the snapshot and the config) but never warm-starts, so repeated
+    /// calls stay bit-identical.
     pub fn transient() -> Self {
         SolverCache {
             persistent: false,
@@ -308,11 +310,6 @@ impl SolverCache {
     /// snapshot's solves.
     pub fn sweep() -> Self {
         SolverCache { persistent: true, ..SolverCache::transient() }
-    }
-
-    /// Whether this cache retains warm-start vectors across snapshots.
-    pub fn is_persistent(&self) -> bool {
-        self.persistent
     }
 
     /// Points the cache at `snap` and returns its shared
@@ -386,13 +383,11 @@ impl SolverCache {
     }
 
     /// Registers a freshly fitted factorization model for the current
-    /// snapshot. No-op on transient caches, mirroring
-    /// the gating of the PPR warm-start store, so one-shot entry points
-    /// keep bit-identical cold behavior.
+    /// snapshot. Every cache keeps it until the snapshot changes; only a
+    /// persistent cache carries it on as the next snapshot's warm start
+    /// (see [`SolverCache::ensure_snapshot`]).
     pub fn store_rescal(&mut self, fingerprint: u64, model: Arc<crate::rescal::RescalModel>) {
-        if self.persistent {
-            self.rescal_curr = Some((fingerprint, model));
-        }
+        self.rescal_curr = Some((fingerprint, model));
     }
 }
 
@@ -537,14 +532,15 @@ fn degree_shares(z: &[f64], deg: u32, floor: f64, s: &mut [f64]) {
 
 /// Batched LRW scores for `pairs`, one-sided: `2·(d_s/2E)·π_st(m)` from
 /// the pruned walk of each pair's solve side `s`. The walk is the same
-/// recursion as the reference's `walk::walk_distribution` (including the
-/// degree-share prune and dangling self-absorption), advanced over blocks
-/// of side columns in one CSR sweep per step. Per-node share sums gather
-/// in ascending neighbor order, which reassociates the reference's
-/// frontier-order additions. With `prune = 0` the score equals the
-/// two-sided reference to float-reassociation tolerance (~1e-10); with
-/// pruning, a step drops at most `prune·2E` of walk mass, so the score
-/// is within `2·m·prune·d_s` of the exact one.
+/// recursion as `walk_distribution` in `linklens_bench::oracles::walk`
+/// (including the degree-share prune and dangling self-absorption),
+/// advanced over blocks of side columns in one CSR sweep per step.
+/// Per-node share sums gather in ascending neighbor order, which
+/// reassociates the reference's frontier-order additions. With
+/// `prune = 0` the score equals the two-sided reference to
+/// float-reassociation tolerance (~1e-10); with pruning, a step drops at
+/// most `prune·2E` of walk mass, so the score is within `2·m·prune·d_s`
+/// of the exact one.
 pub fn lrw_scores_t(
     tv: &TransitionView,
     pairs: &[(NodeId, NodeId)],
@@ -1359,10 +1355,15 @@ mod tests {
         let model =
             Arc::new(crate::rescal::Rescal::default().fit(&ring_with_chords(11)).expect("fit"));
 
+        // A transient cache keeps the model at its snapshot; after
+        // rotation it is gone, with no warm start.
         let mut transient = SolverCache::transient();
         transient.ensure_snapshot(&ring_with_chords(11));
         transient.store_rescal(7, Arc::clone(&model));
-        assert!(transient.rescal_model(7).is_none(), "transient caches never retain models");
+        assert!(transient.rescal_model(7).is_some());
+        transient.ensure_snapshot(&ring_with_chords(13));
+        assert!(transient.rescal_model(7).is_none());
+        assert!(transient.rescal_warm(7).is_none(), "transient caches never warm-start");
 
         let mut sweep = SolverCache::sweep();
         sweep.ensure_snapshot(&ring_with_chords(11));

@@ -1,7 +1,13 @@
 //! Top-k pair selection with seeded tie-breaking.
 //!
-//! The composite key (score, seeded jitter, global index) is a *strict
-//! total order* whenever indices are distinct. That is what makes the
+//! The composite key (score, seeded jitter) is a *strict total order* on
+//! distinct pairs: for a fixed seed, `pair_jitter` is a bijection of the
+//! packed pair `(u << 32) | v`. It XORs the pair with a seed constant,
+//! then applies splitmix64's finaliser, whose xor-shift steps
+//! `z ^ (z >> s)` and odd-constant multiplies are each invertible on
+//! `u64`, so two distinct pairs never share a jitter. Two entries compare
+//! equal only when they carry the same pair and the same score, and such
+//! entries are interchangeable in the output. That is what makes the
 //! chunked execution engine's per-chunk [`TopKAcc`] heaps mergeable with
 //! bit-identical results: an entry in the global top-k is necessarily in
 //! its own chunk's top-k, so merging per-chunk winners loses nothing, and
@@ -11,13 +17,12 @@ use osn_graph::NodeId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// An entry in the top-k heap: ordered by score, then by a seeded hash (the
-/// paper's "random choice among ties", deterministic here), then by index.
+/// An entry in the top-k heap: ordered by score, then by a seeded hash of
+/// the pair (the paper's "random choice among ties", deterministic here).
 #[derive(PartialEq)]
 struct Entry {
     score: f64,
     jitter: u64,
-    idx: usize,
     pair: (NodeId, NodeId),
 }
 
@@ -27,11 +32,7 @@ impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the *worst* on top so
         // it can be evicted (min-heap of the current best k).
-        other
-            .score
-            .total_cmp(&self.score)
-            .then_with(|| other.jitter.cmp(&self.jitter))
-            .then_with(|| other.idx.cmp(&self.idx))
+        other.score.total_cmp(&self.score).then_with(|| other.jitter.cmp(&self.jitter))
     }
 }
 
@@ -49,14 +50,13 @@ fn pair_jitter(u: NodeId, v: NodeId, seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A streaming top-k accumulator over (pair, score, global index) triples.
+/// A streaming top-k accumulator over (pair, score) entries.
 ///
-/// The chunked scoring engine keeps one `TopKAcc` per chunk — fed with
-/// *global* pair indices so the tie-break key stays a total order across
-/// chunks — then [`merge`](Self::merge)s them. Because each chunk retains
-/// its own top-k under the shared total order, the merged result is
-/// bit-identical to a single serial pass ([`top_k_pairs`] is itself
-/// implemented as one accumulator).
+/// The chunked scoring engine keeps one `TopKAcc` per chunk, then
+/// [`merge`](Self::merge)s them. Because each chunk retains its own top-k
+/// under the shared total order, the merged result is bit-identical to a
+/// single serial pass ([`top_k_pairs`] is itself implemented as one
+/// accumulator).
 pub struct TopKAcc {
     k: usize,
     seed: u64,
@@ -70,15 +70,13 @@ impl TopKAcc {
         TopKAcc { k, seed, heap: BinaryHeap::with_capacity(k + 1) }
     }
 
-    /// Offers one candidate. `idx` must be the pair's position in the full
-    /// (un-chunked) candidate list so indices stay globally distinct.
-    /// NaN scores are skipped.
-    pub fn push(&mut self, pair: (NodeId, NodeId), score: f64, idx: usize) {
+    /// Offers one candidate. NaN scores are skipped.
+    pub fn push(&mut self, pair: (NodeId, NodeId), score: f64) {
         if self.k == 0 || score.is_nan() {
             return;
         }
         let jitter = pair_jitter(pair.0, pair.1, self.seed);
-        let cand = Entry { score, jitter, idx, pair };
+        let cand = Entry { score, jitter, pair };
         if self.heap.len() < self.k {
             self.heap.push(cand);
         } else if let Some(worst) = self.heap.peek() {
@@ -130,8 +128,8 @@ pub fn top_k_pairs(
 ) -> Vec<(NodeId, NodeId)> {
     assert_eq!(pairs.len(), scores.len(), "pairs/scores length mismatch");
     let mut acc = TopKAcc::new(k, seed);
-    for (idx, (&pair, &score)) in pairs.iter().zip(scores).enumerate() {
-        acc.push(pair, score, idx);
+    for (&pair, &score) in pairs.iter().zip(scores) {
+        acc.push(pair, score);
     }
     acc.finish()
 }
@@ -191,8 +189,8 @@ mod tests {
 
     #[test]
     fn chunked_merge_matches_serial_selection() {
-        // Split the candidate list into uneven chunks, accumulate each with
-        // global indices, merge in arbitrary order: identical to one pass.
+        // Split the candidate list into uneven chunks, accumulate each,
+        // merge in arbitrary order: identical to one pass.
         let pairs: Vec<(u32, u32)> = (0..97).map(|i| (i, i + 200)).collect();
         let scores: Vec<f64> = (0..97).map(|i| f64::from(i % 7)).collect();
         let k = 11;
@@ -204,7 +202,7 @@ mod tests {
                 .map(|w| {
                     let mut acc = TopKAcc::new(k, seed);
                     for i in w[0]..w[1] {
-                        acc.push(pairs[i], scores[i], i);
+                        acc.push(pairs[i], scores[i]);
                     }
                     acc
                 })
@@ -228,13 +226,9 @@ mod tests {
         let fast = top_k_pairs(&pairs, &scores, k, 3);
         let mut idx: Vec<usize> = (0..50).collect();
         idx.sort_by(|&a, &b| {
-            scores[b]
-                .total_cmp(&scores[a])
-                .then_with(|| {
-                    pair_jitter(pairs[b].0, pairs[b].1, 3)
-                        .cmp(&pair_jitter(pairs[a].0, pairs[a].1, 3))
-                })
-                .then_with(|| b.cmp(&a))
+            scores[b].total_cmp(&scores[a]).then_with(|| {
+                pair_jitter(pairs[b].0, pairs[b].1, 3).cmp(&pair_jitter(pairs[a].0, pairs[a].1, 3))
+            })
         });
         let slow: Vec<(u32, u32)> = idx[..k].iter().map(|&i| pairs[i]).collect();
         assert_eq!(fast, slow);

@@ -80,8 +80,8 @@ proptest! {
         parts in 1usize..7,
         seed in 0u64..1000,
     ) {
-        // Many duplicate scores on purpose: ties exercise the
-        // jitter-then-index arm of the total order.
+        // Many duplicate scores on purpose: ties exercise the jitter arm
+        // of the total order.
         let scores: Vec<f64> = scores.into_iter().map(f64::from).collect();
         let pairs: Vec<(NodeId, NodeId)> =
             (0..scores.len() as u32).map(|i| (i, i + 1)).collect();
@@ -94,7 +94,7 @@ proptest! {
             let end = (start + chunk).min(scores.len());
             let mut acc = TopKAcc::new(k, seed);
             for i in start..end {
-                acc.push(pairs[i], scores[i], i);
+                acc.push(pairs[i], scores[i]);
             }
             accs.push(acc);
         }

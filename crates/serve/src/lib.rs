@@ -437,9 +437,9 @@ fn worker_loop(
         // bit-identical to a dedicated context; the Bayes kinds read the
         // snapshot's shared triangle counts, so only the first worker to
         // pin a version counts them), one scratch pair, and a fresh
-        // transient solver cache — transient caches never warm-start,
-        // which keeps global-metric answers bit-identical to an offline
-        // cold solve at this snapshot.
+        // transient solver cache — it keeps this version's Rescal fit for
+        // later misses but never warm-starts, which keeps global-metric
+        // answers bit-identical to an offline cold solve at this snapshot.
         let ctx = FusedCtx::build(snap, &kinds);
         let mut fused_scratch = FusedScratch::new(snap.node_count());
         let mut enum_scratch = EnumScratch::new(snap.node_count());

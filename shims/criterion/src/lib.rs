@@ -4,8 +4,8 @@
 //! [`Bencher::iter_batched`], and the [`criterion_group!`] /
 //! [`criterion_main!`] macros. Instead of criterion's statistical
 //! machinery it times `sample_size` runs after one warmup and prints the
-//! per-iteration mean/min — enough to compare costs across metrics and
-//! track regressions by eye.
+//! per-iteration mean/min on stdout — enough to compare costs across
+//! metrics and track regressions by eye.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,7 +79,7 @@ impl Criterion {
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
-        eprintln!("\n== bench group: {name} ==");
+        println!("\n== bench group: {name} ==");
         BenchmarkGroup { _parent: self, samples: self.default_samples }
     }
 
@@ -125,13 +125,13 @@ fn run_one<F: FnMut(&mut Bencher)>(id: String, samples: usize, mut f: F) {
     let mut b = Bencher { samples, times: Vec::new() };
     f(&mut b);
     if b.times.is_empty() {
-        eprintln!("  {id}: no measurements");
+        println!("  {id}: no measurements");
         return;
     }
     let total: Duration = b.times.iter().sum();
     let mean = total / b.times.len() as u32;
     let min = b.times.iter().min().copied().unwrap_or_default();
-    eprintln!("  {id}: mean {mean:?}, min {min:?} ({} samples)", b.times.len());
+    println!("  {id}: mean {mean:?}, min {min:?} ({} samples)", b.times.len());
 }
 
 /// Bundles benchmark functions into a named group runner.
