@@ -16,7 +16,9 @@
 //!    runs of consecutive untouched nodes are copied as one block* — while
 //!    a touched node's run is linearly merged with its sorted delta group;
 //! 3. the old and new buffers swap, so each advance reads the snapshot it
-//!    just produced and no allocation happens after construction.
+//!    just produced. The arena reserves both buffers for the whole trace
+//!    at construction, so an advance allocates only when the delta
+//!    outgrows the staging buffer.
 //!
 //! Every pass is sequential (the only random access is the scatter into
 //! the Δ-sized, cache-resident staging buffer), so an advance costs one
@@ -34,27 +36,35 @@ use crate::snapshot::Snapshot;
 use crate::temporal::{TemporalGraph, TimedEdge};
 use crate::{NodeId, Timestamp};
 
-/// The trace-independent merge core shared by [`SnapshotBuilder`] (in-core
+/// The double-buffered arena shared by [`SnapshotBuilder`] (in-core
 /// traces) and [`crate::stream::StreamingSnapshotBuilder`] (windowed
-/// [`crate::io::TraceReader`] sweeps): the current CSR, its double buffers,
-/// and the counting-sort scratch. It knows nothing about where delta edges
-/// come from — callers hand it one chronological delta slice at a time.
+/// [`crate::io::TraceReader`] sweeps): the current CSR, the back buffer the
+/// next merge writes into, and the merge scratch. It knows nothing about
+/// where delta edges come from — callers hand it one chronological delta
+/// slice at a time.
 #[derive(Debug)]
 pub(crate) struct MergeArena {
     /// The materialized snapshot at the current prefix (empty before the
     /// first merge).
     pub(crate) snap: Snapshot,
-    /// Back buffers the next merge writes into, swapped with `snap`'s
+    /// The back buffer the next merge writes into, swapped with `snap`
     /// after each merge.
-    off2: Vec<usize>,
-    nbr2: Vec<NodeId>,
-    tm2: Vec<Timestamp>,
-    /// Scratch: per-node delta-entry offsets (prefix sums of counts),
-    /// length `node_count + 1`; `doff[u]..doff[u + 1]` indexes `staging`.
+    back: Snapshot,
+    scratch: MergeScratch,
+}
+
+/// The trace-independent merge core: the counting-sort scratch one merge
+/// of a delta into a CSR needs, kept between merges. [`MergeArena`] runs
+/// it between its two buffers; [`crate::live::LiveGraph`] runs it from
+/// its current publication into the next one.
+#[derive(Debug, Default)]
+pub(crate) struct MergeScratch {
+    /// Per-node delta-entry offsets (prefix sums of counts), length
+    /// `node_count + 1`; `doff[u]..doff[u + 1]` indexes `staging`.
     doff: Vec<u32>,
-    /// Scratch: write cursors during the delta scatter.
+    /// Write cursors during the delta scatter.
     dcur: Vec<u32>,
-    /// Scratch: the delta's directed entries grouped by source node.
+    /// The delta's directed entries grouped by source node.
     staging: Vec<(NodeId, Timestamp)>,
 }
 
@@ -73,32 +83,57 @@ pub struct SnapshotBuilder<'a> {
 
 impl MergeArena {
     /// Creates an empty arena for a trace of `node_capacity` nodes,
-    /// pre-reserving room for `entry_capacity` directed CSR entries
-    /// (`2 × edges`; pass 0 to let the buffers grow on demand).
+    /// reserving room for `entry_capacity` directed CSR entries
+    /// (`2 × edges`) in each buffer.
     pub(crate) fn new(node_capacity: usize, entry_capacity: usize) -> Self {
         MergeArena {
-            snap: Snapshot {
-                n: 0,
-                offsets: {
-                    let mut o = Vec::with_capacity(node_capacity + 1);
-                    o.push(0);
-                    o
-                },
-                neighbors: Vec::with_capacity(entry_capacity),
-                edge_times: Vec::with_capacity(entry_capacity),
-                time: 0,
-                edge_count: 0,
-                prefix_len: 0,
-                tables: std::sync::OnceLock::new(),
-                digest: std::sync::OnceLock::new(),
-                triangles: std::sync::OnceLock::new(),
+            snap: Snapshot::empty(node_capacity, entry_capacity),
+            back: Snapshot::empty(node_capacity, entry_capacity),
+            scratch: MergeScratch {
+                doff: vec![0; node_capacity + 1],
+                dcur: vec![0; node_capacity],
+                staging: Vec::new(),
             },
-            off2: Vec::with_capacity(node_capacity + 1),
-            nbr2: Vec::with_capacity(entry_capacity),
-            tm2: Vec::with_capacity(entry_capacity),
-            doff: vec![0; node_capacity + 1],
-            dcur: vec![0; node_capacity],
-            staging: Vec::new(),
+        }
+    }
+
+    /// Applies the chronological delta `edges` on top of the current
+    /// snapshot, producing the snapshot at `prefix_len` (see
+    /// [`MergeScratch::merge`]): merge into the back buffer and swap. On
+    /// `Err` the current snapshot is left as it was.
+    pub(crate) fn apply(
+        &mut self,
+        edges: &[TimedEdge],
+        new_n: usize,
+        time: Timestamp,
+        prefix_len: usize,
+    ) -> Result<(), (NodeId, NodeId)> {
+        self.scratch.merge(&self.snap, edges, new_n, time, prefix_len, &mut self.back)?;
+        std::mem::swap(&mut self.snap, &mut self.back);
+        // The previous snapshot's degree tables, digest and triangle
+        // counts describe a prefix no reader can ask for any more.
+        self.back.clear_caches();
+        Ok(())
+    }
+}
+
+impl Snapshot {
+    /// The snapshot of no edges and no nodes, with room reserved for
+    /// `node_capacity` nodes and `entry_capacity` directed CSR entries.
+    pub(crate) fn empty(node_capacity: usize, entry_capacity: usize) -> Self {
+        let mut offsets = Vec::with_capacity(node_capacity + 1);
+        offsets.push(0);
+        Snapshot {
+            n: 0,
+            offsets,
+            neighbors: Vec::with_capacity(entry_capacity),
+            edge_times: Vec::with_capacity(entry_capacity),
+            time: 0,
+            edge_count: 0,
+            prefix_len: 0,
+            tables: std::sync::OnceLock::new(),
+            digest: std::sync::OnceLock::new(),
+            triangles: std::sync::OnceLock::new(),
         }
     }
 }
@@ -170,31 +205,35 @@ impl<'a> SnapshotBuilder<'a> {
     }
 }
 
-impl MergeArena {
-    /// Applies the chronological delta `edges` on top of the current
-    /// snapshot, producing the snapshot at `prefix_len` (global edge
-    /// count): counting-sort the delta by node, stream-merge the current
-    /// CSR with it into the back buffers, and swap. `new_n` is the node
-    /// universe at `time` (the timestamp of the delta's last edge).
+impl MergeScratch {
+    /// Writes into `out` the snapshot at `prefix_len` (global edge count):
+    /// `old` with the chronological delta `edges` folded in. It
+    /// counting-sorts the delta by node, then stream-merges `old`'s CSR
+    /// with it. `new_n` is the node universe at `time` (the timestamp of
+    /// the delta's last edge). `out`'s previous contents are discarded and
+    /// its buffers reused: each is sized once, to the merged length, before
+    /// the merge writes it.
     ///
     /// Applying one delta or the same edges split across several calls
     /// yields bit-identical CSRs — every merge reproduces exactly the
     /// `Snapshot::up_to` layout for its prefix — which is what lets
     /// windowed sweeps pick their read size freely.
     ///
-    /// A pair already in the CSR, or twice in `edges`, is an `Err` naming
+    /// A pair already in `old`, or twice in `edges`, is an `Err` naming
     /// the pair (canonical). The merge sees every such repeat as two equal
     /// neighbours, either side by side in a sorted delta group or where a
     /// delta entry meets the old run, so the check costs one comparison per
-    /// delta entry. On `Err` the current snapshot is left as it was.
-    pub(crate) fn apply(
+    /// delta entry. On `Err`, `out` holds no valid snapshot.
+    pub(crate) fn merge(
         &mut self,
+        old: &Snapshot,
         edges: &[TimedEdge],
         new_n: usize,
         time: Timestamp,
         prefix_len: usize,
+        out: &mut Snapshot,
     ) -> Result<(), (NodeId, NodeId)> {
-        let old_n = self.snap.n;
+        let old_n = old.n;
         debug_assert!(new_n >= old_n, "node arrivals are non-decreasing");
         if self.dcur.len() < new_n {
             self.dcur.resize(new_n, 0);
@@ -222,18 +261,23 @@ impl MergeArena {
             self.dcur[v] += 1;
         }
 
-        // 2. Stream-merge old CSR + delta groups into the back buffers.
-        // Maximal runs of consecutive untouched nodes are copied as one
-        // block; touched nodes get a linear two-run merge.
-        let old_offsets = &self.snap.offsets;
-        let old_nbr = &self.snap.neighbors;
-        let old_tm = &self.snap.edge_times;
+        // 2. Stream-merge the old CSR + delta groups into `out`, sized
+        // once for the merged lengths. Maximal runs of consecutive
+        // untouched nodes are copied as one block; touched nodes get a
+        // linear two-run merge.
+        let old_offsets = &old.offsets;
+        let old_nbr = &old.neighbors;
+        let old_tm = &old.edge_times;
         let old_end = old_offsets[old_n];
         let old_off = |u: usize| old_offsets[u.min(old_n)];
-        self.off2.clear();
-        self.nbr2.clear();
-        self.tm2.clear();
-        self.off2.push(0);
+        let (off2, nbr2, tm2) = (&mut out.offsets, &mut out.neighbors, &mut out.edge_times);
+        off2.clear();
+        nbr2.clear();
+        tm2.clear();
+        off2.reserve(new_n + 1);
+        nbr2.reserve(2 * prefix_len);
+        tm2.reserve(2 * prefix_len);
+        off2.push(0);
         let mut u = 0usize;
         while u < new_n {
             if self.doff[u + 1] == self.doff[u] {
@@ -244,11 +288,11 @@ impl MergeArena {
                     u2 += 1;
                 }
                 let (lo, hi) = (old_off(u), old_off(u2));
-                let shift = self.nbr2.len() - lo;
-                self.nbr2.extend_from_slice(&old_nbr[lo..hi]);
-                self.tm2.extend_from_slice(&old_tm[lo..hi]);
+                let shift = nbr2.len() - lo;
+                nbr2.extend_from_slice(&old_nbr[lo..hi]);
+                tm2.extend_from_slice(&old_tm[lo..hi]);
                 for w in u..u2 {
-                    self.off2.push(old_off(w + 1) + shift);
+                    off2.push(old_off(w + 1) + shift);
                 }
                 u = u2;
                 continue;
@@ -269,15 +313,15 @@ impl MergeArena {
             let mut repeat = None;
             while i < hi && j < group.len() {
                 if old_nbr[i] < group[j].0 {
-                    self.nbr2.push(old_nbr[i]);
-                    self.tm2.push(old_tm[i]);
+                    nbr2.push(old_nbr[i]);
+                    tm2.push(old_tm[i]);
                     i += 1;
                 } else {
                     if old_nbr[i] == group[j].0 {
                         repeat = Some(group[j].0);
                     }
-                    self.nbr2.push(group[j].0);
-                    self.tm2.push(group[j].1);
+                    nbr2.push(group[j].0);
+                    tm2.push(group[j].1);
                     j += 1;
                 }
             }
@@ -285,34 +329,26 @@ impl MergeArena {
                 return Err(crate::canonical(u as NodeId, v));
             }
             if i < hi {
-                self.nbr2.extend_from_slice(&old_nbr[i..hi]);
-                self.tm2.extend_from_slice(&old_tm[i..hi]);
+                nbr2.extend_from_slice(&old_nbr[i..hi]);
+                tm2.extend_from_slice(&old_tm[i..hi]);
             }
             for &(v, t) in &group[j..] {
-                self.nbr2.push(v);
-                self.tm2.push(t);
+                nbr2.push(v);
+                tm2.push(t);
             }
-            self.off2.push(self.nbr2.len());
+            off2.push(nbr2.len());
             u += 1;
         }
-        debug_assert_eq!(self.nbr2.len(), old_end + self.staging.len());
-        debug_assert_eq!(self.nbr2.len(), 2 * prefix_len);
+        debug_assert_eq!(nbr2.len(), old_end + self.staging.len());
+        debug_assert_eq!(nbr2.len(), 2 * prefix_len);
 
-        // 3. Swap the merged buffers in as the current snapshot.
-        let snap = &mut self.snap;
-        std::mem::swap(&mut snap.offsets, &mut self.off2);
-        std::mem::swap(&mut snap.neighbors, &mut self.nbr2);
-        std::mem::swap(&mut snap.edge_times, &mut self.tm2);
-        snap.n = new_n;
-        snap.time = time;
-        snap.edge_count = prefix_len;
-        snap.prefix_len = prefix_len;
-        // The CSR just changed under the snapshot; any degree tables,
-        // digest or triangle counts built against the previous prefix are
-        // stale.
-        snap.tables.take();
-        snap.digest.take();
-        snap.triangles.take();
+        // 3. Stamp the merged CSR. Any degree tables, digest or triangle
+        // counts `out` held describe an older prefix.
+        out.n = new_n;
+        out.time = time;
+        out.edge_count = prefix_len;
+        out.prefix_len = prefix_len;
+        out.clear_caches();
         Ok(())
     }
 }

@@ -4,15 +4,20 @@
 //! [`crate::builder::SnapshotBuilder`] borrows an immutable
 //! [`TemporalGraph`], which is the right shape for offline sweeps but not
 //! for a server that keeps *appending* to the trace while answering
-//! queries. [`LiveGraph`] owns both halves: the growing edge log and the
-//! same double-buffered [`MergeArena`](crate::builder) merge core the
-//! offline builder runs on. Ingest validates events instead of panicking
-//! (a server must reject bad input, not die), and
-//! [`publish`](LiveGraph::publish) folds everything ingested since the
-//! last publication into the CSR with one streaming merge, returning an
-//! immutable [`Publication`] — a monotonically versioned
+//! queries. [`LiveGraph`] owns the growing edge log and runs the offline
+//! builder's merge core ([`MergeScratch`](crate::builder)) on it. Ingest
+//! validates events instead of panicking (a server must reject bad input,
+//! not die), and [`publish`](LiveGraph::publish) folds everything ingested
+//! since the last publication into a new CSR with one streaming merge,
+//! returning an immutable [`Publication`] — a monotonically versioned
 //! [`Arc<Snapshot>`] plus the delta pairs readers need for cache
 //! invalidation.
+//!
+//! The merge reads the current publication through its `Arc` and writes
+//! the next one, which is published as it is: no copy of the CSR is made.
+//! It writes into the buffers of the publication before the current one
+//! when no reader holds that version any more, and into fresh ones
+//! otherwise, so a reader's snapshot never changes under it.
 //!
 //! Because publications go through the identical merge core with the
 //! identical `(delta, new_n, time, prefix_len)` arguments the offline
@@ -21,7 +26,7 @@
 //! that prefix, no matter how the ingest stream was batched — asserted by
 //! the serve crate's equivalence tests.
 
-use crate::builder::MergeArena;
+use crate::builder::MergeScratch;
 use crate::snapshot::Snapshot;
 use crate::temporal::TemporalGraph;
 use crate::{NodeId, Timestamp};
@@ -72,13 +77,18 @@ pub struct Publication {
     pub delta: Vec<(NodeId, NodeId)>,
 }
 
-/// A growing trace plus the incremental merge arena, publishing immutable
+/// A growing trace plus the incremental merge core, publishing immutable
 /// versioned snapshots on demand.
 #[derive(Debug)]
 pub struct LiveGraph {
     trace: TemporalGraph,
-    arena: MergeArena,
-    /// Trace edges already folded into the arena's CSR.
+    /// The latest publication, shared with its readers.
+    current: Arc<Snapshot>,
+    /// The publication before `current`. Once no reader holds it, the
+    /// next merge writes into its buffers.
+    retired: Option<Arc<Snapshot>>,
+    scratch: MergeScratch,
+    /// Trace edges already folded into `current`.
     published_prefix: usize,
     version: u64,
 }
@@ -94,7 +104,9 @@ impl LiveGraph {
     pub fn new() -> Self {
         LiveGraph {
             trace: TemporalGraph::new(),
-            arena: MergeArena::new(0, 0),
+            current: Arc::new(Snapshot::empty(0, 0)),
+            retired: None,
+            scratch: MergeScratch::default(),
             published_prefix: 0,
             version: 0,
         }
@@ -164,17 +176,19 @@ impl LiveGraph {
 
     /// Folds every pending edge into the CSR and returns the new
     /// publication. With nothing pending this re-publishes the current
-    /// version (same snapshot contents, empty delta, version unchanged).
+    /// version (the same `Arc`, empty delta, version unchanged).
     ///
-    /// The merge itself is the offline builder's streaming double-buffer
-    /// pass; the published snapshot is a clone of the arena's CSR, so
+    /// The merge is the offline builder's streaming pass, run from the
+    /// current publication into the retired one's buffers when
+    /// [`Arc::try_unwrap`] finds no reader left on it, or into fresh
+    /// buffers otherwise. The merged snapshot itself is published, so
     /// subsequent ingest never mutates what readers hold.
     pub fn publish(&mut self) -> Publication {
         let prefix = self.trace.edge_count();
         if prefix == self.published_prefix {
             return Publication {
                 version: self.version,
-                snapshot: Arc::new(self.arena_snapshot().clone()),
+                snapshot: Arc::clone(&self.current),
                 delta: Vec::new(),
             };
         }
@@ -182,24 +196,22 @@ impl LiveGraph {
         let delta: Vec<(NodeId, NodeId)> = delta_edges.iter().map(|e| (e.u, e.v)).collect();
         let time = self.trace.edges()[prefix - 1].t;
         let new_n = self.trace.nodes_at(time);
-        let merged = self.arena.apply(delta_edges, new_n, time, prefix);
+        let mut next = match self.retired.take().map(Arc::try_unwrap) {
+            Some(Ok(unread)) => unread,
+            _ => Snapshot::empty(0, 0),
+        };
+        let merged = self.scratch.merge(&self.current, delta_edges, new_n, time, prefix, &mut next);
         debug_assert!(merged.is_ok(), "ingest drops repeated pairs: {merged:?}");
         self.published_prefix = prefix;
         self.version += 1;
         if crate::audit::audit_enabled() {
-            if let Err(e) = self.arena_snapshot().validate() {
+            if let Err(e) = next.validate() {
                 panic!("snapshot invariant violated after publish at prefix {prefix}: {e}");
             }
         }
-        Publication {
-            version: self.version,
-            snapshot: Arc::new(self.arena_snapshot().clone()),
-            delta,
-        }
-    }
-
-    fn arena_snapshot(&self) -> &Snapshot {
-        &self.arena.snap
+        let next = Arc::new(next);
+        self.retired = Some(std::mem::replace(&mut self.current, Arc::clone(&next)));
+        Publication { version: self.version, snapshot: next, delta }
     }
 }
 
@@ -207,6 +219,7 @@ impl LiveGraph {
 mod tests {
     use super::*;
     use crate::builder::SnapshotBuilder;
+    use std::ops::Range;
 
     fn grown(n: usize) -> LiveGraph {
         let mut lg = LiveGraph::new();
@@ -222,6 +235,17 @@ mod tests {
             }
         }
         lg
+    }
+
+    /// Ingests `trace`'s edges `range`, registering each node just before
+    /// its first edge.
+    fn feed(lg: &mut LiveGraph, trace: &TemporalGraph, range: Range<usize>) {
+        for e in &trace.edges()[range] {
+            while lg.node_count() <= e.u.max(e.v) as usize {
+                lg.ingest_node(trace.arrival(lg.node_count() as NodeId)).unwrap();
+            }
+            lg.ingest_edge(e.u, e.v, e.t).unwrap();
+        }
     }
 
     #[test]
@@ -260,6 +284,7 @@ mod tests {
         let p2 = lg.publish();
         assert_eq!(p2.version, 1, "nothing pending keeps the version");
         assert!(p2.delta.is_empty());
+        assert!(Arc::ptr_eq(&p2.snapshot, &p1.snapshot), "a no-op publish hands out the same Arc");
         assert_eq!(p2.snapshot.edge_count(), p1.snapshot.edge_count());
         lg.ingest_edge(0, 3, 1000).unwrap();
         let p3 = lg.publish();
@@ -294,5 +319,58 @@ mod tests {
         let p2 = lg.publish();
         assert_eq!((frozen.node_count(), frozen.edge_count()), before);
         assert!(p2.snapshot.edge_count() > frozen.edge_count());
+    }
+
+    #[test]
+    fn held_versions_survive_later_publishes() {
+        let trace = grown(24).trace().clone();
+        let m = trace.edge_count();
+        let mut lg = LiveGraph::new();
+        feed(&mut lg, &trace, 0..m / 4);
+        let older = lg.publish();
+        feed(&mut lg, &trace, m / 4..m / 2);
+        let newer = lg.publish();
+        let copies = [(*older.snapshot).clone(), (*newer.snapshot).clone()];
+        // Two more publishes: the first would write into `older`'s buffers
+        // and the second into `newer`'s, were no reader holding them.
+        feed(&mut lg, &trace, m / 2..3 * m / 4);
+        lg.publish();
+        feed(&mut lg, &trace, 3 * m / 4..m);
+        assert_eq!(lg.publish().snapshot.prefix_len(), m);
+        for (held, copy) in [&older, &newer].into_iter().zip(&copies) {
+            let prefix = held.snapshot.prefix_len();
+            assert_eq!(&*held.snapshot, copy, "version {} changed under its reader", held.version);
+            let oracle = SnapshotBuilder::new(&trace).advance_to(prefix).clone();
+            assert_eq!(&*held.snapshot, &oracle, "version {} at prefix {prefix}", held.version);
+        }
+    }
+
+    #[test]
+    fn unread_retired_buffers_are_reused() {
+        let trace = grown(40).trace().clone();
+        let m = trace.edge_count();
+        let mut lg = LiveGraph::new();
+        // Each version's neighbour buffer (address, capacity), by version;
+        // no publication outlives its loop turn, so no reader holds one.
+        let mut buffers = vec![(0usize, 0usize)];
+        let mut reused = 0;
+        let mut at = 0;
+        for end in [m / 2, m / 2 + 1, m / 2 + 3, m / 2 + 4, m / 2 + 6, m / 2 + 7, m] {
+            feed(&mut lg, &trace, at..end);
+            at = end;
+            let publication = lg.publish();
+            let version = publication.version as usize;
+            let snap = &publication.snapshot;
+            assert_eq!(&**snap, SnapshotBuilder::new(&trace).advance_to(end), "version {version}");
+            let buffer = (snap.neighbors.as_ptr() as usize, snap.neighbors.capacity());
+            // The publish before last retired version - 2; its buffer is
+            // reused whenever it is large enough to hold the merge.
+            if version >= 2 && buffers[version - 2].1 >= 2 * end {
+                assert_eq!(buffer.0, buffers[version - 2].0, "version {version} reuses");
+                reused += 1;
+            }
+            buffers.push(buffer);
+        }
+        assert!(reused >= 2, "reused {reused} buffers");
     }
 }

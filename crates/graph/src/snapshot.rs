@@ -226,8 +226,8 @@ pub struct Snapshot {
     pub(crate) edge_count: usize,
     pub(crate) prefix_len: usize,
     /// Lazily built degree tables; invalidated whenever the CSR mutates
-    /// (the [`crate::builder::SnapshotBuilder`] advance path and the
-    /// [`Snapshot::from_edges`] node-count fixup).
+    /// (every incremental merge and the [`Snapshot::from_edges`]
+    /// node-count fixup).
     pub(crate) tables: OnceLock<DegreeTables>,
     /// Lazily computed [`adjacency_digest`](Snapshot::adjacency_digest);
     /// invalidated together with `tables`.
@@ -410,6 +410,14 @@ impl Snapshot {
     /// on one `OnceLock` initialization and then share the same tables.
     pub fn degree_tables(&self) -> &DegreeTables {
         self.tables.get_or_init(|| DegreeTables::build(self))
+    }
+
+    /// Drops the lazily built degree tables, digest and triangle counts,
+    /// for a caller that just changed the CSR under them.
+    pub(crate) fn clear_caches(&mut self) {
+        self.tables.take();
+        self.digest.take();
+        self.triangles.take();
     }
 
     /// Per-node triangle counts ([`crate::stats::triangle_counts`]), counted
@@ -635,9 +643,7 @@ impl Snapshot {
         // tables, digest and triangle counts (if any were built) are
         // invalidated by the resize.
         s.n = n;
-        s.tables.take();
-        s.digest.take();
-        s.triangles.take();
+        s.clear_caches();
         if s.offsets.len() < n + 1 {
             // linklens-allow(unwrap-in-lib): offsets always holds at least the leading zero
             let last = *s.offsets.last().expect("non-empty offsets");

@@ -11,7 +11,9 @@
 //! array, walks the CSR rows of `Γ(u)` **once**, and scatter-accumulates
 //! each metric's witness contribution into per-candidate slots. JC, PA,
 //! and the Bayes variants then derive from per-snapshot cached degree
-//! tables ([`Snapshot::degree_tables`]) and naive-Bayes weight tables.
+//! tables ([`Snapshot::degree_tables`]) and naive-Bayes weight tables. A
+//! batch of PA alone has no witnesses, so it skips the source runs and
+//! derives each degree product straight from the pair.
 //!
 //! **Bit-identity.** The kernel is bit-for-bit identical to the per-pair
 //! path (the references in `linklens_bench::oracles`, one intersection
@@ -125,7 +127,8 @@ impl Needs {
     }
 
     /// True when any accumulator is live, i.e. the witness walk must run
-    /// (a PA-only batch skips the traversal entirely).
+    /// (a PA-only batch skips the traversal and the per-source slot
+    /// bookkeeping entirely).
     fn walk(&self) -> bool {
         self.cn || self.aa || self.ra || self.blogr || self.baa || self.bra
     }
@@ -346,6 +349,14 @@ pub fn score_columns(
     kinds: &[LocalKind],
 ) -> Vec<Vec<f64>> {
     let needs = Needs::of(kinds);
+    if !needs.walk() {
+        // Every kind is PA, which reads only the two degrees: no target
+        // stamps, slots or accumulators.
+        return kinds
+            .iter()
+            .map(|&kind| pairs.iter().map(|&(u, v)| ctx.derive(kind, scratch, u, v, 0)).collect())
+            .collect();
+    }
     let mut cols: Vec<Vec<f64>> = kinds.iter().map(|_| Vec::with_capacity(pairs.len())).collect();
     let mut i = 0;
     while i < pairs.len() {
@@ -368,13 +379,11 @@ pub fn score_columns(
             scratch.pslot.push(scratch.slot[vi]);
         }
         scratch.reset_acc(slots as usize, &needs);
-        if needs.walk() {
-            for &w in ctx.snap.neighbors(u) {
-                for &v in ctx.snap.neighbors(w) {
-                    if scratch.seen[v as usize] == e {
-                        let s = scratch.slot[v as usize] as usize;
-                        scratch.hit(ctx, &needs, w, s);
-                    }
+        for &w in ctx.snap.neighbors(u) {
+            for &v in ctx.snap.neighbors(w) {
+                if scratch.seen[v as usize] == e {
+                    let s = scratch.slot[v as usize] as usize;
+                    scratch.hit(ctx, &needs, w, s);
                 }
             }
         }
@@ -423,7 +432,7 @@ mod tests {
     #[test]
     fn pa_only_batch_skips_the_walk() {
         // Needs::walk() is false for PA alone; derive must not touch the
-        // (empty) accumulators.
+        // (empty) accumulators, and no source run stamps targets.
         let snap = fixture();
         let pairs = [(0u32, 4u32), (1, 7)];
         let ctx = FusedCtx::build(&snap, &[LocalKind::Pa]);
@@ -432,5 +441,7 @@ mod tests {
         // deg(0) = 2, deg(4) = 2, deg(1) = 2, deg(7) = 1.
         assert_eq!(cols[0], vec![4.0, 2.0]);
         assert!(scratch.cn.is_empty());
+        assert_eq!(scratch.epoch, 0, "no source run began");
+        assert!(scratch.pslot.is_empty(), "no pair got a slot");
     }
 }

@@ -10,7 +10,7 @@
 
 use osn_graph::NodeId;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -49,15 +49,25 @@ pub struct AdmissionStats {
     pub depth: usize,
 }
 
+/// The queued queries and the shutdown flag, guarded by one lock: a
+/// submit reads the flag and pushes under it, and
+/// [`Admission::close`] sets the flag under it. A query is therefore
+/// either queued before the close, where a worker still finds it, or
+/// rejected.
+#[derive(Debug, Default)]
+struct Queue {
+    items: VecDeque<Query>,
+    closed: bool,
+}
+
 /// The bounded queue itself.
 #[derive(Debug)]
 pub struct Admission {
-    queue: Mutex<VecDeque<Query>>,
+    queue: Mutex<Queue>,
     nonempty: Condvar,
     capacity: usize,
     accepted: AtomicU64,
     rejected: AtomicU64,
-    closed: AtomicBool,
 }
 
 impl Admission {
@@ -65,16 +75,15 @@ impl Admission {
     /// (clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
         Admission {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             nonempty: Condvar::new(),
             capacity: capacity.max(1),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
         }
     }
 
-    fn locked(&self) -> std::sync::MutexGuard<'_, VecDeque<Query>> {
+    fn locked(&self) -> std::sync::MutexGuard<'_, Queue> {
         match self.queue.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
@@ -83,17 +92,13 @@ impl Admission {
 
     /// Admits `q`, or hands it back when the queue is full or closed.
     pub fn submit(&self, q: Query) -> Result<(), Query> {
-        if self.closed.load(Ordering::Acquire) {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(q);
-        }
         let mut guard = self.locked();
-        if guard.len() >= self.capacity {
+        if guard.closed || guard.items.len() >= self.capacity {
             drop(guard);
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(q);
         }
-        guard.push_back(q);
+        guard.items.push_back(q);
         drop(guard);
         self.accepted.fetch_add(1, Ordering::Relaxed);
         self.nonempty.notify_one();
@@ -105,25 +110,30 @@ impl Admission {
     /// state and come back).
     pub fn pop(&self, timeout: Duration) -> Option<Query> {
         let guard = self.locked();
-        let (mut guard, _) = match self.nonempty.wait_timeout_while(guard, timeout, |q| {
-            q.is_empty() && !self.closed.load(Ordering::Acquire)
-        }) {
+        let (mut guard, _) = match self
+            .nonempty
+            .wait_timeout_while(guard, timeout, |q| q.items.is_empty() && !q.closed)
+        {
             Ok(pair) => pair,
             Err(poisoned) => poisoned.into_inner(),
         };
-        guard.pop_front()
+        guard.items.pop_front()
     }
 
     /// Closes the queue: pending queries still drain, new submits are
     /// rejected, and idle workers wake up.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.locked().closed = true;
         self.nonempty.notify_all();
     }
 
-    /// True once [`close`](Self::close) was called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
+    /// True once the queue is closed and empty. Both are read under the
+    /// lock every submit holds, so no query can be admitted after this
+    /// returns true: a worker that sees it may exit without stranding
+    /// one.
+    pub fn is_drained(&self) -> bool {
+        let guard = self.locked();
+        guard.closed && guard.items.is_empty()
     }
 
     /// Snapshot of the admission counters.
@@ -131,7 +141,7 @@ impl Admission {
         AdmissionStats {
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            depth: self.locked().len(),
+            depth: self.locked().items.len(),
         }
     }
 }
@@ -170,8 +180,52 @@ mod tests {
         a.close();
         let (q2, _r2) = query(6);
         assert!(a.submit(q2).is_err(), "closed queue rejects");
+        assert!(!a.is_drained(), "a closed queue still holding a query is not drained");
         assert_eq!(a.pop(Duration::from_millis(1)).map(|q| q.source), Some(5), "pending drains");
         assert!(a.pop(Duration::from_millis(1)).is_none());
-        assert!(a.is_closed());
+        assert!(a.is_drained());
+    }
+
+    #[test]
+    fn submits_racing_close_are_drained_or_rejected() {
+        for round in 0..200 {
+            let a = Admission::new(1 << 12);
+            let (accepted, drained) = std::thread::scope(|scope| {
+                let submitters: Vec<_> = (0..3)
+                    .map(|t| {
+                        let a = &a;
+                        scope.spawn(move || {
+                            let mut receivers = Vec::new();
+                            for i in 0..64 {
+                                let (q, r) = query(t * 64 + i);
+                                match a.submit(q) {
+                                    Ok(()) => receivers.push(r),
+                                    Err(_) => break,
+                                }
+                            }
+                            receivers.len()
+                        })
+                    })
+                    .collect();
+                // One drain loop, as a worker runs it: pop until the queue
+                // is drained, then return.
+                let drain = scope.spawn(|| {
+                    let mut popped = 0;
+                    loop {
+                        match a.pop(Duration::from_millis(1)) {
+                            Some(_) => popped += 1,
+                            None if a.is_drained() => return popped,
+                            None => {}
+                        }
+                    }
+                });
+                std::thread::yield_now();
+                a.close();
+                let accepted: usize = submitters.into_iter().map(|h| h.join().unwrap()).sum();
+                (accepted, drain.join().unwrap())
+            });
+            assert_eq!(drained, accepted, "round {round}: an accepted query was stranded");
+            assert_eq!(a.stats().accepted as usize, accepted);
+        }
     }
 }

@@ -12,7 +12,9 @@
 //!   depend only on `u`'s two-hop ball — witnesses sit at distance 1,
 //!   candidates at distance 2, and witness degrees are read at distance
 //!   1), and only when no delta endpoint landed within two hops of the
-//!   source;
+//!   source. Each entry checks its own source ([`near_delta`]): it walks
+//!   the source's two-hop ball in the new snapshot, at most what the
+//!   entry's own answer walked, and stops at the first endpoint;
 //! * everything else (JC reads the *target's* degree one hop further
 //!   out; Bayes metrics read a global normalizer; ThreeHop / Global
 //!   policies read arbitrarily far) is dropped on every publish.
@@ -21,6 +23,7 @@
 //! serializing on one lock; each shard's mutex is held only for the
 //! duration of one `HashMap` operation, never across scoring.
 
+use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,18 +107,19 @@ impl ResultCache {
     /// still holds at `new_version`, drops the rest.
     ///
     /// `prev_version` is the version the promoted entries were computed
-    /// at; `touched[u]` marks the nodes within two hops of any delta
-    /// endpoint in the *new* snapshot, one flag per node of that
-    /// snapshot, and a source outside the array counts as touched;
+    /// at; `delta` is the new snapshot with the delta's endpoints marked
+    /// in a node-indexed array over it (see [`near_delta`]);
     /// `promotable[metric]` marks the delta-local metrics (see the module
-    /// docs). Passing `touched = None` flushes everything except
-    /// same-`new_version` entries (used when the touched set grew past the
-    /// configured bound and computing it stopped being worth it).
+    /// docs). An entry is promoted iff its metric is promotable, it was
+    /// computed at `prev_version`, and no endpoint lies within two hops of
+    /// its source. Passing `delta = None` flushes everything except
+    /// same-`new_version` entries (used when the delta has more endpoints
+    /// than the server lets promotion check).
     pub fn advance(
         &self,
         prev_version: u64,
         new_version: u64,
-        touched: Option<&[bool]>,
+        delta: Option<(&Snapshot, &[bool])>,
         promotable: &[bool],
     ) {
         for shard in &self.shards {
@@ -127,10 +131,12 @@ impl ResultCache {
                 if entry.version == new_version {
                     return true;
                 }
-                let Some(touched) = touched else { return false };
+                let Some((snap, endpoints)) = delta else { return false };
                 let promotable = promotable.get(metric as usize).copied().unwrap_or(false);
-                let untouched = touched.get(source as usize) == Some(&false);
-                if promotable && entry.version == prev_version && untouched {
+                if promotable
+                    && entry.version == prev_version
+                    && !near_delta(snap, endpoints, source)
+                {
                     entry.version = new_version;
                     true
                 } else {
@@ -162,6 +168,23 @@ impl ResultCache {
     }
 }
 
+/// True when a node marked in `endpoints` lies within two hops of
+/// `source` in `snap`. It looks at the source, then its neighbours, then
+/// theirs, and stops at the first marked node. `endpoints` is indexed by
+/// node over `snap`; a node outside it, the source included, counts as
+/// marked, so a source the array does not cover is never promoted. In an
+/// undirected graph this is exactly membership in the endpoints' two-hop
+/// ball.
+pub fn near_delta(snap: &Snapshot, endpoints: &[bool], source: NodeId) -> bool {
+    let marked = |u: NodeId| endpoints.get(u as usize) != Some(&false);
+    if marked(source) {
+        return true;
+    }
+    let ring1 = snap.neighbors(source);
+    ring1.iter().any(|&w| marked(w))
+        || ring1.iter().any(|&w| snap.neighbors(w).iter().any(|&x| marked(x)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,16 +206,21 @@ mod tests {
 
     #[test]
     fn advance_promotes_untouched_local_entries_only() {
+        // Path 5-0-1-2-6 plus the edge 3-4; the delta (2, 6) marks 2 and 6.
+        let snap = Snapshot::from_edges(7, &[(5, 0), (0, 1), (1, 2), (2, 6), (3, 4)]);
+        let mut endpoints = vec![false; 7];
+        endpoints[2] = true;
+        endpoints[6] = true;
         let c = ResultCache::new(2);
-        c.put(1, 0, 5, topk(1)); // promotable metric, untouched source
+        c.put(1, 0, 5, topk(1)); // promotable metric, untouched source (3 hops)
         c.put(1, 0, 6, topk(2)); // promotable metric, touched source
+        c.put(1, 0, 0, topk(5)); // promotable metric, source two hops from 2
         c.put(1, 1, 5, topk(3)); // non-promotable metric
         c.put(1, 0, 7, topk(4)); // promotable metric, source outside the array
-        let mut touched = vec![false; 7];
-        touched[6] = true;
-        c.advance(1, 2, Some(&touched), &[true, false]);
+        c.advance(1, 2, Some((&snap, &endpoints)), &[true, false]);
         assert!(c.get(2, 0, 5).is_some(), "untouched local entry promoted");
         assert!(c.get(2, 0, 6).is_none(), "touched source dropped");
+        assert!(c.get(2, 0, 0).is_none(), "source with an endpoint two hops out dropped");
         assert!(c.get(2, 1, 5).is_none(), "non-local metric dropped");
         assert!(c.get(2, 0, 7).is_none(), "source outside the array dropped, not promoted");
         assert_eq!(c.len(), 1);

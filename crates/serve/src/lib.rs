@@ -6,10 +6,10 @@
 //! 1. **Ingest** — an [`osn_graph::live::LiveGraph`] behind a mutex.
 //!    Edge/node events validate and append; [`Server::publish`] folds the
 //!    pending delta through the offline builder's streaming merge core
-//!    and installs the result in the [`store::SnapshotStore`] with one
-//!    O(1) pointer swap. Readers pin versions by `Arc`-cloning, so a
-//!    publish never blocks a query mid-flight and a query never blocks
-//!    ingest.
+//!    and installs the merged snapshot itself (no copy) in the
+//!    [`store::SnapshotStore`] with one O(1) pointer swap. Readers pin
+//!    versions by `Arc`-cloning, so a publish never blocks a query
+//!    mid-flight and a query never blocks ingest.
 //! 2. **Serving** — `workers` threads drain the bounded
 //!    [`admission::Admission`] queue. Each worker pins the current
 //!    [`store::Versioned`], builds the fused kernel context once for that
@@ -23,9 +23,11 @@
 //!    are bit-identical to the offline batch engine at the pinned version
 //!    (asserted by `tests/serve_equivalence.rs`).
 //! 3. **Result cache** — a sharded [`cache::ResultCache`] keyed
-//!    `(version, metric, source)`. On publish, the delta's two-hop ball is
-//!    marked in a node-indexed array; entries for delta-local metrics
-//!    whose source lies outside it are promoted to the new version, and
+//!    `(version, metric, source)`. On publish, the delta's endpoints are
+//!    marked in a node-indexed array, an O(delta) pass; an entry for a
+//!    delta-local metric is promoted to the new version iff no endpoint
+//!    lies within two hops of its source, which the entry checks by
+//!    walking its own source's two-hop ball ([`cache::near_delta`]), and
 //!    everything else is dropped. `get` is version-exact, so a stale
 //!    answer is structurally unservable.
 
@@ -77,9 +79,10 @@ pub struct ServeConfig {
     /// Hub-list size for `Global`-policy candidate enumeration (the
     /// offline `top_degree` parameter).
     pub top_degree: usize,
-    /// Upper bound on the publish-time invalidation set. When the
-    /// delta's two-hop ball grows past this, the publish flushes the
-    /// result cache instead of computing the full ball.
+    /// Upper bound on the publish-time invalidation work: the most
+    /// distinct delta endpoints a publish lets promotion check cached
+    /// entries against. A delta with more endpoints flushes the result
+    /// cache with no check.
     pub promote_limit: usize,
 }
 
@@ -129,7 +132,8 @@ pub struct PublishOutcome {
     /// Edges folded in by this publish.
     pub delta_edges: usize,
     /// Whether the result cache was flushed wholesale instead of
-    /// delta-invalidated (two-hop ball exceeded `promote_limit`).
+    /// delta-invalidated (the delta's distinct endpoints exceeded
+    /// `promote_limit`).
     pub flushed: bool,
 }
 
@@ -194,7 +198,7 @@ impl Server {
             );
         }
         let mut live = LiveGraph::new();
-        // Version 0: the arena's empty snapshot (a no-op publish clones it).
+        // Version 0: the empty snapshot (a no-op publish hands out its `Arc`).
         let empty = live.publish();
         let initial = Versioned::derive(empty.version, empty.snapshot, cfg.top_degree);
         let server = Arc::new(Server {
@@ -235,13 +239,16 @@ impl Server {
         lock_live(&self.live).ingest_edge(u, v, t)
     }
 
-    /// Folds all pending ingest into a new published version, invalidates
-    /// the result cache for sources the delta's two-hop ball touched, and
-    /// swaps the new snapshot in for subsequent queries. Two publishes
-    /// racing past the ingest lock may reach the swap out of order; the
-    /// store keeps the newer version ([`SnapshotStore::swap`]). A late
-    /// invalidation can only cost hits: `get` is version-exact, so no
-    /// entry it leaves behind is served at the newer version.
+    /// Folds all pending ingest into a new published version, marks the
+    /// delta's endpoints, invalidates the result cache for sources within
+    /// two hops of one (each cached entry checks its own source, see
+    /// [`cache::ResultCache::advance`]), and swaps the new snapshot in for
+    /// subsequent queries. A delta with more than `promote_limit` distinct
+    /// endpoints flushes the cache instead. Two publishes racing past the
+    /// ingest lock may reach the swap out of order; the store keeps the
+    /// newer version ([`SnapshotStore::swap`]). A late invalidation can
+    /// only cost hits: `get` is version-exact, so no entry it leaves
+    /// behind is served at the newer version.
     pub fn publish(&self) -> PublishOutcome {
         let (prev_version, publication) = {
             let mut live = lock_live(&self.live);
@@ -259,10 +266,15 @@ impl Server {
         // version only after its cache entries are consistent with it.
         // (Entries written at the *new* version by such a worker survive
         // `advance` by the version == new_version arm.)
-        let touched =
-            touched_two_ball(&publication.snapshot, &publication.delta, self.cfg.promote_limit);
-        let flushed = touched.is_none();
-        self.cache.advance(prev_version, publication.version, touched.as_deref(), &self.promotable);
+        let endpoints =
+            delta_endpoints(&publication.snapshot, &publication.delta, self.cfg.promote_limit);
+        let flushed = endpoints.is_none();
+        self.cache.advance(
+            prev_version,
+            publication.version,
+            endpoints.as_deref().map(|e| (&*publication.snapshot, e)),
+            &self.promotable,
+        );
         self.store.swap(next);
         self.publishes.fetch_add(1, Ordering::Relaxed);
         PublishOutcome {
@@ -370,45 +382,25 @@ fn lock_workers(m: &Mutex<Vec<JoinHandle<()>>>) -> std::sync::MutexGuard<'_, Vec
     }
 }
 
-/// Marks every node within two hops of any delta endpoint in `snap` —
-/// the sources whose cached answers a publish may have changed (see
-/// [`cache::ResultCache::advance`]). `ball[u]` is true for a touched node,
-/// and the array covers exactly `snap`'s nodes. `None` once the ball
-/// holds more than `limit` nodes, signalling the caller to flush instead.
-fn touched_two_ball(
-    snap: &Snapshot,
-    delta: &[(NodeId, NodeId)],
-    limit: usize,
-) -> Option<Vec<bool>> {
-    let mut ball = vec![false; snap.node_count()];
-    let mut frontier: Vec<NodeId> = Vec::new();
+/// Marks the delta's endpoints in a node-indexed array over `snap`, the
+/// array [`cache::ResultCache::advance`] checks each cached source's
+/// two-hop ball against. `None` once the delta has more than `limit`
+/// distinct endpoints, signalling the caller to flush instead.
+fn delta_endpoints(snap: &Snapshot, delta: &[(NodeId, NodeId)], limit: usize) -> Option<Vec<bool>> {
+    let mut endpoints = vec![false; snap.node_count()];
+    let mut distinct = 0usize;
     for &(u, v) in delta {
         for e in [u, v] {
-            if let Some(slot @ false) = ball.get_mut(e as usize) {
+            if let Some(slot @ false) = endpoints.get_mut(e as usize) {
                 *slot = true;
-                frontier.push(e);
-            }
-        }
-    }
-    let mut size = frontier.len();
-    // Two BFS rings from every endpoint at once.
-    for _ in 0..2 {
-        if size > limit {
-            return None;
-        }
-        let mut next: Vec<NodeId> = Vec::new();
-        for &w in &frontier {
-            for &x in snap.neighbors(w) {
-                if !ball[x as usize] {
-                    ball[x as usize] = true;
-                    next.push(x);
+                distinct += 1;
+                if distinct > limit {
+                    return None;
                 }
             }
         }
-        size += next.len();
-        frontier = next;
     }
-    (size <= limit).then_some(ball)
+    Some(endpoints)
 }
 
 /// One scoring worker: pin the current version, build the fused kernel
@@ -450,7 +442,7 @@ fn worker_loop(
                 None => match admission.pop(IDLE_POLL) {
                     Some(q) => q,
                     None => {
-                        if admission.is_closed() {
+                        if admission.is_drained() {
                             return;
                         }
                         if store.version() != pinned.version {
@@ -570,13 +562,97 @@ mod tests {
     }
 
     #[test]
-    fn touched_ball_bounds_and_flush() {
-        let snap = Snapshot::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let ball = touched_two_ball(&snap, &[(1, 2)], 100).unwrap();
-        // Endpoints 1,2; ring 1 adds 0,3; ring 2 adds 4. One flag per node.
-        assert_eq!(ball, vec![true, true, true, true, true, false]);
-        assert_eq!(touched_two_ball(&snap, &[(1, 2)], 5), Some(ball), "a ball of 5 fits 5");
-        assert!(touched_two_ball(&snap, &[(1, 2)], 4).is_none(), "ring 2 passes the limit");
-        assert!(touched_two_ball(&snap, &[(1, 2)], 2).is_none(), "limit forces flush");
+    fn endpoint_count_bounds_and_flush() {
+        let snap = Snapshot::from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
+        // Three distinct endpoints: 1, 2 and 3.
+        let delta = [(1, 2), (2, 3)];
+        let advance = |limit: usize| {
+            let cache = ResultCache::new(2);
+            cache.put(1, 0, 6, Arc::new(vec![(5, 6)])); // 3 hops from 3: promotable
+            cache.put(1, 0, 0, Arc::new(vec![(0, 1)])); // 1 hop from 1: touched
+            cache.put(2, 0, 4, Arc::new(vec![(3, 4)])); // already at the new version
+            let endpoints = delta_endpoints(&snap, &delta, limit);
+            let flushed = endpoints.is_none();
+            cache.advance(1, 2, endpoints.as_deref().map(|e| (&snap, e)), &[true]);
+            let kept = [6, 0, 4].map(|source| cache.get(2, 0, source).is_some());
+            (flushed, kept)
+        };
+        assert_eq!(advance(2), (true, [false, false, true]), "a limit below 3 flushes");
+        assert_eq!(advance(0), (true, [false, false, true]), "limit 0 flushes any delta");
+        assert_eq!(advance(3), (false, [true, false, true]), "a limit of 3 promotes");
+        assert_eq!(advance(1 << 12), (false, [true, false, true]), "a larger limit promotes");
+        let marked = delta_endpoints(&snap, &delta, 3).unwrap();
+        assert_eq!(marked, [false, true, true, true, false, false, false], "one flag per node");
+    }
+
+    /// The oracle for `cache::near_delta`: a two-ring BFS from every delta
+    /// endpoint at once, so `ball[u]` is true for a node within two hops
+    /// of an endpoint.
+    fn touched_two_ball(snap: &Snapshot, delta: &[(NodeId, NodeId)]) -> Vec<bool> {
+        let mut ball = vec![false; snap.node_count()];
+        let mut frontier: Vec<NodeId> = Vec::new();
+        for &(u, v) in delta {
+            for e in [u, v] {
+                if let Some(slot @ false) = ball.get_mut(e as usize) {
+                    *slot = true;
+                    frontier.push(e);
+                }
+            }
+        }
+        // Two BFS rings from every endpoint at once.
+        for _ in 0..2 {
+            let mut next: Vec<NodeId> = Vec::new();
+            for &w in &frontier {
+                for &x in snap.neighbors(w) {
+                    if !ball[x as usize] {
+                        ball[x as usize] = true;
+                        next.push(x);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        ball
+    }
+
+    #[test]
+    fn promotion_check_is_membership_in_the_two_hop_ball() {
+        // splitmix64: a fixed stream of random snapshots and deltas.
+        let mut state = 0x5EED_u64;
+        let mut draw = |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut checked = [0usize; 2];
+        for trial in 0..400 {
+            let n = 2 + draw(40);
+            let edges: Vec<(NodeId, NodeId)> = (0..1 + draw(3 * n))
+                .map(|_| (draw(n) as NodeId, draw(n) as NodeId))
+                .filter(|&(u, v)| u != v)
+                .collect();
+            if edges.is_empty() {
+                continue;
+            }
+            let snap = Snapshot::from_edges(n, &edges);
+            let keep = 1 + draw(8);
+            let delta: Vec<(NodeId, NodeId)> =
+                edges.iter().copied().filter(|_| draw(keep) == 0).collect();
+            let ball = touched_two_ball(&snap, &delta);
+            let endpoints = delta_endpoints(&snap, &delta, usize::MAX).unwrap();
+            // Every node, plus one past the array (touched by convention).
+            for u in 0..=n as NodeId {
+                let in_ball = ball.get(u as usize) != Some(&false);
+                assert_eq!(
+                    cache::near_delta(&snap, &endpoints, u),
+                    in_ball,
+                    "trial {trial}, node {u}, delta {delta:?}"
+                );
+                checked[usize::from(in_ball)] += 1;
+            }
+        }
+        assert!(checked.iter().all(|&c| c > 1000), "both outcomes exercised: {checked:?}");
     }
 }
