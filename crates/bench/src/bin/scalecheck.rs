@@ -726,7 +726,7 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
 /// Three stages, equality always asserted untimed first so a reported
 /// speedup can never come from computing something different:
 ///
-/// 1. **fit**: [`oracles::rescal::fit_dense`] (serial `matmul_dense`
+/// 1. **fit**: [`oracles::rescal::fit_dense`] (the serial row-fold ALS
 ///    loop, the property-tested oracle) vs the blocked `fit_t` (thread-parallel
 ///    `spmm_into_t` products + sparse residual certification) — factors
 ///    and certified residual asserted bit-identical at every probed

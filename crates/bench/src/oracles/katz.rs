@@ -3,30 +3,22 @@
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
-use osn_linalg::{Matrix, SparseMatrix};
+use osn_linalg::{sparse, Matrix};
 use osn_metrics::katz::KatzSc;
-
-/// The snapshot's adjacency from a triplet build. The engine reads the
-/// solver cache's CSR instead, which is structurally identical.
-fn adjacency(snap: &Snapshot) -> SparseMatrix {
-    let edges: Vec<(u32, u32)> = snap.edges().collect();
-    SparseMatrix::adjacency(snap.node_count(), &edges)
-}
 
 /// Katz-sc's scores from [`landmark_columns`]: the engine's landmark pick
 /// and mixing stage ([`KatzSc::score_with_columns`]) on columns built one
 /// SpMV per term per landmark. The columns are bit-identical to the
 /// engine's batched SpMM build, so the scores are too.
 pub fn katz_sc(sc: &KatzSc, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-    let a = adjacency(snap);
-    sc.score_with_columns(snap, pairs, 1, |lm| landmark_columns(sc, &a, lm))
+    sc.score_with_columns(snap, pairs, 1, |lm| landmark_columns(sc, snap, lm))
 }
 
-/// Truncated Katz columns `C[:, j] = Σ_{i=1..T} βⁱ Aⁱ e_{lm[j]}`, one
-/// SpMV per series term per landmark: the original loop the batched
-/// [`KatzSc::landmark_columns`] replaced.
-pub fn landmark_columns(sc: &KatzSc, a: &SparseMatrix, lm: &[NodeId]) -> Matrix {
-    let n = a.rows();
+/// Truncated Katz columns `C[:, j] = Σ_{i=1..T} βⁱ Aⁱ e_{lm[j]}` for the
+/// adjacency `A` of `snap`, one SpMV per series term per landmark: the
+/// original loop the batched [`KatzSc::landmark_columns`] replaced.
+pub fn landmark_columns(sc: &KatzSc, snap: &Snapshot, lm: &[NodeId]) -> Matrix {
+    let n = snap.node_count();
     let l = lm.len();
     let mut c = Matrix::zeros(n, l);
     let mut col = vec![0.0; n];
@@ -37,7 +29,7 @@ pub fn landmark_columns(sc: &KatzSc, a: &SparseMatrix, lm: &[NodeId]) -> Matrix 
         let mut weight = 1.0;
         let mut acc = vec![0.0; n];
         for _ in 0..sc.series_terms {
-            a.matvec_into(&col, &mut next);
+            sparse::matvec_into(snap, &col, &mut next);
             std::mem::swap(&mut col, &mut next);
             weight *= sc.beta;
             for (av, &cv) in acc.iter_mut().zip(col.iter()) {
@@ -55,7 +47,7 @@ pub fn landmark_columns(sc: &KatzSc, a: &SparseMatrix, lm: &[NodeId]) -> Matrix 
 /// graphs only).
 pub fn exact_katz_truncated(snap: &Snapshot, beta: f64, terms: usize) -> Matrix {
     let n = snap.node_count();
-    let a = adjacency(snap).to_dense();
+    let a = sparse::to_dense(snap);
     let mut power = Matrix::identity(n);
     let mut acc = Matrix::zeros(n, n);
     let mut weight = 1.0;

@@ -12,7 +12,7 @@
 //! | [`path`] | per-source SP (one BFS per source) and LP (one plain scatter per source) |
 //! | [`walk`] | two-sided per-source LRW (frontier walk) and PPR (forward push), and their bounds |
 //! | [`katz`] | Katz-sc from per-landmark columns, and the dense truncated Katz series |
-//! | [`rescal`] | the serial dense ALS fit |
+//! | [`rescal`] | the serial ALS fit |
 //! | [`candidates`] | post-hoc filtered candidate sets |
 //!
 //! [`contract`] gives every metric of `osn_metrics::all_metrics` its

@@ -1,16 +1,32 @@
-//! The serial dense reference for Rescal's blocked ALS core, and the
+//! The serial reference for Rescal's blocked ALS core, and the
 //! per-pair bilinear score the batched scoring path is checked against.
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
-use osn_linalg::{factor, Matrix, SparseMatrix};
+use osn_linalg::{factor, Matrix};
 use osn_metrics::rescal::{Rescal, RescalModel};
 use osn_metrics::solver::SolverError;
 
-/// The original `matmul_dense` ALS loop, with the same guarded updates
-/// and residual certification as [`Rescal::fit_t`]. The blocked kernel's
-/// per-row fold is arithmetic-identical to `matmul_dense`, so the two
-/// fits are bit-identical at every thread count.
+/// `A·X` for the adjacency `A` of `snap`, serially: each output row adds
+/// the rows of `x` at its neighbours, in ascending order, from `0.0`.
+fn adjacency_times(snap: &Snapshot, x: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(snap.node_count(), x.cols());
+    for i in 0..snap.node_count() {
+        let row = out.row_mut(i);
+        for &c in snap.neighbors(i as NodeId) {
+            for (o, &v) in row.iter_mut().zip(x.row(c as usize)) {
+                *o += v;
+            }
+        }
+    }
+    out
+}
+
+/// The original serial ALS loop, with the same guarded updates and
+/// residual certification as [`Rescal::fit_t`] but every `A·X` a serial
+/// row fold (`adjacency_times`) and every solve `solve_many`. The
+/// blocked kernel's per-row fold is arithmetic-identical to that fold, so
+/// the two fits are bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -18,8 +34,6 @@ use osn_metrics::solver::SolverError;
 pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, SolverError> {
     let n = snap.node_count();
     let r = rescal.rank.min(n.max(1));
-    let edges: Vec<(u32, u32)> = snap.edges().collect();
-    let a = SparseMatrix::adjacency(n, &edges);
 
     let mut x = factor::init_factors(n, r, rescal.seed);
     let mut core = Matrix::identity(r);
@@ -31,7 +45,7 @@ pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, Solver
     for it in 0..rescal.iterations {
         // --- X update ---
         // numer = A X (Rᵀ + R)   (A symmetric).
-        let ax = a.matmul_dense(&x);
+        let ax = adjacency_times(snap, &x);
         let r_sym = &core.transpose() + &core;
         let numer = ax.matmul(&r_sym);
         // denom = R G Rᵀ + Rᵀ G R + λI, G = XᵀX.
@@ -57,7 +71,7 @@ pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, Solver
         for d in 0..r {
             g_reg[(d, d)] += rescal.lambda;
         }
-        let ax = a.matmul_dense(&x); // n × r
+        let ax = adjacency_times(snap, &x); // n × r
         let xtax = x.transpose().matmul(&ax); // r × r
                                               // Left solve: (G+λI) Y = XᵀAX.
         let rhs: Vec<Vec<f64>> = (0..r).map(|j| (0..r).map(|i| xtax[(i, j)]).collect()).collect();
@@ -84,7 +98,7 @@ pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, Solver
             return Err(SolverError::NonFinite { metric: "Rescal", iteration: it });
         }
 
-        residual = factor::frobenius_residual(&a, &x, &core, 1);
+        residual = factor::frobenius_residual(snap, &x, &core, 1);
         if !residual.is_finite() {
             return Err(SolverError::NonFinite { metric: "Rescal", iteration: it });
         }
@@ -99,7 +113,7 @@ pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, Solver
         return Err(SolverError::NoConvergence { metric: "Rescal", iterations });
     }
     if residual.is_nan() {
-        residual = factor::frobenius_residual(&a, &x, &core, 1);
+        residual = factor::frobenius_residual(snap, &x, &core, 1);
     }
     Ok(RescalModel { x, r: core, residual, iterations, warm_started: false })
 }

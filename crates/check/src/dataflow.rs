@@ -441,7 +441,7 @@ const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "Condvar"];
 const IO_CALLS: &[&str] = &["stdin", "stdout", "stderr", "read_to_string", "read_line", "flush"];
 const IO_TYPES: &[&str] = &["File"];
 const IO_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "write", "writeln", "dbg"];
-const REBUILDS: &[&str] = &["SnapshotBuilder", "from_edges", "advance_to", "load_full", "publish"];
+const REBUILDS: &[&str] = &["SnapshotBuilder", "from_edges", "advance_to", "publish"];
 
 fn blocking_in_query_path(
     file: &ParsedFile,

@@ -14,8 +14,8 @@
 //! * `missing-forbid-unsafe` — every crate root keeps
 //!   `#![forbid(unsafe_code)]`;
 //! * `print-in-lib` — `println!`-family output in library crates;
-//! * `full-trace-materialization` — `load_full` / `read_cache` /
-//!   `read_cache_file` in library code, where traces must stream.
+//! * `full-trace-materialization` — `read_cache` / `read_cache_file` in
+//!   library code, where traces must stream.
 //!
 //! On top of those single-file rules, the checker runs a *workspace*
 //! analysis: every file is parsed into a symbol index (`symbols`), an

@@ -84,9 +84,9 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: "full-trace-materialization",
-        contract: "a full edge-list materialization (`load_full` / `read_cache` / `read_cache_file`) in library code; large traces must flow through the windowed streaming reader, or justify the small-trace in-core path",
-        rationale: "The sectioned cache and windowed reader exist so 10^6-10^7-node traces never hold the full edge list in RAM; one load_full on a sweep path silently reintroduces the O(edges) working set the streaming layer removed.",
-        fix: "- let g = reader.load_full()?;\n+ let mut seq = StreamingSequence::with_count(reader, snapshots);  // windowed delta reads\n(or justify: // linklens-allow(full-trace-materialization): sanctioned small-trace in-core entry point)",
+        contract: "a full edge-list materialization (`read_cache` / `read_cache_file`) in library code; large traces must flow through the windowed streaming reader, or justify the small-trace in-core path",
+        rationale: "The sectioned cache and windowed reader exist so 10^6-10^7-node traces never hold the full edge list in RAM; one read_cache_file on a sweep path silently reintroduces the O(edges) working set the streaming layer removed.",
+        fix: "- let g = read_cache_file(&path)?;\n+ let mut seq = StreamingSequence::with_count(reader, snapshots);  // windowed delta reads\n(or justify: // linklens-allow(full-trace-materialization): sanctioned small-trace in-core entry point)",
     },
     RuleSpec {
         name: "unordered-iteration-in-deterministic-path",
@@ -368,7 +368,7 @@ pub(crate) fn past_matching_brace(tokens: &[Token], open: usize) -> usize {
     j
 }
 
-/// A full edge-list materialization call (`load_full`, `read_cache`,
+/// A full edge-list materialization call (`read_cache`,
 /// `read_cache_file`) in library code: the sectioned cache and the
 /// windowed streaming reader (DESIGN.md §16) exist so large traces never
 /// hold every edge in RAM at once. The sanctioned small-trace in-core
@@ -380,7 +380,7 @@ fn full_trace_materialization(
     mask: &[bool],
     out: &mut Vec<Diagnostic>,
 ) {
-    const MATERIALIZERS: &[&str] = &["load_full", "read_cache", "read_cache_file"];
+    const MATERIALIZERS: &[&str] = &["read_cache", "read_cache_file"];
     for i in 0..tokens.len() {
         if mask[i] {
             continue;
@@ -680,7 +680,7 @@ mod tests {
 
     #[test]
     fn materialization_rule_fires_on_load_full_and_read_cache_file() {
-        let src = "fn sweep(reader: SectionedCacheReader) -> Score {\n  let g = reader.load_full()?;\n  let h = read_cache_file(&path)?;\n  score(&g, &h)\n}";
+        let src = "fn sweep(bytes: &[u8]) -> Score {\n  let g = read_cache(bytes)?;\n  let h = read_cache_file(&path)?;\n  score(&g, &h)\n}";
         let d = check_file(&lib_info("graph"), src);
         assert_eq!(active(&d, "full-trace-materialization"), 2);
         assert_eq!(

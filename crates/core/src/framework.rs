@@ -8,8 +8,8 @@
 //! [`osn_graph::activity::NodeActivity`] table per snapshot instead of a
 //! per-pair-per-policy feature recomputation), and every metric group
 //! goes through `exec`'s chunked engine — fused local kernel for the
-//! advertised [`Metric::fused_kind`]s, shared solver transition views for
-//! the rest — with per-chunk streaming top-k accumulators, so the full
+//! advertised [`Metric::fused_kind`]s, a shared solver cache for the
+//! rest — with per-chunk streaming top-k accumulators, so the full
 //! (pairs × metrics) score matrix is never materialized. The post-hoc
 //! filter path, the oracle the pruned path is property-tested against,
 //! lives in `linklens_bench::oracles`.
@@ -188,8 +188,8 @@ impl<'a> SequenceEvaluator<'a> {
     /// into the walks via one per-snapshot [`NodeActivity`] table. Each
     /// group then runs through [`exec::predict_top_k_many_cached_t`]: the
     /// fused local kernel covers every metric advertising a
-    /// [`Metric::fused_kind`], solver-backed metrics share the cache's
-    /// transition view, and per-chunk top-k accumulators merge streams so
+    /// [`Metric::fused_kind`], solver-backed metrics share the solver
+    /// cache, and per-chunk top-k accumulators merge streams so
     /// the full (pairs × metrics) matrix never exists.
     fn predict_top_k_groups(
         &self,
@@ -295,7 +295,7 @@ impl<'a> SequenceEvaluator<'a> {
     /// [`evaluate_metrics_at`](Self::evaluate_metrics_at), which passes a
     /// [`SolverCache::transient`]. [`evaluate_all`](Self::evaluate_all)
     /// passes a persistent [`SolverCache::sweep`] so every snapshot shares
-    /// one transition view across its policy groups and PPR warm-starts
+    /// one Rescal fit across its policy groups and PPR warm-starts
     /// from the previous snapshot's converged vectors (fewer iterations;
     /// outputs within the solver's documented fixed-point tolerance of a
     /// cold run — see `osn_metrics::solver`).
@@ -416,7 +416,7 @@ impl<'a> SequenceEvaluator<'a> {
 
     /// [`predictions`](Self::predictions) for several metrics at once,
     /// sharing one candidate enumeration per policy group and one solver
-    /// transition view: `result.0[i]` aligns with `metrics[i]`.
+    /// cache: `result.0[i]` aligns with `metrics[i]`.
     pub fn predictions_many(
         &self,
         metrics: &[&dyn Metric],

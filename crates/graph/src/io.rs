@@ -941,22 +941,6 @@ impl SectionedCacheReader {
     pub fn edge_section_count(&self) -> usize {
         self.sections.len()
     }
-
-    /// Materializes the entire trace as an in-core [`TemporalGraph`],
-    /// re-validating every invariant on insertion and, like [`read_cache`],
-    /// rejecting a pair the cache holds twice.
-    ///
-    /// This is the small-trace convenience path: it allocates the full edge
-    /// list. Large-trace consumers should stay on
-    /// [`TraceReader::read_edge_window`] — the `full-trace-materialization`
-    /// lint flags `load_full` calls on library paths for exactly this
-    /// reason.
-    pub fn load_full(&mut self) -> Result<TemporalGraph, TraceIoError> {
-        let mut window: Vec<TimedEdge> = Vec::new();
-        let total = self.edges;
-        self.read_edge_window(0, total, &mut window)?;
-        checked_graph(self.arrivals.clone(), window.into_iter().map(|e| (e.u, e.v, e.t)))
-    }
 }
 
 impl TraceReader for SectionedCacheReader {
@@ -1420,13 +1404,11 @@ mod tests {
         assert_eq!(TraceReader::arrivals(&r), g.arrivals());
         assert_eq!(r.nodes_at(17), g.nodes_at(17));
         let mut window = Vec::new();
+        // `0..299` is the whole trace in one window.
         for (start, end) in [(0, 0), (0, 5), (7, 123), (290, 299), (0, 299)] {
             r.read_edge_window(start, end, &mut window).unwrap();
             assert_eq!(&window[..], &g.edges()[start..end], "window {start}..{end}");
         }
-        let full = r.load_full().unwrap();
-        assert_eq!(full.edges(), g.edges());
-        assert_eq!(full.arrivals(), g.arrivals());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1588,15 +1570,6 @@ mod tests {
         match read_cache(&bytes[..]) {
             Err(TraceIoError::Cache(msg)) => assert!(msg.contains("(0, 1)"), "{msg}"),
             other => panic!("read_cache returned {:?}", other.map(|g| g.edge_count())),
-        }
-        let path =
-            std::env::temp_dir().join(format!("linklens-repeat-full-{}.llc", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let loaded = SectionedCacheReader::open(&path).unwrap().load_full();
-        let _ = std::fs::remove_file(&path);
-        match loaded {
-            Err(TraceIoError::Cache(msg)) => assert!(msg.contains("(0, 1)"), "{msg}"),
-            other => panic!("load_full returned {:?}", other.map(|g| g.edge_count())),
         }
     }
 

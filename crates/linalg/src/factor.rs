@@ -6,12 +6,13 @@
 //! * `X ← [A X (Rᵀ + R)] · [R G Rᵀ + Rᵀ G R + λI]⁻¹`, `G = XᵀX`
 //! * `R ← (G + λI)⁻¹ Xᵀ A X (G + λI)⁻¹`
 //!
-//! but routes every `A·X` product through the thread-parallel CSR
-//! [`spmm_into_t`](crate::SparseMatrix::spmm_into_t) kernel instead of a
-//! serial dense sweep. The kernel partitions output rows into disjoint
-//! blocks and keeps each row's ascending-column fold unchanged, so the
-//! blocked fit is **bit-identical** to the serial dense fit for every
-//! thread count — the same contract the batched metric solvers carry.
+//! but routes every `A·X` product through the thread-parallel
+//! [`spmm_into_t`](crate::sparse::spmm_into_t) kernel, which reads the
+//! snapshot's adjacency CSR in place, instead of a serial dense sweep.
+//! The kernel partitions output rows into disjoint blocks and keeps each
+//! row's ascending-neighbour fold unchanged, so the blocked fit is
+//! **bit-identical** to the serial dense fit for every thread count — the
+//! same contract the batched metric solvers carry.
 //!
 //! Every linear solve is guarded: a singular normal-equations system or a
 //! non-finite factor surfaces as a structured [`FactorError`] instead of
@@ -22,7 +23,9 @@
 //! densifying `A` or `XRXᵀ` — and drives optional early stopping.
 
 use crate::dense::{LuFactors, Matrix};
-use crate::sparse::SparseMatrix;
+use crate::sparse;
+use osn_graph::snapshot::Snapshot;
+use osn_graph::NodeId;
 
 /// Weyl-sequence increment shared with the historical dense init.
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -149,53 +152,50 @@ pub fn init_factors(n: usize, rank: usize, seed: u64) -> Matrix {
     x
 }
 
-/// Frobenius residual `‖A − XRXᵀ‖_F` computed sparsely:
+/// Frobenius residual `‖A − XRXᵀ‖_F` for the adjacency `A` of `snap`,
+/// computed sparsely:
 ///
 /// ```text
 /// ‖A − XRXᵀ‖²_F = ‖A‖²_F − 2·⟨A, XRXᵀ⟩ + ‖XRXᵀ‖²_F
 /// ```
 ///
-/// `‖A‖²_F` and the cross term are single passes over the nonzeros (the
-/// cross term is `Σ A_uc · dot((XR)_u, X_c)` with `XR` precomputed), and
-/// `‖XRXᵀ‖²_F = tr(RᵀG·RG)` with `G = XᵀX` needs only `r × r` products.
-/// Nothing `n × n` is ever materialized, so this doubles as the
-/// per-sweep certification check at preset scale.
+/// `‖A‖²_F` is `2E`, the count of unit entries. The cross term is one
+/// pass over the nonzeros (`Σ_{c∈Γ(u)} dot((XR)_u, X_c)` with `XR`
+/// precomputed), and `‖XRXᵀ‖²_F = tr(RᵀG·RG)` with `G = XᵀX` needs only
+/// `r × r` products. Nothing `n × n` is ever materialized, so this
+/// doubles as the per-sweep certification check at preset scale.
 ///
-/// The nonzero passes are parallelized over fixed 1024-row chunks
-/// whose partial sums are folded in chunk order, so the value
-/// is bit-identical for every `threads` count.
-pub fn frobenius_residual(a: &SparseMatrix, x: &Matrix, r: &Matrix, threads: usize) -> f64 {
-    assert_eq!(a.rows(), a.cols(), "adjacency must be square");
-    assert_eq!(x.rows(), a.rows(), "X row mismatch");
+/// The nonzero pass is parallelized over fixed 1024-row chunks whose
+/// partial sums are folded in chunk order, so the value is bit-identical
+/// for every `threads` count.
+pub fn frobenius_residual(snap: &Snapshot, x: &Matrix, r: &Matrix, threads: usize) -> f64 {
+    let n = snap.node_count();
+    assert_eq!(x.rows(), n, "X row mismatch");
     assert_eq!(x.cols(), r.rows(), "X/R rank mismatch");
     assert_eq!(r.rows(), r.cols(), "core must be square");
-    let n = a.rows();
     let xr = x.matmul(r); // n × r
     let chunks = n.div_ceil(RESIDUAL_ROW_CHUNK).max(1);
     let parts = osn_graph::par::run_indexed(chunks, threads.max(1), |b| {
         let lo = b * RESIDUAL_ROW_CHUNK;
         let hi = ((b + 1) * RESIDUAL_ROW_CHUNK).min(n);
-        let mut norm_a = 0.0;
         let mut cross = 0.0;
         for i in lo..hi {
-            let (cols, vals) = a.row(i);
             let xri = xr.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
+            for &c in snap.neighbors(i as NodeId) {
                 let xc = x.row(c as usize);
                 let mut dot = 0.0;
                 for (p, q) in xri.iter().zip(xc) {
                     dot += p * q;
                 }
-                norm_a += v * v;
-                cross += v * dot;
+                cross += dot;
             }
         }
-        (norm_a, cross)
+        cross
     });
-    let mut norm_a = 0.0;
+    // Every entry of A is 1, so ‖A‖²_F counts them exactly.
+    let norm_a = (2 * snap.edge_count()) as f64;
     let mut cross = 0.0;
-    for (pa, pc) in parts {
-        norm_a += pa;
+    for pc in parts {
         cross += pc;
     }
     // ‖XRXᵀ‖²_F = tr(Rᵀ G R G) = Σ_{i,k} (RᵀG)_{ik} (RG)_{ki}.
@@ -243,9 +243,9 @@ fn solve_rows_blocked(lu: &LuFactors, numer: &Matrix, x: &mut Matrix, threads: u
     }
 }
 
-/// Fits `A ≈ X R Xᵀ` by blocked ALS.
+/// Fits `A ≈ X R Xᵀ` to the adjacency `A` of `snap` by blocked ALS.
 ///
-/// `A·X` products run through [`SparseMatrix::spmm_into_t`] on `threads`
+/// `A·X` products run through [`sparse::spmm_into_t`] on `threads`
 /// workers and the X-update's independent row solves are sharded the
 /// same way; everything else (`r × r` solves, `n × r` updates) matches
 /// the dense reference operation for operation, so the result is
@@ -269,13 +269,12 @@ fn solve_rows_blocked(lu: &LuFactors, numer: &Matrix, x: &mut Matrix, threads: u
 /// [`FactorError::NoConvergence`] when `tol > 0` and the residual never
 /// plateaus within the budget.
 pub fn als_fit(
-    a: &SparseMatrix,
+    snap: &Snapshot,
     config: &AlsConfig,
     warm: Option<(&Matrix, &Matrix)>,
     threads: usize,
 ) -> Result<AlsFit, FactorError> {
-    assert_eq!(a.rows(), a.cols(), "adjacency must be square");
-    let n = a.rows();
+    let n = snap.node_count();
     let r = config.rank.min(n.max(1));
     let mut x = init_factors(n, r, config.seed);
     let mut core = Matrix::identity(r);
@@ -302,7 +301,7 @@ pub fn als_fit(
 
     for it in 0..config.iterations {
         // --- X update: X = [A X (Rᵀ + R)] · [R G Rᵀ + Rᵀ G R + λI]⁻¹ ---
-        a.spmm_into_t(&x, &mut ax, threads);
+        sparse::spmm_into_t(snap, &x, &mut ax, threads);
         let r_sym = &core.transpose() + &core;
         let numer = ax.matmul(&r_sym);
         let g = x.gram();
@@ -325,7 +324,7 @@ pub fn als_fit(
         for d in 0..r {
             g_reg[(d, d)] += config.lambda;
         }
-        a.spmm_into_t(&x, &mut ax, threads);
+        sparse::spmm_into_t(snap, &x, &mut ax, threads);
         let xtax = x.transpose().matmul(&ax); // r × r
                                               // Left solve: (G+λI) Y = XᵀAX, column RHS.
         let rhs: Vec<Vec<f64>> = (0..r).map(|j| (0..r).map(|i| xtax[(i, j)]).collect()).collect();
@@ -352,7 +351,7 @@ pub fn als_fit(
         }
 
         // --- Certification: sparse residual, drives early stopping. ---
-        residual = frobenius_residual(a, &x, &core, threads);
+        residual = frobenius_residual(snap, &x, &core, threads);
         if !residual.is_finite() {
             return Err(FactorError::NonFinite { iteration: it });
         }
@@ -368,7 +367,7 @@ pub fn als_fit(
     }
     if residual.is_nan() {
         // Zero-sweep budget in fixed mode: certify the init factors.
-        residual = frobenius_residual(a, &x, &core, threads);
+        residual = frobenius_residual(snap, &x, &core, threads);
     }
     Ok(AlsFit { x, r: core, residual, iterations, warm_started })
 }
@@ -377,8 +376,8 @@ pub fn als_fit(
 mod tests {
     use super::*;
 
-    /// Two 4-cliques bridged by one edge, as an undirected adjacency.
-    fn two_cliques() -> SparseMatrix {
+    /// Two 4-cliques bridged by one edge.
+    fn two_cliques() -> Snapshot {
         let mut edges = Vec::new();
         for a in 0..4u32 {
             for b in a + 1..4 {
@@ -391,7 +390,7 @@ mod tests {
             }
         }
         edges.push((3, 4));
-        SparseMatrix::adjacency(8, &edges)
+        Snapshot::from_edges(8, &edges)
     }
 
     fn cfg() -> AlsConfig {
@@ -425,7 +424,7 @@ mod tests {
         let fit = als_fit(&a, &cfg(), None, 1).expect("fit");
         let dense = {
             let rec = fit.x.matmul(&fit.r).matmul(&fit.x.transpose());
-            (&a.to_dense() - &rec).frobenius_norm()
+            (&sparse::to_dense(&a) - &rec).frobenius_norm()
         };
         for threads in [1usize, 2, 4, 8] {
             let sparse = frobenius_residual(&a, &fit.x, &fit.r, threads);
@@ -473,7 +472,7 @@ mod tests {
         // One edge in a 4-node graph: after the first X update the
         // embedding has rank ≤ 1 < 3, so G = XᵀX is singular and the
         // unregularized R update must fail structurally.
-        let a = SparseMatrix::adjacency(4, &[(0, 1)]);
+        let a = Snapshot::from_edges(4, &[(0, 1)]);
         let bad = AlsConfig { rank: 3, iterations: 5, lambda: 0.0, seed: 7, tol: 0.0 };
         let err = als_fit(&a, &bad, None, 1).expect_err("singular system must surface");
         assert!(matches!(err, FactorError::Singular { .. }), "got {err:?}");
@@ -559,9 +558,12 @@ mod tests {
 
     #[test]
     fn empty_matrix_fits_cleanly() {
-        let a = SparseMatrix::adjacency(0, &[]);
+        // An edgeless snapshot: A = 0, so the first X update zeroes X.
+        let a = Snapshot::from_edges(3, &[(0, 1)]).induced(&[]);
+        assert_eq!((a.node_count(), a.edge_count()), (3, 0));
         let fit = als_fit(&a, &cfg(), None, 1).expect("empty fit");
-        assert_eq!(fit.x.rows(), 0);
+        assert_eq!((fit.x.rows(), fit.x.cols()), (3, 3));
+        assert!(fit.x.data().iter().chain(fit.r.data()).all(|&v| v == 0.0));
         assert_eq!(fit.residual, 0.0);
     }
 }

@@ -8,8 +8,9 @@
 //!   matrices up to a few hundred rows.
 //! * [`lanczos_top_k`] — the Lanczos process with *full*
 //!   reorthogonalization against all previous basis vectors, returning the
-//!   `k` largest-magnitude eigenpairs of a sparse symmetric matrix. Its
-//!   tridiagonal projection goes straight to the QL step. This is what the
+//!   `k` largest-magnitude eigenpairs of a snapshot's adjacency matrix,
+//!   read in place through [`sparse::matvec_into`]. Its tridiagonal
+//!   projection goes straight to the QL step. This is what the
 //!   low-rank Katz metric (`Katz_lr` in the paper, after Acar et al. \[1\])
 //!   uses to approximate `Σ βˡ Aˡ = U (1/(1-βλ) - 1) Uᵀ`.
 //!
@@ -18,7 +19,8 @@
 //! social graphs have tight clusters of eigenvalues.
 
 use crate::dense::{dot, norm, Matrix};
-use crate::sparse::SparseMatrix;
+use crate::sparse;
+use osn_graph::snapshot::Snapshot;
 use std::fmt;
 
 /// QL iterations allowed per eigenvalue before [`EigenError::NoConvergence`].
@@ -306,8 +308,8 @@ fn descending(values: &[f64], vt: &Matrix) -> EigenPairs {
     EigenPairs { values: order.iter().map(|&p| values[p]).collect(), vectors }
 }
 
-/// Computes the `k` largest-magnitude eigenpairs of a sparse symmetric
-/// matrix via Lanczos with full reorthogonalization.
+/// Computes the `k` largest-magnitude eigenpairs of the adjacency matrix
+/// of `snap` via Lanczos with full reorthogonalization.
 ///
 /// `max_iter` bounds the Krylov dimension (clamped to `n`); `seed` controls
 /// the deterministic pseudo-random start vector. The Ritz pairs of the
@@ -323,16 +325,15 @@ fn descending(values: &[f64], vt: &Matrix) -> EigenPairs {
 /// iteration budget.
 ///
 /// # Panics
-/// Panics if `a` is not square or `k == 0`.
+/// Panics if `k == 0`.
 pub fn lanczos_top_k(
-    a: &SparseMatrix,
+    snap: &Snapshot,
     k: usize,
     max_iter: usize,
     seed: u64,
 ) -> Result<EigenPairs, EigenError> {
-    assert_eq!(a.rows(), a.cols(), "lanczos requires a square matrix");
     assert!(k > 0, "k must be positive");
-    let n = a.rows();
+    let n = snap.node_count();
     let k = k.min(n);
     let m = max_iter.max(2 * k + 10).min(n);
 
@@ -361,7 +362,7 @@ pub fn lanczos_top_k(
     let mut w = vec![0.0; n];
 
     for j in 0..m {
-        a.matvec_into(&basis[j], &mut w);
+        sparse::matvec_into(snap, &basis[j], &mut w);
         let alpha = dot(&w, &basis[j]);
         alphas.push(alpha);
         // w ← w − α qⱼ − β qⱼ₋₁, then full reorthogonalization.
@@ -416,15 +417,16 @@ pub fn lanczos_top_k(
 mod tests {
     use super::*;
 
-    fn residual(a: &SparseMatrix, lambda: f64, v: &[f64]) -> f64 {
-        let av = a.matvec(v);
+    fn residual(a: &Snapshot, lambda: f64, v: &[f64]) -> f64 {
+        let mut av = vec![0.0; v.len()];
+        sparse::matvec_into(a, v, &mut av);
         av.iter().zip(v).map(|(x, y)| (x - lambda * y).powi(2)).sum::<f64>().sqrt()
     }
 
     #[test]
     fn lanczos_matches_jacobi_on_path_graph() {
         // Path graph P5 adjacency: eigenvalues 2cos(kπ/6).
-        let a = SparseMatrix::adjacency(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let a = Snapshot::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let lz = lanczos_top_k(&a, 2, 20, 42).expect("finite input");
         // P5 is bipartite, so the spectrum is symmetric: the two largest-
         // magnitude eigenvalues are ±√3 and may come back in either order.
@@ -438,7 +440,7 @@ mod tests {
     fn lanczos_eigenpairs_have_small_residuals() {
         // A denser test graph: two triangles joined by a bridge.
         let edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)];
-        let a = SparseMatrix::adjacency(6, &edges);
+        let a = Snapshot::from_edges(6, &edges);
         let lz = lanczos_top_k(&a, 3, 30, 7).expect("finite input");
         for i in 0..3 {
             let col: Vec<f64> = (0..6).map(|r| lz.vectors[(r, i)]).collect();
@@ -449,7 +451,7 @@ mod tests {
     #[test]
     fn lanczos_star_graph_spectrum() {
         // Star K1,4: eigenvalues ±2 and zeros.
-        let a = SparseMatrix::adjacency(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let a = Snapshot::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         let lz = lanczos_top_k(&a, 2, 20, 1).expect("finite input");
         assert!((lz.values[0] - 2.0).abs() < 1e-9);
         assert!((lz.values[1] + 2.0).abs() < 1e-9);
@@ -457,7 +459,7 @@ mod tests {
 
     #[test]
     fn lanczos_deterministic_for_fixed_seed() {
-        let a = SparseMatrix::adjacency(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let a = Snapshot::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let e1 = lanczos_top_k(&a, 2, 15, 99).expect("finite input");
         let e2 = lanczos_top_k(&a, 2, 15, 99).expect("finite input");
         assert_eq!(e1.values, e2.values);
@@ -466,16 +468,27 @@ mod tests {
 
     #[test]
     fn lanczos_clamps_k_to_n() {
-        let a = SparseMatrix::adjacency(3, &[(0, 1), (1, 2)]);
+        let a = Snapshot::from_edges(3, &[(0, 1), (1, 2)]);
         let e = lanczos_top_k(&a, 10, 10, 3).expect("finite input");
         assert!(e.values.len() <= 3);
     }
 
     #[test]
-    fn lanczos_rejects_a_nan_entry() {
-        let a = SparseMatrix::from_csr(2, 2, vec![0, 1, 2], vec![1, 0], vec![f64::NAN, 1.0])
-            .expect("valid CSR");
-        assert_eq!(lanczos_top_k(&a, 1, 10, 1).unwrap_err(), EigenError::NonFinite);
+    fn tridiagonal_ql_rejects_a_non_finite_entry() {
+        // The guard Lanczos's projection and the dense path share: a NaN
+        // or infinity on the diagonal or the off-diagonal fails before any
+        // rotation.
+        for (at_diag, bad) in [(true, f64::NAN), (false, f64::NAN), (false, f64::INFINITY)] {
+            let (mut d, mut e) = (vec![1.0, 2.0, 3.0], vec![0.5, 0.5, 0.0]);
+            if at_diag {
+                d[1] = bad;
+            } else {
+                e[0] = bad;
+            }
+            let mut vt = Matrix::identity(3);
+            assert_eq!(tridiagonal_ql(&mut d, &mut e, &mut vt), Err(EigenError::NonFinite));
+            assert_eq!(vt, Matrix::identity(3), "no rotation before the guard");
+        }
     }
 
     #[test]

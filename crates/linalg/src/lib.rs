@@ -5,16 +5,18 @@
 //!
 //! * [`dense::Matrix`] — row-major dense matrices with matmul, transpose,
 //!   LU solve (partial pivoting), Cholesky, and Householder QR.
-//! * [`sparse::SparseMatrix`] — CSR sparse matrices with sparse×vector and
-//!   sparse×dense products (the adjacency-matrix work-horse).
+//! * [`sparse`] — products with a snapshot's adjacency matrix (`A·x`,
+//!   `A·X` on the shared worker pool, and a dense copy for small graphs),
+//!   read in place from the [`Snapshot`](osn_graph::snapshot::Snapshot)'s
+//!   CSR.
 //! * [`lanczos`] — the symmetric eigensolvers behind the low-rank Katz
 //!   approximation (Katz ≈ U f(Λ) Uᵀ): a dense Householder + implicit-QL
 //!   solver, and Lanczos with full reorthogonalization whose tridiagonal
 //!   projection goes through the same QL step. The tests hold both to a
 //!   cyclic Jacobi oracle.
 //! * [`factor`] — a blocked ALS factorization core (`A ≈ X R Xᵀ`) that
-//!   routes `A·X` products through the thread-parallel CSR kernels,
-//!   certifies a sparse Frobenius residual per sweep, and surfaces
+//!   routes `A·X` products through [`sparse::spmm_into_t`], certifies a
+//!   sparse Frobenius residual per sweep, and surfaces
 //!   singular/non-finite/unconverged fits as structured [`FactorError`]s.
 //!
 //! The crate intentionally implements only what the metrics need; it is not
@@ -32,7 +34,6 @@ pub mod sparse;
 
 pub use dense::{LuFactors, Matrix};
 pub use factor::{AlsConfig, AlsFit, FactorError};
-pub use sparse::{CsrError, SparseMatrix};
 
 /// Numerical tolerance used by the iterative routines in this crate when a
 /// caller does not supply one.

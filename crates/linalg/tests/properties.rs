@@ -6,9 +6,11 @@
 mod jacobi;
 
 use jacobi::jacobi_eigen;
+use osn_graph::snapshot::Snapshot;
+use osn_graph::{canonical, NodeId};
 use osn_linalg::dense::Matrix;
 use osn_linalg::lanczos::{lanczos_top_k, symmetric_eigen, EigenError, EigenPairs};
-use osn_linalg::sparse::SparseMatrix;
+use osn_linalg::sparse;
 use proptest::prelude::*;
 
 /// A random square matrix with bounded entries.
@@ -44,8 +46,19 @@ fn pair_errors(a: &Matrix, e: &EigenPairs) -> (f64, f64) {
 }
 
 /// The dense adjacency of an undirected edge list on `n` nodes.
-fn adjacency(n: usize, edges: &[(u32, u32)]) -> Matrix {
-    SparseMatrix::adjacency(n, edges).to_dense()
+fn adjacency(n: usize, edges: &[(NodeId, NodeId)]) -> Matrix {
+    sparse::to_dense(&Snapshot::from_edges(n, edges))
+}
+
+/// The snapshot of a random edge list on `n` nodes, with self-loops and
+/// repeated pairs filtered out (a snapshot holds neither); `None` when
+/// no edge is left.
+fn simple_snapshot(n: usize, edges: &[(NodeId, NodeId)]) -> Option<Snapshot> {
+    let mut simple: Vec<(NodeId, NodeId)> =
+        edges.iter().filter(|(a, b)| a != b).map(|&(a, b)| canonical(a, b)).collect();
+    simple.sort_unstable();
+    simple.dedup();
+    (!simple.is_empty()).then(|| Snapshot::from_edges(n, &simple))
 }
 
 /// Asserts `e` holds `want` (descending) with small residuals and an
@@ -150,11 +163,14 @@ proptest! {
         edges in proptest::collection::vec((0u32..8, 0u32..8), 1..20),
         x in proptest::collection::vec(-2.0f64..2.0, 8),
     ) {
-        let a = SparseMatrix::adjacency(8, &edges);
-        let sparse = a.matvec(&x);
-        let dense = a.to_dense().matvec(&x);
+        let a = simple_snapshot(8, &edges);
+        prop_assume!(a.is_some());
+        let a = a.unwrap();
+        let mut product = vec![0.0; 8];
+        sparse::matvec_into(&a, &x, &mut product);
+        let dense = sparse::to_dense(&a).matvec(&x);
         for i in 0..8 {
-            prop_assert!((sparse[i] - dense[i]).abs() < 1e-12);
+            prop_assert!((product[i] - dense[i]).abs() < 1e-12);
         }
     }
 
@@ -162,9 +178,9 @@ proptest! {
     fn lanczos_top_eigenvalue_dominates_rayleigh(
         edges in proptest::collection::vec((0u32..10, 0u32..10), 3..25),
     ) {
-        let filtered: Vec<(u32, u32)> = edges.into_iter().filter(|(a, b)| a != b).collect();
-        prop_assume!(!filtered.is_empty());
-        let a = SparseMatrix::adjacency(10, &filtered);
+        let a = simple_snapshot(10, &edges);
+        prop_assume!(a.is_some());
+        let a = a.unwrap();
         let e = lanczos_top_k(&a, 1, 40, 3).expect("finite input");
         let top = e.values[0].abs();
         // The top |eigenvalue| bounds any Rayleigh quotient; test with a
@@ -173,7 +189,8 @@ proptest! {
             let probe: Vec<f64> = (0..10).map(|i| ((i as u64 * 2654435761 + seed) % 97) as f64 / 97.0 - 0.5).collect();
             let norm2: f64 = probe.iter().map(|v| v * v).sum();
             prop_assume!(norm2 > 1e-9);
-            let av = a.matvec(&probe);
+            let mut av = vec![0.0; 10];
+            sparse::matvec_into(&a, &probe, &mut av);
             let rq: f64 = probe.iter().zip(&av).map(|(p, q)| p * q).sum::<f64>() / norm2;
             prop_assert!(rq.abs() <= top + 1e-6, "Rayleigh {rq} exceeds top |λ| {top}");
         }

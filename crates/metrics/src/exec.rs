@@ -207,9 +207,10 @@ pub fn score_pairs_t(
 /// backend. Fused-kernel metrics are produced together, one witness walk
 /// per source per chunk yielding every fused column at once; the rest are
 /// scored one after another through their hooks with the caller's
-/// [`SolverCache`]: the global metrics share its transition view and, on
-/// a persistent cache, warm-start from the previous snapshot (see
-/// [`crate::solver`]). Column contents are bit-identical for every
+/// [`SolverCache`]: the global metrics read the snapshot's own
+/// adjacency CSR and share the cache's per-snapshot state (the Rescal
+/// fit) and, on a persistent cache, warm-start from the previous
+/// snapshot (see [`crate::solver`]). Column contents are bit-identical for every
 /// `threads` value.
 pub fn score_matrix_cached_t(
     metrics: &[&dyn Metric],
@@ -228,9 +229,8 @@ pub fn score_matrix_cached_t(
 /// chunk streaming into per-chunk [`TopKAcc`] heaps that merge into the
 /// serial selection; every other metric is scored whole through its hook
 /// with the caller's [`SolverCache`] and selected serially. The snapshot
-/// sweep passes a persistent cache, so every global metric in a group
-/// reads one shared transition view per snapshot and PPR warm-starts from
-/// the previous snapshot's converged vectors. Results are in input metric
+/// sweep passes a persistent cache, so PPR warm-starts from the previous
+/// snapshot's converged vectors and Rescal fits once per snapshot. Results are in input metric
 /// order and — including tie-break order — identical for every `threads`
 /// value.
 #[allow(clippy::too_many_arguments)]

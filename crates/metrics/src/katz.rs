@@ -10,10 +10,11 @@
 //! landmark approximation: with `C = K[:, L]` (truncated-series columns for
 //! a landmark set `L`) and `W = K[L, L]`, `K ≈ C W⁺ Cᵀ`.
 //!
-//! Both hooks factor once per call from the [`SolverCache`]'s shared
-//! adjacency CSR and score source-aligned chunks in parallel. The dense
-//! truncated series and Katz-sc's per-landmark column loop are reference
-//! oracles in `linklens_bench::oracles`.
+//! Both hooks factor once per call, reading the snapshot's adjacency CSR
+//! in place through [`osn_linalg::sparse`], and score source-aligned
+//! chunks in parallel. The dense truncated series and Katz-sc's
+//! per-landmark column loop are reference oracles in
+//! `linklens_bench::oracles`.
 
 use crate::exec;
 use crate::solver::{SolverCache, SolverError};
@@ -21,7 +22,7 @@ use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 use osn_linalg::lanczos::{lanczos_top_k, symmetric_eigen, EigenError};
-use osn_linalg::{Matrix, SparseMatrix};
+use osn_linalg::{sparse, Matrix};
 
 /// Shared Katz attenuation default (the paper uses β = 0.001 after \[1\]).
 pub const DEFAULT_BETA: f64 = 1e-3;
@@ -79,8 +80,8 @@ impl Metric for KatzLr {
         CandidatePolicy::ThreeHop
     }
 
-    /// Factors once from the cache's shared adjacency CSR, then scores
-    /// source-aligned chunks in parallel.
+    /// Factors the snapshot's adjacency once, then scores source-aligned
+    /// chunks in parallel.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
@@ -88,7 +89,8 @@ impl Metric for KatzLr {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        match self.prepare_from(snap, cache.ensure_snapshot(snap).adjacency()) {
+        cache.ensure_snapshot(snap);
+        match self.prepare(snap) {
             Ok(factors) => exec::score_chunked(pairs, threads, |chunk| factors.score(chunk)),
             // The Metric trait has no error channel; a failed eigensolve
             // is a hard invariant violation, same class as an audit panic.
@@ -98,16 +100,13 @@ impl Metric for KatzLr {
 }
 
 impl KatzLr {
-    /// The hook's factorization stage; `a` is the snapshot's adjacency.
+    /// The hook's factorization stage: the spectral factors of the
+    /// snapshot's adjacency.
     ///
     /// # Errors
     /// The eigensolver's failure as a [`SolverError`]: a non-finite
     /// spectrum, or a QL step that used up its iteration budget.
-    fn prepare_from(
-        &self,
-        snap: &Snapshot,
-        a: &SparseMatrix,
-    ) -> Result<KatzLrFactors, SolverError> {
+    fn prepare(&self, snap: &Snapshot) -> Result<KatzLrFactors, SolverError> {
         if snap.edge_count() == 0 {
             return Ok(KatzLrFactors {
                 factors: Vec::new(),
@@ -120,9 +119,9 @@ impl KatzLr {
         // dense Householder + QL solver; the Lanczos path is for large
         // snapshots where extremal clusters are all the ranking needs.
         let eig = if snap.node_count() <= 256 {
-            symmetric_eigen(&a.to_dense()).map(|full| full.top_by_magnitude(self.rank))
+            symmetric_eigen(&sparse::to_dense(snap)).map(|full| full.top_by_magnitude(self.rank))
         } else {
-            lanczos_top_k(a, self.rank.min(snap.node_count()), self.max_iter, self.seed)
+            lanczos_top_k(snap, self.rank.min(snap.node_count()), self.max_iter, self.seed)
         }
         .map_err(|e| match e {
             EigenError::NonFinite => SolverError::NonFinite { metric: "Katz-lr", iteration: 0 },
@@ -248,9 +247,8 @@ impl Metric for KatzSc {
         CandidatePolicy::ThreeHop
     }
 
-    /// Builds the landmark columns once from the cache's shared adjacency
-    /// CSR on `threads` workers, then scores source-aligned chunks in
-    /// parallel.
+    /// Builds the landmark columns once from the snapshot's adjacency on
+    /// `threads` workers, then scores source-aligned chunks in parallel.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
@@ -258,10 +256,8 @@ impl Metric for KatzSc {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        let tv = cache.ensure_snapshot(snap);
-        self.score_with_columns(snap, pairs, threads, |lm| {
-            self.landmark_columns(tv.adjacency(), lm, threads)
-        })
+        cache.ensure_snapshot(snap);
+        self.score_with_columns(snap, pairs, threads, |lm| self.landmark_columns(snap, lm, threads))
     }
 }
 
@@ -302,14 +298,15 @@ impl KatzSc {
     }
 
     /// Truncated Katz columns for all landmarks at once:
-    /// `C[:, j] = Σ_{i=1..T} βⁱ Aⁱ e_{lm[j]}`, each series term one SpMM
-    /// over the `n × l` block, so `A`'s CSR is swept `T` times total
-    /// instead of `T` times per landmark. Bit-identical per column, at
-    /// every thread count, to one SpMV per term per landmark (the row fold
-    /// visits the same neighbors in the same ascending order); that loop
-    /// is the reference oracle in `linklens_bench::oracles`.
-    pub fn landmark_columns(&self, a: &SparseMatrix, lm: &[NodeId], threads: usize) -> Matrix {
-        let n = a.rows();
+    /// `C[:, j] = Σ_{i=1..T} βⁱ Aⁱ e_{lm[j]}` for the adjacency `A` of
+    /// `snap`, each series term one SpMM over the `n × l` block, so `A`'s
+    /// CSR is swept `T` times total instead of `T` times per landmark.
+    /// Bit-identical per column, at every thread count, to one SpMV per
+    /// term per landmark (the row fold visits the same neighbors in the
+    /// same ascending order); that loop is the reference oracle in
+    /// `linklens_bench::oracles`.
+    pub fn landmark_columns(&self, snap: &Snapshot, lm: &[NodeId], threads: usize) -> Matrix {
+        let n = snap.node_count();
         let l = lm.len();
         let mut x = Matrix::zeros(n, l);
         for (j, &src) in lm.iter().enumerate() {
@@ -319,7 +316,7 @@ impl KatzSc {
         let mut c = Matrix::zeros(n, l);
         let mut weight = 1.0;
         for _ in 0..self.series_terms {
-            a.spmm_into_t(&x, &mut next, threads);
+            sparse::spmm_into_t(snap, &x, &mut next, threads);
             std::mem::swap(&mut x, &mut next);
             weight *= self.beta;
             for (av, &cv) in c.data_mut().iter_mut().zip(x.data()) {
@@ -335,12 +332,6 @@ mod tests {
     use super::*;
     use crate::exec::score_pairs_t;
 
-    /// The triplet-built adjacency the dense references read.
-    fn adjacency(snap: &Snapshot) -> SparseMatrix {
-        let edges: Vec<(u32, u32)> = snap.edges().collect();
-        SparseMatrix::adjacency(snap.node_count(), &edges)
-    }
-
     /// Two triangles bridged: 0-1-2 triangle, 3-4-5 triangle, bridge 2-3.
     fn fixture() -> Snapshot {
         Snapshot::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
@@ -349,7 +340,7 @@ mod tests {
     /// Dense exact Katz via (I − βA)⁻¹ − I, small graphs only.
     fn exact_katz(snap: &Snapshot, beta: f64) -> Matrix {
         let n = snap.node_count();
-        let a = adjacency(snap).to_dense();
+        let a = sparse::to_dense(snap);
         let mut i_minus = Matrix::identity(n);
         for r in 0..n {
             for c in 0..n {
@@ -420,19 +411,5 @@ mod tests {
         let lr = KatzLr::default();
         let scores = score_pairs_t(&lr, &s, &[(0, 2)], 1);
         assert!(scores[0].abs() < 1e-9, "no path 0→2 exists");
-    }
-
-    #[test]
-    fn transition_view_adjacency_matches_triplet_build() {
-        // The hooks read the cache's shared TransitionView CSR, the dense
-        // references a triplet build; they must be structurally identical.
-        let s = fixture();
-        let a = adjacency(&s);
-        let tv = SolverCache::transient().ensure_snapshot(&s);
-        let b = tv.adjacency();
-        assert_eq!(a.rows(), b.rows());
-        for i in 0..a.rows() {
-            assert_eq!(a.row(i), b.row(i), "row {i}");
-        }
     }
 }

@@ -14,9 +14,10 @@
 //! ## Engine integration
 //!
 //! The production fit runs on the blocked ALS core in
-//! [`osn_linalg::factor`]: `A·X` products go through the thread-parallel
-//! CSR `spmm_into_t` kernel (bit-identical to the serial dense fold at
-//! every thread count), each sweep certifies a sparse Frobenius residual,
+//! [`osn_linalg::factor`] over the snapshot's own adjacency CSR: `A·X`
+//! products go through the thread-parallel `spmm_into_t` kernel
+//! (bit-identical to the serial dense fold at every thread count), each
+//! sweep certifies a sparse Frobenius residual,
 //! and every normal-equations solve is guarded — a singular system
 //! surfaces as [`SolverError::Singular`] instead of the silent
 //! stale-factor skip the original dense loop performed. The engine hook
@@ -25,7 +26,7 @@
 //! [`SolverCache`] so framework sweeps reuse the fit within a snapshot
 //! and — in certified mode (`tol > 0`) — warm-start the next snapshot's
 //! fit from the previous factors, like PPR warm-starts its columns.
-//! The original serial dense loop is the property-tested oracle in
+//! The original serial loop is the property-tested oracle in
 //! `linklens_bench::oracles`.
 
 use std::sync::Arc;
@@ -36,7 +37,7 @@ use osn_graph::par;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 use osn_linalg::factor::{self, AlsConfig, FactorError};
-use osn_linalg::{Matrix, SparseMatrix};
+use osn_linalg::Matrix;
 
 /// RESCAL configuration.
 #[derive(Clone, Debug)]
@@ -105,9 +106,7 @@ impl RescalModel {
     /// is materialized, so this is safe at preset scale and equals the
     /// per-sweep certification value ([`factor::frobenius_residual`]).
     pub fn reconstruction_error(&self, snap: &Snapshot) -> f64 {
-        let edges: Vec<(u32, u32)> = snap.edges().collect();
-        let a = SparseMatrix::adjacency(snap.node_count(), &edges);
-        factor::frobenius_residual(&a, &self.x, &self.r, par::max_threads())
+        factor::frobenius_residual(snap, &self.x, &self.r, par::max_threads())
     }
 }
 
@@ -182,9 +181,7 @@ impl Rescal {
         warm: Option<(&Matrix, &Matrix)>,
         threads: usize,
     ) -> Result<RescalModel, SolverError> {
-        let edges: Vec<(u32, u32)> = snap.edges().collect();
-        let a = SparseMatrix::adjacency(snap.node_count(), &edges);
-        let fit = factor::als_fit(&a, &self.config(), warm, threads).map_err(map_factor_err)?;
+        let fit = factor::als_fit(snap, &self.config(), warm, threads).map_err(map_factor_err)?;
         Ok(RescalModel {
             x: fit.x,
             r: fit.r,

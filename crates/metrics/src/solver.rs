@@ -5,11 +5,12 @@
 //! frontier at a time.
 //! This module replaces them on the production path with *blocked
 //! multi-source iteration*: `B` source columns advance through one sweep of
-//! the snapshot's transition structure per step, so the adjacency CSR is
-//! read once per iteration instead of once per source.
+//! the snapshot's adjacency CSR per step, so it is read once per iteration
+//! instead of once per source.
 //!
 //! Each step is that one sweep and nothing more. For each row `v` in
-//! ascending order it gathers the neighbours' degree shares
+//! ascending order it reads `v`'s neighbours and degree straight from the
+//! [`Snapshot`] and gathers the neighbours' degree shares
 //! (`gather_row`: eight columns at a time in a register accumulator, one
 //! scalar for a one-column block), updates the row's solution, residual
 //! and direction (PPR) or its next walk mass (LRW), folds the residual
@@ -17,12 +18,10 @@
 //! step into a second share buffer. A block's workspace holds exactly its
 //! own columns, so the last block of a batch sweeps no empty ones.
 //!
-//! Four pieces live here:
+//! The column-stochastic transition matrix `P` is never built: its
+//! transpose applies on the fly as `(Pᵀ z)_v = Σ_{u∈Γ(v)} z_u / d(u)`, so
+//! the walk is exact, never a rounded matrix. Three pieces live here:
 //!
-//! * [`TransitionView`] — the degree-normalized transition view of a
-//!   snapshot, built once per snapshot (an unweighted adjacency CSR plus a
-//!   degree table; the 1/d(u) normalization is applied on the fly so the
-//!   view is exact, never a rounded matrix).
 //! * `SidePlan` — the batch's *solve sides*: every pair is scored from one
 //!   of its endpoints, so a batch needs one source column (or one scan,
 //!   for SP and LP in [`crate::path`]) per side, not per endpoint.
@@ -34,9 +33,9 @@
 //!   Both evaluate their pair scores one-sided, from the side's column
 //!   alone (see [`crate::walk`] for the reversibility identities).
 //! * [`SolverCache`] — the per-snapshot cache carried across a
-//!   [`osn_graph::sequence::SnapshotSequence`] sweep: the shared
-//!   `TransitionView` plus converged PPR vectors from the previous
-//!   snapshot used to warm-start the next one.
+//!   [`osn_graph::sequence::SnapshotSequence`] sweep: converged PPR vectors
+//!   and the fitted Rescal model, keyed on the snapshot's content, with
+//!   the previous snapshot's used to warm-start the next one.
 //!
 //! ## Solve sides
 //!
@@ -99,7 +98,6 @@ use std::sync::Arc;
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{par, NodeId};
-use osn_linalg::SparseMatrix;
 
 /// Hard ceiling on Chebyshev iterations before the solver gives up.
 pub const PPR_MAX_ITERS: usize = 1000;
@@ -165,75 +163,6 @@ impl fmt::Display for SolverError {
 
 impl std::error::Error for SolverError {}
 
-/// Degree-normalized transition-matrix view of one snapshot.
-///
-/// Holds the unweighted adjacency in CSR form plus the degree table; the
-/// column-stochastic transition matrix `P` (and its transpose) are applied
-/// on the fly as `(Pᵀ z)_v = Σ_{u∈Γ(v)} z_u / d(u)`, so no rounded matrix
-/// is ever materialized. Built once per snapshot and shared (via
-/// [`SolverCache`]) by every metric that needs it.
-pub struct TransitionView {
-    adj: SparseMatrix,
-    degree: Vec<u32>,
-}
-
-impl TransitionView {
-    /// Builds the view from a snapshot. O(n + 2E): the snapshot already
-    /// stores sorted deduplicated neighbor lists, so this is a straight
-    /// CSR concatenation.
-    pub fn build(snap: &Snapshot) -> Self {
-        let n = snap.node_count();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0usize);
-        let mut col_idx: Vec<u32> = Vec::with_capacity(2 * snap.edge_count());
-        let mut degree = Vec::with_capacity(n);
-        for u in 0..n {
-            let nb = snap.neighbors(u as NodeId);
-            col_idx.extend_from_slice(nb);
-            row_ptr.push(col_idx.len());
-            // linklens-allow(truncating-cast): degree < node_count ≤ u32::MAX
-            degree.push(nb.len() as u32);
-        }
-        let values = vec![1.0; col_idx.len()];
-        let adj = SparseMatrix::from_csr(n, n, row_ptr, col_idx, values)
-            // linklens-allow(unwrap-in-lib): Snapshot guarantees sorted, deduplicated, in-bounds adjacency
-            .expect("snapshot adjacency is sorted, deduplicated CSR");
-        TransitionView { adj, degree }
-    }
-
-    /// Number of nodes in the snapshot this view was built from.
-    pub fn node_count(&self) -> usize {
-        self.adj.rows()
-    }
-
-    /// The unweighted adjacency matrix (CSR, unit values).
-    pub fn adjacency(&self) -> &SparseMatrix {
-        &self.adj
-    }
-
-    /// Degree of `u`.
-    #[inline]
-    pub fn degree(&self, u: NodeId) -> u32 {
-        self.degree[u as usize]
-    }
-
-    /// The full degree table.
-    pub fn degrees(&self) -> &[u32] {
-        &self.degree
-    }
-
-    /// Sorted neighbor list of `v`.
-    #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[u32] {
-        self.adj.row(v as usize).0
-    }
-
-    /// Sum of degrees (= 2E).
-    pub fn volume(&self) -> usize {
-        self.adj.nnz()
-    }
-}
-
 /// Block width (number of source columns advanced per CSR sweep) for a
 /// snapshot of `n` nodes: sized so the 5 `n`-row working buffers of the
 /// PPR solver fit in about 8 MiB, clamped to `[1, 64]`. Scores are
@@ -265,18 +194,20 @@ pub struct SolverStats {
 
 /// Per-snapshot solver state carried across a snapshot sweep.
 ///
-/// Holds the shared [`TransitionView`] and the fitted Rescal model for
-/// the current snapshot and, when persistent, converged PPR vectors from
-/// the current and previous snapshots and the previous snapshot's Rescal
-/// model, used purely as warm-start initial guesses — correctness never
-/// depends on their freshness (see the module docs). Transient caches
-/// (the default inside one-shot scoring entry points) never warm-start,
-/// so single-snapshot callers keep bit-identical cold-start behavior.
+/// Holds the fitted Rescal model for the current snapshot and, when
+/// persistent, converged PPR vectors from the current and previous
+/// snapshots and the previous snapshot's Rescal model, used purely as
+/// warm-start initial guesses — correctness never depends on their
+/// freshness (see the module docs). The kernels read the snapshot
+/// itself; each walk, Katz and Rescal hook first points the cache at it
+/// with [`ensure_snapshot`](Self::ensure_snapshot). Transient caches (the
+/// default inside one-shot scoring entry points) never warm-start, so
+/// single-snapshot callers keep bit-identical cold-start behavior.
 pub struct SolverCache {
     persistent: bool,
     /// The current snapshot's `(node_count, edge_count, adjacency_digest)`
-    /// key and its transition view.
-    current: Option<((usize, usize, u64), Arc<TransitionView>)>,
+    /// key.
+    current: Option<(usize, usize, u64)>,
     // Ordered maps: warm-start caches are lookup-only today, but a
     // BTreeMap guarantees any future iteration (eviction, diagnostics)
     // is deterministic.
@@ -289,10 +220,10 @@ pub struct SolverCache {
 }
 
 impl SolverCache {
-    /// A cache for scoring at one snapshot: shares the `TransitionView`
-    /// and the current snapshot's fitted Rescal model (a pure function of
-    /// the snapshot and the config) but never warm-starts, so repeated
-    /// calls stay bit-identical.
+    /// A cache for scoring at one snapshot: shares the current snapshot's
+    /// fitted Rescal model (a pure function of the snapshot and the
+    /// config) but never warm-starts, so repeated calls stay
+    /// bit-identical.
     pub fn transient() -> Self {
         SolverCache {
             persistent: false,
@@ -312,19 +243,16 @@ impl SolverCache {
         SolverCache { persistent: true, ..SolverCache::transient() }
     }
 
-    /// Points the cache at `snap` and returns its shared
-    /// [`TransitionView`], rebuilding the view and rotating warm vectors
-    /// (current → previous) when the snapshot changed. Keyed on the
-    /// snapshot's content — node count, edge count and
+    /// Points the cache at `snap`, rotating warm state (current →
+    /// previous) when the snapshot changed. Keyed on the snapshot's
+    /// content — node count, edge count and
     /// [`Snapshot::adjacency_digest`] — so two different graphs of equal
-    /// size never share a view, while equal snapshots (clones, rebuilt
+    /// size never share state, while equal snapshots (clones, rebuilt
     /// prefixes) still hit.
-    pub fn ensure_snapshot(&mut self, snap: &Snapshot) -> Arc<TransitionView> {
+    pub fn ensure_snapshot(&mut self, snap: &Snapshot) {
         let key = (snap.node_count(), snap.edge_count(), snap.adjacency_digest());
-        if let Some((current, tv)) = &self.current {
-            if *current == key {
-                return Arc::clone(tv);
-            }
+        if self.current == Some(key) {
+            return;
         }
         self.ppr_prev = std::mem::take(&mut self.ppr_curr);
         self.rescal_prev = self.rescal_curr.take();
@@ -332,9 +260,7 @@ impl SolverCache {
             self.ppr_prev.clear();
             self.rescal_prev = None;
         }
-        let tv = Arc::new(TransitionView::build(snap));
-        self.current = Some((key, Arc::clone(&tv)));
-        tv
+        self.current = Some(key);
     }
 
     /// How many converged PPR source vectors this cache will retain for a
@@ -518,12 +444,12 @@ struct LrwWs {
 /// dangling row. LRW's floor is its prune; PPR's is `-∞`, which keeps
 /// every share.
 #[inline]
-fn degree_shares(z: &[f64], deg: u32, floor: f64, s: &mut [f64]) {
+fn degree_shares(z: &[f64], deg: usize, floor: f64, s: &mut [f64]) {
     if deg == 0 {
         s.fill(0.0);
         return;
     }
-    let dd = f64::from(deg);
+    let dd = deg as f64;
     for (s, &z) in s.iter_mut().zip(z) {
         let share = z / dd;
         *s = if share < floor { 0.0 } else { share };
@@ -542,21 +468,22 @@ fn degree_shares(z: &[f64], deg: u32, floor: f64, s: &mut [f64]) {
 /// most `prune·2E` of walk mass, so the score is within `2·m·prune·d_s`
 /// of the exact one.
 pub fn lrw_scores_t(
-    tv: &TransitionView,
+    snap: &Snapshot,
     pairs: &[(NodeId, NodeId)],
     steps: usize,
     prune: f64,
     threads: usize,
     metric: &'static str,
 ) -> Result<Vec<f64>, SolverError> {
-    lrw_scores_with_width(tv, pairs, steps, prune, threads, block_width(tv.node_count()), metric)
+    let w = block_width(snap.node_count());
+    lrw_scores_with_width(snap, pairs, steps, prune, threads, w, metric)
 }
 
 /// [`lrw_scores_t`] with an explicit block width, clamped to the
 /// batch's side count (results are bit-identical for every width ≥ 1;
 /// exposed for the invariance tests).
 pub fn lrw_scores_with_width(
-    tv: &TransitionView,
+    snap: &Snapshot,
     pairs: &[(NodeId, NodeId)],
     steps: usize,
     prune: f64,
@@ -564,18 +491,18 @@ pub fn lrw_scores_with_width(
     width: usize,
     metric: &'static str,
 ) -> Result<Vec<f64>, SolverError> {
-    let n = tv.node_count();
+    let n = snap.node_count();
     let plan = SidePlan::build(pairs);
     let mut scores = vec![0.0; pairs.len()];
     if plan.sides.is_empty() || n == 0 {
         return Ok(scores);
     }
     let w = width.clamp(1, plan.sides.len());
-    let two_e = (tv.volume().max(1)) as f64;
+    let two_e = (2 * snap.edge_count()).max(1) as f64;
     let nblocks = plan.sides.len().div_ceil(w);
     let results = par::run_indexed_init(nblocks, threads.max(1), LrwWs::default, |ws, b| {
         let range = (b * w)..((b + 1) * w).min(plan.sides.len());
-        lrw_block(tv, &plan, range, steps, prune, two_e, ws, metric)
+        lrw_block(snap, &plan, range, steps, prune, two_e, ws, metric)
     });
     for block in results {
         for (idx, val) in block? {
@@ -587,7 +514,7 @@ pub fn lrw_scores_with_width(
 
 #[allow(clippy::too_many_arguments)]
 fn lrw_block(
-    tv: &TransitionView,
+    snap: &Snapshot,
     plan: &SidePlan,
     range: Range<usize>,
     steps: usize,
@@ -596,7 +523,7 @@ fn lrw_block(
     ws: &mut LrwWs,
     metric: &'static str,
 ) -> Result<Vec<(u32, f64)>, SolverError> {
-    let n = tv.node_count();
+    let n = snap.node_count();
     let w = range.len();
     let LrwWs { x, s, s_next } = ws;
     x.clear();
@@ -607,25 +534,25 @@ fn lrw_block(
     for (j, si) in range.clone().enumerate() {
         x[plan.sides[si] as usize * w + j] = 1.0;
     }
-    for ((x, s), &deg) in x.chunks_exact(w).zip(s.chunks_exact_mut(w)).zip(&tv.degree) {
-        degree_shares(x, deg, prune, s);
+    for (v, (x, s)) in x.chunks_exact(w).zip(s.chunks_exact_mut(w)).enumerate() {
+        degree_shares(x, snap.degree(v as NodeId), prune, s);
     }
     // One pass per step: each row's next value from its neighbours' shares
     // (a dangling row self-absorbs its mass), then that row's next shares.
     for step in 0..steps {
         let mut finite = true;
-        let rows = x.chunks_exact_mut(w).zip(s_next.chunks_exact_mut(w)).zip(&tv.degree);
-        for (v, ((x, s_next), &deg)) in rows.enumerate() {
-            if deg == 0 {
+        for (v, (x, s_next)) in x.chunks_exact_mut(w).zip(s_next.chunks_exact_mut(w)).enumerate() {
+            let nbrs = snap.neighbors(v as NodeId);
+            if nbrs.is_empty() {
                 // A dangling row keeps its mass, added to a zeroed sum.
                 for x in x.iter_mut() {
                     *x += 0.0;
                 }
             } else {
-                gather_row(tv.neighbors(v as NodeId), s, x);
+                gather_row(nbrs, s, x);
             }
             finite &= x.iter().all(|v| v.is_finite());
-            degree_shares(x, deg, prune, s_next);
+            degree_shares(x, nbrs.len(), prune, s_next);
         }
         std::mem::swap(s, s_next);
         if !finite {
@@ -636,7 +563,7 @@ fn lrw_block(
     // (d_s/2E)·π_st + (d_t/2E)·π_ts is 2·(d_s/2E)·π_st.
     let mut out = Vec::new();
     for (j, si) in range.enumerate() {
-        let coeff = 2.0 * (f64::from(tv.degree(plan.sides[si])) / two_e);
+        let coeff = 2.0 * (snap.degree(plan.sides[si]) as f64 / two_e);
         for &(idx, partner) in plan.queries(si) {
             out.push((idx, coeff * x[partner as usize * w + j]));
         }
@@ -679,7 +606,7 @@ struct PprBlockOut {
 /// persistent.
 #[allow(clippy::too_many_arguments)]
 pub fn ppr_scores_t(
-    tv: &TransitionView,
+    snap: &Snapshot,
     pairs: &[(NodeId, NodeId)],
     alpha: f64,
     tol_l1: f64,
@@ -687,8 +614,8 @@ pub fn ppr_scores_t(
     cache: &mut SolverCache,
     metric: &'static str,
 ) -> Result<Vec<f64>, SolverError> {
-    let w = block_width(tv.node_count());
-    ppr_scores_with_width(tv, pairs, alpha, tol_l1, threads, w, cache, metric)
+    let w = block_width(snap.node_count());
+    ppr_scores_with_width(snap, pairs, alpha, tol_l1, threads, w, cache, metric)
 }
 
 /// [`ppr_scores_t`] with an explicit block width, clamped to the
@@ -696,7 +623,7 @@ pub fn ppr_scores_t(
 /// exposed for the invariance tests).
 #[allow(clippy::too_many_arguments)]
 pub fn ppr_scores_with_width(
-    tv: &TransitionView,
+    snap: &Snapshot,
     pairs: &[(NodeId, NodeId)],
     alpha: f64,
     tol_l1: f64,
@@ -705,7 +632,7 @@ pub fn ppr_scores_with_width(
     cache: &mut SolverCache,
     metric: &'static str,
 ) -> Result<Vec<f64>, SolverError> {
-    let n = tv.node_count();
+    let n = snap.node_count();
     let plan = SidePlan::build(pairs);
     let mut scores = vec![0.0; pairs.len()];
     if plan.sides.is_empty() || n == 0 {
@@ -718,7 +645,7 @@ pub fn ppr_scores_with_width(
         let cache_ref: &SolverCache = cache;
         par::run_indexed_init(nblocks, threads.max(1), PprWs::default, |ws, b| {
             let range = (b * w)..((b + 1) * w).min(plan.sides.len());
-            ppr_block(tv, &plan, range, alpha, tol_l1, store_limit, cache_ref, ws, metric)
+            ppr_block(snap, &plan, range, alpha, tol_l1, store_limit, cache_ref, ws, metric)
         })
     };
     for block in results {
@@ -743,7 +670,7 @@ pub fn ppr_scores_with_width(
 /// exact arithmetic a width-1 run would.
 #[allow(clippy::too_many_arguments)]
 fn ppr_block(
-    tv: &TransitionView,
+    snap: &Snapshot,
     plan: &SidePlan,
     range: Range<usize>,
     alpha: f64,
@@ -753,7 +680,7 @@ fn ppr_block(
     ws: &mut PprWs,
     metric: &'static str,
 ) -> Result<PprBlockOut, SolverError> {
-    let n = tv.node_count();
+    let n = snap.node_count();
     let w = range.len();
     let oma = 1.0 - alpha;
     let mut warm_starts = 0u64;
@@ -783,16 +710,15 @@ fn ppr_block(
     // r = b - A x0 = α e_src - x0 + (1-α)Pᵀ x0, gathered from the shares
     // of x0; the first direction is r, and its norms and shares follow.
     // The block's sides ascend, so a cursor finds each column's source row.
-    for ((x, s), &deg) in x.chunks_exact(w).zip(s.chunks_exact_mut(w)).zip(&tv.degree) {
-        degree_shares(x, deg, f64::NEG_INFINITY, s);
+    for (v, (x, s)) in x.chunks_exact(w).zip(s.chunks_exact_mut(w)).enumerate() {
+        degree_shares(x, snap.degree(v as NodeId), f64::NEG_INFINITY, s);
     }
     let sides = &plan.sides[range.clone()];
     let mut next_side = 0;
     let rows = x.chunks_exact(w).zip(r.chunks_exact_mut(w)).zip(d.chunks_exact_mut(w));
-    for (v, (((x, r), d), (s_next, &deg))) in
-        rows.zip(s_next.chunks_exact_mut(w).zip(&tv.degree)).enumerate()
-    {
-        gather_row(tv.neighbors(v as NodeId), s, g);
+    for (v, (((x, r), d), s_next)) in rows.zip(s_next.chunks_exact_mut(w)).enumerate() {
+        let nbrs = snap.neighbors(v as NodeId);
+        gather_row(nbrs, s, g);
         for ((r, &g), &x) in r.iter_mut().zip(&*g).zip(x) {
             *r = oma * g - x;
         }
@@ -804,7 +730,7 @@ fn ppr_block(
         for (norm, &r) in norms.iter_mut().zip(&*r) {
             *norm += r.abs();
         }
-        degree_shares(d, deg, f64::NEG_INFINITY, s_next);
+        degree_shares(d, nbrs.len(), f64::NEG_INFINITY, s_next);
     }
     std::mem::swap(s, s_next);
 
@@ -849,10 +775,9 @@ fn ppr_block(
         let c = 2.0 * rho_next / delta;
         norms.fill(0.0);
         let rows = x.chunks_exact_mut(w).zip(r.chunks_exact_mut(w)).zip(d.chunks_exact_mut(w));
-        for (v, (((x, r), d), (s_next, &deg))) in
-            rows.zip(s_next.chunks_exact_mut(w).zip(&tv.degree)).enumerate()
-        {
-            gather_row(tv.neighbors(v as NodeId), s, g);
+        for (v, (((x, r), d), s_next)) in rows.zip(s_next.chunks_exact_mut(w)).enumerate() {
+            let nbrs = snap.neighbors(v as NodeId);
+            gather_row(nbrs, s, g);
             let cols = x.iter_mut().zip(r.iter_mut()).zip(d.iter_mut()).zip(&*g);
             for ((((x, r), d), &g), norm) in cols.zip(norms.iter_mut()) {
                 *x += *d;
@@ -860,7 +785,7 @@ fn ppr_block(
                 *d = a * *d + c * *r;
                 *norm += r.abs();
             }
-            degree_shares(d, deg, f64::NEG_INFINITY, s_next);
+            degree_shares(d, nbrs.len(), f64::NEG_INFINITY, s_next);
         }
         std::mem::swap(s, s_next);
         rho = rho_next;
@@ -874,12 +799,12 @@ fn ppr_block(
     let mut store = Vec::new();
     for (j, si) in range.enumerate() {
         let side = plan.sides[si];
-        let d_side = f64::from(tv.degree(side));
+        let d_side = snap.degree(side) as f64;
         // linklens-allow(unwrap-in-lib): the loop above only exits once every active column froze
         let vals = query_vals[j].take().expect("column converged");
         for (&(idx, partner), val) in plan.queries(si).iter().zip(vals) {
-            let d_partner = tv.degree(partner);
-            let factor = if d_partner == 0 { 1.0 } else { 1.0 + d_side / f64::from(d_partner) };
+            let d_partner = snap.degree(partner);
+            let factor = if d_partner == 0 { 1.0 } else { 1.0 + d_side / d_partner as f64 };
             scores.push((idx, val * factor));
         }
         if let Some(col) = store_cols[j].take() {
@@ -962,18 +887,6 @@ mod tests {
     }
 
     #[test]
-    fn transition_view_matches_snapshot() {
-        let snap = ring_with_chords(17);
-        let tv = TransitionView::build(&snap);
-        assert_eq!(tv.node_count(), 17);
-        assert_eq!(tv.volume(), 2 * snap.edge_count());
-        for u in 0..17u32 {
-            assert_eq!(tv.degree(u) as usize, snap.degree(u));
-            assert_eq!(tv.neighbors(u), snap.neighbors(u));
-        }
-    }
-
-    #[test]
     fn block_width_bounds() {
         assert_eq!(block_width(0), 64);
         assert_eq!(block_width(10), 64);
@@ -1004,11 +917,11 @@ mod tests {
     #[test]
     fn ppr_matches_dense_solve() {
         let snap = ring_with_chords(23);
-        let tv = TransitionView::build(&snap);
         let pairs = all_pairs(23);
         let mut cache = SolverCache::transient();
         let scores =
-            ppr_scores_t(&tv, &pairs, 0.15, 1e-10, par::max_threads(), &mut cache, "PPR").unwrap();
+            ppr_scores_t(&snap, &pairs, 0.15, 1e-10, par::max_threads(), &mut cache, "PPR")
+                .unwrap();
         let dense: Vec<Vec<f64>> = (0..23).map(|u| dense_ppr(&snap, u, 0.15)).collect();
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let want = dense[u as usize][v as usize] + dense[v as usize][u as usize];
@@ -1023,15 +936,15 @@ mod tests {
     #[test]
     fn ppr_width_and_threads_invariant() {
         let snap = ring_with_chords(31);
-        let tv = TransitionView::build(&snap);
         let pairs = all_pairs(31);
         let mut cache = SolverCache::transient();
-        let base = ppr_scores_with_width(&tv, &pairs, 0.15, 1e-6, 1, 1, &mut cache, "PPR").unwrap();
+        let base =
+            ppr_scores_with_width(&snap, &pairs, 0.15, 1e-6, 1, 1, &mut cache, "PPR").unwrap();
         for width in [2, 3, 7, 64] {
             for threads in [1, 4] {
                 let mut c = SolverCache::transient();
                 let got =
-                    ppr_scores_with_width(&tv, &pairs, 0.15, 1e-6, threads, width, &mut c, "PPR")
+                    ppr_scores_with_width(&snap, &pairs, 0.15, 1e-6, threads, width, &mut c, "PPR")
                         .unwrap();
                 assert_eq!(base, got, "width {width} threads {threads} diverged");
             }
@@ -1041,9 +954,8 @@ mod tests {
     #[test]
     fn ppr_isolated_source_is_exact_zero() {
         let snap = Snapshot::from_edges(4, &[(0, 1)]);
-        let tv = TransitionView::build(&snap);
         let mut cache = SolverCache::transient();
-        let scores = ppr_scores_t(&tv, &[(2, 3)], 0.15, 1e-4, 1, &mut cache, "PPR").unwrap();
+        let scores = ppr_scores_t(&snap, &[(2, 3)], 0.15, 1e-4, 1, &mut cache, "PPR").unwrap();
         // Isolated endpoints: b = α e_src, first iterate lands exactly on
         // the fixed point p = α e_src, so the cross mass is exactly 0...
         // except the solution keeps α at the source itself; partners see 0.
@@ -1066,18 +978,18 @@ mod tests {
         let tol = 1e-7;
 
         let mut sweep = SolverCache::sweep();
-        let tv_a = sweep.ensure_snapshot(&snap_a);
-        let _ = ppr_scores_t(&tv_a, &pairs, alpha, tol, 1, &mut sweep, "PPR").unwrap();
+        sweep.ensure_snapshot(&snap_a);
+        let _ = ppr_scores_t(&snap_a, &pairs, alpha, tol, 1, &mut sweep, "PPR").unwrap();
         assert!(sweep.stats.ppr_warm_starts == 0, "first snapshot must run cold");
-        let tv_b = sweep.ensure_snapshot(&snap_b);
+        sweep.ensure_snapshot(&snap_b);
         let before = sweep.stats.clone();
-        let warm = ppr_scores_t(&tv_b, &pairs, alpha, tol, 1, &mut sweep, "PPR").unwrap();
+        let warm = ppr_scores_t(&snap_b, &pairs, alpha, tol, 1, &mut sweep, "PPR").unwrap();
         let warm_iters = sweep.stats.ppr_iterations - before.ppr_iterations;
         assert!(sweep.stats.ppr_warm_starts > 0, "second snapshot must reuse cached vectors");
 
         let mut cold_cache = SolverCache::transient();
-        let tv_cold = cold_cache.ensure_snapshot(&snap_b);
-        let cold = ppr_scores_t(&tv_cold, &pairs, alpha, tol, 1, &mut cold_cache, "PPR").unwrap();
+        cold_cache.ensure_snapshot(&snap_b);
+        let cold = ppr_scores_t(&snap_b, &pairs, alpha, tol, 1, &mut cold_cache, "PPR").unwrap();
         let cold_iters = cold_cache.stats.ppr_iterations;
 
         assert!(
@@ -1107,18 +1019,16 @@ mod tests {
     #[test]
     fn ppr_nan_alpha_trips_nonfinite_guard() {
         let snap = ring_with_chords(9);
-        let tv = TransitionView::build(&snap);
         let mut cache = SolverCache::transient();
-        let err = ppr_scores_t(&tv, &[(0, 3)], f64::NAN, 1e-4, 1, &mut cache, "PPR").unwrap_err();
+        let err = ppr_scores_t(&snap, &[(0, 3)], f64::NAN, 1e-4, 1, &mut cache, "PPR").unwrap_err();
         assert!(matches!(err, SolverError::NonFinite { metric: "PPR", .. }), "got {err}");
     }
 
     #[test]
     fn ppr_unreachable_tolerance_reports_no_convergence() {
         let snap = ring_with_chords(9);
-        let tv = TransitionView::build(&snap);
         let mut cache = SolverCache::transient();
-        let err = ppr_scores_t(&tv, &[(0, 3)], 0.15, -1.0, 1, &mut cache, "PPR").unwrap_err();
+        let err = ppr_scores_t(&snap, &[(0, 3)], 0.15, -1.0, 1, &mut cache, "PPR").unwrap_err();
         assert!(
             matches!(err, SolverError::NoConvergence { metric: "PPR", iterations: PPR_MAX_ITERS }),
             "got {err}"
@@ -1128,13 +1038,12 @@ mod tests {
     #[test]
     fn lrw_width_and_threads_invariant() {
         let snap = ring_with_chords(29);
-        let tv = TransitionView::build(&snap);
         let pairs = all_pairs(29);
-        let base = lrw_scores_with_width(&tv, &pairs, 3, 1e-7, 1, 1, "LRW").unwrap();
+        let base = lrw_scores_with_width(&snap, &pairs, 3, 1e-7, 1, 1, "LRW").unwrap();
         for width in [2, 5, 64] {
             for threads in [1, 4] {
                 let got =
-                    lrw_scores_with_width(&tv, &pairs, 3, 1e-7, threads, width, "LRW").unwrap();
+                    lrw_scores_with_width(&snap, &pairs, 3, 1e-7, threads, width, "LRW").unwrap();
                 assert_eq!(base, got, "width {width} threads {threads} diverged");
             }
         }
@@ -1146,8 +1055,7 @@ mod tests {
         // the mass at 3 is 1/4; from 3 symmetric. two_e = 6.
         // score(0,3) = d(0)/6 · p03 + d(3)/6 · p30 = (1/6)(1/4)·2 = 1/12.
         let snap = Snapshot::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let tv = TransitionView::build(&snap);
-        let scores = lrw_scores_t(&tv, &[(0, 3)], 3, 0.0, 1, "LRW").unwrap();
+        let scores = lrw_scores_t(&snap, &[(0, 3)], 3, 0.0, 1, "LRW").unwrap();
         assert!((scores[0] - 1.0 / 12.0).abs() < 1e-12, "got {}", scores[0]);
     }
 
@@ -1155,8 +1063,7 @@ mod tests {
     fn lrw_dangling_mass_conserved() {
         // Star with an isolated extra node: total walk mass stays 1.
         let snap = Snapshot::from_edges(5, &[(0, 1), (0, 2), (0, 3)]);
-        let tv = TransitionView::build(&snap);
-        let scores = lrw_scores_t(&tv, &[(4, 1)], 3, 0.0, 1, "LRW").unwrap();
+        let scores = lrw_scores_t(&snap, &[(4, 1)], 3, 0.0, 1, "LRW").unwrap();
         // Node 4 is isolated: its walk self-absorbs, never reaches 1, and
         // node 1's walk never reaches 4.
         assert_eq!(scores[0], 0.0);
@@ -1242,7 +1149,6 @@ mod tests {
     fn walk_scores_are_exact_zero_at_an_isolated_endpoint() {
         // Nodes 0 and 5 are isolated; 1-2-3-4 is a triangle plus a tail.
         let snap = Snapshot::from_edges(6, &[(1, 2), (2, 3), (1, 3), (3, 4)]);
-        let tv = TransitionView::build(&snap);
         // Single pairs tie and solve from the lower id; the batches put
         // the isolated node on the side ([(2,5),(3,5)]) or among the
         // partners ([(2,0),(2,5)]).
@@ -1258,8 +1164,8 @@ mod tests {
         ];
         for pairs in batches {
             let mut cache = SolverCache::transient();
-            let ppr = ppr_scores_t(&tv, pairs, 0.15, 1e-6, 1, &mut cache, "PPR").unwrap();
-            let lrw = lrw_scores_t(&tv, pairs, 3, 0.0, 1, "LRW").unwrap();
+            let ppr = ppr_scores_t(&snap, pairs, 0.15, 1e-6, 1, &mut cache, "PPR").unwrap();
+            let lrw = lrw_scores_t(&snap, pairs, 3, 0.0, 1, "LRW").unwrap();
             assert!(ppr.iter().all(|&x| x == 0.0), "PPR {pairs:?}: {ppr:?}");
             assert!(lrw.iter().all(|&x| x == 0.0), "LRW {pairs:?}: {lrw:?}");
         }

@@ -84,12 +84,12 @@ pub trait Metric: Sync {
     /// the engine runs. Metrics whose scores depend only on (snapshot,
     /// pair) score source-aligned chunks in parallel through
     /// [`crate::exec::score_chunked`]. Metrics with per-snapshot state
-    /// solve or factor once per call: the walk metrics (LRW, PPR) on the
-    /// cache's shared transition view, warm-starting PPR from the
-    /// previous snapshot's converged vectors on persistent caches (which
-    /// changes iteration counts, never converged output beyond the
-    /// documented tolerance, see [`crate::solver`]); Katz on the cache's
-    /// adjacency; Rescal reusing the cache's fitted model.
+    /// solve or factor once per call on the snapshot's own adjacency CSR:
+    /// the walk metrics (LRW, PPR), warm-starting PPR from the previous
+    /// snapshot's converged vectors on persistent caches (which changes
+    /// iteration counts, never converged output beyond the documented
+    /// tolerance, see [`crate::solver`]); Katz; Rescal reusing the
+    /// cache's fitted model.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,

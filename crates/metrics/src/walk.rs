@@ -81,8 +81,8 @@ impl Metric for LocalRandomWalk {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        let tv = cache.ensure_snapshot(snap);
-        match solver::lrw_scores_t(&tv, pairs, self.steps, self.prune, threads, "LRW") {
+        cache.ensure_snapshot(snap);
+        match solver::lrw_scores_t(snap, pairs, self.steps, self.prune, threads, "LRW") {
             Ok(scores) => scores,
             // The Metric trait has no error channel; a tripped solver guard
             // is a hard invariant violation, same class as an audit panic.
@@ -132,9 +132,9 @@ impl Metric for PersonalizedPageRank {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        let tv = cache.ensure_snapshot(snap);
-        match solver::ppr_scores_t(&tv, pairs, self.alpha, self.solver_tol(), threads, cache, "PPR")
-        {
+        cache.ensure_snapshot(snap);
+        let tol = self.solver_tol();
+        match solver::ppr_scores_t(snap, pairs, self.alpha, tol, threads, cache, "PPR") {
             Ok(scores) => scores,
             // The Metric trait has no error channel; a tripped solver guard
             // is a hard invariant violation, same class as an audit panic.

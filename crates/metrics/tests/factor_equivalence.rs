@@ -1,9 +1,10 @@
-//! Blocked-vs-dense equivalence for the ALS factorization core: the
-//! blocked fit (CSR `spmm_into_t` products, sparse residual
-//! certification) must reproduce the serial dense reference in
+//! Blocked-vs-serial equivalence for the ALS factorization core: the
+//! blocked fit (`spmm_into_t` products, sparse residual certification)
+//! must reproduce the serial reference in
 //! `linklens_bench::oracles::rescal`
-//! **bit for bit** at every thread count — the per-row CSR fold is
-//! arithmetic-identical to `matmul_dense`, so no tolerance is needed —
+//! **bit for bit** at every thread count — the blocked row fold is
+//! arithmetic-identical to the reference's serial one, so no tolerance
+//! is needed —
 //! and certified warm-started sweeps must agree with cold starts on
 //! certification outcome across randomized monotone snapshot sequences.
 //! Singular systems must surface as structured errors, never silent

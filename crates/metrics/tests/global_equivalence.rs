@@ -16,6 +16,7 @@ use common::harness::{self, every, named, Entry};
 use common::{arb_graph, arb_sweep, candidate_pairs};
 use linklens_bench::oracles;
 use osn_graph::snapshot::Snapshot;
+use osn_graph::NodeId;
 use osn_metrics::exec;
 use osn_metrics::katz::KatzSc;
 use osn_metrics::solver::SolverCache;
@@ -26,19 +27,31 @@ use proptest::prelude::*;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Katz-sc's batched SpMM landmark columns equal the per-landmark SpMV
-/// oracle's bit for bit, column by column, at every thread count.
+/// oracle's bit for bit, column by column, at every thread count: on two
+/// bridged triangles, and on a 400-node ring with chords, whose 400 rows
+/// put the SpMM past its 256-row serial threshold onto the worker pool.
 #[test]
 fn landmark_columns_batched_matches_per_source_bitwise() {
     // Two triangles bridged: 0-1-2 triangle, 3-4-5 triangle, bridge 2-3.
-    let s = Snapshot::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]);
-    let tv = SolverCache::transient().ensure_snapshot(&s);
-    let a = tv.adjacency();
-    let sc = KatzSc { landmarks: 4, ..Default::default() };
-    let lm = sc.pick_landmarks(&s);
-    let want = oracles::katz::landmark_columns(&sc, a, &lm);
-    for threads in [1, 2, 4] {
-        let got = sc.landmark_columns(a, &lm, threads);
-        assert_eq!(got.data(), want.data(), "threads={threads}");
+    let bridged =
+        Snapshot::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]);
+    let mut ring: Vec<(NodeId, NodeId)> = Vec::new();
+    for i in 0..400 {
+        ring.push((i, (i + 1) % 400));
+        if i % 3 == 0 {
+            ring.push((i, (i + 7) % 400));
+        }
+    }
+    let ring = Snapshot::from_edges(400, &ring);
+    for (s, landmarks) in [(&bridged, 4), (&ring, KatzSc::default().landmarks)] {
+        let sc = KatzSc { landmarks, ..Default::default() };
+        let lm = sc.pick_landmarks(s);
+        let want = oracles::katz::landmark_columns(&sc, s, &lm);
+        for threads in [1, 2, 4] {
+            let got = sc.landmark_columns(s, &lm, threads);
+            let n = s.node_count();
+            assert_eq!(got.data(), want.data(), "{n} nodes, threads={threads}");
+        }
     }
 }
 
@@ -82,10 +95,10 @@ proptest! {
         harness::check_lists(&graph, &LIST, named(&["Katz-sc"]), &SERVED, None)?;
     }
 
-    /// The cached batch entry points (shared transition view, adjacency
-    /// reuse) are pure plumbing: the mixed 15-metric matrix on a fresh
-    /// sweep cache, and the grouped top-k, reproduce the transient
-    /// one-worker scores bit for bit at every worker count.
+    /// The cached batch entry points are pure plumbing: the mixed
+    /// 15-metric matrix on a fresh sweep cache, and the grouped top-k,
+    /// reproduce the transient one-worker scores bit for bit at every
+    /// worker count.
     #[test]
     fn cached_exec_paths_match_uncached(graph in arb_graph(8..=24, 4..50)) {
         harness::check_lists(&graph, &LIST, every, &[Entry::Matrix, Entry::TopK], None)?;

@@ -1,30 +1,31 @@
 //! One-column references for the batched walk kernels of
 //! `osn_metrics::solver`: PPR's Chebyshev semi-iteration and LRW's
-//! pruned walk, written as separate passes over one source column on
-//! `TransitionView`'s public accessors. Every per-element expression and
+//! pruned walk, written as separate passes over one source column on the
+//! snapshot's neighbour lists and degrees. Every per-element expression and
 //! every fold order is the kernels' own, so a kernel's column, at any
 //! block width and thread count, must equal these bit for bit. Test
 //! targets include this one file with `#[path]`.
 
+use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
-use osn_metrics::solver::{TransitionView, PPR_MAX_ITERS};
+use osn_metrics::solver::PPR_MAX_ITERS;
 
 /// `z / d(u)` per node, `0.0` on a dangling node.
-fn shares(tv: &TransitionView, z: &[f64]) -> Vec<f64> {
-    (0..tv.node_count())
-        .map(|u| match tv.degree(u as NodeId) {
+fn shares(snap: &Snapshot, z: &[f64]) -> Vec<f64> {
+    (0..snap.node_count())
+        .map(|u| match snap.degree(u as NodeId) {
             0 => 0.0,
-            d => z[u] / f64::from(d),
+            d => z[u] / d as f64,
         })
         .collect()
 }
 
 /// `Σ_{u∈Γ(v)} s_u` per node, folded in ascending neighbour order from
 /// `0.0`.
-fn gather(tv: &TransitionView, s: &[f64]) -> Vec<f64> {
-    let mut g = vec![0.0; tv.node_count()];
+fn gather(snap: &Snapshot, s: &[f64]) -> Vec<f64> {
+    let mut g = vec![0.0; snap.node_count()];
     for (v, g) in g.iter_mut().enumerate() {
-        for &u in tv.neighbors(v as NodeId) {
+        for &u in snap.neighbors(v as NodeId) {
             *g += s[u as usize];
         }
     }
@@ -48,13 +49,13 @@ pub struct PprColumn {
 /// Panics on a non-finite residual norm or after [`PPR_MAX_ITERS`]
 /// iterations.
 pub fn ppr_column(
-    tv: &TransitionView,
+    snap: &Snapshot,
     src: NodeId,
     alpha: f64,
     tol: f64,
     warm: Option<&[f64]>,
 ) -> PprColumn {
-    let n = tv.node_count();
+    let n = snap.node_count();
     let oma = 1.0 - alpha;
     let mut x = vec![0.0; n];
     if let Some(warm) = warm {
@@ -63,7 +64,7 @@ pub fn ppr_column(
         }
     }
     // r = α e_src - x + (1-α)Pᵀ x; the first direction is r.
-    let g = gather(tv, &shares(tv, &x));
+    let g = gather(snap, &shares(snap, &x));
     let mut r: Vec<f64> = (0..n).map(|i| oma * g[i] - x[i]).collect();
     r[src as usize] += alpha;
     let mut d = r.clone();
@@ -85,7 +86,7 @@ pub fn ppr_column(
         for i in 0..n {
             x[i] += d[i];
         }
-        let g = gather(tv, &shares(tv, &d));
+        let g = gather(snap, &shares(snap, &d));
         for i in 0..n {
             r[i] -= d[i] - oma * g[i];
         }
@@ -104,24 +105,24 @@ pub fn ppr_column(
 /// takes each node's degree share of its mass (`0.0` below `prune`) and
 /// lets a dangling node keep its own mass; phase B adds each node's
 /// neighbours' shares in ascending order.
-pub fn lrw_column(tv: &TransitionView, src: NodeId, steps: usize, prune: f64) -> Vec<f64> {
-    let n = tv.node_count();
+pub fn lrw_column(snap: &Snapshot, src: NodeId, steps: usize, prune: f64) -> Vec<f64> {
+    let n = snap.node_count();
     let mut x = vec![0.0; n];
     x[src as usize] = 1.0;
     for _ in 0..steps {
         let mut y = vec![0.0; n];
         let mut s = vec![0.0; n];
         for u in 0..n {
-            match tv.degree(u as NodeId) {
+            match snap.degree(u as NodeId) {
                 0 => y[u] += x[u],
                 d => {
-                    let share = x[u] / f64::from(d);
+                    let share = x[u] / d as f64;
                     s[u] = if share < prune { 0.0 } else { share };
                 }
             }
         }
         for (v, y) in y.iter_mut().enumerate() {
-            for &u in tv.neighbors(v as NodeId) {
+            for &u in snap.neighbors(v as NodeId) {
                 *y += s[u as usize];
             }
         }

@@ -12,9 +12,7 @@ use std::collections::BTreeMap;
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{canonical, NodeId};
-use osn_metrics::solver::{
-    lrw_scores_with_width, ppr_scores_with_width, SolverCache, TransitionView,
-};
+use osn_metrics::solver::{lrw_scores_with_width, ppr_scores_with_width, SolverCache};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use walk_columns::{lrw_column, ppr_column, PprColumn};
@@ -83,14 +81,14 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 /// The reference PPR columns of the batch's sides, each started from its
 /// entry in `warm` when it has one.
 fn ppr_columns(
-    tv: &TransitionView,
+    snap: &Snapshot,
     oriented: &[(NodeId, NodeId)],
     warm: &BTreeMap<NodeId, PprColumn>,
 ) -> BTreeMap<NodeId, PprColumn> {
     let mut cols = BTreeMap::new();
     for &(side, _) in oriented {
         cols.entry(side).or_insert_with(|| {
-            ppr_column(tv, side, ALPHA, TOL, warm.get(&side).map(|c| c.x.as_slice()))
+            ppr_column(snap, side, ALPHA, TOL, warm.get(&side).map(|c| c.x.as_slice()))
         });
     }
     cols
@@ -99,16 +97,15 @@ fn ppr_columns(
 /// `π_st·(1 + d_s/d_t)` from each pair's side column (factor 1 when
 /// `d_t = 0`).
 fn ppr_want(
-    tv: &TransitionView,
+    snap: &Snapshot,
     oriented: &[(NodeId, NodeId)],
     cols: &BTreeMap<NodeId, PprColumn>,
 ) -> Vec<f64> {
     oriented
         .iter()
         .map(|&(s, t)| {
-            let d_t = tv.degree(t);
-            let factor =
-                if d_t == 0 { 1.0 } else { 1.0 + f64::from(tv.degree(s)) / f64::from(d_t) };
+            let d_t = snap.degree(t);
+            let factor = if d_t == 0 { 1.0 } else { 1.0 + snap.degree(s) as f64 / d_t as f64 };
             cols[&s].x[t as usize] * factor
         })
         .collect()
@@ -116,21 +113,21 @@ fn ppr_want(
 
 /// Checks both kernels on one batch at every width and thread count.
 fn check_batch(
-    tv: &TransitionView,
+    snap: &Snapshot,
     pairs: &[(NodeId, NodeId)],
     prune: f64,
 ) -> Result<(), TestCaseError> {
     let oriented = orient(pairs);
-    let cols = ppr_columns(tv, &oriented, &BTreeMap::new());
-    let ppr_want = bits(&ppr_want(tv, &oriented, &cols));
+    let cols = ppr_columns(snap, &oriented, &BTreeMap::new());
+    let ppr_want = bits(&ppr_want(snap, &oriented, &cols));
     let ppr_iterations: u64 = cols.values().map(|c| c.iterations).sum();
-    let two_e = tv.volume().max(1) as f64;
+    let two_e = (2 * snap.edge_count()).max(1) as f64;
     let mut walks = BTreeMap::new();
     let lrw_want: Vec<f64> = oriented
         .iter()
         .map(|&(s, t)| {
-            let x = walks.entry(s).or_insert_with(|| lrw_column(tv, s, STEPS, prune));
-            2.0 * (f64::from(tv.degree(s)) / two_e) * x[t as usize]
+            let x = walks.entry(s).or_insert_with(|| lrw_column(snap, s, STEPS, prune));
+            2.0 * (snap.degree(s) as f64 / two_e) * x[t as usize]
         })
         .collect();
     let lrw_want = bits(&lrw_want);
@@ -138,12 +135,12 @@ fn check_batch(
         for threads in THREADS {
             let mut cache = SolverCache::transient();
             let ppr =
-                ppr_scores_with_width(tv, pairs, ALPHA, TOL, threads, width, &mut cache, "PPR")
+                ppr_scores_with_width(snap, pairs, ALPHA, TOL, threads, width, &mut cache, "PPR")
                     .expect("PPR converges");
             prop_assert_eq!(bits(&ppr), ppr_want, "PPR width {} threads {}", width, threads);
             prop_assert_eq!(cache.stats.ppr_iterations, ppr_iterations);
             prop_assert_eq!(cache.stats.ppr_sources, cols.len() as u64);
-            let lrw = lrw_scores_with_width(tv, pairs, STEPS, prune, threads, width, "LRW")
+            let lrw = lrw_scores_with_width(snap, pairs, STEPS, prune, threads, width, "LRW")
                 .expect("LRW stays finite");
             prop_assert_eq!(bits(&lrw), lrw_want, "LRW width {} threads {}", width, threads);
         }
@@ -161,8 +158,7 @@ proptest! {
         (n, edges) in arb_graph(),
         prune in 0.0f64..0.05,
     ) {
-        let tv = TransitionView::build(&Snapshot::from_edges(n, &edges));
-        check_batch(&tv, &all_pairs(n), prune)?;
+        check_batch(&Snapshot::from_edges(n, &edges), &all_pairs(n), prune)?;
     }
 
     /// Every pair holding one node: the served query's one-column shape.
@@ -173,11 +169,10 @@ proptest! {
         }),
         prune in 0.0f64..0.05,
     ) {
-        let tv = TransitionView::build(&Snapshot::from_edges(n, &edges));
         let mut pairs: Vec<(NodeId, NodeId)> =
             (0..n as u32).filter(|&v| v != source).map(|v| canonical(source, v)).collect();
         pairs.sort_unstable();
-        check_batch(&tv, &pairs, prune)?;
+        check_batch(&Snapshot::from_edges(n, &edges), &pairs, prune)?;
     }
 
     /// A sweep cache warm-starts exactly the prefix batch's sides from
@@ -207,14 +202,13 @@ proptest! {
         let mut prev = BTreeMap::new();
         for snap in [&prefix, &full] {
             let pairs = all_pairs(snap.node_count());
-            let tv = cache.ensure_snapshot(snap);
+            cache.ensure_snapshot(snap);
             let got =
-                ppr_scores_with_width(&tv, &pairs, ALPHA, TOL, threads, width, &mut cache, "PPR")
+                ppr_scores_with_width(snap, &pairs, ALPHA, TOL, threads, width, &mut cache, "PPR")
                     .expect("PPR converges");
-            let oracle_tv = TransitionView::build(snap);
             let oriented = orient(&pairs);
-            let cols = ppr_columns(&oracle_tv, &oriented, &prev);
-            prop_assert_eq!(bits(&got), bits(&ppr_want(&oracle_tv, &oriented, &cols)));
+            let cols = ppr_columns(snap, &oriented, &prev);
+            prop_assert_eq!(bits(&got), bits(&ppr_want(snap, &oriented, &cols)));
             want_iterations += cols.values().map(|c| c.iterations).sum::<u64>();
             want_warm += cols.keys().filter(|s| prev.contains_key(*s)).count() as u64;
             want_sources += cols.len() as u64;

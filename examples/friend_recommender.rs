@@ -40,7 +40,7 @@ fn main() {
     let metrics = linklens::metrics::all_metrics();
     let metric_refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
     let threads = par::max_threads();
-    // One sweep cache across the whole run: the transition view is shared
+    // One sweep cache across the whole run: the Rescal fit is shared
     // within each snapshot and converged solver state warm-starts the
     // next snapshot's solves.
     let mut cache = SolverCache::sweep();

@@ -8,13 +8,8 @@ mod jacobi;
 
 use jacobi::jacobi_eigen;
 use linklens::linalg::lanczos::{lanczos_top_k, symmetric_eigen, EigenPairs};
-use linklens::linalg::{Matrix, SparseMatrix};
+use linklens::linalg::{sparse, Matrix};
 use linklens::prelude::*;
-
-fn adjacency(snap: &Snapshot) -> SparseMatrix {
-    let edges: Vec<(u32, u32)> = snap.edges().collect();
-    SparseMatrix::adjacency(snap.node_count(), &edges)
-}
 
 /// `‖A vᵢ − λᵢ vᵢ‖₂` for every pair of `e`.
 fn residuals(a: &Matrix, e: &EigenPairs) -> Vec<f64> {
@@ -96,7 +91,7 @@ fn katz_lr_dense_path_matches_a_jacobi_built_katz_lr() {
         let snap = seq.snapshot(i);
         let n = snap.node_count();
         assert!(n > lr.rank && n <= 256, "snapshot {i} has {n} nodes: not the dense path");
-        let a = adjacency(&snap).to_dense();
+        let a = sparse::to_dense(&snap);
         let dense = symmetric_eigen(&a).expect("finite adjacency");
         let oracle = jacobi_eigen(&a);
         let bound = katz_error_bound(&a, &dense, lr.rank, lr.beta)
@@ -132,10 +127,9 @@ fn lanczos_converges_rank_48_with_fewer_steps_than_nodes() {
     for (i, nodes) in [(3, 346), (5, 448)] {
         let snap = seq.snapshot(i);
         assert_eq!(snap.node_count(), nodes);
-        let a = adjacency(&snap);
-        let ritz = lanczos_top_k(&a, lr.rank, lr.max_iter, lr.seed).expect("finite adjacency");
+        let ritz = lanczos_top_k(&snap, lr.rank, lr.max_iter, lr.seed).expect("finite adjacency");
         assert_eq!(ritz.values.len(), lr.rank);
-        let dense = a.to_dense();
+        let dense = sparse::to_dense(&snap);
         for (k, r) in residuals(&dense, &ritz).into_iter().enumerate() {
             assert!(r <= 1e-5, "snapshot {i}: Ritz pair {k} has residual {r:e}");
         }
