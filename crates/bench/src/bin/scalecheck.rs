@@ -9,8 +9,8 @@
 //! | `parallel-scaling` | Candidate enumeration, scoring of every metric and fused top-k on renren-like at each worker count. |
 //! | `snapshot-build` | Incremental snapshot sweeps against from-scratch builds on every preset, full-CSR digests asserted equal. |
 //! | `fused-scoring` | The fused local-metric kernel against the per-pair path, bit for bit. |
-//! | `global-scoring` | Batched SP/LP/LRW/PPR/Katz against their `oracles::contract` references, a worker sweep, and warm vs cold PPR. |
-//! | `factor-scoring` | The blocked Rescal fit and batched scoring against the dense reference on youtube-like, and warm vs cold certified fits. |
+//! | `global-scoring` | Batched SP/LP/LRW/PPR/Katz against their `oracles::contract` references, then a worker sweep. |
+//! | `factor-scoring` | The blocked Rescal fit and batched scoring against the dense reference on youtube-like. |
 //! | `e2e-sweep` | The framework sweep: per-pair baseline vs batched routing vs routing with the Table 7 filter pushed into enumeration. |
 //! | `large-trace` | Streaming generation, windowed cache reads and sampled evaluation against full materialization, with peak RSS. |
 //! | `serving` | linklens-serve: a served-vs-offline parity gate, then a Zipfian query mix under tail ingest. |
@@ -34,7 +34,7 @@ use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_metrics::candidates::CandidateSet;
 use osn_metrics::exec;
-use osn_metrics::solver::{SolverCache, SolverStats};
+use osn_metrics::solver::SolverCache;
 use osn_metrics::traits::{CandidatePolicy, Metric};
 use osn_trace::presets::TraceConfig;
 use osn_trace::GrowthTrace;
@@ -303,58 +303,10 @@ fn renren_trace(ctx: &Ctx) -> GrowthTrace {
     TraceConfig::renren_like().scaled(ctx.scale).with_days(ctx.days).generate(42)
 }
 
-/// The 12-snapshot sequence over `trace` and its snapshot 9, the one the
+/// Snapshot 9 of the 12-snapshot sequence over `trace`, the one the
 /// single-snapshot rows score.
-fn fixture(trace: &GrowthTrace) -> (SnapshotSequence<'_>, Snapshot) {
-    let seq = SnapshotSequence::with_count(trace, 12);
-    let snap = seq.snapshot(9);
-    (seq, snap)
-}
-
-/// Solver counters a warm-vs-cold row reads: the unit its work is counted
-/// in, and (that work, warm starts) from the cache's stats.
-type Counters = (&'static str, fn(&SolverStats) -> (u64, u64));
-
-/// Warm vs cold solves over the late snapshots `6..min(len, 11)`. Each
-/// snapshot's `pairs` are scored at one worker twice: through one sweep
-/// cache that persists across snapshots (warm), and through a fresh
-/// transient cache (cold). `check` sees both columns before the row is
-/// recorded under `key`.
-fn warm_vs_cold(
-    report: &mut Report,
-    key: &str,
-    seq: &SnapshotSequence<'_>,
-    metric: &dyn Metric,
-    (unit, counters): Counters,
-    pairs: impl Fn(usize, &Snapshot) -> CandidateSet,
-    check: impl Fn(usize, &Snapshot, &[(u32, u32)], &[f64], &[f64]),
-) {
-    let mut warm_cache = SolverCache::sweep();
-    for si in 6..seq.len().min(11) {
-        let s = seq.snapshot(si);
-        let c = pairs(si, &s);
-        let score = |cache: &mut SolverCache| {
-            timed(|| exec::score_matrix_cached_t(&[metric], &s, c.pairs(), 1, cache).remove(0))
-        };
-        let (work_before, warms_before) = counters(&warm_cache.stats);
-        let (warm_secs, warm) = score(&mut warm_cache);
-        let mut cold_cache = SolverCache::transient();
-        let (cold_secs, cold) = score(&mut cold_cache);
-        check(si, &s, c.pairs(), &warm, &cold);
-        let (work, warms) = counters(&warm_cache.stats);
-        report.row(
-            key,
-            Value::Object(vec![
-                ("snapshot".into(), json!(si)),
-                ("pairs".into(), json!(c.len())),
-                ("warm_secs".into(), json!(warm_secs)),
-                (format!("warm_{unit}"), json!(work - work_before)),
-                ("warm_starts".into(), json!(warms - warms_before)),
-                ("cold_secs".into(), json!(cold_secs)),
-                (format!("cold_{unit}"), json!(counters(&cold_cache.stats).0)),
-            ]),
-        );
-    }
+fn fixture(trace: &GrowthTrace) -> Snapshot {
+    SnapshotSequence::with_count(trace, 12).snapshot(9)
 }
 
 /// splitmix64 step — the deterministic stream the pair sampler, every
@@ -414,7 +366,7 @@ fn snapshot_digest(acc: u64, snap: &Snapshot) -> u64 {
 /// sets): per-stage pairs/sec at each probed worker count.
 fn parallel_scaling(ctx: &Ctx, report: &mut Report) {
     let trace = renren_trace(ctx);
-    let (_seq, snap) = fixture(&trace);
+    let snap = fixture(&trace);
     let metrics = osn_metrics::all_metrics();
     let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
     report.set("network", "renren-like");
@@ -541,7 +493,7 @@ fn snapshot_build(ctx: &Ctx, report: &mut Report) {
 /// different.
 fn fused_scoring(ctx: &Ctx, report: &mut Report) {
     let trace = renren_trace(ctx);
-    let (_seq, snap) = fixture(&trace);
+    let snap = fixture(&trace);
 
     let names = ["CN", "JC", "AA", "RA", "PA", "BCN", "BAA", "BRA"];
     let metrics: Vec<Box<dyn Metric>> =
@@ -607,19 +559,15 @@ fn fused_scoring(ctx: &Ctx, report: &mut Report) {
 /// `group_speedup_threads1` is total reference time over total batched
 /// time for the solver group {LRW, PPR, Katz-lr, Katz-sc}. A worker-count
 /// sweep then times the batched paths alone, asserting each stays
-/// bit-identical to its one-worker output; finally a warm-vs-cold PPR
-/// sweep over late snapshots measures what the persistent
-/// [`SolverCache`] buys, with warm output asserted within twice
-/// [`oracles::walk::ppr_solve_bound`] of cold per pair.
+/// bit-identical to its one-worker output.
 ///
 /// Katz-lr's reference is the same serial path at one worker, so it
 /// dilutes the group speedup rather than inflating it.
 fn global_scoring(ctx: &Ctx, report: &mut Report) {
     use osn_graph::par;
-    use osn_metrics::walk::PersonalizedPageRank;
 
     let trace = renren_trace(ctx);
-    let (seq, snap) = fixture(&trace);
+    let snap = fixture(&trace);
     let cands = CandidateSet::build(&snap, CandidatePolicy::ThreeHop, 0);
     let pairs = cands.pairs();
 
@@ -631,9 +579,7 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("edges", snap.edge_count());
     report.set("candidate_pairs", pairs.len());
     report.set("metrics", names.to_vec());
-    report.set("note", "batched vs per-source-oracle, equality asserted before timing (bit-identical for SP/LP/Katz, analytic tolerance for LRW/PPR); Katz-lr has no distinct per-source oracle so its reference is the same serial path; LRW/PPR engine scores are one-sided from the pair's solve side (within oracles::walk::lrw_bound and ppr_bound); warm rows assert |warm-cold| <= 2·oracles::walk::ppr_solve_bound per pair");
-
-    let ppr = PersonalizedPageRank::default();
+    report.set("note", "batched vs per-source-oracle, equality asserted before timing (bit-identical for SP/LP/Katz, analytic tolerance for LRW/PPR); Katz-lr has no distinct per-source oracle so its reference is the same serial path; LRW/PPR engine scores are one-sided from the pair's solve side (within oracles::walk::lrw_bound and ppr_bound)");
 
     // --- Stage 1: batched vs reference at one worker, equality first ----
     par::set_thread_override(Some(1));
@@ -692,29 +638,6 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
         json!({ "metrics": entries })
     });
 
-    // --- Stage 3: warm vs cold PPR across late snapshots ----------------
-    par::set_thread_override(Some(1));
-    warm_vs_cold(
-        report,
-        "warm_vs_cold_ppr",
-        &seq,
-        &ppr,
-        ("iterations", |s| (s.ppr_iterations, s.ppr_warm_starts)),
-        |_, s| CandidateSet::build(s, CandidatePolicy::ThreeHop, 0),
-        |si, s, pairs, warm, cold| {
-            // Warm and cold score the same pair list, so each pair takes
-            // the same side in both; each run is within the solve bound
-            // of the exact score.
-            for (i, &p) in pairs.iter().enumerate() {
-                let dev = (warm[i] - cold[i]).abs();
-                let bound = 2.0 * oracles::walk::ppr_solve_bound(&ppr, s, p);
-                assert!(
-                    dev <= bound,
-                    "snapshot {si}: warm/cold PPR pair {p:?} diverged {dev:e} beyond {bound:e}"
-                );
-            }
-        },
-    );
     par::set_thread_override(None);
 }
 
@@ -723,24 +646,18 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
 /// ~80% of nodes at degree ≤ 3, new edges concentrating on the top-0.1%
 /// hubs) that stresses the CSR row blocking hardest.
 ///
-/// Three stages, equality always asserted untimed first so a reported
+/// Two stages, equality always asserted untimed first so a reported
 /// speedup can never come from computing something different:
 ///
 /// 1. **fit**: [`oracles::rescal::fit_dense`] (the serial row-fold ALS
-///    loop, the property-tested oracle) vs the blocked `fit_t` (thread-parallel
-///    `spmm_into_t` products + sparse residual certification) — factors
-///    and certified residual asserted bit-identical at every probed
-///    worker count, then both fits timed;
+///    loop, the property-tested oracle) vs the blocked `fit_t`
+///    (thread-parallel `spmm_into_t` products) — factors asserted
+///    bit-identical at every probed worker count, then both fits timed;
 /// 2. **scoring**: the batched bilinear pair-scoring path vs the
 ///    per-pair `oracles::rescal::model_score` over the Global candidate set
 ///    (different association order, so within 1e-9 rather than bitwise;
 ///    the batched path itself is asserted bit-identical across worker
-///    counts), then both timed;
-/// 3. **warm vs cold**: certified early-stop fits (`tol > 0`) across
-///    late snapshots through the persistent [`SolverCache`] model slots
-///    vs an independent cold fit per snapshot — ALS warm starts change
-///    the trajectory, so sweeps/residuals are *measured*, not asserted
-///    (the equivalence tests pin certification-band parity).
+///    counts), then both timed.
 fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     use osn_metrics::rescal::Rescal;
 
@@ -757,7 +674,7 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     cfg.initial_nodes *= FACTOR_STRESS;
     cfg.initial_edges *= FACTOR_STRESS;
     let trace = cfg.generate(42);
-    let (seq, snap) = fixture(&trace);
+    let snap = fixture(&trace);
     let rescal = Rescal::default();
     report.set("network", "youtube-like");
     report.set("seed_stress_factor", FACTOR_STRESS);
@@ -765,7 +682,7 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("edges", snap.edge_count());
     report.set("rank", rescal.rank);
     report.set("fixed_sweeps", rescal.iterations);
-    report.set("note", "blocked spmm_into_t ALS fit vs retained dense serial reference, factors + certified residual asserted bit-identical at every worker count before timing; batched bilinear scoring within 1e-9 of the per-pair model oracle (association order differs) and bit-identical across workers; warm rows use certified early-stop fits (tol=1e-6) through the persistent SolverCache model slots — ALS warm sweeps are measured, not bounded");
+    report.set("note", "blocked spmm_into_t ALS fit vs retained dense serial reference, factors asserted bit-identical at every worker count before timing; batched bilinear scoring within 1e-9 of the per-pair model oracle (association order differs) and bit-identical across workers");
 
     // --- Stage 1: blocked fit == dense serial reference, then timing ---
     let dense = oracles::rescal::fit_dense(&rescal, &snap).expect("dense reference fit");
@@ -781,7 +698,6 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
             0.0,
             "blocked R diverged from dense reference at {t} workers"
         );
-        assert_eq!(dense.residual, blocked.residual, "certified residual drifted at {t} workers");
     }
     let (dense_secs, _) =
         timed(|| oracles::rescal::fit_dense(&rescal, &snap).expect("dense reference fit"));
@@ -810,10 +726,10 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("candidate_pairs", pairs.len());
     let oracle: Vec<f64> =
         pairs.iter().map(|&(u, v)| oracles::rescal::model_score(&dense, u, v)).collect();
-    // One persistent cache: the first call fits and registers the model,
-    // every later call (including all timed ones) reuses it — a refit per
-    // batch would show up right here as `rescal_fits` climbing past 1.
-    let mut cache = SolverCache::sweep();
+    // One cache: the first call fits and registers the model, every
+    // later call (including all timed ones) reuses it — a refit per batch
+    // would show up right here as `rescal_fits` climbing past 1.
+    let mut cache = SolverCache::transient();
     let base = exec::score_matrix_cached_t(&[&rescal], &snap, pairs, 1, &mut cache).remove(0);
     assert_eq!(cache.stats.rescal_fits, 1, "priming call must fit exactly once");
     for (i, &p) in pairs.iter().enumerate() {
@@ -838,34 +754,6 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     assert_eq!(
         cache.stats.rescal_fits, 1,
         "scoring sweep refit the model instead of reusing the cached fit"
-    );
-
-    // --- Stage 3: certified warm vs cold fits across late snapshots -----
-    let certified = Rescal { iterations: 500, tol: 1e-6, ..Rescal::default() };
-    warm_vs_cold(
-        report,
-        "warm_vs_cold",
-        &seq,
-        &certified,
-        ("sweeps", |s| (s.rescal_iterations, s.rescal_warm_starts)),
-        // Same sampled-pair workload as stage 2 (see above): the fit
-        // dominates these rows; the pairs only exercise the scoring tail.
-        |si, s| {
-            CandidateSet::from_pairs(
-                sample_pairs(s.node_count(), 100_000, 0x5CA1 + si as u64),
-                CandidatePolicy::Global,
-            )
-        },
-        |si, _, _, warm, cold| {
-            assert!(
-                warm.iter().all(|x| x.is_finite()),
-                "snapshot {si}: warm Rescal score not finite"
-            );
-            assert!(
-                cold.iter().all(|x| x.is_finite()),
-                "snapshot {si}: cold Rescal score not finite"
-            );
-        },
     );
 }
 
@@ -901,7 +789,7 @@ fn per_pair_route(
 ///   [`SequenceEvaluator::evaluate_all`](linklens_core::framework::SequenceEvaluator::evaluate_all):
 ///   one incremental snapshot sweep, shared candidate enumeration per
 ///   policy group, the fused kernel + batched solver engine behind one
-///   persistent sweep cache, streaming per-chunk top-k;
+///   one solver cache for the sweep, streaming per-chunk top-k;
 /// * **pruned** — the routed sweep with the network's Table 7 filter
 ///   pushed into the enumeration walks as a `PruneSpec`.
 ///
@@ -933,7 +821,7 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
     let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
 
     report.set("metrics_excluded", vec!["Rescal"]);
-    report.set("note", "baseline = per-transition from-scratch snapshots + per-group post-hoc candidates + chunked per-pair scoring for locals + per-source reference oracles for SP/LP/LRW/PPR/Katz-sc (bit-identical to batched for SP/LP/Katz, within the documented analytic tolerance for LRW/PPR — see BENCH_global_scoring); routed = evaluate_all (incremental sweep, shared enumeration, fused kernel + batched solvers, persistent sweep cache); pruned = routed with the Table 7 filter pushed into enumeration. Equality asserted before timing: batched == per-pair top-k on a representative transition, pruned enumeration == post-hoc filtering on every transition, fused survivor scores == unpruned scores.");
+    report.set("note", "baseline = per-transition from-scratch snapshots + per-group post-hoc candidates + chunked per-pair scoring for locals + per-source reference oracles for SP/LP/LRW/PPR/Katz-sc (bit-identical to batched for SP/LP/Katz, within the documented analytic tolerance for LRW/PPR — see BENCH_global_scoring); routed = evaluate_all (incremental sweep, shared enumeration, fused kernel + batched solvers, one solver cache for the sweep); pruned = routed with the Table 7 filter pushed into enumeration. Equality asserted before timing: batched == per-pair top-k on a representative transition, pruned enumeration == post-hoc filtering on every transition, fused survivor scores == unpruned scores.");
     let mut renren_routing_speedup = None;
     for cfg in TraceConfig::all() {
         let table7 = FilterThresholds::for_preset(&cfg.name).expect("table 7 preset");
@@ -944,9 +832,7 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
 
         // ---- untimed equality pre-pass 1: routing --------------------
         // On a representative transition, the batched sweep route must
-        // reproduce the per-pair route bit for bit (transient caches on
-        // both sides; the sweep cache's PPR warm starts carry their own
-        // tolerance bench in global_scoring).
+        // reproduce the per-pair route bit for bit.
         let t_repr = (seq.len().saturating_sub(3)).max(1);
         let prev = seq.snapshot(t_repr - 1);
         let truth = eval.ground_truth(t_repr);

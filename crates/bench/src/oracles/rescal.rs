@@ -22,9 +22,9 @@ fn adjacency_times(snap: &Snapshot, x: &Matrix) -> Matrix {
     out
 }
 
-/// The original serial ALS loop, with the same guarded updates and
-/// residual certification as [`Rescal::fit_t`] but every `A·X` a serial
-/// row fold (`adjacency_times`) and every solve `solve_many`. The
+/// The original serial ALS loop, with the same sweeps and guarded updates
+/// as [`Rescal::fit_t`] but every `A·X` a serial row fold
+/// (`adjacency_times`) and every solve `solve_many`. The
 /// blocked kernel's per-row fold is arithmetic-identical to that fold, so
 /// the two fits are bit-identical at every thread count.
 ///
@@ -37,10 +37,6 @@ pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, Solver
 
     let mut x = factor::init_factors(n, r, rescal.seed);
     let mut core = Matrix::identity(r);
-    let mut prev = f64::INFINITY;
-    let mut residual = f64::NAN;
-    let mut iterations = 0;
-    let mut converged = rescal.tol <= 0.0;
 
     for it in 0..rescal.iterations {
         // --- X update ---
@@ -97,25 +93,8 @@ pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, Solver
         if x.data().iter().chain(core.data()).any(|v| !v.is_finite()) {
             return Err(SolverError::NonFinite { metric: "Rescal", iteration: it });
         }
-
-        residual = factor::frobenius_residual(snap, &x, &core, 1);
-        if !residual.is_finite() {
-            return Err(SolverError::NonFinite { metric: "Rescal", iteration: it });
-        }
-        iterations = it + 1;
-        if rescal.tol > 0.0 && prev.is_finite() && prev - residual <= rescal.tol * prev.max(1.0) {
-            converged = true;
-            break;
-        }
-        prev = residual;
     }
-    if !converged {
-        return Err(SolverError::NoConvergence { metric: "Rescal", iterations });
-    }
-    if residual.is_nan() {
-        residual = factor::frobenius_residual(snap, &x, &core, 1);
-    }
-    Ok(RescalModel { x, r: core, residual, iterations, warm_started: false })
+    Ok(RescalModel { x, r: core })
 }
 
 /// The bilinear score `x_uᵀ R x_v + x_vᵀ R x_u` of a fitted model, folded

@@ -234,7 +234,7 @@ pub fn personalized_pagerank(
 /// `1 + d_s/d_t` can scale a solved column's error, whichever endpoint is
 /// the pair's solve side `s`. 1 when an endpoint is isolated: the factor
 /// is 1 there.
-pub fn side_factor(snap: &Snapshot, (u, v): (NodeId, NodeId)) -> f64 {
+fn side_factor(snap: &Snapshot, (u, v): (NodeId, NodeId)) -> f64 {
     let (du, dv) = (snap.degree(u) as f64, snap.degree(v) as f64);
     if du.min(dv) == 0.0 {
         1.0
@@ -248,18 +248,16 @@ pub fn side_factor(snap: &Snapshot, (u, v): (NodeId, NodeId)) -> f64 {
 /// one-sided, `p̂_s[t]·(1 + d_s/d_t)` from its side's column, which the
 /// Chebyshev solve certifies within `‖p − p̂‖₁ ≤ tol/α` of the exact
 /// column; by reversibility the exact one-sided score is the exact
-/// two-sided one, and [`side_factor`] bounds the factor. Two engine runs
-/// on the same pair list take the same side for each pair, so a warm and
-/// a cold start may differ by twice this.
-pub fn ppr_solve_bound(ppr: &PersonalizedPageRank, snap: &Snapshot, pair: (NodeId, NodeId)) -> f64 {
+/// two-sided one, and `side_factor` bounds the factor.
+fn ppr_solve_bound(ppr: &PersonalizedPageRank, snap: &Snapshot, pair: (NodeId, NodeId)) -> f64 {
     ppr.solver_tol() / ppr.alpha * side_factor(snap, pair)
 }
 
 /// How far the engine's PPR score of `(u, v)` may sit from
-/// [`personalized_pagerank`]'s: `ε·(d_u + d_v) + `[`ppr_solve_bound`].
+/// [`personalized_pagerank`]'s: `ε·(d_u + d_v) + ppr_solve_bound`.
 /// The forward-push reference has per-entry error at most `ε·deg`, so
 /// `ε·(d_u + d_v)` over its two terms, and the engine is within
-/// [`ppr_solve_bound`] of the exact score. With `d_u = d_v` that is
+/// `ppr_solve_bound` of the exact score. With `d_u = d_v` that is
 /// `ε·(d_u + d_v) + 2·tol/α`.
 pub fn ppr_bound(ppr: &PersonalizedPageRank, snap: &Snapshot, (u, v): (NodeId, NodeId)) -> f64 {
     ppr.epsilon * (snap.degree(u) + snap.degree(v)) as f64 + ppr_solve_bound(ppr, snap, (u, v))

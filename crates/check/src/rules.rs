@@ -679,7 +679,7 @@ mod tests {
     // --- full-trace-materialization ------------------------------------
 
     #[test]
-    fn materialization_rule_fires_on_load_full_and_read_cache_file() {
+    fn materialization_rule_fires_on_read_cache_and_read_cache_file() {
         let src = "fn sweep(bytes: &[u8]) -> Score {\n  let g = read_cache(bytes)?;\n  let h = read_cache_file(&path)?;\n  score(&g, &h)\n}";
         let d = check_file(&lib_info("graph"), src);
         assert_eq!(active(&d, "full-trace-materialization"), 2);

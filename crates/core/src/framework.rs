@@ -293,12 +293,10 @@ impl<'a> SequenceEvaluator<'a> {
     /// already-materialized observed snapshot `prev = G_{t-1}` and a
     /// caller-owned solver cache — the sweep-friendly core of
     /// [`evaluate_metrics_at`](Self::evaluate_metrics_at), which passes a
-    /// [`SolverCache::transient`]. [`evaluate_all`](Self::evaluate_all)
-    /// passes a persistent [`SolverCache::sweep`] so every snapshot shares
-    /// one Rescal fit across its policy groups and PPR warm-starts
-    /// from the previous snapshot's converged vectors (fewer iterations;
-    /// outputs within the solver's documented fixed-point tolerance of a
-    /// cold run — see `osn_metrics::solver`).
+    /// fresh [`SolverCache::transient`]; [`evaluate_all`](Self::evaluate_all)
+    /// passes one cache through the whole sweep. The cache keeps only the
+    /// current snapshot's Rescal fit, shared across its policy groups, so
+    /// the outcomes are the same either way.
     pub fn evaluate_metrics_on_cached(
         &self,
         metrics: &[&dyn Metric],
@@ -340,10 +338,9 @@ impl<'a> SequenceEvaluator<'a> {
         let mut per_metric: Vec<Vec<PredictionOutcome>> =
             (0..metrics.len()).map(|_| Vec::new()).collect();
         let mut sweep = self.seq.snapshots();
-        // One persistent solver cache for the whole sweep: consecutive
-        // snapshots share grown transition structure, so PPR solves
-        // warm-start from the previous snapshot's converged vectors.
-        let mut cache = SolverCache::sweep();
+        // One solver cache for the whole sweep; it drops each snapshot's
+        // Rescal fit when the next snapshot arrives.
+        let mut cache = SolverCache::transient();
         for t in 1..self.seq.len() {
             // Transition t observes snapshot t − 1; the final snapshot is
             // only ever ground truth, so the sweep never materializes it.
@@ -577,21 +574,31 @@ mod tests {
 
     #[test]
     fn evaluate_on_matches_evaluate_at() {
-        let trace = closing_square();
-        let seq = SnapshotSequence::by_edge_delta(&trace, 4);
-        let eval = SequenceEvaluator::new(&seq);
-        let metrics: Vec<&dyn Metric> = vec![&LocalKind::Cn];
-        let prev = seq.snapshot(0);
-        let on = eval.evaluate_metrics_on_cached(
-            &metrics,
-            &prev,
-            1,
-            None,
-            &mut SolverCache::transient(),
-        );
-        let at = eval.evaluate_metrics_at(&metrics, 1, None);
-        assert_eq!(on[0].correct, at[0].correct);
-        assert_eq!(on[0].k, at[0].k);
+        // `evaluate_all` threads one solver cache through the sweep; every
+        // metric must score each transition as a fresh cache scores it.
+        let owned = osn_metrics::all_metrics();
+        let metrics: Vec<&dyn Metric> = owned.iter().map(|m| m.as_ref()).collect();
+        let square = closing_square();
+        let grown =
+            osn_trace::presets::TraceConfig::renren_like().scaled(0.05).with_days(30).generate(42);
+        let seqs =
+            [SnapshotSequence::by_edge_delta(&square, 2), SnapshotSequence::with_count(&grown, 5)];
+        for seq in &seqs {
+            let eval = SequenceEvaluator::new(seq);
+            let all = eval.evaluate_all(&metrics, None);
+            for t in 1..seq.len() {
+                let prev = seq.snapshot(t - 1);
+                let mut cache = SolverCache::transient();
+                let on = eval.evaluate_metrics_on_cached(&metrics, &prev, t, None, &mut cache);
+                let at = eval.evaluate_metrics_at(&metrics, t, None);
+                let key = |o: &PredictionOutcome| (o.correct, o.k, o.accuracy_ratio.to_bits());
+                for (mi, want) in at.iter().enumerate() {
+                    let who = format!("{} at transition {t} of {}", want.metric, seq.len() - 1);
+                    assert_eq!(key(&all[mi][t - 1]), key(want), "evaluate_all, {who}");
+                    assert_eq!(key(&on[mi]), key(want), "evaluate_metrics_on_cached, {who}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1384,7 +1384,7 @@ mod tests {
     }
 
     #[test]
-    fn sectioned_reader_serves_windows_and_load_full() {
+    fn sectioned_reader_serves_windows() {
         let g = chain(300);
         let dir = std::env::temp_dir().join("linklens-test-sectioned");
         let path = dir.join("trace.llc");

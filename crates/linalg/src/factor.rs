@@ -17,10 +17,12 @@
 //! Every linear solve is guarded: a singular normal-equations system or a
 //! non-finite factor surfaces as a structured [`FactorError`] instead of
 //! being silently skipped (the bug this module replaces left stale
-//! factors behind a `None` from `solve_many`). Each sweep ends with a
-//! certification step: the Frobenius residual `‖A − XRXᵀ‖_F` is computed
-//! sparsely over the nonzeros plus a trace-correction term — never
-//! densifying `A` or `XRXᵀ` — and drives optional early stopping.
+//! factors behind a `None` from `solve_many`). A fit runs a fixed number
+//! of sweeps from the seeded init, so it is a pure function of the
+//! snapshot and the config. [`frobenius_residual`] measures a fit's
+//! `‖A − XRXᵀ‖_F` sparsely over the nonzeros plus a trace-correction term
+//! — never densifying `A` or `XRXᵀ` — for the tests and the scale checks;
+//! the fit itself does not compute it.
 
 use crate::dense::{LuFactors, Matrix};
 use crate::sparse;
@@ -42,8 +44,8 @@ const PAR_SOLVE_THRESHOLD: usize = 256;
 const RESIDUAL_ROW_CHUNK: usize = 1024;
 
 /// Structured failure from [`als_fit`]. Mirrors the batched solver error
-/// taxonomy in `osn-metrics` (`Singular` / `NonFinite` / `NoConvergence`)
-/// so callers can map it 1:1 into their audit panic class.
+/// taxonomy in `osn-metrics` (`Singular` / `NonFinite`) so callers can map
+/// it 1:1 into their audit panic class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FactorError {
     /// A normal-equations system was numerically singular: `solve_many`
@@ -56,17 +58,11 @@ pub enum FactorError {
         /// Zero-based ALS sweep index.
         iteration: usize,
     },
-    /// A factor or the certified residual left the finite range (NaN/∞),
-    /// e.g. from a non-finite `lambda` or an overflowing system.
+    /// A factor left the finite range (NaN/∞), e.g. from a non-finite
+    /// `lambda` or an overflowing system.
     NonFinite {
         /// Zero-based ALS sweep index.
         iteration: usize,
-    },
-    /// Certified early stopping was requested (`tol > 0`) but the
-    /// residual never plateaued within the iteration budget.
-    NoConvergence {
-        /// Sweeps actually run before the budget was exhausted.
-        iterations: usize,
     },
 }
 
@@ -81,9 +77,6 @@ impl std::fmt::Display for FactorError {
             FactorError::NonFinite { iteration } => {
                 write!(f, "ALS factors became non-finite at sweep {iteration}")
             }
-            FactorError::NoConvergence { iterations } => {
-                write!(f, "ALS residual did not plateau within {iterations} sweeps")
-            }
         }
     }
 }
@@ -95,45 +88,27 @@ impl std::error::Error for FactorError {}
 pub struct AlsConfig {
     /// Latent dimensionality r.
     pub rank: usize,
-    /// Sweep budget. With `tol == 0` exactly this many sweeps run; with
-    /// `tol > 0` it is the upper bound before [`FactorError::NoConvergence`].
+    /// ALS sweeps to run.
     pub iterations: usize,
     /// Ridge regularization λ applied to both normal-equations systems.
     pub lambda: f64,
     /// Seed for the deterministic random init of `X`.
     pub seed: u64,
-    /// Relative residual-plateau tolerance for certified early stopping.
-    ///
-    /// `0.0` (fixed-sweep mode): run exactly `iterations` sweeps from the
-    /// seeded init; any `warm_x` is ignored so the fit is a pure function
-    /// of `(a, config)` and `NoConvergence` can never fire. `> 0`
-    /// (certified mode): stop once a sweep shrinks the residual by at
-    /// most `tol` relative, honor `warm_x`, and error out if the budget
-    /// is exhausted without a plateau.
-    pub tol: f64,
 }
 
-/// A fitted factorization with its certified residual.
+/// A fitted factorization.
 #[derive(Clone, Debug)]
 pub struct AlsFit {
     /// Node embeddings, `n × r`.
     pub x: Matrix,
     /// Core interaction matrix, `r × r`.
     pub r: Matrix,
-    /// Certified Frobenius residual `‖A − XRXᵀ‖_F` at the final factors.
-    pub residual: f64,
-    /// ALS sweeps actually run.
-    pub iterations: usize,
-    /// Whether the fit started from a caller-provided warm `X`.
-    pub warm_started: bool,
 }
 
 /// Splitmix64-hashed unit-interval value for init element `idx`, shifted
 /// to `[-0.5, 0.5)`. A pure function of `(seed, idx)`: element `m` of the
 /// row-major init matrix sees state `seed + (m + 2)·φ`, exactly the
-/// stream the historical serial init walked — which is what makes
-/// *partial* warm initialization possible (warm rows copied, tail rows
-/// drawn at their original positions in the stream).
+/// stream the historical serial init walked.
 fn init_value(seed: u64, idx: u64) -> f64 {
     let mut z = seed.wrapping_add(PHI.wrapping_mul(idx.wrapping_add(2)));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -163,7 +138,7 @@ pub fn init_factors(n: usize, rank: usize, seed: u64) -> Matrix {
 /// pass over the nonzeros (`Σ_{c∈Γ(u)} dot((XR)_u, X_c)` with `XR`
 /// precomputed), and `‖XRXᵀ‖²_F = tr(RᵀG·RG)` with `G = XᵀX` needs only
 /// `r × r` products. Nothing `n × n` is ever materialized, so this
-/// doubles as the per-sweep certification check at preset scale.
+/// measures a fit at preset scale.
 ///
 /// The nonzero pass is parallelized over fixed 1024-row chunks whose
 /// partial sums are folded in chunk order, so the value is bit-identical
@@ -249,55 +224,21 @@ fn solve_rows_blocked(lu: &LuFactors, numer: &Matrix, x: &mut Matrix, threads: u
 /// workers and the X-update's independent row solves are sharded the
 /// same way; everything else (`r × r` solves, `n × r` updates) matches
 /// the dense reference operation for operation, so the result is
-/// bit-identical to a serial dense fit at any thread count.
-///
-/// `warm` seeds both factors when certified early stopping is active
-/// (`config.tol > 0`): embedding rows present in the warm `X` are
-/// copied, any tail rows (graph growth) are drawn from the deterministic
-/// init at their original stream positions, and the warm core `R`
-/// replaces the identity start when its rank matches. Warm-starting `X`
-/// alone is counter-productive — a converged embedding paired with an
-/// identity core starts *further* from the fixed point than the seeded
-/// init — so the factors travel together. In fixed-sweep mode
-/// (`tol == 0`) `warm` is ignored — see [`AlsConfig::tol`].
+/// bit-identical to a serial dense fit at any thread count. Every fit
+/// runs `config.iterations` sweeps from the seeded init `X` and the
+/// identity core `R`.
 ///
 /// # Errors
 ///
 /// [`FactorError::Singular`] when a normal-equations solve has no usable
-/// pivot (recoverable by raising `lambda`), [`FactorError::NonFinite`]
-/// when factors or residual leave the finite range, and
-/// [`FactorError::NoConvergence`] when `tol > 0` and the residual never
-/// plateaus within the budget.
-pub fn als_fit(
-    snap: &Snapshot,
-    config: &AlsConfig,
-    warm: Option<(&Matrix, &Matrix)>,
-    threads: usize,
-) -> Result<AlsFit, FactorError> {
+/// pivot (recoverable by raising `lambda`), and [`FactorError::NonFinite`]
+/// when a factor leaves the finite range.
+pub fn als_fit(snap: &Snapshot, config: &AlsConfig, threads: usize) -> Result<AlsFit, FactorError> {
     let n = snap.node_count();
     let r = config.rank.min(n.max(1));
     let mut x = init_factors(n, r, config.seed);
     let mut core = Matrix::identity(r);
-    let mut warm_started = false;
-    if config.tol > 0.0 {
-        if let Some((wx, wr)) = warm {
-            if wx.cols() == r && wx.rows() > 0 {
-                let rows = wx.rows().min(n);
-                for i in 0..rows {
-                    x.row_mut(i).copy_from_slice(wx.row(i));
-                }
-                warm_started = true;
-            }
-            if warm_started && wr.rows() == r && wr.cols() == r {
-                core = wr.clone();
-            }
-        }
-    }
     let mut ax = Matrix::zeros(n, r);
-    let mut prev = f64::INFINITY;
-    let mut residual = f64::NAN;
-    let mut iterations = 0;
-    let mut converged = config.tol <= 0.0;
 
     for it in 0..config.iterations {
         // --- X update: X = [A X (Rᵀ + R)] · [R G Rᵀ + Rᵀ G R + λI]⁻¹ ---
@@ -349,27 +290,8 @@ pub fn als_fit(
         if x.data().iter().chain(core.data()).any(|v| !v.is_finite()) {
             return Err(FactorError::NonFinite { iteration: it });
         }
-
-        // --- Certification: sparse residual, drives early stopping. ---
-        residual = frobenius_residual(snap, &x, &core, threads);
-        if !residual.is_finite() {
-            return Err(FactorError::NonFinite { iteration: it });
-        }
-        iterations = it + 1;
-        if config.tol > 0.0 && prev.is_finite() && prev - residual <= config.tol * prev.max(1.0) {
-            converged = true;
-            break;
-        }
-        prev = residual;
     }
-    if !converged {
-        return Err(FactorError::NoConvergence { iterations });
-    }
-    if residual.is_nan() {
-        // Zero-sweep budget in fixed mode: certify the init factors.
-        residual = frobenius_residual(snap, &x, &core, threads);
-    }
-    Ok(AlsFit { x, r: core, residual, iterations, warm_started })
+    Ok(AlsFit { x, r: core })
 }
 
 #[cfg(test)]
@@ -394,7 +316,7 @@ mod tests {
     }
 
     fn cfg() -> AlsConfig {
-        AlsConfig { rank: 4, iterations: 25, lambda: 0.01, seed: 7, tol: 0.0 }
+        AlsConfig { rank: 4, iterations: 25, lambda: 0.01, seed: 7 }
     }
 
     #[test]
@@ -421,7 +343,7 @@ mod tests {
     #[test]
     fn sparse_residual_matches_dense_computation() {
         let a = two_cliques();
-        let fit = als_fit(&a, &cfg(), None, 1).expect("fit");
+        let fit = als_fit(&a, &cfg(), 1).expect("fit");
         let dense = {
             let rec = fit.x.matmul(&fit.r).matmul(&fit.x.transpose());
             (&sparse::to_dense(&a) - &rec).frobenius_norm()
@@ -438,7 +360,7 @@ mod tests {
     #[test]
     fn residual_is_bit_identical_across_threads() {
         let a = two_cliques();
-        let fit = als_fit(&a, &cfg(), None, 1).expect("fit");
+        let fit = als_fit(&a, &cfg(), 1).expect("fit");
         let base = frobenius_residual(&a, &fit.x, &fit.r, 1);
         for threads in [2usize, 4, 8] {
             assert_eq!(frobenius_residual(&a, &fit.x, &fit.r, threads), base);
@@ -448,22 +370,23 @@ mod tests {
     #[test]
     fn fit_reduces_residual_and_certifies_it() {
         let a = two_cliques();
-        let init = als_fit(&a, &AlsConfig { iterations: 0, ..cfg() }, None, 1).expect("init fit");
-        let fit = als_fit(&a, &cfg(), None, 1).expect("fit");
-        assert!(fit.residual < init.residual * 0.6, "{} → {}", init.residual, fit.residual);
-        assert_eq!(fit.residual, frobenius_residual(&a, &fit.x, &fit.r, 1));
-        assert_eq!(fit.iterations, 25);
+        let init = als_fit(&a, &AlsConfig { iterations: 0, ..cfg() }, 1).expect("init fit");
+        assert_eq!(init.x.max_abs_diff(&init_factors(8, 4, 7)), 0.0, "zero sweeps keep the init");
+        assert_eq!(init.r.max_abs_diff(&Matrix::identity(4)), 0.0);
+        let fit = als_fit(&a, &cfg(), 1).expect("fit");
+        let before = frobenius_residual(&a, &init.x, &init.r, 1);
+        let after = frobenius_residual(&a, &fit.x, &fit.r, 1);
+        assert!(after < before * 0.6, "{before} → {after}");
     }
 
     #[test]
     fn blocked_fit_is_thread_invariant() {
         let a = two_cliques();
-        let base = als_fit(&a, &cfg(), None, 1).expect("fit");
+        let base = als_fit(&a, &cfg(), 1).expect("fit");
         for threads in [2usize, 4, 8] {
-            let fit = als_fit(&a, &cfg(), None, threads).expect("fit");
+            let fit = als_fit(&a, &cfg(), threads).expect("fit");
             assert_eq!(base.x.max_abs_diff(&fit.x), 0.0, "X diverged at {threads} threads");
             assert_eq!(base.r.max_abs_diff(&fit.r), 0.0, "R diverged at {threads} threads");
-            assert_eq!(base.residual, fit.residual);
         }
     }
 
@@ -473,87 +396,20 @@ mod tests {
         // embedding has rank ≤ 1 < 3, so G = XᵀX is singular and the
         // unregularized R update must fail structurally.
         let a = Snapshot::from_edges(4, &[(0, 1)]);
-        let bad = AlsConfig { rank: 3, iterations: 5, lambda: 0.0, seed: 7, tol: 0.0 };
-        let err = als_fit(&a, &bad, None, 1).expect_err("singular system must surface");
+        let bad = AlsConfig { rank: 3, iterations: 5, lambda: 0.0, seed: 7 };
+        let err = als_fit(&a, &bad, 1).expect_err("singular system must surface");
         assert!(matches!(err, FactorError::Singular { .. }), "got {err:?}");
         // The same system is recoverable with any positive ridge.
         let good = AlsConfig { lambda: 0.01, ..bad };
-        als_fit(&a, &good, None, 1).expect("regularized fit recovers");
+        als_fit(&a, &good, 1).expect("regularized fit recovers");
     }
 
     #[test]
     fn non_finite_lambda_is_structured_error() {
         let a = two_cliques();
         let bad = AlsConfig { lambda: f64::NAN, ..cfg() };
-        let err = als_fit(&a, &bad, None, 1).expect_err("NaN lambda must surface");
+        let err = als_fit(&a, &bad, 1).expect_err("NaN lambda must surface");
         assert!(matches!(err, FactorError::NonFinite { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn certified_mode_flags_exhausted_budget() {
-        let a = two_cliques();
-        // One sweep can never certify a plateau (there is no previous
-        // finite residual to compare against).
-        let tight = AlsConfig { iterations: 1, tol: 1e-9, ..cfg() };
-        let err = als_fit(&a, &tight, None, 1).expect_err("budget too small");
-        assert_eq!(err, FactorError::NoConvergence { iterations: 1 });
-        // A real budget converges and stops early.
-        let certified = AlsConfig { iterations: 200, tol: 1e-7, ..cfg() };
-        let fit = als_fit(&a, &certified, None, 1).expect("certified fit");
-        assert!(fit.iterations < 200, "expected early stop, ran {}", fit.iterations);
-    }
-
-    #[test]
-    fn warm_start_ignored_in_fixed_sweep_mode() {
-        let a = two_cliques();
-        let cold = als_fit(&a, &cfg(), None, 1).expect("cold");
-        let warm_src = Matrix::from_vec(8, 4, vec![9.0; 32]);
-        let warm_core = Matrix::identity(4);
-        let warm = als_fit(&a, &cfg(), Some((&warm_src, &warm_core)), 1).expect("warm ignored");
-        assert!(!warm.warm_started);
-        assert_eq!(cold.x.max_abs_diff(&warm.x), 0.0);
-        assert_eq!(cold.r.max_abs_diff(&warm.r), 0.0);
-    }
-
-    #[test]
-    fn warm_start_used_in_certified_mode() {
-        let a = two_cliques();
-        let certified = AlsConfig { iterations: 200, tol: 1e-7, ..cfg() };
-        let cold = als_fit(&a, &certified, None, 1).expect("cold");
-        let warm = als_fit(&a, &certified, Some((&cold.x, &cold.r)), 1).expect("warm");
-        assert!(warm.warm_started);
-        assert!(
-            warm.iterations <= cold.iterations,
-            "warm start from the converged factors took more sweeps ({} > {})",
-            warm.iterations,
-            cold.iterations
-        );
-        // Both fits certify comparable residuals.
-        assert!(warm.residual <= cold.residual * 1.5 + 1e-9);
-    }
-
-    #[test]
-    fn warm_start_with_fewer_rows_fills_tail_from_init() {
-        // A warm matrix from a smaller snapshot seeds the head rows; the
-        // tail is drawn from the deterministic init at its original
-        // stream positions. Starting from the explicit head/tail blend
-        // must therefore reproduce the partial warm fit bit for bit.
-        let certified = AlsConfig { rank: 2, iterations: 100, lambda: 0.01, seed: 7, tol: 1e-7 };
-        let warm_small = init_factors(3, 2, 99);
-        let warm_core = Matrix::identity(2);
-        let a = two_cliques();
-        let mut blend = init_factors(8, 2, certified.seed);
-        for i in 0..3 {
-            blend.row_mut(i).copy_from_slice(warm_small.row(i));
-        }
-        let partial =
-            als_fit(&a, &certified, Some((&warm_small, &warm_core)), 1).expect("partial warm");
-        let explicit =
-            als_fit(&a, &certified, Some((&blend, &warm_core)), 1).expect("explicit blend");
-        assert!(partial.warm_started && explicit.warm_started);
-        assert_eq!(partial.x.max_abs_diff(&explicit.x), 0.0);
-        assert_eq!(partial.r.max_abs_diff(&explicit.r), 0.0);
-        assert_eq!(partial.iterations, explicit.iterations);
     }
 
     #[test]
@@ -561,9 +417,9 @@ mod tests {
         // An edgeless snapshot: A = 0, so the first X update zeroes X.
         let a = Snapshot::from_edges(3, &[(0, 1)]).induced(&[]);
         assert_eq!((a.node_count(), a.edge_count()), (3, 0));
-        let fit = als_fit(&a, &cfg(), None, 1).expect("empty fit");
+        let fit = als_fit(&a, &cfg(), 1).expect("empty fit");
         assert_eq!((fit.x.rows(), fit.x.cols()), (3, 3));
         assert!(fit.x.data().iter().chain(fit.r.data()).all(|&v| v == 0.0));
-        assert_eq!(fit.residual, 0.0);
+        assert_eq!(frobenius_residual(&a, &fit.x, &fit.r, 1), 0.0);
     }
 }

@@ -15,9 +15,9 @@
 //!   projection goes through the same QL step. The tests hold both to a
 //!   cyclic Jacobi oracle.
 //! * [`factor`] — a blocked ALS factorization core (`A ≈ X R Xᵀ`) that
-//!   routes `A·X` products through [`sparse::spmm_into_t`], certifies a
-//!   sparse Frobenius residual per sweep, and surfaces
-//!   singular/non-finite/unconverged fits as structured [`FactorError`]s.
+//!   routes `A·X` products through [`sparse::spmm_into_t`] and surfaces
+//!   singular and non-finite fits as structured [`FactorError`]s, with a
+//!   sparse Frobenius residual to measure a fit.
 //!
 //! The crate intentionally implements only what the metrics need; it is not
 //! a general-purpose BLAS. Everything is `f64`, everything is

@@ -208,10 +208,10 @@ pub fn score_pairs_t(
 /// per source per chunk yielding every fused column at once; the rest are
 /// scored one after another through their hooks with the caller's
 /// [`SolverCache`]: the global metrics read the snapshot's own
-/// adjacency CSR and share the cache's per-snapshot state (the Rescal
-/// fit) and, on a persistent cache, warm-start from the previous
-/// snapshot (see [`crate::solver`]). Column contents are bit-identical for every
-/// `threads` value.
+/// adjacency CSR and share the cache's per-snapshot state, the Rescal
+/// fit (see [`crate::solver`]). Column contents are bit-identical for
+/// every `threads` value and do not depend on what the cache scored
+/// before.
 pub fn score_matrix_cached_t(
     metrics: &[&dyn Metric],
     snap: &Snapshot,
@@ -228,11 +228,10 @@ pub fn score_matrix_cached_t(
 /// Fused metrics are scored together by the source-batched kernel, each
 /// chunk streaming into per-chunk [`TopKAcc`] heaps that merge into the
 /// serial selection; every other metric is scored whole through its hook
-/// with the caller's [`SolverCache`] and selected serially. The snapshot
-/// sweep passes a persistent cache, so PPR warm-starts from the previous
-/// snapshot's converged vectors and Rescal fits once per snapshot. Results are in input metric
-/// order and — including tie-break order — identical for every `threads`
-/// value.
+/// with the caller's [`SolverCache`] and selected serially, so Rescal
+/// fits once per snapshot across the calls that share the cache. Results
+/// are in input metric order and — including tie-break order — identical
+/// for every `threads` value.
 #[allow(clippy::too_many_arguments)]
 pub fn predict_top_k_many_cached_t(
     metrics: &[&dyn Metric],

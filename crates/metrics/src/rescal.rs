@@ -16,18 +16,16 @@
 //! The production fit runs on the blocked ALS core in
 //! [`osn_linalg::factor`] over the snapshot's own adjacency CSR: `A·X`
 //! products go through the thread-parallel `spmm_into_t` kernel
-//! (bit-identical to the serial dense fold at every thread count), each
-//! sweep certifies a sparse Frobenius residual,
-//! and every normal-equations solve is guarded — a singular system
-//! surfaces as [`SolverError::Singular`] instead of the silent
-//! stale-factor skip the original dense loop performed. The engine hook
-//! ([`Metric::score_pairs_cached`]) scores the whole batch through
-//! [`solver::bilinear_scores_t`], and fitted models register in the
-//! [`SolverCache`] so framework sweeps reuse the fit within a snapshot
-//! and — in certified mode (`tol > 0`) — warm-start the next snapshot's
-//! fit from the previous factors, like PPR warm-starts its columns.
-//! The original serial loop is the property-tested oracle in
-//! `linklens_bench::oracles`.
+//! (bit-identical to the serial dense fold at every thread count), and
+//! every normal-equations solve is guarded — a singular system surfaces
+//! as [`SolverError::Singular`] instead of the silent stale-factor skip
+//! the original dense loop performed. A fit runs a fixed number of sweeps
+//! from a seeded init, so the model is a pure function of the snapshot
+//! and the config. The engine hook ([`Metric::score_pairs_cached`])
+//! scores the whole batch through [`solver::bilinear_scores_t`], and the
+//! fitted model registers in the [`SolverCache`], so every hook call on
+//! one snapshot reuses one fit. The original serial loop is the
+//! property-tested oracle in `linklens_bench::oracles`.
 
 use std::sync::Arc;
 
@@ -44,19 +42,12 @@ use osn_linalg::Matrix;
 pub struct Rescal {
     /// Latent dimensionality r.
     pub rank: usize,
-    /// ALS sweep budget. With `tol == 0` exactly this many sweeps run;
-    /// with `tol > 0` it bounds the certified fit.
+    /// ALS sweeps per fit.
     pub iterations: usize,
     /// Ridge regularization λ.
     pub lambda: f64,
     /// Deterministic init seed.
     pub seed: u64,
-    /// Relative residual-plateau tolerance for certified early stopping
-    /// (see [`AlsConfig::tol`]). `0.0` — the default — runs the
-    /// paper-parity fixed-sweep fit, a pure function of the snapshot and
-    /// this config; `> 0` enables early stopping and cross-snapshot
-    /// warm starts on persistent caches.
-    pub tol: f64,
 }
 
 impl Default for Rescal {
@@ -68,24 +59,18 @@ impl Default for Rescal {
         // (§4.2) under factorization noise. Rank 2 — one popularity axis
         // plus one community axis — is the empirical sweet spot across all
         // three presets (see `cargo bench --bench ablations`).
-        Rescal { rank: 2, iterations: 30, lambda: 0.01, seed: 7, tol: 0.0 }
+        Rescal { rank: 2, iterations: 30, lambda: 0.01, seed: 7 }
     }
 }
 
-/// A fitted factorization, exposed for tests and for reuse across pair
-/// batches and snapshots (via the [`SolverCache`]).
+/// A fitted factorization, exposed for tests and for reuse across the
+/// pair batches of one snapshot (via the [`SolverCache`]).
 #[derive(Clone)]
 pub struct RescalModel {
     /// Node embeddings, `n × r`.
     pub x: Matrix,
     /// Core interaction matrix, `r × r`.
     pub r: Matrix,
-    /// Certified Frobenius residual `‖A − XRXᵀ‖_F` at the fitted factors.
-    pub residual: f64,
-    /// ALS sweeps actually run.
-    pub iterations: usize,
-    /// Whether the fit warm-started from a previous snapshot's factors.
-    pub warm_started: bool,
 }
 
 impl std::fmt::Debug for RescalModel {
@@ -93,20 +78,7 @@ impl std::fmt::Debug for RescalModel {
         f.debug_struct("RescalModel")
             .field("n", &self.x.rows())
             .field("rank", &self.x.cols())
-            .field("residual", &self.residual)
-            .field("iterations", &self.iterations)
-            .field("warm_started", &self.warm_started)
             .finish_non_exhaustive()
-    }
-}
-
-impl RescalModel {
-    /// Frobenius reconstruction error `‖A − XRXᵀ‖_F`, computed sparsely
-    /// over the nonzeros plus a trace-correction term — nothing `n × n`
-    /// is materialized, so this is safe at preset scale and equals the
-    /// per-sweep certification value ([`factor::frobenius_residual`]).
-    pub fn reconstruction_error(&self, snap: &Snapshot) -> f64 {
-        factor::frobenius_residual(snap, &self.x, &self.r, par::max_threads())
     }
 }
 
@@ -118,9 +90,6 @@ fn map_factor_err(e: FactorError) -> SolverError {
         FactorError::NonFinite { iteration } => {
             SolverError::NonFinite { metric: "Rescal", iteration }
         }
-        FactorError::NoConvergence { iterations } => {
-            SolverError::NoConvergence { metric: "Rescal", iterations }
-        }
     }
 }
 
@@ -131,7 +100,6 @@ impl Rescal {
             iterations: self.iterations,
             lambda: self.lambda,
             seed: self.seed,
-            tol: self.tol,
         }
     }
 
@@ -139,13 +107,7 @@ impl Rescal {
     /// Rescal configurations sharing one cache never alias fits.
     fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for w in [
-            self.rank as u64,
-            self.iterations as u64,
-            self.lambda.to_bits(),
-            self.seed,
-            self.tol.to_bits(),
-        ] {
+        for w in [self.rank as u64, self.iterations as u64, self.lambda.to_bits(), self.seed] {
             h ^= w;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
@@ -157,10 +119,8 @@ impl Rescal {
     /// # Errors
     ///
     /// [`SolverError::Singular`] when an ALS normal-equations system
-    /// loses rank (previously a silent skip that left stale factors),
-    /// [`SolverError::NonFinite`] when factors or residual leave the
-    /// finite range, [`SolverError::NoConvergence`] when `tol > 0` and
-    /// the residual never plateaus within the sweep budget.
+    /// loses rank (previously a silent skip that left stale factors), and
+    /// [`SolverError::NonFinite`] when a factor leaves the finite range.
     pub fn fit(&self, snap: &Snapshot) -> Result<RescalModel, SolverError> {
         self.fit_t(snap, par::max_threads())
     }
@@ -168,34 +128,14 @@ impl Rescal {
     /// [`fit`](Self::fit) with an explicit thread count; bit-identical
     /// for every `threads` value.
     pub fn fit_t(&self, snap: &Snapshot, threads: usize) -> Result<RescalModel, SolverError> {
-        self.fit_warm_t(snap, None, threads)
-    }
-
-    /// [`fit_t`](Self::fit_t) seeded with warm factors from a previous
-    /// snapshot's model. The warm start is honored only in certified
-    /// mode (`tol > 0`); fixed-sweep fits ignore it so the default
-    /// configuration stays a pure function of the snapshot.
-    pub fn fit_warm_t(
-        &self,
-        snap: &Snapshot,
-        warm: Option<(&Matrix, &Matrix)>,
-        threads: usize,
-    ) -> Result<RescalModel, SolverError> {
-        let fit = factor::als_fit(snap, &self.config(), warm, threads).map_err(map_factor_err)?;
-        Ok(RescalModel {
-            x: fit.x,
-            r: fit.r,
-            residual: fit.residual,
-            iterations: fit.iterations,
-            warm_started: fit.warm_started,
-        })
+        let fit = factor::als_fit(snap, &self.config(), threads).map_err(map_factor_err)?;
+        Ok(RescalModel { x: fit.x, r: fit.r })
     }
 
     /// The per-snapshot fitted model for the engine paths: reuses the
     /// cache's current-snapshot model when the config fingerprint
-    /// matches, otherwise fits (warm-starting from the previous
-    /// snapshot's factors in certified mode) and registers the result.
-    /// `None` marks an edgeless snapshot — all scores zero.
+    /// matches, otherwise fits and registers the result. `None` marks an
+    /// edgeless snapshot — all scores zero.
     fn fitted_model(
         &self,
         snap: &Snapshot,
@@ -209,14 +149,8 @@ impl Rescal {
         if let Some(model) = cache.rescal_model(fp) {
             return Ok(Some(model));
         }
-        let warm = cache.rescal_warm(fp);
-        let model = self.fit_warm_t(snap, warm.as_ref().map(|m| (&m.x, &m.r)), threads)?;
+        let model = Arc::new(self.fit_t(snap, threads)?);
         cache.stats.rescal_fits += 1;
-        cache.stats.rescal_iterations += model.iterations as u64;
-        if model.warm_started {
-            cache.stats.rescal_warm_starts += 1;
-        }
-        let model = Arc::new(model);
         cache.store_rescal(fp, Arc::clone(&model));
         Ok(Some(model))
     }
@@ -254,6 +188,11 @@ mod tests {
     use super::*;
     use crate::exec::score_pairs_t;
 
+    /// `‖A − XRXᵀ‖_F` of a fitted model.
+    fn reconstruction_error(model: &RescalModel, s: &Snapshot) -> f64 {
+        factor::frobenius_residual(s, &model.x, &model.r, 1)
+    }
+
     /// Two 4-cliques sharing no edge, bridged 3-4.
     fn two_cliques() -> Snapshot {
         let mut edges = Vec::new();
@@ -276,25 +215,18 @@ mod tests {
         let s = two_cliques();
         let quick = Rescal { iterations: 0, rank: 4, ..Default::default() };
         let fitted = Rescal { iterations: 25, rank: 4, ..Default::default() };
-        let e0 = quick.fit(&s).expect("init fit").reconstruction_error(&s);
-        let e1 = fitted.fit(&s).expect("fit").reconstruction_error(&s);
+        let e0 = reconstruction_error(&quick.fit(&s).expect("init fit"), &s);
+        let e1 = reconstruction_error(&fitted.fit(&s).expect("fit"), &s);
         assert!(e1 < e0 * 0.6, "ALS should cut the error substantially ({e0} → {e1})");
     }
 
     #[test]
     fn full_rank_reconstruction_is_tight() {
         let s = two_cliques();
-        let r = Rescal { rank: 8, iterations: 60, lambda: 1e-3, seed: 5, tol: 0.0 };
-        let err = r.fit(&s).expect("fit").reconstruction_error(&s);
+        let r = Rescal { rank: 8, iterations: 60, lambda: 1e-3, seed: 5 };
+        let err = reconstruction_error(&r.fit(&s).expect("fit"), &s);
         // ‖A‖_F = sqrt(2 · 13 edges) ≈ 5.1; full rank should get well below.
         assert!(err < 1.0, "full-rank error {err}");
-    }
-
-    #[test]
-    fn model_residual_matches_reconstruction_error() {
-        let s = two_cliques();
-        let model = Rescal::default().fit(&s).expect("fit");
-        assert_eq!(model.residual, model.reconstruction_error(&s));
     }
 
     #[test]

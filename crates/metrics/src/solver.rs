@@ -28,14 +28,15 @@
 //! * [`lrw_scores_t`] / [`ppr_scores_t`] — batched solvers producing one
 //!   score per candidate pair. LRW runs the exact `m`-step walk recursion
 //!   on a block of source columns; PPR solves `(I - (1-α)Pᵀ) p = α e_u`
-//!   with a Chebyshev semi-iteration (residual-based stopping, so the
-//!   answer is tolerance-certified regardless of the starting vector).
+//!   with a Chebyshev semi-iteration from a zero start, stopping each
+//!   column on its residual, so the answer is tolerance-certified.
 //!   Both evaluate their pair scores one-sided, from the side's column
 //!   alone (see [`crate::walk`] for the reversibility identities).
-//! * [`SolverCache`] — the per-snapshot cache carried across a
-//!   [`osn_graph::sequence::SnapshotSequence`] sweep: converged PPR vectors
-//!   and the fitted Rescal model, keyed on the snapshot's content, with
-//!   the previous snapshot's used to warm-start the next one.
+//! * [`SolverCache`] — the per-snapshot cache the engine entry points
+//!   thread through a metric's hook: the current snapshot's fitted Rescal
+//!   model and the solvers' counters, keyed on the snapshot's content.
+//!   Nothing in it crosses a snapshot, so a snapshot's scores depend on
+//!   the snapshot and the pair list alone.
 //!
 //! ## Solve sides
 //!
@@ -50,23 +51,16 @@
 //! one-side batch sweeps one column, not the full block width, and a
 //! batch's last block sweeps only the sides left over.
 //!
-//! ## Warm-start fixed-point argument
+//! ## The certified error of a zero start
 //!
 //! PPR's linear system `(I - M) p = α e_u` with `M = (1-α)Pᵀ` has
-//! `‖M‖₁ = 1-α < 1`, hence `‖(I-M)⁻¹‖₁ ≤ 1/α`. The solver stops a column
+//! `‖M‖₁ = 1-α < 1`, hence `‖(I-M)⁻¹‖₁ ≤ 1/α`. Every column starts from
+//! `x₀ = 0`, so its first residual is `α e_u`, and the solver stops it
 //! when its *residual* satisfies `‖r‖₁ ≤ tol`, which certifies
-//! `‖p - p̂‖₁ ≤ tol/α` against the exact fixed point `p̂` — a bound that
-//! holds no matter where the iteration started. Warm-starting from the
-//! previous snapshot's converged vector therefore changes the iteration
-//! count (fewer steps when consecutive snapshots are similar) but never
-//! moves the converged output beyond the existing tolerance. A pair's
+//! `‖p - p̂‖₁ ≤ tol/α` against the exact fixed point `p̂`. A pair's
 //! one-sided score `p_s[t]·(1 + d_s/d_t)` scales its column's error by
-//! the factor, so each run lands within `(tol/α)·(1 + d_s/d_t)` of the
-//! exact score, and warm and cold runs (same pair list, same side) differ
-//! by at most `2·(tol/α)·(1 + d_max/d_min)` per pair — a factor of 1 when
-//! `d_min = 0`, where both scores are 0 up to the same certified error.
-//! Stale or wrong-sized cache entries are harmless for the same reason —
-//! a warm vector is only ever an initial guess.
+//! the factor, so each score lands within `(tol/α)·(1 + d_s/d_t)` of the
+//! exact one.
 //!
 //! ## Determinism
 //!
@@ -91,7 +85,6 @@
 //! iteration, instead of silently propagating NaN into scores (where the
 //! `score_contract()` audit would only catch it after a full scoring pass).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -101,10 +94,6 @@ use osn_graph::{par, NodeId};
 
 /// Hard ceiling on Chebyshev iterations before the solver gives up.
 pub const PPR_MAX_ITERS: usize = 1000;
-
-/// Total bytes of converged PPR vectors a persistent [`SolverCache`] will
-/// retain per snapshot for warm-starting the next one (64 MiB).
-const WARM_CAP_BYTES: usize = 64 << 20;
 
 /// Structured failure from the batched solvers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,148 +161,82 @@ pub fn block_width(n: usize) -> usize {
     ((8usize << 20) / (40 * n.max(1))).clamp(1, 64)
 }
 
-/// Counters the batched solvers accumulate into their [`SolverCache`];
-/// the warm-vs-cold benchmark and the warm-start tests read these.
+/// Counters the batched solvers accumulate into their [`SolverCache`].
 #[derive(Debug, Clone, Default)]
 pub struct SolverStats {
     /// Sum over PPR source columns of the iteration at which each column
     /// converged. A block sweeps until its slowest column converges, so
     /// the sweeps run exceed this count.
     pub ppr_iterations: u64,
-    /// PPR source columns that started from a cached warm vector.
+    /// Always 0: no PPR column starts from anything but zero. Kept only
+    /// because `benchmark/src/layers.rs` reads it; it goes when that file
+    /// stops reading it.
     pub ppr_warm_starts: u64,
     /// PPR source columns solved in total.
     pub ppr_sources: u64,
     /// ALS factorization fits performed (Rescal).
     pub rescal_fits: u64,
-    /// ALS fits that warm-started from the previous snapshot's factors.
-    pub rescal_warm_starts: u64,
-    /// Total ALS sweeps spent across all factorization fits.
-    pub rescal_iterations: u64,
 }
 
-/// Per-snapshot solver state carried across a snapshot sweep.
+/// Per-snapshot solver state: the fitted Rescal model of the current
+/// snapshot, a pure function of the snapshot and the config, shared by
+/// every hook call on that snapshot, and the solvers' counters.
 ///
-/// Holds the fitted Rescal model for the current snapshot and, when
-/// persistent, converged PPR vectors from the current and previous
-/// snapshots and the previous snapshot's Rescal model, used purely as
-/// warm-start initial guesses — correctness never depends on their
-/// freshness (see the module docs). The kernels read the snapshot
-/// itself; each walk, Katz and Rescal hook first points the cache at it
-/// with [`ensure_snapshot`](Self::ensure_snapshot). Transient caches (the
-/// default inside one-shot scoring entry points) never warm-start, so
-/// single-snapshot callers keep bit-identical cold-start behavior.
+/// The kernels read the snapshot itself; each walk, Katz and Rescal hook
+/// first points the cache at it with
+/// [`ensure_snapshot`](Self::ensure_snapshot), which drops the model when
+/// the snapshot changes. Nothing else is kept, so a snapshot scores the
+/// same through a cache reused across a sweep as through a fresh one.
 pub struct SolverCache {
-    persistent: bool,
     /// The current snapshot's `(node_count, edge_count, adjacency_digest)`
     /// key.
     current: Option<(usize, usize, u64)>,
-    // Ordered maps: warm-start caches are lookup-only today, but a
-    // BTreeMap guarantees any future iteration (eviction, diagnostics)
-    // is deterministic.
-    ppr_prev: BTreeMap<NodeId, Vec<f64>>,
-    ppr_curr: BTreeMap<NodeId, Vec<f64>>,
-    rescal_prev: Option<(u64, Arc<crate::rescal::RescalModel>)>,
-    rescal_curr: Option<(u64, Arc<crate::rescal::RescalModel>)>,
-    /// Iteration counters accumulated by the solvers.
+    rescal: Option<(u64, Arc<crate::rescal::RescalModel>)>,
+    /// Counters accumulated by the solvers.
     pub stats: SolverStats,
 }
 
 impl SolverCache {
-    /// A cache for scoring at one snapshot: shares the current snapshot's
-    /// fitted Rescal model (a pure function of the snapshot and the
-    /// config) but never warm-starts, so repeated calls stay
-    /// bit-identical.
+    /// An empty cache.
     pub fn transient() -> Self {
-        SolverCache {
-            persistent: false,
-            current: None,
-            ppr_prev: BTreeMap::new(),
-            ppr_curr: BTreeMap::new(),
-            rescal_prev: None,
-            rescal_curr: None,
-            stats: SolverStats::default(),
-        }
+        SolverCache { current: None, rescal: None, stats: SolverStats::default() }
     }
 
-    /// A cache meant to live across a snapshot sweep: retains converged
-    /// PPR vectors (up to 64 MiB) to warm-start the next
-    /// snapshot's solves.
+    /// The same as [`transient`](Self::transient). Kept only because
+    /// `benchmark/src/layers.rs` calls it; it goes when that file stops
+    /// calling it.
     pub fn sweep() -> Self {
-        SolverCache { persistent: true, ..SolverCache::transient() }
+        SolverCache::transient()
     }
 
-    /// Points the cache at `snap`, rotating warm state (current →
-    /// previous) when the snapshot changed. Keyed on the snapshot's
-    /// content — node count, edge count and
-    /// [`Snapshot::adjacency_digest`] — so two different graphs of equal
-    /// size never share state, while equal snapshots (clones, rebuilt
-    /// prefixes) still hit.
+    /// Points the cache at `snap`, dropping the fitted model when the
+    /// snapshot changed. Keyed on the snapshot's content — node count,
+    /// edge count and [`Snapshot::adjacency_digest`] — so two different
+    /// graphs of equal size never share a fit, while equal snapshots
+    /// (clones, rebuilt prefixes) still hit.
     pub fn ensure_snapshot(&mut self, snap: &Snapshot) {
         let key = (snap.node_count(), snap.edge_count(), snap.adjacency_digest());
-        if self.current == Some(key) {
-            return;
-        }
-        self.ppr_prev = std::mem::take(&mut self.ppr_curr);
-        self.rescal_prev = self.rescal_curr.take();
-        if !self.persistent {
-            self.ppr_prev.clear();
-            self.rescal_prev = None;
-        }
-        self.current = Some(key);
-    }
-
-    /// How many converged PPR source vectors this cache will retain for a
-    /// snapshot of `n` nodes (0 for transient caches).
-    pub fn warm_budget_sources(&self, n: usize) -> usize {
-        if self.persistent {
-            WARM_CAP_BYTES / (8 * n.max(1))
-        } else {
-            0
+        if self.current != Some(key) {
+            self.rescal = None;
+            self.current = Some(key);
         }
     }
 
-    /// Warm-start vector for `src`, preferring the current snapshot's
-    /// (re-scoring within a snapshot) over the previous one's.
-    fn ppr_warm(&self, src: NodeId) -> Option<&[f64]> {
-        self.ppr_curr.get(&src).or_else(|| self.ppr_prev.get(&src)).map(Vec::as_slice)
-    }
-
-    /// Retains a converged vector for warm-starting, respecting the
-    /// memory budget. No-op on transient caches.
-    fn store_ppr(&mut self, src: NodeId, vec: Vec<f64>, limit: usize) {
-        if self.persistent && self.ppr_curr.len() < limit {
-            self.ppr_curr.insert(src, vec);
-        }
-    }
-
-    /// The factorization model fitted on the *current* snapshot under the
+    /// The factorization model fitted on the current snapshot under the
     /// given config fingerprint, if one was stored — exact reuse, so two
     /// Rescal configurations sharing one cache can never alias each
     /// other's fits.
     pub fn rescal_model(&self, fingerprint: u64) -> Option<Arc<crate::rescal::RescalModel>> {
-        match &self.rescal_curr {
-            Some((fp, model)) if *fp == fingerprint => Some(Arc::clone(model)),
-            _ => None,
-        }
-    }
-
-    /// The *previous* snapshot's fitted model under the same config
-    /// fingerprint, used purely as a warm-start initial guess for the
-    /// next certified fit (never reused as-is).
-    pub fn rescal_warm(&self, fingerprint: u64) -> Option<Arc<crate::rescal::RescalModel>> {
-        match &self.rescal_prev {
+        match &self.rescal {
             Some((fp, model)) if *fp == fingerprint => Some(Arc::clone(model)),
             _ => None,
         }
     }
 
     /// Registers a freshly fitted factorization model for the current
-    /// snapshot. Every cache keeps it until the snapshot changes; only a
-    /// persistent cache carries it on as the next snapshot's warm start
-    /// (see [`SolverCache::ensure_snapshot`]).
+    /// snapshot; the cache keeps it until the snapshot changes.
     pub fn store_rescal(&mut self, fingerprint: u64, model: Arc<crate::rescal::RescalModel>) {
-        self.rescal_curr = Some((fingerprint, model));
+        self.rescal = Some((fingerprint, model));
     }
 }
 
@@ -587,13 +510,6 @@ struct PprWs {
     done: Vec<bool>,
 }
 
-struct PprBlockOut {
-    scores: Vec<(u32, f64)>,
-    store: Vec<(NodeId, Vec<f64>)>,
-    iterations: u64,
-    warm_starts: u64,
-}
-
 /// Batched PPR scores for `pairs`, one-sided: `π_st·(1 + d_s/d_t)` from
 /// the column of each pair's solve side `s` (`π_st` alone when
 /// `d_t = 0`). Solves `(I - (1-α)Pᵀ) p = α e_s` per side with a blocked
@@ -601,9 +517,8 @@ struct PprBlockOut {
 /// column at residual `‖r‖₁ ≤ tol_l1`, which certifies
 /// `‖p - p̂‖₁ ≤ tol_l1/α` against the exact fixed point, so each score is
 /// within `(tol_l1/α)·(1 + d_s/d_t)` of the exact two-sided `π_st + π_ts`
-/// (see the module docs). Warm-start vectors from `cache` seed the
-/// initial guess; converged vectors are stored back when the cache is
-/// persistent.
+/// (see the module docs). Every column starts from zero; `cache` only
+/// counts the columns and their iterations.
 #[allow(clippy::too_many_arguments)]
 pub fn ppr_scores_t(
     snap: &Snapshot,
@@ -639,25 +554,17 @@ pub fn ppr_scores_with_width(
         return Ok(scores);
     }
     let w = width.clamp(1, plan.sides.len());
-    let store_limit = cache.warm_budget_sources(n);
     let nblocks = plan.sides.len().div_ceil(w);
-    let results = {
-        let cache_ref: &SolverCache = cache;
-        par::run_indexed_init(nblocks, threads.max(1), PprWs::default, |ws, b| {
-            let range = (b * w)..((b + 1) * w).min(plan.sides.len());
-            ppr_block(snap, &plan, range, alpha, tol_l1, store_limit, cache_ref, ws, metric)
-        })
-    };
+    let results = par::run_indexed_init(nblocks, threads.max(1), PprWs::default, |ws, b| {
+        let range = (b * w)..((b + 1) * w).min(plan.sides.len());
+        ppr_block(snap, &plan, range, alpha, tol_l1, ws, metric)
+    });
     for block in results {
-        let block = block?;
-        for (idx, val) in block.scores {
+        let (block, iterations) = block?;
+        for (idx, val) in block {
             scores[idx as usize] = val;
         }
-        for (src, vec) in block.store {
-            cache.store_ppr(src, vec, store_limit);
-        }
-        cache.stats.ppr_iterations += block.iterations;
-        cache.stats.ppr_warm_starts += block.warm_starts;
+        cache.stats.ppr_iterations += iterations;
     }
     cache.stats.ppr_sources += plan.sides.len() as u64;
     Ok(scores)
@@ -667,78 +574,49 @@ pub fn ppr_scores_with_width(
 /// Alg. 12.1) on the SPD-spectrum operator `A = I - (1-α)Pᵀ` with
 /// eigenvalue bounds `[α, 2-α]`: center `θ = 1`, half-width `δ = 1-α`.
 /// All update scalars are iteration-indexed, so every column follows the
-/// exact arithmetic a width-1 run would.
-#[allow(clippy::too_many_arguments)]
+/// exact arithmetic a width-1 run would. Returns the block's pair scores
+/// and the sum of its columns' convergence iterations.
 fn ppr_block(
     snap: &Snapshot,
     plan: &SidePlan,
     range: Range<usize>,
     alpha: f64,
     tol: f64,
-    store_limit: usize,
-    cache: &SolverCache,
     ws: &mut PprWs,
     metric: &'static str,
-) -> Result<PprBlockOut, SolverError> {
+) -> Result<(Vec<(u32, f64)>, u64), SolverError> {
     let n = snap.node_count();
     let w = range.len();
     let oma = 1.0 - alpha;
-    let mut warm_starts = 0u64;
     let PprWs { x, r, d, s, s_next, g, norms, done } = ws;
-    x.clear();
-    x.resize(n * w, 0.0);
-    // The rest is written before it is read, so keep any contents.
-    for buf in [&mut *r, &mut *d, &mut *s, &mut *s_next] {
+    // From x0 = 0 the first residual r = α e_src - A x0 is α at each
+    // column's source row and 0.0 elsewhere, so its L1 norm is |α|; the
+    // first direction is r.
+    for buf in [&mut *x, &mut *r, &mut *d] {
+        buf.clear();
         buf.resize(n * w, 0.0);
     }
+    // The shares are written before they are read, so keep any contents.
+    s.resize(n * w, 0.0);
+    s_next.resize(n * w, 0.0);
     g.resize(w, 0.0);
     norms.clear();
-    norms.resize(w, 0.0);
+    norms.resize(w, alpha.abs());
     done.clear();
     done.resize(w, false);
-
-    // Initial guess: warm vectors where available, zero otherwise.
     for (j, si) in range.clone().enumerate() {
-        if let Some(warm) = cache.ppr_warm(plan.sides[si]) {
-            for (row, &v) in x.chunks_exact_mut(w).zip(warm) {
-                row[j] = v;
-            }
-            warm_starts += 1;
-        }
+        let at = plan.sides[si] as usize * w + j;
+        r[at] = alpha;
+        d[at] = alpha;
     }
-
-    // r = b - A x0 = α e_src - x0 + (1-α)Pᵀ x0, gathered from the shares
-    // of x0; the first direction is r, and its norms and shares follow.
-    // The block's sides ascend, so a cursor finds each column's source row.
-    for (v, (x, s)) in x.chunks_exact(w).zip(s.chunks_exact_mut(w)).enumerate() {
-        degree_shares(x, snap.degree(v as NodeId), f64::NEG_INFINITY, s);
+    for (v, (d, s)) in d.chunks_exact(w).zip(s.chunks_exact_mut(w)).enumerate() {
+        degree_shares(d, snap.degree(v as NodeId), f64::NEG_INFINITY, s);
     }
-    let sides = &plan.sides[range.clone()];
-    let mut next_side = 0;
-    let rows = x.chunks_exact(w).zip(r.chunks_exact_mut(w)).zip(d.chunks_exact_mut(w));
-    for (v, (((x, r), d), s_next)) in rows.zip(s_next.chunks_exact_mut(w)).enumerate() {
-        let nbrs = snap.neighbors(v as NodeId);
-        gather_row(nbrs, s, g);
-        for ((r, &g), &x) in r.iter_mut().zip(&*g).zip(x) {
-            *r = oma * g - x;
-        }
-        if sides.get(next_side) == Some(&(v as NodeId)) {
-            r[next_side] += alpha;
-            next_side += 1;
-        }
-        d.copy_from_slice(r);
-        for (norm, &r) in norms.iter_mut().zip(&*r) {
-            *norm += r.abs();
-        }
-        degree_shares(d, nbrs.len(), f64::NEG_INFINITY, s_next);
-    }
-    std::mem::swap(s, s_next);
 
     let sigma1 = 1.0 / oma;
     let delta = oma;
     let mut rho = oma;
     let mut query_vals: Vec<Option<Vec<f64>>> = vec![None; w];
-    let mut store_cols: Vec<Option<Vec<f64>>> = vec![None; w];
     let mut iterations = 0u64;
     let mut k = 0usize;
 
@@ -755,9 +633,6 @@ fn ppr_block(
                 let si = range.start + j;
                 let vals = plan.queries(si).iter().map(|&(_, p)| x[p as usize * w + j]).collect();
                 query_vals[j] = Some(vals);
-                if si < store_limit {
-                    store_cols[j] = Some(x.chunks_exact(w).map(|row| row[j]).collect());
-                }
             }
         }
         if done.iter().all(|&d| d) {
@@ -796,7 +671,6 @@ fn ppr_block(
     // π_st + π_ts is π_st·(1 + d_s/d_t). A partner of degree 0 is never
     // reached (π_st = 0); its factor is 1, which keeps the score exactly 0.
     let mut scores = Vec::new();
-    let mut store = Vec::new();
     for (j, si) in range.enumerate() {
         let side = plan.sides[si];
         let d_side = snap.degree(side) as f64;
@@ -807,11 +681,8 @@ fn ppr_block(
             let factor = if d_partner == 0 { 1.0 } else { 1.0 + d_side / d_partner as f64 };
             scores.push((idx, val * factor));
         }
-        if let Some(col) = store_cols[j].take() {
-            store.push((side, col));
-        }
     }
-    Ok(PprBlockOut { scores, store, iterations, warm_starts })
+    Ok((scores, iterations))
 }
 
 /// Batched bilinear pair scoring for a fitted factorization `A ≈ X R Xᵀ`:
@@ -960,60 +831,6 @@ mod tests {
         // the fixed point p = α e_src, so the cross mass is exactly 0...
         // except the solution keeps α at the source itself; partners see 0.
         assert_eq!(scores[0], 0.0);
-    }
-
-    #[test]
-    fn ppr_warm_start_cuts_iterations_not_scores() {
-        let n = 40;
-        let mut edges = Vec::new();
-        for i in 0..n {
-            edges.push((i as NodeId, ((i + 1) % n) as NodeId));
-        }
-        let snap_a = Snapshot::from_edges(n, &edges);
-        edges.push((0, (n / 2) as NodeId));
-        edges.push((3, (n / 2 + 3) as NodeId));
-        let snap_b = Snapshot::from_edges(n, &edges);
-        let pairs = all_pairs(n);
-        let alpha = 0.15;
-        let tol = 1e-7;
-
-        let mut sweep = SolverCache::sweep();
-        sweep.ensure_snapshot(&snap_a);
-        let _ = ppr_scores_t(&snap_a, &pairs, alpha, tol, 1, &mut sweep, "PPR").unwrap();
-        assert!(sweep.stats.ppr_warm_starts == 0, "first snapshot must run cold");
-        sweep.ensure_snapshot(&snap_b);
-        let before = sweep.stats.clone();
-        let warm = ppr_scores_t(&snap_b, &pairs, alpha, tol, 1, &mut sweep, "PPR").unwrap();
-        let warm_iters = sweep.stats.ppr_iterations - before.ppr_iterations;
-        assert!(sweep.stats.ppr_warm_starts > 0, "second snapshot must reuse cached vectors");
-
-        let mut cold_cache = SolverCache::transient();
-        cold_cache.ensure_snapshot(&snap_b);
-        let cold = ppr_scores_t(&snap_b, &pairs, alpha, tol, 1, &mut cold_cache, "PPR").unwrap();
-        let cold_iters = cold_cache.stats.ppr_iterations;
-
-        assert!(
-            warm_iters < cold_iters,
-            "warm start must cut iterations ({warm_iters} vs {cold_iters})"
-        );
-        for (i, (&wv, &cv)) in warm.iter().zip(&cold).enumerate() {
-            let bound = warm_cold_bound(&snap_b, pairs[i], tol, alpha);
-            assert!(
-                (wv - cv).abs() <= bound,
-                "pair {i}: warm {wv} vs cold {cv} beyond fixed-point bound {bound}"
-            );
-        }
-    }
-
-    /// Warm vs cold PPR bound for one pair: both runs solve the pair from
-    /// the same side `s` (same pair list), each lands within `tol/α` of
-    /// the exact column in L1, and the one-sided score scales that error
-    /// by `1 + d_s/d_t ≤ 1 + d_max/d_min`; so the two runs differ by at
-    /// most `2·(tol/α)·(1 + d_max/d_min)` (factor 1 when `d_min = 0`).
-    fn warm_cold_bound(snap: &Snapshot, (u, v): (NodeId, NodeId), tol: f64, alpha: f64) -> f64 {
-        let (du, dv) = (snap.degree(u) as f64, snap.degree(v) as f64);
-        let factor = if du.min(dv) == 0.0 { 1.0 } else { 1.0 + du.max(dv) / du.min(dv) };
-        2.0 * (tol / alpha) * factor
     }
 
     #[test]
@@ -1171,36 +988,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cache_rotation_and_store_gating() {
-        let snap_a = ring_with_chords(11);
-        let mut transient = SolverCache::transient();
-        transient.ensure_snapshot(&snap_a);
-        assert_eq!(transient.warm_budget_sources(11), 0);
-        transient.store_ppr(3, vec![1.0; 11], 100);
-        assert!(transient.ppr_warm(3).is_none(), "transient caches never retain vectors");
-
-        let mut sweep = SolverCache::sweep();
-        sweep.ensure_snapshot(&snap_a);
-        assert!(sweep.warm_budget_sources(11) > 0);
-        sweep.store_ppr(3, vec![1.0; 11], sweep.warm_budget_sources(11));
-        assert!(sweep.ppr_warm(3).is_some());
-        // Same snapshot key: no rotation.
-        sweep.ensure_snapshot(&snap_a);
-        assert!(sweep.ppr_warm(3).is_some());
-        // New snapshot: current rotates to previous, still warm-usable.
-        let snap_b = ring_with_chords(13);
-        sweep.ensure_snapshot(&snap_b);
-        assert!(sweep.ppr_warm(3).is_some(), "previous snapshot's vector still seeds");
-        // Two rotations age the vector out entirely.
-        let snap_c = ring_with_chords(15);
-        sweep.ensure_snapshot(&snap_c);
-        assert!(sweep.ppr_warm(3).is_none());
-        // Budget gating: limit 0 stores nothing.
-        sweep.store_ppr(5, vec![0.5; 15], 0);
-        assert!(sweep.ppr_warm(5).is_none());
-    }
-
     /// A ring of `n` nodes with chords `(i, i + n/2)` for `i % 3 == offset`.
     fn chorded_ring(n: usize, offset: usize) -> Snapshot {
         let mut edges = Vec::new();
@@ -1230,30 +1017,16 @@ mod tests {
         let score = |m: &dyn Metric, snap: &Snapshot, cache: &mut SolverCache| {
             crate::exec::score_matrix_cached_t(&[m], snap, &pairs, 1, cache).remove(0)
         };
-        let mut sweep = SolverCache::sweep();
+        let mut sweep = SolverCache::transient();
         for m in metrics {
             score(m, &first, &mut sweep);
         }
-        let warm_before = sweep.stats.ppr_warm_starts;
         for m in metrics {
             let reused = score(m, &second, &mut sweep);
-            let fresh = score(m, &second, &mut SolverCache::sweep());
-            if m.name() == "PPR" {
-                // The sweep cache warm-starts PPR from the first graph's
-                // converged vectors by design, so it matches a fresh cache
-                // within the certified warm-start bound, not bit for bit.
-                for (i, (r, f)) in reused.iter().zip(&fresh).enumerate() {
-                    let bound = warm_cold_bound(&second, pairs[i], ppr.solver_tol(), ppr.alpha);
-                    assert!((r - f).abs() <= bound, "PPR pair {:?}: {r} vs {f}", pairs[i]);
-                }
-            } else {
-                assert_eq!(reused, fresh, "{} reused the first graph's solver state", m.name());
-            }
+            let fresh = score(m, &second, &mut SolverCache::transient());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused), bits(&fresh), "{} reused the first graph's state", m.name());
         }
-        assert!(
-            sweep.stats.ppr_warm_starts > warm_before,
-            "the second graph must rotate the first graph's vectors into warm starts"
-        );
     }
 
     #[test]
@@ -1261,30 +1034,17 @@ mod tests {
         let model =
             Arc::new(crate::rescal::Rescal::default().fit(&ring_with_chords(11)).expect("fit"));
 
-        // A transient cache keeps the model at its snapshot; after
-        // rotation it is gone, with no warm start.
-        let mut transient = SolverCache::transient();
-        transient.ensure_snapshot(&ring_with_chords(11));
-        transient.store_rescal(7, Arc::clone(&model));
-        assert!(transient.rescal_model(7).is_some());
-        transient.ensure_snapshot(&ring_with_chords(13));
-        assert!(transient.rescal_model(7).is_none());
-        assert!(transient.rescal_warm(7).is_none(), "transient caches never warm-start");
-
-        let mut sweep = SolverCache::sweep();
-        sweep.ensure_snapshot(&ring_with_chords(11));
-        sweep.store_rescal(7, Arc::clone(&model));
+        let mut cache = SolverCache::transient();
+        cache.ensure_snapshot(&ring_with_chords(11));
+        cache.store_rescal(7, Arc::clone(&model));
         // Exact reuse on the current snapshot requires a fingerprint match.
-        assert!(sweep.rescal_model(7).is_some());
-        assert!(sweep.rescal_model(8).is_none(), "different config must never alias a fit");
-        assert!(sweep.rescal_warm(7).is_none(), "no previous snapshot yet");
-        // Rotation: the model becomes the next snapshot's warm start only.
-        sweep.ensure_snapshot(&ring_with_chords(13));
-        assert!(sweep.rescal_model(7).is_none());
-        assert!(sweep.rescal_warm(7).is_some());
-        assert!(sweep.rescal_warm(8).is_none());
-        // A second rotation ages it out entirely.
-        sweep.ensure_snapshot(&ring_with_chords(15));
-        assert!(sweep.rescal_warm(7).is_none());
+        assert!(cache.rescal_model(7).is_some());
+        assert!(cache.rescal_model(8).is_none(), "different config must never alias a fit");
+        // The same snapshot again keeps the model.
+        cache.ensure_snapshot(&ring_with_chords(11));
+        assert!(cache.rescal_model(7).is_some());
+        // A new snapshot turns the slot over: the model is gone.
+        cache.ensure_snapshot(&ring_with_chords(13));
+        assert!(cache.rescal_model(7).is_none());
     }
 }

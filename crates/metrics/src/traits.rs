@@ -85,11 +85,9 @@ pub trait Metric: Sync {
     /// pair) score source-aligned chunks in parallel through
     /// [`crate::exec::score_chunked`]. Metrics with per-snapshot state
     /// solve or factor once per call on the snapshot's own adjacency CSR:
-    /// the walk metrics (LRW, PPR), warm-starting PPR from the previous
-    /// snapshot's converged vectors on persistent caches (which changes
-    /// iteration counts, never converged output beyond the documented
-    /// tolerance, see [`crate::solver`]); Katz; Rescal reusing the
-    /// cache's fitted model.
+    /// the walk metrics (LRW, PPR), every PPR column from zero (see
+    /// [`crate::solver`]); Katz; Rescal reusing the cache's fitted model
+    /// of the same snapshot.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,

@@ -40,7 +40,7 @@ const SEED: u64 = 0x5EED;
 pub enum Entry {
     /// `score_pairs_t`, one metric at a time.
     Scores,
-    /// `score_matrix_cached_t` on the whole set, with a fresh sweep cache.
+    /// `score_matrix_cached_t` on the whole set, with a fresh cache.
     Matrix,
     /// `predict_top_k_many_cached_t` on the whole set.
     TopK,
@@ -196,7 +196,8 @@ fn shuffled(mut out: Vec<usize>) -> Vec<usize> {
     out
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
+/// Each score's bit pattern, so `-0.0`, `0.0` and NaNs compare exactly.
+pub fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
@@ -246,7 +247,7 @@ fn check_batched(
             }
         }
         if entries.contains(&Entry::Matrix) {
-            let mut cache = SolverCache::sweep();
+            let mut cache = SolverCache::transient();
             let matrix = exec::score_matrix_cached_t(&refs, snap, pairs, threads, &mut cache);
             if let Some(i) = (0..refs.len()).find(|&i| bits(&matrix[i]) != bits(&one[i])) {
                 return drift(i, "score_matrix_cached_t", threads);

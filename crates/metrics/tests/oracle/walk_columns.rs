@@ -41,29 +41,18 @@ pub struct PprColumn {
     pub iterations: u64,
 }
 
-/// Solves `(I - (1-α)Pᵀ) p = α e_src` from `warm` (zero-padded or
-/// truncated to the node count; zero when `None`) by the Chebyshev
+/// Solves `(I - (1-α)Pᵀ) p = α e_src` from zero by the Chebyshev
 /// semi-iteration on the spectrum `[α, 2-α]`.
 ///
 /// # Panics
 /// Panics on a non-finite residual norm or after [`PPR_MAX_ITERS`]
 /// iterations.
-pub fn ppr_column(
-    snap: &Snapshot,
-    src: NodeId,
-    alpha: f64,
-    tol: f64,
-    warm: Option<&[f64]>,
-) -> PprColumn {
+pub fn ppr_column(snap: &Snapshot, src: NodeId, alpha: f64, tol: f64) -> PprColumn {
     let n = snap.node_count();
     let oma = 1.0 - alpha;
     let mut x = vec![0.0; n];
-    if let Some(warm) = warm {
-        for (x, &v) in x.iter_mut().zip(warm) {
-            *x = v;
-        }
-    }
-    // r = α e_src - x + (1-α)Pᵀ x; the first direction is r.
+    // r = α e_src - x + (1-α)Pᵀ x, which from x = 0 is α e_src; the
+    // first direction is r.
     let g = gather(snap, &shares(snap, &x));
     let mut r: Vec<f64> = (0..n).map(|i| oma * g[i] - x[i]).collect();
     r[src as usize] += alpha;

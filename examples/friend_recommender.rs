@@ -4,9 +4,10 @@
 //! the metric evidence behind each suggestion.
 //!
 //! Feature columns are produced by the cached batched engine
-//! ([`exec::score_matrix_cached_t`] with one sweep [`SolverCache`] shared
-//! across snapshots), and the run self-asserts that the recommendations
-//! are identical to the legacy per-metric scoring path — CI runs this
+//! ([`exec::score_matrix_cached_t`] with one [`SolverCache`] shared
+//! across both snapshots), and the run self-asserts that every feature
+//! row, on the training and on the recommendation snapshot, is
+//! bit-identical to the legacy per-metric scoring path — CI runs this
 //! example, so the assert doubles as a regression gate.
 //!
 //! ```sh
@@ -40,10 +41,10 @@ fn main() {
     let metrics = linklens::metrics::all_metrics();
     let metric_refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
     let threads = par::max_threads();
-    // One sweep cache across the whole run: the Rescal fit is shared
-    // within each snapshot and converged solver state warm-starts the
-    // next snapshot's solves.
-    let mut cache = SolverCache::sweep();
+    // One solver cache across the whole run: it shares the Rescal fit
+    // within each snapshot and keeps nothing from one snapshot to the
+    // next.
+    let mut cache = SolverCache::transient();
 
     // Batched feature matrix: one engine call yields every metric column
     // at once (fused kernel for the local metrics, cached solvers for the
@@ -70,22 +71,27 @@ fn main() {
         .collect();
     println!("training pairs: {} positive, {} negative", positives.len(), negatives.len());
 
-    // On the first snapshot the sweep cache runs cold, so the batched
-    // columns must be bit-identical to the legacy one-metric-at-a-time
-    // path: each metric scored alone with a transient solver cache.
-    let legacy_cols: Vec<Vec<f64>> = metrics
-        .iter()
-        .map(|m| exec::score_pairs_t(m.as_ref(), &train_snap, &positives, threads))
-        .collect();
-    let batched_cols =
-        exec::score_matrix_cached_t(&metric_refs, &train_snap, &positives, threads, &mut cache);
-    assert_eq!(
-        batched_cols, legacy_cols,
-        "cached batched engine diverged from the per-metric path on the training snapshot"
-    );
+    // The batched feature rows must be bit-identical to the legacy
+    // one-metric-at-a-time path: each metric scored alone with a fresh
+    // solver cache.
+    let assert_legacy_rows = |snap: &Snapshot, pairs: &[(NodeId, NodeId)], rows: &[Vec<f64>]| {
+        let legacy: Vec<Vec<f64>> =
+            metrics.iter().map(|m| exec::score_pairs_t(m.as_ref(), snap, pairs, threads)).collect();
+        let differing = (0..pairs.len())
+            .filter(|&i| rows[i].iter().zip(&legacy).any(|(x, c)| x.to_bits() != c[i].to_bits()))
+            .count();
+        assert_eq!(
+            differing,
+            0,
+            "{differing} of {} batched feature rows differ from the per-metric path",
+            pairs.len()
+        );
+    };
+    let positive_rows = features(&train_snap, &positives, &mut cache);
+    assert_legacy_rows(&train_snap, &positives, &positive_rows);
 
     let mut data = Dataset::new(metrics.len());
-    for f in features(&train_snap, &positives, &mut cache) {
+    for f in positive_rows {
         data.push(&f, 1);
     }
     for f in features(&train_snap, &negatives, &mut cache) {
@@ -101,23 +107,12 @@ fn main() {
     let now = seq.snapshot(t - 1);
     let cands = traversal::two_hop_pairs(&now, None, threads);
     let feats = features(&now, &cands, &mut cache);
+    // The cache scored the training snapshot first; the recommendation
+    // rows must still be the per-metric rows, bit for bit.
+    assert_legacy_rows(&now, &cands, &feats);
+    println!("parity: batched-engine feature rows match the legacy per-metric path");
     let scores: Vec<f64> = feats.iter().map(|f| svm.decision(&scaler.transform(f))).collect();
     let top = topk::top_k_pairs(&cands, &scores, 10, 1);
-
-    // Same top-k as the legacy path, warm solver state and all: recompute
-    // the recommendation features one metric at a time and assert the
-    // ranked pairs agree.
-    let legacy_now: Vec<Vec<f64>> =
-        metrics.iter().map(|m| exec::score_pairs_t(m.as_ref(), &now, &cands, threads)).collect();
-    let legacy_scores: Vec<f64> = (0..cands.len())
-        .map(|i| {
-            let row: Vec<f64> = legacy_now.iter().map(|c| c[i]).collect();
-            svm.decision(&scaler.transform(&row))
-        })
-        .collect();
-    let legacy_top = topk::top_k_pairs(&cands, &legacy_scores, 10, 1);
-    assert_eq!(top, legacy_top, "batched path recommends different pairs than the legacy path");
-    println!("parity: batched-engine recommendations match the legacy per-metric path");
 
     // Show the strongest metric features overall (Figure 12 style).
     let names: Vec<&str> = metrics.iter().map(|m| m.name()).collect();
