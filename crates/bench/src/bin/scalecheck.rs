@@ -856,7 +856,7 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
         // paper tuned those on the real traces), then §6.2-style
         // retention-quantile tunings derived from this trace's own
         // positives — from "retain every in-universe positive" (provably
-        // accuracy-safe, see `FilterThresholds::tightest_retaining`)
+        // accuracy-safe, see `PositiveFeatureStats` at q = 1.0)
         // downward. The first rung that prunes the sweep's candidates
         // >= 10x overall without dropping the mean accuracy ratio (both
         // checked untimed, on the exact sweep the timed configs run) is

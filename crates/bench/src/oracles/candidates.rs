@@ -9,8 +9,11 @@ use osn_metrics::traits::{CandidatePolicy, Metric};
 /// The oracle [`SequenceEvaluator::candidates_for`] is verified against:
 /// the full candidate set for the loosest policy of `metrics`, then the
 /// Table 7 criteria applied pair by pair with
-/// [`TemporalFilter::filter_pairs`], in enumeration order, then the
-/// evaluator's pair cap.
+/// [`TemporalFilter::filter_pairs`], then the evaluator's pair cap. The
+/// filtered list goes through [`CandidateSet::from_pairs`], which keeps
+/// the `Global` policy's ascending enumeration order and sorts the
+/// two-hop and three-hop walks' discovery order, so the pair lists match
+/// pruned enumeration exactly under `Global` and as sets otherwise.
 pub fn posthoc(
     eval: &SequenceEvaluator<'_>,
     snap: &Snapshot,
@@ -22,7 +25,7 @@ pub fn posthoc(
     let cands = CandidateSet::build(snap, policy, eval.top_degree_candidates);
     let cands = match filter {
         None => cands,
-        Some(f) => CandidateSet::from_filtered_pairs(f.filter_pairs(snap, cands.pairs()), policy),
+        Some(f) => CandidateSet::from_pairs(f.filter_pairs(snap, cands.pairs()), policy),
     };
     cands.capped(eval.max_candidate_pairs)
 }

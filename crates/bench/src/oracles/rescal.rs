@@ -1,10 +1,12 @@
-//! The serial reference for Rescal's blocked ALS core, and the
-//! per-pair bilinear score the batched scoring path is checked against.
+//! The serial reference for Rescal's blocked ALS core, the per-pair
+//! bilinear score the batched scoring path is checked against, and the
+//! reconstruction error the fit tests measure.
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
-use osn_linalg::{factor, Matrix};
-use osn_metrics::rescal::{Rescal, RescalModel};
+use osn_linalg::factor::{self, AlsFit};
+use osn_linalg::{sparse, Matrix};
+use osn_metrics::rescal::Rescal;
 use osn_metrics::solver::SolverError;
 
 /// `A·X` for the adjacency `A` of `snap`, serially: each output row adds
@@ -31,7 +33,7 @@ fn adjacency_times(snap: &Snapshot, x: &Matrix) -> Matrix {
 /// # Errors
 ///
 /// The same structured errors as [`Rescal::fit_t`], at the same sweep.
-pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, SolverError> {
+pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<AlsFit, SolverError> {
     let n = snap.node_count();
     let r = rescal.rank.min(n.max(1));
 
@@ -94,7 +96,7 @@ pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, Solver
             return Err(SolverError::NonFinite { metric: "Rescal", iteration: it });
         }
     }
-    Ok(RescalModel { x, r: core })
+    Ok(AlsFit { x, r: core })
 }
 
 /// The bilinear score `x_uᵀ R x_v + x_vᵀ R x_u` of a fitted model, folded
@@ -102,7 +104,7 @@ pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<RescalModel, Solver
 /// [`bilinear_scores_t`](osn_metrics::solver::bilinear_scores_t) folds
 /// `X R` first, so the two agree to reassociation tolerance, not bit for
 /// bit.
-pub fn model_score(model: &RescalModel, u: NodeId, v: NodeId) -> f64 {
+pub fn model_score(model: &AlsFit, u: NodeId, v: NodeId) -> f64 {
     let xu = model.x.row(u as usize);
     let xv = model.x.row(v as usize);
     let r = &model.r;
@@ -121,4 +123,13 @@ pub fn model_score(model: &RescalModel, u: NodeId, v: NodeId) -> f64 {
         vu += xv[i] * rv_u;
     }
     uv + vu
+}
+
+/// The Frobenius reconstruction error `‖A − XRXᵀ‖_F` of a fit to the
+/// adjacency `A` of `snap`, computed densely: `O(n²)` memory, for the
+/// small graphs of the fit tests.
+pub fn frobenius_residual(snap: &Snapshot, fit: &AlsFit) -> f64 {
+    let reconstruction = fit.x.matmul(&fit.r).matmul(&fit.x.transpose());
+    let diff = &sparse::to_dense(snap) - &reconstruction;
+    diff.data().iter().map(|d| d * d).sum::<f64>().sqrt()
 }

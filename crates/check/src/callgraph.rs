@@ -1,12 +1,15 @@
-//! Phase 2a: the over-approximate call graph and the deterministic
-//! surface.
+//! Phase 2a: the over-approximate call graph, the deterministic surface
+//! and the production reach.
 //!
 //! The call graph is *name-based*: an identifier followed by `(` inside a
 //! function body is an edge to every workspace function of that name, and
 //! a bare identifier in argument position that matches a workspace
 //! function name is an edge too (callback passing). No receiver types, no
 //! path resolution — deliberately an over-approximation, so reachability
-//! can only err toward scanning *more* code.
+//! can only err toward scanning *more* code and reporting *less* code
+//! unreached. The one exception is a call through the oracles' module
+//! path (see [`ORACLE_DIR`]). One breadth-first walk serves both root
+//! sets below.
 //!
 //! ## Deterministic surface
 //!
@@ -24,9 +27,20 @@
 //!
 //! Everything name-reachable from a root is "on the deterministic
 //! surface" and gets the [`crate::dataflow`] rules.
+//!
+//! ## Production reach
+//!
+//! `unreached-pub-fn` walks the same kind of graph from the code that
+//! regenerates, serves and benchmarks the paper's results (DESIGN.md
+//! §15): every function of a binary, an example, an experiment row or
+//! `benchmark/src`, and every method of a `trait` block or an
+//! `impl Trait for Type` block, which the trait calls. Test code, benches,
+//! the reference oracles and the checker itself are neither roots nor
+//! sources of edges. A plain `pub fn` of a library crate's non-test code
+//! that this walk does not reach is a finding.
 
-use crate::rules::{ident_at, punct_at};
-use crate::symbols::ParsedFile;
+use crate::rules::{ident_at, punct_at, Diagnostic};
+use crate::symbols::{FnSym, ParsedFile};
 use crate::workspace::{FileInfo, FileKind};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,6 +69,37 @@ pub(crate) fn in_scope(info: &FileInfo) -> bool {
     !info.is_shim && info.kind == FileKind::Lib && SCOPE_CRATES.contains(&info.krate.as_str())
 }
 
+/// Crates whose plain `pub fn`s `unreached-pub-fn` checks: the seven
+/// libraries the production roots build on.
+const LIBRARY_CRATES: &[&str] = &["graph", "trace", "linalg", "ml", "metrics", "core", "serve"];
+
+/// The reference oracles: test support, outside the production graph.
+/// A call through their module path (`oracles::rescal::fit_dense`, as
+/// scalecheck calls them) reaches no library function of that name.
+const ORACLE_DIR: &str = "crates/bench/src/oracles/";
+const ORACLE_MODULE: &str = "oracles";
+
+/// A file's part in the production graph: its functions are roots, or
+/// only sources of edges, or it is outside the graph (`None`).
+#[derive(Clone, Copy, PartialEq)]
+enum Part {
+    Root,
+    Body,
+}
+
+fn production_part(info: &FileInfo) -> Option<Part> {
+    // The checker is a development tool, not a path to any result.
+    if info.is_shim || info.krate == "check" || info.path.starts_with(ORACLE_DIR) {
+        return None;
+    }
+    match info.kind {
+        FileKind::Bin | FileKind::Example | FileKind::RootOnly => Some(Part::Root),
+        FileKind::Lib if ROOT_DIRS.iter().any(|dir| info.path.starts_with(dir)) => Some(Part::Root),
+        FileKind::Lib => Some(Part::Body),
+        FileKind::Test | FileKind::Bench => None,
+    }
+}
+
 /// Reserved words that look like call syntax (`if (`, `for (` never
 /// actually occur, but `matches ! (`, `Some (` do) — anything here is
 /// never a call edge. Capitalized tuple-struct/enum constructors are
@@ -81,7 +126,7 @@ impl Surface {
 }
 
 /// Whether `f` is a deterministic root, and why.
-fn root_reason(file: &ParsedFile, f: &crate::symbols::FnSym) -> Option<String> {
+fn root_reason(file: &ParsedFile, f: &FnSym) -> Option<String> {
     if f.in_test {
         return None;
     }
@@ -108,14 +153,21 @@ fn root_reason(file: &ParsedFile, f: &crate::symbols::FnSym) -> Option<String> {
 /// Call edges out of one function body: every known workspace function
 /// name that appears in call position (`name (`) or argument position
 /// (`name ,` / `name )`) inside the body. `known` filters bare idents so
-/// locals and field names don't become edges.
-fn callees(file: &ParsedFile, body: (usize, usize), known: &BTreeSet<&str>) -> BTreeSet<String> {
+/// locals and field names don't become edges, and a name qualified by a
+/// path through one of the `outside` modules (`oracles::rescal::fit_dense`)
+/// names a function outside the graph, so it is no edge either.
+fn callees(
+    file: &ParsedFile,
+    body: (usize, usize),
+    known: &BTreeSet<&str>,
+    outside: &[&str],
+) -> BTreeSet<String> {
     let tokens = &file.lexed.tokens;
     let (open, end) = body;
     let mut out = BTreeSet::new();
     for i in open..end.min(tokens.len()) {
         let Some(name) = ident_at(tokens, i) else { continue };
-        if KEYWORDS.contains(&name) || !known.contains(name) {
+        if KEYWORDS.contains(&name) || !known.contains(name) || qualified_by(file, i, outside) {
             continue;
         }
         let call_pos = punct_at(tokens, i + 1, '(');
@@ -130,40 +182,52 @@ fn callees(file: &ParsedFile, body: (usize, usize), known: &BTreeSet<&str>) -> B
     out
 }
 
-/// Builds the deterministic surface over every in-scope parsed file.
-pub(crate) fn surface(files: &[ParsedFile]) -> Surface {
-    let in_scope_files: Vec<&ParsedFile> = files.iter().filter(|p| in_scope(&p.info)).collect();
-
-    // All known function names (for bare-ident filtering), and the call
-    // edges per function name: name -> union of callees over every fn of
-    // that name.
-    let known: BTreeSet<&str> = in_scope_files
-        .iter()
-        .flat_map(|p| p.fns.iter())
-        .filter(|f| !f.in_test)
-        .map(|f| f.name.as_str())
-        .collect();
-    let mut edges: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
-    let mut roots: BTreeMap<&str, String> = BTreeMap::new();
-    for p in &in_scope_files {
-        for f in &p.fns {
-            if f.in_test {
-                continue;
-            }
-            if let Some(reason) = root_reason(p, f) {
-                roots.entry(f.name.as_str()).or_insert(reason);
-            }
-            if let Some(body) = f.body {
-                edges.entry(f.name.as_str()).or_default().extend(callees(p, body, &known));
-            }
+/// Whether the path qualifying the identifier at `i` (`a :: b :: name`)
+/// runs through one of `modules`.
+fn qualified_by(file: &ParsedFile, i: usize, modules: &[&str]) -> bool {
+    let tokens = &file.lexed.tokens;
+    let mut j = i;
+    while j >= 3 && punct_at(tokens, j - 1, ':') && punct_at(tokens, j - 2, ':') {
+        match ident_at(tokens, j - 3) {
+            Some(segment) if modules.contains(&segment) => return true,
+            Some(_) => j -= 3,
+            None => return false,
         }
     }
+    false
+}
 
-    // BFS from the roots over name-level edges.
+/// Name-level call edges over `files`: every function name maps to the
+/// union of the callees of every non-test fn of that name. Only names of
+/// `files`' own functions become edges, and no call through a path in
+/// one of the `outside` modules does.
+fn call_edges<'a>(
+    files: &[&'a ParsedFile],
+    outside: &[&str],
+) -> BTreeMap<&'a str, BTreeSet<String>> {
+    let live = || {
+        files.iter().flat_map(|p| p.fns.iter().map(move |f| (*p, f))).filter(|(_, f)| !f.in_test)
+    };
+    let known: BTreeSet<&str> = live().map(|(_, f)| f.name.as_str()).collect();
+    let mut edges: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for (p, f) in live() {
+        if let Some(body) = f.body {
+            edges.entry(f.name.as_str()).or_default().extend(callees(p, body, &known, outside));
+        }
+    }
+    edges
+}
+
+/// Breadth-first walk over `edges` from `roots`: every reached name,
+/// mapped to the reason of the root that first reached it.
+fn reach(
+    edges: &BTreeMap<&str, BTreeSet<String>>,
+    roots: BTreeMap<&str, String>,
+) -> BTreeMap<String, String> {
     let mut reachable: BTreeMap<String, String> = BTreeMap::new();
     let mut queue: Vec<String> = Vec::new();
-    for (name, reason) in &roots {
-        reachable.insert(name.to_string(), reason.clone());
+    for (name, reason) in roots {
+        reachable.insert(name.to_string(), reason);
         queue.push(name.to_string());
     }
     while let Some(name) = queue.pop() {
@@ -177,7 +241,64 @@ pub(crate) fn surface(files: &[ParsedFile]) -> Surface {
             }
         }
     }
-    Surface { reachable }
+    reachable
+}
+
+/// Builds the deterministic surface over every in-scope parsed file.
+pub(crate) fn surface(files: &[ParsedFile]) -> Surface {
+    let in_scope_files: Vec<&ParsedFile> = files.iter().filter(|p| in_scope(&p.info)).collect();
+    let mut roots: BTreeMap<&str, String> = BTreeMap::new();
+    for p in &in_scope_files {
+        for f in &p.fns {
+            if let Some(reason) = root_reason(p, f) {
+                roots.entry(f.name.as_str()).or_insert(reason);
+            }
+        }
+    }
+    Surface { reachable: reach(&call_edges(&in_scope_files, &[]), roots) }
+}
+
+/// Whether `f` is a plain `pub fn` of a library crate's non-test code,
+/// the functions `unreached-pub-fn` checks. Trait methods are exempt.
+fn checked_for_reach(info: &FileInfo, f: &FnSym) -> bool {
+    info.kind == FileKind::Lib
+        && !info.is_shim
+        && LIBRARY_CRATES.contains(&info.krate.as_str())
+        && f.is_pub
+        && !f.trait_method
+        && !f.in_test
+}
+
+/// `unreached-pub-fn`: each library `pub fn` the production roots do not
+/// reach is a finding, pushed to `out[i]` for `files[i]`.
+pub(crate) fn unreached_pub_fns(files: &[ParsedFile], out: &mut [Vec<Diagnostic>]) {
+    let graph: Vec<&ParsedFile> =
+        files.iter().filter(|p| production_part(&p.info).is_some()).collect();
+    let mut roots: BTreeMap<&str, String> = BTreeMap::new();
+    for p in &graph {
+        let root_file = production_part(&p.info) == Some(Part::Root);
+        for f in p.fns.iter().filter(|f| !f.in_test && (root_file || f.trait_method)) {
+            roots.entry(f.name.as_str()).or_insert_with(|| p.info.path.clone());
+        }
+    }
+    let reached = reach(&call_edges(&graph, &[ORACLE_MODULE]), roots);
+    for (p, diags) in files.iter().zip(out) {
+        for f in p.fns.iter().filter(|f| checked_for_reach(&p.info, f)) {
+            if !reached.contains_key(&f.name) {
+                diags.push(Diagnostic::new(
+                    "unreached-pub-fn",
+                    &p.info.path,
+                    f.line,
+                    format!(
+                        "`pub fn {}` is reached from no production root (a binary, an example, an \
+                         experiment row or benchmark/src); delete it, or move it into the tests \
+                         that call it",
+                        f.name
+                    ),
+                ));
+            }
+        }
+    }
 }
 
 /// True when the token at `i` is inside a `#[test]`-masked region.

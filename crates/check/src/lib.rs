@@ -24,7 +24,10 @@
 //! (`dataflow`) prove that surface free of unordered `HashMap`/`HashSet`
 //! iteration, unpinned float reductions, nondeterministic sources, and
 //! unsanctioned panics, and the serve crate's marked query handlers free
-//! of locks, blocking I/O and snapshot rebuilds.
+//! of locks, blocking I/O and snapshot rebuilds. The same walk from the
+//! production roots — binaries, examples, experiment rows and
+//! `benchmark/src`, which is read for its roots only — finds
+//! `unreached-pub-fn`: a library `pub fn` no production path reaches.
 //!
 //! Violations are suppressed per line with
 //! `// linklens-allow(rule): justification`; a missing justification, an
@@ -80,33 +83,41 @@ pub fn check_workspace(root: &Path) -> std::io::Result<RunSummary> {
 
 /// The pure core of [`check_workspace`]: same two-phase analysis over
 /// in-memory sources. Fixture and rule tests drive this directly.
+///
+/// A [`FileKind::RootOnly`](workspace::FileKind::RootOnly) file is parsed
+/// for the production roots of `unreached-pub-fn` and checked by no rule.
 pub fn check_sources(sources: Vec<(FileInfo, String)>) -> RunSummary {
-    let files_checked = sources.len();
-
     // Phase 1: parse everything once; run the single-file rules.
     let parsed: Vec<symbols::ParsedFile> =
         sources.iter().map(|(info, src)| symbols::parse_file(info, src)).collect();
-    let mut per_file: Vec<Vec<rules::Diagnostic>> =
-        parsed.iter().map(|p| rules::phase1(&p.info, &p.lexed.tokens, &p.mask)).collect();
+    let checked = |p: &symbols::ParsedFile| p.info.kind != workspace::FileKind::RootOnly;
+    let mut per_file: Vec<Vec<rules::Diagnostic>> = parsed
+        .iter()
+        .map(|p| if checked(p) { rules::phase1(&p.info, &p.lexed.tokens, &p.mask) } else { vec![] })
+        .collect();
 
     // Phase 2: deterministic surface over the whole workspace, dataflow
-    // rules over every in-scope file, and a finding for each marker the
-    // dataflow rules would never see.
+    // rules over every in-scope file, a finding for each marker the
+    // dataflow rules would never see, and the library functions no
+    // production root reaches.
     let surface = callgraph::surface(&parsed);
-    for (p, diags) in parsed.iter().zip(per_file.iter_mut()) {
+    for (p, diags) in parsed.iter().zip(per_file.iter_mut()).filter(|(p, _)| checked(p)) {
         if callgraph::in_scope(&p.info) {
             dataflow::check_file(p, &surface, diags);
         } else {
             dataflow::unscanned_markers(p, diags);
         }
     }
+    callgraph::unreached_pub_fns(&parsed, &mut per_file);
 
     // Suppressions + directive audit, with full knowledge of both phases.
     let mut diagnostics = Vec::new();
-    for (p, mut diags) in parsed.iter().zip(per_file) {
+    let mut files_checked = 0;
+    for (p, mut diags) in parsed.iter().zip(per_file).filter(|(p, _)| checked(p)) {
         let allows = rules::parse_allows(&p.lexed.comments);
         rules::finish_file(&p.info, &p.lexed.tokens, &p.mask, &allows, &mut diags);
         diagnostics.extend(diags);
+        files_checked += 1;
     }
     RunSummary { files_checked, diagnostics }
 }

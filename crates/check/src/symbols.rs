@@ -1,7 +1,8 @@
 //! Phase 1 of the workspace analysis: every file parsed once into a
-//! symbol index — `fn` items with their body spans and enclosing `impl`
-//! context, `// linklens-deterministic` markers, and the per-file set of
-//! bindings whose type is an unordered `HashMap`/`HashSet`.
+//! symbol index — `fn` items with their body spans, visibility and
+//! enclosing `impl` or `trait` context, `// linklens-deterministic`
+//! markers, and the per-file set of bindings whose type is an unordered
+//! `HashMap`/`HashSet`.
 //!
 //! Everything here is an over-approximation built on the token stream
 //! from [`crate::lexer`]; there is deliberately no `syn` and no real type
@@ -18,6 +19,13 @@ use crate::workspace::FileInfo;
 #[derive(Debug)]
 pub(crate) struct FnSym {
     pub(crate) name: String,
+    /// Line of the `fn` keyword.
+    pub(crate) line: u32,
+    /// Declared plain `pub` (not `pub(crate)`, `pub(super)`, …).
+    pub(crate) is_pub: bool,
+    /// A method of a `trait` block or of an `impl Trait for Type` block:
+    /// the trait calls it, so no call site need name it.
+    pub(crate) trait_method: bool,
     /// Self type of the enclosing `impl` block, if any (`impl Foo`,
     /// `impl Trait for Foo` → `Foo`).
     pub(crate) impl_ctx: Option<String>,
@@ -90,9 +98,8 @@ fn collect_fns(lexed: &Lexed, mask: &[bool]) -> Vec<FnSym> {
     // type name. Nested impls don't occur in this workspace; a stack is
     // still kept so they'd resolve to the innermost.
     let impls = collect_impls(tokens);
-    let impl_ctx_at = |i: usize| -> Option<String> {
-        impls.iter().rfind(|(open, end, _)| *open <= i && i < *end).map(|(_, _, name)| name.clone())
-    };
+    let impl_at = |i: usize| impls.iter().rfind(|b| b.open <= i && i < b.end);
+    let traits = collect_trait_bodies(tokens);
 
     let mut fns = Vec::new();
     let mut i = 0;
@@ -121,9 +128,14 @@ fn collect_fns(lexed: &Lexed, mask: &[bool]) -> Vec<FnSym> {
             j += 1;
         }
         let marked = markers.iter().any(|&m| m <= fn_line && fn_line - m <= MARKER_REACH);
+        let in_impl = impl_at(i);
+        let in_trait = traits.iter().any(|&(open, end)| open <= i && i < end);
         fns.push(FnSym {
             name: name.to_string(),
-            impl_ctx: impl_ctx_at(i),
+            line: fn_line,
+            is_pub: plain_pub_before(tokens, i),
+            trait_method: in_trait || in_impl.is_some_and(|b| b.of_trait),
+            impl_ctx: in_impl.map(|b| b.self_ty.clone()),
             body,
             marked_deterministic: marked,
             in_test: mask.get(i).copied().unwrap_or(false),
@@ -136,8 +148,52 @@ fn collect_fns(lexed: &Lexed, mask: &[bool]) -> Vec<FnSym> {
     fns
 }
 
-/// `(body_open, body_end, self_type)` for every `impl` block.
-fn collect_impls(tokens: &[Token]) -> Vec<(usize, usize, String)> {
+/// Whether the `fn` keyword at `i` is declared plain `pub`: the token
+/// before it, past any `const` / `async` / `unsafe` / `extern "ABI"`
+/// qualifiers, is `pub` itself (`pub(crate) fn` ends in `)` there).
+fn plain_pub_before(tokens: &[Token], i: usize) -> bool {
+    let mut k = i;
+    while k > 0 {
+        k -= 1;
+        let qualifier =
+            matches!(ident_at(tokens, k), Some("const" | "async" | "unsafe" | "extern"))
+                || matches!(tokens[k].tok, lexer::Tok::Str);
+        if !qualifier {
+            return ident_at(tokens, k) == Some("pub");
+        }
+    }
+    false
+}
+
+/// One `impl` block: its body's token range, its self type, and whether
+/// it implements a trait (`impl Trait for Type`).
+struct ImplBlock {
+    open: usize,
+    end: usize,
+    self_ty: String,
+    of_trait: bool,
+}
+
+/// `(body_open, body_end)` of every `trait` block.
+fn collect_trait_bodies(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for i in 0..tokens.len() {
+        if ident_at(tokens, i) != Some("trait") || ident_at(tokens, i + 1).is_none() {
+            continue;
+        }
+        let mut j = i + 2;
+        while j < tokens.len() && !punct_at(tokens, j, '{') && !punct_at(tokens, j, ';') {
+            j += 1;
+        }
+        if punct_at(tokens, j, '{') {
+            out.push((j, past_matching_brace(tokens, j)));
+        }
+    }
+    out
+}
+
+/// Every `impl` block, in source order.
+fn collect_impls(tokens: &[Token]) -> Vec<ImplBlock> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -198,8 +254,9 @@ fn collect_impls(tokens: &[Token]) -> Vec<(usize, usize, String)> {
             continue;
         };
         let end = past_matching_brace(tokens, open);
-        if let Some(name) = for_ident.or(first_ident) {
-            out.push((open, end, name));
+        let of_trait = for_ident.is_some();
+        if let Some(self_ty) = for_ident.or(first_ident) {
+            out.push(ImplBlock { open, end, self_ty, of_trait });
         }
         i = open + 1; // descend into the body so nothing inside is skipped
     }

@@ -17,6 +17,10 @@ pub enum FileKind {
     Bench,
     /// Examples (`examples/`).
     Example,
+    /// The benchmark harness (`benchmark/src/`), a package outside the
+    /// workspace: read only for the production roots of
+    /// `unreached-pub-fn`. No rule scans it.
+    RootOnly,
 }
 
 /// One classified source file.
@@ -74,6 +78,7 @@ pub fn classify(rel: &str) -> Option<FileInfo> {
         ["tests", ..] => info("linklens", FileKind::Test, false, false),
         ["benches", ..] => info("linklens", FileKind::Bench, false, false),
         ["examples", ..] => info("linklens", FileKind::Example, false, false),
+        ["benchmark", "src", ..] => info("benchmark", FileKind::RootOnly, false, false),
         _ => None,
     }
 }
@@ -150,6 +155,11 @@ mod tests {
 
         let ex = classify("examples/quickstart.rs").expect("example");
         assert_eq!(ex.kind, FileKind::Example);
+
+        let harness = classify("benchmark/src/sweep.rs").expect("benchmark harness");
+        assert_eq!(harness.kind, FileKind::RootOnly);
+        assert!(!harness.is_crate_root);
+        assert!(classify("benchmark/tests/smoke.rs").is_none());
 
         assert!(classify("README.md").is_none());
         assert!(classify("results/figs/plot.rs").is_none());

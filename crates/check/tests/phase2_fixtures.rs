@@ -107,7 +107,12 @@ fn seeded_blocking_in_query_path_is_caught_and_suppressible() {
         "    // linklens-allow(blocking-in-query-path): wait-free counter bump, never held across scoring\n\
          \x20   let live = srv.live.lock().unwrap();\n",
     );
-    let summary = run(vec![fx("crates/serve/src/fx_handler.rs", &allowed)]);
+    // The server binary calls the handler, so it is reached.
+    let server = fx(
+        "crates/serve/src/bin/fx-serve.rs",
+        "#![forbid(unsafe_code)]\nfn main() { answer_query_fx(&srv); }",
+    );
+    let summary = run(vec![fx("crates/serve/src/fx_handler.rs", &allowed), server]);
     assert!(!summary.has_violations(), "{:?}", summary.diagnostics);
     assert_eq!(active_of(&summary, "stale-allow").len(), 0);
 
@@ -236,6 +241,114 @@ fn phase2_rules_can_be_suppressed_and_audited_like_any_other() {
                }\n";
     let summary = run(vec![fx("crates/graph/src/fx_stale2.rs", src)]);
     assert_eq!(active_of(&summary, "stale-allow").len(), 1, "{:?}", summary.diagnostics);
+}
+
+// --- unreached-pub-fn ----------------------------------------------------
+
+/// The line every crate root, binaries included, must start with.
+const FORBID: &str = "#![forbid(unsafe_code)]\n";
+
+/// A library file with one `pub fn` and its unit test.
+const LIB_WITH_TEST: &str = "pub fn fx_helper(x: u32) -> u32 { x + 1 }\n\
+                             #[cfg(test)]\n\
+                             mod tests {\n\
+                             \x20   #[test]\n\
+                             \x20   fn t() { assert_eq!(super::fx_helper(1), 2); }\n\
+                             }\n";
+
+#[test]
+fn pub_fn_only_tests_and_oracles_call_is_unreached() {
+    // The binary's call goes to the oracle's namesake, through its path.
+    let bin = format!("{FORBID}fn main() {{ oracles::fx_ref::fx_helper(2); }}\n");
+    let summary = run(vec![
+        fx("crates/linalg/src/fx_dense.rs", LIB_WITH_TEST),
+        fx("crates/linalg/tests/fx_props.rs", "#[test]\nfn p() { fx_helper(3); }\n"),
+        fx("crates/bench/src/oracles/fx_ref.rs", "pub fn fx_helper() -> u32 { fx_ref(4) }\n"),
+        fx("crates/bench/benches/fx_cost.rs", "fn main() { fx_helper(5); }\n"),
+        fx("crates/bench/src/bin/fx_runner.rs", &bin),
+    ]);
+    let hits = active_of(&summary, "unreached-pub-fn");
+    assert_eq!(hits.len(), 1, "{:?}", summary.diagnostics);
+    assert_eq!((hits[0].path.as_str(), hits[0].line), ("crates/linalg/src/fx_dense.rs", 1));
+    assert!(hits[0].message.contains("fx_helper"), "{}", hits[0].message);
+}
+
+#[test]
+fn pub_fn_called_from_any_production_root_is_reached() {
+    for (path, caller) in [
+        ("crates/bench/src/bin/fx_runner.rs", "fn main() { fx_helper(1); }\n"),
+        ("crates/serve/src/bin/fx-serve.rs", "fn main() { fx_helper(1); }\n"),
+        ("src/bin/fx_cli.rs", "fn run() { fx_helper(1); }\n"),
+        ("examples/fx_demo.rs", "fn main() { fx_helper(1); }\n"),
+        ("benchmark/src/fx_sweep.rs", "pub fn sweep() { fx_helper(1); }\n"),
+        ("crates/bench/src/experiments/fx_row.rs", "fn table9(ctx: &Context) { fx_helper(1); }\n"),
+    ] {
+        let caller = format!("{FORBID}{caller}");
+        let summary =
+            run(vec![fx("crates/linalg/src/fx_dense.rs", LIB_WITH_TEST), fx(path, &caller)]);
+        assert!(!summary.has_violations(), "{path}: {:?}", summary.diagnostics);
+    }
+}
+
+#[test]
+fn reach_follows_paths_library_calls_and_trait_impls() {
+    let lib = "pub fn from_vec(n: usize, d: Vec<f64>) -> M { M }\n\
+               pub fn fx_outer() -> u32 { fx_inner() }\n\
+               pub fn fx_inner() -> u32 { 1 }\n\
+               impl std::fmt::Display for M {\n\
+               \x20   fn fmt(&self, f: &mut Formatter) -> Result { fx_render(self) }\n\
+               }\n\
+               pub fn fx_render(m: &M) -> Result { Ok(()) }\n\
+               pub trait Fx {\n\
+               \x20   fn fx_default(&self) -> u32 { fx_from_default() }\n\
+               }\n\
+               pub fn fx_from_default() -> u32 { 2 }\n\
+               pub(crate) fn fx_crate_only() {}\n";
+    let bin = format!(
+        "{FORBID}fn main() {{ let ms: Vec<M> = rows.into_iter().map(Matrix::from_vec).collect(); \
+         fx_outer(); }}\n"
+    );
+    let summary = run(vec![
+        fx("crates/linalg/src/fx_dense.rs", lib),
+        fx("crates/bench/src/bin/fx_runner.rs", &bin),
+    ]);
+    assert!(!summary.has_violations(), "{:?}", summary.diagnostics);
+
+    // Without the binary, only the trait-rooted code stays reached.
+    let summary = run(vec![fx("crates/linalg/src/fx_dense.rs", lib)]);
+    let mut names: Vec<&str> = active_of(&summary, "unreached-pub-fn")
+        .iter()
+        .map(|d| d.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    names.sort_unstable();
+    assert_eq!(names, ["pub fn from_vec", "pub fn fx_inner", "pub fn fx_outer"]);
+}
+
+#[test]
+fn a_justified_allow_keeps_a_test_seam_until_something_calls_it() {
+    let seam = "// linklens-allow(unreached-pub-fn): the fixture tests need the private fields\n\
+                pub fn fx_seam() -> u32 { 1 }\n";
+    let summary = run(vec![fx("crates/graph/src/fx_seam.rs", seam)]);
+    assert!(!summary.has_violations(), "{:?}", summary.diagnostics);
+    assert_eq!(summary.suppressed().count(), 1);
+
+    let caller = fx("examples/fx_demo.rs", "fn main() { fx_seam(); }\n");
+    let summary = run(vec![fx("crates/graph/src/fx_seam.rs", seam), caller]);
+    let hits = active_of(&summary, "stale-allow");
+    assert_eq!(hits.len(), 1, "{:?}", summary.diagnostics);
+    assert_eq!(hits[0].line, 1);
+}
+
+#[test]
+fn benchmark_sources_are_read_as_roots_only() {
+    // Hazards every rule would flag in a binary go unreported here.
+    let harness = "// linklens-deterministic: not a scanned file\n\
+                   fn main() { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n\
+                   // linklens-allow(unwrap-in-lib): nothing here to suppress\n\
+                   fn quiet() {}\n";
+    let summary = run(vec![fx("benchmark/src/main.rs", harness)]);
+    assert!(summary.diagnostics.is_empty(), "{:?}", summary.diagnostics);
+    assert_eq!(summary.files_checked, 0);
 }
 
 // --- rule table ----------------------------------------------------------

@@ -20,6 +20,7 @@ use osn_graph::temporal::TemporalGraph;
 use osn_graph::{par, NodeId};
 use osn_metrics::traits::Metric;
 use osn_metrics::{exec, topk};
+use osn_ml::eval::roc_auc;
 use serde::Serialize;
 
 /// Sampled AUC of a metric on a transition: the probability that a random
@@ -28,29 +29,21 @@ use serde::Serialize;
 /// the protocol of Lü & Zhou's survey \[28\].
 ///
 /// `negatives` bounds the sampled negative set; positives are used in
-/// full. Returns 0.5 for degenerate inputs.
+/// full. Returns 0.5 for degenerate inputs, and NaN when a score is NaN.
+///
+/// The statistic is [`roc_auc`]'s Mann–Whitney U over the two score
+/// lists. Positives and negatives are scored as separate batches, since a
+/// walk metric's score of a pair depends on the batch it is scored in.
 pub fn auc_of_metric(
     metric: &dyn Metric,
     snap: &Snapshot,
     positives: &[(NodeId, NodeId)],
     negatives: &[(NodeId, NodeId)],
 ) -> f64 {
-    if positives.is_empty() || negatives.is_empty() {
-        return 0.5;
-    }
-    let pos_scores = exec::score_pairs_t(metric, snap, positives, par::max_threads());
-    let neg_scores = exec::score_pairs_t(metric, snap, negatives, par::max_threads());
-    let mut wins = 0.0f64;
-    for &p in &pos_scores {
-        for &n in &neg_scores {
-            if p > n {
-                wins += 1.0;
-            } else if p == n {
-                wins += 0.5;
-            }
-        }
-    }
-    wins / (pos_scores.len() as f64 * neg_scores.len() as f64)
+    let mut scores = exec::score_pairs_t(metric, snap, positives, par::max_threads());
+    scores.extend(exec::score_pairs_t(metric, snap, negatives, par::max_threads()));
+    let truth: Vec<bool> = (0..scores.len()).map(|i| i < positives.len()).collect();
+    roc_auc(&scores, &truth)
 }
 
 /// Result of a missing-link recovery run.

@@ -207,13 +207,6 @@ impl<'a> ClassificationPipeline<'a> {
         ClassificationPipeline { seq, config, metrics: osn_metrics::all_metrics() }
     }
 
-    /// Overrides the feature metrics (tests use cheap subsets).
-    pub fn with_metrics(mut self, metrics: Vec<Box<dyn Metric>>) -> Self {
-        assert!(!metrics.is_empty());
-        self.metrics = metrics;
-        self
-    }
-
     /// Feature names in column order.
     pub fn feature_names(&self) -> Vec<String> {
         self.metrics.iter().map(|m| m.name().to_string()).collect()
@@ -568,8 +561,13 @@ mod tests {
         g
     }
 
-    fn cheap_metrics() -> Vec<Box<dyn Metric>> {
-        vec![Box::new(LocalKind::Cn), Box::new(LocalKind::Ra)]
+    /// A pipeline over the cheap feature subset CN and RA.
+    fn cheap_pipeline<'a>(
+        seq: &'a SnapshotSequence<'a>,
+        config: ClassificationConfig,
+    ) -> ClassificationPipeline<'a> {
+        let metrics: Vec<Box<dyn Metric>> = vec![Box::new(LocalKind::Cn), Box::new(LocalKind::Ra)];
+        ClassificationPipeline { seq, config, metrics }
     }
 
     #[test]
@@ -577,7 +575,7 @@ mod tests {
         let trace = closure_trace();
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 2, ..Default::default() };
-        let pipe = ClassificationPipeline::new(&seq, cfg).with_metrics(cheap_metrics());
+        let pipe = cheap_pipeline(&seq, cfg);
         let out = pipe.evaluate(ClassifierKind::Svm, 5.0, 2, None);
         assert_eq!(out.classifier, "SVM");
         assert!(out.mean_k > 0.0);
@@ -596,7 +594,7 @@ mod tests {
         let trace = closure_trace();
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 1, ..Default::default() };
-        let pipe = ClassificationPipeline::new(&seq, cfg).with_metrics(cheap_metrics());
+        let pipe = cheap_pipeline(&seq, cfg);
         let out = pipe.evaluate(ClassifierKind::NaiveBayes, 5.0, 2, None);
         assert_eq!(out.classifier, "NB");
         assert!(out.svm_coefficients.is_none());
@@ -607,7 +605,7 @@ mod tests {
         let trace = closure_trace();
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 1, ..Default::default() };
-        let pipe = ClassificationPipeline::new(&seq, cfg).with_metrics(cheap_metrics());
+        let pipe = cheap_pipeline(&seq, cfg);
         let out = pipe.sweep(
             &[ClassifierKind::Svm, ClassifierKind::LogisticRegression],
             &[1.0, 10.0],
@@ -626,7 +624,7 @@ mod tests {
         let trace = closure_trace();
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 2, ..Default::default() };
-        let pipe = ClassificationPipeline::new(&seq, cfg).with_metrics(cheap_metrics());
+        let pipe = cheap_pipeline(&seq, cfg);
         let out = pipe.evaluate_metric_on_sample(&LocalKind::Cn, 2, None);
         assert_eq!(out.metric, "CN");
         assert!(out.accuracy_ratio > 0.0);
@@ -641,15 +639,8 @@ mod tests {
         let trace = closure_trace();
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 2, ..Default::default() };
-        let a = ClassificationPipeline::new(&seq, cfg.clone())
-            .with_metrics(cheap_metrics())
-            .evaluate(ClassifierKind::Svm, 5.0, 2, None);
-        let b = ClassificationPipeline::new(&seq, cfg).with_metrics(cheap_metrics()).evaluate(
-            ClassifierKind::Svm,
-            5.0,
-            2,
-            None,
-        );
+        let a = cheap_pipeline(&seq, cfg.clone()).evaluate(ClassifierKind::Svm, 5.0, 2, None);
+        let b = cheap_pipeline(&seq, cfg).evaluate(ClassifierKind::Svm, 5.0, 2, None);
         assert_eq!(a.mean_k, b.mean_k);
         assert_eq!(a.mean_accuracy_ratio, b.mean_accuracy_ratio);
         assert_eq!(a.mean_absolute_accuracy, b.mean_absolute_accuracy);
@@ -681,8 +672,8 @@ mod tests {
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let full = ClassificationConfig { sampling_p: 1.0, n_seeds: 1, ..Default::default() };
         let half = ClassificationConfig { sampling_p: 0.4, n_seeds: 1, ..Default::default() };
-        let pf = ClassificationPipeline::new(&seq, full).with_metrics(cheap_metrics());
-        let ph = ClassificationPipeline::new(&seq, half).with_metrics(cheap_metrics());
+        let pf = cheap_pipeline(&seq, full);
+        let ph = cheap_pipeline(&seq, half);
         let df = pf.seed_diagnostics(2);
         let dh = ph.seed_diagnostics(2);
         assert!(dh[0].0 < df[0].0, "sample size should shrink");
@@ -700,8 +691,7 @@ mod tests {
     fn transition_one_is_rejected() {
         let trace = closure_trace();
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
-        let pipe =
-            ClassificationPipeline::new(&seq, Default::default()).with_metrics(cheap_metrics());
+        let pipe = cheap_pipeline(&seq, Default::default());
         let _ = pipe.evaluate(ClassifierKind::Svm, 1.0, 1, None);
     }
 }

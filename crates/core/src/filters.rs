@@ -114,75 +114,6 @@ impl FilterThresholds {
         }
     }
 
-    /// The tightest thresholds that retain *every* given positive pair on
-    /// `snap` — the maximum-pruning point of §6.2's trade-off that
-    /// provably cannot cost accuracy. Returns `None` when `positives` is
-    /// empty (no constraint → no meaningful threshold).
-    ///
-    /// All four criteria are monotone in their thresholds, so the
-    /// component-wise extrema of the positives' features (max idle times
-    /// and CN gap, min recent-edge count) are simultaneously feasible and
-    /// tightest: any stricter setting rejects some positive. Retaining
-    /// every positive makes top-k hits per transition monotonically no
-    /// worse than unpruned: surviving pairs keep identical scores and
-    /// pair-seeded tie-break keys, so pruning only removes competitors
-    /// (up to 64-bit jitter collisions, which the e2e bench asserts
-    /// against empirically).
-    ///
-    /// Over a multi-transition sweep, call this per transition and fold
-    /// the results with [`loosened_to_cover`](Self::loosened_to_cover).
-    pub fn tightest_retaining(
-        snap: &Snapshot,
-        positives: &[(NodeId, NodeId)],
-        window_days: f64,
-    ) -> Option<Self> {
-        if positives.is_empty() {
-            return None;
-        }
-        let window = (window_days * DAY as f64) as Timestamp;
-        let mut max_act: f64 = 0.0;
-        let mut max_inact: f64 = 0.0;
-        let mut min_recent = usize::MAX;
-        let mut max_gap: f64 = 0.0; // positives without a CN add no gap constraint
-        for &(u, v) in positives {
-            let f = pair_features(snap, u, v, window);
-            max_act = max_act.max(f.active_idle_days);
-            max_inact = max_inact.max(f.inactive_idle_days);
-            min_recent = min_recent.min(f.recent_edges_active);
-            if let Some(g) = f.cn_gap_days {
-                max_gap = max_gap.max(g);
-            }
-        }
-        // The criteria are strict (`>=` rejects), so each bound must sit a
-        // hair above the worst positive's feature.
-        let above = |d: f64| d + d.abs() * 1e-9 + 1e-6;
-        Some(FilterThresholds {
-            active_idle_days: above(max_act),
-            inactive_idle_days: above(max_inact),
-            window_days,
-            min_recent_edges: min_recent,
-            cn_gap_days: above(max_gap),
-        })
-    }
-
-    /// Component-wise union with `other`: the loosest of each pair of
-    /// bounds, so everything either threshold set retains stays retained.
-    /// Both sides must share `window_days` (the recent-edge features are
-    /// incomparable otherwise).
-    pub fn loosened_to_cover(self, other: Self) -> Self {
-        debug_assert_eq!(
-            self.window_days, other.window_days,
-            "cannot union thresholds across different recent-edge windows"
-        );
-        FilterThresholds {
-            active_idle_days: self.active_idle_days.max(other.active_idle_days),
-            inactive_idle_days: self.inactive_idle_days.max(other.inactive_idle_days),
-            window_days: self.window_days,
-            min_recent_edges: self.min_recent_edges.min(other.min_recent_edges),
-            cn_gap_days: self.cn_gap_days.max(other.cn_gap_days),
-        }
-    }
-
     /// These thresholds in enumeration-ready form, for pushing the filter
     /// into candidate enumeration ([`osn_graph::activity`]). The spec
     /// carries the same five fields; pruned enumeration with it equals
@@ -204,11 +135,20 @@ impl FilterThresholds {
 ///
 /// Feed it each transition's positives measured on that transition's own
 /// observed snapshot ([`observe`](Self::observe)), then read thresholds at
-/// a retention quantile `q` ([`thresholds_at`](Self::thresholds_at)):
-/// `q = 1.0` reproduces [`FilterThresholds::tightest_retaining`] pooled
-/// over the sweep (retain every observed positive — provably
-/// accuracy-safe); lower `q` trades a `1 − q` tail of temporal-outlier
-/// positives for more pruning, the paper's actual operating point.
+/// a retention quantile `q` ([`thresholds_at`](Self::thresholds_at)).
+///
+/// `q = 1.0` gives the tightest thresholds that retain every observed
+/// positive: the maximum-pruning point of §6.2's trade-off that provably
+/// cannot cost accuracy. All four criteria are monotone in their
+/// thresholds, so the component-wise extrema of the positives' features
+/// (max idle times and CN gap, min recent-edge count) are simultaneously
+/// feasible and tightest: any stricter setting rejects some positive.
+/// Retaining every positive makes top-k hits per transition no worse than
+/// unpruned: surviving pairs keep identical scores and pair-seeded
+/// tie-break keys, so pruning only removes competitors (up to 64-bit
+/// jitter collisions). Lower `q` trades a `1 − q` tail of
+/// temporal-outlier positives for more pruning, the paper's actual
+/// operating point.
 #[derive(Clone, Debug, Default)]
 pub struct PositiveFeatureStats {
     act: Vec<f64>,
@@ -477,36 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn tightest_retaining_keeps_all_positives_and_is_tight() {
-        let s = fixture();
-        let positives = vec![(0, 2), (1, 5)];
-        let th =
-            FilterThresholds::tightest_retaining(&s, &positives, 7.0).expect("non-empty positives");
-        let f = TemporalFilter::new(th);
-        assert_eq!(f.filter_pairs(&s, &positives), positives, "must retain every positive");
-        // Tightness: shrinking any idle/gap bound below the worst positive,
-        // or raising the recent-edge floor, must reject one.
-        let worst_inact = positives
-            .iter()
-            .map(|&(u, v)| {
-                pair_features(&s, u, v, (7.0 * DAY as f64) as Timestamp).inactive_idle_days
-            })
-            .fold(0.0, f64::max);
-        let mut tighter = th;
-        tighter.inactive_idle_days = worst_inact;
-        assert!(
-            TemporalFilter::new(tighter).filter_pairs(&s, &positives).len() < positives.len(),
-            "bound at the worst positive's feature must reject it (strict criterion)"
-        );
-        let mut more_recent = th;
-        more_recent.min_recent_edges += 1;
-        assert!(
-            TemporalFilter::new(more_recent).filter_pairs(&s, &positives).len() < positives.len()
-        );
-        assert!(FilterThresholds::tightest_retaining(&s, &[], 7.0).is_none());
-    }
-
-    #[test]
     fn feature_stats_full_quantile_retains_everything_and_tightens_monotonically() {
         let s = fixture();
         let positives = vec![(0, 2), (1, 5)];
@@ -520,26 +430,30 @@ mod tests {
             positives,
             "q = 1.0 must retain every observed positive"
         );
+        // And it is tight: a bound at the worst positive's feature, or a
+        // recent-edge floor one higher, rejects some positive.
+        let worst_inact = positives
+            .iter()
+            .map(|&(u, v)| {
+                pair_features(&s, u, v, (7.0 * DAY as f64) as Timestamp).inactive_idle_days
+            })
+            .fold(0.0, f64::max);
+        let mut at_worst = full;
+        at_worst.inactive_idle_days = worst_inact;
+        assert!(
+            TemporalFilter::new(at_worst).filter_pairs(&s, &positives).len() < positives.len(),
+            "bound at the worst positive's feature must reject it (strict criterion)"
+        );
+        let mut more_recent = full;
+        more_recent.min_recent_edges += 1;
+        assert!(
+            TemporalFilter::new(more_recent).filter_pairs(&s, &positives).len() < positives.len()
+        );
         let tighter = stats.thresholds_at(0.5).expect("observed");
         assert!(tighter.active_idle_days <= full.active_idle_days);
         assert!(tighter.inactive_idle_days <= full.inactive_idle_days);
         assert!(tighter.cn_gap_days <= full.cn_gap_days);
         assert!(tighter.min_recent_edges >= full.min_recent_edges);
-    }
-
-    #[test]
-    fn loosened_to_cover_retains_both_sides() {
-        let s = fixture();
-        let a_pos = vec![(0, 2)];
-        let b_pos = vec![(1, 5)];
-        let a = FilterThresholds::tightest_retaining(&s, &a_pos, 7.0).expect("positives");
-        let b = FilterThresholds::tightest_retaining(&s, &b_pos, 7.0).expect("positives");
-        let union = a.loosened_to_cover(b);
-        let f = TemporalFilter::new(union);
-        assert_eq!(f.filter_pairs(&s, &a_pos), a_pos);
-        assert_eq!(f.filter_pairs(&s, &b_pos), b_pos);
-        assert!(union.active_idle_days >= a.active_idle_days.max(b.active_idle_days) - 1e-12);
-        assert_eq!(union.min_recent_edges, a.min_recent_edges.min(b.min_recent_edges));
     }
 
     #[test]

@@ -377,25 +377,6 @@ impl<'a> SequenceEvaluator<'a> {
         crate::sampling::evaluate_metric_sampled_on(metric, &prev, &truth, t, filter, spec)
     }
 
-    /// The *accuracy ceiling* of a candidate policy on transition `t`: the
-    /// fraction of ground-truth edges that appear in the policy's
-    /// candidate set at all. No predictor restricted to that policy can
-    /// exceed this absolute accuracy — it quantifies the paper's point
-    /// that "a significant number of new links connect distant nodes" (§8)
-    /// and that predictions are dominated by 2-hop pairs (§4.2).
-    pub fn truth_coverage(&self, policy: CandidatePolicy, t: usize) -> f64 {
-        assert!(t >= 1 && t < self.seq.len());
-        let prev = self.seq.snapshot(t - 1);
-        let truth = self.ground_truth(t);
-        if truth.is_empty() {
-            return 0.0;
-        }
-        // Uncapped: the ceiling must be exact.
-        let cands = CandidateSet::build(&prev, policy, self.top_degree_candidates);
-        let set: HashSet<(NodeId, NodeId)> = cands.pairs().iter().copied().collect();
-        truth.iter().filter(|p| set.contains(p)).count() as f64 / truth.len() as f64
-    }
-
     /// Raw top-k predictions for transition `t` — the input to the §4.4
     /// bias analyses (Fig. 7/8, Table 5). Routed through the same batched
     /// engine as the sweep, so a prediction inspected here is bit-identical
@@ -532,21 +513,6 @@ mod tests {
     fn unconnected_pair_count_matches_formula() {
         let s = Snapshot::from_edges(5, &[(0, 1), (1, 2)]);
         assert_eq!(unconnected_pair_count(&s), 10.0 - 2.0);
-    }
-
-    #[test]
-    fn truth_coverage_bounds_absolute_accuracy() {
-        let trace = closing_square();
-        let seq = SnapshotSequence::by_edge_delta(&trace, 4);
-        let eval = SequenceEvaluator::new(&seq);
-        // Truth: diagonals (2-hop) + (0,4) and (4,5) (no shared neighbor).
-        let two = eval.truth_coverage(osn_metrics::traits::CandidatePolicy::TwoHop, 1);
-        assert_eq!(two, 0.5, "only the 2 diagonals of 4 truth edges are 2-hop");
-        let three = eval.truth_coverage(osn_metrics::traits::CandidatePolicy::ThreeHop, 1);
-        assert!(three >= two);
-        // And no metric can beat the ceiling.
-        let out = eval.evaluate_metric(&LocalKind::Cn, 1);
-        assert!(out.absolute_accuracy <= two + 1e-12);
     }
 
     #[test]

@@ -24,10 +24,6 @@
 use crate::snapshot::Snapshot;
 use crate::{NodeId, Timestamp, DAY};
 
-/// Upper bound on the day-bucket ring length (a window rarely exceeds a
-/// few weeks; Table 7 tops out at 21 days).
-const MAX_RING_DAYS: u64 = 64;
-
 /// Table 7 thresholds in enumeration-ready form. Mirrors
 /// `linklens_core::filters::FilterThresholds` field-for-field; the core
 /// crate converts via `FilterThresholds::prune_spec`.
@@ -111,9 +107,7 @@ impl PruneSpec {
 
 /// Per-node activity features of one snapshot: idle time and recent-edge
 /// count, computed in a single CSR pass and shared by every enumerator of
-/// the snapshot. Also keeps a per-node ring of day buckets (edge counts
-/// by age in days) so integral-day windows other than the build window
-/// can be answered without rescanning timestamps.
+/// the snapshot.
 pub struct NodeActivity {
     window: Timestamp,
     /// `(time - last_activity) / DAY` as f64; `INFINITY` for never-active
@@ -121,25 +115,18 @@ pub struct NodeActivity {
     idle_days: Vec<f64>,
     /// Exact [`Snapshot::recent_edge_count`] for the build window.
     recent: Vec<u32>,
-    ring_days: u64,
-    /// `ring[u * ring_days + d]` = number of `u`'s edges aged
-    /// `[d, d + 1)` days at snapshot time.
-    ring: Vec<u32>,
 }
 
 impl NodeActivity {
     /// Builds the table for `snap` with a recent-edge `window` in seconds
     /// (normally [`PruneSpec::window`]). One pass over the CSR timestamp
-    /// arrays; O(V · ring + E) time and O(V · ring) space, where `ring`
-    /// is the window rounded up to whole days (capped at 64).
+    /// arrays; O(V + E) time and O(V) space.
     pub fn build(snap: &Snapshot, window: Timestamp) -> Self {
         let n = snap.node_count();
         let t = snap.time();
         let lo = t.saturating_sub(window);
-        let ring_days = window.div_ceil(DAY).clamp(1, MAX_RING_DAYS);
         let mut idle_days = Vec::with_capacity(n);
         let mut recent = Vec::with_capacity(n);
-        let mut ring = vec![0u32; n * ring_days as usize];
         for u in 0..n {
             let times = snap.neighbor_times(u as NodeId);
             let mut last: Option<Timestamp> = None;
@@ -149,15 +136,11 @@ impl NodeActivity {
                 if et > lo {
                     count += 1;
                 }
-                let age = (t - et) / DAY;
-                if age < ring_days {
-                    ring[u * ring_days as usize + age as usize] += 1;
-                }
             }
             idle_days.push(last.map(|l| (t - l) as f64 / DAY as f64).unwrap_or(f64::INFINITY));
             recent.push(count);
         }
-        NodeActivity { window, idle_days, recent, ring_days, ring }
+        NodeActivity { window, idle_days, recent }
     }
 
     /// The window this table was built for, in seconds.
@@ -177,17 +160,6 @@ impl NodeActivity {
     #[inline]
     pub fn recent_edges(&self, u: NodeId) -> usize {
         self.recent[u as usize] as usize
-    }
-
-    /// `u`'s edge count within the most recent `days` whole days, answered
-    /// from the day-bucket ring. For integral-day windows `≤` the ring
-    /// length this equals `recent_edge_count(u, days * DAY)` exactly (an
-    /// edge aged exactly `days` days falls in bucket `days`, outside the
-    /// sum, matching the strict `t > time - window` cutoff).
-    pub fn recent_edges_within_days(&self, u: NodeId, days: usize) -> usize {
-        let d = (days as u64).min(self.ring_days) as usize;
-        let base = u as usize * self.ring_days as usize;
-        self.ring[base..base + d].iter().map(|&c| c as usize).sum()
     }
 }
 
@@ -248,21 +220,6 @@ mod tests {
         let act = NodeActivity::build(&s, DAY);
         assert!(act.idle_days(2).is_infinite());
         assert_eq!(act.recent_edges(2), 0);
-    }
-
-    #[test]
-    fn ring_answers_integral_day_windows_exactly() {
-        let s = fixture();
-        let act = NodeActivity::build(&s, 21 * DAY);
-        for u in 0..s.node_count() as NodeId {
-            for days in [1usize, 2, 7, 21] {
-                assert_eq!(
-                    act.recent_edges_within_days(u, days),
-                    s.recent_edge_count(u, days as Timestamp * DAY),
-                    "u={u} days={days}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -19,14 +19,14 @@
 //! endpoint's arrival. Real-world edge lists without arrival records load
 //! via [`read_edge_list`], which infers arrivals as first appearance.
 //!
-//! For repeated runs over the same trace, [`write_cache`] / [`read_cache`]
-//! provide a versioned, checksummed binary format that skips text parsing
-//! entirely (see `DESIGN.md` §16 for the sectioned layout); [`read_cache_file`]
-//! / [`write_cache_file`] are the path-based conveniences the CLI and bench
-//! harness use. Large traces stream through [`CacheStreamWriter`] /
-//! [`CacheFileWriter`] on the way out and [`SectionedCacheReader`] (behind
-//! the [`TraceReader`] trait) on the way in, so neither side ever holds the
-//! full edge list in memory.
+//! For repeated runs over the same trace, a versioned, checksummed binary
+//! cache skips text parsing entirely (see `DESIGN.md` §16 for the
+//! sectioned layout). [`write_cache_file`] writes an in-core trace to a
+//! path, and [`read_cache_file`] / [`read_cache`] read one back in core.
+//! Large traces stream through [`CacheStreamWriter`] / [`CacheFileWriter`]
+//! on the way out and [`SectionedCacheReader`] (behind the [`TraceReader`]
+//! trait) on the way in, so neither side ever holds the full edge list in
+//! memory.
 //!
 //! Unlike the text format, a cache never holds a pair twice. The writer
 //! does not check this, since that would take a set of every pair written;
@@ -731,24 +731,7 @@ fn edge_violation(
     None
 }
 
-/// Writes a trace in the sectioned binary cache format (see
-/// [`CacheStreamWriter`] for the layout). An in-core trace produces one run
-/// of arrival sections followed by one run of edge sections, each split at
-/// the default section threshold.
-pub fn write_cache<W: Write>(trace: &TemporalGraph, writer: W) -> Result<(), TraceIoError> {
-    let mut w = CacheStreamWriter::new(BufWriter::new(writer))?;
-    for &t in trace.arrivals() {
-        w.push_arrival(t)?;
-    }
-    for e in trace.edges() {
-        w.push_edge(e.u, e.v, e.t)?;
-    }
-    let (mut inner, _) = w.finish()?;
-    inner.flush()?;
-    Ok(())
-}
-
-/// Reads a trace written by [`write_cache`] / [`CacheStreamWriter`],
+/// Reads a trace written by [`write_cache_file`] / [`CacheStreamWriter`],
 /// verifying magic, version, every per-section checksum and every event in
 /// one streaming pass (fixed 64 KiB chunks — corruption is detected without
 /// a full-file allocation, and the error names the bad section). Any mismatch
@@ -789,9 +772,12 @@ pub fn read_cache_file(path: impl AsRef<std::path::Path>) -> Result<TemporalGrap
     read_cache(std::fs::File::open(path)?)
 }
 
-/// [`write_cache`] to a filesystem path, creating parent directories. The
-/// file is written via a temporary sibling and renamed so a crashed run
-/// never leaves a truncated cache behind.
+/// Writes an in-core trace in the sectioned binary cache format (see
+/// [`CacheStreamWriter`] for the layout) to a filesystem path, creating
+/// parent directories: one run of arrival sections, then one run of edge
+/// sections, each split at the default section threshold. The file is
+/// written via a temporary sibling and renamed so a crashed run never
+/// leaves a truncated cache behind.
 pub fn write_cache_file(
     trace: &TemporalGraph,
     path: impl AsRef<std::path::Path>,
@@ -935,11 +921,6 @@ impl SectionedCacheReader {
             )?
         };
         Ok(Self { file, arrivals, sections, edges: summary.edges })
-    }
-
-    /// Number of edge sections in the index (exposed for benches/tests).
-    pub fn edge_section_count(&self) -> usize {
-        self.sections.len()
     }
 }
 
@@ -1197,11 +1178,24 @@ mod tests {
         assert_eq!(edges, vec![(0, 1, 4), (1, 2, 9)]);
     }
 
+    /// `trace` in the cache format, streamed in memory at `section_bytes`
+    /// per section.
+    fn cache_bytes(trace: &TemporalGraph, section_bytes: usize) -> (Vec<u8>, CacheSummary) {
+        let mut w = CacheStreamWriter::with_section_bytes(Vec::new(), section_bytes).unwrap();
+        for &t in trace.arrivals() {
+            w.push_arrival(t).unwrap();
+        }
+        for e in trace.edges() {
+            w.push_edge(e.u, e.v, e.t).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
     #[test]
     fn cache_round_trips_exactly() {
         let g = sample();
-        let mut buf = Vec::new();
-        write_cache(&g, &mut buf).unwrap();
+        let (buf, summary) = cache_bytes(&g, DEFAULT_SECTION_BYTES);
+        assert_eq!(summary, CacheSummary { nodes: 3, edges: 3, sections: 2 });
         let back = read_cache(&buf[..]).unwrap();
         assert_eq!(back.arrivals(), g.arrivals());
         assert_eq!(back.edges(), g.edges());
@@ -1210,9 +1204,7 @@ mod tests {
 
     #[test]
     fn cache_rejects_corruption() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_cache(&g, &mut buf).unwrap();
+        let (buf, _) = cache_bytes(&sample(), DEFAULT_SECTION_BYTES);
 
         // Flip one payload byte: checksum mismatch.
         let mut bad = buf.clone();
@@ -1243,6 +1235,11 @@ mod tests {
         let dir = std::env::temp_dir().join("linklens-test-cache");
         let path = dir.join("trace.llc");
         write_cache_file(&g, &path).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            cache_bytes(&g, DEFAULT_SECTION_BYTES).0,
+            "the streamed format"
+        );
         let back = read_cache_file(&path).unwrap();
         assert_eq!(back.edges(), g.edges());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1261,36 +1258,11 @@ mod tests {
     }
 
     #[test]
-    fn stream_writer_bytes_match_write_cache() {
-        let g = sample();
-        let mut via_fn = Vec::new();
-        write_cache(&g, &mut via_fn).unwrap();
-        let mut w = CacheStreamWriter::new(Vec::new()).unwrap();
-        for &t in g.arrivals() {
-            w.push_arrival(t).unwrap();
-        }
-        for e in g.edges() {
-            w.push_edge(e.u, e.v, e.t).unwrap();
-        }
-        let (via_stream, summary) = w.finish().unwrap();
-        assert_eq!(via_fn, via_stream, "write_cache must be the streamed format bit for bit");
-        assert_eq!(summary, CacheSummary { nodes: 3, edges: 3, sections: 2 });
-    }
-
-    #[test]
     fn small_sections_round_trip_identically() {
         let g = chain(200);
-        let mut default_bytes = Vec::new();
-        write_cache(&g, &mut default_bytes).unwrap();
+        let (default_bytes, _) = cache_bytes(&g, DEFAULT_SECTION_BYTES);
         for section_bytes in [16usize, 48, 1024] {
-            let mut w = CacheStreamWriter::with_section_bytes(Vec::new(), section_bytes).unwrap();
-            for &t in g.arrivals() {
-                w.push_arrival(t).unwrap();
-            }
-            for e in g.edges() {
-                w.push_edge(e.u, e.v, e.t).unwrap();
-            }
-            let (bytes, summary) = w.finish().unwrap();
+            let (bytes, summary) = cache_bytes(&g, section_bytes);
             assert!(summary.sections > 2, "threshold {section_bytes} should force splits");
             let back = read_cache(&bytes[..]).unwrap();
             assert_eq!(back.arrivals(), g.arrivals());
@@ -1434,7 +1406,7 @@ mod tests {
         std::fs::rename(&tmp, &path).unwrap();
 
         let mut r = SectionedCacheReader::open(&path).unwrap();
-        assert!(r.edge_section_count() > 10, "48-byte sections hold at most 3 edges");
+        assert!(r.sections.len() > 10, "48-byte sections hold at most 3 edges");
         let mut window = Vec::new();
         for (start, end) in [(0, 119), (1, 118), (2, 7), (57, 58)] {
             r.read_edge_window(start, end, &mut window).unwrap();

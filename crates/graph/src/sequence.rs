@@ -67,6 +67,7 @@ impl<'a> SnapshotSequence<'a> {
     /// # Panics
     /// Panics if `delta == 0` or the trace has fewer than `2 * delta` edges
     /// (a sequence needs at least two snapshots to predict anything).
+    // linklens-allow(unreached-pub-fn): the fixed-delta fixtures of the core unit tests, prune_equivalence.rs, incremental.rs, validate.rs and substrate_properties.rs set the private boundaries
     pub fn by_edge_delta(trace: &'a TemporalGraph, delta: usize) -> Self {
         SnapshotSequence { trace, boundaries: delta_boundaries(trace.edge_count(), delta) }
     }

@@ -314,65 +314,6 @@ impl Snapshot {
         }
     }
 
-    /// Builds a snapshot restricted to a node subset (used by the snowball-
-    /// sampled classification pipeline, §5.1). Node ids are preserved —
-    /// the result still indexes `0..self.node_count()` — but only edges with
-    /// both endpoints in `keep` survive.
-    ///
-    /// `keep` must be sorted ascending.
-    pub fn induced(&self, keep: &[NodeId]) -> Snapshot {
-        debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "keep must be sorted unique");
-        let member = {
-            let mut m = vec![false; self.n];
-            for &u in keep {
-                m[u as usize] = true;
-            }
-            m
-        };
-        let mut degree = vec![0usize; self.n];
-        let mut kept_edges = 0usize;
-        for &u in keep {
-            for &v in self.neighbors(u) {
-                if member[v as usize] {
-                    degree[u as usize] += 1;
-                    if v > u {
-                        kept_edges += 1;
-                    }
-                }
-            }
-        }
-        let mut offsets = vec![0usize; self.n + 1];
-        for i in 0..self.n {
-            offsets[i + 1] = offsets[i] + degree[i];
-        }
-        let mut neighbors = vec![0 as NodeId; offsets[self.n]];
-        let mut edge_times = vec![0 as Timestamp; offsets[self.n]];
-        let mut cursor = offsets.clone();
-        for &u in keep {
-            let span = self.offsets[u as usize]..self.offsets[u as usize + 1];
-            for k in span {
-                let v = self.neighbors[k];
-                if member[v as usize] {
-                    neighbors[cursor[u as usize]] = v;
-                    edge_times[cursor[u as usize]] = self.edge_times[k];
-                    cursor[u as usize] += 1;
-                }
-            }
-        }
-        Snapshot {
-            n: self.n,
-            offsets,
-            neighbors,
-            edge_times,
-            time: self.time,
-            edge_count: kept_edges,
-            prefix_len: self.prefix_len,
-            tables: OnceLock::new(),
-            digest: OnceLock::new(),
-            triangles: OnceLock::new(),
-        }
-    }
-
     /// Number of nodes existing in this snapshot.
     pub fn node_count(&self) -> usize {
         self.n
@@ -624,6 +565,7 @@ impl Snapshot {
 
     /// Convenience test constructor: an untimed static graph (all edges at
     /// t = 0, nodes `0..n`).
+    // linklens-allow(unreached-pub-fn): the fixture graphs of the graph, linalg, metrics, core and serve tests fill the private CSR from an edge list
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Snapshot {
         let mut g = TemporalGraph::new();
         for _ in 0..n {
@@ -788,18 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_drops_outside_edges() {
-        let g = fixture();
-        let s = Snapshot::up_to(&g, 5);
-        let sub = s.induced(&[0, 1, 2, 3]);
-        assert_eq!(sub.edge_count(), 4, "edge 3-4 dropped");
-        assert!(sub.has_edge(2, 3));
-        assert!(!sub.has_edge(3, 4));
-        assert_eq!(sub.degree(4), 0);
-        assert_eq!(sub.neighbor_times(2), &[30, 20, 40]);
-    }
-
-    #[test]
     fn degree_tables_match_inline_formulas() {
         let g = fixture();
         let s = Snapshot::up_to(&g, 5);
@@ -854,8 +784,6 @@ mod tests {
         for k in 1..=5 {
             Snapshot::up_to(&g, k).validate().expect("fixture prefixes are valid");
         }
-        let s = Snapshot::up_to(&g, 5);
-        s.induced(&[0, 1, 2, 3]).validate().expect("induced subgraph is valid");
         Snapshot::from_edges(4, &[(0, 1), (2, 3)]).validate().expect("from_edges is valid");
     }
 

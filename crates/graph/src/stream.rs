@@ -155,6 +155,7 @@ pub struct StreamingSequence<R: TraceReader> {
 impl<R: TraceReader> StreamingSequence<R> {
     /// Splits the trace into snapshots of `delta` new edges each (same
     /// remainder rule as [`crate::sequence::SnapshotSequence::by_edge_delta`]).
+    // linklens-allow(unreached-pub-fn): streaming_sequence_by_edge_delta_matches holds the private boundaries to SnapshotSequence::by_edge_delta's
     pub fn by_edge_delta(reader: R, delta: usize) -> Self {
         let boundaries = delta_boundaries(reader.edge_count(), delta);
         StreamingSequence {
@@ -181,6 +182,7 @@ impl<R: TraceReader> StreamingSequence<R> {
     /// Caps the edges resident in any delta window (for sweeps and
     /// [`new_edges`](Self::new_edges) scans). Any positive cap yields
     /// identical results.
+    // linklens-allow(unreached-pub-fn): the window-split tests in stream.rs and sampled_eval.rs need windows below the private 1M-edge default
     pub fn set_max_window(&mut self, max_window: usize) {
         assert!(max_window > 0, "window must hold at least one edge");
         self.max_window = max_window;

@@ -43,47 +43,6 @@ pub fn bfs_distances(snap: &Snapshot, src: NodeId, max_depth: u32) -> Vec<u32> {
     dist
 }
 
-/// Connected components: returns `(component_id_per_node, component_sizes)`
-/// with components numbered in discovery order (node 0's component is 0).
-pub fn connected_components(snap: &Snapshot) -> (Vec<u32>, Vec<usize>) {
-    let n = snap.node_count();
-    let mut comp = vec![u32::MAX; n];
-    let mut sizes = Vec::new();
-    for start in 0..n as NodeId {
-        if comp[start as usize] != u32::MAX {
-            continue;
-        }
-        // linklens-allow(truncating-cast): component count <= node count, and node ids are u32
-        let id = sizes.len() as u32;
-        let mut size = 0usize;
-        let mut stack = vec![start];
-        comp[start as usize] = id;
-        while let Some(u) = stack.pop() {
-            size += 1;
-            for &v in snap.neighbors(u) {
-                if comp[v as usize] == u32::MAX {
-                    comp[v as usize] = id;
-                    stack.push(v);
-                }
-            }
-        }
-        sizes.push(size);
-    }
-    (comp, sizes)
-}
-
-/// Unbounded BFS distance between two nodes, or `None` if disconnected.
-pub fn distance(snap: &Snapshot, u: NodeId, v: NodeId) -> Option<u32> {
-    if u == v {
-        return Some(0);
-    }
-    let dist = bfs_distances(snap, u, u32::MAX);
-    match dist[v as usize] {
-        u32::MAX => None,
-        d => Some(d),
-    }
-}
-
 /// All *unconnected* pairs `(u, v)`, `u < v`, at distance exactly 2
 /// (sharing at least one neighbor): the candidate universe of the
 /// neighborhood metrics. Pairs come out by ascending `u`; each source's
@@ -478,13 +437,12 @@ pub struct Walk2Scan {
     /// neighbor — splitting stamp and count into parallel arrays measured
     /// ~2.5x slower on the renren-like probe.
     cell: Vec<u64>,
-    touched: Vec<NodeId>,
 }
 
 impl Walk2Scan {
     /// A scanner over a graph of `n` nodes.
     pub fn new(n: usize) -> Self {
-        Walk2Scan { epoch: 0, cell: vec![0; n], touched: Vec::new() }
+        Walk2Scan { epoch: 0, cell: vec![0; n] }
     }
 
     /// Counts the 2-walks from `u`, replacing any previous source's counts
@@ -495,14 +453,12 @@ impl Walk2Scan {
             self.cell.fill(0);
             self.epoch = 1;
         }
-        self.touched.clear();
         let fresh = u64::from(self.epoch) << 32;
         for &a in snap.neighbors(u) {
             for &x in snap.neighbors(a) {
                 let xi = x as usize;
                 if self.cell[xi] & !0xFFFF_FFFF != fresh {
                     self.cell[xi] = fresh;
-                    self.touched.push(x);
                 }
                 // Counts stay below 2^32: a node is deposited at most once
                 // per distinct middle node, and middles number < 2^32.
@@ -522,12 +478,6 @@ impl Walk2Scan {
         let fresh = 0u32.wrapping_sub(u32::from((cell >> 32) as u32 == self.epoch));
         // linklens-allow(truncating-cast): unpacking the count half of the packed cell
         cell as u32 & fresh
-    }
-
-    /// Nodes with a nonzero count for the last scanned source, in
-    /// discovery order. Borrow is valid until the next scan.
-    pub fn touched(&self) -> &[NodeId] {
-        &self.touched
     }
 }
 
@@ -624,26 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn components_found_and_sized() {
-        let s = Snapshot::from_edges(7, &[(0, 1), (1, 2), (3, 4)]);
-        let (comp, sizes) = connected_components(&s);
-        assert_eq!(sizes.len(), 4, "path, edge, and two isolated nodes");
-        assert_eq!(comp[0], comp[2]);
-        assert_ne!(comp[0], comp[3]);
-        assert_ne!(comp[5], comp[6], "isolated nodes get their own components");
-        let mut sorted = sizes.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![1, 1, 2, 3]);
-    }
-
-    #[test]
-    fn single_component_when_connected() {
-        let s = Snapshot::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let (_, sizes) = connected_components(&s);
-        assert_eq!(sizes, vec![4]);
-    }
-
-    #[test]
     fn bfs_distances_on_path() {
         let s = path5();
         let d = bfs_distances(&s, 0, u32::MAX);
@@ -656,14 +586,6 @@ mod tests {
         let d = bfs_distances(&s, 0, 2);
         assert_eq!(d[2], 2);
         assert_eq!(d[3], u32::MAX);
-    }
-
-    #[test]
-    fn distance_handles_disconnection() {
-        let s = Snapshot::from_edges(4, &[(0, 1), (2, 3)]);
-        assert_eq!(distance(&s, 0, 1), Some(1));
-        assert_eq!(distance(&s, 0, 3), None);
-        assert_eq!(distance(&s, 2, 2), Some(0));
     }
 
     #[test]
@@ -844,11 +766,6 @@ mod tests {
             for x in 0..40u32 {
                 assert_eq!(scan.count(x), naive[x as usize], "u={u} x={x}");
             }
-            let mut touched = scan.touched().to_vec();
-            touched.sort_unstable();
-            touched.dedup();
-            assert_eq!(touched.len(), scan.touched().len(), "touched list is distinct");
-            assert_eq!(touched, (0..40u32).filter(|&x| naive[x as usize] > 0).collect::<Vec<_>>());
         }
     }
 

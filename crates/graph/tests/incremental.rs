@@ -12,6 +12,18 @@ use osn_graph::snapshot::Snapshot;
 use osn_graph::temporal::TemporalGraph;
 use proptest::prelude::*;
 
+/// `g` in the binary cache format, streamed in memory.
+fn cache_bytes(g: &TemporalGraph) -> Vec<u8> {
+    let mut w = io::CacheStreamWriter::new(Vec::new()).unwrap();
+    for &t in g.arrivals() {
+        w.push_arrival(t).unwrap();
+    }
+    for e in g.edges() {
+        w.push_edge(e.u, e.v, e.t).unwrap();
+    }
+    w.finish().unwrap().0
+}
+
 /// Strategy: a trace whose nodes arrive over time — each raw edge (a, b)
 /// is rebased so both endpoints exist by its timestamp, exercising the
 /// builder's node-universe growth path as well as adjacency merging.
@@ -71,12 +83,11 @@ proptest! {
         }
     }
 
-    /// Cache round-trip: write_cache → read_cache reproduces arrivals and
-    /// the exact edge log.
+    /// Cache round-trip: the stream writer → read_cache reproduces
+    /// arrivals and the exact edge log.
     #[test]
     fn cache_round_trip_is_exact(g in arb_staggered_trace()) {
-        let mut buf = Vec::new();
-        io::write_cache(&g, &mut buf).unwrap();
+        let buf = cache_bytes(&g);
         let back = io::read_cache(&buf[..]).unwrap();
         prop_assert_eq!(back.arrivals(), g.arrivals());
         prop_assert_eq!(back.edges(), g.edges());
@@ -86,8 +97,7 @@ proptest! {
     /// checksum (or the magic/version/length validation before it).
     #[test]
     fn cache_detects_single_byte_corruption(g in arb_staggered_trace(), pos in 0usize..64, flip in 1u8..=255) {
-        let mut buf = Vec::new();
-        io::write_cache(&g, &mut buf).unwrap();
+        let mut buf = cache_bytes(&g);
         let pos = pos % buf.len();
         buf[pos] ^= flip;
         prop_assert!(io::read_cache(&buf[..]).is_err(), "corruption at byte {} not detected", pos);

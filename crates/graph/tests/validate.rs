@@ -79,19 +79,6 @@ proptest! {
             prefix += step;
         }
     }
-
-    /// Induced subgraphs (the snowball-sampling path) validate for any
-    /// sorted node subset.
-    #[test]
-    fn induced_subgraphs_validate(g in arb_staggered_trace(), keep_mod in 2u32..5) {
-        prop_assume!(g.edge_count() >= 2);
-        let full = Snapshot::up_to(&g, g.edge_count());
-        let keep: Vec<u32> =
-            (0..full.node_count() as u32).filter(|u| u % keep_mod != 0).collect();
-        prop_assume!(!keep.is_empty());
-        let sub = full.induced(&keep);
-        prop_assert!(sub.validate().is_ok(), "{:?}", sub.validate());
-    }
 }
 
 /// A paranoid-mode smoke: with the flag set, sweeps still validate (the

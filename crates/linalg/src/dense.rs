@@ -47,27 +47,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must be rows*cols");
-        Matrix { rows, cols, data }
-    }
-
-    /// Creates a matrix from nested row slices (convenient in tests).
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = if r == 0 { 0 } else { rows[0].len() };
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "all rows must have equal length");
-            data.extend_from_slice(row);
-        }
-        Matrix { rows: r, cols: c, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -135,22 +114,11 @@ impl Matrix {
         out
     }
 
-    /// Matrix–vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "dimension mismatch");
-        (0..self.rows).map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum()).collect()
-    }
-
     /// Scales every entry by `s` in place.
     pub fn scale_mut(&mut self, s: f64) {
         for x in &mut self.data {
             *x *= s;
         }
-    }
-
-    /// The Frobenius norm `sqrt(Σ a_ij²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry-wise difference to `other`.
@@ -180,18 +148,6 @@ impl Matrix {
             }
         }
         g
-    }
-
-    /// Solves `self * x = b` for a single right-hand side using LU with
-    /// partial pivoting.
-    ///
-    /// Returns `None` when the matrix is (numerically) singular.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square or `b.len() != rows`.
-    pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
-        let cols: Vec<Vec<f64>> = self.solve_many(&[b.to_vec()])?;
-        cols.into_iter().next()
     }
 
     /// Solves `self * X = B` for several right-hand sides sharing one LU
@@ -258,33 +214,6 @@ impl Matrix {
             }
         }
         Some(LuFactors { lu, perm })
-    }
-
-    /// Cholesky factorization of a symmetric positive-definite matrix.
-    ///
-    /// Returns the lower-triangular `L` with `self = L Lᵀ`, or `None` if a
-    /// non-positive pivot is encountered (matrix not SPD).
-    pub fn cholesky(&self) -> Option<Matrix> {
-        assert_eq!(self.rows, self.cols, "cholesky requires a square matrix");
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return None;
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Some(l)
     }
 
     /// Householder QR factorization: returns `(Q, R)` with `self = Q R`,
@@ -431,9 +360,20 @@ pub fn norm(a: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// A matrix from nested row slices of equal length.
+    fn from_rows(rows: &[&[f64]]) -> Matrix {
+        let data: Vec<f64> = rows.concat();
+        Matrix { rows: rows.len(), cols: data.len() / rows.len().max(1), data }
+    }
+
+    /// The solution of `a x = b`, if `a` is nonsingular.
+    fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+        a.solve_many(&[b.to_vec()]).map(|mut xs| xs.remove(0))
+    }
+
     #[test]
     fn identity_matmul_is_noop() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let a = from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let i = Matrix::identity(2);
         assert_eq!(a.matmul(&i), a);
         assert_eq!(i.matmul(&a), a);
@@ -441,22 +381,22 @@ mod tests {
 
     #[test]
     fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let b = Matrix::from_rows(&[&[7.0, 8.0], &[9.0, 10.0], &[11.0, 12.0]]);
+        let a = from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let b = from_rows(&[&[7.0, 8.0], &[9.0, 10.0], &[11.0, 12.0]]);
         let c = a.matmul(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[58.0, 64.0], &[139.0, 154.0]]));
+        assert_eq!(c, from_rows(&[&[58.0, 64.0], &[139.0, 154.0]]));
     }
 
     #[test]
     fn transpose_round_trip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let a = from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
         assert_eq!(a.transpose()[(2, 1)], 6.0);
     }
 
     #[test]
     fn gram_matches_explicit_transpose_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let a = from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let g = a.gram();
         let explicit = a.transpose().matmul(&a);
         assert!(g.max_abs_diff(&explicit) < 1e-12);
@@ -464,9 +404,9 @@ mod tests {
 
     #[test]
     fn solve_recovers_known_solution() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]]);
+        let a = from_rows(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]]);
         // Solution of the classic system: x=2, y=3, z=-1.
-        let x = a.solve(&[8.0, -11.0, -3.0]).expect("nonsingular");
+        let x = solve(&a, &[8.0, -11.0, -3.0]).expect("nonsingular");
         assert!((x[0] - 2.0).abs() < 1e-10);
         assert!((x[1] - 3.0).abs() < 1e-10);
         assert!((x[2] + 1.0).abs() < 1e-10);
@@ -474,15 +414,15 @@ mod tests {
 
     #[test]
     fn solve_rejects_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(a.solve(&[1.0, 2.0]).is_none());
+        let a = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        assert!(solve(&a, &[1.0, 2.0]).is_none());
     }
 
     #[test]
     fn solve_requires_pivoting() {
         // Zero on the initial diagonal forces a row swap.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = a.solve(&[3.0, 5.0]).unwrap();
+        let a = from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let x = solve(&a, &[3.0, 5.0]).unwrap();
         assert_eq!(x, vec![5.0, 3.0]);
     }
 
@@ -491,7 +431,7 @@ mod tests {
         // The blocked row solves in the ALS core ride on this identity:
         // one shared factorization, per-row substitution identical to the
         // solve_many path.
-        let a = Matrix::from_rows(&[&[0.0, 3.0, 1.0], &[2.0, -1.0, 0.5], &[1.0, 4.0, -2.0]]);
+        let a = from_rows(&[&[0.0, 3.0, 1.0], &[2.0, -1.0, 0.5], &[1.0, 4.0, -2.0]]);
         let bs: Vec<Vec<f64>> = (0..5)
             .map(|k| (0..3).map(|i| ((k * 3 + i) as f64).sin() * 2.0 + 0.1).collect())
             .collect();
@@ -506,28 +446,13 @@ mod tests {
 
     #[test]
     fn lu_factor_rejects_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        let a = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(a.lu_factor().is_none());
     }
 
     #[test]
-    fn cholesky_reconstructs_spd() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let l = a.cholesky().expect("SPD");
-        let rec = l.matmul(&l.transpose());
-        assert!(rec.max_abs_diff(&a) < 1e-12);
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        assert!(a.cholesky().is_none());
-    }
-
-    #[test]
     fn qr_reconstructs_and_q_orthonormal() {
-        let a =
-            Matrix::from_rows(&[&[12.0, -51.0, 4.0], &[6.0, 167.0, -68.0], &[-4.0, 24.0, -41.0]]);
+        let a = from_rows(&[&[12.0, -51.0, 4.0], &[6.0, 167.0, -68.0], &[-4.0, 24.0, -41.0]]);
         let (q, r) = a.qr();
         assert!(q.matmul(&r).max_abs_diff(&a) < 1e-9);
         let qtq = q.transpose().matmul(&q);
@@ -538,12 +463,6 @@ mod tests {
                 assert!(r[(i, j)].abs() < 1e-9, "R not triangular at ({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn matvec_matches_matmul_column() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
     }
 
     #[test]

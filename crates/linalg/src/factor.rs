@@ -19,15 +19,11 @@
 //! being silently skipped (the bug this module replaces left stale
 //! factors behind a `None` from `solve_many`). A fit runs a fixed number
 //! of sweeps from the seeded init, so it is a pure function of the
-//! snapshot and the config. [`frobenius_residual`] measures a fit's
-//! `‖A − XRXᵀ‖_F` sparsely over the nonzeros plus a trace-correction term
-//! — never densifying `A` or `XRXᵀ` — for the tests and the scale checks;
-//! the fit itself does not compute it.
+//! snapshot and the config.
 
 use crate::dense::{LuFactors, Matrix};
 use crate::sparse;
 use osn_graph::snapshot::Snapshot;
-use osn_graph::NodeId;
 
 /// Weyl-sequence increment shared with the historical dense init.
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -36,12 +32,6 @@ const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 /// threads; below this the spawn overhead beats the work (mirrors the
 /// CSR kernel's parallel-row threshold).
 const PAR_SOLVE_THRESHOLD: usize = 256;
-
-/// Row-chunk width for the residual reduction. Fixed (independent of the
-/// thread count) so partial sums are always folded over the same chunk
-/// boundaries in the same order — the residual is bit-identical for every
-/// `threads` value.
-const RESIDUAL_ROW_CHUNK: usize = 1024;
 
 /// Structured failure from [`als_fit`]. Mirrors the batched solver error
 /// taxonomy in `osn-metrics` (`Singular` / `NonFinite`) so callers can map
@@ -125,67 +115,6 @@ pub fn init_factors(n: usize, rank: usize, seed: u64) -> Matrix {
         *slot = init_value(seed, m as u64);
     }
     x
-}
-
-/// Frobenius residual `‖A − XRXᵀ‖_F` for the adjacency `A` of `snap`,
-/// computed sparsely:
-///
-/// ```text
-/// ‖A − XRXᵀ‖²_F = ‖A‖²_F − 2·⟨A, XRXᵀ⟩ + ‖XRXᵀ‖²_F
-/// ```
-///
-/// `‖A‖²_F` is `2E`, the count of unit entries. The cross term is one
-/// pass over the nonzeros (`Σ_{c∈Γ(u)} dot((XR)_u, X_c)` with `XR`
-/// precomputed), and `‖XRXᵀ‖²_F = tr(RᵀG·RG)` with `G = XᵀX` needs only
-/// `r × r` products. Nothing `n × n` is ever materialized, so this
-/// measures a fit at preset scale.
-///
-/// The nonzero pass is parallelized over fixed 1024-row chunks whose
-/// partial sums are folded in chunk order, so the value is bit-identical
-/// for every `threads` count.
-pub fn frobenius_residual(snap: &Snapshot, x: &Matrix, r: &Matrix, threads: usize) -> f64 {
-    let n = snap.node_count();
-    assert_eq!(x.rows(), n, "X row mismatch");
-    assert_eq!(x.cols(), r.rows(), "X/R rank mismatch");
-    assert_eq!(r.rows(), r.cols(), "core must be square");
-    let xr = x.matmul(r); // n × r
-    let chunks = n.div_ceil(RESIDUAL_ROW_CHUNK).max(1);
-    let parts = osn_graph::par::run_indexed(chunks, threads.max(1), |b| {
-        let lo = b * RESIDUAL_ROW_CHUNK;
-        let hi = ((b + 1) * RESIDUAL_ROW_CHUNK).min(n);
-        let mut cross = 0.0;
-        for i in lo..hi {
-            let xri = xr.row(i);
-            for &c in snap.neighbors(i as NodeId) {
-                let xc = x.row(c as usize);
-                let mut dot = 0.0;
-                for (p, q) in xri.iter().zip(xc) {
-                    dot += p * q;
-                }
-                cross += dot;
-            }
-        }
-        cross
-    });
-    // Every entry of A is 1, so ‖A‖²_F counts them exactly.
-    let norm_a = (2 * snap.edge_count()) as f64;
-    let mut cross = 0.0;
-    for pc in parts {
-        cross += pc;
-    }
-    // ‖XRXᵀ‖²_F = tr(Rᵀ G R G) = Σ_{i,k} (RᵀG)_{ik} (RG)_{ki}.
-    let g = x.gram();
-    let m1 = r.transpose().matmul(&g);
-    let m2 = r.matmul(&g);
-    let k = r.rows();
-    let mut tr = 0.0;
-    for i in 0..k {
-        for j in 0..k {
-            tr += m1[(i, j)] * m2[(j, i)];
-        }
-    }
-    // Cancellation near an exact fit can push the sum a few ulps negative.
-    (norm_a - 2.0 * cross + tr).max(0.0).sqrt()
 }
 
 /// Solves `denomᵀ xᵢ = numerᵢ` for every row `i`, writing solutions into
@@ -319,6 +248,12 @@ mod tests {
         AlsConfig { rank: 4, iterations: 25, lambda: 0.01, seed: 7 }
     }
 
+    /// `‖A − XRXᵀ‖_F`, densely.
+    fn residual(a: &Snapshot, fit: &AlsFit) -> f64 {
+        let rec = fit.x.matmul(&fit.r).matmul(&fit.x.transpose());
+        (&sparse::to_dense(a) - &rec).data().iter().map(|d| d * d).sum::<f64>().sqrt()
+    }
+
     #[test]
     fn init_matches_historical_serial_stream() {
         // The legacy dense init advanced a Weyl state by φ per element
@@ -341,41 +276,14 @@ mod tests {
     }
 
     #[test]
-    fn sparse_residual_matches_dense_computation() {
-        let a = two_cliques();
-        let fit = als_fit(&a, &cfg(), 1).expect("fit");
-        let dense = {
-            let rec = fit.x.matmul(&fit.r).matmul(&fit.x.transpose());
-            (&sparse::to_dense(&a) - &rec).frobenius_norm()
-        };
-        for threads in [1usize, 2, 4, 8] {
-            let sparse = frobenius_residual(&a, &fit.x, &fit.r, threads);
-            assert!(
-                (sparse - dense).abs() <= 1e-9 * dense.max(1.0),
-                "sparse residual {sparse} != dense {dense} at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn residual_is_bit_identical_across_threads() {
-        let a = two_cliques();
-        let fit = als_fit(&a, &cfg(), 1).expect("fit");
-        let base = frobenius_residual(&a, &fit.x, &fit.r, 1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(frobenius_residual(&a, &fit.x, &fit.r, threads), base);
-        }
-    }
-
-    #[test]
     fn fit_reduces_residual_and_certifies_it() {
         let a = two_cliques();
         let init = als_fit(&a, &AlsConfig { iterations: 0, ..cfg() }, 1).expect("init fit");
         assert_eq!(init.x.max_abs_diff(&init_factors(8, 4, 7)), 0.0, "zero sweeps keep the init");
         assert_eq!(init.r.max_abs_diff(&Matrix::identity(4)), 0.0);
         let fit = als_fit(&a, &cfg(), 1).expect("fit");
-        let before = frobenius_residual(&a, &init.x, &init.r, 1);
-        let after = frobenius_residual(&a, &fit.x, &fit.r, 1);
+        let before = residual(&a, &init);
+        let after = residual(&a, &fit);
         assert!(after < before * 0.6, "{before} → {after}");
     }
 
@@ -414,12 +322,12 @@ mod tests {
 
     #[test]
     fn empty_matrix_fits_cleanly() {
-        // An edgeless snapshot: A = 0, so the first X update zeroes X.
-        let a = Snapshot::from_edges(3, &[(0, 1)]).induced(&[]);
-        assert_eq!((a.node_count(), a.edge_count()), (3, 0));
+        // The one edgeless snapshot, a live graph's version 0: no nodes,
+        // so the rank clamps to 1 and the R update zeroes the core.
+        let a = osn_graph::live::LiveGraph::new().publish().snapshot;
+        assert_eq!((a.node_count(), a.edge_count()), (0, 0));
         let fit = als_fit(&a, &cfg(), 1).expect("empty fit");
-        assert_eq!((fit.x.rows(), fit.x.cols()), (3, 3));
-        assert!(fit.x.data().iter().chain(fit.r.data()).all(|&v| v == 0.0));
-        assert_eq!(frobenius_residual(&a, &fit.x, &fit.r, 1), 0.0);
+        assert_eq!((fit.x.rows(), fit.x.cols(), fit.r.rows()), (0, 1, 1));
+        assert!(fit.r.data().iter().all(|&v| v == 0.0));
     }
 }

@@ -4,7 +4,7 @@
 //! needs of the factorization-based link-prediction metrics in LinkLens:
 //!
 //! * [`dense::Matrix`] — row-major dense matrices with matmul, transpose,
-//!   LU solve (partial pivoting), Cholesky, and Householder QR.
+//!   LU solve (partial pivoting), and Householder QR.
 //! * [`sparse`] — products with a snapshot's adjacency matrix (`A·x`,
 //!   `A·X` on the shared worker pool, and a dense copy for small graphs),
 //!   read in place from the [`Snapshot`](osn_graph::snapshot::Snapshot)'s
@@ -16,8 +16,7 @@
 //!   cyclic Jacobi oracle.
 //! * [`factor`] — a blocked ALS factorization core (`A ≈ X R Xᵀ`) that
 //!   routes `A·X` products through [`sparse::spmm_into_t`] and surfaces
-//!   singular and non-finite fits as structured [`FactorError`]s, with a
-//!   sparse Frobenius residual to measure a fit.
+//!   singular and non-finite fits as structured [`FactorError`]s.
 //!
 //! The crate intentionally implements only what the metrics need; it is not
 //! a general-purpose BLAS. Everything is `f64`, everything is

@@ -116,7 +116,10 @@ mod tests {
         let x = [1.0, 2.0, 3.0];
         let mut sparse = vec![0.0; 3];
         matvec_into(&snap, &x, &mut sparse);
-        assert_eq!(sparse, to_dense(&snap).matvec(&x));
+        let dense = to_dense(&snap);
+        let want: Vec<f64> =
+            (0..3).map(|i| dense.row(i).iter().zip(&x).map(|(a, b)| a * b).sum()).collect();
+        assert_eq!(sparse, want);
     }
 
     /// Ring + chords fixture large enough to cross `PAR_ROW_THRESHOLD`.

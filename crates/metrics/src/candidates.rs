@@ -159,16 +159,6 @@ impl CandidateSet {
         CandidateSet { pairs: canon, policy }
     }
 
-    /// Wraps a pair list that already satisfies the enumeration
-    /// invariants (canonical, deduplicated) and whose *order* must be
-    /// preserved — the post-hoc filter oracle, where order-identity with
-    /// pruned enumeration is the property under test. Debug-asserts the
-    /// invariants instead of repairing them.
-    pub fn from_filtered_pairs(pairs: Vec<(NodeId, NodeId)>, policy: CandidatePolicy) -> Self {
-        debug_assert!(pairs.iter().all(|&(u, v)| u < v), "pairs must be canonical");
-        CandidateSet { pairs, policy }
-    }
-
     /// The candidate pairs, canonical and deduplicated.
     pub fn pairs(&self) -> &[(NodeId, NodeId)] {
         &self.pairs

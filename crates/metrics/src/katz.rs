@@ -87,9 +87,8 @@ impl Metric for KatzLr {
         snap: &Snapshot,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
-        cache: &mut SolverCache,
+        _cache: &mut SolverCache,
     ) -> Vec<f64> {
-        cache.ensure_snapshot(snap);
         match self.prepare(snap) {
             Ok(factors) => exec::score_chunked(pairs, threads, |chunk| factors.score(chunk)),
             // The Metric trait has no error channel; a failed eigensolve
@@ -254,9 +253,8 @@ impl Metric for KatzSc {
         snap: &Snapshot,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
-        cache: &mut SolverCache,
+        _cache: &mut SolverCache,
     ) -> Vec<f64> {
-        cache.ensure_snapshot(snap);
         self.score_with_columns(snap, pairs, threads, |lm| self.landmark_columns(snap, lm, threads))
     }
 }

@@ -34,8 +34,7 @@ use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::par;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
-use osn_linalg::factor::{self, AlsConfig, FactorError};
-use osn_linalg::Matrix;
+use osn_linalg::factor::{self, AlsConfig, AlsFit, FactorError};
 
 /// RESCAL configuration.
 #[derive(Clone, Debug)]
@@ -60,25 +59,6 @@ impl Default for Rescal {
         // plus one community axis — is the empirical sweet spot across all
         // three presets (see `cargo bench --bench ablations`).
         Rescal { rank: 2, iterations: 30, lambda: 0.01, seed: 7 }
-    }
-}
-
-/// A fitted factorization, exposed for tests and for reuse across the
-/// pair batches of one snapshot (via the [`SolverCache`]).
-#[derive(Clone)]
-pub struct RescalModel {
-    /// Node embeddings, `n × r`.
-    pub x: Matrix,
-    /// Core interaction matrix, `r × r`.
-    pub r: Matrix,
-}
-
-impl std::fmt::Debug for RescalModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RescalModel")
-            .field("n", &self.x.rows())
-            .field("rank", &self.x.cols())
-            .finish_non_exhaustive()
     }
 }
 
@@ -121,19 +101,18 @@ impl Rescal {
     /// [`SolverError::Singular`] when an ALS normal-equations system
     /// loses rank (previously a silent skip that left stale factors), and
     /// [`SolverError::NonFinite`] when a factor leaves the finite range.
-    pub fn fit(&self, snap: &Snapshot) -> Result<RescalModel, SolverError> {
+    pub fn fit(&self, snap: &Snapshot) -> Result<AlsFit, SolverError> {
         self.fit_t(snap, par::max_threads())
     }
 
     /// [`fit`](Self::fit) with an explicit thread count; bit-identical
     /// for every `threads` value.
-    pub fn fit_t(&self, snap: &Snapshot, threads: usize) -> Result<RescalModel, SolverError> {
-        let fit = factor::als_fit(snap, &self.config(), threads).map_err(map_factor_err)?;
-        Ok(RescalModel { x: fit.x, r: fit.r })
+    pub fn fit_t(&self, snap: &Snapshot, threads: usize) -> Result<AlsFit, SolverError> {
+        factor::als_fit(snap, &self.config(), threads).map_err(map_factor_err)
     }
 
     /// The per-snapshot fitted model for the engine paths: reuses the
-    /// cache's current-snapshot model when the config fingerprint
+    /// cache's model of this snapshot when the config fingerprint
     /// matches, otherwise fits and registers the result. `None` marks an
     /// edgeless snapshot — all scores zero.
     fn fitted_model(
@@ -141,17 +120,17 @@ impl Rescal {
         snap: &Snapshot,
         cache: &mut SolverCache,
         threads: usize,
-    ) -> Result<Option<Arc<RescalModel>>, SolverError> {
+    ) -> Result<Option<Arc<AlsFit>>, SolverError> {
         if snap.edge_count() == 0 {
             return Ok(None);
         }
         let fp = self.fingerprint();
-        if let Some(model) = cache.rescal_model(fp) {
+        if let Some(model) = cache.rescal_model(snap, fp) {
             return Ok(Some(model));
         }
         let model = Arc::new(self.fit_t(snap, threads)?);
         cache.stats.rescal_fits += 1;
-        cache.store_rescal(fp, Arc::clone(&model));
+        cache.store_rescal(snap, fp, Arc::clone(&model));
         Ok(Some(model))
     }
 }
@@ -172,7 +151,6 @@ impl Metric for Rescal {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        cache.ensure_snapshot(snap);
         match self.fitted_model(snap, cache, threads) {
             Ok(None) => vec![0.0; pairs.len()],
             Ok(Some(model)) => solver::bilinear_scores_t(&model.x, &model.r, pairs, threads),
@@ -187,11 +165,7 @@ impl Metric for Rescal {
 mod tests {
     use super::*;
     use crate::exec::score_pairs_t;
-
-    /// `‖A − XRXᵀ‖_F` of a fitted model.
-    fn reconstruction_error(model: &RescalModel, s: &Snapshot) -> f64 {
-        factor::frobenius_residual(s, &model.x, &model.r, 1)
-    }
+    use linklens_bench::oracles::rescal::frobenius_residual;
 
     /// Two 4-cliques sharing no edge, bridged 3-4.
     fn two_cliques() -> Snapshot {
@@ -215,8 +189,8 @@ mod tests {
         let s = two_cliques();
         let quick = Rescal { iterations: 0, rank: 4, ..Default::default() };
         let fitted = Rescal { iterations: 25, rank: 4, ..Default::default() };
-        let e0 = reconstruction_error(&quick.fit(&s).expect("init fit"), &s);
-        let e1 = reconstruction_error(&fitted.fit(&s).expect("fit"), &s);
+        let e0 = frobenius_residual(&s, &quick.fit(&s).expect("init fit"));
+        let e1 = frobenius_residual(&s, &fitted.fit(&s).expect("fit"));
         assert!(e1 < e0 * 0.6, "ALS should cut the error substantially ({e0} → {e1})");
     }
 
@@ -224,7 +198,7 @@ mod tests {
     fn full_rank_reconstruction_is_tight() {
         let s = two_cliques();
         let r = Rescal { rank: 8, iterations: 60, lambda: 1e-3, seed: 5 };
-        let err = reconstruction_error(&r.fit(&s).expect("fit"), &s);
+        let err = frobenius_residual(&s, &r.fit(&s).expect("fit"));
         // ‖A‖_F = sqrt(2 · 13 edges) ≈ 5.1; full rank should get well below.
         assert!(err < 1.0, "full-rank error {err}");
     }

@@ -91,6 +91,7 @@ use std::sync::Arc;
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{par, NodeId};
+use osn_linalg::factor::AlsFit;
 
 /// Hard ceiling on Chebyshev iterations before the solver gives up.
 pub const PPR_MAX_ITERS: usize = 1000;
@@ -178,28 +179,36 @@ pub struct SolverStats {
     pub rescal_fits: u64,
 }
 
-/// Per-snapshot solver state: the fitted Rescal model of the current
-/// snapshot, a pure function of the snapshot and the config, shared by
-/// every hook call on that snapshot, and the solvers' counters.
+/// Per-snapshot solver state: the fitted Rescal model of the last
+/// snapshot fitted, a pure function of the snapshot and the config,
+/// shared by every hook call on that snapshot, and the solvers' counters.
 ///
-/// The kernels read the snapshot itself; each walk, Katz and Rescal hook
-/// first points the cache at it with
-/// [`ensure_snapshot`](Self::ensure_snapshot), which drops the model when
-/// the snapshot changes. Nothing else is kept, so a snapshot scores the
-/// same through a cache reused across a sweep as through a fresh one.
+/// The kernels read the snapshot itself. The one model slot is keyed on
+/// the fitted snapshot's content — node count, edge count and
+/// [`Snapshot::adjacency_digest`] — so two different graphs of equal size
+/// never share a fit, while equal snapshots (clones, rebuilt prefixes)
+/// still hit. Nothing else is kept, so a snapshot scores the same through
+/// a cache reused across a sweep as through a fresh one.
 pub struct SolverCache {
-    /// The current snapshot's `(node_count, edge_count, adjacency_digest)`
-    /// key.
-    current: Option<(usize, usize, u64)>,
-    rescal: Option<(u64, Arc<crate::rescal::RescalModel>)>,
+    /// Rescal's model: the fitted snapshot's content key, the config
+    /// fingerprint, and the fit.
+    rescal: Option<(ContentKey, u64, Arc<AlsFit>)>,
     /// Counters accumulated by the solvers.
     pub stats: SolverStats,
+}
+
+/// A snapshot's content: node count, edge count, adjacency digest.
+type ContentKey = (usize, usize, u64);
+
+/// The content key of `snap` that [`SolverCache`]'s model slot compares.
+fn content_key(snap: &Snapshot) -> ContentKey {
+    (snap.node_count(), snap.edge_count(), snap.adjacency_digest())
 }
 
 impl SolverCache {
     /// An empty cache.
     pub fn transient() -> Self {
-        SolverCache { current: None, rescal: None, stats: SolverStats::default() }
+        SolverCache { rescal: None, stats: SolverStats::default() }
     }
 
     /// The same as [`transient`](Self::transient). Kept only because
@@ -209,34 +218,23 @@ impl SolverCache {
         SolverCache::transient()
     }
 
-    /// Points the cache at `snap`, dropping the fitted model when the
-    /// snapshot changed. Keyed on the snapshot's content — node count,
-    /// edge count and [`Snapshot::adjacency_digest`] — so two different
-    /// graphs of equal size never share a fit, while equal snapshots
-    /// (clones, rebuilt prefixes) still hit.
-    pub fn ensure_snapshot(&mut self, snap: &Snapshot) {
-        let key = (snap.node_count(), snap.edge_count(), snap.adjacency_digest());
-        if self.current != Some(key) {
-            self.rescal = None;
-            self.current = Some(key);
-        }
-    }
-
-    /// The factorization model fitted on the current snapshot under the
-    /// given config fingerprint, if one was stored — exact reuse, so two
-    /// Rescal configurations sharing one cache can never alias each
-    /// other's fits.
-    pub fn rescal_model(&self, fingerprint: u64) -> Option<Arc<crate::rescal::RescalModel>> {
+    /// The factorization model fitted on `snap` under the given config
+    /// fingerprint, if one was stored — exact reuse, so two Rescal
+    /// configurations sharing one cache can never alias each other's
+    /// fits, nor two snapshots of different content.
+    pub fn rescal_model(&self, snap: &Snapshot, fingerprint: u64) -> Option<Arc<AlsFit>> {
         match &self.rescal {
-            Some((fp, model)) if *fp == fingerprint => Some(Arc::clone(model)),
+            Some((key, fp, model)) if *fp == fingerprint && *key == content_key(snap) => {
+                Some(Arc::clone(model))
+            }
             _ => None,
         }
     }
 
-    /// Registers a freshly fitted factorization model for the current
-    /// snapshot; the cache keeps it until the snapshot changes.
-    pub fn store_rescal(&mut self, fingerprint: u64, model: Arc<crate::rescal::RescalModel>) {
-        self.rescal = Some((fingerprint, model));
+    /// Registers a freshly fitted factorization model of `snap`; the
+    /// cache keeps it until another fit replaces it.
+    pub fn store_rescal(&mut self, snap: &Snapshot, fingerprint: u64, model: Arc<AlsFit>) {
+        self.rescal = Some((content_key(snap), fingerprint, model));
     }
 }
 
@@ -1012,7 +1010,8 @@ mod tests {
         let lrw = crate::walk::LocalRandomWalk::default();
         let ppr = crate::walk::PersonalizedPageRank::default();
         let katz = crate::katz::KatzLr::default();
-        let metrics: [&dyn Metric; 3] = [&lrw, &ppr, &katz];
+        let rescal = crate::rescal::Rescal::default();
+        let metrics: [&dyn Metric; 4] = [&lrw, &ppr, &katz, &rescal];
 
         let score = |m: &dyn Metric, snap: &Snapshot, cache: &mut SolverCache| {
             crate::exec::score_matrix_cached_t(&[m], snap, &pairs, 1, cache).remove(0)
@@ -1031,20 +1030,20 @@ mod tests {
 
     #[test]
     fn rescal_cache_slots_rotate_and_key_on_fingerprint() {
-        let model =
-            Arc::new(crate::rescal::Rescal::default().fit(&ring_with_chords(11)).expect("fit"));
+        let snap = ring_with_chords(11);
+        let model = Arc::new(crate::rescal::Rescal::default().fit(&snap).expect("fit"));
 
         let mut cache = SolverCache::transient();
-        cache.ensure_snapshot(&ring_with_chords(11));
-        cache.store_rescal(7, Arc::clone(&model));
-        // Exact reuse on the current snapshot requires a fingerprint match.
-        assert!(cache.rescal_model(7).is_some());
-        assert!(cache.rescal_model(8).is_none(), "different config must never alias a fit");
-        // The same snapshot again keeps the model.
-        cache.ensure_snapshot(&ring_with_chords(11));
-        assert!(cache.rescal_model(7).is_some());
-        // A new snapshot turns the slot over: the model is gone.
-        cache.ensure_snapshot(&ring_with_chords(13));
-        assert!(cache.rescal_model(7).is_none());
+        cache.store_rescal(&snap, 7, Arc::clone(&model));
+        // Exact reuse on the fitted snapshot requires a fingerprint match.
+        assert!(cache.rescal_model(&snap, 7).is_some());
+        assert!(cache.rescal_model(&snap, 8).is_none(), "different config must never alias a fit");
+        // An equal snapshot, built again, hits.
+        assert!(cache.rescal_model(&ring_with_chords(11), 7).is_some());
+        // A different snapshot misses; storing its fit turns the slot over.
+        let other = ring_with_chords(13);
+        assert!(cache.rescal_model(&other, 7).is_none());
+        cache.store_rescal(&other, 7, Arc::clone(&model));
+        assert!(cache.rescal_model(&snap, 7).is_none());
     }
 }

@@ -79,9 +79,8 @@ impl Metric for LocalRandomWalk {
         snap: &Snapshot,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
-        cache: &mut SolverCache,
+        _cache: &mut SolverCache,
     ) -> Vec<f64> {
-        cache.ensure_snapshot(snap);
         match solver::lrw_scores_t(snap, pairs, self.steps, self.prune, threads, "LRW") {
             Ok(scores) => scores,
             // The Metric trait has no error channel; a tripped solver guard
@@ -132,7 +131,6 @@ impl Metric for PersonalizedPageRank {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        cache.ensure_snapshot(snap);
         let tol = self.solver_tol();
         match solver::ppr_scores_t(snap, pairs, self.alpha, tol, threads, cache, "PPR") {
             Ok(scores) => scores,

@@ -254,7 +254,9 @@ fn check_batched(
             }
         }
         if entries.contains(&Entry::TopK) && pairs.iter().all(|&(u, v)| u < v) {
-            let cands = CandidateSet::from_filtered_pairs(pairs.clone(), CandidatePolicy::Global);
+            // The top-k entry point reads only the pair list, and this
+            // wrapper keeps the list as given, order and repeats included.
+            let cands = CandidateSet::three_hop_from_base(pairs.clone());
             let mut cache = SolverCache::transient();
             let picked = exec::predict_top_k_many_cached_t(
                 &refs, snap, &cands, k, SEED, threads, &mut cache,

@@ -209,12 +209,12 @@ proptest! {
     }
 
     /// One cache reused across a randomized monotone snapshot sweep
-    /// (warm) scores Rescal on every snapshot bit for bit as a fresh
-    /// cache (cold) does: every fit starts from the seeded init and runs
-    /// the fixed sweep count, and the model the cache keeps is dropped
-    /// when the snapshot changes.
+    /// scores Rescal on every snapshot bit for bit as a fresh cache does:
+    /// every fit starts from the seeded init and runs the fixed sweep
+    /// count, and the model the cache keeps is keyed on the content of
+    /// the snapshot it was fitted on.
     #[test]
-    fn certified_warm_starts_match_cold_across_sweep((n, snapshots) in arb_sweep()) {
+    fn reused_cache_scores_rescal_as_a_fresh_one_across_sweep((n, snapshots) in arb_sweep()) {
         prop_assume!(snapshots.len() >= 2);
         let rescal = Rescal::default();
         let first = Snapshot::from_edges(n, &snapshots[0]);
@@ -224,9 +224,9 @@ proptest! {
         let mut reused = SolverCache::transient();
         for edges in &snapshots {
             let snap = Snapshot::from_edges(n, edges);
-            let warm = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, 2, &mut reused).remove(0);
-            let cold = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, 2, &mut SolverCache::transient()).remove(0);
-            prop_assert_eq!(bits(&warm), bits(&cold));
+            let again = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, 2, &mut reused).remove(0);
+            let once = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, 2, &mut SolverCache::transient()).remove(0);
+            prop_assert_eq!(bits(&again), bits(&once));
         }
     }
 }

@@ -128,11 +128,11 @@ proptest! {
     }
 
     /// One cache reused across a randomized monotone snapshot sweep
-    /// (warm) scores the same pairs on every snapshot bit for bit as a
-    /// fresh cache (cold) does, with the same iterations: no PPR column
-    /// starts from anything an earlier snapshot solved.
+    /// scores PPR on every snapshot bit for bit as a fresh cache does,
+    /// with the same iterations: no PPR column starts from anything an
+    /// earlier snapshot solved.
     #[test]
-    fn warm_start_matches_cold_start_across_sweep((n, snapshots) in arb_sweep()) {
+    fn reused_cache_scores_ppr_as_a_fresh_one_across_sweep((n, snapshots) in arb_sweep()) {
         prop_assume!(snapshots.len() >= 2);
         let ppr = PersonalizedPageRank::default();
         let first = Snapshot::from_edges(n, &snapshots[0]);
@@ -143,10 +143,10 @@ proptest! {
         for edges in &snapshots {
             let snap = Snapshot::from_edges(n, edges);
             let before = reused.stats.ppr_iterations;
-            let warm = exec::score_matrix_cached_t(&[&ppr], &snap, &pairs, 2, &mut reused).remove(0);
+            let again = exec::score_matrix_cached_t(&[&ppr], &snap, &pairs, 2, &mut reused).remove(0);
             let mut fresh = SolverCache::transient();
-            let cold = exec::score_matrix_cached_t(&[&ppr], &snap, &pairs, 2, &mut fresh).remove(0);
-            prop_assert_eq!(bits(&warm), bits(&cold));
+            let once = exec::score_matrix_cached_t(&[&ppr], &snap, &pairs, 2, &mut fresh).remove(0);
+            prop_assert_eq!(bits(&again), bits(&once));
             prop_assert_eq!(reused.stats.ppr_iterations - before, fresh.stats.ppr_iterations);
         }
     }

@@ -194,7 +194,6 @@ proptest! {
         let mut want_sources = 0;
         for snap in [&prefix, &full] {
             let pairs = all_pairs(snap.node_count());
-            cache.ensure_snapshot(snap);
             let got =
                 ppr_scores_with_width(snap, &pairs, ALPHA, TOL, threads, width, &mut cache, "PPR")
                     .expect("PPR converges");

@@ -65,12 +65,6 @@ impl Dataset {
         self.labels.iter().copied().max().map_or(0, |m| m as usize + 1)
     }
 
-    /// Counts of (negative, positive) samples under the binary reading.
-    pub fn binary_counts(&self) -> (usize, usize) {
-        let pos = self.labels.iter().filter(|&&l| l != 0).count();
-        (self.len() - pos, pos)
-    }
-
     /// Returns a new dataset containing the given sample indices, in order.
     pub fn select(&self, indices: &[usize]) -> Dataset {
         let mut out = Dataset::new(self.n_features);
@@ -88,30 +82,6 @@ impl Dataset {
             idx.swap(i, rng.random_range(0..=i));
         }
         self.select(&idx)
-    }
-
-    /// The paper's undersampling operator (§5.2 / Fig. 10): keep *all*
-    /// positive samples, and draw `positives × negatives_per_positive`
-    /// negatives without replacement (capped at what exists). The ratio
-    /// θ = 1 : `negatives_per_positive`.
-    ///
-    /// Returns a shuffled dataset so SGD-trained models see mixed batches.
-    pub fn undersample(&self, negatives_per_positive: f64, seed: u64) -> Dataset {
-        assert!(negatives_per_positive > 0.0, "ratio must be positive");
-        let positives: Vec<usize> = (0..self.len()).filter(|&i| self.label_bool(i)).collect();
-        let mut negatives: Vec<usize> = (0..self.len()).filter(|&i| !self.label_bool(i)).collect();
-        let want = ((positives.len() as f64 * negatives_per_positive).round() as usize)
-            .min(negatives.len());
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD05E_55A1);
-        // Partial Fisher–Yates: the first `want` slots become the sample.
-        for i in 0..want {
-            let j = rng.random_range(i..negatives.len());
-            negatives.swap(i, j);
-        }
-        negatives.truncate(want);
-        let mut keep = positives;
-        keep.extend(negatives);
-        self.select(&keep).shuffled(seed ^ 0x51AB_17E5)
     }
 
     /// Fits a standardizer (per-feature mean/std) on this dataset.
@@ -195,7 +165,6 @@ mod tests {
         assert_eq!(d.n_features(), 2);
         assert_eq!(d.row(2), &[3.0, 30.0]);
         assert_eq!(d.label(3), 1);
-        assert_eq!(d.binary_counts(), (2, 2));
     }
 
     #[test]
@@ -215,32 +184,6 @@ mod tests {
         let mut firsts: Vec<f64> = (0..4).map(|i| a.row(i)[0]).collect();
         firsts.sort_by(f64::total_cmp);
         assert_eq!(firsts, vec![1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn undersample_keeps_all_positives() {
-        let mut d = Dataset::new(1);
-        for i in 0..100 {
-            d.push(&[i as f64], 0);
-        }
-        for i in 0..5 {
-            d.push(&[1000.0 + i as f64], 1);
-        }
-        let u = d.undersample(2.0, 1);
-        let (neg, pos) = u.binary_counts();
-        assert_eq!(pos, 5);
-        assert_eq!(neg, 10);
-    }
-
-    #[test]
-    fn undersample_caps_at_available_negatives() {
-        let mut d = Dataset::new(1);
-        d.push(&[0.0], 0);
-        d.push(&[1.0], 1);
-        d.push(&[2.0], 1);
-        let u = d.undersample(100.0, 1);
-        let (neg, pos) = u.binary_counts();
-        assert_eq!((neg, pos), (1, 2));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Classifier evaluation utilities: accuracy, precision/recall, ROC AUC.
+//! Classifier evaluation utilities: accuracy and ROC AUC.
 
 /// Fraction of predictions matching the truth.
 ///
@@ -9,18 +9,6 @@ pub fn accuracy(predictions: &[bool], truth: &[bool]) -> f64 {
     assert!(!truth.is_empty(), "no samples");
     let correct = predictions.iter().zip(truth).filter(|(p, t)| p == t).count();
     correct as f64 / truth.len() as f64
-}
-
-/// Precision and recall of the positive class. Either is 0 when its
-/// denominator is 0.
-pub fn precision_recall(predictions: &[bool], truth: &[bool]) -> (f64, f64) {
-    assert_eq!(predictions.len(), truth.len());
-    let tp = predictions.iter().zip(truth).filter(|&(&p, &t)| p && t).count() as f64;
-    let fp = predictions.iter().zip(truth).filter(|&(&p, &t)| p && !t).count() as f64;
-    let fn_ = predictions.iter().zip(truth).filter(|&(&p, &t)| !p && t).count() as f64;
-    let precision = if tp + fp == 0.0 { 0.0 } else { tp / (tp + fp) };
-    let recall = if tp + fn_ == 0.0 { 0.0 } else { tp / (tp + fn_) };
-    (precision, recall)
 }
 
 /// ROC AUC via the rank statistic (Mann–Whitney U), with tie correction.
@@ -70,23 +58,6 @@ mod tests {
     fn accuracy_basic() {
         assert_eq!(accuracy(&[true, false, true], &[true, true, true]), 2.0 / 3.0);
         assert_eq!(accuracy(&[true], &[true]), 1.0);
-    }
-
-    #[test]
-    fn precision_recall_basic() {
-        // preds: TP, FP, FN, TN
-        let preds = [true, true, false, false];
-        let truth = [true, false, true, false];
-        let (p, r) = precision_recall(&preds, &truth);
-        assert_eq!(p, 0.5);
-        assert_eq!(r, 0.5);
-    }
-
-    #[test]
-    fn precision_recall_degenerate() {
-        let (p, r) = precision_recall(&[false, false], &[true, true]);
-        assert_eq!(p, 0.0);
-        assert_eq!(r, 0.0);
     }
 
     #[test]

@@ -35,27 +35,6 @@ impl RandomForest {
         RandomForest { seed, ..Default::default() }
     }
 
-    /// Number of fitted trees (0 before `fit`).
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Mean normalized Gini feature importance over trees (all zeros
-    /// before `fit`).
-    pub fn feature_importances(&self) -> Vec<f64> {
-        if self.trees.is_empty() {
-            return Vec::new();
-        }
-        let d = self.trees[0].feature_importances().len();
-        let mut acc = vec![0.0; d];
-        for t in &self.trees {
-            for (a, x) in acc.iter_mut().zip(t.feature_importances()) {
-                *a += x / self.trees.len() as f64;
-            }
-        }
-        acc
-    }
-
     /// Mean positive-class probability over trees.
     pub fn positive_probability(&self, row: &[f64]) -> f64 {
         assert!(!self.trees.is_empty(), "predict before fit");
@@ -123,7 +102,6 @@ mod tests {
         rf.fit(&d);
         let correct = (0..d.len()).filter(|&i| rf.predict(d.row(i)) == d.label_bool(i)).count();
         assert!(correct as f64 / d.len() as f64 > 0.9);
-        assert_eq!(rf.tree_count(), 40);
     }
 
     #[test]
@@ -156,17 +134,6 @@ mod tests {
         b.fit(&d);
         let row = [0.3, 0.1, -0.2];
         assert_eq!(a.decision(&row), b.decision(&row));
-    }
-
-    #[test]
-    fn forest_importances_find_the_signal() {
-        let d = noisy_bands(); // feature 0 carries the signal
-        let mut rf = RandomForest::seeded(8);
-        rf.fit(&d);
-        let imp = rf.feature_importances();
-        assert_eq!(imp.len(), 3);
-        assert!(imp[0] > imp[1] && imp[0] > imp[2], "signal feature should lead: {imp:?}");
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! what this crate provides:
 //!
 //! * [`data::Dataset`] — dense feature matrix with integer class labels,
-//!   standardization, deterministic shuffling and the *undersampling*
-//!   operator (keep all positives, subsample negatives at ratio θ) that
-//!   drives Figure 10.
+//!   standardization and deterministic shuffling.
 //! * [`svm::LinearSvm`] — primal linear SVM trained with Pegasos-style
 //!   projected SGD on the hinge loss; exposes the raw `|w|` feature
 //!   coefficients the paper analyzes in Figure 12.
@@ -21,11 +19,9 @@
 //!   multi-class support and human-readable rule extraction.
 //! * [`forest::RandomForest`] — bootstrap aggregation over CART trees with
 //!   feature subsampling; vote share as a decision score.
-//! * [`crossval`] — stratified k-fold CV and θ selection (§5.2's "invest
-//!   efforts in finding the right undersampling ratio").
 //! * [`platt`] — Platt scaling: calibrated probabilities from any
 //!   decision score (addresses §8's "binary results lack granularity").
-//! * [`eval`] — accuracy, precision/recall, ROC AUC.
+//! * [`eval`] — accuracy and ROC AUC.
 //!
 //! All training is deterministic given the seed in each model's config.
 //! Scores returned by [`Classifier::decision`] are *ranking* scores: higher
@@ -35,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crossval;
 pub mod data;
 pub mod eval;
 pub mod forest;

@@ -52,9 +52,6 @@ pub struct DecisionTree {
     pub config: TreeConfig,
     nodes: Vec<Node>,
     n_classes: usize,
-    /// Accumulated sample-weighted Gini decrease per feature (Breiman's
-    /// "mean decrease in impurity"), unnormalized.
-    importance: Vec<f64>,
 }
 
 impl Default for DecisionTree {
@@ -66,25 +63,13 @@ impl Default for DecisionTree {
 impl DecisionTree {
     /// Creates an unfitted tree.
     pub fn new(config: TreeConfig) -> Self {
-        DecisionTree { config, nodes: Vec::new(), n_classes: 0, importance: Vec::new() }
-    }
-
-    /// Per-feature Gini importances, normalized to sum 1 (all zeros for a
-    /// stump). The forest averages these across trees; comparable in
-    /// spirit to the SVM |w| analysis of the paper's Figure 12.
-    pub fn feature_importances(&self) -> Vec<f64> {
-        let total: f64 = self.importance.iter().sum();
-        if total <= 0.0 {
-            return vec![0.0; self.importance.len()];
-        }
-        self.importance.iter().map(|x| x / total).collect()
+        DecisionTree { config, nodes: Vec::new(), n_classes: 0 }
     }
 
     /// Fits the tree on a dataset with arbitrarily many classes.
     pub fn fit_multiclass(&mut self, data: &Dataset) {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
         self.n_classes = data.n_classes().max(2);
-        self.importance = vec![0.0; data.n_features()];
         self.nodes.clear();
         let indices: Vec<usize> = (0..data.len()).collect();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -124,17 +109,6 @@ impl DecisionTree {
         {
             self.nodes.push(Node::Leaf { counts });
             return node_id;
-        }
-        // Record the impurity decrease this split achieves, weighted by
-        // the node's sample count (Gini importance).
-        {
-            let total = (left_idx.len() + right_idx.len()) as f64;
-            let parent_gini = gini(&counts, left_idx.len() + right_idx.len());
-            let lc = self.class_counts(data, &left_idx);
-            let rc = self.class_counts(data, &right_idx);
-            let child = (left_idx.len() as f64 / total) * gini(&lc, left_idx.len())
-                + (right_idx.len() as f64 / total) * gini(&rc, right_idx.len());
-            self.importance[feature] += total * (parent_gini - child).max(0.0);
         }
         // Reserve the split slot, then grow children.
         self.nodes.push(Node::Leaf { counts: Vec::new() });
@@ -417,29 +391,6 @@ mod tests {
         t.fit(&d);
         assert!(t.decision(&[15.0]) > 0.0);
         assert!(t.decision(&[5.0]) < 0.0);
-    }
-
-    #[test]
-    fn importance_concentrates_on_informative_feature() {
-        let mut d = Dataset::new(3);
-        for i in 0..40 {
-            // Feature 1 carries the label; 0 and 2 are constant.
-            d.push(&[1.0, i as f64, 2.0], u32::from(i >= 20));
-        }
-        let mut t = DecisionTree::default();
-        t.fit_multiclass(&d);
-        let imp = t.feature_importances();
-        assert_eq!(imp.len(), 3);
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(imp[1] > 0.99, "informative feature must dominate: {imp:?}");
-    }
-
-    #[test]
-    fn stump_has_zero_importance() {
-        let cfg = TreeConfig { max_depth: 0, ..Default::default() };
-        let mut t = DecisionTree::new(cfg);
-        t.fit_multiclass(&xor_data());
-        assert!(t.feature_importances().iter().all(|&x| x == 0.0));
     }
 
     #[test]

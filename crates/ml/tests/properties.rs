@@ -96,22 +96,6 @@ proptest! {
     }
 
     #[test]
-    fn undersample_never_invents_samples(n_pos in 1usize..10, n_neg in 1usize..60,
-                                         theta in 0.5f64..30.0, seed in 0u64..50) {
-        let mut d = Dataset::new(1);
-        for i in 0..n_neg { d.push(&[i as f64], 0); }
-        for i in 0..n_pos { d.push(&[-(1.0 + i as f64)], 1); }
-        let u = d.undersample(theta, seed);
-        // Every row of the output exists in the input with the same label.
-        for i in 0..u.len() {
-            let x = u.row(i)[0];
-            let label = u.label(i);
-            let found = (0..d.len()).any(|j| d.row(j)[0] == x && d.label(j) == label);
-            prop_assert!(found, "row {x} label {label} not in source");
-        }
-    }
-
-    #[test]
     fn scaler_is_invertible_information(seed in 1u64..100) {
         let d = separable(20, 5.0, 2.0, 3.0, seed);
         let scaler = d.fit_scaler();

@@ -61,23 +61,13 @@ pub fn erdos_renyi_growth(
 
 /// Generates a Barabási–Albert growth trace: each day `nodes_per_day`
 /// fresh nodes arrive and attach `edges_per_node` edges degree-
-/// proportionally (plus-one smoothing so isolated nodes are reachable).
-pub fn barabasi_albert_growth(
-    initial_nodes: usize,
-    nodes_per_day: usize,
-    edges_per_node: usize,
-    days: u32,
-    seed: u64,
-) -> GrowthTrace {
-    barabasi_albert_with_internal(initial_nodes, nodes_per_day, edges_per_node, 0, days, seed)
-}
-
-/// Like [`barabasi_albert_growth`] but additionally creates
-/// `internal_edges_per_day` edges per day between two degree-
-/// proportionally sampled *existing* nodes. Pure BA creates edges only at
-/// node arrival, which leaves the link-prediction ground truth (edges
-/// among existing nodes) empty; the internal variant is the null model the
-/// calibration experiment needs — and on it, PA is the generative model.
+/// proportionally (plus-one smoothing so isolated nodes are reachable),
+/// and `internal_edges_per_day` edges join two degree-proportionally
+/// sampled *existing* nodes. Pure BA (no internal edges) creates edges
+/// only at node arrival, which leaves the link-prediction ground truth
+/// (edges among existing nodes) empty; the internal edges make the null
+/// model the calibration experiment needs — and on it, PA is the
+/// generative model.
 pub fn barabasi_albert_with_internal(
     initial_nodes: usize,
     nodes_per_day: usize,
@@ -165,7 +155,7 @@ mod tests {
 
     #[test]
     fn ba_is_heavy_tailed() {
-        let g = barabasi_albert_growth(10, 10, 3, 60, 3);
+        let g = barabasi_albert_with_internal(10, 10, 3, 0, 60, 3);
         let s = Snapshot::up_to(&g, g.edge_count());
         let d = stats::degree_stats(&s);
         // The +1-smoothed pool softens the tail slightly vs textbook BA;
@@ -178,7 +168,7 @@ mod tests {
         // Pure BA edges always involve the brand-new node, so there is no
         // "among existing nodes" ground truth; instead verify that the
         // *existing* endpoint of late edges is disproportionately a hub.
-        let g = barabasi_albert_growth(10, 8, 2, 60, 4);
+        let g = barabasi_albert_with_internal(10, 8, 2, 0, 60, 4);
         let split = g.edge_count() * 3 / 4;
         let snap = Snapshot::up_to(&g, split);
         let n = snap.node_count() as NodeId;
@@ -223,8 +213,8 @@ mod tests {
         let a = erdos_renyi_growth(50, 2, 20, 10, 7);
         let b = erdos_renyi_growth(50, 2, 20, 10, 7);
         assert_eq!(a.edges(), b.edges());
-        let c = barabasi_albert_growth(10, 5, 2, 10, 7);
-        let d = barabasi_albert_growth(10, 5, 2, 10, 7);
+        let c = barabasi_albert_with_internal(10, 5, 2, 0, 10, 7);
+        let d = barabasi_albert_with_internal(10, 5, 2, 0, 10, 7);
         assert_eq!(c.edges(), d.edges());
     }
 }

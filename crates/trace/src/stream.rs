@@ -4,7 +4,7 @@
 //!
 //! ## What stays resident, what doesn't
 //!
-//! The in-core path (`friendship::generate` + `write_cache`) holds, per
+//! The in-core path (`friendship::generate` + `write_cache_file`) holds, per
 //! edge: the `TimedEdge` log (16 B), the dedup hash set (tens of bytes with
 //! hashing overhead), and — under the v1 cache writer — a full serialized
 //! payload buffer. The streaming generator emits each event exactly once
@@ -364,7 +364,7 @@ mod tests {
         assert_eq!(back.arrivals(), g.arrivals());
         assert_eq!(back.edges(), g.edges());
         // Day-bucketed emission produces interleaved sections, more than
-        // the two a plain write_cache of this size would emit.
+        // the two an in-core write_cache_file of this size would emit.
         assert!(cache_summary.sections > 2, "sections {}", cache_summary.sections);
     }
 

@@ -11,13 +11,18 @@ use linklens::linalg::lanczos::{lanczos_top_k, symmetric_eigen, EigenPairs};
 use linklens::linalg::{sparse, Matrix};
 use linklens::prelude::*;
 
+/// `a · v`.
+fn matvec(a: &Matrix, v: &[f64]) -> Vec<f64> {
+    (0..a.rows()).map(|i| a.row(i).iter().zip(v).map(|(x, y)| x * y).sum()).collect()
+}
+
 /// `‖A vᵢ − λᵢ vᵢ‖₂` for every pair of `e`.
 fn residuals(a: &Matrix, e: &EigenPairs) -> Vec<f64> {
     let n = a.rows();
     (0..e.values.len())
         .map(|i| {
             let v: Vec<f64> = (0..n).map(|r| e.vectors[(r, i)]).collect();
-            let av = a.matvec(&v);
+            let av = matvec(a, &v);
             av.iter().zip(&v).map(|(x, y)| (x - e.values[i] * y).powi(2)).sum::<f64>().sqrt()
         })
         .collect()
@@ -41,7 +46,8 @@ fn katz_error_bound(a: &Matrix, e: &EigenPairs, rank: usize, beta: f64) -> f64 {
     let n = a.rows();
     let gram = e.vectors.transpose().matmul(&e.vectors);
     let omega = (gram.max_abs_diff(&Matrix::identity(n)) * n as f64).max(f64::EPSILON);
-    let eps_lambda = rho_all + 2.0 * omega * a.frobenius_norm();
+    let norm_a = a.data().iter().map(|x| x * x).sum::<f64>().sqrt();
+    let eps_lambda = rho_all + 2.0 * omega * norm_a;
     assert!(eps_lambda < gap / 2.0, "rank cut not resolved: ε_λ {eps_lambda} vs gap {gap}");
     let lambda_max = kept.values.iter().fold(0.0f64, |m, l| m.max(*l)) + eps_lambda;
     assert!(beta * lambda_max < 0.95, "pole clamp must not bind");

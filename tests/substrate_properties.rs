@@ -1,13 +1,12 @@
 //! Property-based tests over the substrates: snapshot construction against
-//! a naive reference, sequence invariants, sampling invariants, dataset
-//! operations, and evaluation accounting.
+//! a naive reference, sequence invariants, sampling invariants, and
+//! evaluation accounting.
 
 use linklens::graph::sample::snowball;
 use linklens::graph::sequence::SnapshotSequence;
 use linklens::graph::snapshot::Snapshot;
 use linklens::graph::temporal::TemporalGraph;
 use linklens::graph::NodeId;
-use linklens::ml::data::Dataset;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -95,26 +94,6 @@ proptest! {
         prop_assert_eq!(nodes.len(), target);
         prop_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "sorted unique output");
         prop_assert!(nodes.iter().all(|&u| (u as usize) < snap.node_count()));
-    }
-
-    #[test]
-    fn undersample_ratio_is_respected(
-        positives in 1usize..20,
-        negatives in 1usize..200,
-        ratio in 1.0f64..20.0,
-    ) {
-        let mut d = Dataset::new(1);
-        for i in 0..negatives {
-            d.push(&[i as f64], 0);
-        }
-        for i in 0..positives {
-            d.push(&[-(i as f64)], 1);
-        }
-        let u = d.undersample(ratio, 3);
-        let (neg, pos) = u.binary_counts();
-        prop_assert_eq!(pos, positives, "all positives kept");
-        let want = ((positives as f64 * ratio).round() as usize).min(negatives);
-        prop_assert_eq!(neg, want);
     }
 
     #[test]
