@@ -52,7 +52,7 @@ fn bench_substrate(c: &mut Criterion) {
         b.iter(|| {
             let mut svm = LinearSvm::seeded(1);
             svm.fit(&data);
-            svm.bias()
+            svm.decision(data.row(0))
         })
     });
     group.finish();

@@ -18,7 +18,7 @@ pub(super) fn fig9(ctx: &Context, con: &mut Console) -> Value {
     let pipe = ClassificationPipeline::new(&seq, classification_config(&seq, t, ctx));
 
     con.note(&format!("[fig9] {} transition {t}, p={:.3}", cfg.name, pipe.config.sampling_p));
-    let outcomes = pipe.sweep(&ClassifierKind::all(), &[1.0, 50.0], t, None);
+    let outcomes = pipe.instance(t, None).cells(&ClassifierKind::all(), &[1.0, 50.0]);
 
     let mut table = Table::new(
         format!("Figure 9 ({}, transition {t}): classifier accuracy ratio by θ", cfg.name),
@@ -64,10 +64,11 @@ pub(super) fn fig10(ctx: &Context, con: &mut Console) -> Value {
         let pipe = ClassificationPipeline::new(&seq, classification_config(&seq, t, ctx));
         con.note(&format!("[fig10] {} transition {t}, p={:.3}", cfg.name, pipe.config.sampling_p));
 
-        let diag = pipe.seed_diagnostics(t);
-        let (s, u, k) = diag
-            .iter()
-            .fold((0usize, 0.0f64, 0usize), |acc, d| (acc.0 + d.0, acc.1 + d.1, acc.2 + d.2));
+        let instance = pipe.instance(t, None);
+        let diag = instance.diagnostics();
+        let (s, u, k) = diag.iter().fold((0usize, 0.0f64, 0usize), |acc, d| {
+            (acc.0 + d.sample_size, acc.1 + d.universe, acc.2 + d.truth.len())
+        });
         let n = diag.len();
         instance_table.push_row(vec![
             cfg.name.clone(),
@@ -77,7 +78,7 @@ pub(super) fn fig10(ctx: &Context, con: &mut Console) -> Value {
             (k / n).to_string(),
         ]);
 
-        let outcomes = pipe.sweep(&[ClassifierKind::Svm], &thetas, t, None);
+        let outcomes = instance.cells(&[ClassifierKind::Svm], &thetas);
         let mut row = vec![cfg.name.clone()];
         row.extend(outcomes.iter().map(|o| fnum(o.mean_accuracy_ratio)));
         theta_table.push_row(row);
@@ -103,13 +104,14 @@ pub(super) fn fig11(ctx: &Context, con: &mut Console) -> Value {
         let pipe = ClassificationPipeline::new(&seq, classification_config(&seq, t, ctx));
         con.note(&format!("[fig11] {} transition {t}, p={:.3}", cfg.name, pipe.config.sampling_p));
 
+        let instance = pipe.instance(t, None);
         let mut rows: Vec<(String, f64)> = Vec::new();
         for metric in osn_metrics::figure5_metrics() {
-            let out = pipe.evaluate_metric_on_sample(metric.as_ref(), t, None);
+            let out = instance.metric_outcome(metric.as_ref());
             rows.push((out.metric.clone(), out.accuracy_ratio));
         }
         rows.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let svm = pipe.evaluate(ClassifierKind::Svm, theta, t, None);
+        let svm = instance.cells(&[ClassifierKind::Svm], &[theta]).remove(0);
 
         let mut table = Table::new(
             format!(
@@ -161,14 +163,15 @@ pub(super) fn fig12(ctx: &Context, con: &mut Console) -> Value {
         con.note(&format!("[fig12] {} transition {t}", cfg.name));
 
         // Metric ranking on the same sampled data (defines "top-N").
+        let instance = pipe.instance(t, None);
         let mut ranking: Vec<(String, f64)> = Vec::new();
         for metric in osn_metrics::all_metrics() {
-            let out = pipe.evaluate_metric_on_sample(metric.as_ref(), t, None);
+            let out = instance.metric_outcome(metric.as_ref());
             ranking.push((out.metric.clone(), out.accuracy_ratio));
         }
         ranking.sort_by(|a, b| b.1.total_cmp(&a.1));
 
-        let svm = pipe.evaluate(ClassifierKind::Svm, theta, t, None);
+        let svm = instance.cells(&[ClassifierKind::Svm], &[theta]).remove(0);
         let coefs = svm.svm_coefficients.clone().expect("SVM coefficients");
         let names = svm.feature_names.clone();
         let coef_of =

@@ -277,12 +277,7 @@ fn classification_config(
     let nodes = snapshot_node_count(seq, t - 1);
     let target = if ctx.quick { 250 } else { 600 };
     let sampling_p = if nodes <= 2_600 { 1.0 } else { (target as f64 / nodes as f64).min(1.0) };
-    ClassificationConfig {
-        sampling_p,
-        n_seeds: if ctx.quick { 2 } else { 5 },
-        seed: ctx.seed,
-        ..Default::default()
-    }
+    ClassificationConfig { sampling_p, n_seeds: if ctx.quick { 2 } else { 5 }, seed: ctx.seed }
 }
 
 #[cfg(test)]

@@ -143,6 +143,8 @@ pub(super) fn table8(ctx: &Context, con: &mut Console) -> Value {
         let filter = TemporalFilter::new(FilterThresholds::for_preset(&cfg.name).expect("preset"));
         let pipe = ClassificationPipeline::new(&seq, classification_config(&seq, t, ctx));
         con.note(&format!("[table8] {} transition {t}", cfg.name));
+        let unfiltered = pipe.instance(t, None);
+        let filtered = pipe.instance(t, Some(&filter));
 
         let mut table = Table::new(
             format!(
@@ -153,8 +155,8 @@ pub(super) fn table8(ctx: &Context, con: &mut Console) -> Value {
         );
         let mut rows = Vec::new();
         for metric in osn_metrics::figure5_metrics() {
-            let before = pipe.evaluate_metric_on_sample(metric.as_ref(), t, None);
-            let after = pipe.evaluate_metric_on_sample(metric.as_ref(), t, Some(&filter));
+            let before = unfiltered.metric_outcome(metric.as_ref());
+            let after = filtered.metric_outcome(metric.as_ref());
             let imp = if before.accuracy_ratio > 0.0 {
                 format!("{:.1}x", after.accuracy_ratio / before.accuracy_ratio)
             } else if after.accuracy_ratio > 0.0 {
@@ -174,9 +176,13 @@ pub(super) fn table8(ctx: &Context, con: &mut Console) -> Value {
                 "after": after.accuracy_ratio,
             }));
         }
+        // One cells call per θ: each draws its negative pool at its own θ.
+        // One call over every θ would draw a single pool at the largest,
+        // and a walk metric scores a pair by the batch it is in, so the
+        // smaller θs' training features, and their cells, would move.
         for &theta in &thetas {
-            let before = pipe.evaluate(ClassifierKind::Svm, theta, t, None);
-            let after = pipe.evaluate(ClassifierKind::Svm, theta, t, Some(&filter));
+            let before = unfiltered.cells(&[ClassifierKind::Svm], &[theta]).remove(0);
+            let after = filtered.cells(&[ClassifierKind::Svm], &[theta]).remove(0);
             let imp = if before.mean_accuracy_ratio > 0.0 {
                 format!("{:.1}x", after.mean_accuracy_ratio / before.mean_accuracy_ratio)
             } else {
@@ -224,8 +230,7 @@ pub(super) fn table8_ablation(ctx: &Context, con: &mut Console) -> Value {
                 min_recent_edges: base.min_recent_edges,
                 cn_gap_days: base.cn_gap_days * scale,
             };
-            let out =
-                pipe.evaluate_metric_on_sample(bra.as_ref(), t, Some(&TemporalFilter::new(th)));
+            let out = pipe.instance(t, Some(&TemporalFilter::new(th))).metric_outcome(bra.as_ref());
             ab.push_row(vec![format!("{scale}x"), fnum(out.accuracy_ratio)]);
             rows.push(serde_json::json!({ "scaling": scale, "after": out.accuracy_ratio }));
         }

@@ -25,7 +25,7 @@ pub fn posthoc(
     let cands = CandidateSet::build(snap, policy, eval.top_degree_candidates);
     let cands = match filter {
         None => cands,
-        Some(f) => CandidateSet::from_pairs(f.filter_pairs(snap, cands.pairs()), policy),
+        Some(f) => CandidateSet::from_pairs(f.filter_pairs(snap, cands.pairs())),
     };
     cands.capped(eval.max_candidate_pairs)
 }

@@ -2,14 +2,18 @@
 //! and the production reach.
 //!
 //! The call graph is *name-based*: an identifier followed by `(` inside a
-//! function body is an edge to every workspace function of that name, and
-//! a bare identifier in argument position that matches a workspace
-//! function name is an edge too (callback passing). No receiver types, no
-//! path resolution — deliberately an over-approximation, so reachability
-//! can only err toward scanning *more* code and reporting *less* code
-//! unreached. The one exception is a call through the oracles' module
-//! path (see [`ORACLE_DIR`]). One breadth-first walk serves both root
-//! sets below.
+//! function body is an edge to every workspace function of that name. A
+//! name in argument position (followed by `,` or `)`) is a function handed
+//! on as a callback, and an edge too, when a path qualifies it
+//! (`.map(Type::m)`, `Self::m`) or when a free function has that name
+//! (`.map(helper)`). A method cannot be named bare, so a bare local, field
+//! or pattern that shares a method's name (`for (r, &qr) in …` beside
+//! `Matrix::qr`) reaches nothing, and neither does a field access
+//! (`x.name,`). No receiver types, no path resolution — deliberately an
+//! over-approximation, so reachability can only err toward scanning
+//! *more* code and reporting *less* code unreached. The one exception is
+//! a call through the oracles' module path (see [`ORACLE_DIR`]). One
+//! breadth-first walk serves both root sets below.
 //!
 //! ## Deterministic surface
 //!
@@ -151,15 +155,16 @@ fn root_reason(file: &ParsedFile, f: &FnSym) -> Option<String> {
 }
 
 /// Call edges out of one function body: every known workspace function
-/// name that appears in call position (`name (`) or argument position
-/// (`name ,` / `name )`) inside the body. `known` filters bare idents so
-/// locals and field names don't become edges, and a name qualified by a
-/// path through one of the `outside` modules (`oracles::rescal::fit_dense`)
-/// names a function outside the graph, so it is no edge either.
+/// name in call position (`name (`), and every name in argument position
+/// (`name ,` / `name )`) that a path qualifies or that a free function
+/// has (see the module docs). `known` filters idents so locals don't
+/// become calls, and a name qualified by a path through one of the
+/// `outside` modules (`oracles::rescal::fit_dense`) names a function
+/// outside the graph, so it is no edge either.
 fn callees(
     file: &ParsedFile,
     body: (usize, usize),
-    known: &BTreeSet<&str>,
+    names: &FnNames<'_>,
     outside: &[&str],
 ) -> BTreeSet<String> {
     let tokens = &file.lexed.tokens;
@@ -167,19 +172,27 @@ fn callees(
     let mut out = BTreeSet::new();
     for i in open..end.min(tokens.len()) {
         let Some(name) = ident_at(tokens, i) else { continue };
-        if KEYWORDS.contains(&name) || !known.contains(name) || qualified_by(file, i, outside) {
+        if KEYWORDS.contains(&name) || !names.known.contains(name) || qualified_by(file, i, outside)
+        {
             continue;
         }
         let call_pos = punct_at(tokens, i + 1, '(');
-        // `name !` is a macro, not a function call.
-        let macro_pos = punct_at(tokens, i + 1, '!');
-        // Callback heuristic: a known fn name handed to something else.
         let arg_pos = punct_at(tokens, i + 1, ',') || punct_at(tokens, i + 1, ')');
-        if (call_pos || arg_pos) && !macro_pos {
+        let by_path = i >= 2 && punct_at(tokens, i - 1, ':') && punct_at(tokens, i - 2, ':');
+        let field = i >= 1 && punct_at(tokens, i - 1, '.');
+        if call_pos || (arg_pos && (by_path || (!field && names.free.contains(name)))) {
             out.insert(name.to_string());
         }
     }
     out
+}
+
+/// The function names of a call graph's files: every non-test `fn`, and
+/// the free ones among them (outside any `impl` or `trait` block), the
+/// only names a bare argument can pass.
+struct FnNames<'a> {
+    known: BTreeSet<&'a str>,
+    free: BTreeSet<&'a str>,
 }
 
 /// Whether the path qualifying the identifier at `i` (`a :: b :: name`)
@@ -208,11 +221,17 @@ fn call_edges<'a>(
     let live = || {
         files.iter().flat_map(|p| p.fns.iter().map(move |f| (*p, f))).filter(|(_, f)| !f.in_test)
     };
-    let known: BTreeSet<&str> = live().map(|(_, f)| f.name.as_str()).collect();
+    let names = FnNames {
+        known: live().map(|(_, f)| f.name.as_str()).collect(),
+        free: live()
+            .filter(|(_, f)| f.impl_ctx.is_none() && !f.trait_method)
+            .map(|(_, f)| f.name.as_str())
+            .collect(),
+    };
     let mut edges: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
     for (p, f) in live() {
         if let Some(body) = f.body {
-            edges.entry(f.name.as_str()).or_default().extend(callees(p, body, &known, outside));
+            edges.entry(f.name.as_str()).or_default().extend(callees(p, body, &names, outside));
         }
     }
     edges
@@ -347,12 +366,12 @@ mod tests {
         );
         let marked = parse_file(
             &info("crates/core/src/classify.rs", "core"),
-            "// linklens-deterministic: feeds training order\nfn prepare_seeds() {}",
+            "// linklens-deterministic: feeds training order\nfn build_instance() {}",
         );
         let s = surface(&[kernel, builder, marked]);
         assert!(s.origin("enumerate_and_score").unwrap().contains("kernel file"));
         assert!(s.origin("advance_to").unwrap().contains("impl SnapshotBuilder"));
-        assert!(s.origin("prepare_seeds").unwrap().contains("marker"));
+        assert!(s.origin("build_instance").unwrap().contains("marker"));
     }
 
     #[test]

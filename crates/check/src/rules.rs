@@ -126,7 +126,7 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: "unreached-pub-fn",
-        contract: "a plain `pub fn` in the non-test code of a library crate (graph, trace, linalg, ml, metrics, core, serve) that the name-level call graph does not reach from a production root: a binary, an example, an experiment row, or benchmark/src; trait methods are exempt",
+        contract: "a plain `pub fn` in the non-test code of a library crate (graph, trace, linalg, ml, metrics, core, serve) that the name-level call graph does not reach from a production root: a binary, an example, an experiment row, or benchmark/src; trait methods are exempt. A call (`name(`) reaches every function of that name; a name passed as an argument (`name,` / `name)`) reaches one only through a path (`Type::m`, `Self::m`) or when a free function has that name, since a method cannot be named bare: a local, field or pattern sharing a method's name reaches nothing",
         rationale: "The paper's results come from the code that regenerates, serves and benchmarks them. A library function none of that code reaches is kept up, documented and tested for nothing, and rustc's dead-code lint cannot see it because it is `pub`. Test code, benches and the reference oracles are no roots: a function only they call belongs with them.",
         fix: "Delete the function (and the tests that only tested it), or move it into the tests or `linklens_bench::oracles` that call it.\n(A test seam that needs private state keeps a justified allow naming the tests:\n // linklens-allow(unreached-pub-fn): the window-split tests in sampled_eval.rs need a small window)",
     },

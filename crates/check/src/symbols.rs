@@ -371,7 +371,7 @@ mod tests {
 
     #[test]
     fn deterministic_marker_reaches_over_an_attribute() {
-        let src = "// linklens-deterministic: feeds classifier training order\n#[inline]\nfn prepare_seeds() {}\n\nfn unmarked() {}";
+        let src = "// linklens-deterministic: feeds classifier training order\n#[inline]\nfn build_instance() {}\n\nfn unmarked() {}";
         let p = parse_file(&info(), src);
         assert!(p.fns[0].marked_deterministic);
         assert!(!p.fns[1].marked_deterministic);

@@ -325,6 +325,34 @@ fn reach_follows_paths_library_calls_and_trait_impls() {
 }
 
 #[test]
+fn argument_position_reaches_free_fns_and_paths_but_not_a_methods_namesake() {
+    // `fx_qr` is only a method: the pattern binding and the local passed
+    // on under its name do not reach it. `fx_helper` passed bare and
+    // `Fx::fx_by_path` passed by path do reach theirs.
+    let lib = "pub struct Fx;\n\
+               impl Fx {\n\
+               \x20   pub fn fx_qr(&self) -> u32 { 1 }\n\
+               \x20   pub fn fx_by_path(x: u32) -> u32 { x }\n\
+               }\n\
+               pub fn fx_helper(x: u32) -> u32 { x }\n";
+    let bin = format!(
+        "{FORBID}fn main() {{ let v = vec![1u32]; \
+         for (r, &fx_qr) in v.iter().enumerate() {{ consume(r, fx_qr); }} \
+         let a: Vec<u32> = v.iter().copied().map(fx_helper).collect(); \
+         let b: Vec<u32> = v.iter().copied().map(Fx::fx_by_path).collect(); }}\n"
+    );
+    let summary = run(vec![
+        fx("crates/linalg/src/fx_dense.rs", lib),
+        fx("crates/bench/src/bin/fx_runner.rs", &bin),
+    ]);
+    let names: Vec<&str> = active_of(&summary, "unreached-pub-fn")
+        .iter()
+        .map(|d| d.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    assert_eq!(names, ["pub fn fx_qr"], "{:?}", summary.diagnostics);
+}
+
+#[test]
 fn a_justified_allow_keeps_a_test_seam_until_something_calls_it() {
     let seam = "// linklens-allow(unreached-pub-fn): the fixture tests need the private fields\n\
                 pub fn fx_seam() -> u32 { 1 }\n";

@@ -12,22 +12,34 @@
 //!    `k` (`k` = actual new edges among the sampled nodes in `G_t`);
 //! 4. repeat over several snowball seeds and average.
 //!
+//! [`ClassificationPipeline::instance`] builds a transition's sampled
+//! instance once: per seed, a [`Draw`] of `G_{t-1}` (the scored pairs
+//! after the optional temporal filter, the in-sample truth, the exact
+//! universe and the sample size). Every §5 number reads it: a metric point
+//! ([`SampledInstance::metric_outcome`], Figs. 11–12 and Table 8), the
+//! (classifier, θ) cells ([`SampledInstance::cells`], Figs. 9–10 and
+//! Table 8) and Table 6's sizes ([`SampledInstance::diagnostics`]). Both
+//! readers judge a seed with the draw's seeded top-k and aggregate seeds
+//! with the summary the sampled metric evaluation uses
+//! ([`crate::sampling`]).
+//!
 //! Feature computation dominates the cost (the paper says the same of its
-//! C++ pipeline, §3.2), so the implementation computes features once per
-//! snowball seed and shares them across every classifier and every
-//! undersampling ratio in a sweep — that is what makes the Figure 9/10
-//! sweeps tractable.
+//! C++ pipeline, §3.2), so an instance computes the features of its
+//! positives and test pairs once, on its first `cells` call, and shares
+//! them across every classifier and θ; each call adds only its negative
+//! pool, drawn at that call's largest θ.
 //!
 //! One honest scalability note, documented in DESIGN.md: the paper scores
 //! *every* unconnected sampled pair at test time. We do the same up to
-//! `max_universe_pairs`; beyond that the scored universe is restricted to
-//! 2-hop pairs plus all pairs touching sampled supernodes (the same
-//! candidate logic the metric evaluation uses). The accuracy-ratio
-//! denominator always uses the exact full-universe count, so results stay
-//! comparable either way.
+//! [`MAX_UNIVERSE_PAIRS`](crate::sampling::MAX_UNIVERSE_PAIRS); beyond that
+//! the scored universe is restricted to 2-hop pairs plus all pairs
+//! touching sampled supernodes (the same candidate logic the metric
+//! evaluation uses). The accuracy-ratio denominator always uses the exact
+//! full-universe count, so results stay comparable either way.
 
 use crate::filters::TemporalFilter;
-use crate::framework::{finite_mean, PredictionOutcome};
+use crate::framework::PredictionOutcome;
+use crate::sampling::{Draw, DrawSummary, Judgement};
 use osn_graph::builder::SnapshotBuilder;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
@@ -35,7 +47,6 @@ use osn_graph::NodeId;
 use osn_graph::{par, sample};
 use osn_metrics::exec;
 use osn_metrics::solver::SolverCache;
-use osn_metrics::topk;
 use osn_metrics::traits::Metric;
 use osn_ml::data::Dataset;
 use osn_ml::forest::RandomForest;
@@ -44,6 +55,7 @@ use osn_ml::naive_bayes::GaussianNaiveBayes;
 use osn_ml::svm::LinearSvm;
 use osn_ml::Classifier;
 use serde::Serialize;
+use std::cell::OnceCell;
 use std::collections::HashSet;
 
 /// The four classifier families the paper evaluates (§5.1).
@@ -130,18 +142,11 @@ pub struct ClassificationConfig {
     pub n_seeds: usize,
     /// Master RNG seed.
     pub seed: u64,
-    /// Cap on exhaustively scored test pairs (see module docs).
-    pub max_universe_pairs: usize,
 }
 
 impl Default for ClassificationConfig {
     fn default() -> Self {
-        ClassificationConfig {
-            sampling_p: 1.0,
-            n_seeds: 5,
-            seed: 0xC1A5,
-            max_universe_pairs: 400_000,
-        }
+        ClassificationConfig { sampling_p: 1.0, n_seeds: 5, seed: 0xC1A5 }
     }
 }
 
@@ -170,28 +175,6 @@ pub struct ClassificationOutcome {
     pub feature_names: Vec<String>,
 }
 
-/// Pre-computed per-seed features, shared across classifiers and θ values.
-struct SeedData {
-    /// Features of positive training pairs.
-    pos_features: Vec<Vec<f64>>,
-    /// Features of the negative-pool training pairs (size = θ_max × |pos|).
-    neg_pool: Vec<Vec<f64>>,
-    /// The scored test pairs.
-    test_pairs: Vec<(NodeId, NodeId)>,
-    /// Features of the test pairs (unscaled).
-    test_features: Vec<Vec<f64>>,
-    /// Ground truth among the sample.
-    truth: HashSet<(NodeId, NodeId)>,
-    /// Ground-truth count.
-    k: usize,
-    /// Exact unconnected-pair universe among the sample.
-    universe: f64,
-    /// Sample size (diagnostics).
-    sample_size: usize,
-    /// Seed used for this snowball (tie-breaking etc.).
-    rng_seed: u64,
-}
-
 /// The §5 evaluation pipeline bound to a snapshot sequence.
 pub struct ClassificationPipeline<'a> {
     seq: &'a SnapshotSequence<'a>,
@@ -212,284 +195,224 @@ impl<'a> ClassificationPipeline<'a> {
         self.metrics.iter().map(|m| m.name().to_string()).collect()
     }
 
-    /// Convenience single-cell evaluation (one classifier, one θ).
-    pub fn evaluate(
-        &self,
-        kind: ClassifierKind,
-        negatives_per_positive: f64,
-        t: usize,
-        filter: Option<&TemporalFilter>,
-    ) -> ClassificationOutcome {
-        self.sweep(&[kind], &[negatives_per_positive], t, filter)
-            .pop()
-            // linklens-allow(unwrap-in-lib): sweep returns exactly one outcome per input cell
-            .expect("one cell in, one out")
-    }
-
-    /// The full sweep: every (classifier kind, θ) cell over shared per-seed
-    /// features. Results are ordered kind-major, matching the input order.
-    pub fn sweep(
-        &self,
-        kinds: &[ClassifierKind],
-        thetas: &[f64],
-        t: usize,
-        filter: Option<&TemporalFilter>,
-    ) -> Vec<ClassificationOutcome> {
-        assert!(!kinds.is_empty() && !thetas.is_empty());
-        assert!(thetas.iter().all(|&x| x > 0.0), "θ must be positive negatives-per-positive");
-        let theta_max = thetas.iter().cloned().fold(0.0, f64::max);
-        let seeds = self.prepare_seeds(t, theta_max, filter);
-
-        let mut out = Vec::with_capacity(kinds.len() * thetas.len());
-        for kind in kinds {
-            for &theta in thetas {
-                out.push(self.aggregate_cell(*kind, theta, t, &seeds));
-            }
-        }
-        out
-    }
-
-    /// Runs a *metric* on exactly the same sampled universe (Fig. 11's
-    /// metric points), averaged over the same snowball seeds.
-    // linklens-deterministic: shares the seed/candidate universe with classifier evaluation
-    pub fn evaluate_metric_on_sample(
-        &self,
-        metric: &dyn Metric,
-        t: usize,
-        filter: Option<&TemporalFilter>,
-    ) -> PredictionOutcome {
-        assert!(t >= 2 && t < self.seq.len());
-        // One incremental arena walks t-2 → t-1; the training snapshot is
-        // only needed for seed picking, before the arena advances past it.
+    /// The sampled instance of transition `t`: seeds picked on `G_{t-2}`,
+    /// and per seed its snowball samples of `G_{t-2}` (training) and
+    /// `G_{t-1}` (the [`Draw`] every reader scores), its test pairs
+    /// narrowed by `filter` when one is given.
+    ///
+    /// # Panics
+    /// Panics unless `2 <= t < seq.len()`.
+    // linklens-deterministic: seed picking and sample order feed every §5 number
+    pub fn instance(&self, t: usize, filter: Option<&TemporalFilter>) -> SampledInstance<'_> {
+        assert!(t >= 2 && t < self.seq.len(), "need G_{{t-2}}, G_{{t-1}}, G_t");
+        // One incremental arena walks t-2 → t-1; each snapshot is cloned
+        // out of it, since the instance keeps both for its readers.
         let mut arena = SnapshotBuilder::new(self.seq.trace());
-        let train_snap = arena.advance_to(self.seq.boundary(t - 2));
-        let seeds = sample::pick_seeds(train_snap, self.config.n_seeds, self.config.seed);
-        let test_snap = arena.advance_to(self.seq.boundary(t - 1));
+        let train_snap = arena.advance_to(self.seq.boundary(t - 2)).clone();
+        let test_snap = arena.advance_to(self.seq.boundary(t - 1)).clone();
         let test_truth: HashSet<(NodeId, NodeId)> = self.seq.new_edges(t).into_iter().collect();
-
-        let mut ratios = Vec::with_capacity(seeds.len());
-        let mut abs = Vec::with_capacity(seeds.len());
-        let mut k_acc = 0usize;
-        let mut correct_acc = 0usize;
-        let mut expected_acc = 0.0;
-        for (si, &seed_node) in seeds.iter().enumerate() {
-            let members = sample::snowball(test_snap, seed_node, self.config.sampling_p);
-            let member_set: HashSet<NodeId> = members.iter().copied().collect();
-            let (mut pairs, exact_universe) = self.test_universe(test_snap, &members);
-            if let Some(f) = filter {
-                pairs = f.filter_pairs(test_snap, &pairs);
-            }
-            let truth: HashSet<(NodeId, NodeId)> = test_truth
-                .iter()
-                .copied()
-                .filter(|&(u, v)| member_set.contains(&u) && member_set.contains(&v))
-                .collect();
-            let k = truth.len();
-            let scores = exec::score_pairs_t(metric, test_snap, &pairs, par::max_threads());
-            let predicted = topk::top_k_pairs(&pairs, &scores, k, self.config.seed ^ si as u64);
-            let correct = predicted.iter().filter(|p| truth.contains(p)).count();
-            let expected =
-                if exact_universe > 0.0 { (k as f64).powi(2) / exact_universe } else { 0.0 };
-            // Degenerate seeds (no truth or no universe) carry no signal:
-            // record NaN and let finite_mean skip them rather than dragging
-            // the average toward zero.
-            ratios.push(if expected > 0.0 { correct as f64 / expected } else { f64::NAN });
-            abs.push(if k > 0 { correct as f64 / k as f64 } else { f64::NAN });
-            k_acc += k;
-            correct_acc += correct;
-            expected_acc += expected;
+        let p = self.config.sampling_p;
+        let mut train_members = Vec::new();
+        let mut draws = Vec::new();
+        for seed_node in sample::pick_seeds(&train_snap, self.config.n_seeds, self.config.seed) {
+            train_members.push(sample::snowball(&train_snap, seed_node, p));
+            let members = sample::snowball(&test_snap, seed_node, p);
+            draws.push(Draw::build(&test_snap, &members, &test_truth, filter));
         }
-        let n = seeds.len() as f64;
-        PredictionOutcome {
-            metric: metric.name().to_string(),
-            snapshot_index: t,
-            observed_edges: test_snap.edge_count(),
-            k: (k_acc as f64 / n).round() as usize,
-            correct: (correct_acc as f64 / n).round() as usize,
-            absolute_accuracy: finite_mean(abs),
-            random_expected: expected_acc / n,
-            accuracy_ratio: finite_mean(ratios),
+        SampledInstance {
+            pipe: self,
+            t,
+            train_truth: self.seq.new_edges(t - 1).into_iter().collect(),
+            train_snap,
+            test_snap,
+            train_members,
+            draws,
+            features: OnceCell::new(),
         }
     }
 
-    // ----- internals -------------------------------------------------
+    /// The negative-draw, shuffle and classifier seed of seed index `si`.
+    fn rng_seed(&self, si: usize) -> u64 {
+        self.config.seed ^ (si as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
 
     /// Computes the feature matrix (|pairs| × |metrics|) on a snapshot.
     /// Metric columns run on the shared scoring engine — a (metric ×
     /// chunk) work pool rather than one thread per metric — since this is
     /// the pipeline's dominant cost (§3.2 of the paper says the same of
-    /// theirs).
+    /// theirs). The matrix depends only on `snap` and `pairs`.
     fn features(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<Vec<f64>> {
         let refs: Vec<&dyn Metric> = self.metrics.iter().map(|m| m.as_ref()).collect();
         let mut cache = SolverCache::transient();
         let cols = exec::score_matrix_cached_t(&refs, snap, pairs, par::max_threads(), &mut cache);
         (0..pairs.len()).map(|i| cols.iter().map(|c| c[i]).collect()).collect()
     }
+}
 
-    /// The sampled test universe on `snap` for sorted `members`:
-    /// exhaustive when small enough, candidate-restricted otherwise. Thin
-    /// wrapper over the construction shared with the sampled metric
-    /// evaluation ([`crate::sampling::sampled_universe`]).
-    fn test_universe(&self, snap: &Snapshot, members: &[NodeId]) -> (Vec<(NodeId, NodeId)>, f64) {
-        crate::sampling::sampled_universe(snap, members, self.config.max_universe_pairs)
+/// One transition's sampled instance (see the module docs): built by
+/// [`ClassificationPipeline::instance`], read by every §5 number.
+pub struct SampledInstance<'p> {
+    pipe: &'p ClassificationPipeline<'p>,
+    t: usize,
+    train_snap: Snapshot,
+    test_snap: Snapshot,
+    /// New edges of `G_{t-1}`: the training positives, and the pairs no
+    /// negative may be.
+    train_truth: HashSet<(NodeId, NodeId)>,
+    /// Per seed, the snowball sample of `G_{t-2}`.
+    train_members: Vec<Vec<NodeId>>,
+    /// Per seed, the draw of `G_{t-1}`.
+    draws: Vec<Draw>,
+    /// Per seed, the features of the positives and of the test pairs,
+    /// computed on the first [`cells`](Self::cells) call.
+    features: OnceCell<Vec<SeedFeatures>>,
+}
+
+/// The features one seed's cells share across every classifier and θ.
+struct SeedFeatures {
+    /// Training positives (new pairs of `G_{t-1}` inside the training
+    /// sample), on `G_{t-2}`.
+    positives: Vec<Vec<f64>>,
+    /// The draw's test pairs, on `G_{t-1}` (unscaled).
+    test: Vec<Vec<f64>>,
+}
+
+impl SampledInstance<'_> {
+    /// Per seed, its draw of `G_{t-1}`: Table 6's sample size, universe
+    /// and `k`, and the pairs every reader scores.
+    pub fn diagnostics(&self) -> &[Draw] {
+        &self.draws
     }
 
-    // linklens-deterministic: seed sampling and training-pair assembly feed classifier training order
-    fn prepare_seeds(
-        &self,
-        t: usize,
-        theta_max: f64,
-        filter: Option<&TemporalFilter>,
-    ) -> Vec<SeedData> {
-        assert!(t >= 2 && t < self.seq.len(), "need G_{{t-2}}, G_{{t-1}}, G_t");
-        // Both snapshots must stay live across every seed, so the training
-        // snapshot is cloned out of the arena before it advances to t-1 —
-        // still one from-scratch build plus one incremental delta, instead
-        // of two from-scratch builds.
-        let mut arena = SnapshotBuilder::new(self.seq.trace());
-        let train_snap = arena.advance_to(self.seq.boundary(t - 2)).clone();
-        let test_snap = arena.advance_to(self.seq.boundary(t - 1));
-        let train_truth: HashSet<(NodeId, NodeId)> =
-            self.seq.new_edges(t - 1).into_iter().collect();
-        let test_truth: HashSet<(NodeId, NodeId)> = self.seq.new_edges(t).into_iter().collect();
-        let seeds = sample::pick_seeds(&train_snap, self.config.n_seeds, self.config.seed);
-
-        seeds
+    /// One metric's accuracy on the instance (Fig. 11's metric points),
+    /// averaged over the seeds. Each seed scores its draw's pairs with
+    /// `metric` alone, ties broken by `config.seed ^ seed index`.
+    // linklens-deterministic: tie-break seeds and seed order feed the metric points
+    pub fn metric_outcome(&self, metric: &dyn Metric) -> PredictionOutcome {
+        let judged: Vec<Judgement> = self
+            .draws
             .iter()
             .enumerate()
-            .map(|(si, &seed_node)| {
-                let rng_seed = self.config.seed ^ (si as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                // --- sampling ---
-                let train_members =
-                    sample::snowball(&train_snap, seed_node, self.config.sampling_p);
-                let test_members = sample::snowball(test_snap, seed_node, self.config.sampling_p);
-                let train_set: HashSet<NodeId> = train_members.iter().copied().collect();
-                let test_set: HashSet<NodeId> = test_members.iter().copied().collect();
+            .map(|(si, draw)| {
+                let scores =
+                    exec::score_pairs_t(metric, &self.test_snap, &draw.pairs, par::max_threads());
+                draw.judge(&scores, self.pipe.config.seed ^ si as u64)
+            })
+            .collect();
+        let summary = DrawSummary::of(&judged);
+        let n = judged.len() as f64;
+        PredictionOutcome {
+            metric: metric.name().to_string(),
+            snapshot_index: self.t,
+            observed_edges: self.test_snap.edge_count(),
+            k: summary.mean_k.round() as usize,
+            correct: (judged.iter().map(|j| j.correct).sum::<usize>() as f64 / n).round() as usize,
+            absolute_accuracy: summary.mean_absolute,
+            random_expected: judged.iter().map(|j| j.expected).sum::<f64>() / n,
+            accuracy_ratio: summary.mean_ratio,
+        }
+    }
 
-                // --- training pairs ---
+    /// Every (classifier kind, θ) cell, kind-major in input order. One
+    /// negative pool per seed, drawn at the call's largest θ, serves every
+    /// cell of the call; a smaller θ trains on its prefix.
+    // linklens-deterministic: negative draws and training-set order feed classifier training
+    pub fn cells(&self, kinds: &[ClassifierKind], thetas: &[f64]) -> Vec<ClassificationOutcome> {
+        assert!(!kinds.is_empty() && !thetas.is_empty());
+        assert!(thetas.iter().all(|&x| x > 0.0), "θ must be positive negatives-per-positive");
+        let theta_max = thetas.iter().cloned().fold(0.0, f64::max);
+        let pipe = self.pipe;
+        let features = self.features.get_or_init(|| self.seed_features());
+        let neg_pools: Vec<Vec<Vec<f64>>> = features
+            .iter()
+            .zip(&self.train_members)
+            .enumerate()
+            .map(|(si, (f, members))| {
+                let pool_size = ((f.positives.len() as f64 * theta_max).round() as usize).max(1);
+                let negatives = draw_negative_pairs(
+                    &self.train_snap,
+                    members,
+                    &self.train_truth,
+                    pool_size,
+                    pipe.rng_seed(si),
+                );
+                pipe.features(&self.train_snap, &negatives)
+            })
+            .collect();
+
+        let d = pipe.metrics.len();
+        let mut out = Vec::with_capacity(kinds.len() * thetas.len());
+        for &kind in kinds {
+            for &theta in thetas {
+                let mut judged = Vec::with_capacity(self.draws.len());
+                let mut coef_acc: Option<Vec<f64>> = None;
+                for (si, (f, pool)) in features.iter().zip(&neg_pools).enumerate() {
+                    // Assemble the θ-specific training set from the shared pool.
+                    let n_neg =
+                        ((f.positives.len() as f64 * theta).round() as usize).min(pool.len());
+                    let mut train = Dataset::new(d);
+                    for row in &f.positives {
+                        train.push(row, 1);
+                    }
+                    for row in pool.iter().take(n_neg) {
+                        train.push(row, 0);
+                    }
+                    let seed = pipe.rng_seed(si);
+                    let train = train.shuffled(seed ^ 0x7341);
+                    let scaler = train.fit_scaler();
+                    let mut clf = kind.build(seed);
+                    clf.fit(&train.scaled_by(&scaler));
+                    if let Some(c) = clf.svm_coefficients() {
+                        let acc = coef_acc.get_or_insert_with(|| vec![0.0; d]);
+                        for (a, x) in acc.iter_mut().zip(&c) {
+                            *a += x / features.len() as f64;
+                        }
+                    }
+                    let scores: Vec<f64> =
+                        f.test.iter().map(|row| clf.decision(&scaler.transform(row))).collect();
+                    judged.push(self.draws[si].judge(&scores, seed));
+                }
+                let summary = DrawSummary::of(&judged);
+                out.push(ClassificationOutcome {
+                    classifier: kind.name().to_string(),
+                    negatives_per_positive: theta,
+                    snapshot_index: self.t,
+                    mean_accuracy_ratio: summary.mean_ratio,
+                    std_accuracy_ratio: summary.std_ratio,
+                    mean_absolute_accuracy: summary.mean_absolute,
+                    mean_k: summary.mean_k,
+                    svm_coefficients: coef_acc,
+                    feature_names: pipe.feature_names(),
+                });
+            }
+        }
+        out
+    }
+
+    /// Per seed, the features of its training positives and test pairs.
+    fn seed_features(&self) -> Vec<SeedFeatures> {
+        self.train_members
+            .iter()
+            .zip(&self.draws)
+            .map(|(members, draw)| {
                 // train_truth is a HashSet: its iteration order varies per
                 // process, and the positives' order reaches the classifier
-                // through pos_features. Sorting pins the training order so
-                // reruns are bit-identical.
-                let mut positives: Vec<(NodeId, NodeId)> = train_truth
+                // through their feature rows. Sorting pins the training
+                // order so reruns are bit-identical.
+                let is_member = |x: &NodeId| members.binary_search(x).is_ok();
+                let mut positives: Vec<(NodeId, NodeId)> = self
+                    .train_truth
                     .iter()
                     .copied()
-                    .filter(|&(u, v)| train_set.contains(&u) && train_set.contains(&v))
+                    .filter(|(u, v)| is_member(u) && is_member(v))
                     .collect();
                 positives.sort_unstable();
-                let pool_size = ((positives.len() as f64 * theta_max).round() as usize).max(1);
-                let negatives = draw_negative_pairs(
-                    &train_snap,
-                    &train_members,
-                    &train_truth,
-                    pool_size,
-                    rng_seed,
-                );
-                let pos_features = self.features(&train_snap, &positives);
-                let neg_pool = self.features(&train_snap, &negatives);
-
-                // --- test universe ---
-                let (mut test_pairs, universe) = self.test_universe(test_snap, &test_members);
-                if let Some(f) = filter {
-                    test_pairs = f.filter_pairs(test_snap, &test_pairs);
-                }
-                let truth: HashSet<(NodeId, NodeId)> = test_truth
-                    .iter()
-                    .copied()
-                    .filter(|&(u, v)| test_set.contains(&u) && test_set.contains(&v))
-                    .collect();
-                let k = truth.len();
-                let test_features = self.features(test_snap, &test_pairs);
-
-                SeedData {
-                    pos_features,
-                    neg_pool,
-                    test_pairs,
-                    test_features,
-                    truth,
-                    k,
-                    universe,
-                    sample_size: test_members.len(),
-                    rng_seed,
+                SeedFeatures {
+                    positives: self.pipe.features(&self.train_snap, &positives),
+                    test: self.pipe.features(&self.test_snap, &draw.pairs),
                 }
             })
             .collect()
-    }
-
-    fn aggregate_cell(
-        &self,
-        kind: ClassifierKind,
-        theta: f64,
-        t: usize,
-        seeds: &[SeedData],
-    ) -> ClassificationOutcome {
-        let d = self.metrics.len();
-        let mut ratios = Vec::with_capacity(seeds.len());
-        let mut abs = Vec::with_capacity(seeds.len());
-        let mut ks = Vec::with_capacity(seeds.len());
-        let mut coef_acc: Option<Vec<f64>> = None;
-
-        for sd in seeds {
-            // Assemble the θ-specific training set from the shared pool.
-            let n_neg =
-                ((sd.pos_features.len() as f64 * theta).round() as usize).min(sd.neg_pool.len());
-            let mut train = Dataset::new(d);
-            for f in &sd.pos_features {
-                train.push(f, 1);
-            }
-            for f in sd.neg_pool.iter().take(n_neg) {
-                train.push(f, 0);
-            }
-            let train = train.shuffled(sd.rng_seed ^ 0x7341);
-            let scaler = train.fit_scaler();
-            let train_scaled = train.scaled_by(&scaler);
-
-            let mut clf = kind.build(sd.rng_seed);
-            clf.fit(&train_scaled);
-            if let Some(c) = clf.svm_coefficients() {
-                let acc = coef_acc.get_or_insert_with(|| vec![0.0; d]);
-                for (a, x) in acc.iter_mut().zip(&c) {
-                    *a += x / seeds.len() as f64;
-                }
-            }
-
-            let scores: Vec<f64> =
-                sd.test_features.iter().map(|f| clf.decision(&scaler.transform(f))).collect();
-            let predicted = topk::top_k_pairs(&sd.test_pairs, &scores, sd.k, sd.rng_seed);
-            let correct = predicted.iter().filter(|p| sd.truth.contains(p)).count();
-            let expected =
-                if sd.universe > 0.0 { (sd.k as f64).powi(2) / sd.universe } else { 0.0 };
-            // NaN marks seeds with no random baseline; aggregation below
-            // skips them instead of counting them as zero accuracy.
-            ratios.push(if expected > 0.0 { correct as f64 / expected } else { f64::NAN });
-            abs.push(if sd.k > 0 { correct as f64 / sd.k as f64 } else { f64::NAN });
-            ks.push(sd.k as f64);
-        }
-
-        let n = seeds.len() as f64;
-        let finite: Vec<f64> = ratios.iter().copied().filter(|r| r.is_finite()).collect();
-        let mean_ratio = finite_mean(finite.iter().copied());
-        let var = if finite.is_empty() {
-            f64::NAN
-        } else {
-            finite.iter().map(|r| (r - mean_ratio).powi(2)).sum::<f64>() / finite.len() as f64
-        };
-        ClassificationOutcome {
-            classifier: kind.name().to_string(),
-            negatives_per_positive: theta,
-            snapshot_index: t,
-            mean_accuracy_ratio: mean_ratio,
-            std_accuracy_ratio: var.sqrt(),
-            mean_absolute_accuracy: finite_mean(abs),
-            mean_k: ks.iter().sum::<f64>() / n,
-            svm_coefficients: coef_acc,
-            feature_names: self.feature_names(),
-        }
-    }
-
-    /// Diagnostic access to per-seed (sample size, universe, k) triples.
-    pub fn seed_diagnostics(&self, t: usize) -> Vec<(usize, f64, usize)> {
-        self.prepare_seeds(t, 1.0, None).iter().map(|s| (s.sample_size, s.universe, s.k)).collect()
     }
 }
 
@@ -570,13 +493,22 @@ mod tests {
         ClassificationPipeline { seq, config, metrics }
     }
 
+    /// One (classifier, θ) cell at transition 2, unfiltered.
+    fn one_cell(
+        pipe: &ClassificationPipeline<'_>,
+        kind: ClassifierKind,
+        theta: f64,
+    ) -> ClassificationOutcome {
+        pipe.instance(2, None).cells(&[kind], &[theta]).remove(0)
+    }
+
     #[test]
     fn svm_pipeline_beats_random() {
         let trace = closure_trace();
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 2, ..Default::default() };
         let pipe = cheap_pipeline(&seq, cfg);
-        let out = pipe.evaluate(ClassifierKind::Svm, 5.0, 2, None);
+        let out = one_cell(&pipe, ClassifierKind::Svm, 5.0);
         assert_eq!(out.classifier, "SVM");
         assert!(out.mean_k > 0.0);
         assert!(
@@ -595,7 +527,7 @@ mod tests {
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 1, ..Default::default() };
         let pipe = cheap_pipeline(&seq, cfg);
-        let out = pipe.evaluate(ClassifierKind::NaiveBayes, 5.0, 2, None);
+        let out = one_cell(&pipe, ClassifierKind::NaiveBayes, 5.0);
         assert_eq!(out.classifier, "NB");
         assert!(out.svm_coefficients.is_none());
     }
@@ -606,12 +538,9 @@ mod tests {
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 1, ..Default::default() };
         let pipe = cheap_pipeline(&seq, cfg);
-        let out = pipe.sweep(
-            &[ClassifierKind::Svm, ClassifierKind::LogisticRegression],
-            &[1.0, 10.0],
-            2,
-            None,
-        );
+        let out = pipe
+            .instance(2, None)
+            .cells(&[ClassifierKind::Svm, ClassifierKind::LogisticRegression], &[1.0, 10.0]);
         assert_eq!(out.len(), 4);
         assert_eq!(out[0].classifier, "SVM");
         assert_eq!(out[0].negatives_per_positive, 1.0);
@@ -625,7 +554,7 @@ mod tests {
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 2, ..Default::default() };
         let pipe = cheap_pipeline(&seq, cfg);
-        let out = pipe.evaluate_metric_on_sample(&LocalKind::Cn, 2, None);
+        let out = pipe.instance(2, None).metric_outcome(&LocalKind::Cn);
         assert_eq!(out.metric, "CN");
         assert!(out.accuracy_ratio > 0.0);
     }
@@ -633,14 +562,14 @@ mod tests {
     #[test]
     fn evaluation_is_run_stable() {
         // Two fresh pipelines over the same trace must produce bit-equal
-        // outcomes: pins the sorted training-pair order in prepare_seeds
-        // (the positives come out of a HashSet and are explicitly sorted
-        // before they reach the classifier).
+        // outcomes: pins the sorted training-pair order of an instance's
+        // seed features (the positives come out of a HashSet and are
+        // explicitly sorted before they reach the classifier).
         let trace = closure_trace();
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let cfg = ClassificationConfig { n_seeds: 2, ..Default::default() };
-        let a = cheap_pipeline(&seq, cfg.clone()).evaluate(ClassifierKind::Svm, 5.0, 2, None);
-        let b = cheap_pipeline(&seq, cfg).evaluate(ClassifierKind::Svm, 5.0, 2, None);
+        let a = one_cell(&cheap_pipeline(&seq, cfg.clone()), ClassifierKind::Svm, 5.0);
+        let b = one_cell(&cheap_pipeline(&seq, cfg), ClassifierKind::Svm, 5.0);
         assert_eq!(a.mean_k, b.mean_k);
         assert_eq!(a.mean_accuracy_ratio, b.mean_accuracy_ratio);
         assert_eq!(a.mean_absolute_accuracy, b.mean_absolute_accuracy);
@@ -674,10 +603,10 @@ mod tests {
         let half = ClassificationConfig { sampling_p: 0.4, n_seeds: 1, ..Default::default() };
         let pf = cheap_pipeline(&seq, full);
         let ph = cheap_pipeline(&seq, half);
-        let df = pf.seed_diagnostics(2);
-        let dh = ph.seed_diagnostics(2);
-        assert!(dh[0].0 < df[0].0, "sample size should shrink");
-        assert!(dh[0].1 < df[0].1, "universe should shrink");
+        let (inst_f, inst_h) = (pf.instance(2, None), ph.instance(2, None));
+        let (df, dh) = (&inst_f.diagnostics()[0], &inst_h.diagnostics()[0]);
+        assert!(dh.sample_size < df.sample_size, "sample size should shrink");
+        assert!(dh.universe < df.universe, "universe should shrink");
     }
 
     #[test]
@@ -692,6 +621,6 @@ mod tests {
         let trace = closure_trace();
         let seq = SnapshotSequence::by_edge_delta(&trace, 30);
         let pipe = cheap_pipeline(&seq, Default::default());
-        let _ = pipe.evaluate(ClassifierKind::Svm, 1.0, 1, None);
+        let _ = pipe.instance(1, None);
     }
 }

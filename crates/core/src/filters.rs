@@ -79,41 +79,6 @@ impl FilterThresholds {
         }
     }
 
-    /// Data-driven threshold discovery — "while each parameter is network
-    /// specific, the methodology to discover them is general" (§6.2).
-    ///
-    /// Given positive pairs measured on a snapshot, sets each threshold at
-    /// the CDF knee the paper eyeballs: the 90th percentile of positives
-    /// for the idle times and CN gap, and the 40th percentile for the
-    /// recent-edge count (Fig. 14's "more than 60% of positive pairs
-    /// exceed it" reading). `window_days` is supplied by the caller.
-    pub fn discover(snap: &Snapshot, positives: &[(NodeId, NodeId)], window_days: f64) -> Self {
-        let window = (window_days * DAY as f64) as Timestamp;
-        let mut act = Vec::with_capacity(positives.len());
-        let mut inact = Vec::with_capacity(positives.len());
-        let mut recent = Vec::with_capacity(positives.len());
-        let mut gap = Vec::new();
-        for &(u, v) in positives {
-            let f = pair_features(snap, u, v, window);
-            act.push(f.active_idle_days);
-            inact.push(f.inactive_idle_days);
-            recent.push(f.recent_edges_active as f64);
-            if let Some(g) = f.cn_gap_days {
-                gap.push(g);
-            }
-        }
-        // A small multiplicative-plus-additive slack keeps boundary
-        // positives inside the (strict) thresholds.
-        let slack = |days: f64| days * 1.1 + 0.5;
-        FilterThresholds {
-            active_idle_days: slack(percentile(&act, 0.90)).max(0.5),
-            inactive_idle_days: slack(percentile(&inact, 0.90)).max(1.0),
-            window_days,
-            min_recent_edges: percentile(&recent, 0.40).floor().max(1.0) as usize,
-            cn_gap_days: slack(percentile(&gap, 0.90)).max(0.5),
-        }
-    }
-
     /// These thresholds in enumeration-ready form, for pushing the filter
     /// into candidate enumeration ([`osn_graph::activity`]). The spec
     /// carries the same five fields; pruned enumeration with it equals
@@ -454,15 +419,5 @@ mod tests {
         assert!(tighter.inactive_idle_days <= full.inactive_idle_days);
         assert!(tighter.cn_gap_days <= full.cn_gap_days);
         assert!(tighter.min_recent_edges >= full.min_recent_edges);
-    }
-
-    #[test]
-    fn discovered_thresholds_accept_most_positives() {
-        let s = fixture();
-        let positives = vec![(0, 2), (1, 5)];
-        let th = FilterThresholds::discover(&s, &positives, 7.0);
-        let f = TemporalFilter::new(th);
-        let kept = f.filter_pairs(&s, &positives);
-        assert!(!kept.is_empty(), "discovery must keep some of its own positives");
     }
 }

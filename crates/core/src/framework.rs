@@ -357,26 +357,6 @@ impl<'a> SequenceEvaluator<'a> {
         per_metric
     }
 
-    /// Sampled evaluation of one metric on transition `t` (see
-    /// [`crate::sampling`]): each draw samples the observed snapshot
-    /// `G_{t-1}`, scores the metric on the sampled universe only, and the
-    /// draws aggregate to a repeat-averaged accuracy ratio with per-draw
-    /// variance. The cheap path for graphs where the exhaustive candidate
-    /// enumeration of [`evaluate_metric`](Self::evaluate_metric) is
-    /// infeasible.
-    pub fn evaluate_metric_sampled(
-        &self,
-        metric: &dyn Metric,
-        t: usize,
-        filter: Option<&TemporalFilter>,
-        spec: &crate::sampling::SampleSpec,
-    ) -> crate::sampling::SampledEstimate {
-        assert!(t >= 1 && t < self.seq.len(), "transition index out of range");
-        let prev = self.seq.snapshot(t - 1);
-        let truth = self.ground_truth(t);
-        crate::sampling::evaluate_metric_sampled_on(metric, &prev, &truth, t, filter, spec)
-    }
-
     /// Raw top-k predictions for transition `t` — the input to the §4.4
     /// bias analyses (Fig. 7/8, Table 5). Routed through the same batched
     /// engine as the sweep, so a prediction inspected here is bit-identical

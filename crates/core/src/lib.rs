@@ -7,17 +7,18 @@
 //!   ground-truth edge count, scoring both *absolute accuracy* `|E^M|/k`
 //!   and the *accuracy ratio* `|E^M| / E|E^R|` against uniform-random
 //!   prediction.
-//! * [`classify`] — the classification-based pipeline of §5: snowball
-//!   sampling, feature extraction from all 14 similarity metrics,
-//!   undersampling at ratio θ, training/testing across consecutive
-//!   snapshots, multi-seed averaging, and SVM coefficient extraction for
+//! * [`classify`] — the classification-based pipeline of §5: one sampled
+//!   instance per transition (snowball samples, test pairs, in-sample
+//!   truth) that every §5 number reads — metric points, and classifier
+//!   cells with features from all 14 similarity metrics, undersampling at
+//!   ratio θ, multi-seed averaging and SVM coefficient extraction for
 //!   Figure 12.
 //! * [`temporal`] — the §6.1 temporal measurements: positive/negative pair
 //!   construction, idle times, d-day edge counts, common-neighbor time
 //!   gaps, and CDFs (Figures 8, 13–15).
-//! * [`filters`] — the §6.2 temporal filters (Table 7 thresholds plus
-//!   data-driven discovery) that prune the candidate space before any
-//!   predictor runs.
+//! * [`filters`] — the §6.2 temporal filters (Table 7 thresholds, and
+//!   thresholds derived from observed positives at a retention quantile)
+//!   that prune the candidate space before any predictor runs.
 //! * [`timeseries`] — the §6.3 comparison baseline: per-pair metric-score
 //!   series over past snapshots aggregated by moving average or linear
 //!   regression (da Silva Soares & Prudêncio \[10\]).
@@ -25,9 +26,9 @@
 //!   which network, as a multi-class tree over network properties plus
 //!   per-algorithm binary rules.
 //! * [`sampling`] — sampled metric evaluation for graphs too large to
-//!   score exhaustively: snowball or uniform node draws, repeat-averaged
-//!   accuracy ratios with per-draw variance, sharing the §5.1 universe
-//!   construction with [`classify`].
+//!   score exhaustively: snowball draws, repeat-averaged accuracy ratios
+//!   with per-draw variance, and the draw builder, judge and summary that
+//!   [`classify`] shares.
 //! * [`altmetrics`] — the alternative evaluation protocols the paper
 //!   discusses: sampled AUC (§4.1's argued-against measure) and
 //!   missing-link detection (§2's contrasted problem), runnable instead of

@@ -1,17 +1,19 @@
 //! Sampled metric evaluation — §5.1's subgraph sampling applied to the
-//! sequence sweep, for graphs too large to score exhaustively.
+//! sequence sweep, for graphs too large to score exhaustively — and the
+//! per-draw pieces the §5 classification pipeline shares with it.
 //!
-//! One draw samples a node subset of the observed snapshot (snowball BFS
-//! ball or uniform random nodes), scores the metric on the sampled pair
-//! universe, and judges the top-k against the ground truth restricted to
-//! the sample. Repeating over `draws` independent samples gives a
-//! repeat-averaged accuracy ratio *with a per-draw variance*, so reports
-//! can show how tight the sampled estimate is. The accuracy-ratio
-//! denominator always uses the exact unconnected-pair count of the sample,
-//! so sampled and full evaluations stay on the same scale — at mid scales
-//! where both are feasible, the sampled mean agrees with the full sweep
-//! within tolerance (pinned by `crates/core/tests/sampled_eval.rs` and
-//! asserted end-to-end by the `large_trace` scalecheck scenario).
+//! One draw snowball-samples a node subset of the observed snapshot
+//! (`Draw::build`: the sampled universe, the optional temporal filter
+//! and the ground truth restricted to the sample), scores it, and is
+//! judged by its seeded top-k against that truth (`Draw::judge`).
+//! Repeating over `draws` samples gives a repeat-averaged accuracy ratio
+//! *with a per-draw spread* (`DrawSummary`), so reports can show how
+//! tight the sampled estimate is. The accuracy-ratio denominator always
+//! uses the exact unconnected-pair count of the sample, so sampled and
+//! full evaluations stay on the same scale — at mid scales where both are
+//! feasible, the sampled mean agrees with the full sweep within tolerance
+//! (pinned by `crates/core/tests/sampled_eval.rs` and asserted end-to-end
+//! by the `large_trace` scalecheck scenario).
 
 use crate::filters::TemporalFilter;
 use crate::framework::finite_mean;
@@ -23,44 +25,25 @@ use osn_metrics::{exec, topk};
 use serde::Serialize;
 use std::collections::HashSet;
 
-/// How one draw picks its node subset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub enum SampleMethod {
-    /// BFS ball from a deterministic seed node ([`sample::snowball`]) —
-    /// the paper's §5.1 procedure. Dense samples, community-local.
-    Snowball,
-    /// Uniform distinct node draw ([`sample::random_nodes`]) — unbiased
-    /// over nodes but the induced subgraph is much sparser at the same
-    /// `p`, so expect noisier per-draw ratios.
-    RandomNodes,
-}
+/// Cap on exhaustively scored pairs per draw: a larger sample falls back
+/// to the candidate-restricted universe (see [`sampled_universe`]).
+pub const MAX_UNIVERSE_PAIRS: usize = 400_000;
 
-/// Configuration of a sampled evaluation.
+/// Configuration of a sampled evaluation. Every draw is a snowball sample
+/// ([`sample::snowball`]), the paper's §5.1 procedure.
 #[derive(Clone, Copy, Debug)]
 pub struct SampleSpec {
-    /// Sampling method.
-    pub method: SampleMethod,
     /// Sample percentage `p` (fraction of the snapshot's nodes per draw).
     pub p: f64,
     /// Number of independent draws averaged over (the paper uses 5).
     pub draws: usize,
     /// Master seed: fixes the draw sequence and top-k tie-breaks.
     pub seed: u64,
-    /// Cap on exhaustively scored pairs per draw; larger samples fall back
-    /// to the candidate-restricted universe (see
-    /// [`sampled_universe`]).
-    pub max_universe_pairs: usize,
 }
 
 impl Default for SampleSpec {
     fn default() -> Self {
-        SampleSpec {
-            method: SampleMethod::Snowball,
-            p: 0.25,
-            draws: 5,
-            seed: 0x05A3_D1E5,
-            max_universe_pairs: 400_000,
-        }
+        SampleSpec { p: 0.25, draws: 5, seed: 0x05A3_D1E5 }
     }
 }
 
@@ -87,44 +70,116 @@ pub struct SampledEstimate {
     pub mean_sample_size: f64,
 }
 
-impl SampledEstimate {
-    /// Builds the aggregate view from per-draw series.
-    fn from_draws(
-        metric: &str,
-        t: usize,
-        ratios: Vec<f64>,
-        abs: Vec<f64>,
-        ks: &[usize],
-        sizes: &[usize],
-    ) -> Self {
-        let finite: Vec<f64> = ratios.iter().copied().filter(|r| r.is_finite()).collect();
+/// One sampled draw, ready to score: the pairs to rank, the truth to
+/// judge them against, and the sizes the accuracy ratio needs.
+#[derive(Clone, Debug)]
+pub struct Draw {
+    /// The scored pairs: the sampled universe after the optional temporal
+    /// filter, sorted and distinct.
+    pub pairs: Vec<(NodeId, NodeId)>,
+    /// The ground truth with both endpoints in the sample; its size is
+    /// the draw's `k`.
+    pub truth: HashSet<(NodeId, NodeId)>,
+    /// The exact unconnected-pair count of the sample, whichever universe
+    /// was scored and whatever the filter kept.
+    pub universe: f64,
+    /// Sampled-node count.
+    pub sample_size: usize,
+}
+
+impl Draw {
+    /// The draw of the sorted sample `members` of `snap`: its sampled
+    /// universe ([`sampled_universe`] under [`MAX_UNIVERSE_PAIRS`]),
+    /// narrowed by `filter` when one is given, and `truth_full`
+    /// restricted to member pairs.
+    pub(crate) fn build(
+        snap: &Snapshot,
+        members: &[NodeId],
+        truth_full: &HashSet<(NodeId, NodeId)>,
+        filter: Option<&TemporalFilter>,
+    ) -> Draw {
+        let is_member = membership(snap.node_count(), members);
+        let inside = |x: NodeId| is_member.get(x as usize).copied().unwrap_or(false);
+        let (mut pairs, universe) = sampled_universe(snap, members, MAX_UNIVERSE_PAIRS);
+        if let Some(f) = filter {
+            pairs = f.filter_pairs(snap, &pairs);
+        }
+        let truth: HashSet<(NodeId, NodeId)> =
+            truth_full.iter().copied().filter(|&(u, v)| inside(u) && inside(v)).collect();
+        Draw { pairs, truth, universe, sample_size: members.len() }
+    }
+
+    /// Judges `scores` (aligned with `pairs`): the top-k pairs, ties
+    /// broken by `seed`, against the in-sample truth.
+    pub(crate) fn judge(&self, scores: &[f64], seed: u64) -> Judgement {
+        let k = self.truth.len();
+        let predicted = topk::top_k_pairs(&self.pairs, scores, k, seed);
+        let correct = predicted.iter().filter(|p| self.truth.contains(p)).count();
+        let expected = if self.universe > 0.0 { (k as f64).powi(2) / self.universe } else { 0.0 };
+        // A draw with no random baseline (no truth or no universe) carries
+        // no signal: its ratio is NaN, which the summary skips rather than
+        // counting it as zero accuracy.
+        Judgement {
+            k,
+            correct,
+            expected,
+            ratio: if expected > 0.0 { correct as f64 / expected } else { f64::NAN },
+            absolute: if k > 0 { correct as f64 / k as f64 } else { f64::NAN },
+        }
+    }
+}
+
+/// One judged draw.
+pub(crate) struct Judgement {
+    /// In-sample ground-truth count, the number of predictions made.
+    pub(crate) k: usize,
+    /// Correct predictions among the top-k.
+    pub(crate) correct: usize,
+    /// Expected hits of uniform-random prediction, `k² / U` (0 without a
+    /// universe).
+    pub(crate) expected: f64,
+    /// `correct / expected`, `NaN` without a random baseline.
+    pub(crate) ratio: f64,
+    /// `correct / k`, `NaN` when `k = 0`.
+    pub(crate) absolute: f64,
+}
+
+/// Judged draws aggregated: the finite mean and population standard
+/// deviation of the ratios, the finite mean of the absolute accuracies
+/// and the mean `k`.
+pub(crate) struct DrawSummary {
+    pub(crate) mean_ratio: f64,
+    pub(crate) std_ratio: f64,
+    pub(crate) mean_absolute: f64,
+    pub(crate) mean_k: f64,
+}
+
+impl DrawSummary {
+    pub(crate) fn of(judged: &[Judgement]) -> Self {
+        let finite: Vec<f64> = judged.iter().map(|j| j.ratio).filter(|r| r.is_finite()).collect();
         let mean = finite_mean(finite.iter().copied());
         let var = if finite.is_empty() {
             f64::NAN
         } else {
             finite.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / finite.len() as f64
         };
-        let n = ks.len().max(1) as f64;
-        SampledEstimate {
-            metric: metric.to_string(),
-            snapshot_index: t,
-            per_draw_ratios: ratios,
-            mean_accuracy_ratio: mean,
-            std_accuracy_ratio: var.sqrt(),
-            mean_absolute_accuracy: finite_mean(abs),
-            mean_k: ks.iter().sum::<usize>() as f64 / n,
-            mean_sample_size: sizes.iter().sum::<usize>() as f64 / n,
+        DrawSummary {
+            mean_ratio: mean,
+            std_ratio: var.sqrt(),
+            mean_absolute: finite_mean(judged.iter().map(|j| j.absolute)),
+            mean_k: judged.iter().map(|j| j.k).sum::<usize>() as f64 / judged.len().max(1) as f64,
         }
     }
 }
 
 /// The sampled test universe on `snap` for sorted `members`: every
-/// unconnected member pair when that fits under `max_universe_pairs`,
-/// otherwise the candidate-restricted universe (2-hop member pairs plus
-/// all pairs touching the 20 highest-degree members, the hubs). Returns the
-/// pairs, sorted and distinct, and the *exact* unconnected-pair count of
-/// the sample — the accuracy-ratio denominator is always exact, whichever
-/// universe was scored.
+/// unconnected member pair when that fits under `max_pairs`
+/// ([`MAX_UNIVERSE_PAIRS`] for every draw; a cap of 0 forces the other
+/// branch), otherwise the candidate-restricted universe (2-hop member
+/// pairs plus all pairs touching the 20 highest-degree members, the
+/// hubs). Returns the pairs, sorted and distinct, and the *exact*
+/// unconnected-pair count of the sample — the accuracy-ratio denominator
+/// is always exact, whichever universe was scored.
 ///
 /// The restricted universe is built member by member, already in order:
 /// a hub's pairs are every later member it is not adjacent to, one merge
@@ -133,13 +188,10 @@ impl SampledEstimate {
 /// hubs it is not adjacent to, sorted as one short run. The hubs are the
 /// first 20 members after an unstable sort by descending degree, which
 /// fixes the choice among members tied on degree.
-///
-/// Shared between the §5 classification pipeline and the sampled metric
-/// evaluation so both judge against the identical universe construction.
 pub fn sampled_universe(
     snap: &Snapshot,
     members: &[NodeId],
-    max_universe_pairs: usize,
+    max_pairs: usize,
 ) -> (Vec<(NodeId, NodeId)>, f64) {
     let s = members.len() as f64;
     let is_member = membership(snap.node_count(), members);
@@ -153,7 +205,7 @@ pub fn sampled_universe(
     }
     let exact_universe = s * (s - 1.0) / 2.0 - edges_inside as f64;
     let exhaustive_count = (s * (s - 1.0) / 2.0) as usize;
-    let pairs = if exhaustive_count <= max_universe_pairs {
+    let pairs = if exhaustive_count <= max_pairs {
         traversal::all_pairs_among(snap, members)
     } else {
         let two_hop = traversal::two_hop_pairs_among(snap, members);
@@ -204,21 +256,12 @@ fn membership(n: usize, members: &[NodeId]) -> Vec<bool> {
 }
 
 /// Node subsets for every draw, in draw order — deterministic in
-/// `(spec.method, spec.p, spec.draws, spec.seed)` and independent of
-/// thread count.
-pub fn draw_members(snap: &Snapshot, spec: &SampleSpec) -> Vec<Vec<NodeId>> {
-    match spec.method {
-        SampleMethod::Snowball => sample::pick_seeds(snap, spec.draws, spec.seed)
-            .into_iter()
-            .map(|seed_node| sample::snowball(snap, seed_node, spec.p))
-            .collect(),
-        SampleMethod::RandomNodes => (0..spec.draws)
-            .map(|i| {
-                let run = spec.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                sample::random_nodes(snap, spec.p, run)
-            })
-            .collect(),
-    }
+/// `(spec.p, spec.draws, spec.seed)` and independent of thread count.
+fn draw_members(snap: &Snapshot, spec: &SampleSpec) -> Vec<Vec<NodeId>> {
+    sample::pick_seeds(snap, spec.draws, spec.seed)
+        .into_iter()
+        .map(|seed_node| sample::snowball(snap, seed_node, spec.p))
+        .collect()
 }
 
 /// Sampled evaluation of one metric on one transition, given the observed
@@ -228,10 +271,9 @@ pub fn draw_members(snap: &Snapshot, spec: &SampleSpec) -> Vec<Vec<NodeId>> {
 /// Each draw samples `prev`, restricts both the scored universe and the
 /// truth to the sample, predicts in-sample top-k, and scores the draw's
 /// own accuracy ratio against its own exact universe; draws aggregate by
-/// finite mean and population variance. This is the snapshot-level core —
-/// [`crate::framework::SequenceEvaluator::evaluate_metric_sampled`] binds
-/// it to an in-core sequence, and the streaming sweep calls it directly
-/// with windowed ground truth.
+/// finite mean and population variance. In-core callers pass
+/// `seq.snapshot(t - 1)` and the evaluator's ground truth; the streaming
+/// sweep passes its windowed snapshot and truth.
 // linklens-deterministic: draw sequence and tie-break seeds feed reported accuracy
 pub fn evaluate_metric_sampled_on(
     metric: &dyn Metric,
@@ -242,31 +284,30 @@ pub fn evaluate_metric_sampled_on(
     spec: &SampleSpec,
 ) -> SampledEstimate {
     assert!(spec.draws > 0, "need at least one draw");
-    let members_per_draw = draw_members(prev, spec);
-    let mut ratios = Vec::with_capacity(members_per_draw.len());
-    let mut abs = Vec::with_capacity(members_per_draw.len());
-    let mut ks = Vec::with_capacity(members_per_draw.len());
-    let mut sizes = Vec::with_capacity(members_per_draw.len());
-    for (di, members) in members_per_draw.iter().enumerate() {
-        let is_member = membership(prev.node_count(), members);
-        let inside = |x: NodeId| is_member.get(x as usize).copied().unwrap_or(false);
-        let (mut pairs, exact_universe) = sampled_universe(prev, members, spec.max_universe_pairs);
-        if let Some(f) = filter {
-            pairs = f.filter_pairs(prev, &pairs);
-        }
-        let truth: HashSet<(NodeId, NodeId)> =
-            truth_full.iter().copied().filter(|&(u, v)| inside(u) && inside(v)).collect();
-        let k = truth.len();
-        let scores = exec::score_pairs_t(metric, prev, &pairs, par::max_threads());
-        let predicted = topk::top_k_pairs(&pairs, &scores, k, spec.seed ^ di as u64);
-        let correct = predicted.iter().filter(|p| truth.contains(p)).count();
-        let expected = if exact_universe > 0.0 { (k as f64).powi(2) / exact_universe } else { 0.0 };
-        ratios.push(if expected > 0.0 { correct as f64 / expected } else { f64::NAN });
-        abs.push(if k > 0 { correct as f64 / k as f64 } else { f64::NAN });
-        ks.push(k);
-        sizes.push(members.len());
+    let draws: Vec<Draw> = draw_members(prev, spec)
+        .iter()
+        .map(|members| Draw::build(prev, members, truth_full, filter))
+        .collect();
+    let judged: Vec<Judgement> = draws
+        .iter()
+        .enumerate()
+        .map(|(di, draw)| {
+            let scores = exec::score_pairs_t(metric, prev, &draw.pairs, par::max_threads());
+            draw.judge(&scores, spec.seed ^ di as u64)
+        })
+        .collect();
+    let summary = DrawSummary::of(&judged);
+    SampledEstimate {
+        metric: metric.name().to_string(),
+        snapshot_index: t,
+        per_draw_ratios: judged.iter().map(|j| j.ratio).collect(),
+        mean_accuracy_ratio: summary.mean_ratio,
+        std_accuracy_ratio: summary.std_ratio,
+        mean_absolute_accuracy: summary.mean_absolute,
+        mean_k: summary.mean_k,
+        mean_sample_size: draws.iter().map(|d| d.sample_size).sum::<usize>() as f64
+            / draws.len().max(1) as f64,
     }
-    SampledEstimate::from_draws(metric.name(), t, ratios, abs, &ks, &sizes)
 }
 
 #[cfg(test)]
@@ -318,29 +359,11 @@ mod tests {
         let seq = SnapshotSequence::by_edge_delta(&trace, 40);
         let prev = seq.snapshot(1);
         let truth = truth_at(&seq, 2);
-        for method in [SampleMethod::Snowball, SampleMethod::RandomNodes] {
-            let spec = SampleSpec { method, p: 0.5, draws: 3, ..Default::default() };
-            let a = evaluate_metric_sampled_on(&LocalKind::Cn, &prev, &truth, 2, None, &spec);
-            let b = evaluate_metric_sampled_on(&LocalKind::Cn, &prev, &truth, 2, None, &spec);
-            assert_eq!(a.per_draw_ratios, b.per_draw_ratios, "{method:?} must be reproducible");
-            assert_eq!(a.mean_sample_size, b.mean_sample_size);
-        }
-    }
-
-    #[test]
-    fn random_nodes_draws_differ_across_draw_index() {
-        let trace = closure_trace();
-        let seq = SnapshotSequence::by_edge_delta(&trace, 40);
-        let prev = seq.snapshot(1);
-        let spec = SampleSpec {
-            method: SampleMethod::RandomNodes,
-            p: 0.3,
-            draws: 3,
-            ..Default::default()
-        };
-        let draws = draw_members(&prev, &spec);
-        assert_eq!(draws.len(), 3);
-        assert!(draws.windows(2).any(|w| w[0] != w[1]), "draws should be independent");
+        let spec = SampleSpec { p: 0.5, draws: 3, ..Default::default() };
+        let a = evaluate_metric_sampled_on(&LocalKind::Cn, &prev, &truth, 2, None, &spec);
+        let b = evaluate_metric_sampled_on(&LocalKind::Cn, &prev, &truth, 2, None, &spec);
+        assert_eq!(a.per_draw_ratios, b.per_draw_ratios, "draws must be reproducible");
+        assert_eq!(a.mean_sample_size, b.mean_sample_size);
     }
 
     #[test]

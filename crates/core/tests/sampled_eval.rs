@@ -5,9 +5,17 @@
 //! universe equals its whole-list oracle; and the sampled mean accuracy
 //! ratio tracks the full evaluation on a small preset in the regime where
 //! the full evaluation is itself statistically meaningful.
+//!
+//! Also the §5 sampled instance the classification rows read: repeated
+//! `cells` calls equal calls on fresh instances, `metric_outcome` does not
+//! depend on whether `cells` ran, and a filtered instance scores exactly
+//! the unfiltered pairs that pass the filter, with the same truth and
+//! universe.
 
+use linklens_core::classify::{ClassificationConfig, ClassificationPipeline, ClassifierKind};
+use linklens_core::filters::{FilterThresholds, TemporalFilter};
 use linklens_core::framework::SequenceEvaluator;
-use linklens_core::sampling::{self, SampleMethod, SampleSpec};
+use linklens_core::sampling::{self, SampleSpec};
 use osn_graph::io::{CacheStreamWriter, SectionedCacheReader};
 use osn_graph::sample::snowball;
 use osn_graph::sequence::SnapshotSequence;
@@ -112,9 +120,15 @@ fn sampled_mean_ratio_tracks_full_evaluation_on_small_preset() {
         full_correct >= 4.0,
         "test premise broke: full eval only got {full_correct} correct — pick another transition"
     );
-    let spec =
-        SampleSpec { method: SampleMethod::Snowball, p: 0.5, draws: 6, ..SampleSpec::default() };
-    let est = eval.evaluate_metric_sampled(&cn, t, None, &spec);
+    let spec = SampleSpec { p: 0.5, draws: 6, ..SampleSpec::default() };
+    let est = sampling::evaluate_metric_sampled_on(
+        &cn,
+        &seq.snapshot(t - 1),
+        &eval.ground_truth(t),
+        t,
+        None,
+        &spec,
+    );
     assert_eq!(est.per_draw_ratios.len(), 6);
     let factor = (est.mean_accuracy_ratio / full.accuracy_ratio)
         .max(full.accuracy_ratio / est.mean_accuracy_ratio);
@@ -127,25 +141,73 @@ fn sampled_mean_ratio_tracks_full_evaluation_on_small_preset() {
     assert!(est.std_accuracy_ratio.is_finite(), "per-draw variance must be reported");
 }
 
-/// Random-node draws at the same `p` produce a much sparser induced
-/// sample than snowball, so the estimate differs — but it is still
-/// deterministic and reports per-draw spread.
+/// A small renren-like sequence and a §5 pipeline over it: two snowball
+/// seeds, each sampling a third of the nodes.
+fn instance_fixture() -> (osn_trace::GrowthTrace, ClassificationConfig) {
+    let trace =
+        osn_trace::presets::TraceConfig::renren_like().scaled(0.05).with_days(30).generate(5);
+    (trace, ClassificationConfig { sampling_p: 0.3, n_seeds: 2, seed: 11 })
+}
+
+/// Two `cells` calls on one instance (θ = 1, then θ = 10) give the bits
+/// of the same calls on fresh instances: the features computed on the
+/// first call serve the second, and each call draws its own negatives.
 #[test]
-fn random_node_sampling_is_deterministic_too() {
-    let cfg = osn_trace::presets::TraceConfig::renren_like().scaled(0.08).with_days(30);
-    let trace = cfg.generate(42);
-    let seq = SnapshotSequence::with_count(&trace, 8);
-    let eval = SequenceEvaluator::new(&seq);
-    let spec =
-        SampleSpec { method: SampleMethod::RandomNodes, p: 0.4, draws: 4, ..SampleSpec::default() };
-    let a = eval.evaluate_metric_sampled(&LocalKind::Cn, 5, None, &spec);
-    let b = eval.evaluate_metric_sampled(&LocalKind::Cn, 5, None, &spec);
-    assert_eq!(a.per_draw_ratios.len(), 4);
-    assert!(a
-        .per_draw_ratios
-        .iter()
-        .zip(&b.per_draw_ratios)
-        .all(|(x, y)| x.to_bits() == y.to_bits()));
+fn instance_cells_calls_match_fresh_instances() {
+    let (trace, cfg) = instance_fixture();
+    let seq = SnapshotSequence::with_count(&trace, 6);
+    let pipe = ClassificationPipeline::new(&seq, cfg);
+    let kinds = [ClassifierKind::Svm, ClassifierKind::LogisticRegression];
+    let shared = pipe.instance(4, None);
+    for theta in [1.0, 10.0] {
+        let reused = shared.cells(&kinds, &[theta]);
+        let fresh = pipe.instance(4, None).cells(&kinds, &[theta]);
+        assert_eq!(reused.len(), 2);
+        assert!(reused[0].mean_k > 0.0, "the fixture must have in-sample truth");
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "θ = {theta}");
+    }
+}
+
+/// A metric point reads only the draws: it is the same before and after
+/// `cells` computes the instance's features.
+#[test]
+fn metric_outcome_is_unchanged_by_cells() {
+    let (trace, cfg) = instance_fixture();
+    let seq = SnapshotSequence::with_count(&trace, 6);
+    let pipe = ClassificationPipeline::new(&seq, cfg);
+    let instance = pipe.instance(4, None);
+    let before = instance.metric_outcome(&LocalKind::Ra);
+    let _ = instance.cells(&[ClassifierKind::Svm], &[5.0]);
+    let after = instance.metric_outcome(&LocalKind::Ra);
+    assert!(before.k > 0, "the fixture must have in-sample truth");
+    assert_eq!(format!("{before:?}"), format!("{after:?}"));
+}
+
+/// The temporal filter narrows only the scored pairs: a filtered
+/// instance scores exactly the unfiltered instance's pairs that pass the
+/// filter on `G_{t-1}`, in order, and keeps each seed's truth, universe
+/// and sample size.
+#[test]
+fn filtered_instance_scores_the_unfiltered_pairs_that_pass() {
+    let (trace, cfg) = instance_fixture();
+    let seq = SnapshotSequence::with_count(&trace, 6);
+    let pipe = ClassificationPipeline::new(&seq, cfg);
+    let t = 4;
+    let filter = TemporalFilter::new(FilterThresholds::renren());
+    let (plain, filtered) = (pipe.instance(t, None), pipe.instance(t, Some(&filter)));
+    let observed = seq.snapshot(t - 1);
+    assert_eq!(plain.diagnostics().len(), filtered.diagnostics().len());
+    let mut dropped = 0;
+    for (p, f) in plain.diagnostics().iter().zip(filtered.diagnostics()) {
+        let passing: Vec<(NodeId, NodeId)> =
+            p.pairs.iter().copied().filter(|&(u, v)| filter.passes(&observed, u, v)).collect();
+        dropped += p.pairs.len() - passing.len();
+        assert_eq!(f.pairs, passing);
+        assert_eq!(f.truth, p.truth, "k and truth do not depend on the filter");
+        assert_eq!(f.universe.to_bits(), p.universe.to_bits());
+        assert_eq!(f.sample_size, p.sample_size);
+    }
+    assert!(dropped > 0, "the fixture's filter must drop some pairs");
 }
 
 /// Arbitrary multi-component graphs: a list of path-component sizes plus

@@ -41,9 +41,8 @@
 //! * [`par`] — the shared worker pool every parallel stage runs on, with
 //!   thread-count resolution (`--threads` override → `LINKLENS_THREADS` →
 //!   available parallelism) and task-ordered result collection.
-//! * [`sample`] — snowball (BFS) and uniform random-node sampling at a
-//!   fixed percentage with fixed seed nodes, re-applied across consecutive
-//!   snapshots (§5.1).
+//! * [`sample`] — snowball (BFS) sampling at a fixed percentage from
+//!   fixed seed nodes, re-applied across consecutive snapshots (§5.1).
 //! * [`io`] — trace (de)serialization: the native text format plus bare
 //!   timestamped edge lists, and the sectioned binary cache with streaming
 //!   writers ([`io::CacheStreamWriter`]) and windowed readers

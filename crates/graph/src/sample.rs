@@ -1,5 +1,5 @@
-//! Snowball (BFS) and uniform random-node sampling — §5.1's mechanism for
-//! scaling the classification pipeline to large graphs.
+//! Snowball (BFS) sampling — §5.1's mechanism for scaling the
+//! classification pipeline to large graphs.
 
 use crate::snapshot::Snapshot;
 use crate::NodeId;
@@ -102,38 +102,6 @@ pub fn pick_seeds(snap: &Snapshot, count: usize, run_seed: u64) -> Vec<NodeId> {
     out
 }
 
-/// Uniform random-node sampling: deterministically draws
-/// `ceil(p · |V|)` distinct node ids (clamped to `[1, |V|]`) keyed by
-/// `run_seed`, returned sorted ascending — the simplest estimator baseline
-/// the sampled-evaluation mode compares snowball sampling against.
-///
-/// Unlike [`snowball`], draws are independent of graph structure, so the
-/// sample is unbiased over nodes but its induced subgraph is much sparser
-/// than a BFS ball at the same `p` ("Evaluating Link Prediction Methods"
-/// discusses the estimator trade-off; see `DESIGN.md` §16).
-///
-/// # Panics
-/// Panics unless `0 < p <= 1` and the snapshot has at least one node.
-pub fn random_nodes(snap: &Snapshot, p: f64, run_seed: u64) -> Vec<NodeId> {
-    assert!(p > 0.0 && p <= 1.0, "p must be in (0, 1]");
-    let n = snap.node_count();
-    assert!(n > 0, "cannot sample an empty snapshot");
-    let target = ((p * n as f64).ceil() as usize).clamp(1, n);
-    let mut picked = vec![false; n];
-    let mut out: Vec<NodeId> = Vec::with_capacity(target);
-    let mut state = run_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    while out.len() < target {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let pick = (splitmix(state) % n as u64) as usize;
-        if !picked[pick] {
-            picked[pick] = true;
-            out.push(pick as NodeId);
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,19 +160,6 @@ mod tests {
         for &u in &a {
             assert!(s.degree(u) > 0, "seed must be non-isolated");
         }
-    }
-
-    #[test]
-    fn random_nodes_deterministic_distinct_and_sized() {
-        let s = two_components();
-        let a = random_nodes(&s, 0.5, 7);
-        let b = random_nodes(&s, 0.5, 7);
-        assert_eq!(a, b, "fixed seed must reproduce the draw");
-        assert_eq!(a.len(), 4, "ceil(0.5 * 7)");
-        assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
-        let c = random_nodes(&s, 0.5, 8);
-        assert_ne!(a, c, "different run seeds should differ");
-        assert_eq!(random_nodes(&s, 1.0, 3), vec![0, 1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

@@ -152,14 +152,13 @@ impl std::error::Error for InvariantViolation {}
 /// (`osn_metrics::fused`) reads these tables instead.
 ///
 /// Entries are exactly the expressions the per-pair formulas evaluate
-/// (`(deg as f64).ln()`, `1.0 / ln`, `1.0 / deg as f64`), so sums built
+/// (`1.0 / (deg as f64).ln()`, `1.0 / deg as f64`), so sums built
 /// from table lookups are bit-identical to sums built from inline
 /// recomputation. Entries for degree 0 and 1 hold the raw IEEE results
 /// (infinities / negative zero); they are never consulted, because a
 /// common-neighbor witness always has degree ≥ 2.
 #[derive(Clone, Debug)]
 pub struct DegreeTables {
-    ln_deg: Vec<f64>,
     inv_ln_deg: Vec<f64>,
     inv_deg: Vec<f64>,
 }
@@ -167,23 +166,14 @@ pub struct DegreeTables {
 impl DegreeTables {
     fn build(snap: &Snapshot) -> Self {
         let n = snap.node_count();
-        let mut ln_deg = Vec::with_capacity(n);
         let mut inv_ln_deg = Vec::with_capacity(n);
         let mut inv_deg = Vec::with_capacity(n);
         for u in 0..n {
             let d = snap.degree(u as NodeId) as f64;
-            let ln = d.ln();
-            ln_deg.push(ln);
-            inv_ln_deg.push(1.0 / ln);
+            inv_ln_deg.push(1.0 / d.ln());
             inv_deg.push(1.0 / d);
         }
-        DegreeTables { ln_deg, inv_ln_deg, inv_deg }
-    }
-
-    /// `(deg(u) as f64).ln()` per node.
-    #[inline]
-    pub fn ln_deg(&self, u: NodeId) -> f64 {
-        self.ln_deg[u as usize]
+        DegreeTables { inv_ln_deg, inv_deg }
     }
 
     /// `1.0 / (deg(u) as f64).ln()` per node — AA's witness weight.
@@ -401,12 +391,6 @@ impl Snapshot {
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
         self.neighbors(a).binary_search(&b).is_ok()
-    }
-
-    /// Creation time of edge `(u, v)` if present.
-    pub fn edge_time(&self, u: NodeId, v: NodeId) -> Option<Timestamp> {
-        let base = self.offsets[u as usize];
-        self.neighbors(u).binary_search(&v).ok().map(|pos| self.edge_times[base + pos])
     }
 
     /// Iterates the common neighbors of `u` and `v` (sorted merge;
@@ -668,8 +652,10 @@ mod tests {
         let s = Snapshot::up_to(&g, 5);
         assert_eq!(s.neighbors(2), &[0, 1, 3]);
         assert_eq!(s.neighbor_times(2), &[30, 20, 40]);
-        assert_eq!(s.edge_time(2, 3), Some(40));
-        assert_eq!(s.edge_time(2, 4), None);
+        let time_of =
+            |u: NodeId, v| s.neighbors(u).binary_search(&v).ok().map(|i| s.neighbor_times(u)[i]);
+        assert_eq!(time_of(2, 3), Some(40));
+        assert_eq!(time_of(2, 4), None);
     }
 
     #[test]
@@ -736,7 +722,6 @@ mod tests {
         let t = s.degree_tables();
         for u in 0..s.node_count() as NodeId {
             let d = s.degree(u) as f64;
-            assert_eq!(t.ln_deg(u), d.ln(), "ln_deg node {u}");
             assert_eq!(t.inv_ln_deg(u), 1.0 / d.ln(), "inv_ln_deg node {u}");
             assert_eq!(t.inv_deg(u), 1.0 / d, "inv_deg node {u}");
         }

@@ -76,11 +76,6 @@ impl<R: TraceReader> StreamingSnapshotBuilder<R> {
         }
     }
 
-    /// The reader this builder sweeps.
-    pub fn reader(&self) -> &R {
-        &self.reader
-    }
-
     /// The prefix length of the current snapshot (0 before the first
     /// advance).
     pub fn prefix_len(&self) -> usize {
@@ -202,11 +197,6 @@ impl<R: TraceReader> StreamingSequence<R> {
     /// Edge-prefix length of snapshot `i` (0-based).
     pub fn boundary(&self, i: usize) -> usize {
         self.boundaries[i]
-    }
-
-    /// The underlying reader.
-    pub fn reader(&self) -> &R {
-        &self.reader
     }
 
     /// Consumes the sequence, returning the reader.

@@ -215,54 +215,6 @@ impl Matrix {
         }
         Some(LuFactors { lu, perm })
     }
-
-    /// Householder QR factorization: returns `(Q, R)` with `self = Q R`,
-    /// `Q` orthonormal (`rows × rows`) and `R` upper-triangular
-    /// (`rows × cols`). Intended for small matrices.
-    pub fn qr(&self) -> (Matrix, Matrix) {
-        let m = self.rows;
-        let n = self.cols;
-        let mut r = self.clone();
-        let mut q = Matrix::identity(m);
-
-        for k in 0..n.min(m.saturating_sub(1)) {
-            // Householder vector for column k.
-            let mut norm = 0.0;
-            for i in k..m {
-                norm += r[(i, k)] * r[(i, k)];
-            }
-            let norm = norm.sqrt();
-            if norm < 1e-300 {
-                continue;
-            }
-            let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
-            let mut v = vec![0.0; m];
-            v[k] = r[(k, k)] - alpha;
-            for i in k + 1..m {
-                v[i] = r[(i, k)];
-            }
-            let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-            if vnorm2 < 1e-300 {
-                continue;
-            }
-            // Apply H = I - 2 v vᵀ / (vᵀv) to R (left) and accumulate into Q.
-            for j in 0..n {
-                let dot: f64 = (k..m).map(|i| v[i] * r[(i, j)]).sum();
-                let f = 2.0 * dot / vnorm2;
-                for i in k..m {
-                    r[(i, j)] -= f * v[i];
-                }
-            }
-            for j in 0..m {
-                let dot: f64 = (k..m).map(|i| v[i] * q[(j, i)]).sum();
-                let f = 2.0 * dot / vnorm2;
-                for i in k..m {
-                    q[(j, i)] -= f * v[i];
-                }
-            }
-        }
-        (q, r)
-    }
 }
 
 /// A completed LU factorization with its pivot permutation — the output
@@ -448,21 +400,6 @@ mod tests {
     fn lu_factor_rejects_singular() {
         let a = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(a.lu_factor().is_none());
-    }
-
-    #[test]
-    fn qr_reconstructs_and_q_orthonormal() {
-        let a = from_rows(&[&[12.0, -51.0, 4.0], &[6.0, 167.0, -68.0], &[-4.0, 24.0, -41.0]]);
-        let (q, r) = a.qr();
-        assert!(q.matmul(&r).max_abs_diff(&a) < 1e-9);
-        let qtq = q.transpose().matmul(&q);
-        assert!(qtq.max_abs_diff(&Matrix::identity(3)) < 1e-9);
-        // R upper triangular.
-        for i in 0..3 {
-            for j in 0..i {
-                assert!(r[(i, j)].abs() < 1e-9, "R not triangular at ({i},{j})");
-            }
-        }
     }
 
     #[test]

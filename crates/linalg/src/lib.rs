@@ -3,8 +3,8 @@
 //! A deliberately small, dependency-free linear-algebra kernel sized for the
 //! needs of the factorization-based link-prediction metrics in LinkLens:
 //!
-//! * [`dense::Matrix`] — row-major dense matrices with matmul, transpose,
-//!   LU solve (partial pivoting), and Householder QR.
+//! * [`dense::Matrix`] — row-major dense matrices with matmul, transpose
+//!   and LU solve (partial pivoting).
 //! * [`sparse`] — products with a snapshot's adjacency matrix (`A·x`,
 //!   `A·X` on the shared worker pool, and a dense copy for small graphs),
 //!   read in place from the [`Snapshot`](osn_graph::snapshot::Snapshot)'s

@@ -28,7 +28,6 @@ use osn_graph::{par, traversal, NodeId};
 #[derive(Clone, Debug)]
 pub struct CandidateSet {
     pairs: Vec<(NodeId, NodeId)>,
-    policy: CandidatePolicy,
 }
 
 impl CandidateSet {
@@ -55,8 +54,7 @@ impl CandidateSet {
     ) -> Self {
         match policy {
             CandidatePolicy::TwoHop => {
-                let pairs = traversal::two_hop_pairs(snap, prune, par::max_threads());
-                CandidateSet { pairs, policy }
+                CandidateSet { pairs: traversal::two_hop_pairs(snap, prune, par::max_threads()) }
             }
             CandidatePolicy::ThreeHop => Self::three_hop_from_base(Self::within3_base(snap, prune)),
             CandidatePolicy::Global => {
@@ -77,7 +75,7 @@ impl CandidateSet {
     /// Wraps a [`within3_base`](Self::within3_base) enumeration as the
     /// `ThreeHop` candidate set (the base already is that set).
     pub fn three_hop_from_base(base: Vec<(NodeId, NodeId)>) -> Self {
-        CandidateSet { pairs: base, policy: CandidatePolicy::ThreeHop }
+        CandidateSet { pairs: base }
     }
 
     /// Extends a [`within3_base`](Self::within3_base) enumeration with the
@@ -119,7 +117,7 @@ impl CandidateSet {
         }
         pairs.sort_unstable();
         pairs.dedup();
-        CandidateSet { pairs, policy: CandidatePolicy::Global }
+        CandidateSet { pairs }
     }
 
     /// Caps the candidate count: when the set exceeds `max_pairs`, a
@@ -138,14 +136,12 @@ impl CandidateSet {
         self
     }
 
-    /// Builds from an explicit pair list (used by the sampled
-    /// classification pipeline, where the universe is all pairs among the
-    /// sampled nodes). The input is repaired to the invariants
-    /// [`build`](Self::build) guarantees: self-pairs dropped, reversed
-    /// `(v, u)` pairs canonicalized, and — unless the cleaned list is
-    /// already strictly ascending, in which case its order is preserved —
-    /// sorted and deduplicated.
-    pub fn from_pairs(pairs: Vec<(NodeId, NodeId)>, policy: CandidatePolicy) -> Self {
+    /// Builds from an explicit pair list. The input is repaired to the
+    /// invariants [`build`](Self::build) guarantees: self-pairs dropped,
+    /// reversed `(v, u)` pairs canonicalized, and — unless the cleaned
+    /// list is already strictly ascending, in which case its order is
+    /// preserved — sorted and deduplicated.
+    pub fn from_pairs(pairs: Vec<(NodeId, NodeId)>) -> Self {
         let mut canon: Vec<(NodeId, NodeId)> = Vec::with_capacity(pairs.len());
         for (a, b) in pairs {
             if a != b {
@@ -156,7 +152,7 @@ impl CandidateSet {
             canon.sort_unstable();
             canon.dedup();
         }
-        CandidateSet { pairs: canon, policy }
+        CandidateSet { pairs: canon }
     }
 
     /// The candidate pairs, canonical and deduplicated.
@@ -172,11 +168,6 @@ impl CandidateSet {
     /// True when no candidates exist.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
-    }
-
-    /// The policy this set was built for.
-    pub fn policy(&self) -> CandidatePolicy {
-        self.policy
     }
 }
 
@@ -238,7 +229,7 @@ mod tests {
         // self-pairs, unsorted order — the repaired set must satisfy the
         // build() invariants.
         let messy = vec![(4u32, 1u32), (2, 2), (0, 3), (1, 4), (3, 0), (5, 5), (2, 0)];
-        let c = CandidateSet::from_pairs(messy, CandidatePolicy::TwoHop);
+        let c = CandidateSet::from_pairs(messy);
         assert_eq!(c.pairs(), &[(0, 2), (0, 3), (1, 4)]);
         assert!(c.pairs().iter().all(|&(u, v)| u < v));
     }
@@ -248,7 +239,7 @@ mod tests {
         // A strictly ascending canonical list passes through untouched
         // (no sort, no reallocation of order).
         let clean = vec![(0u32, 2u32), (0, 5), (1, 3), (2, 7)];
-        let c = CandidateSet::from_pairs(clean.clone(), CandidatePolicy::ThreeHop);
+        let c = CandidateSet::from_pairs(clean.clone());
         assert_eq!(c.pairs(), &clean[..]);
     }
 

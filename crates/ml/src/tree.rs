@@ -213,21 +213,6 @@ impl DecisionTree {
         }
     }
 
-    /// Depth of the fitted tree (root-only tree has depth 0).
-    pub fn depth(&self) -> usize {
-        fn rec(nodes: &[Node], id: usize) -> usize {
-            match &nodes[id] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + rec(nodes, *left).max(rec(nodes, *right)),
-            }
-        }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            rec(&self.nodes, 0)
-        }
-    }
-
     /// Extracts one human-readable rule per leaf:
     /// `"degree_std > 60.30 → class Rescal (12/13)"`.
     /// `feature_names` and `class_names` label the columns and classes.
@@ -333,7 +318,7 @@ mod tests {
         let cfg = TreeConfig { max_depth: 0, ..Default::default() };
         let mut t = DecisionTree::new(cfg);
         t.fit_multiclass(&xor_data());
-        assert_eq!(t.depth(), 0);
+        assert_eq!(t.rules(&[], &[]).len(), 1, "a stump is one leaf");
         // Majority prediction everywhere (tie → lowest class wins).
         assert_eq!(t.predict_class(&[0.0, 1.0]), t.predict_class(&[0.0, 0.0]));
     }
@@ -364,7 +349,11 @@ mod tests {
         let cfg = TreeConfig { min_samples_leaf: 25, ..Default::default() };
         let mut t = DecisionTree::new(cfg);
         t.fit_multiclass(&xor_data()); // 40 samples; any split leaves < 25 on one side... 20/20 split allowed? no: 20 < 25.
-        assert_eq!(t.depth(), 0, "leaf minimum should forbid splitting 40 into 20+20");
+        assert_eq!(
+            t.rules(&[], &[]).len(),
+            1,
+            "leaf minimum should forbid splitting 40 into 20+20"
+        );
     }
 
     #[test]
@@ -400,6 +389,6 @@ mod tests {
         d.push(&[1.0, 1.0], 1);
         let mut t = DecisionTree::default();
         t.fit_multiclass(&d);
-        assert_eq!(t.depth(), 0, "no valid split exists between equal values");
+        assert_eq!(t.rules(&[], &[]).len(), 1, "no valid split exists between equal values");
     }
 }

@@ -1,12 +1,14 @@
 //! Temporal filtering walkthrough (§6): measure the idle-time /
-//! recent-edge / CN-gap separations on your own trace, *discover* filter
-//! thresholds from them, and quantify how much the filter shrinks the
-//! candidate space and lifts prediction accuracy.
+//! recent-edge / CN-gap separations on your own trace, derive filter
+//! thresholds from its positives at a retention quantile, and quantify
+//! how much the filter shrinks the candidate space and lifts prediction
+//! accuracy.
 //!
 //! ```sh
 //! cargo run --release --example temporal_filtering
 //! ```
 
+use linklens::core::filters::PositiveFeatureStats;
 use linklens::core::temporal::{fraction_below, pair_features, positive_negative_pairs};
 use linklens::graph::DAY;
 use linklens::prelude::*;
@@ -31,18 +33,23 @@ fn main() {
         fraction_below(&ni, 3.0) * 100.0
     );
 
-    // 2. Discover thresholds from the positives (the paper's methodology,
-    //    generalized) and compare with the hand-tuned Table 7 row.
-    let discovered = FilterThresholds::discover(&snap, &pos, 7.0);
-    println!("\ndiscovered thresholds: {discovered:?}");
-    println!("table 7 (renren):      {:?}", FilterThresholds::renren());
+    // 2. Derive thresholds from the positives (the paper's methodology,
+    //    generalized): each criterion keeps the `RETAIN` fraction of
+    //    positives on its fresh side. Compare with the hand-tuned Table 7
+    //    row.
+    const RETAIN: f64 = 0.9;
+    let mut stats = PositiveFeatureStats::new(7.0);
+    stats.observe(&snap, &pos);
+    let derived = stats.thresholds_at(RETAIN).expect("the transition has positives");
+    println!("\nthresholds retaining {:.0}% of positives: {derived:?}", RETAIN * 100.0);
+    println!("table 7 (renren):                  {:?}", FilterThresholds::renren());
 
     // 3. Quantify the search-space reduction and the accuracy lift.
     let eval = SequenceEvaluator::new(&seq);
     let bra = LocalKind::Bra;
     for (label, filter) in [
         ("no filter", None),
-        ("discovered", Some(TemporalFilter::new(discovered))),
+        ("derived", Some(TemporalFilter::new(derived))),
         ("table 7", Some(TemporalFilter::new(FilterThresholds::renren()))),
     ] {
         let cands = eval.candidates_for(&snap, &[&bra], filter.as_ref());

@@ -82,7 +82,8 @@ fn classification_pipeline_end_to_end() {
     let seq = SnapshotSequence::with_count(&trace, 6);
     let cfg = ClassificationConfig { n_seeds: 2, ..Default::default() };
     let pipe = ClassificationPipeline::new(&seq, cfg);
-    let out = pipe.sweep(&[ClassifierKind::Svm, ClassifierKind::NaiveBayes], &[5.0], 4, None);
+    let out =
+        pipe.instance(4, None).cells(&[ClassifierKind::Svm, ClassifierKind::NaiveBayes], &[5.0]);
     assert_eq!(out.len(), 2);
     for o in &out {
         assert!(o.mean_k > 0.0);
