@@ -723,12 +723,13 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("candidate_pairs", pairs.len());
     let oracle: Vec<f64> =
         pairs.iter().map(|&(u, v)| oracles::rescal::model_score(&dense, u, v)).collect();
-    // One cache: the first call fits and registers the model, every
-    // later call (including all timed ones) reuses it — a refit per batch
-    // would show up right here as `rescal_fits` climbing past 1.
+    // One cache: the first call fits and stores the model's factors,
+    // every later call (including all timed ones) reuses them — a refit
+    // per batch would show up right here as `factorizations` climbing
+    // past 1.
     let mut cache = SolverCache::transient();
     let base = exec::score_matrix_cached_t(&[&rescal], &snap, pairs, 1, &mut cache).remove(0);
-    assert_eq!(cache.stats.rescal_fits, 1, "priming call must fit exactly once");
+    assert_eq!(cache.stats.factorizations, 1, "priming call must fit exactly once");
     for (i, &p) in pairs.iter().enumerate() {
         let dev = (base[i] - oracle[i]).abs();
         assert!(dev <= 1e-9, "pair {p:?}: batched score deviates {dev:e} from the model oracle");
@@ -749,7 +750,7 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
         })
     });
     assert_eq!(
-        cache.stats.rescal_fits, 1,
+        cache.stats.factorizations, 1,
         "scoring sweep refit the model instead of reusing the cached fit"
     );
 }

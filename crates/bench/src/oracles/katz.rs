@@ -7,11 +7,12 @@ use osn_linalg::{sparse, Matrix};
 use osn_metrics::katz::KatzSc;
 
 /// Katz-sc's scores from [`landmark_columns`]: the engine's landmark pick
-/// and mixing stage ([`KatzSc::score_with_columns`]) on columns built one
-/// SpMV per term per landmark. The columns are bit-identical to the
-/// engine's batched SpMM build, so the scores are too.
+/// and mixing stage ([`KatzSc::factors_from_columns`]) on columns built
+/// one SpMV per term per landmark, scored by the engine's low-rank scorer.
+/// The columns are bit-identical to the engine's batched SpMM build, so
+/// the scores are too.
 pub fn katz_sc(sc: &KatzSc, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-    sc.score_with_columns(snap, pairs, 1, |lm| landmark_columns(sc, snap, lm))
+    sc.factors_from_columns(snap, |lm| landmark_columns(sc, snap, lm)).scores_t(pairs, 1)
 }
 
 /// Truncated Katz columns `C[:, j] = Σ_{i=1..T} βⁱ Aⁱ e_{lm[j]}` for the

@@ -100,10 +100,9 @@ pub fn fit_dense(rescal: &Rescal, snap: &Snapshot) -> Result<AlsFit, SolverError
 }
 
 /// The bilinear score `x_uᵀ R x_v + x_vᵀ R x_u` of a fitted model, folded
-/// per pair as `Σ_i x[i]·(R·x)[i]`. The batched
-/// [`bilinear_scores_t`](osn_metrics::solver::bilinear_scores_t) folds
-/// `X R` first, so the two agree to reassociation tolerance, not bit for
-/// bit.
+/// per pair as `Σ_i x[i]·(R·x)[i]`. The engine scores Rescal through its
+/// [`LowRank`](osn_metrics::solver::LowRank) form, which folds `X R`
+/// first, so the two agree to reassociation tolerance, not bit for bit.
 pub fn model_score(model: &AlsFit, u: NodeId, v: NodeId) -> f64 {
     let xu = model.x.row(u as usize);
     let xv = model.x.row(v as usize);

@@ -27,7 +27,10 @@
 //! C++ pipeline, §3.2), so an instance computes the features of its
 //! positives and test pairs once, on its first `cells` call, and shares
 //! them across every classifier and θ; each call adds only its negative
-//! pool, drawn at that call's largest θ.
+//! pool, drawn at that call's largest θ. The pipeline keeps one solver
+//! cache per snapshot its instances score, so Katz-lr, Katz-sc and Rescal
+//! factor `G_{t-2}` and `G_{t-1}` once for every feature batch and metric
+//! point of every instance of a transition.
 //!
 //! One honest scalability note, documented in DESIGN.md: the paper scores
 //! *every* unconnected sampled pair at test time. We do the same up to
@@ -55,8 +58,8 @@ use osn_ml::naive_bayes::GaussianNaiveBayes;
 use osn_ml::svm::LinearSvm;
 use osn_ml::Classifier;
 use serde::Serialize;
-use std::cell::OnceCell;
-use std::collections::HashSet;
+use std::cell::{OnceCell, RefCell};
+use std::collections::{BTreeMap, HashSet};
 
 /// The four classifier families the paper evaluates (§5.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -181,13 +184,22 @@ pub struct ClassificationPipeline<'a> {
     /// Pipeline configuration.
     pub config: ClassificationConfig,
     metrics: Vec<Box<dyn Metric>>,
+    /// One solver cache per snapshot index its instances score, so every
+    /// feature batch and metric point on a snapshot, in every instance of
+    /// the pipeline, shares one factorization per factored metric.
+    caches: RefCell<BTreeMap<usize, SolverCache>>,
 }
 
 impl<'a> ClassificationPipeline<'a> {
     /// Creates a pipeline with the default metric feature set (all 14
     /// metrics, both Katz implementations).
     pub fn new(seq: &'a SnapshotSequence<'a>, config: ClassificationConfig) -> Self {
-        ClassificationPipeline { seq, config, metrics: osn_metrics::all_metrics() }
+        ClassificationPipeline {
+            seq,
+            config,
+            metrics: osn_metrics::all_metrics(),
+            caches: RefCell::default(),
+        }
     }
 
     /// Feature names in column order.
@@ -236,15 +248,29 @@ impl<'a> ClassificationPipeline<'a> {
         self.config.seed ^ (si as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// Computes the feature matrix (|pairs| × |metrics|) on a snapshot.
-    /// Metric columns run on the shared scoring engine — a (metric ×
-    /// chunk) work pool rather than one thread per metric — since this is
-    /// the pipeline's dominant cost (§3.2 of the paper says the same of
-    /// theirs). The matrix depends only on `snap` and `pairs`.
-    fn features(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<Vec<f64>> {
+    /// One score column per metric of `metrics` on `pairs` of snapshot
+    /// `index` of the sequence (`snap`), through that snapshot's solver
+    /// cache. The columns depend only on `snap`, the metrics and `pairs`.
+    fn score(
+        &self,
+        index: usize,
+        snap: &Snapshot,
+        metrics: &[&dyn Metric],
+        pairs: &[(NodeId, NodeId)],
+    ) -> Vec<Vec<f64>> {
+        let mut caches = self.caches.borrow_mut();
+        let cache = caches.entry(index).or_insert_with(SolverCache::transient);
+        exec::score_matrix_cached_t(metrics, snap, pairs, par::max_threads(), cache)
+    }
+
+    /// Computes the feature matrix (|pairs| × |metrics|) on snapshot
+    /// `index` (`snap`). Metric columns run on the shared scoring engine —
+    /// a (metric × chunk) work pool rather than one thread per metric —
+    /// since this is the pipeline's dominant cost (§3.2 of the paper says
+    /// the same of theirs).
+    fn features(&self, index: usize, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<Vec<f64>> {
         let refs: Vec<&dyn Metric> = self.metrics.iter().map(|m| m.as_ref()).collect();
-        let mut cache = SolverCache::transient();
-        let cols = exec::score_matrix_cached_t(&refs, snap, pairs, par::max_threads(), &mut cache);
+        let cols = self.score(index, snap, &refs, pairs);
         (0..pairs.len()).map(|i| cols.iter().map(|c| c[i]).collect()).collect()
     }
 }
@@ -295,7 +321,7 @@ impl SampledInstance<'_> {
             .enumerate()
             .map(|(si, draw)| {
                 let scores =
-                    exec::score_pairs_t(metric, &self.test_snap, &draw.pairs, par::max_threads());
+                    self.pipe.score(self.t - 1, &self.test_snap, &[metric], &draw.pairs).remove(0);
                 draw.judge(&scores, self.pipe.config.seed ^ si as u64)
             })
             .collect();
@@ -336,7 +362,7 @@ impl SampledInstance<'_> {
                     pool_size,
                     pipe.rng_seed(si),
                 );
-                pipe.features(&self.train_snap, &negatives)
+                pipe.features(self.t - 2, &self.train_snap, &negatives)
             })
             .collect();
 
@@ -408,8 +434,8 @@ impl SampledInstance<'_> {
                     .collect();
                 positives.sort_unstable();
                 SeedFeatures {
-                    positives: self.pipe.features(&self.train_snap, &positives),
-                    test: self.pipe.features(&self.test_snap, &draw.pairs),
+                    positives: self.pipe.features(self.t - 2, &self.train_snap, &positives),
+                    test: self.pipe.features(self.t - 1, &self.test_snap, &draw.pairs),
                 }
             })
             .collect()
@@ -490,7 +516,7 @@ mod tests {
         config: ClassificationConfig,
     ) -> ClassificationPipeline<'a> {
         let metrics: Vec<Box<dyn Metric>> = vec![Box::new(LocalKind::Cn), Box::new(LocalKind::Ra)];
-        ClassificationPipeline { seq, config, metrics }
+        ClassificationPipeline { seq, config, metrics, caches: RefCell::default() }
     }
 
     /// One (classifier, θ) cell at transition 2, unfiltered.

@@ -27,8 +27,10 @@
 //!    the caller's [`SolverCache`]. SP, LP and the time-aware metrics cut
 //!    source-aligned chunks through [`score_chunked`] (splitting only
 //!    where `pairs[i].0` changes) and score them in parallel; SP and LP
-//!    group each chunk by solve side, one BFS or scan per side. The walk,
-//!    Katz and Rescal metrics solve or factor once per call.
+//!    group each chunk by solve side, one BFS or scan per side. The walk
+//!    metrics solve once per call; Katz-lr, Katz-sc and Rescal factor
+//!    once per snapshot into the cache's [`LowRank`](crate::solver::LowRank)
+//!    slot and score every later call on the snapshot from it.
 //!
 //! Every column is checked against its metric's [`ScoreContract`] when
 //! audits are enabled. Scores depend only on (snapshot, pair list): LRW
@@ -208,8 +210,9 @@ pub fn score_pairs_t(
 /// per source per chunk yielding every fused column at once; the rest are
 /// scored one after another through their hooks with the caller's
 /// [`SolverCache`]: the global metrics read the snapshot's own
-/// adjacency CSR and share the cache's per-snapshot state, the Rescal
-/// fit (see [`crate::solver`]). Column contents are bit-identical for
+/// adjacency CSR and share the cache's per-snapshot state, the factors
+/// of Katz-lr, Katz-sc and Rescal (see [`crate::solver`]). Column
+/// contents are bit-identical for
 /// every `threads` value and do not depend on what the cache scored
 /// before.
 pub fn score_matrix_cached_t(
@@ -228,8 +231,9 @@ pub fn score_matrix_cached_t(
 /// Fused metrics are scored together by the source-batched kernel, each
 /// chunk streaming into per-chunk [`TopKAcc`] heaps that merge into the
 /// serial selection; every other metric is scored whole through its hook
-/// with the caller's [`SolverCache`] and selected serially, so Rescal
-/// fits once per snapshot across the calls that share the cache. Results
+/// with the caller's [`SolverCache`] and selected serially, so Katz-lr,
+/// Katz-sc and Rescal factor once per snapshot across the calls that
+/// share the cache. Results
 /// are in input metric order and — including tie-break order — identical
 /// for every `threads` value.
 #[allow(clippy::too_many_arguments)]
@@ -277,8 +281,9 @@ pub fn predict_top_k_many_cached_t(
 ///   the batch engine's per-kind context.
 /// * Everything else goes through [`Metric::score_pairs_cached`] at one
 ///   worker (per-source query batches are far below the engine's
-///   chunking threshold), sharing the caller's [`SolverCache`] transition
-///   view and per-source solve vectors across queries at the same version.
+///   chunking threshold) with the caller's [`SolverCache`]: Katz-lr,
+///   Katz-sc and Rescal factor on a version's first miss and score every
+///   later query at that version from the cached factors.
 ///
 /// Bit-identical to [`score_pairs_t`] with `threads = 1` on the same pair
 /// list — the contract the serving parity asserts rely on. A query's

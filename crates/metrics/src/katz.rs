@@ -10,14 +10,13 @@
 //! landmark approximation: with `C = K[:, L]` (truncated-series columns for
 //! a landmark set `L`) and `W = K[L, L]`, `K ≈ C W⁺ Cᵀ`.
 //!
-//! Both hooks factor once per call, reading the snapshot's adjacency CSR
-//! in place through [`osn_linalg::sparse`], and score source-aligned
-//! chunks in parallel. The dense truncated series and Katz-sc's
-//! per-landmark column loop are reference oracles in
-//! `linklens_bench::oracles`.
+//! Both build one [`LowRank`] per snapshot, reading the snapshot's
+//! adjacency CSR in place through [`osn_linalg::sparse`], and keep it in
+//! the caller's [`SolverCache`], so every later hook call on the snapshot
+//! only scores. The dense truncated series and Katz-sc's per-landmark
+//! column loop are reference oracles in `linklens_bench::oracles`.
 
-use crate::exec;
-use crate::solver::{SolverCache, SolverError};
+use crate::solver::{self, LowRank, SolverCache, SolverError};
 use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
@@ -52,25 +51,6 @@ impl Default for KatzLr {
     }
 }
 
-/// Katz-lr's spectral factors for one snapshot, computed once per scoring
-/// call; every pair is then O(r) dot products.
-struct KatzLrFactors {
-    factors: Vec<f64>,
-    vectors: Matrix,
-}
-
-impl KatzLrFactors {
-    fn score(&self, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        pairs
-            .iter()
-            .map(|&(u, v)| {
-                let (ru, rv) = (self.vectors.row(u as usize), self.vectors.row(v as usize));
-                self.factors.iter().zip(ru).zip(rv).map(|((f, x), y)| f * x * y).sum()
-            })
-            .collect()
-    }
-}
-
 impl Metric for KatzLr {
     fn name(&self) -> &'static str {
         "Katz-lr"
@@ -80,37 +60,30 @@ impl Metric for KatzLr {
         CandidatePolicy::ThreeHop
     }
 
-    /// Factors the snapshot's adjacency once, then scores source-aligned
-    /// chunks in parallel.
+    /// Scores through the cache's factors of the snapshot, built by
+    /// `factors` on a miss.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
-        _cache: &mut SolverCache,
+        cache: &mut SolverCache,
     ) -> Vec<f64> {
-        match self.prepare(snap) {
-            Ok(factors) => exec::score_chunked(pairs, threads, |chunk| factors.score(chunk)),
-            // The Metric trait has no error channel; a failed eigensolve
-            // is a hard invariant violation, same class as an audit panic.
-            Err(e) => panic!("{e}"),
-        }
+        solver::score_low_rank(self, snap, pairs, threads, cache, || self.factors(snap))
     }
 }
 
 impl KatzLr {
-    /// The hook's factorization stage: the spectral factors of the
-    /// snapshot's adjacency.
+    /// The spectral factors of the snapshot's adjacency: `a = U·diag(f(λ))`
+    /// and `b = U` for the top-`rank` eigenpairs, so
+    /// `score(u, v) = Σ_k f(λ_k) U[u,k] U[v,k]`.
     ///
     /// # Errors
     /// The eigensolver's failure as a [`SolverError`]: a non-finite
     /// spectrum, or a QL step that used up its iteration budget.
-    fn prepare(&self, snap: &Snapshot) -> Result<KatzLrFactors, SolverError> {
+    fn factors(&self, snap: &Snapshot) -> Result<LowRank, SolverError> {
         if snap.edge_count() == 0 {
-            return Ok(KatzLrFactors {
-                factors: Vec::new(),
-                vectors: Matrix::zeros(snap.node_count().max(1), 0),
-            });
+            return Ok(LowRank::empty());
         }
         // Single-start Lanczos recovers one Ritz vector per eigenvalue
         // cluster, so on small graphs (where exact is cheap and spectra are
@@ -129,7 +102,7 @@ impl KatzLr {
             }
         })?;
         // f(λ) = 1/(1-βλ) - 1, clamped away from the pole.
-        let factors: Vec<f64> = eig
+        let f: Vec<f64> = eig
             .values
             .iter()
             .map(|&l| {
@@ -137,7 +110,13 @@ impl KatzLr {
                 1.0 / denom - 1.0
             })
             .collect();
-        Ok(KatzLrFactors { factors, vectors: eig.vectors })
+        let mut a = eig.vectors.clone();
+        for u in 0..a.rows() {
+            for (x, fk) in a.row_mut(u).iter_mut().zip(&f) {
+                *x *= fk;
+            }
+        }
+        Ok(LowRank { a, b: eig.vectors })
     }
 }
 
@@ -195,48 +174,6 @@ impl KatzSc {
     }
 }
 
-/// Katz-sc's landmark state for one snapshot: landmark columns `C` and
-/// the solved mixing rows `M = C (W + δI)⁻¹`. `m_rows = None` marks both
-/// the empty-graph case (`C` empty) and the singular-landmark fallback,
-/// which scores through `C` alone.
-struct KatzScFactors {
-    c: Matrix,
-    m_rows: Option<Vec<Vec<f64>>>,
-}
-
-impl KatzScFactors {
-    fn score(&self, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        let l = self.c.cols();
-        if l == 0 {
-            return vec![0.0; pairs.len()];
-        }
-        match &self.m_rows {
-            // score(u, v) = M[u, :] · C[v, :]  (≈ K[u, v]).
-            Some(m_rows) => pairs
-                .iter()
-                .map(|&(u, v)| {
-                    let mu = &m_rows[u as usize];
-                    let cv = self.c.row(v as usize);
-                    mu.iter().zip(cv).map(|(a, b)| a * b).sum()
-                })
-                .collect(),
-            // Singular landmark block even after ridge: fall back to the
-            // truncated series scores via the diagonal (no mixing).
-            None => pairs
-                .iter()
-                .map(|&(u, v)| {
-                    // crude fallback: average of available landmark columns
-                    let mut s = 0.0;
-                    for j in 0..l {
-                        s += self.c[(u as usize, j)] * self.c[(v as usize, j)];
-                    }
-                    s
-                })
-                .collect(),
-        }
-    }
-}
-
 impl Metric for KatzSc {
     fn name(&self) -> &'static str {
         "Katz-sc"
@@ -246,53 +183,57 @@ impl Metric for KatzSc {
         CandidatePolicy::ThreeHop
     }
 
-    /// Builds the landmark columns once from the snapshot's adjacency on
-    /// `threads` workers, then scores source-aligned chunks in parallel.
+    /// Scores through the cache's factors of the snapshot, built on a
+    /// miss from the landmark columns on `threads` workers.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
-        _cache: &mut SolverCache,
+        cache: &mut SolverCache,
     ) -> Vec<f64> {
-        self.score_with_columns(snap, pairs, threads, |lm| self.landmark_columns(snap, lm, threads))
+        solver::score_low_rank(self, snap, pairs, threads, cache, || {
+            Ok(self.factors_from_columns(snap, |lm| self.landmark_columns(snap, lm, threads)))
+        })
     }
 }
 
 impl KatzSc {
-    /// Scores `pairs` over `threads` workers from the landmark columns
-    /// `columns` builds for the picked landmarks, through Katz-sc's
-    /// landmark pick and mixing stage: `C = columns(lm)`, `W = C[lm, :]`,
-    /// `M = C (W + δI)⁻¹`, `score(u, v) = M[u, :] · C[v, :]`. The hook
-    /// passes [`landmark_columns`](Self::landmark_columns); a reference
-    /// that builds the columns another way gets the scores they imply.
-    pub fn score_with_columns(
+    /// Katz-sc's factors of `snap` from the landmark columns `columns`
+    /// builds for the picked landmarks: `C = columns(lm)`, `W = C[lm, :]`,
+    /// `M = C (W + δI)⁻¹`, and `a = M`, `b = C`, so
+    /// `score(u, v) = M[u, :] · C[v, :] ≈ K[u, v]`. The hook passes
+    /// [`landmark_columns`](Self::landmark_columns); a reference that
+    /// builds the columns another way gets the factors they imply.
+    pub fn factors_from_columns(
         &self,
         snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
         columns: impl FnOnce(&[NodeId]) -> Matrix,
-    ) -> Vec<f64> {
-        let n = snap.node_count();
-        let factors = if snap.edge_count() == 0 || n == 0 {
-            KatzScFactors { c: Matrix::zeros(n.max(1), 0), m_rows: None }
-        } else {
-            let lm = self.pick_landmarks(snap);
-            let c = columns(&lm);
-            let l = lm.len();
-            let mut w = Matrix::zeros(l, l);
-            for (r_out, &lr) in lm.iter().enumerate() {
-                for j in 0..l {
-                    w[(r_out, j)] = c[(lr as usize, j)];
+    ) -> LowRank {
+        if snap.edge_count() == 0 {
+            return LowRank::empty();
+        }
+        let lm = self.pick_landmarks(snap);
+        let c = columns(&lm);
+        let l = lm.len();
+        let mut w = Matrix::zeros(l, l);
+        for (r_out, &lr) in lm.iter().enumerate() {
+            w.row_mut(r_out).copy_from_slice(c.row(lr as usize));
+            w[(r_out, r_out)] += self.ridge;
+        }
+        match w.lu_factor() {
+            // Row u of M solves (W + δI) M[u, :]ᵀ = C[u, :]ᵀ.
+            Some(lu) => {
+                let mut m = Matrix::zeros(c.rows(), l);
+                for u in 0..c.rows() {
+                    lu.solve_into(c.row(u), m.row_mut(u));
                 }
-                w[(r_out, r_out)] += self.ridge;
+                LowRank { a: m, b: c }
             }
-            // Solve (W + δI) Y = Cᵀ column-block-wise: rhs per graph node.
-            let rhs: Vec<Vec<f64>> = (0..c.rows()).map(|i| c.row(i).to_vec()).collect();
-            let m_rows = w.solve_many(&rhs);
-            KatzScFactors { c, m_rows }
-        };
-        exec::score_chunked(pairs, threads, |chunk| factors.score(chunk))
+            // Singular landmark block even after the ridge: no mixing,
+            // score(u, v) = C[u, :] · C[v, :].
+            None => LowRank { a: c.clone(), b: c },
+        }
     }
 
     /// Truncated Katz columns for all landmarks at once:

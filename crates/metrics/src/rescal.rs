@@ -18,23 +18,21 @@
 //! products go through the thread-parallel `spmm_into_t` kernel
 //! (bit-identical to the serial dense fold at every thread count), and
 //! every normal-equations solve is guarded — a singular system surfaces
-//! as [`SolverError::Singular`] instead of the silent stale-factor skip
-//! the original dense loop performed. A fit runs a fixed number of sweeps
-//! from a seeded init, so the model is a pure function of the snapshot
-//! and the config. The engine hook ([`Metric::score_pairs_cached`])
-//! scores the whole batch through [`solver::bilinear_scores_t`], and the
-//! fitted model registers in the [`SolverCache`], so every hook call on
+//! as [`SolverError::Singular`]. A fit runs a fixed number of sweeps from
+//! a seeded init, so the model is a pure function of the snapshot and the
+//! config. The engine hook ([`Metric::score_pairs_cached`]) scores the
+//! whole batch through the fit's [`LowRank`] form, `a = [XR | X]` and
+//! `b = [X | XR]`, which the [`SolverCache`] keeps, so every hook call on
 //! one snapshot reuses one fit. The original serial loop is the
 //! property-tested oracle in `linklens_bench::oracles`.
 
-use std::sync::Arc;
-
-use crate::solver::{self, SolverCache, SolverError};
+use crate::solver::{self, LowRank, SolverCache, SolverError};
 use crate::traits::{CandidatePolicy, Metric};
 use osn_graph::par;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 use osn_linalg::factor::{self, AlsConfig, AlsFit, FactorError};
+use osn_linalg::Matrix;
 
 /// RESCAL configuration.
 #[derive(Clone, Debug)]
@@ -83,24 +81,13 @@ impl Rescal {
         }
     }
 
-    /// Config fingerprint keying [`SolverCache`] model slots, so two
-    /// Rescal configurations sharing one cache never alias fits.
-    fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for w in [self.rank as u64, self.iterations as u64, self.lambda.to_bits(), self.seed] {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
-
     /// Fits the factorization on a snapshot with the shared worker pool.
     ///
     /// # Errors
     ///
     /// [`SolverError::Singular`] when an ALS normal-equations system
-    /// loses rank (previously a silent skip that left stale factors), and
-    /// [`SolverError::NonFinite`] when a factor leaves the finite range.
+    /// loses rank, and [`SolverError::NonFinite`] when a factor leaves the
+    /// finite range.
     pub fn fit(&self, snap: &Snapshot) -> Result<AlsFit, SolverError> {
         self.fit_t(snap, par::max_threads())
     }
@@ -111,27 +98,26 @@ impl Rescal {
         factor::als_fit(snap, &self.config(), threads).map_err(map_factor_err)
     }
 
-    /// The per-snapshot fitted model for the engine paths: reuses the
-    /// cache's model of this snapshot when the config fingerprint
-    /// matches, otherwise fits and registers the result. `None` marks an
-    /// edgeless snapshot — all scores zero.
-    fn fitted_model(
-        &self,
-        snap: &Snapshot,
-        cache: &mut SolverCache,
-        threads: usize,
-    ) -> Result<Option<Arc<AlsFit>>, SolverError> {
+    /// The fit's scoring factors, `a = [XR | X]` and `b = [X | XR]`, so
+    /// `score(u, v) = ⟨(XR)_u, x_v⟩ + ⟨x_u, (XR)_v⟩ = (XRXᵀ)_{uv} + (XRXᵀ)_{vu}`.
+    /// An edgeless snapshot has no columns.
+    fn factors(&self, snap: &Snapshot, threads: usize) -> Result<LowRank, SolverError> {
         if snap.edge_count() == 0 {
-            return Ok(None);
+            return Ok(LowRank::empty());
         }
-        let fp = self.fingerprint();
-        if let Some(model) = cache.rescal_model(snap, fp) {
-            return Ok(Some(model));
-        }
-        let model = Arc::new(self.fit_t(snap, threads)?);
-        cache.stats.rescal_fits += 1;
-        cache.store_rescal(snap, fp, Arc::clone(&model));
-        Ok(Some(model))
+        let AlsFit { x, r } = self.fit_t(snap, threads)?;
+        let xr = x.matmul(&r);
+        let side_by_side = |left: &Matrix, right: &Matrix| {
+            let w = left.cols();
+            let mut out = Matrix::zeros(left.rows(), 2 * w);
+            for u in 0..left.rows() {
+                let row = out.row_mut(u);
+                row[..w].copy_from_slice(left.row(u));
+                row[w..].copy_from_slice(right.row(u));
+            }
+            out
+        };
+        Ok(LowRank { a: side_by_side(&xr, &x), b: side_by_side(&x, &xr) })
     }
 }
 
@@ -151,13 +137,7 @@ impl Metric for Rescal {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        match self.fitted_model(snap, cache, threads) {
-            Ok(None) => vec![0.0; pairs.len()],
-            Ok(Some(model)) => solver::bilinear_scores_t(&model.x, &model.r, pairs, threads),
-            // The Metric trait has no error channel; a tripped solver guard
-            // is a hard invariant violation, same class as an audit panic.
-            Err(e) => panic!("{e}"),
-        }
+        solver::score_low_rank(self, snap, pairs, threads, cache, || self.factors(snap, threads))
     }
 }
 
@@ -251,7 +231,7 @@ mod tests {
         let second = r.score_pairs_cached(&s, &pairs, 1, &mut cache);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&first), bits(&second));
-        assert_eq!(cache.stats.rescal_fits, 1);
+        assert_eq!(cache.stats.factorizations, 1);
     }
 
     #[test]

@@ -33,10 +33,11 @@
 //!   Both evaluate their pair scores one-sided, from the side's column
 //!   alone (see [`crate::walk`] for the reversibility identities).
 //! * [`SolverCache`] — the per-snapshot cache the engine entry points
-//!   thread through a metric's hook: the current snapshot's fitted Rescal
-//!   model and the solvers' counters, keyed on the snapshot's content.
-//!   Nothing in it crosses a snapshot, so a snapshot's scores depend on
-//!   the snapshot and the pair list alone.
+//!   thread through a metric's hook: the current snapshot's [`LowRank`]
+//!   factors, one per factored metric config (Katz-lr, Katz-sc, Rescal),
+//!   and the solvers' counters, keyed on the snapshot's content. Nothing
+//!   in it crosses a snapshot, so a snapshot's scores depend on the
+//!   snapshot and the pair list alone.
 //!
 //! ## Solve sides
 //!
@@ -91,7 +92,9 @@ use std::sync::Arc;
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{par, NodeId};
-use osn_linalg::factor::AlsFit;
+use osn_linalg::Matrix;
+
+use crate::exec;
 
 /// Hard ceiling on Chebyshev iterations before the solver gives up.
 pub const PPR_MAX_ITERS: usize = 1000;
@@ -116,10 +119,8 @@ pub enum SolverError {
         iterations: usize,
     },
     /// A direct solve inside the metric (an ALS normal-equations system)
-    /// was numerically singular. Previously this was silently skipped,
-    /// leaving stale factors behind; now it surfaces here and feeds the
-    /// same audit panic class as the other guards. Recoverable by
-    /// raising the metric's ridge regularization.
+    /// was numerically singular. Recoverable by raising the metric's
+    /// ridge regularization.
     Singular {
         /// Metric whose solve was running.
         metric: &'static str,
@@ -175,24 +176,69 @@ pub struct SolverStats {
     pub ppr_warm_starts: u64,
     /// PPR source columns solved in total.
     pub ppr_sources: u64,
-    /// ALS factorization fits performed (Rescal).
-    pub rescal_fits: u64,
+    /// Low-rank factorizations built (Katz-lr, Katz-sc, Rescal): one per
+    /// snapshot and metric config the cache scores.
+    pub factorizations: u64,
 }
 
-/// Per-snapshot solver state: the fitted Rescal model of the last
-/// snapshot fitted, a pure function of the snapshot and the config,
-/// shared by every hook call on that snapshot, and the solvers' counters.
+/// One snapshot's low-rank factors for one factored metric: two `n × w`
+/// matrices whose row products are the metric's scores,
+/// `score(u, v) = Σ_k a[u,k]·b[v,k]`, summed in ascending `k` from `+0.0`.
+/// Katz-lr takes `a = U·diag(f(λ))`, `b = U`; Katz-sc `a = M`, `b = C`
+/// (`a = b = C` when its landmark block is singular); Rescal
+/// `a = [XR | X]`, `b = [X | XR]`. An edgeless snapshot has no columns,
+/// so every score is `+0.0`.
+pub struct LowRank {
+    /// Left factor, read at a pair's first endpoint.
+    pub a: Matrix,
+    /// Right factor, read at a pair's second endpoint.
+    pub b: Matrix,
+}
+
+impl LowRank {
+    /// The factors of a snapshot with no edges: no columns.
+    pub(crate) fn empty() -> Self {
+        LowRank { a: Matrix::zeros(0, 0), b: Matrix::zeros(0, 0) }
+    }
+
+    /// Scores `pairs` over `threads` workers in source-aligned chunks
+    /// ([`exec::score_chunked`]). Each score is a pure function of its
+    /// two rows, so the output is bit-identical for every `threads` value.
+    pub fn scores_t(&self, pairs: &[(NodeId, NodeId)], threads: usize) -> Vec<f64> {
+        exec::score_chunked(pairs, threads, |chunk| {
+            chunk
+                .iter()
+                .map(|&(u, v)| {
+                    let mut s = 0.0;
+                    for (x, y) in self.a.row(u as usize).iter().zip(self.b.row(v as usize)) {
+                        s += x * y;
+                    }
+                    s
+                })
+                .collect()
+        })
+    }
+}
+
+/// Per-snapshot solver state: the [`LowRank`] factors of the last
+/// snapshot factored, one per metric config, each a pure function of the
+/// snapshot and the config and shared by every hook call on that
+/// snapshot, and the solvers' counters.
 ///
-/// The kernels read the snapshot itself. The one model slot is keyed on
-/// the fitted snapshot's content — node count, edge count and
+/// The kernels read the snapshot itself. The factor slot is keyed on the
+/// factored snapshot's content — node count, edge count and
 /// [`Snapshot::adjacency_digest`] — so two different graphs of equal size
-/// never share a fit, while equal snapshots (clones, rebuilt prefixes)
-/// still hit. Nothing else is kept, so a snapshot scores the same through
-/// a cache reused across a sweep as through a fresh one.
+/// never share factors, while equal snapshots (clones, rebuilt prefixes)
+/// still hit; a snapshot of other content drops every entry. Within it,
+/// each metric config keys its own entry by its `Debug` text, which names
+/// the type and every field. Nothing else is kept, so a snapshot scores
+/// the same through a cache reused across a sweep, or across a serve
+/// worker's misses, as through a fresh one.
 pub struct SolverCache {
-    /// Rescal's model: the fitted snapshot's content key, the config
-    /// fingerprint, and the fit.
-    rescal: Option<(ContentKey, u64, Arc<AlsFit>)>,
+    /// The content key of the snapshot `factors` were built on.
+    factored: Option<ContentKey>,
+    /// One entry per metric config: its `Debug` text and its factors.
+    factors: Vec<(String, Arc<LowRank>)>,
     /// Counters accumulated by the solvers.
     pub stats: SolverStats,
 }
@@ -200,15 +246,10 @@ pub struct SolverCache {
 /// A snapshot's content: node count, edge count, adjacency digest.
 type ContentKey = (usize, usize, u64);
 
-/// The content key of `snap` that [`SolverCache`]'s model slot compares.
-fn content_key(snap: &Snapshot) -> ContentKey {
-    (snap.node_count(), snap.edge_count(), snap.adjacency_digest())
-}
-
 impl SolverCache {
     /// An empty cache.
     pub fn transient() -> Self {
-        SolverCache { rescal: None, stats: SolverStats::default() }
+        SolverCache { factored: None, factors: Vec::new(), stats: SolverStats::default() }
     }
 
     /// The same as [`transient`](Self::transient). Kept only because
@@ -218,23 +259,51 @@ impl SolverCache {
         SolverCache::transient()
     }
 
-    /// The factorization model fitted on `snap` under the given config
-    /// fingerprint, if one was stored — exact reuse, so two Rescal
-    /// configurations sharing one cache can never alias each other's
-    /// fits, nor two snapshots of different content.
-    pub fn rescal_model(&self, snap: &Snapshot, fingerprint: u64) -> Option<Arc<AlsFit>> {
-        match &self.rescal {
-            Some((key, fp, model)) if *fp == fingerprint && *key == content_key(snap) => {
-                Some(Arc::clone(model))
-            }
-            _ => None,
+    /// The factors of `snap` under `config`: the stored ones when this
+    /// snapshot's content and config were factored before, otherwise
+    /// `build`'s, stored for later calls. A snapshot of other content
+    /// drops every stored entry first.
+    ///
+    /// # Errors
+    /// `build`'s error, with nothing stored.
+    pub(crate) fn factors(
+        &mut self,
+        snap: &Snapshot,
+        config: &dyn fmt::Debug,
+        build: impl FnOnce() -> Result<LowRank, SolverError>,
+    ) -> Result<Arc<LowRank>, SolverError> {
+        let key = (snap.node_count(), snap.edge_count(), snap.adjacency_digest());
+        if self.factored != Some(key) {
+            self.factors.clear();
+            self.factored = Some(key);
         }
+        let config = format!("{config:?}");
+        if let Some((_, factors)) = self.factors.iter().find(|(c, _)| *c == config) {
+            return Ok(Arc::clone(factors));
+        }
+        let factors = Arc::new(build()?);
+        self.stats.factorizations += 1;
+        self.factors.push((config, Arc::clone(&factors)));
+        Ok(factors)
     }
+}
 
-    /// Registers a freshly fitted factorization model of `snap`; the
-    /// cache keeps it until another fit replaces it.
-    pub fn store_rescal(&mut self, snap: &Snapshot, fingerprint: u64, model: Arc<AlsFit>) {
-        self.rescal = Some((content_key(snap), fingerprint, model));
+/// The hook of a factored metric: scores `pairs` over `threads` workers
+/// through the cache's factors of `snap` under `config`, which `build`
+/// makes on a miss.
+pub(crate) fn score_low_rank(
+    config: &dyn fmt::Debug,
+    snap: &Snapshot,
+    pairs: &[(NodeId, NodeId)],
+    threads: usize,
+    cache: &mut SolverCache,
+    build: impl FnOnce() -> Result<LowRank, SolverError>,
+) -> Vec<f64> {
+    match cache.factors(snap, config, build) {
+        Ok(factors) => factors.scores_t(pairs, threads),
+        // The Metric trait has no error channel; a failed factorization
+        // is a hard invariant violation, same class as an audit panic.
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -683,56 +752,9 @@ fn ppr_block(
     Ok((scores, iterations))
 }
 
-/// Batched bilinear pair scoring for a fitted factorization `A ≈ X R Xᵀ`:
-/// with `XR = X·R` precomputed once for the whole batch, each pair's
-/// score `x_uᵀ R x_v + x_vᵀ R x_u = ⟨(XR)_u, x_v⟩ + ⟨(XR)_v, x_u⟩` is two
-/// length-r dot products instead of an O(r²) bilinear form per pair.
-///
-/// Each pair's value is a pure function of its own four rows, folded in
-/// ascending index order, so the output is bit-identical for every
-/// `threads` value and block partition. Note the association differs
-/// from the per-pair oracle `linklens_bench::oracles::rescal::model_score`
-/// (which folds `R x_v` first), so cross-checks against it carry a
-/// reassociation tolerance while *fit* equivalence stays bitwise.
-pub fn bilinear_scores_t(
-    x: &osn_linalg::Matrix,
-    r: &osn_linalg::Matrix,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Vec<f64> {
-    assert_eq!(x.cols(), r.rows(), "X/R rank mismatch");
-    assert_eq!(r.rows(), r.cols(), "core must be square");
-    let xr = x.matmul(r);
-    let blocks = par::block_ranges(pairs.len(), threads.max(1) * 4);
-    let parts = par::run_indexed(blocks.len(), threads, |b| {
-        blocks[b]
-            .clone()
-            .map(|i| {
-                let (u, v) = pairs[i];
-                let (xu, xv) = (x.row(u as usize), x.row(v as usize));
-                let (xru, xrv) = (xr.row(u as usize), xr.row(v as usize));
-                let mut s = 0.0;
-                for (p, q) in xru.iter().zip(xv) {
-                    s += p * q;
-                }
-                for (p, q) in xrv.iter().zip(xu) {
-                    s += p * q;
-                }
-                s
-            })
-            .collect::<Vec<f64>>()
-    });
-    let mut out = Vec::with_capacity(pairs.len());
-    for part in parts {
-        out.extend(part);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osn_linalg::Matrix;
 
     fn ring_with_chords(n: usize) -> Snapshot {
         let mut edges = Vec::new();
@@ -1009,9 +1031,10 @@ mod tests {
         let pairs = all_pairs(12);
         let lrw = crate::walk::LocalRandomWalk::default();
         let ppr = crate::walk::PersonalizedPageRank::default();
-        let katz = crate::katz::KatzLr::default();
+        let katz_lr = crate::katz::KatzLr::default();
+        let katz_sc = crate::katz::KatzSc::default();
         let rescal = crate::rescal::Rescal::default();
-        let metrics: [&dyn Metric; 4] = [&lrw, &ppr, &katz, &rescal];
+        let metrics: [&dyn Metric; 5] = [&lrw, &ppr, &katz_lr, &katz_sc, &rescal];
 
         let score = |m: &dyn Metric, snap: &Snapshot, cache: &mut SolverCache| {
             crate::exec::score_matrix_cached_t(&[m], snap, &pairs, 1, cache).remove(0)
@@ -1029,21 +1052,61 @@ mod tests {
     }
 
     #[test]
-    fn rescal_cache_slots_rotate_and_key_on_fingerprint() {
-        let snap = ring_with_chords(11);
-        let model = Arc::new(crate::rescal::Rescal::default().fit(&snap).expect("fit"));
+    fn factor_slot_builds_each_config_once_per_snapshot() {
+        use crate::exec;
+        use crate::fused::{FusedCtx, FusedScratch};
+        use crate::traits::Metric;
+        let snap = chorded_ring(12, 0);
+        let pairs = all_pairs(12);
+        let katz_lr = crate::katz::KatzLr::default();
+        let katz_sc = crate::katz::KatzSc::default();
+        let rescal = crate::rescal::Rescal::default();
+        let katz_lr_4 = crate::katz::KatzLr { rank: 4, ..Default::default() };
+        let metrics: [&dyn Metric; 4] = [&katz_lr, &katz_sc, &rescal, &katz_lr_4];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fresh = |snap: &Snapshot| -> Vec<Vec<u64>> {
+            metrics.iter().map(|&m| bits(&exec::score_pairs_t(m, snap, &pairs, 1))).collect()
+        };
+        let want = fresh(&snap);
 
+        // Alternate the configs on one cache, batched and per source, as
+        // a sweep and a serve worker do: each config factors once.
         let mut cache = SolverCache::transient();
-        cache.store_rescal(&snap, 7, Arc::clone(&model));
-        // Exact reuse on the fitted snapshot requires a fingerprint match.
-        assert!(cache.rescal_model(&snap, 7).is_some());
-        assert!(cache.rescal_model(&snap, 8).is_none(), "different config must never alias a fit");
-        // An equal snapshot, built again, hits.
-        assert!(cache.rescal_model(&ring_with_chords(11), 7).is_some());
-        // A different snapshot misses; storing its fit turns the slot over.
-        let other = ring_with_chords(13);
-        assert!(cache.rescal_model(&other, 7).is_none());
-        cache.store_rescal(&other, 7, Arc::clone(&model));
-        assert!(cache.rescal_model(&snap, 7).is_none());
+        let ctx = FusedCtx::build(&snap, &[]);
+        let mut scratch = FusedScratch::new(snap.node_count());
+        for _ in 0..2 {
+            for (m, want) in metrics.iter().zip(&want) {
+                let batched =
+                    exec::score_matrix_cached_t(&[*m], &snap, &pairs, 2, &mut cache).remove(0);
+                assert_eq!(&bits(&batched), want, "{}", m.name());
+                for source in 0..12 {
+                    let at: Vec<usize> =
+                        (0..pairs.len()).filter(|&i| pairs[i].0 == source).collect();
+                    let slice: Vec<(NodeId, NodeId)> = at.iter().map(|&i| pairs[i]).collect();
+                    let targeted = exec::score_pairs_targeted(
+                        *m,
+                        &snap,
+                        &ctx,
+                        &mut scratch,
+                        &slice,
+                        &mut cache,
+                    );
+                    let expected: Vec<u64> = at.iter().map(|&i| want[i]).collect();
+                    assert_eq!(bits(&targeted), expected, "{} source {source}", m.name());
+                }
+            }
+        }
+        assert_eq!(cache.stats.factorizations, 4);
+
+        // A snapshot of equal size and other content drops every entry:
+        // it factors anew, and so does the first snapshot after it.
+        let other = chorded_ring(12, 1);
+        assert_eq!((other.node_count(), other.edge_count()), (12, snap.edge_count()));
+        let batched = exec::score_matrix_cached_t(&metrics, &other, &pairs, 2, &mut cache);
+        assert_eq!(batched.iter().map(|c| bits(c)).collect::<Vec<_>>(), fresh(&other));
+        assert_eq!(cache.stats.factorizations, 8);
+        let batched = exec::score_matrix_cached_t(&metrics, &snap, &pairs, 2, &mut cache);
+        assert_eq!(batched.iter().map(|c| bits(c)).collect::<Vec<_>>(), want);
+        assert_eq!(cache.stats.factorizations, 12);
     }
 }

@@ -84,10 +84,11 @@ pub trait Metric: Sync {
     /// the engine runs. Metrics whose scores depend only on (snapshot,
     /// pair) score source-aligned chunks in parallel through
     /// [`crate::exec::score_chunked`]. Metrics with per-snapshot state
-    /// solve or factor once per call on the snapshot's own adjacency CSR:
-    /// the walk metrics (LRW, PPR), every PPR column from zero (see
-    /// [`crate::solver`]); Katz; Rescal reusing the cache's fitted model
-    /// of the same snapshot.
+    /// read the snapshot's own adjacency CSR: the walk metrics (LRW, PPR)
+    /// solve once per call, every PPR column from zero (see
+    /// [`crate::solver`]); Katz-lr, Katz-sc and Rescal factor once per
+    /// snapshot into the cache's [`LowRank`](crate::solver::LowRank) slot
+    /// and score through it.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,

@@ -5,9 +5,10 @@
 //! `score_matrix_cached_t` on the whole set as one batch with a sweep
 //! cache; `predict_top_k_many_cached_t` on the same batch; and
 //! `score_pairs_targeted` on per-source slices out of one all-kinds
-//! kernel context. The three batch entry points run at 1, 2 and 4
-//! workers, and every entry point sees the candidate list sorted,
-//! shuffled and with duplicates.
+//! kernel context and one solver cache for the whole set, which must
+//! factor each factored metric once. The three batch entry points run at
+//! 1, 2 and 4 workers, and every entry point sees the candidate list
+//! sorted, shuffled and with duplicates.
 //!
 //! The one-worker `score_pairs_t` scores must meet the metric's row of
 //! `linklens_bench::oracles::contract`: bit for bit against an exact
@@ -34,6 +35,8 @@ use std::collections::BTreeMap;
 
 const WORKERS: [usize; 3] = [1, 2, 4];
 const SEED: u64 = 0x5EED;
+/// The metrics that score through factors their solver cache keeps.
+const FACTORED: [&str; 3] = ["Katz-lr", "Katz-sc", "Rescal"];
 
 /// One of the engine's four `exec` entry points.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -271,9 +274,10 @@ fn check_batched(
 
 /// `score_pairs_targeted` on each source's slice of `list` (its pairs
 /// with that first endpoint, in list order), out of one kernel context
-/// for every kind and one solver cache per metric, as a serving worker
-/// holds them: each slice reproduces the one-worker `score_pairs_t`
-/// scores of the same slice and meets the metric's contract.
+/// for every kind and one solver cache for every metric, as a serving
+/// worker holds them at one version: each slice reproduces the one-worker
+/// `score_pairs_t` scores of the same slice and meets the metric's
+/// contract, and the cache factors each factored metric of the set once.
 fn check_targeted(snap: &Snapshot, metrics: &Contracted, list: &List) -> Result<(), String> {
     let mut slices: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
     for (i, &(u, _)) in list.pairs.iter().enumerate() {
@@ -281,9 +285,9 @@ fn check_targeted(snap: &Snapshot, metrics: &Contracted, list: &List) -> Result<
     }
     let ctx = FusedCtx::build(snap, &LocalKind::ALL);
     let mut scratch = FusedScratch::new(snap.node_count());
+    let mut cache = SolverCache::transient();
     for ((m, c), reference) in metrics.iter().zip(&list.references) {
         let m = m.as_ref();
-        let mut cache = SolverCache::transient();
         for (source, at) in &slices {
             let slice: Vec<(NodeId, NodeId)> = at.iter().map(|&i| list.pairs[i]).collect();
             let targeted =
@@ -300,6 +304,13 @@ fn check_targeted(snap: &Snapshot, metrics: &Contracted, list: &List) -> Result<
                 format!("{}: targeted vs reference on source {source}: {e}", m.name())
             })?;
         }
+    }
+    let factored = metrics.iter().filter(|(m, _)| FACTORED.contains(&m.name())).count() as u64;
+    if cache.stats.factorizations != factored {
+        return Err(format!(
+            "targeted: {} factorizations for {factored} factored metrics",
+            cache.stats.factorizations
+        ));
     }
     Ok(())
 }

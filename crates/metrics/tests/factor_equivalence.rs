@@ -18,7 +18,7 @@ use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 use osn_metrics::exec;
 use osn_metrics::rescal::Rescal;
-use osn_metrics::solver::{bilinear_scores_t, SolverCache, SolverError};
+use osn_metrics::solver::{SolverCache, SolverError};
 use osn_metrics::traits::Metric;
 use proptest::prelude::*;
 
@@ -121,10 +121,11 @@ fn bilinear_scores_match_model_oracle_at_every_thread_count() {
         }
     }
     let snap = Snapshot::from_edges(n, &edges);
-    let model = Rescal { rank: 4, ..Default::default() }.fit(&snap).expect("fit");
+    let rescal = Rescal { rank: 4, ..Default::default() };
+    let model = rescal.fit(&snap).expect("fit");
     let pairs: Vec<(NodeId, NodeId)> =
         (0..n as NodeId).flat_map(|u| (u + 1..n as NodeId).map(move |v| (u, v))).collect();
-    let base = bilinear_scores_t(&model.x, &model.r, &pairs, 1);
+    let base = exec::score_pairs_t(&rescal, &snap, &pairs, 1);
     for (i, &(u, v)) in pairs.iter().enumerate() {
         let oracle = oracles::rescal::model_score(&model, u, v);
         assert!(
@@ -135,7 +136,7 @@ fn bilinear_scores_match_model_oracle_at_every_thread_count() {
     }
     for threads in [2usize, 4, 8] {
         assert_eq!(
-            bilinear_scores_t(&model.x, &model.r, &pairs, threads),
+            exec::score_pairs_t(&rescal, &snap, &pairs, threads),
             base,
             "bilinear scoring diverged at {threads} threads"
         );
@@ -199,12 +200,12 @@ proptest! {
             let mut cache = SolverCache::transient();
             let cached = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, threads, &mut cache).remove(0);
             prop_assert_eq!(&cached, &base, "cached path diverged at {} threads", threads);
-            prop_assert_eq!(cache.stats.rescal_fits, 1);
+            prop_assert_eq!(cache.stats.factorizations, 1);
             // Re-scoring the same snapshot must reuse the registered
             // model: no second fit, bit-identical scores.
             let again = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, threads, &mut cache).remove(0);
             prop_assert_eq!(&again, &base, "model reuse diverged at {} threads", threads);
-            prop_assert_eq!(cache.stats.rescal_fits, 1, "cached model was refit");
+            prop_assert_eq!(cache.stats.factorizations, 1, "cached model was refit");
         }
     }
 

@@ -429,9 +429,11 @@ fn worker_loop(
         // bit-identical to a dedicated context; the Bayes kinds read the
         // snapshot's shared triangle counts, so only the first worker to
         // pin a version counts them), one scratch pair, and a solver cache
-        // that keeps this version's Rescal fit for later misses. The cache
-        // holds nothing else, so global-metric answers are bit-identical
-        // to an offline solve at this snapshot.
+        // that keeps this version's Katz-lr, Katz-sc and Rescal factors,
+        // built on each metric's first miss, for later misses. The
+        // factors depend only on the snapshot and the config, and the
+        // cache holds nothing else, so global-metric answers are
+        // bit-identical to an offline solve at this snapshot.
         let ctx = FusedCtx::build(snap, &kinds);
         let mut fused_scratch = FusedScratch::new(snap.node_count());
         let mut enum_scratch = EnumScratch::new(snap.node_count());
