@@ -313,10 +313,7 @@ fn fixture(trace: &GrowthTrace) -> Snapshot {
 /// serving driver thread and the serving probe set derive from.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    osn_graph::mix64(*state)
 }
 
 /// Deterministic uniform canonical-pair sample for scoring-throughput
@@ -789,7 +786,7 @@ fn per_pair_route(
 ///   policy group, the fused kernel + batched solver engine behind one
 ///   one solver cache for the sweep, streaming per-chunk top-k;
 /// * **pruned** — the routed sweep with the network's Table 7 filter
-///   pushed into the enumeration walks as a `PruneSpec`.
+///   pushed into the enumeration walks through its `NodeActivity` table.
 ///
 /// Before anything is timed: the batched route is asserted bit-identical
 /// to the per-pair route on a representative transition, the pruned
@@ -809,7 +806,7 @@ fn per_pair_route(
 /// retention quantiles (`PositiveFeatureStats::thresholds_at`, from q = 1.0
 /// down), and the JSON records which source was used.
 fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
-    use linklens_core::filters::{FilterThresholds, TemporalFilter};
+    use linklens_core::filters::TemporalFilter;
     use linklens_core::framework::{finite_mean, unconnected_pair_count, SequenceEvaluator};
     use osn_metrics::topk;
 
@@ -823,7 +820,7 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
     report.set("note", "baseline = per-transition from-scratch snapshots + per-group post-hoc candidates + chunked per-pair scoring for locals + per-source reference oracles for SP/LP/LRW/PPR/Katz-sc (bit-identical to batched for SP/LP/Katz, within the documented analytic tolerance for LRW/PPR — see BENCH_global_scoring); routed = evaluate_all (incremental sweep, shared enumeration, fused kernel + batched solvers, one solver cache for the sweep); pruned = routed with the Table 7 filter pushed into enumeration. Equality asserted before timing: batched == per-pair top-k on a representative transition, pruned enumeration == post-hoc filtering on every transition, fused survivor scores == unpruned scores.");
     let mut renren_routing_speedup = None;
     for cfg in TraceConfig::all() {
-        let table7 = FilterThresholds::for_preset(&cfg.name).expect("table 7 preset");
+        let table7 = TemporalFilter::for_preset(&cfg.name).expect("table 7 preset");
         let cfg = cfg.scaled(ctx.scale).with_days(ctx.days);
         let trace = cfg.generate(42);
         let seq = SnapshotSequence::with_count(&trace, 12);
@@ -888,15 +885,14 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
             finite_mean(outs.iter().map(|s| finite_mean(s.iter().map(|o| o.accuracy_ratio))))
         };
         let routed_trial_agg = sweep_mean_ratio(&eval.evaluate_all(&refs, None));
-        let mut ladder: Vec<(String, TemporalFilter)> =
-            vec![("table7".to_string(), TemporalFilter::new(table7))];
+        let mut ladder: Vec<(String, TemporalFilter)> = vec![("table7".to_string(), table7)];
         for q in [1.0, 0.98, 0.95, 0.92, 0.90, 0.85, 0.80, 0.75, 0.70, 0.60, 0.50, 0.40] {
             if let Some(th) = stats.thresholds_at(q) {
-                ladder.push((format!("tuned-retaining-q{q:.2}"), TemporalFilter::new(th)));
+                ladder.push((format!("tuned-retaining-q{q:.2}"), th));
             }
         }
         let mut thresholds_source = "none-qualified".to_string();
-        let mut filter = TemporalFilter::new(table7);
+        let mut filter = table7;
         let mut filter_qualified = false;
         for (source, cand_filter) in ladder {
             // Cheap screen on the representative snapshot before paying
@@ -1096,7 +1092,7 @@ fn e2e_sweep(ctx: &Ctx, report: &mut Report) {
                 "transitions": seq.len() - 1,
                 "thresholds_source": thresholds_source,
                 "filter_qualified": filter_qualified,
-                "thresholds": serde_json::to_value(&filter.thresholds),
+                "thresholds": serde_json::to_value(&filter),
                 "baseline_secs": baseline_secs,
                 "routed_secs": routed_secs,
                 "pruned_secs": pruned_secs,

@@ -4,7 +4,7 @@
 
 use super::{Console, Context};
 use linklens_core::altmetrics::{auc_of_metric, MissingLinkEval};
-use linklens_core::filters::{FilterThresholds, TemporalFilter};
+use linklens_core::filters::TemporalFilter;
 use linklens_core::framework::SequenceEvaluator;
 use linklens_core::report::{fnum, Table};
 use linklens_core::temporal::positive_negative_pairs;
@@ -100,7 +100,7 @@ pub(super) fn auc(ctx: &Context, con: &mut Console) -> Value {
     let eval = SequenceEvaluator::new(&seq);
     let t = ctx.mid_transition().min(seq.len() - 1);
     let snap = seq.snapshot(t - 1);
-    let (pos, neg) = positive_negative_pairs(&seq, t, 2000, ctx.seed);
+    let (pos, neg) = positive_negative_pairs(&seq, &snap, t, 2000, ctx.seed);
     let ml = MissingLinkEval { hide_fraction: 0.05, seed: ctx.seed };
 
     let mut table = Table::new(
@@ -237,7 +237,7 @@ pub(super) fn recency(ctx: &Context, con: &mut Console) -> Value {
         let seq = ctx.sequence(trace);
         let eval = SequenceEvaluator::new(&seq);
         let t = ctx.mid_transition().min(seq.len() - 1);
-        let filter = TemporalFilter::new(FilterThresholds::for_preset(&cfg.name).expect("preset"));
+        let filter = TemporalFilter::for_preset(&cfg.name).expect("preset");
         // Twelve evaluations share one transition: build G_{t-1} once.
         let prev = seq.snapshot(t - 1);
 
@@ -300,7 +300,7 @@ pub(super) fn calibration(ctx: &Context, con: &mut Console) -> Value {
     };
 
     // Train on transition t-1, calibrate + evaluate on transition t.
-    let (train_pos, train_neg) = positive_negative_pairs(&seq, t - 1, 4000, ctx.seed);
+    let (train_pos, train_neg) = positive_negative_pairs(&seq, &train_snap, t - 1, 4000, ctx.seed);
     let mut data = Dataset::new(metrics.len());
     for f in features(&train_snap, &train_pos) {
         data.push(&f, 1);
@@ -315,7 +315,7 @@ pub(super) fn calibration(ctx: &Context, con: &mut Console) -> Value {
 
     // Calibration set: positives/negatives of transition t, scored on
     // G_{t-1}. Split in half: fit Platt on one half, report on the other.
-    let (pos, neg) = positive_negative_pairs(&seq, t, 4000, ctx.seed ^ 1);
+    let (pos, neg) = positive_negative_pairs(&seq, &cal_snap, t, 4000, ctx.seed ^ 1);
     let mut pairs: Vec<((u32, u32), bool)> = Vec::new();
     pairs.extend(pos.iter().map(|&p| (p, true)));
     pairs.extend(neg.iter().map(|&p| (p, false)));
@@ -324,11 +324,7 @@ pub(super) fn calibration(ctx: &Context, con: &mut Console) -> Value {
     let mut state = ctx.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     for i in (1..pairs.len()).rev() {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        pairs.swap(i, (z % (i as u64 + 1)) as usize);
+        pairs.swap(i, (osn_graph::mix64(state) % (i as u64 + 1)) as usize);
     }
     let raw: Vec<(u32, u32)> = pairs.iter().map(|&(p, _)| p).collect();
     let scores: Vec<f64> =

@@ -3,10 +3,10 @@
 
 use super::{classification_config, Console, Context};
 use linklens_core::classify::{ClassificationPipeline, ClassifierKind};
-use linklens_core::filters::{FilterThresholds, TemporalFilter};
+use linklens_core::filters::TemporalFilter;
 use linklens_core::framework::{unconnected_pair_count, SequenceEvaluator};
 use linklens_core::report::{fnum, Table};
-use linklens_core::temporal::{fraction_below, pair_features, positive_negative_pairs_on};
+use linklens_core::temporal::{fraction_below, pair_features, positive_negative_pairs};
 use linklens_core::timeseries::{Aggregation, TimeSeriesPredictor};
 use osn_graph::{par, DAY};
 use osn_metrics::traits::Metric;
@@ -30,9 +30,7 @@ pub(super) fn fig13_15(ctx: &Context, con: &mut Console) -> Value {
         let seq = ctx.sequence(trace);
         let t = ctx.mid_transition().min(seq.len() - 1);
         let snap = seq.snapshot(t - 1);
-        // The snapshot is already in hand; the `_on` variant reuses it
-        // instead of rebuilding G_{t-1} internally.
-        let (pos, neg) = positive_negative_pairs_on(&seq, &snap, t, 4000, ctx.seed);
+        let (pos, neg) = positive_negative_pairs(&seq, &snap, t, 4000, ctx.seed);
 
         let collect = |pairs: &[(u32, u32)]| {
             let mut act = Vec::new();
@@ -122,7 +120,7 @@ pub(super) fn table8(ctx: &Context, con: &mut Console) -> Value {
         &["network", "d_act", "d_inact", "window d", "E_new", "d_CN"],
     );
     for (cfg, _) in ctx.traces() {
-        let th = FilterThresholds::for_preset(&cfg.name).expect("preset thresholds");
+        let th = TemporalFilter::for_preset(&cfg.name).expect("preset thresholds");
         t7.push_row(vec![
             cfg.name.clone(),
             fnum(th.active_idle_days),
@@ -140,7 +138,7 @@ pub(super) fn table8(ctx: &Context, con: &mut Console) -> Value {
     for (cfg, trace) in ctx.traces() {
         let seq = ctx.sequence(trace);
         let t = ctx.mid_transition().min(seq.len() - 1);
-        let filter = TemporalFilter::new(FilterThresholds::for_preset(&cfg.name).expect("preset"));
+        let filter = TemporalFilter::for_preset(&cfg.name).expect("preset");
         let pipe = ClassificationPipeline::new(&seq, classification_config(&seq, t, ctx));
         con.note(&format!("[table8] {} transition {t}", cfg.name));
         let unfiltered = pipe.instance(t, None);
@@ -216,21 +214,21 @@ pub(super) fn table8_ablation(ctx: &Context, con: &mut Console) -> Value {
         let t = ctx.mid_transition().min(seq.len() - 1);
         let pipe = ClassificationPipeline::new(&seq, classification_config(&seq, t, ctx));
         con.note(&format!("[table8-ablation] {} transition {t}", cfg.name));
-        let base = FilterThresholds::for_preset(&cfg.name).expect("preset");
+        let base = TemporalFilter::for_preset(&cfg.name).expect("preset");
         let mut ab = Table::new(
             format!("Ablation ({}): BRA improvement vs threshold scaling", cfg.name),
             &["scaling", "after-ratio"],
         );
         let mut rows = Vec::new();
         for scale in [0.5, 1.0, 2.0] {
-            let th = FilterThresholds {
+            let th = TemporalFilter {
                 active_idle_days: base.active_idle_days * scale,
                 inactive_idle_days: base.inactive_idle_days * scale,
                 window_days: base.window_days,
                 min_recent_edges: base.min_recent_edges,
                 cn_gap_days: base.cn_gap_days * scale,
             };
-            let out = pipe.instance(t, Some(&TemporalFilter::new(th))).metric_outcome(bra.as_ref());
+            let out = pipe.instance(t, Some(&th)).metric_outcome(bra.as_ref());
             ab.push_row(vec![format!("{scale}x"), fnum(out.accuracy_ratio)]);
             rows.push(serde_json::json!({ "scaling": scale, "after": out.accuracy_ratio }));
         }
@@ -263,7 +261,7 @@ pub(super) fn fig16(ctx: &Context, con: &mut Console) -> Value {
         let seq = ctx.sequence(trace);
         let eval = SequenceEvaluator::new(&seq);
         let t = ctx.mid_transition().min(seq.len() - 1);
-        let filter = TemporalFilter::new(FilterThresholds::for_preset(&cfg.name).expect("preset"));
+        let filter = TemporalFilter::for_preset(&cfg.name).expect("preset");
         let prev = seq.snapshot(t - 1);
         let truth = eval.ground_truth(t);
         let k = truth.len();

@@ -13,7 +13,7 @@
 //! | [`walk`] | two-sided per-source LRW (frontier walk) and PPR (forward push), and their bounds |
 //! | [`katz`] | Katz-sc from per-landmark columns, and the dense truncated Katz series |
 //! | [`rescal`] | the serial ALS fit |
-//! | [`candidates`] | post-hoc filtered candidate sets |
+//! | [`candidates`] | the per-pair §6.2 feature scan, and post-hoc filtered candidate sets |
 //!
 //! [`contract`] gives every metric of `osn_metrics::all_metrics` its
 //! reference and tolerance, the one table the equivalence harness

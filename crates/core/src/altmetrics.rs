@@ -92,11 +92,7 @@ impl MissingLinkEval {
         let mut state = self.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
         for i in (1..order.len()).rev() {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            order.swap(i, (z % (i as u64 + 1)) as usize);
+            order.swap(i, (osn_graph::mix64(state) % (i as u64 + 1)) as usize);
         }
         // The hidden edges are kept as the shuffle-ordered Vec (the set is
         // only for membership tests): extending the candidate list from a

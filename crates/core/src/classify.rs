@@ -43,6 +43,7 @@
 use crate::filters::TemporalFilter;
 use crate::framework::PredictionOutcome;
 use crate::sampling::{Draw, DrawSummary, Judgement};
+use osn_graph::activity::NodeActivity;
 use osn_graph::builder::SnapshotBuilder;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
@@ -224,12 +225,13 @@ impl<'a> ClassificationPipeline<'a> {
         let test_snap = arena.advance_to(self.seq.boundary(t - 1)).clone();
         let test_truth: HashSet<(NodeId, NodeId)> = self.seq.new_edges(t).into_iter().collect();
         let p = self.config.sampling_p;
+        let act = filter.map(|f| NodeActivity::build(&test_snap, f));
         let mut train_members = Vec::new();
         let mut draws = Vec::new();
         for seed_node in sample::pick_seeds(&train_snap, self.config.n_seeds, self.config.seed) {
             train_members.push(sample::snowball(&train_snap, seed_node, p));
             let members = sample::snowball(&test_snap, seed_node, p);
-            draws.push(Draw::build(&test_snap, &members, &test_truth, filter));
+            draws.push(Draw::build(&test_snap, &members, &test_truth, act.as_ref()));
         }
         SampledInstance {
             pipe: self,
@@ -462,10 +464,7 @@ fn draw_negative_pairs(
     while out.len() < count && attempts < count * 60 + 100 {
         attempts += 1;
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = osn_graph::mix64(state);
         let u = members[(z % m) as usize];
         let v = members[((z >> 32) % m) as usize];
         if u == v {

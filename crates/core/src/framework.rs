@@ -3,18 +3,17 @@
 //! The sweep is routed end-to-end through the batched kernels: each
 //! snapshot's candidate sets are built **once** (the distance-≤3 base is
 //! shared between the `ThreeHop` and `Global` policy groups), the §6.2
-//! temporal filter is pushed *into* enumeration as a
-//! [`osn_graph::activity::PruneSpec`] (one
-//! [`osn_graph::activity::NodeActivity`] table per snapshot instead of a
-//! per-pair-per-policy feature recomputation), and every metric group
+//! temporal filter is pushed *into* enumeration through its
+//! [`osn_graph::activity::NodeActivity`] table (one per snapshot instead
+//! of a per-pair-per-policy feature recomputation), and every metric group
 //! goes through `exec`'s chunked engine — fused local kernel for the
 //! advertised [`Metric::fused_kind`]s, a shared solver cache for the
 //! rest — with per-chunk streaming top-k accumulators, so the full
-//! (pairs × metrics) score matrix is never materialized. The post-hoc
-//! filter path, the oracle the pruned path is property-tested against,
+//! (pairs × metrics) score matrix is never materialized. The per-pair
+//! feature scan, the oracle the pruned path is property-tested against,
 //! lives in `linklens_bench::oracles`.
 
-use osn_graph::activity::{NodeActivity, Prune, PruneSpec};
+use osn_graph::activity::NodeActivity;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
@@ -147,24 +146,12 @@ impl<'a> SequenceEvaluator<'a> {
         self.seq
     }
 
-    /// The per-snapshot pruning context for a temporal filter: one
-    /// [`NodeActivity`] table (idle days + recent-edge ring) shared by
-    /// every candidate walk on `snap`.
-    fn prune_ctx(
-        filter: Option<&TemporalFilter>,
-        snap: &Snapshot,
-    ) -> Option<(NodeActivity, PruneSpec)> {
-        filter.map(|f| {
-            let spec = f.prune_spec();
-            (NodeActivity::build(snap, spec.window()), spec)
-        })
-    }
-
     /// Builds the shared candidate set on `snap` for a group of metrics
     /// (loosest policy wins). A temporal filter is pushed *into* the
-    /// enumeration walk as a [`PruneSpec`] — rejected pairs are never
-    /// materialized — and the pair cap applies after pruning, so rejected
-    /// pairs cannot crowd survivors out of the stride subsample.
+    /// enumeration walk through its [`NodeActivity`] table — rejected
+    /// pairs are never materialized — and the pair cap applies after
+    /// pruning, so rejected pairs cannot crowd survivors out of the stride
+    /// subsample.
     pub fn candidates_for(
         &self,
         snap: &Snapshot,
@@ -173,9 +160,8 @@ impl<'a> SequenceEvaluator<'a> {
     ) -> CandidateSet {
         let policy =
             metrics.iter().map(|m| m.candidate_policy()).max().unwrap_or(CandidatePolicy::TwoHop);
-        let ctx = Self::prune_ctx(filter, snap);
-        let prune: Prune<'_> = ctx.as_ref().map(|(act, spec)| (act, spec));
-        CandidateSet::build_pruned(snap, policy, self.top_degree_candidates, prune)
+        let act = filter.map(|f| NodeActivity::build(snap, f));
+        CandidateSet::build_pruned(snap, policy, self.top_degree_candidates, act.as_ref())
             .capped(self.max_candidate_pairs)
     }
 
@@ -199,8 +185,9 @@ impl<'a> SequenceEvaluator<'a> {
         filter: Option<&TemporalFilter>,
         cache: &mut SolverCache,
     ) -> Vec<Vec<(NodeId, NodeId)>> {
-        let ctx = Self::prune_ctx(filter, prev);
-        let prune: Prune<'_> = ctx.as_ref().map(|(act, spec)| (act, spec));
+        // One activity table per snapshot, shared by every candidate walk.
+        let act = filter.map(|f| NodeActivity::build(prev, f));
+        let prune = act.as_ref();
         let has = |p: CandidatePolicy| metrics.iter().any(|m| m.candidate_policy() == p);
         // The ThreeHop set *is* the within-3 enumeration and the Global set
         // extends it; when both groups are present, pay the bounded BFS

@@ -17,6 +17,7 @@
 
 use crate::filters::TemporalFilter;
 use crate::framework::finite_mean;
+use osn_graph::activity::{NodeActivity, Prune};
 use osn_graph::sample;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{par, traversal, NodeId};
@@ -90,19 +91,20 @@ pub struct Draw {
 impl Draw {
     /// The draw of the sorted sample `members` of `snap`: its sampled
     /// universe ([`sampled_universe`] under [`MAX_UNIVERSE_PAIRS`]),
-    /// narrowed by `filter` when one is given, and `truth_full`
-    /// restricted to member pairs.
+    /// narrowed by the temporal filter of `prune`, `snap`'s activity
+    /// table, when one is given, and `truth_full` restricted to member
+    /// pairs.
     pub(crate) fn build(
         snap: &Snapshot,
         members: &[NodeId],
         truth_full: &HashSet<(NodeId, NodeId)>,
-        filter: Option<&TemporalFilter>,
+        prune: Prune<'_>,
     ) -> Draw {
         let is_member = membership(snap.node_count(), members);
         let inside = |x: NodeId| is_member.get(x as usize).copied().unwrap_or(false);
         let (mut pairs, universe) = sampled_universe(snap, members, MAX_UNIVERSE_PAIRS);
-        if let Some(f) = filter {
-            pairs = f.filter_pairs(snap, &pairs);
+        if let Some(act) = prune {
+            pairs.retain(|&(u, v)| act.pair_passes(snap, u, v));
         }
         let truth: HashSet<(NodeId, NodeId)> =
             truth_full.iter().copied().filter(|&(u, v)| inside(u) && inside(v)).collect();
@@ -284,9 +286,10 @@ pub fn evaluate_metric_sampled_on(
     spec: &SampleSpec,
 ) -> SampledEstimate {
     assert!(spec.draws > 0, "need at least one draw");
+    let act = filter.map(|f| NodeActivity::build(prev, f));
     let draws: Vec<Draw> = draw_members(prev, spec)
         .iter()
-        .map(|members| Draw::build(prev, members, truth_full, filter))
+        .map(|members| Draw::build(prev, members, truth_full, act.as_ref()))
         .collect();
     let judged: Vec<Judgement> = draws
         .iter()

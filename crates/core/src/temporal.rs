@@ -48,24 +48,12 @@ pub fn pair_features(
     }
 }
 
-/// Builds the §6.1 measurement sets for transition `t`: positive pairs (the
-/// ground-truth new edges of `G_t` among `G_{t-1}` nodes) and up to
-/// `negative_cap` negative pairs (unconnected pairs that do *not* connect),
-/// drawn deterministically from `seed`.
+/// Builds the §6.1 measurement sets for transition `t` from its observed
+/// snapshot `prev = G_{t-1}`: positive pairs (the ground-truth new edges
+/// of `G_t` among `G_{t-1}` nodes) and up to `negative_cap` negative pairs
+/// (unconnected pairs that do *not* connect), drawn deterministically from
+/// `seed`.
 pub fn positive_negative_pairs(
-    seq: &SnapshotSequence<'_>,
-    t: usize,
-    negative_cap: usize,
-    seed: u64,
-) -> PairSets {
-    let prev = seq.snapshot(t - 1);
-    positive_negative_pairs_on(seq, &prev, t, negative_cap, seed)
-}
-
-/// [`positive_negative_pairs`] with the observed snapshot `G_{t-1}` already
-/// materialized — lets incremental sweeps
-/// ([`SnapshotSequence::snapshots`]) reuse one arena across transitions.
-pub fn positive_negative_pairs_on(
     seq: &SnapshotSequence<'_>,
     prev: &Snapshot,
     t: usize,
@@ -84,10 +72,7 @@ pub fn positive_negative_pairs_on(
     while negatives.len() < negative_cap && draws < negative_cap * 50 {
         draws += 1;
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = osn_graph::mix64(state);
         let u = (z % n) as NodeId;
         let v = ((z >> 32) % n) as NodeId;
         if u == v {
@@ -186,9 +171,9 @@ mod tests {
             t += DAY / 4;
         }
         let seq = osn_graph::sequence::SnapshotSequence::by_edge_delta(&g, 9);
-        let (pos, neg) = positive_negative_pairs(&seq, 1, 30, 7);
-        let pos_set: HashSet<_> = pos.iter().collect();
         let prev = seq.snapshot(0);
+        let (pos, neg) = positive_negative_pairs(&seq, &prev, 1, 30, 7);
+        let pos_set: HashSet<_> = pos.iter().collect();
         for p in &neg {
             assert!(!pos_set.contains(p), "negative duplicates a positive");
             assert!(!prev.has_edge(p.0, p.1), "negative is an existing edge");

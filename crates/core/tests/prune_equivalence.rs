@@ -1,16 +1,19 @@
-//! Equivalence of the §6.2 pruning pushdown with the post-hoc filter
-//! oracle: for every Table 7 preset, every candidate policy, and every
-//! worker count, pruning the temporal criteria *inside* candidate
-//! enumeration must yield exactly the pairs — in exactly the order — that
-//! post-hoc [`TemporalFilter::filter_pairs`] keeps on the unpruned set
-//! (`linklens_bench::oracles::candidates::posthoc`),
-//! and the batched top-k over those survivors must be bit-identical to
-//! the oracle path's. This is the property that lets the framework sweep
-//! route every filtered evaluation through the pruned walks without ever
-//! re-checking a pair.
+//! Equivalence of the §6.2 temporal filter's node-activity predicate
+//! with the per-pair feature scan oracle
+//! (`linklens_bench::oracles::candidates`). For every Table 7 preset and
+//! for threshold sets with infinite bounds, [`TemporalFilter::filter_pairs`]
+//! over every unordered pair of a snapshot keeps exactly the pairs the
+//! scan keeps, isolated nodes and pairs beyond 3 hops included: the pairs
+//! a sampled universe passes. For every candidate policy and worker count,
+//! pruning the criteria *inside* candidate enumeration yields exactly the
+//! pairs — in exactly the order — that the scan keeps on the unpruned set
+//! (`posthoc`), and the batched top-k over those survivors is
+//! bit-identical to the oracle path's. This is the property that lets the
+//! framework sweep route every filtered evaluation through the pruned
+//! walks without ever re-checking a pair.
 
 use linklens_bench::oracles;
-use linklens_core::filters::{FilterThresholds, TemporalFilter};
+use linklens_core::filters::TemporalFilter;
 use linklens_core::framework::SequenceEvaluator;
 use osn_graph::activity::NodeActivity;
 use osn_graph::sequence::SnapshotSequence;
@@ -24,6 +27,35 @@ use osn_metrics::traits::{CandidatePolicy, Metric};
 use proptest::prelude::*;
 
 const PRESETS: &[&str] = &["facebook", "youtube", "renren"];
+
+/// Table 7's rows, plus two sets with infinite bounds, as
+/// `PositiveFeatureStats::thresholds_at(1.0)` derives them when a
+/// positive's endpoint has no edge: one admits any inactive endpoint and
+/// any CN gap, one admits every idle time with no recent-edge floor.
+fn filters() -> Vec<(&'static str, TemporalFilter)> {
+    let mut all: Vec<(&'static str, TemporalFilter)> = PRESETS
+        .iter()
+        .map(|&p| (p, TemporalFilter::for_preset(p).expect("known preset")))
+        .collect();
+    all.push((
+        "facebook, unbounded inactive idle and CN gap",
+        TemporalFilter {
+            inactive_idle_days: f64::INFINITY,
+            cn_gap_days: f64::INFINITY,
+            ..TemporalFilter::facebook()
+        },
+    ));
+    all.push((
+        "youtube, unbounded idle times",
+        TemporalFilter {
+            active_idle_days: f64::INFINITY,
+            inactive_idle_days: f64::INFINITY,
+            min_recent_edges: 0,
+            ..TemporalFilter::youtube()
+        },
+    ));
+    all
+}
 
 /// Random temporal traces: all nodes arrive at t = 0, edges carry
 /// day-granular timestamps spread over ~60 days (so every Table 7
@@ -59,29 +91,39 @@ fn build_trace(n: usize, edges: &[(NodeId, NodeId, osn_graph::Timestamp)]) -> Te
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Candidate-level identity: for each preset and policy, the pruned
-    /// enumeration equals post-hoc filtering of the unpruned enumeration —
-    /// same pairs, same order.
+    /// Candidate-level identity: for each filter, `filter_pairs` over
+    /// every unordered pair equals the per-pair scan, and for each policy
+    /// the pruned enumeration equals the scan's filtering of the unpruned
+    /// enumeration — same pairs, same order.
     #[test]
     fn pruned_candidates_equal_posthoc_for_all_presets((n, edges) in arb_trace()) {
         let trace = build_trace(n, &edges);
         prop_assume!(trace.edge_count() >= 4);
         let snap = Snapshot::up_to(&trace, trace.edge_count());
-        for preset in PRESETS {
-            let f = TemporalFilter::new(
-                FilterThresholds::for_preset(preset).expect("known preset"),
+        let nodes = snap.node_count() as NodeId;
+        let every_pair: Vec<(NodeId, NodeId)> =
+            (0..nodes).flat_map(|u| (u + 1..nodes).map(move |v| (u, v))).collect();
+        for (name, f) in filters() {
+            let scan = |pairs: &[(NodeId, NodeId)]| -> Vec<(NodeId, NodeId)> {
+                pairs
+                    .iter()
+                    .copied()
+                    .filter(|&(u, v)| oracles::candidates::passes(&f, &snap, u, v))
+                    .collect()
+            };
+            prop_assert_eq!(
+                f.filter_pairs(&snap, &every_pair), scan(&every_pair),
+                "{}: filter_pairs over every pair != per-pair scan", name
             );
-            let spec = f.prune_spec();
-            let act = NodeActivity::build(&snap, spec.window());
+            let act = NodeActivity::build(&snap, &f);
             for policy in
                 [CandidatePolicy::TwoHop, CandidatePolicy::ThreeHop, CandidatePolicy::Global]
             {
                 let full = CandidateSet::build(&snap, policy, 3);
-                let kept = f.filter_pairs(&snap, full.pairs());
-                let pruned = CandidateSet::build_pruned(&snap, policy, 3, Some((&act, &spec)));
+                let pruned = CandidateSet::build_pruned(&snap, policy, 3, Some(&act));
                 prop_assert_eq!(
-                    pruned.pairs(), &kept[..],
-                    "{} {:?}: pruned enumeration != post-hoc filter", preset, policy
+                    pruned.pairs(), &scan(full.pairs())[..],
+                    "{} {:?}: pruned enumeration != post-hoc filter", name, policy
                 );
             }
         }
@@ -101,9 +143,7 @@ proptest! {
         let metrics = osn_metrics::all_metrics();
         let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
         for preset in PRESETS {
-            let f = TemporalFilter::new(
-                FilterThresholds::for_preset(preset).expect("known preset"),
-            );
+            let f = TemporalFilter::for_preset(preset).expect("known preset");
             let pruned = eval.candidates_for(&snap, &refs, Some(&f));
             let posthoc = oracles::candidates::posthoc(&eval, &snap, &refs, Some(&f));
             prop_assert_eq!(pruned.pairs(), posthoc.pairs(), "{}: candidate drift", preset);
@@ -147,9 +187,7 @@ proptest! {
         let metrics = osn_metrics::all_metrics();
         let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
         for preset in PRESETS {
-            let f = TemporalFilter::new(
-                FilterThresholds::for_preset(preset).expect("known preset"),
-            );
+            let f = TemporalFilter::for_preset(preset).expect("known preset");
             let (batched, _) = eval.predictions_many(&refs, 1, Some(&f));
             for (i, &m) in refs.iter().enumerate() {
                 let posthoc = oracles::candidates::posthoc(&eval, &prev, &[m], Some(&f));

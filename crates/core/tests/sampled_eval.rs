@@ -12,8 +12,9 @@
 //! the unfiltered pairs that pass the filter, with the same truth and
 //! universe.
 
+use linklens_bench::oracles;
 use linklens_core::classify::{ClassificationConfig, ClassificationPipeline, ClassifierKind};
-use linklens_core::filters::{FilterThresholds, TemporalFilter};
+use linklens_core::filters::TemporalFilter;
 use linklens_core::framework::SequenceEvaluator;
 use linklens_core::sampling::{self, SampleSpec};
 use osn_graph::io::{CacheStreamWriter, SectionedCacheReader};
@@ -185,22 +186,26 @@ fn metric_outcome_is_unchanged_by_cells() {
 
 /// The temporal filter narrows only the scored pairs: a filtered
 /// instance scores exactly the unfiltered instance's pairs that pass the
-/// filter on `G_{t-1}`, in order, and keeps each seed's truth, universe
-/// and sample size.
+/// filter on `G_{t-1}` (by the per-pair feature scan oracle), in order,
+/// and keeps each seed's truth, universe and sample size.
 #[test]
 fn filtered_instance_scores_the_unfiltered_pairs_that_pass() {
     let (trace, cfg) = instance_fixture();
     let seq = SnapshotSequence::with_count(&trace, 6);
     let pipe = ClassificationPipeline::new(&seq, cfg);
     let t = 4;
-    let filter = TemporalFilter::new(FilterThresholds::renren());
+    let filter = TemporalFilter::renren();
     let (plain, filtered) = (pipe.instance(t, None), pipe.instance(t, Some(&filter)));
     let observed = seq.snapshot(t - 1);
     assert_eq!(plain.diagnostics().len(), filtered.diagnostics().len());
     let mut dropped = 0;
     for (p, f) in plain.diagnostics().iter().zip(filtered.diagnostics()) {
-        let passing: Vec<(NodeId, NodeId)> =
-            p.pairs.iter().copied().filter(|&(u, v)| filter.passes(&observed, u, v)).collect();
+        let passing: Vec<(NodeId, NodeId)> = p
+            .pairs
+            .iter()
+            .copied()
+            .filter(|&(u, v)| oracles::candidates::passes(&filter, &observed, u, v))
+            .collect();
         dropped += p.pairs.len() - passing.len();
         assert_eq!(f.pairs, passing);
         assert_eq!(f.truth, p.truth, "k and truth do not depend on the filter");

@@ -1,34 +1,56 @@
-//! Per-snapshot node-activity table and the §6.2 candidate-pruning spec.
+//! The §6.2 temporal filter and the per-snapshot node-activity table it
+//! decides with.
 //!
-//! The paper's Table 7 temporal filters reject a candidate pair from four
-//! per-pair features: the active node's idle time, the inactive node's
-//! idle time, the active node's recent-edge count, and the
-//! common-neighbor time gap. Computing those features *after* enumeration
-//! (the post-hoc path in `linklens_core::filters`) pays a timestamp scan
-//! per pair per criterion; this module precomputes the two per-*node*
-//! features once per snapshot so enumeration itself can drop doomed
-//! sources before their frontier is walked and doomed targets the moment
-//! they are discovered. The CN time gap is the one genuinely per-pair
-//! feature, and the two-hop frontier walk already visits every witness —
-//! [`crate::traversal::two_hop_pairs`] folds it into its walk at one
-//! `max` per 2-path.
+//! The paper's Table 7 filter rejects a candidate pair from four per-pair
+//! features: the active node's idle time, the inactive node's idle time,
+//! the active node's recent-edge count, and the common-neighbor time gap.
+//! [`TemporalFilter`] holds its thresholds. Its [`NodeActivity`] table
+//! precomputes the two per-*node* features once per snapshot, so
+//! enumeration can drop doomed sources before their frontier is walked
+//! and doomed targets the moment they are discovered, and a given pair
+//! list is filtered with the same predicate. The CN time gap is the one
+//! genuinely per-pair feature, and the two-hop frontier walk already
+//! visits every witness — [`crate::traversal::two_hop_pairs`] folds it
+//! into its walk at one `max` per 2-path.
 //!
-//! Everything here reproduces the post-hoc expressions *bit-for-bit*:
+//! The table reproduces the per-pair feature expressions *bit-for-bit*:
 //! idle days are `(t - last) as f64 / DAY as f64` (the `pair_features`
 //! expression), recent counts use the same `t > time - window` strict
 //! cutoff as [`Snapshot::recent_edge_count`], and the gap conversion
-//! matches `cn_time_gap` days. Pruned enumeration is therefore the same
-//! *set* as post-hoc filtering, in the same order — property-tested in
-//! `linklens-core`'s `prune_equivalence` suite.
+//! matches `cn_time_gap` days. Pruned enumeration therefore keeps the same
+//! pairs, in the same order, as a per-pair feature scan of the unpruned
+//! list — property-tested against that scan (the oracle in
+//! `linklens_bench::oracles::candidates`) in `linklens-core`'s
+//! `prune_equivalence` suite.
 
 use crate::snapshot::Snapshot;
 use crate::{NodeId, Timestamp, DAY};
+use serde::Serialize;
 
-/// Table 7 thresholds in enumeration-ready form. Mirrors
-/// `linklens_core::filters::FilterThresholds` field-for-field; the core
-/// crate converts via `FilterThresholds::prune_spec`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PruneSpec {
+/// The §6.2 temporal filter: Table 7's thresholds, all durations in days.
+///
+/// A pair passes when all four criteria hold:
+///
+/// 1. its active endpoint (the less idle one) has been idle fewer than
+///    `active_idle_days` days;
+/// 2. its other endpoint has been idle fewer than `inactive_idle_days`;
+/// 3. the active endpoint created at least `min_recent_edges` edges in
+///    the last `window_days` days;
+/// 4. its latest common neighbor arrived fewer than `cn_gap_days` days
+///    ago — applied only to pairs that *have* a common neighbor (the
+///    paper skips this criterion for pairs beyond 2 hops).
+///
+/// A bound of `f64::INFINITY` admits every pair, including one whose
+/// endpoint has no edge and so is infinitely idle.
+///
+/// ```
+/// use osn_graph::activity::TemporalFilter;
+/// let filter = TemporalFilter::renren();
+/// assert_eq!(filter.min_recent_edges, 3);
+/// assert_eq!(TemporalFilter::for_preset("renren-like"), Some(filter));
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+pub struct TemporalFilter {
     /// `d_act`: max idle days of the active (less idle) endpoint.
     pub active_idle_days: f64,
     /// `d_inact`: max idle days of the inactive endpoint.
@@ -42,89 +64,103 @@ pub struct PruneSpec {
 }
 
 /// Optional §6.2 pruning context for the candidate enumerators:
-/// `Some((activity, spec))` pushes the Table 7 criteria into enumeration
-/// itself (doomed sources never walk, doomed targets drop at discovery),
-/// `None` enumerates the full universe.
-pub type Prune<'a> = Option<(&'a NodeActivity, &'a PruneSpec)>;
+/// `Some(activity)` pushes its filter's criteria into enumeration itself
+/// (doomed sources never walk, doomed targets drop at discovery), `None`
+/// enumerates the full universe.
+pub type Prune<'a> = Option<&'a NodeActivity>;
 
-impl PruneSpec {
-    /// The recent-edge window in trace seconds — the exact conversion the
-    /// post-hoc filter applies (`(window_days * DAY) as Timestamp`), so
-    /// both paths count the same edges as "recent".
+impl TemporalFilter {
+    /// Table 7, Facebook row: 15 / 40 / 21 / 2 / 40.
+    pub fn facebook() -> Self {
+        TemporalFilter {
+            active_idle_days: 15.0,
+            inactive_idle_days: 40.0,
+            window_days: 21.0,
+            min_recent_edges: 2,
+            cn_gap_days: 40.0,
+        }
+    }
+
+    /// Table 7, YouTube row: 3 / 30 / 7 / 3 / 20.
+    pub fn youtube() -> Self {
+        TemporalFilter {
+            active_idle_days: 3.0,
+            inactive_idle_days: 30.0,
+            window_days: 7.0,
+            min_recent_edges: 3,
+            cn_gap_days: 20.0,
+        }
+    }
+
+    /// Table 7, Renren row: 3 / 20 / 7 / 3 / 10.
+    pub fn renren() -> Self {
+        TemporalFilter {
+            active_idle_days: 3.0,
+            inactive_idle_days: 20.0,
+            window_days: 7.0,
+            min_recent_edges: 3,
+            cn_gap_days: 10.0,
+        }
+    }
+
+    /// Picks the Table 7 row matching a trace-preset name
+    /// ("facebook-like" / "renren-like" / "youtube-like").
+    pub fn for_preset(name: &str) -> Option<Self> {
+        if name.contains("facebook") {
+            Some(Self::facebook())
+        } else if name.contains("renren") {
+            Some(Self::renren())
+        } else if name.contains("youtube") {
+            Some(Self::youtube())
+        } else {
+            None
+        }
+    }
+
+    /// The recent-edge window in trace seconds,
+    /// `(window_days * DAY) as Timestamp`.
     pub fn window(&self) -> Timestamp {
         (self.window_days * DAY as f64) as Timestamp
     }
 
-    /// Whether node `u` can appear in *any* surviving pair. A pair's
-    /// active endpoint needs idle `< d_act` and `≥ E_new` recent edges; an
-    /// inactive endpoint needs idle `< d_inact`. A node failing both roles
-    /// dooms every pair containing it, so enumeration skips its frontier
-    /// walk entirely (and drops it as a target of other sources' walks via
-    /// [`pair_passes_pre_cn`](Self::pair_passes_pre_cn)).
-    #[inline]
-    pub fn source_may_pass(&self, act: &NodeActivity, u: NodeId) -> bool {
-        let idle = act.idle_days(u);
-        idle < self.inactive_idle_days
-            || (idle < self.active_idle_days && act.recent_edges(u) >= self.min_recent_edges)
-    }
-
-    /// Criteria 1–3 of Table 7 (everything except the CN gap) for pair
-    /// `(u, v)`. The active endpoint is the one with the smaller idle
-    /// time, ties picking `u` — the same `iu <= iv` rule as
-    /// `pair_features`, so the recent-edge criterion consults the same
-    /// node on both paths.
-    #[inline]
-    pub fn pair_passes_pre_cn(&self, act: &NodeActivity, u: NodeId, v: NodeId) -> bool {
-        let iu = act.idle_days(u);
-        let iv = act.idle_days(v);
-        let (active, active_idle, inactive_idle) = if iu <= iv { (u, iu, iv) } else { (v, iv, iu) };
-        active_idle < self.active_idle_days
-            && inactive_idle < self.inactive_idle_days
-            && act.recent_edges(active) >= self.min_recent_edges
-    }
-
-    /// Criterion 4: whether a CN gap of `gap` seconds (from
-    /// [`Snapshot::cn_time_gap`] or a pruned scan's running arrival max)
-    /// is fresh enough. Converts to days with the post-hoc expression
-    /// before the strict comparison.
-    #[inline]
-    pub fn cn_gap_passes(&self, gap: Timestamp) -> bool {
-        (gap as f64 / DAY as f64) < self.cn_gap_days
-    }
-
-    /// All four criteria for pair `(u, v)`, computing the CN gap from the
-    /// snapshot. Pairs without a common neighbor skip criterion 4 (the
-    /// paper applies it only within 2 hops). Used by enumerators that do
-    /// not walk witnesses themselves (BFS-based and hub fan-out paths).
-    pub fn pair_passes(&self, snap: &Snapshot, act: &NodeActivity, u: NodeId, v: NodeId) -> bool {
-        self.pair_passes_pre_cn(act, u, v)
-            && match snap.cn_time_gap(u, v) {
-                Some(g) => self.cn_gap_passes(g),
-                None => true,
-            }
+    /// The pairs of `pairs` that pass on `snap`, in order: each decided by
+    /// [`NodeActivity::pair_passes`] over one table built for `snap`.
+    pub fn filter_pairs(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+    ) -> Vec<(NodeId, NodeId)> {
+        let act = NodeActivity::build(snap, self);
+        pairs.iter().copied().filter(|&(u, v)| act.pair_passes(snap, u, v)).collect()
     }
 }
 
-/// Per-node activity features of one snapshot: idle time and recent-edge
-/// count, computed in a single CSR pass and shared by every enumerator of
-/// the snapshot.
+/// Whether `x` is under the strict bound `max`. An infinite bound admits
+/// every value, `x = ∞` included.
+#[inline]
+fn within(x: f64, max: f64) -> bool {
+    x < max || max == f64::INFINITY
+}
+
+/// Per-node activity features of one snapshot under one filter: idle time
+/// and the recent-edge count over the filter's window, computed in a
+/// single CSR pass and shared by every enumerator of the snapshot.
 pub struct NodeActivity {
-    window: Timestamp,
+    filter: TemporalFilter,
     /// `(time - last_activity) / DAY` as f64; `INFINITY` for never-active
     /// nodes — exactly the `pair_features` idle expression.
     idle_days: Vec<f64>,
-    /// Exact [`Snapshot::recent_edge_count`] for the build window.
+    /// Exact [`Snapshot::recent_edge_count`] over the filter's window.
     recent: Vec<u32>,
 }
 
 impl NodeActivity {
-    /// Builds the table for `snap` with a recent-edge `window` in seconds
-    /// (normally [`PruneSpec::window`]). One pass over the CSR timestamp
+    /// Builds `filter`'s table for `snap`. One pass over the CSR timestamp
     /// arrays; O(V + E) time and O(V) space.
-    pub fn build(snap: &Snapshot, window: Timestamp) -> Self {
+    pub fn build(snap: &Snapshot, filter: &TemporalFilter) -> Self {
         let n = snap.node_count();
         let t = snap.time();
-        let lo = t.saturating_sub(window);
+        let lo = t.saturating_sub(filter.window());
         let mut idle_days = Vec::with_capacity(n);
         let mut recent = Vec::with_capacity(n);
         for u in 0..n {
@@ -140,12 +176,7 @@ impl NodeActivity {
             idle_days.push(last.map(|l| (t - l) as f64 / DAY as f64).unwrap_or(f64::INFINITY));
             recent.push(count);
         }
-        NodeActivity { window, idle_days, recent }
-    }
-
-    /// The window this table was built for, in seconds.
-    pub fn window(&self) -> Timestamp {
-        self.window
+        NodeActivity { filter: *filter, idle_days, recent }
     }
 
     /// Days since `u`'s most recent edge (`INFINITY` if none) — the
@@ -155,11 +186,62 @@ impl NodeActivity {
         self.idle_days[u as usize]
     }
 
-    /// `u`'s edge count within the build window — exactly
+    /// `u`'s edge count within the filter's window — exactly
     /// [`Snapshot::recent_edge_count`] at that window.
     #[inline]
     pub fn recent_edges(&self, u: NodeId) -> usize {
         self.recent[u as usize] as usize
+    }
+
+    /// Whether node `u` can appear in *any* surviving pair. A pair's
+    /// active endpoint needs idle `< d_act` and `≥ E_new` recent edges; an
+    /// inactive endpoint needs idle `< d_inact`. A node failing both roles
+    /// dooms every pair containing it, so enumeration skips its frontier
+    /// walk entirely (and drops it as a target of other sources' walks via
+    /// [`pair_passes_pre_cn`](Self::pair_passes_pre_cn)).
+    #[inline]
+    pub fn source_may_pass(&self, u: NodeId) -> bool {
+        let f = &self.filter;
+        let idle = self.idle_days(u);
+        within(idle, f.inactive_idle_days)
+            || (within(idle, f.active_idle_days) && self.recent_edges(u) >= f.min_recent_edges)
+    }
+
+    /// Criteria 1–3 of Table 7 (everything except the CN gap) for pair
+    /// `(u, v)`. The active endpoint is the one with the smaller idle
+    /// time, ties picking `u` — the same `iu <= iv` rule as
+    /// `pair_features`, so the recent-edge criterion consults the same
+    /// node as a per-pair feature scan.
+    #[inline]
+    pub fn pair_passes_pre_cn(&self, u: NodeId, v: NodeId) -> bool {
+        let f = &self.filter;
+        let iu = self.idle_days(u);
+        let iv = self.idle_days(v);
+        let (active, active_idle, inactive_idle) = if iu <= iv { (u, iu, iv) } else { (v, iv, iu) };
+        within(active_idle, f.active_idle_days)
+            && within(inactive_idle, f.inactive_idle_days)
+            && self.recent_edges(active) >= f.min_recent_edges
+    }
+
+    /// Criterion 4: whether a CN gap of `gap` seconds (from
+    /// [`Snapshot::cn_time_gap`] or a pruned scan's running arrival max)
+    /// is fresh enough. Converts to days with the `pair_features`
+    /// expression before the strict comparison.
+    #[inline]
+    pub fn cn_gap_passes(&self, gap: Timestamp) -> bool {
+        within(gap as f64 / DAY as f64, self.filter.cn_gap_days)
+    }
+
+    /// All four criteria for pair `(u, v)` of `snap`, the snapshot this
+    /// table was built for, computing the CN gap from the snapshot. Pairs
+    /// without a common neighbor skip criterion 4 (the paper applies it
+    /// only within 2 hops).
+    pub fn pair_passes(&self, snap: &Snapshot, u: NodeId, v: NodeId) -> bool {
+        self.pair_passes_pre_cn(u, v)
+            && match snap.cn_time_gap(u, v) {
+                Some(g) => self.cn_gap_passes(g),
+                None => true,
+            }
     }
 }
 
@@ -183,8 +265,8 @@ mod tests {
         Snapshot::up_to(&g, 5)
     }
 
-    fn spec() -> PruneSpec {
-        PruneSpec {
+    fn filter() -> TemporalFilter {
+        TemporalFilter {
             active_idle_days: 3.0,
             inactive_idle_days: 20.0,
             window_days: 7.0,
@@ -196,8 +278,8 @@ mod tests {
     #[test]
     fn idle_and_recent_match_snapshot_expressions() {
         let s = fixture();
-        let spec = spec();
-        let act = NodeActivity::build(&s, spec.window());
+        let f = filter();
+        let act = NodeActivity::build(&s, &f);
         let t = s.time();
         for u in 0..s.node_count() as NodeId {
             let want_idle = s
@@ -205,7 +287,7 @@ mod tests {
                 .map(|last| (t - last) as f64 / DAY as f64)
                 .unwrap_or(f64::INFINITY);
             assert_eq!(act.idle_days(u).to_bits(), want_idle.to_bits(), "idle u={u}");
-            assert_eq!(act.recent_edges(u), s.recent_edge_count(u, spec.window()), "recent u={u}");
+            assert_eq!(act.recent_edges(u), s.recent_edge_count(u, f.window()), "recent u={u}");
         }
     }
 
@@ -217,7 +299,7 @@ mod tests {
         }
         g.add_edge(0, 1, DAY);
         let s = Snapshot::up_to(&g, 1);
-        let act = NodeActivity::build(&s, DAY);
+        let act = NodeActivity::build(&s, &TemporalFilter { window_days: 1.0, ..filter() });
         assert!(act.idle_days(2).is_infinite());
         assert_eq!(act.recent_edges(2), 0);
     }
@@ -227,48 +309,45 @@ mod tests {
         // A node failing `source_may_pass` must fail `pair_passes_pre_cn`
         // against every partner.
         let s = fixture();
-        let spec = spec();
-        let act = NodeActivity::build(&s, spec.window());
+        let act = NodeActivity::build(&s, &filter());
         for u in 0..s.node_count() as NodeId {
-            if spec.source_may_pass(&act, u) {
+            if act.source_may_pass(u) {
                 continue;
             }
             for v in 0..s.node_count() as NodeId {
                 if v != u {
-                    assert!(!spec.pair_passes_pre_cn(&act, u, v), "u={u} v={v}");
+                    assert!(!act.pair_passes_pre_cn(u, v), "u={u} v={v}");
                 }
             }
         }
         // And the fixture actually exercises the skip: nodes 3 and 4 are
         // 29 days idle, past every threshold.
-        assert!(!spec.source_may_pass(&act, 3));
-        assert!(!spec.source_may_pass(&act, 4));
-        assert!(spec.source_may_pass(&act, 0));
+        assert!(!act.source_may_pass(3));
+        assert!(!act.source_may_pass(4));
+        assert!(act.source_may_pass(0));
     }
 
     #[test]
     fn pair_passes_matches_manual_criteria() {
         let s = fixture();
-        let spec = spec();
-        let act = NodeActivity::build(&s, spec.window());
+        let act = NodeActivity::build(&s, &filter());
         // (0,2): node 0 idle 0d with 2 recent edges, node 2 idle 1d, CN
         // gap 1d — survives everything.
-        assert!(spec.pair_passes(&s, &act, 0, 2));
+        assert!(act.pair_passes(&s, 0, 2));
         // (3,4): both ~29 days idle.
-        assert!(!spec.pair_passes(&s, &act, 3, 4));
+        assert!(!act.pair_passes(&s, 3, 4));
         // (4,5): CN (node 3) arrived day 1 → stale gap even with loose
         // idle thresholds.
-        let loose = PruneSpec {
+        let loose = TemporalFilter {
             active_idle_days: 100.0,
             inactive_idle_days: 100.0,
             window_days: 30.0,
             min_recent_edges: 1,
             cn_gap_days: 10.0,
         };
-        let act30 = NodeActivity::build(&s, loose.window());
-        assert!(!loose.pair_passes(&s, &act30, 4, 5));
+        assert!(!NodeActivity::build(&s, &loose).pair_passes(&s, 4, 5));
         // (2,5): no common neighbor → criterion 4 skipped.
-        let strict_cn = PruneSpec { cn_gap_days: 0.001, ..loose };
-        assert!(strict_cn.pair_passes(&s, &act30, 2, 5));
+        let strict_cn = TemporalFilter { cn_gap_days: 0.001, ..loose };
+        assert!(NodeActivity::build(&s, &strict_cn).pair_passes(&s, 2, 5));
     }
 }

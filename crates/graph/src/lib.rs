@@ -34,10 +34,10 @@
 //! * [`traversal`] — BFS distances and the candidate-pair enumerators
 //!   (unconnected 2-hop pairs, distance-bounded pairs), parallelized over
 //!   per-source partitions with deterministic in-order merging.
-//! * [`activity`] — the per-snapshot [`activity::NodeActivity`] table
-//!   (idle time, recent-edge counts over a ring of day buckets) and the
-//!   §6.2 [`activity::PruneSpec`] that pushes the temporal filters into
-//!   candidate enumeration itself.
+//! * [`activity`] — the §6.2 [`activity::TemporalFilter`] (Table 7's
+//!   thresholds) and its per-snapshot [`activity::NodeActivity`] table
+//!   (idle time, recent-edge counts), which decides the filter for a
+//!   given pair list and inside candidate enumeration itself.
 //! * [`par`] — the shared worker pool every parallel stage runs on, with
 //!   thread-count resolution (`--threads` override → `LINKLENS_THREADS` →
 //!   available parallelism) and task-ordered result collection.
@@ -93,6 +93,17 @@ pub fn canonical(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
     } else {
         (v, u)
     }
+}
+
+/// The splitmix64 finalizer: a bijection of `u64` that spreads a state's
+/// bits over its output. Every seeded stream of the workspace (seed
+/// picks, negative samplers, shuffles, top-k tie-break jitter, solver
+/// start vectors, stream derivation) ends its step with it.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -2,14 +2,7 @@
 //! classification pipeline to large graphs.
 
 use crate::snapshot::Snapshot;
-use crate::NodeId;
-
-/// splitmix64 finalizer used for the deterministic pick streams here.
-fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::{mix64, NodeId};
 
 /// Snowball-samples a snapshot: BFS from `seed` until `ceil(p · |V|)` nodes
 /// are visited, returning the visited node ids sorted ascending.
@@ -93,7 +86,7 @@ pub fn pick_seeds(snap: &Snapshot, count: usize, run_seed: u64) -> Vec<NodeId> {
     let mut taken = std::collections::HashSet::new();
     while out.len() < count.min(candidates.len()) {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let z = splitmix(state);
+        let z = mix64(state);
         let pick = candidates[(z % candidates.len() as u64) as usize];
         if taken.insert(pick) {
             out.push(pick);

@@ -16,7 +16,7 @@
 //! end at a member, so it costs `Σ_w |Γ(w) ∩ M|²` plus `Σ_{u∈M} deg(u)`
 //! instead of `Σ_{u∈M} Σ_{w∈Γ(u)} deg(w)`.
 
-use crate::activity::{NodeActivity, Prune, PruneSpec};
+use crate::activity::{NodeActivity, Prune};
 use crate::snapshot::Snapshot;
 use crate::{NodeId, Timestamp};
 
@@ -53,7 +53,7 @@ pub fn bfs_distances(snap: &Snapshot, src: NodeId, max_depth: u32) -> Vec<u32> {
 /// every Table 7 role is skipped before its frontier is walked, a target
 /// failing the idle/recent criteria is dropped at discovery, and the
 /// CN-gap criterion reads the walk's own witness arrivals. The result
-/// equals [`PruneSpec::pair_passes`] filtering of the unpruned list, in
+/// equals [`NodeActivity::pair_passes`] filtering of the unpruned list, in
 /// the same order, without materializing the rejected pairs.
 ///
 /// Complexity O(Σ_w deg(w)²) — the standard 2-path enumeration bound.
@@ -66,7 +66,7 @@ pub fn two_hop_pairs(snap: &Snapshot, prune: Prune<'_>, threads: usize) -> Vec<(
             let u = u as NodeId;
             let targets = match prune {
                 None => scan.candidates(snap, u),
-                Some((act, spec)) => scan.survivors(snap, u, act, spec),
+                Some(act) => scan.survivors(snap, u, act),
             };
             out.extend(targets.iter().map(|&v| (u, v)));
         }
@@ -81,7 +81,7 @@ const MAX_DIST: u32 = 3;
 /// Path candidates, a superset of [`two_hop_pairs`]. Pairs come out sorted.
 ///
 /// `Some` pruning skips the BFS of a doomed source and puts every pair
-/// through the full Table 7 check ([`PruneSpec::pair_passes`]: distance-2
+/// through the full Table 7 check ([`NodeActivity::pair_passes`]: distance-2
 /// pairs pay the CN-gap merge, distance-3 pairs have no common neighbor
 /// and skip it). The result equals that filtering of the unpruned list.
 pub fn within3_pairs(snap: &Snapshot, prune: Prune<'_>, threads: usize) -> Vec<(NodeId, NodeId)> {
@@ -89,14 +89,14 @@ pub fn within3_pairs(snap: &Snapshot, prune: Prune<'_>, threads: usize) -> Vec<(
         let mut out = Vec::new();
         for u in sources {
             let u = u as NodeId;
-            if prune.is_some_and(|(act, spec)| !spec.source_may_pass(act, u)) {
+            if prune.is_some_and(|act| !act.source_may_pass(u)) {
                 continue;
             }
             let dist = bfs_distances(snap, u, MAX_DIST);
             for (v, &d) in dist.iter().enumerate().skip(u as usize + 1) {
                 let v = v as NodeId;
                 if (2..=MAX_DIST).contains(&d)
-                    && prune.is_none_or(|(act, spec)| spec.pair_passes(snap, act, u, v))
+                    && prune.is_none_or(|act| act.pair_passes(snap, u, v))
                 {
                     out.push((u, v));
                 }
@@ -221,28 +221,22 @@ impl TwoHopScan {
         &self.cand
     }
 
-    /// The candidates of `u` that pass `spec`, in discovery order. The
-    /// criteria fire as early as each allows:
+    /// The candidates of `u` that pass `act`'s filter, in discovery order.
+    /// The criteria fire as early as each allows:
     ///
     /// 1. a source failing every Table 7 role
-    ///    ([`PruneSpec::source_may_pass`]) is skipped before its frontier
-    ///    is walked;
+    ///    ([`NodeActivity::source_may_pass`]) is skipped before its
+    ///    frontier is walked;
     /// 2. a target failing the idle/recent criteria
-    ///    ([`PruneSpec::pair_passes_pre_cn`]) is dropped at discovery;
+    ///    ([`NodeActivity::pair_passes_pre_cn`]) is dropped at discovery;
     /// 3. the CN-gap criterion needs the *latest* witness arrival, so the
     ///    walk keeps each candidate's running `max(t(u,w), t(w,v))` — the
     ///    maximum [`Snapshot::cn_time_gap`]'s sorted merge computes — and
     ///    drops the failing candidates after the walk.
-    fn survivors(
-        &mut self,
-        snap: &Snapshot,
-        u: NodeId,
-        act: &NodeActivity,
-        spec: &PruneSpec,
-    ) -> &[NodeId] {
+    fn survivors(&mut self, snap: &Snapshot, u: NodeId, act: &NodeActivity) -> &[NodeId] {
         let e = self.begin();
         self.arrival.clear();
-        if !spec.source_may_pass(act, u) {
+        if !act.source_may_pass(u) {
             return &self.cand;
         }
         for &w in snap.neighbors(u) {
@@ -257,7 +251,7 @@ impl TwoHopScan {
                 let (vi, a) = (v as usize, t_uw.max(t_wv));
                 if self.mark[vi] != e {
                     self.mark[vi] = e;
-                    if spec.pair_passes_pre_cn(act, u, v) {
+                    if act.pair_passes_pre_cn(u, v) {
                         // linklens-allow(truncating-cast): candidate count is bounded by the node count, and node ids are u32
                         self.slot[vi] = self.cand.len() as u32;
                         self.cand.push(v);
@@ -272,7 +266,7 @@ impl TwoHopScan {
             }
         }
         let now = snap.time();
-        let mut gap_ok = self.arrival.iter().map(|&a| spec.cn_gap_passes(now - a));
+        let mut gap_ok = self.arrival.iter().map(|&a| act.cn_gap_passes(now - a));
         self.cand.retain(|_| gap_ok.next() == Some(true));
         &self.cand
     }
@@ -567,6 +561,7 @@ pub fn all_pairs_among(snap: &Snapshot, members: &[NodeId]) -> Vec<(NodeId, Node
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activity::TemporalFilter;
 
     /// Path 0-1-2-3-4.
     fn path5() -> Snapshot {
@@ -819,8 +814,8 @@ mod tests {
         Snapshot::up_to(&g, g.edge_count())
     }
 
-    fn probe_spec() -> PruneSpec {
-        PruneSpec {
+    fn probe_filter() -> TemporalFilter {
+        TemporalFilter {
             active_idle_days: 15.0,
             inactive_idle_days: 25.0,
             window_days: 7.0,
@@ -832,18 +827,17 @@ mod tests {
     #[test]
     fn pruned_enumeration_equals_posthoc_filtering() {
         let s = temporal_ring(40);
-        let spec = probe_spec();
-        let act = NodeActivity::build(&s, spec.window());
+        let act = NodeActivity::build(&s, &probe_filter());
         let full_two = two_hop_pairs(&s, None, 1);
         let posthoc = |pairs: Vec<(NodeId, NodeId)>| -> Vec<(NodeId, NodeId)> {
-            pairs.into_iter().filter(|&(u, v)| spec.pair_passes(&s, &act, u, v)).collect()
+            pairs.into_iter().filter(|&(u, v)| act.pair_passes(&s, u, v)).collect()
         };
         let posthoc_two = posthoc(full_two.clone());
         let posthoc_within = posthoc(within3_pairs(&s, None, 1));
         assert!(!posthoc_two.is_empty(), "fixture must keep some pairs");
         assert!(posthoc_two.len() < full_two.len(), "fixture must drop some pairs");
         for threads in [1, 2, 4, 8] {
-            let prune = Some((&act, &spec));
+            let prune = Some(&act);
             assert_eq!(two_hop_pairs(&s, prune, threads), posthoc_two, "two-hop threads={threads}");
             assert_eq!(
                 within3_pairs(&s, prune, threads),
@@ -858,24 +852,24 @@ mod tests {
         let s = temporal_ring(40);
         // Thresholds loose everywhere except the CN gap, so the survivors
         // are exactly the candidates passing criterion 4.
-        let spec = PruneSpec {
+        let filter = TemporalFilter {
             active_idle_days: f64::INFINITY,
             inactive_idle_days: f64::INFINITY,
             window_days: 7.0,
             min_recent_edges: 0,
             cn_gap_days: 18.0,
         };
-        let act = NodeActivity::build(&s, spec.window());
+        let act = NodeActivity::build(&s, &filter);
         let mut scan = TwoHopScan::new(s.node_count());
         for u in 0..s.node_count() as NodeId {
-            let survivors = scan.survivors(&s, u, &act, &spec).to_vec();
+            let survivors = scan.survivors(&s, u, &act).to_vec();
             let want: Vec<NodeId> = scan
                 .candidates(&s, u)
                 .iter()
                 .copied()
                 .filter(|&v| {
                     let g = s.cn_time_gap(u, v).expect("2-hop pairs share a neighbor");
-                    spec.cn_gap_passes(g)
+                    act.cn_gap_passes(g)
                 })
                 .collect();
             assert_eq!(survivors, want, "u={u}");
@@ -885,13 +879,12 @@ mod tests {
     #[test]
     fn pruned_scan_skips_doomed_sources_and_matches_hits() {
         let s = temporal_ring(40);
-        let spec = probe_spec();
-        let act = NodeActivity::build(&s, spec.window());
+        let act = NodeActivity::build(&s, &probe_filter());
         let mut scan = TwoHopScan::new(s.node_count());
         let mut doomed = 0;
         for u in 0..s.node_count() as NodeId {
-            let survivors = scan.survivors(&s, u, &act, &spec).to_vec();
-            if !spec.source_may_pass(&act, u) {
+            let survivors = scan.survivors(&s, u, &act).to_vec();
+            if !act.source_may_pass(u) {
                 assert!(survivors.is_empty(), "skipped source u={u}");
                 doomed += 1;
                 continue;
@@ -902,7 +895,7 @@ mod tests {
                 .candidates(&s, u)
                 .iter()
                 .copied()
-                .filter(|&v| spec.pair_passes(&s, &act, u, v))
+                .filter(|&v| act.pair_passes(&s, u, v))
                 .collect();
             assert_eq!(survivors, want, "u={u}");
         }

@@ -100,10 +100,7 @@ pub struct AlsFit {
 /// row-major init matrix sees state `seed + (m + 2)·φ`, exactly the
 /// stream the historical serial init walked.
 fn init_value(seed: u64, idx: u64) -> f64 {
-    let mut z = seed.wrapping_add(PHI.wrapping_mul(idx.wrapping_add(2)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = osn_graph::mix64(seed.wrapping_add(PHI.wrapping_mul(idx.wrapping_add(2))));
     (z as f64 / u64::MAX as f64) - 0.5
 }
 

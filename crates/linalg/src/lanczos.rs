@@ -341,11 +341,7 @@ pub fn lanczos_top_k(
     let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut next = move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z as f64 / u64::MAX as f64) - 0.5
+        (osn_graph::mix64(state) as f64 / u64::MAX as f64) - 0.5
     };
     let mut q = vec![0.0; n];
     for x in &mut q {

@@ -80,7 +80,7 @@ impl CandidateSet {
 
     /// Extends a [`within3_base`](Self::within3_base) enumeration with the
     /// `Global` policy's top-degree hub fan-out, then sorts and dedups.
-    /// Hub pairs honor the same pruning spec as the base so the combined
+    /// Hub pairs honor the same pruning as the base so the combined
     /// set still equals post-hoc filtering of the unpruned build.
     pub fn global_from_base(
         snap: &Snapshot,
@@ -105,11 +105,7 @@ impl CandidateSet {
                 }
                 if v != h {
                     let (a, b) = osn_graph::canonical(h, v);
-                    let keep = match prune {
-                        None => true,
-                        Some((act, spec)) => spec.pair_passes(snap, act, a, b),
-                    };
-                    if keep {
+                    if prune.is_none_or(|act| act.pair_passes(snap, a, b)) {
                         pairs.push((a, b));
                     }
                 }
@@ -174,7 +170,7 @@ impl CandidateSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osn_graph::activity::{NodeActivity, PruneSpec};
+    use osn_graph::activity::{NodeActivity, TemporalFilter};
 
     /// Path 0-1-2-3-4 plus hub 5 connected to 0.
     fn fixture() -> Snapshot {
@@ -271,8 +267,8 @@ mod tests {
         Snapshot::up_to(&g, g.edge_count())
     }
 
-    fn probe_spec() -> PruneSpec {
-        PruneSpec {
+    fn probe_filter() -> TemporalFilter {
+        TemporalFilter {
             active_idle_days: 12.0,
             inactive_idle_days: 22.0,
             window_days: 7.0,
@@ -284,18 +280,13 @@ mod tests {
     #[test]
     fn pruned_build_equals_posthoc_filtering() {
         let s = temporal_fixture();
-        let spec = probe_spec();
-        let act = NodeActivity::build(&s, spec.window());
+        let act = NodeActivity::build(&s, &probe_filter());
         for policy in [CandidatePolicy::TwoHop, CandidatePolicy::ThreeHop, CandidatePolicy::Global]
         {
             let full = CandidateSet::build(&s, policy, 4);
-            let posthoc: Vec<(NodeId, NodeId)> = full
-                .pairs()
-                .iter()
-                .copied()
-                .filter(|&(u, v)| spec.pair_passes(&s, &act, u, v))
-                .collect();
-            let pruned = CandidateSet::build_pruned(&s, policy, 4, Some((&act, &spec)));
+            let posthoc: Vec<(NodeId, NodeId)> =
+                full.pairs().iter().copied().filter(|&(u, v)| act.pair_passes(&s, u, v)).collect();
+            let pruned = CandidateSet::build_pruned(&s, policy, 4, Some(&act));
             assert_eq!(pruned.pairs(), &posthoc[..], "{policy:?}");
             assert!(pruned.len() < full.len(), "{policy:?}: fixture must drop pairs");
             assert!(!pruned.is_empty(), "{policy:?}: fixture must keep pairs");

@@ -43,11 +43,7 @@ impl PartialOrd for Entry {
 }
 
 fn pair_jitter(u: NodeId, v: NodeId, seed: u64) -> u64 {
-    let mut z = (u as u64) << 32 | v as u64;
-    z ^= seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    osn_graph::mix64(((u as u64) << 32 | v as u64) ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// A streaming top-k accumulator over (pair, score) entries.

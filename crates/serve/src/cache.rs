@@ -56,12 +56,10 @@ impl ResultCache {
     }
 
     fn shard(&self, metric: u32, source: NodeId) -> MutexGuard<'_, HashMap<(u32, NodeId), Entry>> {
-        // splitmix64-style finalizer over the packed key: cheap, and
-        // spreads consecutive node ids across shards.
-        let mut x = ((metric as u64) << 32) | source as u64;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let idx = (x ^ (x >> 31)) as usize % self.shards.len();
+        // The splitmix64 finalizer over the packed key: cheap, and spreads
+        // consecutive node ids across shards.
+        let idx =
+            osn_graph::mix64(((metric as u64) << 32) | source as u64) as usize % self.shards.len();
         match self.shards[idx].lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),

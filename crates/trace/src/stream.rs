@@ -102,21 +102,12 @@ pub struct StreamSummary {
     pub days: u32,
 }
 
-/// splitmix64 finalizer for deriving independent RNG streams.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One RNG stream per `(seed, day, stream)` triple; stream 0 is the day's
 /// sequential stream, streams `1 + c` belong to proposal chunk `c`.
 fn stream_rng(seed: u64, day: u64, stream: u64) -> StdRng {
-    let mixed = splitmix(
-        seed ^ day.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stream.wrapping_mul(0xBF58_476D_1CE4_E5B9),
-    );
-    StdRng::seed_from_u64(mixed)
+    let key =
+        seed ^ day.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stream.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    StdRng::seed_from_u64(osn_graph::mix64(key.wrapping_add(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// Runs the friendship growth model, streaming day-bucketed events into

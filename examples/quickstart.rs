@@ -59,7 +59,7 @@ fn main() {
     }
 
     // 4. Add the paper's temporal filter and watch the ratios move (§6.2).
-    let filter = TemporalFilter::new(FilterThresholds::renren());
+    let filter = TemporalFilter::renren();
     println!("\nwith the Table 7 renren filter:");
     let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
     for out in eval.evaluate_metrics_at(&refs, t, Some(&filter)) {

@@ -2,7 +2,8 @@
 //! recent-edge / CN-gap separations on your own trace, derive filter
 //! thresholds from its positives at a retention quantile, and quantify
 //! how much the filter shrinks the candidate space and lifts prediction
-//! accuracy.
+//! accuracy. It asserts that the thresholds derived at q = 1.0 keep every
+//! positive they were derived from.
 //!
 //! ```sh
 //! cargo run --release --example temporal_filtering
@@ -22,7 +23,7 @@ fn main() {
     println!("{}: transition {t}, observed snapshot has {} edges", config.name, snap.edge_count());
 
     // 1. Reproduce the §6.1 measurement: positives vs negatives.
-    let (pos, neg) = positive_negative_pairs(&seq, t, 2000, 9);
+    let (pos, neg) = positive_negative_pairs(&seq, &snap, t, 2000, 9);
     let idle = |pairs: &[(NodeId, NodeId)]| -> Vec<f64> {
         pairs.iter().map(|&(u, v)| pair_features(&snap, u, v, 7 * DAY).active_idle_days).collect()
     };
@@ -40,17 +41,21 @@ fn main() {
     const RETAIN: f64 = 0.9;
     let mut stats = PositiveFeatureStats::new(7.0);
     stats.observe(&snap, &pos);
+    let all = stats.thresholds_at(1.0).expect("the transition has positives");
+    let kept = all.filter_pairs(&snap, &pos).len();
+    assert_eq!(kept, pos.len(), "thresholds at q = 1.0 must keep every observed positive");
+    println!("\nthresholds at q = 1.0 keep all {kept} positives: {all:?}");
     let derived = stats.thresholds_at(RETAIN).expect("the transition has positives");
-    println!("\nthresholds retaining {:.0}% of positives: {derived:?}", RETAIN * 100.0);
-    println!("table 7 (renren):                  {:?}", FilterThresholds::renren());
+    println!("thresholds retaining {:.0}% of positives: {derived:?}", RETAIN * 100.0);
+    println!("table 7 (renren):                  {:?}", TemporalFilter::renren());
 
     // 3. Quantify the search-space reduction and the accuracy lift.
     let eval = SequenceEvaluator::new(&seq);
     let bra = LocalKind::Bra;
     for (label, filter) in [
         ("no filter", None),
-        ("derived", Some(TemporalFilter::new(derived))),
-        ("table 7", Some(TemporalFilter::new(FilterThresholds::renren()))),
+        ("derived", Some(derived)),
+        ("table 7", Some(TemporalFilter::renren())),
     ] {
         let cands = eval.candidates_for(&snap, &[&bra], filter.as_ref());
         let out = eval.evaluate_metrics_at(&[&bra], t, filter.as_ref());

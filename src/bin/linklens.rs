@@ -15,7 +15,7 @@
 
 #![forbid(unsafe_code)]
 
-use linklens::core::filters::{FilterThresholds, TemporalFilter};
+use linklens::core::filters::TemporalFilter;
 use linklens::core::framework::SequenceEvaluator;
 use linklens::graph::io;
 use linklens::graph::sequence::SnapshotSequence;
@@ -241,11 +241,10 @@ fn predict(args: &[String]) {
     let seq = SnapshotSequence::with_count(&trace, snapshots);
     let eval = SequenceEvaluator::new(&seq);
     let filter = flag_value(args, "--filter").map(|name| {
-        let th = FilterThresholds::for_preset(&format!("{name}-like")).unwrap_or_else(|| {
+        TemporalFilter::for_preset(&format!("{name}-like")).unwrap_or_else(|| {
             eprintln!("unknown filter preset '{name}'");
             exit(2)
-        });
-        TemporalFilter::new(th)
+        })
     });
     let t = seq.len() - 1;
     let out = eval.evaluate_metrics_at(&[metric.as_ref()], t, filter.as_ref()).remove(0);

@@ -46,7 +46,7 @@ pub use osn_trace as trace;
 pub mod prelude {
     pub use linklens_core::{
         classify::{ClassificationConfig, ClassificationPipeline},
-        filters::{FilterThresholds, TemporalFilter},
+        filters::TemporalFilter,
         framework::{PredictionOutcome, SequenceEvaluator},
         selection::NetworkFeatures,
         timeseries::{Aggregation, TimeSeriesPredictor},

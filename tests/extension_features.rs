@@ -65,7 +65,7 @@ fn auc_of_good_metric_beats_half_on_generated_data() {
     let seq = SnapshotSequence::with_count(&trace, 6);
     let t = 4;
     let snap = seq.snapshot(t - 1);
-    let (pos, neg) = positive_negative_pairs(&seq, t, 800, 3);
+    let (pos, neg) = positive_negative_pairs(&seq, &snap, t, 800, 3);
     let auc = auc_of_metric(&LocalKind::Ra, &snap, &pos, &neg);
     // The margin is modest at this tiny test scale (most negative pairs tie
     // at score 0, counting half) — the release-scale `ext-auc` experiment

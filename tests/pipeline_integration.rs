@@ -51,7 +51,7 @@ fn filters_prune_but_never_invent_candidates() {
     let seq = SnapshotSequence::with_count(&trace, 6);
     let eval = SequenceEvaluator::new(&seq);
     let snap = seq.snapshot(3);
-    let filter = TemporalFilter::new(FilterThresholds::renren());
+    let filter = TemporalFilter::renren();
     let m = LocalKind::Bra;
     let unfiltered = eval.candidates_for(&snap, &[&m], None);
     let filtered = eval.candidates_for(&snap, &[&m], Some(&filter));
@@ -101,7 +101,7 @@ fn temporal_positive_pairs_are_fresher_than_negative() {
     let seq = SnapshotSequence::with_count(&trace, 8);
     let t = 6;
     let snap = seq.snapshot(t - 1);
-    let (pos, neg) = positive_negative_pairs(&seq, t, 500, 1);
+    let (pos, neg) = positive_negative_pairs(&seq, &snap, t, 500, 1);
     let mean_idle = |pairs: &[(NodeId, NodeId)]| {
         let vals: Vec<f64> = pairs
             .iter()
