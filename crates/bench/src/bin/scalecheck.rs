@@ -382,17 +382,21 @@ fn parallel_scaling(ctx: &Ctx, report: &mut Report) {
         let scored_pairs = cands.len() * refs.len();
 
         // Stage 2: chunked scoring of every metric over the shared slice.
+        // Each timed stage scores an untimed clone: a snapshot memoizes
+        // its factors, so a second stage on `snap` would not factor.
+        let fresh = snap.clone();
         let (score_secs, _cols) = timed(|| {
             let mut cache = SolverCache::transient();
-            exec::score_matrix_cached_t(&refs, &snap, cands.pairs(), t, &mut cache)
+            exec::score_matrix_cached_t(&refs, &fresh, cands.pairs(), t, &mut cache)
         });
 
         // Stage 3: fused scoring + streaming top-k (the prediction path —
         // per-chunk heaps merged at the end, never materializing scores).
         let k = (cands.len() / 100).max(10);
+        let fresh = snap.clone();
         let (topk_secs, _preds) = timed(|| {
             let mut cache = SolverCache::transient();
-            exec::predict_top_k_many_cached_t(&refs, &snap, &cands, k, 0x11A5, t, &mut cache)
+            exec::predict_top_k_many_cached_t(&refs, &fresh, &cands, k, 0x11A5, t, &mut cache)
         });
         json!({
             "enumerate_secs": enum_secs,
@@ -579,6 +583,9 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("note", "batched vs per-source-oracle, equality asserted before timing (bit-identical for SP/LP/Katz, analytic tolerance for LRW/PPR); Katz-lr has no distinct per-source oracle so its reference is the same serial path; LRW/PPR engine scores are one-sided from the pair's solve side (within oracles::walk::lrw_bound and ppr_bound)");
 
     // --- Stage 1: batched vs reference at one worker, equality first ----
+    // A snapshot memoizes the Katz-lr and Katz-sc factors, so every call
+    // here, untimed or timed, scores its own untimed clone and factors
+    // as a first call does.
     par::set_thread_override(Some(1));
     let mut batched_at_one: Vec<Vec<f64>> = Vec::new();
     let mut group_ref_secs = 0.0;
@@ -587,17 +594,19 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
         let contract = oracles::contract(name).expect("every metric has a contract");
         // Katz-lr has no reference: it is held to, and timed against, its
         // own serial path.
-        let reference = || match &contract.reference {
-            Some(reference) => reference(&snap, pairs, 1),
-            None => exec::score_pairs_t(m.as_ref(), &snap, pairs, 1),
+        let reference = |snap: &Snapshot| match &contract.reference {
+            Some(reference) => reference(snap, pairs, 1),
+            None => exec::score_pairs_t(m.as_ref(), snap, pairs, 1),
         };
-        let batched = exec::score_pairs_t(m.as_ref(), &snap, pairs, 1);
+        let batched = exec::score_pairs_t(m.as_ref(), &snap.clone(), pairs, 1);
         contract
-            .check(&snap, pairs, &batched, &reference())
+            .check(&snap, pairs, &batched, &reference(&snap.clone()))
             .unwrap_or_else(|e| panic!("{name}: batched diverged from its reference: {e}"));
 
-        let (ref_secs, _) = timed(reference);
-        let (batched_secs, _) = timed(|| exec::score_pairs_t(m.as_ref(), &snap, pairs, 1));
+        let fresh = snap.clone();
+        let (ref_secs, _) = timed(|| reference(&fresh));
+        let fresh = snap.clone();
+        let (batched_secs, _) = timed(|| exec::score_pairs_t(m.as_ref(), &fresh, pairs, 1));
         if *name != "SP" && *name != "LP" {
             group_ref_secs += ref_secs;
             group_batched_secs += batched_secs;
@@ -623,9 +632,10 @@ fn global_scoring(ctx: &Ctx, report: &mut Report) {
         par::set_thread_override(Some(t));
         let mut entries = Vec::new();
         for ((name, m), base) in names.iter().zip(&metrics).zip(&batched_at_one) {
-            let scores = exec::score_pairs_t(m.as_ref(), &snap, pairs, t);
+            let scores = exec::score_pairs_t(m.as_ref(), &snap.clone(), pairs, t);
             assert_eq!(&scores, base, "{name}: batched output drifted at {t} workers");
-            let (secs, _) = timed(|| exec::score_pairs_t(m.as_ref(), &snap, pairs, t));
+            let fresh = snap.clone();
+            let (secs, _) = timed(|| exec::score_pairs_t(m.as_ref(), &fresh, pairs, t));
             entries.push(json!({
                 "metric": name,
                 "batched_secs": secs,
@@ -720,8 +730,8 @@ fn factor_scoring(ctx: &Ctx, report: &mut Report) {
     report.set("candidate_pairs", pairs.len());
     let oracle: Vec<f64> =
         pairs.iter().map(|&(u, v)| oracles::rescal::model_score(&dense, u, v)).collect();
-    // One cache: the first call fits and stores the model's factors,
-    // every later call (including all timed ones) reuses them — a refit
+    // The first call fits and memoizes the model's factors on `snap`;
+    // every later call (including all timed ones) reads them — a refit
     // per batch would show up right here as `factorizations` climbing
     // past 1.
     let mut cache = SolverCache::transient();

@@ -5,7 +5,8 @@
 //! metric.
 
 use osn_graph::snapshot::Snapshot;
-use osn_graph::NodeId;
+use osn_graph::{stats, NodeId};
+use std::sync::Arc;
 
 /// Sums a pair's witness terms left to right from `+0.0`, as the fused
 /// kernel's accumulators do; `Iterator::sum` starts from `-0.0`, which a
@@ -61,29 +62,37 @@ pub fn preferential_attachment(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> V
     pairs.iter().map(|&(u, v)| (snap.degree(u) * snap.degree(v)) as f64).collect()
 }
 
+/// The memo key of [`bayes_weights`]: the oracle's own, so it never
+/// reads the tables the engine derives.
+struct BayesWeights;
+
 /// The naive-Bayes quantities `(log s, log R_w per node)`, from the
-/// snapshot's cached triangle counts by the expressions the fused
+/// snapshot's triangle counts by the expressions the fused
 /// kernel's naive-Bayes tables use: `s = |V|(|V|−1)/(2|E|) − 1` (guarded
-/// positive) and `R_w = (N_△w + 1) / (N_∧w + 1)`.
-fn bayes_weights(snap: &Snapshot) -> (f64, Vec<f64>) {
-    let n = snap.node_count() as f64;
-    let e = snap.edge_count() as f64;
-    let s = (n * (n - 1.0) / (2.0 * e.max(1.0)) - 1.0).max(1e-9);
-    let tri = snap.triangle_counts();
-    let log_r = (0..snap.node_count())
-        .map(|w| {
-            let d = snap.degree(w as NodeId) as f64;
-            let wedges = d * (d - 1.0) / 2.0;
-            let t = tri[w] as f64;
-            ((t + 1.0) / ((wedges - t) + 1.0)).ln()
-        })
-        .collect();
-    (s.ln(), log_r)
+/// positive) and `R_w = (N_△w + 1) / (N_∧w + 1)`. Memoized on the
+/// snapshot, so the chunks of one reference call count triangles once.
+fn bayes_weights(snap: &Snapshot) -> Arc<(f64, Vec<f64>)> {
+    snap.derived::<BayesWeights, _>(&[], || {
+        let n = snap.node_count() as f64;
+        let e = snap.edge_count() as f64;
+        let s = (n * (n - 1.0) / (2.0 * e.max(1.0)) - 1.0).max(1e-9);
+        let tri = stats::triangle_counts(snap);
+        let log_r = (0..snap.node_count())
+            .map(|w| {
+                let d = snap.degree(w as NodeId) as f64;
+                let wedges = d * (d - 1.0) / 2.0;
+                let t = tri[w] as f64;
+                ((t + 1.0) / ((wedges - t) + 1.0)).ln()
+            })
+            .collect();
+        (s.ln(), log_r)
+    })
 }
 
 /// Local-naive-Bayes CN: `|Γ(u) ∩ Γ(v)|·log s + Σ_w log R_w`.
 pub fn bayes_common_neighbors(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-    let (log_s, log_r) = bayes_weights(snap);
+    let weights = bayes_weights(snap);
+    let (log_s, log_r) = (weights.0, &weights.1);
     pairs
         .iter()
         .map(|&(u, v)| {
@@ -100,7 +109,8 @@ pub fn bayes_common_neighbors(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Ve
 
 /// Local-naive-Bayes AA: `Σ_w (log s + log R_w) / ln(deg w)`.
 pub fn bayes_adamic_adar(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-    let (log_s, log_r) = bayes_weights(snap);
+    let weights = bayes_weights(snap);
+    let (log_s, log_r) = (weights.0, &weights.1);
     pairs
         .iter()
         .map(|&(u, v)| {
@@ -114,7 +124,8 @@ pub fn bayes_adamic_adar(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64
 
 /// Local-naive-Bayes RA: `Σ_w (log s + log R_w) / deg w`.
 pub fn bayes_resource_allocation(snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-    let (log_s, log_r) = bayes_weights(snap);
+    let weights = bayes_weights(snap);
+    let (log_s, log_r) = (weights.0, &weights.1);
     pairs
         .iter()
         .map(|&(u, v)| {

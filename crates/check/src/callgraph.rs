@@ -43,6 +43,7 @@
 //! sources of edges. A plain `pub fn` of a library crate's non-test code
 //! that this walk does not reach is a finding.
 
+use crate::lexer::Token;
 use crate::rules::{ident_at, punct_at, Diagnostic};
 use crate::symbols::{FnSym, ParsedFile};
 use crate::workspace::{FileInfo, FileKind};
@@ -176,7 +177,7 @@ fn callees(
         {
             continue;
         }
-        let call_pos = punct_at(tokens, i + 1, '(');
+        let call_pos = punct_at(tokens, i + 1, '(') || turbofish_call(tokens, i + 1);
         let arg_pos = punct_at(tokens, i + 1, ',') || punct_at(tokens, i + 1, ')');
         let by_path = i >= 2 && punct_at(tokens, i - 1, ':') && punct_at(tokens, i - 2, ':');
         let field = i >= 1 && punct_at(tokens, i - 1, '.');
@@ -185,6 +186,30 @@ fn callees(
         }
     }
     out
+}
+
+/// Whether the tokens from `at` are a turbofish call's `:: < … > (`.
+fn turbofish_call(tokens: &[Token], at: usize) -> bool {
+    if !(punct_at(tokens, at, ':')
+        && punct_at(tokens, at + 1, ':')
+        && punct_at(tokens, at + 2, '<'))
+    {
+        return false;
+    }
+    let mut depth = 0usize;
+    for j in at + 2..tokens.len() {
+        if punct_at(tokens, j, '<') {
+            depth += 1;
+        } else if punct_at(tokens, j, '>') && !punct_at(tokens, j - 1, '-') {
+            depth -= 1;
+            if depth == 0 {
+                return punct_at(tokens, j + 1, '(');
+            }
+        } else if [';', '{', '}'].iter().any(|&p| punct_at(tokens, j, p)) {
+            return false;
+        }
+    }
+    false
 }
 
 /// The function names of a call graph's files: every non-test `fn`, and
@@ -352,6 +377,18 @@ mod tests {
         assert!(s.origin("helper").is_some());
         assert!(s.origin("reducer").is_some(), "argument-position callback is an edge");
         assert!(s.origin("unrelated").is_none());
+    }
+
+    #[test]
+    fn turbofish_calls_are_edges() {
+        let a = parse_file(
+            &info("crates/metrics/src/m.rs", "metrics"),
+            "fn score_pairs(&self) { memo::<Key, Result<Vec<u8>, E>>(&[], || 1); typed::<fn() -> u8>(); let f = named::<u8>; }\nfn memo(x: u32) {}\nfn typed() {}\nfn named() {}",
+        );
+        let s = surface(&[a]);
+        assert!(s.origin("memo").is_some(), "a call with nested generic arguments");
+        assert!(s.origin("typed").is_some(), "an arrow inside the turbofish");
+        assert!(s.origin("named").is_none(), "a turbofish path that is not called");
     }
 
     #[test]

@@ -27,10 +27,11 @@
 //! C++ pipeline, §3.2), so an instance computes the features of its
 //! positives and test pairs once, on its first `cells` call, and shares
 //! them across every classifier and θ; each call adds only its negative
-//! pool, drawn at that call's largest θ. The pipeline keeps one solver
-//! cache per snapshot its instances score, so Katz-lr, Katz-sc and Rescal
-//! factor `G_{t-2}` and `G_{t-1}` once for every feature batch and metric
-//! point of every instance of a transition.
+//! pool, drawn at that call's largest θ. The pipeline builds each snapshot
+//! its instances score once and shares it among them; Katz-lr, Katz-sc
+//! and Rescal memoize their factors on it, so they factor `G_{t-2}` and
+//! `G_{t-1}` once for every feature batch and metric point of every
+//! instance of a transition.
 //!
 //! One honest scalability note, documented in DESIGN.md: the paper scores
 //! *every* unconnected sampled pair at test time. We do the same up to
@@ -44,7 +45,6 @@ use crate::filters::TemporalFilter;
 use crate::framework::PredictionOutcome;
 use crate::sampling::{Draw, DrawSummary, Judgement};
 use osn_graph::activity::NodeActivity;
-use osn_graph::builder::SnapshotBuilder;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
@@ -61,6 +61,7 @@ use osn_ml::Classifier;
 use serde::Serialize;
 use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// The four classifier families the paper evaluates (§5.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -185,10 +186,11 @@ pub struct ClassificationPipeline<'a> {
     /// Pipeline configuration.
     pub config: ClassificationConfig,
     metrics: Vec<Box<dyn Metric>>,
-    /// One solver cache per snapshot index its instances score, so every
+    /// One snapshot per sequence index its instances score, so every
     /// feature batch and metric point on a snapshot, in every instance of
-    /// the pipeline, shares one factorization per factored metric.
-    caches: RefCell<BTreeMap<usize, SolverCache>>,
+    /// the pipeline, shares what is derived from it: one factorization
+    /// per factored metric.
+    snapshots: RefCell<BTreeMap<usize, Arc<Snapshot>>>,
 }
 
 impl<'a> ClassificationPipeline<'a> {
@@ -199,7 +201,7 @@ impl<'a> ClassificationPipeline<'a> {
             seq,
             config,
             metrics: osn_metrics::all_metrics(),
-            caches: RefCell::default(),
+            snapshots: RefCell::default(),
         }
     }
 
@@ -218,11 +220,8 @@ impl<'a> ClassificationPipeline<'a> {
     // linklens-deterministic: seed picking and sample order feed every §5 number
     pub fn instance(&self, t: usize, filter: Option<&TemporalFilter>) -> SampledInstance<'_> {
         assert!(t >= 2 && t < self.seq.len(), "need G_{{t-2}}, G_{{t-1}}, G_t");
-        // One incremental arena walks t-2 → t-1; each snapshot is cloned
-        // out of it, since the instance keeps both for its readers.
-        let mut arena = SnapshotBuilder::new(self.seq.trace());
-        let train_snap = arena.advance_to(self.seq.boundary(t - 2)).clone();
-        let test_snap = arena.advance_to(self.seq.boundary(t - 1)).clone();
+        let train_snap = self.snapshot(t - 2);
+        let test_snap = self.snapshot(t - 1);
         let test_truth: HashSet<(NodeId, NodeId)> = self.seq.new_edges(t).into_iter().collect();
         let p = self.config.sampling_p;
         let act = filter.map(|f| NodeActivity::build(&test_snap, f));
@@ -250,29 +249,33 @@ impl<'a> ClassificationPipeline<'a> {
         self.config.seed ^ (si as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// One score column per metric of `metrics` on `pairs` of snapshot
-    /// `index` of the sequence (`snap`), through that snapshot's solver
-    /// cache. The columns depend only on `snap`, the metrics and `pairs`.
+    /// Snapshot `index` of the sequence, built on its first call and
+    /// shared by every later one.
+    fn snapshot(&self, index: usize) -> Arc<Snapshot> {
+        let mut snapshots = self.snapshots.borrow_mut();
+        Arc::clone(snapshots.entry(index).or_insert_with(|| Arc::new(self.seq.snapshot(index))))
+    }
+
+    /// One score column per metric of `metrics` on `pairs` of `snap`. The
+    /// columns depend only on `snap`, the metrics and `pairs`.
     fn score(
         &self,
-        index: usize,
         snap: &Snapshot,
         metrics: &[&dyn Metric],
         pairs: &[(NodeId, NodeId)],
     ) -> Vec<Vec<f64>> {
-        let mut caches = self.caches.borrow_mut();
-        let cache = caches.entry(index).or_insert_with(SolverCache::transient);
-        exec::score_matrix_cached_t(metrics, snap, pairs, par::max_threads(), cache)
+        let threads = par::max_threads();
+        exec::score_matrix_cached_t(metrics, snap, pairs, threads, &mut SolverCache::transient())
     }
 
-    /// Computes the feature matrix (|pairs| × |metrics|) on snapshot
-    /// `index` (`snap`). Metric columns run on the shared scoring engine —
-    /// a (metric × chunk) work pool rather than one thread per metric —
-    /// since this is the pipeline's dominant cost (§3.2 of the paper says
-    /// the same of theirs).
-    fn features(&self, index: usize, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<Vec<f64>> {
+    /// Computes the feature matrix (|pairs| × |metrics|) on `snap`.
+    /// Metric columns run on the shared scoring engine — a (metric ×
+    /// chunk) work pool rather than one thread per metric — since this is
+    /// the pipeline's dominant cost (§3.2 of the paper says the same of
+    /// theirs).
+    fn features(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<Vec<f64>> {
         let refs: Vec<&dyn Metric> = self.metrics.iter().map(|m| m.as_ref()).collect();
-        let cols = self.score(index, snap, &refs, pairs);
+        let cols = self.score(snap, &refs, pairs);
         (0..pairs.len()).map(|i| cols.iter().map(|c| c[i]).collect()).collect()
     }
 }
@@ -282,8 +285,8 @@ impl<'a> ClassificationPipeline<'a> {
 pub struct SampledInstance<'p> {
     pipe: &'p ClassificationPipeline<'p>,
     t: usize,
-    train_snap: Snapshot,
-    test_snap: Snapshot,
+    train_snap: Arc<Snapshot>,
+    test_snap: Arc<Snapshot>,
     /// New edges of `G_{t-1}`: the training positives, and the pairs no
     /// negative may be.
     train_truth: HashSet<(NodeId, NodeId)>,
@@ -322,8 +325,7 @@ impl SampledInstance<'_> {
             .iter()
             .enumerate()
             .map(|(si, draw)| {
-                let scores =
-                    self.pipe.score(self.t - 1, &self.test_snap, &[metric], &draw.pairs).remove(0);
+                let scores = self.pipe.score(&self.test_snap, &[metric], &draw.pairs).remove(0);
                 draw.judge(&scores, self.pipe.config.seed ^ si as u64)
             })
             .collect();
@@ -364,7 +366,7 @@ impl SampledInstance<'_> {
                     pool_size,
                     pipe.rng_seed(si),
                 );
-                pipe.features(self.t - 2, &self.train_snap, &negatives)
+                pipe.features(&self.train_snap, &negatives)
             })
             .collect();
 
@@ -436,8 +438,8 @@ impl SampledInstance<'_> {
                     .collect();
                 positives.sort_unstable();
                 SeedFeatures {
-                    positives: self.pipe.features(self.t - 2, &self.train_snap, &positives),
-                    test: self.pipe.features(self.t - 1, &self.test_snap, &draw.pairs),
+                    positives: self.pipe.features(&self.train_snap, &positives),
+                    test: self.pipe.features(&self.test_snap, &draw.pairs),
                 }
             })
             .collect()
@@ -515,7 +517,7 @@ mod tests {
         config: ClassificationConfig,
     ) -> ClassificationPipeline<'a> {
         let metrics: Vec<Box<dyn Metric>> = vec![Box::new(LocalKind::Cn), Box::new(LocalKind::Ra)];
-        ClassificationPipeline { seq, config, metrics, caches: RefCell::default() }
+        ClassificationPipeline { seq, config, metrics, snapshots: RefCell::default() }
     }
 
     /// One (classifier, θ) cell at transition 2, unfiltered.

@@ -7,8 +7,9 @@
 //! [`osn_graph::activity::NodeActivity`] table (one per snapshot instead
 //! of a per-pair-per-policy feature recomputation), and every metric group
 //! goes through `exec`'s chunked engine — fused local kernel for the
-//! advertised [`Metric::fused_kind`]s, a shared solver cache for the
-//! rest — with per-chunk streaming top-k accumulators, so the full
+//! advertised [`Metric::fused_kind`]s, the solver hooks for the rest,
+//! whose factors are memoized on the snapshot — with per-chunk streaming
+//! top-k accumulators, so the full
 //! (pairs × metrics) score matrix is never materialized. The per-pair
 //! feature scan, the oracle the pruned path is property-tested against,
 //! lives in `linklens_bench::oracles`.
@@ -281,9 +282,10 @@ impl<'a> SequenceEvaluator<'a> {
     /// caller-owned solver cache — the sweep-friendly core of
     /// [`evaluate_metrics_at`](Self::evaluate_metrics_at), which passes a
     /// fresh [`SolverCache::transient`]; [`evaluate_all`](Self::evaluate_all)
-    /// passes one cache through the whole sweep. The cache keeps only the
-    /// current snapshot's Rescal fit, shared across its policy groups, so
-    /// the outcomes are the same either way.
+    /// passes one cache through the whole sweep. The cache only counts
+    /// solver work: the factors Katz-lr, Katz-sc and Rescal share across
+    /// the policy groups are memoized on `prev`, so the outcomes are the
+    /// same either way.
     pub fn evaluate_metrics_on_cached(
         &self,
         metrics: &[&dyn Metric],
@@ -325,8 +327,8 @@ impl<'a> SequenceEvaluator<'a> {
         let mut per_metric: Vec<Vec<PredictionOutcome>> =
             (0..metrics.len()).map(|_| Vec::new()).collect();
         let mut sweep = self.seq.snapshots();
-        // One solver cache for the whole sweep; it drops each snapshot's
-        // Rescal fit when the next snapshot arrives.
+        // One solver cache counts the whole sweep. Each snapshot's factors
+        // live in its memo, which the next advance empties.
         let mut cache = SolverCache::transient();
         for t in 1..self.seq.len() {
             // Transition t observes snapshot t − 1; the final snapshot is

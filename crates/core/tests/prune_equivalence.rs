@@ -132,7 +132,8 @@ proptest! {
     /// Framework-level identity: the evaluator's pruned candidate build
     /// equals its post-hoc oracle, and the batched multi-metric top-k over
     /// the pruned set is bit-identical — pairs and tie-break order — to
-    /// the oracle set's at every worker count.
+    /// the oracle set's at every worker count. Each worker count scores a
+    /// clone, whose memo starts empty, so it factors at that count.
     #[test]
     fn pruned_topk_bit_identical_across_threads((n, edges) in arb_trace()) {
         let trace = build_trace(n, &edges);
@@ -157,7 +158,7 @@ proptest! {
             for threads in [1usize, 2, 4, 8] {
                 let mut cache = SolverCache::transient();
                 let got = exec::predict_top_k_many_cached_t(
-                    &refs, &snap, &pruned, k, 0x11A5, threads, &mut cache,
+                    &refs, &snap.clone(), &pruned, k, 0x11A5, threads, &mut cache,
                 );
                 for (i, m) in refs.iter().enumerate() {
                     prop_assert_eq!(

@@ -110,8 +110,8 @@ impl MergeArena {
     ) -> Result<(), (NodeId, NodeId)> {
         self.scratch.merge(&self.snap, edges, new_n, time, prefix_len, &mut self.back)?;
         std::mem::swap(&mut self.snap, &mut self.back);
-        // The previous snapshot's degree tables, digest and triangle
-        // counts describe a prefix no reader can ask for any more.
+        // The values derived from the previous snapshot describe a prefix
+        // no reader can ask for any more.
         self.back.clear_caches();
         Ok(())
     }
@@ -131,9 +131,7 @@ impl Snapshot {
             time: 0,
             edge_count: 0,
             prefix_len: 0,
-            tables: std::sync::OnceLock::new(),
-            digest: std::sync::OnceLock::new(),
-            triangles: std::sync::OnceLock::new(),
+            memo: Default::default(),
         }
     }
 }
@@ -342,8 +340,8 @@ impl MergeScratch {
         debug_assert_eq!(nbr2.len(), old_end + self.staging.len());
         debug_assert_eq!(nbr2.len(), 2 * prefix_len);
 
-        // 3. Stamp the merged CSR. Any degree tables, digest or triangle
-        // counts `out` held describe an older prefix.
+        // 3. Stamp the merged CSR. Any value derived from `out` describes
+        // an older prefix.
         out.n = new_n;
         out.time = time;
         out.edge_count = prefix_len;
@@ -405,27 +403,25 @@ mod tests {
 
     #[test]
     fn advance_invalidates_degree_tables() {
+        struct InvDeg;
         let g = staggered(10);
         let mut b = SnapshotBuilder::new(&g);
         for prefix in [3usize, 6, g.edge_count()] {
             let snap = b.advance_to(prefix);
-            // Populate the cache at this prefix, then check it against the
-            // live degrees: a stale table from the previous prefix would
-            // disagree the moment any node gained an edge.
-            let tables = snap.degree_tables();
+            // Derive a degree table at this prefix, then check it against
+            // the live degrees: a table memoized at the previous prefix
+            // would disagree the moment any node gained an edge.
+            let tables = snap.derived::<InvDeg, Vec<f64>>(&[], || {
+                (0..snap.node_count() as NodeId).map(|u| 1.0 / snap.degree(u) as f64).collect()
+            });
+            assert_eq!(tables.len(), snap.node_count(), "prefix {prefix}");
             for u in 0..snap.node_count() as NodeId {
                 assert_eq!(
-                    tables.inv_deg(u),
+                    tables[u as usize],
                     1.0 / snap.degree(u) as f64,
                     "prefix {prefix} node {u}"
                 );
             }
-            // The cached adjacency digest and triangle counts are
-            // invalidated with the tables.
-            let digest = snap.adjacency_digest();
-            assert_eq!(digest, Snapshot::up_to(&g, prefix).adjacency_digest(), "prefix {prefix}");
-            let fresh = crate::stats::triangle_counts(&Snapshot::up_to(&g, prefix));
-            assert_eq!(snap.triangle_counts(), &fresh[..], "prefix {prefix}");
         }
     }
 

@@ -2,7 +2,9 @@
 
 use crate::temporal::TemporalGraph;
 use crate::{canonical, NodeId, Timestamp};
-use std::sync::OnceLock;
+use std::any::{Any, TypeId};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A broken CSR invariant detected by [`Snapshot::validate`].
 ///
@@ -142,50 +144,28 @@ impl std::fmt::Display for InvariantViolation {
 
 impl std::error::Error for InvariantViolation {}
 
-/// Degree-derived lookup tables for one snapshot, built once and cached on
-/// the [`Snapshot`] (see [`Snapshot::degree_tables`]).
-///
-/// The local-information metrics weight every common-neighbor witness `w`
-/// by `1 / deg(w)` (RA) or `1 / ln(deg w)` (AA) — recomputing the division
-/// and logarithm per (pair, witness) is pure waste, since the values only
-/// depend on the snapshot. The fused scoring kernel
-/// (`osn_metrics::fused`) reads these tables instead.
-///
-/// Entries are exactly the expressions the per-pair formulas evaluate
-/// (`1.0 / (deg as f64).ln()`, `1.0 / deg as f64`), so sums built
-/// from table lookups are bit-identical to sums built from inline
-/// recomputation. Entries for degree 0 and 1 hold the raw IEEE results
-/// (infinities / negative zero); they are never consulted, because a
-/// common-neighbor witness always has degree ≥ 2.
-#[derive(Clone, Debug)]
-pub struct DegreeTables {
-    inv_ln_deg: Vec<f64>,
-    inv_deg: Vec<f64>,
+/// A memo key: the deriving type, the value type and the bits of the
+/// deriving type's fields.
+type MemoKey = (TypeId, TypeId, Vec<u64>);
+
+/// One key's once-cell: its first caller builds the value, and callers
+/// arriving meanwhile wait for it.
+type MemoCell = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
+
+/// The values derived from a snapshot (see [`Snapshot::derived`]). A
+/// clone starts empty.
+#[derive(Default)]
+pub(crate) struct Memo(Mutex<BTreeMap<MemoKey, MemoCell>>);
+
+impl Clone for Memo {
+    fn clone(&self) -> Self {
+        Memo::default()
+    }
 }
 
-impl DegreeTables {
-    fn build(snap: &Snapshot) -> Self {
-        let n = snap.node_count();
-        let mut inv_ln_deg = Vec::with_capacity(n);
-        let mut inv_deg = Vec::with_capacity(n);
-        for u in 0..n {
-            let d = snap.degree(u as NodeId) as f64;
-            inv_ln_deg.push(1.0 / d.ln());
-            inv_deg.push(1.0 / d);
-        }
-        DegreeTables { inv_ln_deg, inv_deg }
-    }
-
-    /// `1.0 / (deg(u) as f64).ln()` per node — AA's witness weight.
-    #[inline]
-    pub fn inv_ln_deg(&self, u: NodeId) -> f64 {
-        self.inv_ln_deg[u as usize]
-    }
-
-    /// `1.0 / deg(u) as f64` per node — RA's witness weight.
-    #[inline]
-    pub fn inv_deg(&self, u: NodeId) -> f64 {
-        self.inv_deg[u as usize]
+impl std::fmt::Debug for Memo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Memo").finish_non_exhaustive()
     }
 }
 
@@ -201,11 +181,11 @@ impl DegreeTables {
 /// at or before the snapshot time, whether or not it has edges yet.
 ///
 /// `PartialEq`/`Eq` compare the full structural representation (offsets,
-/// neighbor and edge-time arrays, counters) and deliberately ignore the
-/// lazily built [`DegreeTables`], adjacency-digest and triangle-count
-/// caches, which is what lets the property tests assert that incrementally
-/// advanced snapshots ([`crate::builder::SnapshotBuilder`]) are
-/// bit-identical to from-scratch [`Snapshot::up_to`] builds.
+/// neighbor and edge-time arrays, counters) and ignore the memo of
+/// derived values ([`Snapshot::derived`]), which is what lets the
+/// property tests assert that incrementally advanced snapshots
+/// ([`crate::builder::SnapshotBuilder`]) are bit-identical to
+/// from-scratch [`Snapshot::up_to`] builds.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub(crate) n: usize,
@@ -215,16 +195,9 @@ pub struct Snapshot {
     pub(crate) time: Timestamp,
     pub(crate) edge_count: usize,
     pub(crate) prefix_len: usize,
-    /// Lazily built degree tables; invalidated whenever the CSR mutates
-    /// (every incremental merge and the [`Snapshot::from_edges`]
-    /// node-count fixup).
-    pub(crate) tables: OnceLock<DegreeTables>,
-    /// Lazily computed [`adjacency_digest`](Snapshot::adjacency_digest);
-    /// invalidated together with `tables`.
-    pub(crate) digest: OnceLock<u64>,
-    /// Lazily computed [`triangle_counts`](Snapshot::triangle_counts);
-    /// invalidated together with `tables`.
-    pub(crate) triangles: OnceLock<Vec<u64>>,
+    /// The values derived from this CSR; emptied whenever it changes
+    /// (every incremental merge).
+    pub(crate) memo: Memo,
 }
 
 impl PartialEq for Snapshot {
@@ -298,9 +271,7 @@ impl Snapshot {
             time,
             edge_count: prefix_len,
             prefix_len,
-            tables: OnceLock::new(),
-            digest: OnceLock::new(),
-            triangles: OnceLock::new(),
+            memo: Memo::default(),
         }
     }
 
@@ -336,48 +307,32 @@ impl Snapshot {
         &self.neighbors[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
-    /// The per-snapshot [`DegreeTables`], built on first use and cached for
-    /// the snapshot's lifetime. Thread-safe: concurrent first callers race
-    /// on one `OnceLock` initialization and then share the same tables.
-    pub fn degree_tables(&self) -> &DegreeTables {
-        self.tables.get_or_init(|| DegreeTables::build(self))
+    /// The value `build` derives from this snapshot, built by the first
+    /// call for its key and shared by every later one. The key is the
+    /// deriving type `K`, the value type `T` and `params`, the bits of
+    /// `K`'s fields the value depends on. Each key has its own once-cell,
+    /// so concurrent first callers of one key build once; the memo's lock
+    /// is held only to find or insert the cell, never while building. The
+    /// memo is emptied whenever the CSR changes, and a clone starts empty.
+    pub fn derived<K: 'static, T: Any + Send + Sync>(
+        &self,
+        params: &[u64],
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let key = (TypeId::of::<K>(), TypeId::of::<T>(), params.to_vec());
+        // A poisoned lock is recovered: the only update under it is one
+        // insert, which leaves the map valid whenever it stops.
+        let cell = Arc::clone(
+            self.memo.0.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default(),
+        );
+        let value = cell.get_or_init(|| -> Arc<dyn Any + Send + Sync> { Arc::new(build()) });
+        // linklens-allow(unwrap-in-lib): the key names `T`, so its cell holds a `T`
+        Arc::clone(value).downcast().expect("a memo cell holds its key's value type")
     }
 
-    /// Drops the lazily built degree tables, digest and triangle counts,
-    /// for a caller that just changed the CSR under them.
+    /// Empties the memo, for a caller that just changed the CSR under it.
     pub(crate) fn clear_caches(&mut self) {
-        self.tables.take();
-        self.digest.take();
-        self.triangles.take();
-    }
-
-    /// Per-node triangle counts ([`crate::stats::triangle_counts`]), counted
-    /// on first use and cached for the snapshot's lifetime. The
-    /// naive-Bayes witness weights read them, so a served version counts
-    /// once however many workers score it: concurrent first callers block
-    /// on one `OnceLock` initialization and share its result.
-    pub fn triangle_counts(&self) -> &[u64] {
-        self.triangles.get_or_init(|| crate::stats::triangle_counts(self))
-    }
-
-    /// A 64-bit FNV-1a digest of the adjacency structure: the node count,
-    /// every degree, and every sorted neighbor list (edge times are not
-    /// included). Computed on first use and cached beside the
-    /// [`DegreeTables`]. Equal adjacency gives an equal digest, so clones
-    /// and rebuilt prefixes share it; caches of adjacency-derived state
-    /// (`osn_metrics::solver::SolverCache`) key on it.
-    pub fn adjacency_digest(&self) -> u64 {
-        *self.digest.get_or_init(|| {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3);
-            mix(self.n as u64);
-            for w in self.offsets.windows(2) {
-                let nb = &self.neighbors[w[0]..w[1]];
-                mix(nb.len() as u64);
-                nb.iter().for_each(|&v| mix(u64::from(v)));
-            }
-            h
-        })
+        self.memo = Memo::default();
     }
 
     /// Creation times parallel to [`neighbors`](Self::neighbors).
@@ -565,11 +520,9 @@ impl Snapshot {
         assert!(added > 0, "from_edges needs at least one edge");
         let mut s = Snapshot::up_to(&g, added);
         // `up_to` sizes the node set by arrival; with all arrivals at 0 it
-        // already equals n, but keep the contract explicit. The degree
-        // tables, digest and triangle counts (if any were built) are
-        // invalidated by the resize.
+        // already equals n, but keep the contract explicit. Nothing has
+        // been derived from the new snapshot yet.
         s.n = n;
-        s.clear_caches();
         if s.offsets.len() < n + 1 {
             // linklens-allow(unwrap-in-lib): offsets always holds at least the leading zero
             let last = *s.offsets.last().expect("non-empty offsets");
@@ -716,43 +669,44 @@ mod tests {
     }
 
     #[test]
-    fn degree_tables_match_inline_formulas() {
-        let g = fixture();
-        let s = Snapshot::up_to(&g, 5);
-        let t = s.degree_tables();
-        for u in 0..s.node_count() as NodeId {
-            let d = s.degree(u) as f64;
-            assert_eq!(t.inv_ln_deg(u), 1.0 / d.ln(), "inv_ln_deg node {u}");
-            assert_eq!(t.inv_deg(u), 1.0 / d, "inv_deg node {u}");
-        }
-        // Cached: a second call returns the same allocation.
-        assert!(std::ptr::eq(s.degree_tables(), t));
-    }
-
-    #[test]
     fn equality_ignores_degree_table_cache() {
         let g = fixture();
         let a = Snapshot::up_to(&g, 5);
         let b = Snapshot::up_to(&g, 5);
-        // a has the caches populated, b does not
-        let _ = a.degree_tables();
-        let _ = a.triangle_counts();
+        // a's memo holds a value derived from it, b's holds nothing.
+        let _ = a.derived::<f64, Vec<f64>>(&[], || {
+            (0..a.node_count() as NodeId).map(|u| 1.0 / a.degree(u) as f64).collect()
+        });
         assert_eq!(a, b);
     }
 
     #[test]
-    fn adjacency_digest_follows_adjacency_not_size() {
-        let ring = Snapshot::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let star_plus = Snapshot::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2)]);
-        assert_eq!(ring.edge_count(), star_plus.edge_count());
-        assert_ne!(ring.adjacency_digest(), star_plus.adjacency_digest());
-        // Equal adjacency, independent builds and clones: one digest.
-        let again = Snapshot::from_edges(4, &[(3, 0), (2, 3), (1, 2), (0, 1)]);
-        assert_eq!(ring.adjacency_digest(), again.adjacency_digest());
-        assert_eq!(ring.clone().adjacency_digest(), ring.adjacency_digest());
-        // An isolated extra node changes the adjacency.
-        let wider = Snapshot::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert_ne!(ring.adjacency_digest(), wider.adjacency_digest());
+    fn memo_keys_on_deriving_type_value_type_and_param_bits() {
+        struct Deriver;
+        let s = Snapshot::up_to(&fixture(), 5);
+        let first = s.derived::<Deriver, u64>(&[1], || 1);
+        assert_eq!(*s.derived::<Deriver, u64>(&[1], || unreachable!("memoized")), 1);
+        assert!(Arc::ptr_eq(&first, &s.derived::<Deriver, u64>(&[1], || 0)));
+        // Another deriving type, value type, parameter bit or parameter
+        // count is another key.
+        assert_eq!(*s.derived::<u8, u64>(&[1], || 2), 2);
+        assert_eq!(*s.derived::<Deriver, u32>(&[1], || 3), 3);
+        assert_eq!(*s.derived::<Deriver, u64>(&[1 | 1 << 63], || 4), 4);
+        assert_eq!(*s.derived::<Deriver, u64>(&[0.5f64.to_bits()], || 5), 5);
+        assert_eq!(*s.derived::<Deriver, u64>(&[1, 0], || 6), 6);
+        assert_eq!(*s.derived::<Deriver, u64>(&[], || 7), 7);
+        assert_eq!(*s.derived::<Deriver, u64>(&[1], || 0), 1);
+    }
+
+    #[test]
+    fn a_clone_starts_with_an_empty_memo() {
+        let s = Snapshot::up_to(&fixture(), 5);
+        let warm = s.derived::<(), Vec<u64>>(&[], || vec![1, 2, 3]);
+        let copy = s.clone();
+        assert_eq!(copy, s);
+        let cold = copy.derived::<(), Vec<u64>>(&[], || vec![4]);
+        assert_eq!(*cold, [4]);
+        assert_eq!(*s.derived::<(), Vec<u64>>(&[], || vec![5]), *warm);
     }
 
     #[test]

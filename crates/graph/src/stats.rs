@@ -64,8 +64,10 @@ fn percentile_sorted(sorted: &[usize], q: f64) -> f64 {
 /// `(u, v, w)`. Each triangle is found exactly once, at its earliest
 /// corner, and credited to all three, for O(|E|·√|E|) work in all.
 ///
-/// Uncached: [`Snapshot::triangle_counts`] runs this once per snapshot and
-/// keeps the result.
+/// Uncached: a caller that reads the counts more than once per snapshot
+/// keeps what it derives from them in the snapshot's memo
+/// ([`Snapshot::derived`]), as the naive-Bayes weight tables of
+/// `osn_metrics` do.
 pub fn triangle_counts(snap: &Snapshot) -> Vec<u64> {
     let n = snap.node_count();
     let before = |a: NodeId, b: NodeId| (snap.degree(a), a) < (snap.degree(b), b);

@@ -1,9 +1,10 @@
 //! The triangle kernel pinned to an oracle. `stats::triangle_counts`, the
 //! degree-ordered forward count, must equal the per-wedge count it
 //! replaced on random graphs: degree ties, a hub adjacent to every node,
-//! isolated nodes. `Snapshot::triangle_counts`, its cached result, must
-//! equal the kernel on every snapshot a sweep or a live publish produces,
-//! so a cache that outlives its CSR fails here.
+//! isolated nodes. The counts memoized on a snapshot
+//! ([`Snapshot::derived`]) must equal the kernel on every snapshot a sweep
+//! or a live publish produces, so a memo that outlives its CSR fails here,
+//! and concurrent first callers must count once.
 
 use osn_graph::builder::SnapshotBuilder;
 use osn_graph::live::LiveGraph;
@@ -12,6 +13,16 @@ use osn_graph::stats;
 use osn_graph::temporal::TemporalGraph;
 use osn_graph::NodeId;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// The memo key of the counts these tests derive.
+struct Triangles;
+
+/// `snap`'s triangle counts through its memo.
+fn memoized(snap: &Snapshot) -> Arc<Vec<u64>> {
+    snap.derived::<Triangles, Vec<u64>>(&[], || stats::triangle_counts(snap))
+}
 
 /// The oracle: the per-wedge count `stats::triangle_counts` ran before the
 /// forward kernel. Each triangle is found exactly once at its lowest-id
@@ -90,28 +101,28 @@ proptest! {
         prop_assert_eq!(stats::triangle_counts(&snap), per_wedge_triangle_counts(&snap));
     }
 
-    /// At every builder prefix the cached count equals a fresh kernel run
-    /// on the same CSR. Each prefix reads the cache first, so a count kept
-    /// across an advance would disagree as soon as a triangle closes.
+    /// At every builder prefix the memoized count equals a fresh kernel
+    /// run on the same CSR. Each prefix reads the memo first, so a count
+    /// kept across an advance would disagree as soon as a triangle closes.
     #[test]
     fn cached_counts_follow_every_builder_prefix(g in arb_trace()) {
         prop_assume!(g.edge_count() > 0);
         let mut builder = SnapshotBuilder::new(&g);
         for prefix in 1..=g.edge_count() {
             let snap = builder.advance_to(prefix);
-            let cached = snap.triangle_counts().to_vec();
+            let cached = memoized(snap).to_vec();
             prop_assert_eq!(cached, stats::triangle_counts(snap), "prefix {}", prefix);
         }
     }
 
-    /// Every live publication, the empty version 0 included, caches the
+    /// Every live publication, the empty version 0 included, memoizes the
     /// kernel's count of its own snapshot.
     #[test]
     fn cached_counts_follow_every_live_publish(g in arb_trace(), batch in 1usize..6) {
         let mut live = LiveGraph::new();
         let empty = live.publish();
         prop_assert_eq!(empty.version, 0);
-        prop_assert_eq!(empty.snapshot.triangle_counts(), &[] as &[u64]);
+        prop_assert_eq!(&memoized(&empty.snapshot)[..], &[] as &[u64]);
         for e in g.edges() {
             while live.node_count() <= e.u.max(e.v) as usize {
                 live.ingest_node(g.arrival(live.node_count() as NodeId)).unwrap();
@@ -120,12 +131,12 @@ proptest! {
             if live.pending_edges() >= batch {
                 let p = live.publish();
                 let fresh = stats::triangle_counts(&p.snapshot);
-                prop_assert_eq!(p.snapshot.triangle_counts(), &fresh[..], "version {}", p.version);
+                prop_assert_eq!(&memoized(&p.snapshot)[..], &fresh[..], "version {}", p.version);
             }
         }
         let last = live.publish();
         let fresh = stats::triangle_counts(&last.snapshot);
-        prop_assert_eq!(last.snapshot.triangle_counts(), &fresh[..], "final version {}", last.version);
+        prop_assert_eq!(&memoized(&last.snapshot)[..], &fresh[..], "final version {}", last.version);
     }
 }
 
@@ -156,18 +167,23 @@ fn concurrent_first_callers_share_one_count() {
     let edges: Vec<(NodeId, NodeId)> =
         (0..40).flat_map(|u| [(u, (u + 1) % 40), (u, (u + 7) % 40)]).collect();
     let snap = Snapshot::from_edges(40, &edges);
-    // Both threads reach the empty cache together, as two serve workers
-    // re-pinning one new version do.
-    let start = std::sync::Barrier::new(2);
+    // Four threads reach the empty memo together, as serve workers
+    // re-pinning one new version do: one of them counts, and every one
+    // reads that count.
+    let builds = AtomicUsize::new(0);
+    let start = std::sync::Barrier::new(4);
     let first_call = || {
         start.wait();
-        snap.triangle_counts().as_ptr() as usize
+        snap.derived::<Triangles, Vec<u64>>(&[], || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            stats::triangle_counts(&snap)
+        })
     };
-    let (a, b) = std::thread::scope(|scope| {
-        let first = scope.spawn(first_call);
-        let second = scope.spawn(first_call);
-        (first.join().unwrap(), second.join().unwrap())
+    let counts: Vec<Arc<Vec<u64>>> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..4).map(|_| scope.spawn(first_call)).collect();
+        callers.into_iter().map(|c| c.join().unwrap()).collect()
     });
-    assert_eq!(a, b, "both callers read the one cached count");
-    assert_eq!(snap.triangle_counts(), &stats::triangle_counts(&snap)[..]);
+    assert_eq!(builds.load(Ordering::SeqCst), 1, "one build for four first callers");
+    assert!(counts.iter().all(|c| Arc::ptr_eq(c, &counts[0])), "all read the one count");
+    assert_eq!(*counts[0], stats::triangle_counts(&snap));
 }

@@ -11,38 +11,50 @@
 //!
 //! Scores can be negative (they are log-odds); only the ranking matters.
 //! The three metrics are the kernel kinds `LocalKind::{Bcn, Baa, Bra}`
-//! (see [`crate::fused::LocalKind`]); the fused kernel derives its
-//! per-witness weight tables from the [`BayesContext`] built here.
+//! (see [`crate::fused::LocalKind`]); the fused kernel reads their
+//! per-witness weights from the tables built here, memoized on the
+//! snapshot.
 
 use osn_graph::snapshot::Snapshot;
-use osn_graph::NodeId;
+use osn_graph::{stats, NodeId};
 
-/// Precomputed per-snapshot naive-Bayes quantities, derived from the
-/// snapshot's cached [`Snapshot::triangle_counts`]. The fused kernel
-/// (`crate::fused`) builds it and derives its BAA/BRA weight tables from
-/// it.
-pub(crate) struct BayesContext {
+/// One snapshot's naive-Bayes weight tables, derived from its triangle
+/// counts ([`stats::triangle_counts`]). The fused kernel (`crate::fused`)
+/// keeps them in the snapshot's memo, so a snapshot counts its triangles
+/// once however many contexts and workers score it.
+pub(crate) struct BayesTables {
     pub(crate) log_s: f64,
-    /// `log R_w` per node.
+    /// `log R_w` per node — BCN's summand.
     pub(crate) log_r: Vec<f64>,
+    /// `(log s + log R_w) / ln(deg w)` per node — BAA's exact summand.
+    /// Entries for degree < 2 are non-finite but never consulted:
+    /// witnesses always have degree ≥ 2.
+    pub(crate) baa_w: Vec<f64>,
+    /// `(log s + log R_w) / deg w` per node — BRA's exact summand.
+    pub(crate) bra_w: Vec<f64>,
 }
 
-impl BayesContext {
+impl BayesTables {
     pub(crate) fn build(snap: &Snapshot) -> Self {
         let n = snap.node_count() as f64;
         let e = snap.edge_count() as f64;
         // Guard tiny graphs: s must stay positive for the log.
-        let s = (n * (n - 1.0) / (2.0 * e.max(1.0)) - 1.0).max(1e-9);
-        let tri = snap.triangle_counts();
-        let log_r = (0..snap.node_count())
+        let log_s = (n * (n - 1.0) / (2.0 * e.max(1.0)) - 1.0).max(1e-9).ln();
+        let tri = stats::triangle_counts(snap);
+        let degree = |w: usize| snap.degree(w as NodeId) as f64;
+        let log_r: Vec<f64> = (0..snap.node_count())
             .map(|w| {
-                let d = snap.degree(w as NodeId) as f64;
+                let d = degree(w);
                 let wedges = d * (d - 1.0) / 2.0;
                 let t = tri[w] as f64;
                 ((t + 1.0) / ((wedges - t) + 1.0)).ln()
             })
             .collect();
-        BayesContext { log_s: s.ln(), log_r }
+        // Exactly the per-pair summands of BAA and BRA: same log-space
+        // numerator, same divisor expressions.
+        let baa_w = log_r.iter().enumerate().map(|(w, r)| (log_s + r) / degree(w).ln()).collect();
+        let bra_w = log_r.iter().enumerate().map(|(w, r)| (log_s + r) / degree(w)).collect();
+        BayesTables { log_s, log_r, baa_w, bra_w }
     }
 }
 
@@ -65,7 +77,7 @@ mod tests {
     #[test]
     fn r_weight_prefers_triangle_closers() {
         let s = closing_vs_open();
-        let ctx = BayesContext::build(&s);
+        let ctx = BayesTables::build(&s);
         // Node 1: deg 2, 1 triangle, 0 open wedges → R = 2/1 = 2.
         assert!((ctx.log_r[1] - 2.0_f64.ln()).abs() < 1e-12);
         // Node 5: deg 2, 0 triangles, 1 open wedge → R = 1/2.
@@ -84,7 +96,7 @@ mod tests {
         let s = closing_vs_open();
         let scores = score_pairs_t(&LocalKind::Bcn, &s, &[(3, 4)], 1);
         // Witness 5 has log R < 0, so BCN < log s · 1.
-        let ctx = BayesContext::build(&s);
+        let ctx = BayesTables::build(&s);
         assert!(scores[0] < ctx.log_s);
     }
 

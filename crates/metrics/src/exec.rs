@@ -5,12 +5,18 @@
 //! feature matrix, the serving workers — goes through one of four entry
 //! points:
 //!
-//! | Entry point | Returns | Solver cache |
+//! | Entry point | Returns | Solver counters |
 //! |---|---|---|
-//! | [`score_pairs_t`] | one metric's scores | transient |
+//! | [`score_pairs_t`] | one metric's scores | dropped |
 //! | [`score_matrix_cached_t`] | one score column per metric | caller's |
 //! | [`predict_top_k_many_cached_t`] | one top-k list per metric | caller's |
 //! | [`score_pairs_targeted`] | one metric's scores on caller-owned kernel state | caller's |
+//!
+//! The counters ([`SolverCache`]) are all a caller's cache holds. What a
+//! metric derives from a snapshot, its kernel tables and its factors,
+//! lives in the snapshot's memo
+//! ([`Snapshot::derived`](osn_graph::snapshot::Snapshot::derived)), so
+//! every entry point, cache and worker shares it.
 //!
 //! The first three share one batch routine, which splits a metric list in
 //! two:
@@ -24,13 +30,14 @@
 //!    without materializing the column.
 //! 2. **Every other metric** is scored whole, in input order, through its
 //!    [`Metric::score_pairs_cached`] hook with the full worker budget and
-//!    the caller's [`SolverCache`]. SP, LP and the time-aware metrics cut
+//!    the caller's counters. SP, LP and the time-aware metrics cut
 //!    source-aligned chunks through [`score_chunked`] (splitting only
 //!    where `pairs[i].0` changes) and score them in parallel; SP and LP
 //!    group each chunk by solve side, one BFS or scan per side. The walk
 //!    metrics solve once per call; Katz-lr, Katz-sc and Rescal factor
-//!    once per snapshot into the cache's [`LowRank`](crate::solver::LowRank)
-//!    slot and score every later call on the snapshot from it.
+//!    once per snapshot into the snapshot's memo (a
+//!    [`LowRank`](crate::solver::LowRank) per metric config) and score
+//!    every later call on the snapshot from it.
 //!
 //! Every column is checked against its metric's [`ScoreContract`] when
 //! audits are enabled. Scores depend only on (snapshot, pair list): LRW
@@ -189,7 +196,7 @@ where
     out
 }
 
-/// Scores `pairs` for one metric with a transient [`SolverCache`]: fused
+/// Scores `pairs` for one metric, dropping the solver counters: fused
 /// metrics through the source-batched kernel, everything else through
 /// its [`Metric::score_pairs_cached`] hook. Bit-identical for every
 /// `threads` value.
@@ -208,13 +215,12 @@ pub fn score_pairs_t(
 /// several metrics — the classification pipeline's feature-matrix
 /// backend. Fused-kernel metrics are produced together, one witness walk
 /// per source per chunk yielding every fused column at once; the rest are
-/// scored one after another through their hooks with the caller's
-/// [`SolverCache`]: the global metrics read the snapshot's own
-/// adjacency CSR and share the cache's per-snapshot state, the factors
-/// of Katz-lr, Katz-sc and Rescal (see [`crate::solver`]). Column
-/// contents are bit-identical for
-/// every `threads` value and do not depend on what the cache scored
-/// before.
+/// scored one after another through their hooks, counting into the
+/// caller's [`SolverCache`]: the global metrics read the snapshot's own
+/// adjacency CSR, and Katz-lr, Katz-sc and Rescal the factors memoized on
+/// the snapshot (see [`crate::solver`]). Column contents are
+/// bit-identical for every `threads` value and do not depend on what was
+/// scored before.
 pub fn score_matrix_cached_t(
     metrics: &[&dyn Metric],
     snap: &Snapshot,
@@ -231,9 +237,8 @@ pub fn score_matrix_cached_t(
 /// Fused metrics are scored together by the source-batched kernel, each
 /// chunk streaming into per-chunk [`TopKAcc`] heaps that merge into the
 /// serial selection; every other metric is scored whole through its hook
-/// with the caller's [`SolverCache`] and selected serially, so Katz-lr,
-/// Katz-sc and Rescal factor once per snapshot across the calls that
-/// share the cache. Results
+/// and selected serially, Katz-lr, Katz-sc and Rescal from the factors
+/// memoized on the snapshot. Results
 /// are in input metric order and — including tie-break order — identical
 /// for every `threads` value.
 #[allow(clippy::too_many_arguments)]
@@ -281,9 +286,11 @@ pub fn predict_top_k_many_cached_t(
 ///   the batch engine's per-kind context.
 /// * Everything else goes through [`Metric::score_pairs_cached`] at one
 ///   worker (per-source query batches are far below the engine's
-///   chunking threshold) with the caller's [`SolverCache`]: Katz-lr,
-///   Katz-sc and Rescal factor on a version's first miss and score every
-///   later query at that version from the cached factors.
+///   chunking threshold), counting into the caller's [`SolverCache`]:
+///   Katz-lr, Katz-sc and Rescal factor on a version's first miss, at
+///   whichever worker takes it, and score every later query at that
+///   version, at every worker, from the factors memoized on the
+///   snapshot.
 ///
 /// Bit-identical to [`score_pairs_t`] with `threads = 1` on the same pair
 /// list — the contract the serving parity asserts rely on. A query's
@@ -354,8 +361,10 @@ mod tests {
         let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
         let mut cache = SolverCache::transient();
         let many = predict_top_k_many_cached_t(&refs, &snap, &cands, 4, 0x11A5, 3, &mut cache);
+        // A clone has an empty memo, so the single-metric side factors anew.
+        let single_snap = snap.clone();
         for (i, m) in refs.iter().enumerate() {
-            let scores = score_pairs_t(*m, &snap, cands.pairs(), 1);
+            let scores = score_pairs_t(*m, &single_snap, cands.pairs(), 1);
             let single = crate::topk::top_k_pairs(cands.pairs(), &scores, 4, 0x11A5);
             assert_eq!(many[i], single, "{}", m.name());
         }
@@ -423,6 +432,7 @@ mod tests {
         let cands = CandidateSet::build(&snap, CandidatePolicy::Global, 2);
         let ctx = fused::FusedCtx::build(&snap, &LocalKind::ALL);
         let mut scratch = FusedScratch::new(snap.node_count());
+        let batched_snap = snap.clone();
         for m in crate::all_metrics() {
             let mut targeted_cache = SolverCache::transient();
             // Per-source slices, the shape serving queries take.
@@ -436,7 +446,7 @@ mod tests {
                     slice,
                     &mut targeted_cache,
                 );
-                let batched = score_pairs_t(m.as_ref(), &snap, slice, 1);
+                let batched = score_pairs_t(m.as_ref(), &batched_snap, slice, 1);
                 assert_eq!(targeted, batched, "{}", m.name());
             }
         }
@@ -450,8 +460,14 @@ mod tests {
         let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
         let matrix =
             score_matrix_cached_t(&refs, &snap, cands.pairs(), 4, &mut SolverCache::transient());
+        let column_snap = snap.clone();
         for (i, m) in refs.iter().enumerate() {
-            assert_eq!(matrix[i], score_pairs_t(*m, &snap, cands.pairs(), 1), "{}", m.name());
+            assert_eq!(
+                matrix[i],
+                score_pairs_t(*m, &column_snap, cands.pairs(), 1),
+                "{}",
+                m.name()
+            );
         }
     }
 }

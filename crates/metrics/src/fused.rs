@@ -9,11 +9,13 @@
 //! `u` draws its witnesses from `Γ(u)`. This kernel therefore batches by
 //! source: it stamps the targets of `u` into an epoch-stamped marker
 //! array, walks the CSR rows of `Γ(u)` **once**, and scatter-accumulates
-//! each metric's witness contribution into per-candidate slots. JC, PA,
-//! and the Bayes variants then derive from per-snapshot cached degree
-//! tables ([`Snapshot::degree_tables`]) and naive-Bayes weight tables. A
-//! batch of PA alone has no witnesses, so it skips the source runs and
-//! derives each degree product straight from the pair.
+//! each metric's witness contribution into per-candidate slots. AA, RA
+//! and the Bayes variants read their witness weights from per-snapshot
+//! degree and naive-Bayes tables, memoized on the snapshot
+//! ([`Snapshot::derived`]), so every context built on one
+//! snapshot, in every worker, shares one copy. A batch of PA alone has no
+//! witnesses, so it skips the source runs and derives each degree product
+//! straight from the pair.
 //!
 //! **Bit-identity.** The kernel is bit-for-bit identical to the per-pair
 //! path (the references in `linklens_bench::oracles`, one intersection
@@ -33,9 +35,10 @@
 //! ([`crate::candidates::CandidateSet`], or a served query's targets); it
 //! never enumerates candidates itself.
 
-use crate::bayes::BayesContext;
-use osn_graph::snapshot::{DegreeTables, Snapshot};
+use crate::bayes::BayesTables;
+use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
+use std::sync::Arc;
 
 /// One of the eight local metrics, and the column the fused kernel
 /// computes for it. Each kind is itself a
@@ -134,28 +137,43 @@ impl Needs {
     }
 }
 
-/// Per-snapshot naive-Bayes weight tables (built once per kernel context
-/// when any Bayes kind is requested, instead of once per chunk as on the
-/// per-pair path).
-struct BayesTables {
-    log_s: f64,
-    /// `log R_w` per node (the per-pair path's summand for BCN).
-    log_r: Vec<f64>,
-    /// `(log s + log R_w) / ln(deg w)` per node — BAA's exact summand.
-    /// Entries for degree < 2 are non-finite but never consulted:
-    /// witnesses always have degree ≥ 2.
-    baa_w: Vec<f64>,
-    /// `(log s + log R_w) / deg w` per node — BRA's exact summand.
-    bra_w: Vec<f64>,
+/// Degree-derived witness weights for one snapshot, memoized on it.
+///
+/// The local-information metrics weight every common-neighbor witness `w`
+/// by `1 / deg(w)` (RA) or `1 / ln(deg w)` (AA); recomputing the division
+/// and logarithm per (pair, witness) is waste, since the values depend
+/// only on the snapshot.
+///
+/// Entries are exactly the expressions the per-pair formulas evaluate
+/// (`1.0 / (deg as f64).ln()`, `1.0 / deg as f64`), so sums built
+/// from table lookups are bit-identical to sums built from inline
+/// recomputation. Entries for degree 0 and 1 hold the raw IEEE results
+/// (infinities / negative zero); they are never consulted, because a
+/// common-neighbor witness always has degree ≥ 2.
+struct DegreeTables {
+    /// `1.0 / (deg(u) as f64).ln()` per node — AA's witness weight.
+    inv_ln_deg: Vec<f64>,
+    /// `1.0 / deg(u) as f64` per node — RA's witness weight.
+    inv_deg: Vec<f64>,
+}
+
+impl DegreeTables {
+    fn build(snap: &Snapshot) -> Self {
+        let degrees = (0..snap.node_count()).map(|u| snap.degree(u as NodeId) as f64);
+        DegreeTables {
+            inv_ln_deg: degrees.clone().map(|d| 1.0 / d.ln()).collect(),
+            inv_deg: degrees.map(|d| 1.0 / d).collect(),
+        }
+    }
 }
 
 /// Read-only per-snapshot state for the kernel: the snapshot itself, its
-/// cached degree tables, and (when a Bayes kind is requested) the
-/// naive-Bayes weight tables. Build once, share across workers.
+/// degree tables, and (when a Bayes kind is requested) its naive-Bayes
+/// weight tables. Build once, share across workers.
 pub struct FusedCtx<'s> {
     snap: &'s Snapshot,
-    tables: &'s DegreeTables,
-    bayes: Option<BayesTables>,
+    tables: Arc<DegreeTables>,
+    bayes: Option<Arc<BayesTables>>,
 }
 
 impl<'s> FusedCtx<'s> {
@@ -167,29 +185,16 @@ impl<'s> FusedCtx<'s> {
     }
 
     /// Prepares the kernel context for `kinds` on `snap`; it can score any
-    /// subset of `kinds`. The degree tables come from the snapshot's
-    /// [`Snapshot::degree_tables`] cache. Iff a Bayes kind is present, the
-    /// Bayes weight tables are derived here from the snapshot's cached
-    /// [`Snapshot::triangle_counts`]: the snapshot counts once, and each
-    /// context built on it pays one O(n) pass over the nodes.
+    /// subset of `kinds`. The degree tables and, iff a Bayes kind is
+    /// present, the Bayes weight tables come from the snapshot's memo:
+    /// the first context built on a snapshot builds them, and every later
+    /// one, in any worker, reads them.
     pub fn build(snap: &'s Snapshot, kinds: &[LocalKind]) -> Self {
-        let tables = snap.degree_tables();
-        let bayes = if kinds.iter().any(|k| k.is_bayes()) {
-            let ctx = BayesContext::build(snap);
-            let n = snap.node_count();
-            let mut baa_w = Vec::with_capacity(n);
-            let mut bra_w = Vec::with_capacity(n);
-            for w in 0..n {
-                // Exactly the per-pair summands of BAA and BRA: same
-                // log-space numerator, same divisor expressions.
-                let num = ctx.log_s + ctx.log_r[w];
-                baa_w.push(num / (snap.degree(w as NodeId) as f64).ln());
-                bra_w.push(num / snap.degree(w as NodeId) as f64);
-            }
-            Some(BayesTables { log_s: ctx.log_s, log_r: ctx.log_r, baa_w, bra_w })
-        } else {
-            None
-        };
+        let tables = snap.derived::<DegreeTables, _>(&[], || DegreeTables::build(snap));
+        let bayes = kinds
+            .iter()
+            .any(|k| k.is_bayes())
+            .then(|| snap.derived::<BayesTables, _>(&[], || BayesTables::build(snap)));
         FusedCtx { snap, tables, bayes }
     }
 
@@ -314,10 +319,10 @@ impl FusedScratch {
             self.cn[slot] += 1;
         }
         if needs.aa {
-            self.aa[slot] += ctx.tables.inv_ln_deg(w);
+            self.aa[slot] += ctx.tables.inv_ln_deg[wi];
         }
         if needs.ra {
-            self.ra[slot] += ctx.tables.inv_deg(w);
+            self.ra[slot] += ctx.tables.inv_deg[wi];
         }
         if let Some(b) = &ctx.bayes {
             if needs.blogr {
@@ -411,6 +416,19 @@ mod tests {
     }
 
     #[test]
+    fn degree_tables_match_inline_formulas() {
+        let snap = fixture();
+        let ctx = FusedCtx::build(&snap, &[LocalKind::Aa]);
+        for u in 0..snap.node_count() {
+            let d = snap.degree(u as NodeId) as f64;
+            assert_eq!(ctx.tables.inv_ln_deg[u].to_bits(), (1.0 / d.ln()).to_bits(), "node {u}");
+            assert_eq!(ctx.tables.inv_deg[u].to_bits(), (1.0 / d).to_bits(), "node {u}");
+        }
+        // Memoized: a second context reads the same tables.
+        assert!(Arc::ptr_eq(&FusedCtx::build(&snap, &[]).tables, &ctx.tables));
+    }
+
+    #[test]
     fn scratch_epoch_wraparound_resets_stamps() {
         let snap = fixture();
         let pairs = [(1u32, 3u32), (1, 4)];
@@ -427,6 +445,88 @@ mod tests {
         assert_eq!(scratch.epoch, 1, "wraparound restarts the epoch at 1");
         assert!(scratch.seen.iter().all(|&e| e <= 1), "stamps hard-reset on wrap");
         assert_eq!(score_columns(&ctx, &mut scratch, &pairs, &kinds), baseline, "post-wrap");
+    }
+
+    /// Two serve workers at one version: each holds its own kernel
+    /// context, scratch and solver cache on one `Arc<Snapshot>`, and both
+    /// answer per-source misses of the three factored metrics and BCN.
+    /// Every value derived from the snapshot is built once between them:
+    /// each metric's factors by whichever miss comes first, and one set of
+    /// Bayes tables. Their answers are the batch engine's on a clone.
+    #[test]
+    fn worker_shaped_callers_build_each_derived_value_once() {
+        use crate::candidates::CandidateSet;
+        use crate::exec;
+        use crate::solver::SolverCache;
+        use crate::traits::{CandidatePolicy, Metric};
+        use std::sync::Barrier;
+
+        let edges: Vec<(NodeId, NodeId)> = (0..60u32)
+            .flat_map(|u| [(u, (u + 1) % 60), (u, (u + 7) % 60), (u % 5, (u + 30) % 60)])
+            .filter(|&(u, v)| u != v)
+            .collect();
+        let snap = Arc::new(Snapshot::from_edges(60, &edges));
+        let cands = CandidateSet::build(&snap, CandidatePolicy::Global, 4);
+        let sources: Vec<NodeId> = (0..60).collect();
+        let slice = |s: NodeId| -> Vec<(NodeId, NodeId)> {
+            cands.pairs().iter().copied().filter(|&(u, _)| u == s).collect()
+        };
+        let names = ["Katz-lr", "Katz-sc", "Rescal", "BCN"];
+        let start = Barrier::new(2);
+        // One worker: (per metric and source, its scores), the metrics
+        // whose miss factored, its factorization count, its Bayes tables.
+        let worker = |order: Vec<NodeId>| {
+            let snap = Arc::clone(&snap);
+            let metrics: Vec<Box<dyn Metric>> =
+                names.iter().map(|n| crate::metric_by_name(n).expect("known metric")).collect();
+            start.wait();
+            let ctx = FusedCtx::build(&snap, &[LocalKind::Bcn]);
+            let mut scratch = FusedScratch::new(snap.node_count());
+            let mut cache = SolverCache::transient();
+            let mut answers = Vec::new();
+            let mut factored = Vec::new();
+            for &s in &order {
+                for m in &metrics {
+                    let before = cache.stats.factorizations;
+                    let pairs = slice(s);
+                    let scores = exec::score_pairs_targeted(
+                        m.as_ref(),
+                        &snap,
+                        &ctx,
+                        &mut scratch,
+                        &pairs,
+                        &mut cache,
+                    );
+                    if cache.stats.factorizations != before {
+                        factored.push(m.name());
+                    }
+                    answers.push(((m.name(), s), scores));
+                }
+            }
+            let bayes = Arc::clone(ctx.bayes.as_ref().expect("BCN builds Bayes tables"));
+            (answers, factored, cache.stats.factorizations, bayes)
+        };
+        let (
+            (answers_a, mut factored, built_a, bayes_a),
+            (answers_b, factored_b, built_b, bayes_b),
+        ) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| worker(sources.clone()));
+            let b = scope.spawn(|| worker(sources.iter().rev().copied().collect()));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(built_a + built_b, 3, "one factorization per factored metric");
+        factored.extend(factored_b);
+        factored.sort_unstable();
+        assert_eq!(factored, ["Katz-lr", "Katz-sc", "Rescal"], "later misses factor nothing");
+        assert!(Arc::ptr_eq(&bayes_a, &bayes_b), "both workers read one Bayes table");
+
+        let offline = (*snap).clone();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for ((name, s), scores) in answers_a.iter().chain(&answers_b) {
+            let m = crate::metric_by_name(name).expect("known metric");
+            let want = exec::score_pairs_t(m.as_ref(), &offline, &slice(*s), 1);
+            assert_eq!(bits(scores), bits(&want), "{name} source {s}");
+        }
     }
 
     #[test]

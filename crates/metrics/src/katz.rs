@@ -12,8 +12,8 @@
 //!
 //! Both build one [`LowRank`] per snapshot, reading the snapshot's
 //! adjacency CSR in place through [`osn_linalg::sparse`], and keep it in
-//! the caller's [`SolverCache`], so every later hook call on the snapshot
-//! only scores. The dense truncated series and Katz-sc's per-landmark
+//! the snapshot's memo, so every later hook call on the snapshot only
+//! scores. The dense truncated series and Katz-sc's per-landmark
 //! column loop are reference oracles in `linklens_bench::oracles`.
 
 use crate::solver::{self, LowRank, SolverCache, SolverError};
@@ -60,8 +60,8 @@ impl Metric for KatzLr {
         CandidatePolicy::ThreeHop
     }
 
-    /// Scores through the cache's factors of the snapshot, built by
-    /// `factors` on a miss.
+    /// Scores through the snapshot's memoized factors, built by
+    /// `factors` on the snapshot's first call.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
@@ -69,7 +69,9 @@ impl Metric for KatzLr {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        solver::score_low_rank(self, snap, pairs, threads, cache, || self.factors(snap))
+        let KatzLr { beta, rank, max_iter, seed } = *self;
+        let params = [beta.to_bits(), rank as u64, max_iter as u64, seed];
+        solver::score_low_rank::<Self>(&params, snap, pairs, threads, cache, || self.factors(snap))
     }
 }
 
@@ -183,8 +185,9 @@ impl Metric for KatzSc {
         CandidatePolicy::ThreeHop
     }
 
-    /// Scores through the cache's factors of the snapshot, built on a
-    /// miss from the landmark columns on `threads` workers.
+    /// Scores through the snapshot's memoized factors, built on the
+    /// snapshot's first call from the landmark columns on `threads`
+    /// workers.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
@@ -192,7 +195,9 @@ impl Metric for KatzSc {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        solver::score_low_rank(self, snap, pairs, threads, cache, || {
+        let KatzSc { beta, landmarks, series_terms, ridge } = *self;
+        let params = [beta.to_bits(), landmarks as u64, series_terms as u64, ridge.to_bits()];
+        solver::score_low_rank::<Self>(&params, snap, pairs, threads, cache, || {
             Ok(self.factors_from_columns(snap, |lm| self.landmark_columns(snap, lm, threads)))
         })
     }

@@ -22,7 +22,7 @@
 //! a seeded init, so the model is a pure function of the snapshot and the
 //! config. The engine hook ([`Metric::score_pairs_cached`]) scores the
 //! whole batch through the fit's [`LowRank`] form, `a = [XR | X]` and
-//! `b = [X | XR]`, which the [`SolverCache`] keeps, so every hook call on
+//! `b = [X | XR]`, which the snapshot's memo keeps, so every hook call on
 //! one snapshot reuses one fit. The original serial loop is the
 //! property-tested oracle in `linklens_bench::oracles`.
 
@@ -137,7 +137,11 @@ impl Metric for Rescal {
         threads: usize,
         cache: &mut SolverCache,
     ) -> Vec<f64> {
-        solver::score_low_rank(self, snap, pairs, threads, cache, || self.factors(snap, threads))
+        let Rescal { rank, iterations, lambda, seed } = *self;
+        let params = [rank as u64, iterations as u64, lambda.to_bits(), seed];
+        solver::score_low_rank::<Self>(&params, snap, pairs, threads, cache, || {
+            self.factors(snap, threads)
+        })
     }
 }
 

@@ -32,12 +32,13 @@
 //!   column on its residual, so the answer is tolerance-certified.
 //!   Both evaluate their pair scores one-sided, from the side's column
 //!   alone (see [`crate::walk`] for the reversibility identities).
-//! * [`SolverCache`] — the per-snapshot cache the engine entry points
-//!   thread through a metric's hook: the current snapshot's [`LowRank`]
-//!   factors, one per factored metric config (Katz-lr, Katz-sc, Rescal),
-//!   and the solvers' counters, keyed on the snapshot's content. Nothing
-//!   in it crosses a snapshot, so a snapshot's scores depend on the
-//!   snapshot and the pair list alone.
+//! * [`SolverCache`] — the solvers' counters, which the engine entry
+//!   points thread through a metric's hook. The [`LowRank`] factors of
+//!   Katz-lr, Katz-sc and Rescal are not in it: `score_low_rank` keeps
+//!   them in the snapshot's memo ([`Snapshot::derived`]), one per metric
+//!   config, built by the snapshot's first call and read by every later
+//!   one, so a snapshot's scores depend on the snapshot and the pair list
+//!   alone.
 //!
 //! ## Solve sides
 //!
@@ -88,7 +89,6 @@
 
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
 
 use osn_graph::snapshot::Snapshot;
 use osn_graph::{par, NodeId};
@@ -176,8 +176,9 @@ pub struct SolverStats {
     pub ppr_warm_starts: u64,
     /// PPR source columns solved in total.
     pub ppr_sources: u64,
-    /// Low-rank factorizations built (Katz-lr, Katz-sc, Rescal): one per
-    /// snapshot and metric config the cache scores.
+    /// Low-rank factorizations built (Katz-lr, Katz-sc, Rescal) by calls
+    /// through this cache: at most one per snapshot and metric config,
+    /// counted by the call that built it.
     pub factorizations: u64,
 }
 
@@ -220,36 +221,20 @@ impl LowRank {
     }
 }
 
-/// Per-snapshot solver state: the [`LowRank`] factors of the last
-/// snapshot factored, one per metric config, each a pure function of the
-/// snapshot and the config and shared by every hook call on that
-/// snapshot, and the solvers' counters.
-///
-/// The kernels read the snapshot itself. The factor slot is keyed on the
-/// factored snapshot's content — node count, edge count and
-/// [`Snapshot::adjacency_digest`] — so two different graphs of equal size
-/// never share factors, while equal snapshots (clones, rebuilt prefixes)
-/// still hit; a snapshot of other content drops every entry. Within it,
-/// each metric config keys its own entry by its `Debug` text, which names
-/// the type and every field. Nothing else is kept, so a snapshot scores
-/// the same through a cache reused across a sweep, or across a serve
-/// worker's misses, as through a fresh one.
+/// The solvers' counters, threaded through a metric's hook by the engine
+/// entry points. It keeps no scoring state: what a solver derives from a
+/// snapshot, such as the factors of Katz-lr, Katz-sc and Rescal, lives in
+/// the snapshot's memo ([`Snapshot::derived`]), so a snapshot scores the
+/// same through any cache, fresh or reused.
 pub struct SolverCache {
-    /// The content key of the snapshot `factors` were built on.
-    factored: Option<ContentKey>,
-    /// One entry per metric config: its `Debug` text and its factors.
-    factors: Vec<(String, Arc<LowRank>)>,
     /// Counters accumulated by the solvers.
     pub stats: SolverStats,
 }
 
-/// A snapshot's content: node count, edge count, adjacency digest.
-type ContentKey = (usize, usize, u64);
-
 impl SolverCache {
     /// An empty cache.
     pub fn transient() -> Self {
-        SolverCache { factored: None, factors: Vec::new(), stats: SolverStats::default() }
+        SolverCache { stats: SolverStats::default() }
     }
 
     /// The same as [`transient`](Self::transient). Kept only because
@@ -258,48 +243,28 @@ impl SolverCache {
     pub fn sweep() -> Self {
         SolverCache::transient()
     }
-
-    /// The factors of `snap` under `config`: the stored ones when this
-    /// snapshot's content and config were factored before, otherwise
-    /// `build`'s, stored for later calls. A snapshot of other content
-    /// drops every stored entry first.
-    ///
-    /// # Errors
-    /// `build`'s error, with nothing stored.
-    pub(crate) fn factors(
-        &mut self,
-        snap: &Snapshot,
-        config: &dyn fmt::Debug,
-        build: impl FnOnce() -> Result<LowRank, SolverError>,
-    ) -> Result<Arc<LowRank>, SolverError> {
-        let key = (snap.node_count(), snap.edge_count(), snap.adjacency_digest());
-        if self.factored != Some(key) {
-            self.factors.clear();
-            self.factored = Some(key);
-        }
-        let config = format!("{config:?}");
-        if let Some((_, factors)) = self.factors.iter().find(|(c, _)| *c == config) {
-            return Ok(Arc::clone(factors));
-        }
-        let factors = Arc::new(build()?);
-        self.stats.factorizations += 1;
-        self.factors.push((config, Arc::clone(&factors)));
-        Ok(factors)
-    }
 }
 
-/// The hook of a factored metric: scores `pairs` over `threads` workers
-/// through the cache's factors of `snap` under `config`, which `build`
-/// makes on a miss.
-pub(crate) fn score_low_rank(
-    config: &dyn fmt::Debug,
+/// The hook of a factored metric `K` (Katz-lr, Katz-sc, Rescal): scores
+/// `pairs` over `threads` workers through the factors of `snap` under
+/// the config whose field bits are `params`. The factors live in the
+/// snapshot's memo: the first call for a snapshot and config builds them
+/// with `build` and counts one factorization in `cache`, and every later
+/// call, through any cache or worker, reads them. A failed build is
+/// memoized too, as that snapshot's error.
+pub(crate) fn score_low_rank<K: 'static>(
+    params: &[u64],
     snap: &Snapshot,
     pairs: &[(NodeId, NodeId)],
     threads: usize,
     cache: &mut SolverCache,
     build: impl FnOnce() -> Result<LowRank, SolverError>,
 ) -> Vec<f64> {
-    match cache.factors(snap, config, build) {
+    let factors = snap.derived::<K, Result<LowRank, SolverError>>(params, || {
+        cache.stats.factorizations += 1;
+        build()
+    });
+    match &*factors {
         Ok(factors) => factors.scores_t(pairs, threads),
         // The Metric trait has no error channel; a failed factorization
         // is a hard invariant violation, same class as an audit panic.
@@ -1043,9 +1008,10 @@ mod tests {
         for m in metrics {
             score(m, &first, &mut sweep);
         }
+        // The fresh side scores a clone, which starts with an empty memo.
         for m in metrics {
             let reused = score(m, &second, &mut sweep);
-            let fresh = score(m, &second, &mut SolverCache::transient());
+            let fresh = score(m, &second.clone(), &mut SolverCache::transient());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&reused), bits(&fresh), "{} reused the first graph's state", m.name());
         }
@@ -1067,7 +1033,7 @@ mod tests {
         let fresh = |snap: &Snapshot| -> Vec<Vec<u64>> {
             metrics.iter().map(|&m| bits(&exec::score_pairs_t(m, snap, &pairs, 1))).collect()
         };
-        let want = fresh(&snap);
+        let want = fresh(&snap.clone());
 
         // Alternate the configs on one cache, batched and per source, as
         // a sweep and a serve worker do: each config factors once.
@@ -1098,15 +1064,15 @@ mod tests {
         }
         assert_eq!(cache.stats.factorizations, 4);
 
-        // A snapshot of equal size and other content drops every entry:
-        // it factors anew, and so does the first snapshot after it.
+        // A snapshot of equal size and other content factors anew, and
+        // the first snapshot still holds its own factors after it.
         let other = chorded_ring(12, 1);
         assert_eq!((other.node_count(), other.edge_count()), (12, snap.edge_count()));
         let batched = exec::score_matrix_cached_t(&metrics, &other, &pairs, 2, &mut cache);
-        assert_eq!(batched.iter().map(|c| bits(c)).collect::<Vec<_>>(), fresh(&other));
+        assert_eq!(batched.iter().map(|c| bits(c)).collect::<Vec<_>>(), fresh(&other.clone()));
         assert_eq!(cache.stats.factorizations, 8);
         let batched = exec::score_matrix_cached_t(&metrics, &snap, &pairs, 2, &mut cache);
         assert_eq!(batched.iter().map(|c| bits(c)).collect::<Vec<_>>(), want);
-        assert_eq!(cache.stats.factorizations, 12);
+        assert_eq!(cache.stats.factorizations, 8);
     }
 }

@@ -43,10 +43,10 @@ pub enum ScoreContract {
 /// One link-prediction similarity metric (Table 3 of the paper).
 ///
 /// Implementations are stateless configuration objects: all per-snapshot
-/// state (factorizations, walk distributions, triangle counts) is computed
-/// per scoring call, or read from the caller's [`SolverCache`], for the
-/// snapshot at hand. Callers amortize that cost by scoring all pairs of
-/// interest in a single call.
+/// state is computed per scoring call (walk distributions) or memoized on
+/// the snapshot at hand (factorizations, kernel tables; see
+/// [`Snapshot::derived`]). Callers amortize the per-call cost by scoring
+/// all pairs of interest in a single call.
 pub trait Metric: Sync {
     /// Display name matching the paper's tables ("BRA", "Katz-lr", …).
     fn name(&self) -> &'static str;
@@ -75,7 +75,7 @@ pub trait Metric: Sync {
 
     /// Scores a batch of (unconnected) pairs against a snapshot over
     /// `threads` workers, one finite score per pair, higher = more likely
-    /// to connect, with access to the caller's per-snapshot
+    /// to connect, counting solver work into the caller's
     /// [`SolverCache`]. Scores must not depend on `threads`.
     ///
     /// The engine calls this for every metric without a
@@ -87,8 +87,8 @@ pub trait Metric: Sync {
     /// read the snapshot's own adjacency CSR: the walk metrics (LRW, PPR)
     /// solve once per call, every PPR column from zero (see
     /// [`crate::solver`]); Katz-lr, Katz-sc and Rescal factor once per
-    /// snapshot into the cache's [`LowRank`](crate::solver::LowRank) slot
-    /// and score through it.
+    /// snapshot into its memo (a [`LowRank`](crate::solver::LowRank) per
+    /// config) and score through it.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,

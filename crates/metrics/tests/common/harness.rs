@@ -10,6 +10,12 @@
 //! 1, 2 and 4 workers, and every entry point sees the candidate list
 //! sorted, shuffled and with duplicates.
 //!
+//! A snapshot memoizes what is derived from it, the factors included, so
+//! a second call on one snapshot reads the first call's factors. Each
+//! compared side therefore scores its own clone, which starts with an
+//! empty memo: every worker count builds its factors at that count, and
+//! the targeted side builds its own.
+//!
 //! The one-worker `score_pairs_t` scores must meet the metric's row of
 //! `linklens_bench::oracles::contract`: bit for bit against an exact
 //! reference, within the derived per-pair bound against the LRW and PPR
@@ -242,6 +248,7 @@ fn check_batched(
     let top: Vec<Vec<(NodeId, NodeId)>> =
         one.iter().map(|scores| top_k_pairs(pairs, scores, k, SEED)).collect();
     for threads in WORKERS {
+        let snap = &snap.clone();
         if entries.contains(&Entry::Scores) && threads > 1 {
             for (i, &m) in refs.iter().enumerate() {
                 if bits(&exec::score_pairs_t(m, snap, pairs, threads)) != bits(&one[i]) {
@@ -278,20 +285,23 @@ fn check_batched(
 /// worker holds them at one version: each slice reproduces the one-worker
 /// `score_pairs_t` scores of the same slice and meets the metric's
 /// contract, and the cache factors each factored metric of the set once.
+/// The targeted side scores a clone of `snap`, so it builds its own
+/// factors.
 fn check_targeted(snap: &Snapshot, metrics: &Contracted, list: &List) -> Result<(), String> {
     let mut slices: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
     for (i, &(u, _)) in list.pairs.iter().enumerate() {
         slices.entry(u).or_default().push(i);
     }
-    let ctx = FusedCtx::build(snap, &LocalKind::ALL);
-    let mut scratch = FusedScratch::new(snap.node_count());
+    let served = snap.clone();
+    let ctx = FusedCtx::build(&served, &LocalKind::ALL);
+    let mut scratch = FusedScratch::new(served.node_count());
     let mut cache = SolverCache::transient();
     for ((m, c), reference) in metrics.iter().zip(&list.references) {
         let m = m.as_ref();
         for (source, at) in &slices {
             let slice: Vec<(NodeId, NodeId)> = at.iter().map(|&i| list.pairs[i]).collect();
             let targeted =
-                exec::score_pairs_targeted(m, snap, &ctx, &mut scratch, &slice, &mut cache);
+                exec::score_pairs_targeted(m, &served, &ctx, &mut scratch, &slice, &mut cache);
             let batched = exec::score_pairs_t(m, snap, &slice, 1);
             if bits(&targeted) != bits(&batched) {
                 return Err(format!("{}: targeted drifted on source {source}", m.name()));

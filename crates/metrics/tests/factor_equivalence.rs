@@ -185,8 +185,9 @@ proptest! {
 
     /// The engine entry points (whole-batch dispatch, a caller's cache)
     /// are pure plumbing around the same fit: every path must reproduce
-    /// the direct scoring bit for bit at every thread count, and a cache
-    /// must fit exactly once per snapshot.
+    /// the direct scoring bit for bit at every thread count, and a
+    /// snapshot must fit exactly once. Each path scores its own clone,
+    /// whose memo starts empty, so each fits at its own thread count.
     #[test]
     fn engine_paths_match_direct_scoring((n, edges) in arb_graph(8..=24, 4..50)) {
         let snap = Snapshot::from_edges(n, &edges);
@@ -195,8 +196,9 @@ proptest! {
         let rescal = Rescal::default();
         let base = rescal.score_pairs_cached(&snap, &pairs, 1, &mut SolverCache::transient());
         for threads in THREADS {
-            let engine = exec::score_pairs_t(&rescal, &snap, &pairs, threads);
+            let engine = exec::score_pairs_t(&rescal, &snap.clone(), &pairs, threads);
             prop_assert_eq!(&engine, &base, "engine diverged at {} threads", threads);
+            let snap = snap.clone();
             let mut cache = SolverCache::transient();
             let cached = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, threads, &mut cache).remove(0);
             prop_assert_eq!(&cached, &base, "cached path diverged at {} threads", threads);
@@ -210,10 +212,10 @@ proptest! {
     }
 
     /// One cache reused across a randomized monotone snapshot sweep
-    /// scores Rescal on every snapshot bit for bit as a fresh cache does:
-    /// every fit starts from the seeded init and runs the fixed sweep
-    /// count, and the model the cache keeps is keyed on the content of
-    /// the snapshot it was fitted on.
+    /// scores Rescal on every snapshot bit for bit as a fresh cache on a
+    /// clone of it does: every fit starts from the seeded init and runs
+    /// the fixed sweep count, and the model belongs to the snapshot it
+    /// was fitted on.
     #[test]
     fn reused_cache_scores_rescal_as_a_fresh_one_across_sweep((n, snapshots) in arb_sweep()) {
         prop_assume!(snapshots.len() >= 2);
@@ -226,7 +228,7 @@ proptest! {
         for edges in &snapshots {
             let snap = Snapshot::from_edges(n, edges);
             let again = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, 2, &mut reused).remove(0);
-            let once = exec::score_matrix_cached_t(&[&rescal], &snap, &pairs, 2, &mut SolverCache::transient()).remove(0);
+            let once = exec::score_matrix_cached_t(&[&rescal], &snap.clone(), &pairs, 2, &mut SolverCache::transient()).remove(0);
             prop_assert_eq!(bits(&again), bits(&once));
         }
     }

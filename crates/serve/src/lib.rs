@@ -17,11 +17,13 @@
 //!    answers queries through the targeted engine entry point
 //!    ([`osn_metrics::exec::score_pairs_targeted`]) — per-source work
 //!    proportional to the source's candidate neighborhood, not the
-//!    snapshot. The triangle counts the Bayes kinds read are counted once
-//!    per snapshot ([`Snapshot::triangle_counts`]) and shared by every
-//!    worker; a server with no Bayes metric never counts them. Answers
-//!    are bit-identical to the offline batch engine at the pinned version
-//!    (asserted by `tests/serve_equivalence.rs`).
+//!    snapshot. What a version's answers derive from its snapshot (the
+//!    kernel's degree and Bayes tables, the Katz-lr, Katz-sc and Rescal
+//!    factors) is memoized on the snapshot ([`Snapshot::derived`]): the
+//!    first worker to need a value builds it, and every worker pinning
+//!    the version reads it. A server with no Bayes metric never counts
+//!    triangles. Answers are bit-identical to the offline batch engine at
+//!    the pinned version (asserted by `tests/serve_equivalence.rs`).
 //! 3. **Result cache** — a sharded [`cache::ResultCache`] keyed
 //!    `(version, metric, source)`. On publish, the delta's endpoints are
 //!    marked in a node-indexed array, an O(delta) pass; an entry for a
@@ -404,8 +406,8 @@ fn delta_endpoints(snap: &Snapshot, delta: &[(NodeId, NodeId)], limit: usize) ->
 }
 
 /// One scoring worker: pin the current version, build the fused kernel
-/// context and solver state for it once, then drain queries until the
-/// version moves or the server shuts down.
+/// context and scratch for it once, then drain queries until the version
+/// moves or the server shuts down.
 fn worker_loop(
     cfg: &ServeConfig,
     store: &SnapshotStore,
@@ -426,14 +428,13 @@ fn worker_loop(
         let snap: &Snapshot = &pinned.snapshot;
         // Per-version kernel state: one fused context over the served
         // metrics' local kinds (scoring one kind out of it is
-        // bit-identical to a dedicated context; the Bayes kinds read the
-        // snapshot's shared triangle counts, so only the first worker to
-        // pin a version counts them), one scratch pair, and a solver cache
-        // that keeps this version's Katz-lr, Katz-sc and Rescal factors,
-        // built on each metric's first miss, for later misses. The
-        // factors depend only on the snapshot and the config, and the
-        // cache holds nothing else, so global-metric answers are
-        // bit-identical to an offline solve at this snapshot.
+        // bit-identical to a dedicated context), one scratch pair, and the
+        // solver counters. The context's tables and the Katz-lr, Katz-sc
+        // and Rescal factors are memoized on the snapshot, so the first
+        // worker to need one at this version builds it and the others
+        // read it. They depend only on the snapshot and the config, so
+        // global-metric answers are bit-identical to an offline solve at
+        // this snapshot.
         let ctx = FusedCtx::build(snap, &kinds);
         let mut fused_scratch = FusedScratch::new(snap.node_count());
         let mut enum_scratch = EnumScratch::new(snap.node_count());

@@ -3,10 +3,15 @@
 //!
 //! Everything in this module is on the deterministic surface (the
 //! `linklens-deterministic` markers) and is deliberately *pure* with
-//! respect to server state: no locks, no I/O, no snapshot construction —
-//! the worker loop resolves the pinned snapshot, kernel context, and
-//! caches first and hands them in by reference. The
+//! respect to server state: no server locks, no I/O, no snapshot
+//! construction — the worker loop resolves the pinned snapshot, kernel
+//! context and scratch first and hands them in by reference. The
 //! `blocking-in-query-path` analyzer rule enforces exactly that shape.
+//! The one lock a query can take is the pinned snapshot's memo's
+//! ([`Snapshot::derived`]), held only to find a derived value's cell; a
+//! Katz-lr, Katz-sc or Rescal miss that arrives while another worker
+//! factors the version waits for those factors instead of building its
+//! own.
 //!
 //! Per-source enumeration reproduces the offline
 //! [`CandidateSet::build`](osn_metrics::candidates::CandidateSet::build)

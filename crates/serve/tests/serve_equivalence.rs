@@ -9,7 +9,9 @@
 //!    ingest+publish round, every served top-k — cache hit or not — is
 //!    bit-identical to a fresh offline compute (candidate set + batch
 //!    engine + seeded top-k) at the server's current snapshot, for every
-//!    configured metric. This exercises promotion (CN/AA/RA entries
+//!    configured metric. The offline side scores a clone of that
+//!    snapshot, whose memo starts empty, so it derives its own factors
+//!    and tables instead of reading the ones the workers built. This exercises promotion (CN/AA/RA entries
 //!    outside the delta's two-hop ball survive publishes) as well as
 //!    invalidation.
 
@@ -153,6 +155,7 @@ fn served_topk_is_never_stale(metrics: &[&str]) {
     replay_with(&server, &trace, 150, |server| {
         rounds += 1;
         let pinned = server.current();
+        let offline = (*pinned.snapshot).clone();
         for (mi, &name) in metrics.iter().enumerate() {
             for &source in probes {
                 let r = server.query_blocking(mi as u32, source, TIMEOUT).unwrap();
@@ -160,7 +163,7 @@ fn served_topk_is_never_stale(metrics: &[&str]) {
                     r.version, pinned.version,
                     "{name} answer stamped with a version other than the current one"
                 );
-                let oracle = oracle_topk(name, &pinned.snapshot, top_degree, source, k);
+                let oracle = oracle_topk(name, &offline, top_degree, source, k);
                 assert_eq!(
                     *r.topk, oracle,
                     "{name} source {source} at version {}: served != fresh offline compute \

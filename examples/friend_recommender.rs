@@ -3,8 +3,8 @@
 //! transition, then prints the top recommendations for a few users, with
 //! the metric evidence behind each suggestion.
 //!
-//! Feature columns are produced by the cached batched engine
-//! ([`exec::score_matrix_cached_t`] with one [`SolverCache`] shared
+//! Feature columns are produced by the batched engine
+//! ([`exec::score_matrix_cached_t`] with one [`SolverCache`] counting
 //! across both snapshots), and the run self-asserts that every feature
 //! row, on the training and on the recommendation snapshot, is
 //! bit-identical to the legacy per-metric scoring path — CI runs this
@@ -41,9 +41,8 @@ fn main() {
     let metrics = linklens::metrics::all_metrics();
     let metric_refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
     let threads = par::max_threads();
-    // One solver cache across the whole run: it shares the Rescal fit
-    // within each snapshot and keeps nothing from one snapshot to the
-    // next.
+    // One solver cache across the whole run. It only counts: each
+    // snapshot memoizes its own factors, shared by every call on it.
     let mut cache = SolverCache::transient();
 
     // Batched feature matrix: one engine call yields every metric column
@@ -72,11 +71,14 @@ fn main() {
     println!("training pairs: {} positive, {} negative", positives.len(), negatives.len());
 
     // The batched feature rows must be bit-identical to the legacy
-    // one-metric-at-a-time path: each metric scored alone with a fresh
-    // solver cache.
+    // one-metric-at-a-time path: each metric scored alone on a clone of
+    // the snapshot, whose memo starts empty, so it factors afresh.
     let assert_legacy_rows = |snap: &Snapshot, pairs: &[(NodeId, NodeId)], rows: &[Vec<f64>]| {
-        let legacy: Vec<Vec<f64>> =
-            metrics.iter().map(|m| exec::score_pairs_t(m.as_ref(), snap, pairs, threads)).collect();
+        let snap = snap.clone();
+        let legacy: Vec<Vec<f64>> = metrics
+            .iter()
+            .map(|m| exec::score_pairs_t(m.as_ref(), &snap, pairs, threads))
+            .collect();
         let differing = (0..pairs.len())
             .filter(|&i| rows[i].iter().zip(&legacy).any(|(x, c)| x.to_bits() != c[i].to_bits()))
             .count();
@@ -107,7 +109,7 @@ fn main() {
     let now = seq.snapshot(t - 1);
     let cands = traversal::two_hop_pairs(&now, None, threads);
     let feats = features(&now, &cands, &mut cache);
-    // The cache scored the training snapshot first; the recommendation
+    // The cache counted the training snapshot first; the recommendation
     // rows must still be the per-metric rows, bit for bit.
     assert_legacy_rows(&now, &cands, &feats);
     println!("parity: batched-engine feature rows match the legacy per-metric path");
