@@ -1149,8 +1149,9 @@ fn reset_peak_rss() -> bool {
 /// two paths must be bit-identical, not merely close.
 fn large_trace(ctx: &Ctx, report: &mut Report) {
     use linklens_core::sampling::{evaluate_metric_sampled_on, SampleSpec};
+    use osn_graph::builder::{SnapshotBuilder, DEFAULT_WINDOW_EDGES};
     use osn_graph::io::{CacheFileWriter, SectionedCacheReader, TraceReader};
-    use osn_graph::stream::{StreamingSequence, StreamingSnapshotBuilder, DEFAULT_WINDOW_EDGES};
+    use osn_graph::stream::StreamingSequence;
     use osn_metrics::fused::LocalKind;
     use std::collections::HashSet;
 
@@ -1231,7 +1232,7 @@ fn large_trace(ctx: &Ctx, report: &mut Report) {
         let truth: HashSet<(u32, u32)> =
             seq.new_edges(T_EVAL).expect("windowed ground truth").into_iter().collect();
         let boundary = seq.boundary(T_EVAL - 1);
-        let mut builder = StreamingSnapshotBuilder::new(seq.into_reader());
+        let mut builder = SnapshotBuilder::new(seq.into_reader());
         let prev = builder.advance_to(boundary).expect("advance to eval snapshot");
         let target_members = 6_000.0;
         let p = (target_members / prev.node_count() as f64).clamp(0.005, 0.25);
@@ -1466,7 +1467,7 @@ fn serving(ctx: &Ctx, report: &mut Report) {
 
     // Phase 2a: CSR parity against the offline builder at the same prefix.
     let mut offline = osn_graph::builder::SnapshotBuilder::new(&trace);
-    let offline_snap = offline.advance_to(pinned.snapshot.prefix_len());
+    let offline_snap = offline.advance_to(pinned.snapshot.prefix_len()).expect("in-core advance");
     assert_eq!(
         snapshot_digest(0, &pinned.snapshot),
         snapshot_digest(0, offline_snap),

@@ -405,7 +405,7 @@ fn full_trace_materialization(
             tokens[i].line,
             format!(
                 "`{name}()` materializes the full edge list in RAM; stream the trace through the \
-                 windowed reader (StreamingSequence / StreamingSnapshotBuilder), or justify the \
+                 windowed reader (StreamingSequence / SnapshotBuilder over a reader), or justify the \
                  small-trace in-core path with linklens-allow"
             ),
         ));

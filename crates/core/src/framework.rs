@@ -142,11 +142,6 @@ impl<'a> SequenceEvaluator<'a> {
         }
     }
 
-    /// The underlying sequence.
-    pub fn sequence(&self) -> &SnapshotSequence<'a> {
-        self.seq
-    }
-
     /// Builds the shared candidate set on `snap` for a group of metrics
     /// (loosest policy wins). A temporal filter is pushed *into* the
     /// enumeration walk through its [`NodeActivity`] table — rejected

@@ -62,7 +62,8 @@ impl TimeSeriesPredictor {
         // incremental arena walks them instead of rebuilding each CSR.
         let mut builder = SnapshotBuilder::new(seq.trace());
         for s in first..=last {
-            let snap = builder.advance_to(seq.boundary(s));
+            // linklens-allow(unwrap-in-lib): a slice read does no I/O, and TemporalGraph::add_edge drops repeated pairs
+            let snap = builder.advance_to(seq.boundary(s)).expect("an in-core advance cannot fail");
             // Nodes may not exist yet in earlier snapshots: such scores are
             // 0 (no structure → no similarity), matching the metric's
             // zero-for-unknown semantics.

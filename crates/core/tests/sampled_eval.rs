@@ -17,11 +17,12 @@ use linklens_core::classify::{ClassificationConfig, ClassificationPipeline, Clas
 use linklens_core::filters::TemporalFilter;
 use linklens_core::framework::SequenceEvaluator;
 use linklens_core::sampling::{self, SampleSpec};
+use osn_graph::builder::SnapshotBuilder;
 use osn_graph::io::{CacheStreamWriter, SectionedCacheReader};
 use osn_graph::sample::snowball;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
-use osn_graph::stream::{StreamingSequence, StreamingSnapshotBuilder};
+use osn_graph::stream::StreamingSequence;
 use osn_graph::{traversal, NodeId};
 use osn_metrics::fused::LocalKind;
 use proptest::prelude::*;
@@ -52,7 +53,7 @@ fn streaming_estimate(
     let truth: HashSet<(NodeId, NodeId)> =
         seq.new_edges(t_eval).expect("windowed truth").into_iter().collect();
     let boundary = seq.boundary(t_eval - 1);
-    let mut builder = StreamingSnapshotBuilder::with_max_window(seq.into_reader(), max_window);
+    let mut builder = SnapshotBuilder::with_max_window(seq.into_reader(), max_window);
     let prev = builder.advance_to(boundary).expect("advance");
     let est = sampling::evaluate_metric_sampled_on(
         &LocalKind::Cn,

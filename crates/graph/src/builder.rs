@@ -16,9 +16,7 @@
 //!    runs of consecutive untouched nodes are copied as one block* — while
 //!    a touched node's run is linearly merged with its sorted delta group;
 //! 3. the old and new buffers swap, so each advance reads the snapshot it
-//!    just produced. The arena reserves both buffers for the whole trace
-//!    at construction, so an advance allocates only when the delta
-//!    outgrows the staging buffer.
+//!    just produced.
 //!
 //! Every pass is sequential (the only random access is the scatter into
 //! the Δ-sized, cache-resident staging buffer), so an advance costs one
@@ -27,36 +25,37 @@
 //! just a large delta merged into an empty CSR, so no separate rebuild
 //! path exists.
 //!
+//! The builder reads its delta through a [`TraceReader`], in windows of
+//! at most `max_window` edges, so one builder serves every trace: a
+//! borrowed in-core [`crate::temporal::TemporalGraph`] (windows are slice
+//! copies) and the file-backed [`crate::io::SectionedCacheReader`]
+//! (windows are section-aligned reads), which holds only the arrival
+//! vector and one window instead of the whole edge list. The double
+//! buffer holds `2 × edge_count` entries per side from the start: grown
+//! by doubling instead, the last advances would hold a front buffer up to
+//! twice the final CSR beside the back buffer being written. An advance
+//! allocates only when a window outgrows the staging buffer.
+//!
 //! The result is **bit-identical** to `Snapshot::up_to` at every prefix
-//! (asserted by property tests in `crates/graph/tests/incremental.rs`):
-//! adjacency lists hold unique neighbor ids, so the sorted order the
-//! merge maintains is exactly the order `up_to` produces.
+//! and for every window cap (asserted by property tests in
+//! `crates/graph/tests/incremental.rs`): adjacency lists hold unique
+//! neighbor ids, so the sorted order the merge maintains is exactly the
+//! order `up_to` produces, and a delta split across windows merges to the
+//! same CSR as one big merge. The window cap is a pure I/O knob.
 
+use crate::io::{TraceIoError, TraceReader};
 use crate::snapshot::Snapshot;
-use crate::temporal::{TemporalGraph, TimedEdge};
+use crate::temporal::TimedEdge;
 use crate::{NodeId, Timestamp};
 
-/// The double-buffered arena shared by [`SnapshotBuilder`] (in-core
-/// traces) and [`crate::stream::StreamingSnapshotBuilder`] (windowed
-/// [`crate::io::TraceReader`] sweeps): the current CSR, the back buffer the
-/// next merge writes into, and the merge scratch. It knows nothing about
-/// where delta edges come from — callers hand it one chronological delta
-/// slice at a time.
-#[derive(Debug)]
-pub(crate) struct MergeArena {
-    /// The materialized snapshot at the current prefix (empty before the
-    /// first merge).
-    pub(crate) snap: Snapshot,
-    /// The back buffer the next merge writes into, swapped with `snap`
-    /// after each merge.
-    back: Snapshot,
-    scratch: MergeScratch,
-}
+/// Default cap on edges held in the active delta window (16 MiB of
+/// `TimedEdge`).
+pub const DEFAULT_WINDOW_EDGES: usize = 1 << 20;
 
 /// The trace-independent merge core: the counting-sort scratch one merge
-/// of a delta into a CSR needs, kept between merges. [`MergeArena`] runs
-/// it between its two buffers; [`crate::live::LiveGraph`] runs it from
-/// its current publication into the next one.
+/// of a delta into a CSR needs, kept between merges. [`SnapshotBuilder`]
+/// runs it between its two buffers; [`crate::live::LiveGraph`] runs it
+/// from its current publication into the next one.
 #[derive(Debug, Default)]
 pub(crate) struct MergeScratch {
     /// Per-node delta-entry offsets (prefix sums of counts), length
@@ -69,52 +68,21 @@ pub(crate) struct MergeScratch {
 }
 
 /// Reusable double-buffered arena that advances a [`Snapshot`] forward
-/// through a trace by applying only the delta edges between consecutive
-/// prefixes.
+/// through a trace by merging only the delta edges between consecutive
+/// prefixes, read from `R` in windows of at most `max_window` edges.
 #[derive(Debug)]
-pub struct SnapshotBuilder<'a> {
-    trace: &'a TemporalGraph,
-    arena: MergeArena,
-    /// Number of trace edges currently applied.
-    cur_prefix: usize,
-    /// Whether the arena holds a valid snapshot yet.
-    started: bool,
-}
-
-impl MergeArena {
-    /// Creates an empty arena for a trace of `node_capacity` nodes,
-    /// reserving room for `entry_capacity` directed CSR entries
-    /// (`2 × edges`) in each buffer.
-    pub(crate) fn new(node_capacity: usize, entry_capacity: usize) -> Self {
-        MergeArena {
-            snap: Snapshot::empty(node_capacity, entry_capacity),
-            back: Snapshot::empty(node_capacity, entry_capacity),
-            scratch: MergeScratch {
-                doff: vec![0; node_capacity + 1],
-                dcur: vec![0; node_capacity],
-                staging: Vec::new(),
-            },
-        }
-    }
-
-    /// Applies the chronological delta `edges` on top of the current
-    /// snapshot, producing the snapshot at `prefix_len` (see
-    /// [`MergeScratch::merge`]): merge into the back buffer and swap. On
-    /// `Err` the current snapshot is left as it was.
-    pub(crate) fn apply(
-        &mut self,
-        edges: &[TimedEdge],
-        new_n: usize,
-        time: Timestamp,
-        prefix_len: usize,
-    ) -> Result<(), (NodeId, NodeId)> {
-        self.scratch.merge(&self.snap, edges, new_n, time, prefix_len, &mut self.back)?;
-        std::mem::swap(&mut self.snap, &mut self.back);
-        // The values derived from the previous snapshot describe a prefix
-        // no reader can ask for any more.
-        self.back.clear_caches();
-        Ok(())
-    }
+pub struct SnapshotBuilder<R: TraceReader> {
+    reader: R,
+    /// The snapshot at the current prefix (empty before the first
+    /// advance).
+    snap: Snapshot,
+    /// The back buffer the next merge writes into, swapped with `snap`
+    /// after each merge.
+    back: Snapshot,
+    scratch: MergeScratch,
+    /// The delta window last read.
+    window: Vec<TimedEdge>,
+    max_window: usize,
 }
 
 impl Snapshot {
@@ -136,70 +104,79 @@ impl Snapshot {
     }
 }
 
-impl<'a> SnapshotBuilder<'a> {
-    /// Creates a builder positioned before the first edge of `trace`.
-    pub fn new(trace: &'a TemporalGraph) -> Self {
+impl<R: TraceReader> SnapshotBuilder<R> {
+    /// Creates a builder positioned before the first edge of `reader`'s
+    /// trace, with the default window cap.
+    pub fn new(reader: R) -> Self {
+        Self::with_max_window(reader, DEFAULT_WINDOW_EDGES)
+    }
+
+    /// Creates a builder with an explicit cap on the edges resident in the
+    /// delta window. Any positive cap produces identical snapshots; small
+    /// caps trade reads and merges for memory. The CSR double buffer is
+    /// reserved for the whole trace here, once.
+    pub fn with_max_window(reader: R, max_window: usize) -> Self {
+        assert!(max_window > 0, "window must hold at least one edge");
+        let (nodes, entries) = (reader.node_count(), 2 * reader.edge_count());
         SnapshotBuilder {
-            arena: MergeArena::new(trace.node_count(), 2 * trace.edge_count()),
-            trace,
-            cur_prefix: 0,
-            started: false,
-        }
-    }
-
-    /// The trace this builder walks.
-    pub fn trace(&self) -> &'a TemporalGraph {
-        self.trace
-    }
-
-    /// The prefix length of the current snapshot (0 before the first
-    /// advance).
-    pub fn prefix_len(&self) -> usize {
-        self.cur_prefix
-    }
-
-    /// The current snapshot, if [`advance_to`](Self::advance_to) has been
-    /// called.
-    pub fn current(&self) -> Option<&Snapshot> {
-        if self.started {
-            Some(&self.arena.snap)
-        } else {
-            None
+            reader,
+            snap: Snapshot::empty(nodes, entries),
+            back: Snapshot::empty(nodes, entries),
+            scratch: MergeScratch {
+                doff: vec![0; nodes + 1],
+                dcur: vec![0; nodes],
+                staging: Vec::new(),
+            },
+            window: Vec::new(),
+            max_window,
         }
     }
 
     /// Advances to the snapshot holding the first `prefix_len` edges and
-    /// returns a borrowed view of it. Re-requesting the current prefix is a
-    /// no-op returning the same view.
+    /// returns a borrowed view of it, reading the delta in windows of at
+    /// most `max_window` edges, each merged into the CSR as it is read.
+    /// Re-requesting the current prefix is a no-op returning the same
+    /// view.
+    ///
+    /// A failed window read is returned as is. A pair the trace holds
+    /// twice is a [`TraceIoError::Cache`] naming it, whether its copies
+    /// fall in one window or in two. Either way the builder keeps the
+    /// snapshot of the last window merged cleanly, and never returns a
+    /// snapshot with a repeated neighbour.
     ///
     /// # Panics
     /// Panics if `prefix_len` is zero, exceeds the trace length, or moves
     /// backwards (snapshots are append-only; build a fresh builder to
     /// rewind).
-    pub fn advance_to(&mut self, prefix_len: usize) -> &Snapshot {
+    pub fn advance_to(&mut self, prefix_len: usize) -> Result<&Snapshot, TraceIoError> {
         assert!(prefix_len > 0, "a snapshot needs at least one edge");
-        assert!(prefix_len <= self.trace.edge_count(), "prefix exceeds trace length");
-        let current = self.cur_prefix;
+        assert!(prefix_len <= self.reader.edge_count(), "prefix exceeds trace length");
+        let mut cur = self.snap.prefix_len;
         assert!(
-            prefix_len >= current,
-            "SnapshotBuilder cannot rewind (at {current}, asked for {prefix_len})"
+            prefix_len >= cur,
+            "SnapshotBuilder cannot rewind (at {cur}, asked for {prefix_len})"
         );
-        if self.started && prefix_len == current {
-            return &self.arena.snap;
+        while cur < prefix_len {
+            let end = prefix_len.min(cur + self.max_window);
+            self.reader.read_edge_window(cur, end, &mut self.window)?;
+            // linklens-allow(unwrap-in-lib): the loop guard makes the window non-empty
+            let time = self.window.last().expect("non-empty delta window").t;
+            let new_n = self.reader.nodes_at(time);
+            self.scratch
+                .merge(&self.snap, &self.window, new_n, time, end, &mut self.back)
+                .map_err(|(u, v)| crate::io::repeated_pair(u, v))?;
+            std::mem::swap(&mut self.snap, &mut self.back);
+            // The values derived from the previous snapshot describe a
+            // prefix no reader can ask for any more.
+            self.back.clear_caches();
+            cur = end;
         }
-        let delta = &self.trace.edges()[self.cur_prefix..prefix_len];
-        let time = self.trace.edges()[prefix_len - 1].t;
-        let new_n = self.trace.nodes_at(time);
-        let merged = self.arena.apply(delta, new_n, time, prefix_len);
-        debug_assert!(merged.is_ok(), "a TemporalGraph holds each pair once: {merged:?}");
-        self.cur_prefix = prefix_len;
-        self.started = true;
         if crate::audit::audit_enabled() {
-            if let Err(e) = self.arena.snap.validate() {
+            if let Err(e) = self.snap.validate() {
                 panic!("snapshot invariant violated after advance to prefix {prefix_len}: {e}");
             }
         }
-        &self.arena.snap
+        Ok(&self.snap)
     }
 }
 
@@ -354,6 +331,7 @@ impl MergeScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temporal::TemporalGraph;
 
     /// Trace where nodes arrive over time and edge times are staggered, so
     /// node-universe growth and edge-time carrying are both exercised.
@@ -378,7 +356,7 @@ mod tests {
         let g = staggered(12);
         let mut b = SnapshotBuilder::new(&g);
         for prefix in 1..=g.edge_count() {
-            let inc = b.advance_to(prefix);
+            let inc = b.advance_to(prefix).unwrap();
             let scratch = Snapshot::up_to(&g, prefix);
             assert_eq!(inc, &scratch, "prefix {prefix}");
         }
@@ -392,11 +370,26 @@ mod tests {
             let mut prefix = 1;
             while prefix <= g.edge_count() {
                 assert_eq!(
-                    b.advance_to(prefix),
+                    b.advance_to(prefix).unwrap(),
                     &Snapshot::up_to(&g, prefix),
                     "step {step} prefix {prefix}"
                 );
                 prefix += step;
+            }
+        }
+    }
+
+    #[test]
+    fn window_splits_match_up_to() {
+        let g = staggered(20);
+        for max_window in [1usize, 3, 7, DEFAULT_WINDOW_EDGES] {
+            let mut b = SnapshotBuilder::with_max_window(&g, max_window);
+            for prefix in [1usize, 2, 5, 17, g.edge_count()] {
+                assert_eq!(
+                    b.advance_to(prefix).unwrap(),
+                    &Snapshot::up_to(&g, prefix),
+                    "window {max_window} prefix {prefix}"
+                );
             }
         }
     }
@@ -407,7 +400,7 @@ mod tests {
         let g = staggered(10);
         let mut b = SnapshotBuilder::new(&g);
         for prefix in [3usize, 6, g.edge_count()] {
-            let snap = b.advance_to(prefix);
+            let snap = b.advance_to(prefix).unwrap();
             // Derive a degree table at this prefix, then check it against
             // the live degrees: a table memoized at the previous prefix
             // would disagree the moment any node gained an edge.
@@ -429,19 +422,9 @@ mod tests {
     fn readvancing_same_prefix_is_stable() {
         let g = staggered(8);
         let mut b = SnapshotBuilder::new(&g);
-        let first = b.advance_to(5).clone();
-        assert_eq!(b.advance_to(5), &first);
-        assert_eq!(b.prefix_len(), 5);
-    }
-
-    #[test]
-    fn current_is_none_before_first_advance() {
-        let g = staggered(6);
-        let mut b = SnapshotBuilder::new(&g);
-        assert!(b.current().is_none());
-        assert_eq!(b.prefix_len(), 0);
-        b.advance_to(3);
-        assert_eq!(b.current().map(|s| s.edge_count()), Some(3));
+        let first = b.advance_to(5).unwrap().clone();
+        assert_eq!(b.advance_to(5).unwrap(), &first);
+        assert_eq!(first.prefix_len(), 5);
     }
 
     #[test]
@@ -449,8 +432,8 @@ mod tests {
     fn rewinding_panics() {
         let g = staggered(8);
         let mut b = SnapshotBuilder::new(&g);
-        b.advance_to(6);
-        b.advance_to(3);
+        b.advance_to(6).unwrap();
+        let _ = b.advance_to(3);
     }
 
     #[test]
@@ -458,6 +441,6 @@ mod tests {
     fn overrunning_the_trace_panics() {
         let g = staggered(8);
         let mut b = SnapshotBuilder::new(&g);
-        b.advance_to(g.edge_count() + 1);
+        let _ = b.advance_to(g.edge_count() + 1);
     }
 }

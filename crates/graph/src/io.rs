@@ -33,8 +33,8 @@
 //! the readers reject a cache that breaks it, naming the pair.
 //! [`read_cache`] does so while it builds the trace, and a
 //! [`SectionedCacheReader`] sweep does so in the CSR merge of
-//! [`crate::stream::StreamingSnapshotBuilder::advance_to`], where the two
-//! copies meet as equal neighbours. Opening a [`SectionedCacheReader`]
+//! [`crate::builder::SnapshotBuilder::advance_to`], where the two copies
+//! meet as equal neighbours. Opening a [`SectionedCacheReader`]
 //! stays O(1) per event and does not look for repeats.
 
 use crate::temporal::{TemporalGraph, TimedEdge};
@@ -800,7 +800,7 @@ pub fn write_cache_file(
 /// so a sweep holds only the active delta window instead of the whole edge
 /// list.
 ///
-/// Implemented by [`TemporalGraph`] (in-core, windows are slice copies) and
+/// Implemented by `&TemporalGraph` (in-core, windows are slice copies) and
 /// [`SectionedCacheReader`] (file-backed, windows are section-aligned
 /// reads). Window reads take `&mut self` because file-backed readers seek.
 pub trait TraceReader {
@@ -831,7 +831,7 @@ pub trait TraceReader {
     ) -> Result<(), TraceIoError>;
 }
 
-impl TraceReader for TemporalGraph {
+impl TraceReader for &TemporalGraph {
     fn node_count(&self) -> usize {
         TemporalGraph::node_count(self)
     }
@@ -853,29 +853,6 @@ impl TraceReader for TemporalGraph {
         out.clear();
         out.extend_from_slice(&self.edges()[start..end]);
         Ok(())
-    }
-}
-
-impl<T: TraceReader + ?Sized> TraceReader for &mut T {
-    fn node_count(&self) -> usize {
-        (**self).node_count()
-    }
-
-    fn edge_count(&self) -> usize {
-        (**self).edge_count()
-    }
-
-    fn arrivals(&self) -> &[Timestamp] {
-        (**self).arrivals()
-    }
-
-    fn read_edge_window(
-        &mut self,
-        start: usize,
-        end: usize,
-        out: &mut Vec<TimedEdge>,
-    ) -> Result<(), TraceIoError> {
-        (**self).read_edge_window(start, end, out)
     }
 }
 
@@ -1547,38 +1524,38 @@ mod tests {
 
     /// Opens the repeated-pair cache (opening does not look for repeats)
     /// and sweeps it at window cap `max_window`. The advance must fail
-    /// naming the pair, and the builder must hold no snapshot with a
-    /// repeated neighbour. Returns the prefix the builder stopped at.
-    fn streamed_repeat_stops_at(max_window: usize) -> usize {
+    /// naming the pair, and the builder must then still answer the clean
+    /// two-edge prefix with a valid snapshot, never one with a repeated
+    /// neighbour.
+    fn streamed_repeat_is_rejected(max_window: usize) {
         let path = std::env::temp_dir()
             .join(format!("linklens-repeat-stream-{}-{max_window}.llc", std::process::id()));
         std::fs::write(&path, repeated_pair_cache()).unwrap();
         let reader = SectionedCacheReader::open(&path);
         let _ = std::fs::remove_file(&path);
         let mut builder =
-            crate::stream::StreamingSnapshotBuilder::with_max_window(reader.unwrap(), max_window);
+            crate::builder::SnapshotBuilder::with_max_window(reader.unwrap(), max_window);
         match builder.advance_to(3) {
             Err(TraceIoError::Cache(msg)) => assert!(msg.contains("(0, 1)"), "{msg}"),
             other => panic!("advance returned {:?}", other.map(|s| s.edge_count())),
         }
-        if let Some(snap) = builder.current() {
-            snap.validate().unwrap();
-        }
-        builder.prefix_len()
+        let snap = builder.advance_to(2).unwrap();
+        snap.validate().unwrap();
+        assert_eq!((snap.edge_count(), snap.degree(1)), (2, 2));
     }
 
     #[test]
     fn streaming_sweep_rejects_a_pair_repeated_across_windows() {
         // One edge per window: the second copy meets the first in the old
         // CSR run, after the two clean windows have merged.
-        assert_eq!(streamed_repeat_stops_at(1), 2);
+        streamed_repeat_is_rejected(1);
     }
 
     #[test]
     fn streaming_sweep_rejects_a_pair_repeated_within_a_window() {
         // The default cap reads all three edges at once: both copies sit in
         // node 0's sorted delta group, and nothing is merged.
-        assert_eq!(streamed_repeat_stops_at(crate::stream::DEFAULT_WINDOW_EDGES), 0);
+        streamed_repeat_is_rejected(crate::builder::DEFAULT_WINDOW_EDGES);
     }
 
     #[test]
@@ -1600,15 +1577,15 @@ mod tests {
 
     #[test]
     fn temporal_graph_implements_trace_reader() {
-        let mut g = sample();
-        let total = TraceReader::edge_count(&g);
+        let g = sample();
+        let mut reader = &g;
+        let total = TraceReader::edge_count(&reader);
         let mut window = Vec::new();
-        g.read_edge_window(1, total, &mut window).unwrap();
+        reader.read_edge_window(1, total, &mut window).unwrap();
         assert_eq!(window.len(), 2);
         assert_eq!(window[0].t, 12);
-        // The &mut blanket impl lets generic consumers borrow.
-        let borrow = &mut g;
-        borrow.read_edge_window(0, 1, &mut window).unwrap();
+        reader.read_edge_window(0, 1, &mut window).unwrap();
         assert_eq!(window.len(), 1);
+        assert_eq!(TraceReader::nodes_at(&reader, 12), g.nodes_at(12));
     }
 }

@@ -14,10 +14,11 @@
 //!   of the new edges between consecutive snapshots.
 //! * [`builder::SnapshotBuilder`] — the incremental snapshot engine: one
 //!   reusable CSR arena advanced boundary-to-boundary by merging only the
-//!   delta edges, so a full sequence sweep
-//!   ([`sequence::SnapshotSequence::snapshots`]) costs O(E) instead of
-//!   O(S·E). Bit-identical to [`snapshot::Snapshot::up_to`] at every
-//!   prefix.
+//!   delta edges, read in bounded windows through any [`io::TraceReader`]
+//!   (an in-core `&TemporalGraph` or a cache file), so a full sequence
+//!   sweep ([`sequence::SnapshotSequence::snapshots`]) costs O(E) instead
+//!   of O(S·E). Bit-identical to [`snapshot::Snapshot::up_to`] at every
+//!   prefix and window cap.
 //! * [`live::LiveGraph`] — the online form of the same engine: an owned,
 //!   growing trace with non-panicking ingest validation, publishing
 //!   immutable versioned [`live::Publication`]s through the identical
@@ -47,9 +48,10 @@
 //!   timestamped edge lists, and the sectioned binary cache with streaming
 //!   writers ([`io::CacheStreamWriter`]) and windowed readers
 //!   ([`io::SectionedCacheReader`] behind [`io::TraceReader`]).
-//! * [`stream`] — out-of-core sweeps: [`stream::StreamingSnapshotBuilder`]
-//!   and [`stream::StreamingSequence`] run the incremental engine against
-//!   any [`io::TraceReader`] while holding only the active delta window,
+//! * [`stream`] — out-of-core sweeps: [`stream::StreamingSequence`] picks
+//!   the sequence's boundaries and ground truth from any
+//!   [`io::TraceReader`], and its [`stream::StreamingSweep`] runs the one
+//!   builder over it while holding only the active delta window,
 //!   bit-identical to the in-core sweep at every boundary.
 //!
 //! Node identifiers are dense `u32` indices assigned in arrival order; a

@@ -1,10 +1,10 @@
 //! Online ingest: a mutable trace advanced in place behind versioned,
 //! immutable snapshot publications.
 //!
-//! [`crate::builder::SnapshotBuilder`] borrows an immutable
-//! [`TemporalGraph`], which is the right shape for offline sweeps but not
-//! for a server that keeps *appending* to the trace while answering
-//! queries. [`LiveGraph`] owns the growing edge log and runs the offline
+//! [`crate::builder::SnapshotBuilder`] reads an immutable trace through a
+//! [`crate::io::TraceReader`], which is the right shape for offline sweeps
+//! but not for a server that keeps *appending* to the trace while
+//! answering queries. [`LiveGraph`] owns the growing edge log and runs the offline
 //! builder's merge core ([`MergeScratch`](crate::builder)) on it. Ingest
 //! validates events instead of panicking (a server must reject bad input,
 //! not die), and [`publish`](LiveGraph::publish) folds everything ingested
@@ -263,13 +263,13 @@ mod tests {
                 lg.ingest_edge(e.u, e.v, e.t).unwrap();
                 if lg.pending_edges() >= batch {
                     let publication = lg.publish();
-                    let oracle = offline.advance_to(publication.snapshot.prefix_len());
+                    let oracle = offline.advance_to(publication.snapshot.prefix_len()).unwrap();
                     assert_eq!(&*publication.snapshot, oracle, "batch {batch}");
                 }
             }
             let publication = lg.publish();
             if publication.snapshot.prefix_len() > 0 {
-                let oracle = offline.advance_to(publication.snapshot.prefix_len());
+                let oracle = offline.advance_to(publication.snapshot.prefix_len()).unwrap();
                 assert_eq!(&*publication.snapshot, oracle, "final batch {batch}");
             }
         }
@@ -340,7 +340,7 @@ mod tests {
         for (held, copy) in [&older, &newer].into_iter().zip(&copies) {
             let prefix = held.snapshot.prefix_len();
             assert_eq!(&*held.snapshot, copy, "version {} changed under its reader", held.version);
-            let oracle = SnapshotBuilder::new(&trace).advance_to(prefix).clone();
+            let oracle = SnapshotBuilder::new(&trace).advance_to(prefix).unwrap().clone();
             assert_eq!(&*held.snapshot, &oracle, "version {} at prefix {prefix}", held.version);
         }
     }
@@ -361,7 +361,11 @@ mod tests {
             let publication = lg.publish();
             let version = publication.version as usize;
             let snap = &publication.snapshot;
-            assert_eq!(&**snap, SnapshotBuilder::new(&trace).advance_to(end), "version {version}");
+            assert_eq!(
+                &**snap,
+                SnapshotBuilder::new(&trace).advance_to(end).unwrap(),
+                "version {version}"
+            );
             let buffer = (snap.neighbors.as_ptr() as usize, snap.neighbors.capacity());
             // The publish before last retired version - 2; its buffer is
             // reused whenever it is large enough to hold the merge.

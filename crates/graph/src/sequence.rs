@@ -108,7 +108,7 @@ impl<'a> SnapshotSequence<'a> {
     }
 
     /// An in-order sweep over the sequence's snapshots backed by one
-    /// incremental [`SnapshotBuilder`] arena. Each call to
+    /// incremental [`SnapshotBuilder`] reading the trace. Each call to
     /// [`SnapshotSweep::next`] yields a view borrowed from the sweep, valid
     /// until the next advance — each boundary costs one streaming merge of
     /// the delta into the previous CSR instead of a from-scratch
@@ -164,34 +164,20 @@ impl<'a> SnapshotSequence<'a> {
 /// allocation. Use `while let Some(snap) = sweep.next()`.
 #[derive(Debug)]
 pub struct SnapshotSweep<'a> {
-    builder: SnapshotBuilder<'a>,
+    builder: SnapshotBuilder<&'a TemporalGraph>,
     boundaries: &'a [usize],
     next: usize,
 }
 
-impl<'a> SnapshotSweep<'a> {
+impl SnapshotSweep<'_> {
     /// Advances to the next boundary and returns the snapshot there, or
     /// `None` after the final snapshot.
     #[allow(clippy::should_implement_trait)] // lending: the item borrows self
     pub fn next(&mut self) -> Option<&Snapshot> {
         let b = *self.boundaries.get(self.next)?;
         self.next += 1;
-        Some(self.builder.advance_to(b))
-    }
-
-    /// Index of the snapshot the *next* call to [`next`](Self::next) will
-    /// yield (equivalently: how many snapshots have been yielded so far).
-    pub fn position(&self) -> usize {
-        self.next
-    }
-
-    /// The snapshot most recently yielded, if any.
-    pub fn current(&self) -> Option<&Snapshot> {
-        if self.next == 0 {
-            None
-        } else {
-            self.builder.current()
-        }
+        // linklens-allow(unwrap-in-lib): a slice read does no I/O, and TemporalGraph::add_edge drops repeated pairs
+        Some(self.builder.advance_to(b).expect("an in-core advance cannot fail"))
     }
 }
 
@@ -287,7 +273,6 @@ mod tests {
         let g = chain(30);
         let seq = SnapshotSequence::by_edge_delta(&g, 4);
         let mut sweep = seq.snapshots();
-        assert!(sweep.current().is_none());
         let mut seen = 0;
         while let Some(snap) = sweep.next() {
             assert_eq!(snap, &seq.snapshot(seen), "snapshot {seen}");
@@ -295,7 +280,6 @@ mod tests {
         }
         assert_eq!(seen, seq.len());
         assert!(sweep.next().is_none(), "sweep is fused");
-        assert_eq!(sweep.current().map(|s| s.prefix_len()), Some(seq.boundary(seq.len() - 1)));
     }
 
     #[test]

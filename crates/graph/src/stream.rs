@@ -4,136 +4,28 @@
 //! [`crate::temporal::TemporalGraph`], which holds the full edge list
 //! (16 bytes/edge) plus a dedup set. At the paper's headline scales (Renren:
 //! 10.5M nodes) that is the allocation that stops a laptop run, and it is
-//! unnecessary: the incremental merge in [`crate::builder`] only ever looks
-//! at the delta between consecutive boundaries. The types here run the same
-//! sweep against any [`TraceReader`] — in particular the file-backed
-//! [`crate::io::SectionedCacheReader`] — holding only
+//! unnecessary: the incremental merge of [`SnapshotBuilder`] only ever
+//! looks at the delta between consecutive boundaries, read through a
+//! [`TraceReader`]. [`StreamingSequence`] picks the same boundaries
+//! against any reader — in particular the file-backed
+//! [`crate::io::SectionedCacheReader`] — and its sweep holds only
 //!
 //! * the arrival vector (8 bytes/node),
-//! * the CSR of the current snapshot (the sweep's product), in a double
-//!   buffer sized once for the whole trace, and
+//! * the CSR of the current snapshot (the sweep's product), in the
+//!   builder's double buffer, and
 //! * one bounded delta window of edges at a time.
 //!
-//! The double buffer holds `2 × edge_count` entries per side from the
-//! start, as [`crate::builder::SnapshotBuilder`]'s does: grown by doubling
-//! instead, its last advances would hold a front buffer up to twice the
-//! final CSR beside the back buffer being written.
-//!
-//! Window size is a pure I/O knob: [`MergeArena`](crate::builder) applies a
-//! delta split across several windows bit-identically to one big merge, so
-//! every window size yields byte-for-byte the same snapshots as
-//! [`Snapshot::up_to`] (pinned by `crates/graph/tests/streaming.rs`).
+//! Every window cap yields byte-for-byte the same snapshots as the
+//! in-core sweep and [`Snapshot::up_to`] (pinned by this module's tests
+//! and by the window-cap property test in
+//! `crates/graph/tests/incremental.rs`).
 
-use crate::builder::MergeArena;
+use crate::builder::{SnapshotBuilder, DEFAULT_WINDOW_EDGES};
 use crate::io::{TraceIoError, TraceReader};
 use crate::sequence::{count_boundaries, delta_boundaries};
 use crate::snapshot::Snapshot;
 use crate::temporal::TimedEdge;
 use crate::NodeId;
-
-/// Default cap on edges held in the active delta window (16 MiB of
-/// `TimedEdge`).
-pub const DEFAULT_WINDOW_EDGES: usize = 1 << 20;
-
-/// Incremental snapshot construction over a [`TraceReader`], reading delta
-/// edges in bounded windows instead of borrowing an in-core edge list.
-///
-/// The out-of-core counterpart of [`crate::builder::SnapshotBuilder`]: the
-/// same `MergeArena` merge core produces the same bit-identical CSRs, but the delta
-/// for each advance is fetched through [`TraceReader::read_edge_window`] in
-/// chunks of at most `max_window` edges.
-#[derive(Debug)]
-pub struct StreamingSnapshotBuilder<R: TraceReader> {
-    reader: R,
-    arena: MergeArena,
-    window: Vec<TimedEdge>,
-    max_window: usize,
-    cur_prefix: usize,
-    started: bool,
-}
-
-impl<R: TraceReader> StreamingSnapshotBuilder<R> {
-    /// Creates a builder positioned before the first edge, with the default
-    /// window cap.
-    pub fn new(reader: R) -> Self {
-        Self::with_max_window(reader, DEFAULT_WINDOW_EDGES)
-    }
-
-    /// Creates a builder with an explicit cap on the edges resident in the
-    /// delta window. Any positive cap produces identical snapshots; small
-    /// caps trade syscalls for memory. The CSR double buffer is reserved
-    /// for the whole trace here, once.
-    pub fn with_max_window(reader: R, max_window: usize) -> Self {
-        assert!(max_window > 0, "window must hold at least one edge");
-        let arena = MergeArena::new(reader.node_count(), 2 * reader.edge_count());
-        StreamingSnapshotBuilder {
-            reader,
-            arena,
-            window: Vec::new(),
-            max_window,
-            cur_prefix: 0,
-            started: false,
-        }
-    }
-
-    /// The prefix length of the current snapshot (0 before the first
-    /// advance).
-    pub fn prefix_len(&self) -> usize {
-        self.cur_prefix
-    }
-
-    /// The current snapshot, if [`advance_to`](Self::advance_to) has been
-    /// called.
-    pub fn current(&self) -> Option<&Snapshot> {
-        if self.started {
-            Some(&self.arena.snap)
-        } else {
-            None
-        }
-    }
-
-    /// Advances to the snapshot holding the first `prefix_len` edges and
-    /// returns a borrowed view of it, reading the delta in windows of at
-    /// most `max_window` edges. Re-requesting the current prefix is a no-op
-    /// returning the same view.
-    ///
-    /// A pair the trace holds twice is a [`TraceIoError::Cache`] naming
-    /// it, whether its copies fall in one window or in two; the builder
-    /// then stays at the end of the last window merged cleanly, and never
-    /// returns a snapshot with a repeated neighbour.
-    ///
-    /// # Panics
-    /// Panics if `prefix_len` is zero, exceeds the trace length, or moves
-    /// backwards (snapshots are append-only; build a fresh builder to
-    /// rewind).
-    pub fn advance_to(&mut self, prefix_len: usize) -> Result<&Snapshot, TraceIoError> {
-        assert!(prefix_len > 0, "a snapshot needs at least one edge");
-        assert!(prefix_len <= self.reader.edge_count(), "prefix exceeds trace length");
-        assert!(
-            prefix_len >= self.cur_prefix,
-            "StreamingSnapshotBuilder cannot rewind (at {}, asked for {prefix_len})",
-            self.cur_prefix
-        );
-        while self.cur_prefix < prefix_len {
-            let end = prefix_len.min(self.cur_prefix + self.max_window);
-            self.reader.read_edge_window(self.cur_prefix, end, &mut self.window)?;
-            // linklens-allow(unwrap-in-lib): the loop guard makes the window non-empty
-            let time = self.window.last().expect("non-empty delta window").t;
-            let new_n = self.reader.nodes_at(time);
-            self.arena
-                .apply(&self.window, new_n, time, end)
-                .map_err(|(u, v)| crate::io::repeated_pair(u, v))?;
-            self.cur_prefix = end;
-            self.started = true;
-        }
-        if crate::audit::audit_enabled() {
-            if let Err(e) = self.arena.snap.validate() {
-                panic!("snapshot invariant violated after advance to prefix {prefix_len}: {e}");
-            }
-        }
-        Ok(&self.arena.snap)
-    }
-}
 
 /// Constant-edge-delta snapshot boundaries over a [`TraceReader`] — the
 /// out-of-core counterpart of [`crate::sequence::SnapshotSequence`], sharing
@@ -177,7 +69,7 @@ impl<R: TraceReader> StreamingSequence<R> {
     /// Caps the edges resident in any delta window (for sweeps and
     /// [`new_edges`](Self::new_edges) scans). Any positive cap yields
     /// identical results.
-    // linklens-allow(unreached-pub-fn): the window-split tests in stream.rs and sampled_eval.rs need windows below the private 1M-edge default
+    // linklens-allow(unreached-pub-fn): the window-split tests in stream.rs and sampled_eval.rs need windows below the 1M-edge DEFAULT_WINDOW_EDGES
     pub fn set_max_window(&mut self, max_window: usize) {
         assert!(max_window > 0, "window must hold at least one edge");
         self.max_window = max_window;
@@ -233,11 +125,11 @@ impl<R: TraceReader> StreamingSequence<R> {
     }
 
     /// An in-order sweep over the sequence's snapshots backed by one
-    /// incremental [`StreamingSnapshotBuilder`]. Consumes the sequence (the
-    /// sweep owns the reader); use `while let Some(snap) = sweep.next()?`.
+    /// incremental [`SnapshotBuilder`] at the sequence's window cap.
+    /// Consumes the sequence (the sweep owns the reader); use
+    /// `while let Some(snap) = sweep.next()?`.
     pub fn sweep(self) -> StreamingSweep<R> {
-        let mut builder = StreamingSnapshotBuilder::new(self.reader);
-        builder.max_window = self.max_window;
+        let builder = SnapshotBuilder::with_max_window(self.reader, self.max_window);
         StreamingSweep { builder, boundaries: self.boundaries, next: 0 }
     }
 }
@@ -245,12 +137,12 @@ impl<R: TraceReader> StreamingSequence<R> {
 /// A lending in-order iterator over a streaming sequence's snapshots.
 /// Created by [`StreamingSequence::sweep`]. Like
 /// [`crate::sequence::SnapshotSweep`], each yielded `&Snapshot` borrows the
-/// sweep's arena and is invalidated by the next advance; unlike it, each
-/// advance can fail with an I/O error, so `next` returns
-/// `Result<Option<…>>`.
+/// sweep's builder and is invalidated by the next advance; unlike it, each
+/// advance can fail with an I/O error or a repeated pair, so `next`
+/// returns `Result<Option<…>>`.
 #[derive(Debug)]
 pub struct StreamingSweep<R: TraceReader> {
-    builder: StreamingSnapshotBuilder<R>,
+    builder: SnapshotBuilder<R>,
     boundaries: Vec<usize>,
     next: usize,
 }
@@ -265,21 +157,6 @@ impl<R: TraceReader> StreamingSweep<R> {
         };
         self.next += 1;
         self.builder.advance_to(b).map(Some)
-    }
-
-    /// Index of the snapshot the *next* call to [`next`](Self::next) will
-    /// yield.
-    pub fn position(&self) -> usize {
-        self.next
-    }
-
-    /// The snapshot most recently yielded, if any.
-    pub fn current(&self) -> Option<&Snapshot> {
-        if self.next == 0 {
-            None
-        } else {
-            self.builder.current()
-        }
     }
 }
 
@@ -307,29 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_builder_matches_in_core_builder() {
-        let g = staggered(20);
-        for max_window in [1usize, 3, 7, 1 << 20] {
-            let mut reader = g.clone();
-            let mut sb = StreamingSnapshotBuilder::with_max_window(&mut reader, max_window);
-            for prefix in [1usize, 2, 5, 17, g.edge_count()] {
-                let streamed = sb.advance_to(prefix).unwrap();
-                assert_eq!(
-                    streamed,
-                    &crate::snapshot::Snapshot::up_to(&g, prefix),
-                    "window {max_window} prefix {prefix}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn streaming_sequence_matches_snapshot_sequence() {
         let g = staggered(30);
         let seq = SnapshotSequence::with_count(&g, 6);
         for max_window in [2usize, 11, 1 << 20] {
-            let mut reader = g.clone();
-            let mut sseq = StreamingSequence::with_count(&mut reader, 6);
+            let mut sseq = StreamingSequence::with_count(&g, 6);
             sseq.set_max_window(max_window);
             assert_eq!(sseq.len(), seq.len());
             for i in 0..seq.len() {
@@ -353,21 +212,10 @@ mod tests {
     fn streaming_sequence_by_edge_delta_matches() {
         let g = staggered(30);
         let seq = SnapshotSequence::by_edge_delta(&g, 7);
-        let mut reader = g.clone();
-        let sseq = StreamingSequence::by_edge_delta(&mut reader, 7);
+        let sseq = StreamingSequence::by_edge_delta(&g, 7);
         assert_eq!(sseq.len(), seq.len());
         for i in 0..seq.len() {
             assert_eq!(sseq.boundary(i), seq.boundary(i));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot rewind")]
-    fn streaming_builder_rewind_panics() {
-        let g = staggered(10);
-        let mut reader = g.clone();
-        let mut sb = StreamingSnapshotBuilder::new(&mut reader);
-        sb.advance_to(8).unwrap();
-        let _ = sb.advance_to(3);
     }
 }

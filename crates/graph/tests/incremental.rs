@@ -70,15 +70,27 @@ proptest! {
     }
 
     /// Same guarantee straight on the builder with arbitrary forward
-    /// jumps (not just sequence boundaries), covering tiny deltas, large
-    /// deltas, and the first advance into an empty CSR.
+    /// jumps (not just sequence boundaries) and an arbitrary window cap,
+    /// covering tiny deltas, large deltas split across windows, and the
+    /// first advance into an empty CSR.
     #[test]
-    fn arbitrary_advances_match_up_to(g in arb_staggered_trace(), step in 1usize..9) {
+    fn arbitrary_advances_match_up_to(
+        g in arb_staggered_trace(),
+        step in 1usize..9,
+        max_window in 1usize..9,
+    ) {
         prop_assume!(g.edge_count() >= 2);
-        let mut b = SnapshotBuilder::new(&g);
+        let mut b = SnapshotBuilder::with_max_window(&g, max_window);
         let mut prefix = 1;
         while prefix <= g.edge_count() {
-            prop_assert_eq!(b.advance_to(prefix), &Snapshot::up_to(&g, prefix), "prefix {}", prefix);
+            let snap = b.advance_to(prefix).unwrap();
+            prop_assert_eq!(
+                snap,
+                &Snapshot::up_to(&g, prefix),
+                "prefix {} window {}",
+                prefix,
+                max_window
+            );
             prefix += step;
         }
     }

@@ -109,7 +109,7 @@ proptest! {
         prop_assume!(g.edge_count() > 0);
         let mut builder = SnapshotBuilder::new(&g);
         for prefix in 1..=g.edge_count() {
-            let snap = builder.advance_to(prefix);
+            let snap = builder.advance_to(prefix).unwrap();
             let cached = memoized(snap).to_vec();
             prop_assert_eq!(cached, stats::triangle_counts(snap), "prefix {}", prefix);
         }

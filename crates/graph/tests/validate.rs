@@ -74,7 +74,7 @@ proptest! {
         let mut b = SnapshotBuilder::new(&g);
         let mut prefix = 1;
         while prefix <= g.edge_count() {
-            let s = b.advance_to(prefix);
+            let s = b.advance_to(prefix).unwrap();
             prop_assert!(s.validate().is_ok(), "prefix {}: {:?}", prefix, s.validate());
             prefix += step;
         }

@@ -1,15 +1,4 @@
-//! Classifier evaluation utilities: accuracy and ROC AUC.
-
-/// Fraction of predictions matching the truth.
-///
-/// # Panics
-/// Panics on length mismatch or empty input.
-pub fn accuracy(predictions: &[bool], truth: &[bool]) -> f64 {
-    assert_eq!(predictions.len(), truth.len());
-    assert!(!truth.is_empty(), "no samples");
-    let correct = predictions.iter().zip(truth).filter(|(p, t)| p == t).count();
-    correct as f64 / truth.len() as f64
-}
+//! Classifier evaluation: ROC AUC.
 
 /// ROC AUC via the rank statistic (Mann–Whitney U), with tie correction.
 /// Returns 0.5 when either class is absent.
@@ -53,12 +42,6 @@ pub fn roc_auc(scores: &[f64], truth: &[bool]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accuracy_basic() {
-        assert_eq!(accuracy(&[true, false, true], &[true, true, true]), 2.0 / 3.0);
-        assert_eq!(accuracy(&[true], &[true]), 1.0);
-    }
 
     #[test]
     fn auc_perfect_ranking() {

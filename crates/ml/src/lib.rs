@@ -21,7 +21,7 @@
 //!   feature subsampling; vote share as a decision score.
 //! * [`platt`] — Platt scaling: calibrated probabilities from any
 //!   decision score (addresses §8's "binary results lack granularity").
-//! * [`eval`] — accuracy and ROC AUC.
+//! * [`eval`] — ROC AUC.
 //!
 //! All training is deterministic given the seed in each model's config.
 //! Scores returned by [`Classifier::decision`] are *ranking* scores: higher

@@ -7,8 +7,8 @@ use rand::{Rng, SeedableRng};
 
 /// Logistic-regression configuration + trained state.
 ///
-/// `decision` returns the log-odds `w·x + b`; use [`Self::probability`] for
-/// a calibrated `P(y = 1 | x)`.
+/// `decision` returns the log-odds `w·x + b`, whose sigmoid is the
+/// model's `P(y = 1 | x)`.
 #[derive(Clone, Debug)]
 pub struct LogisticRegression {
     /// L2 regularization strength.
@@ -40,11 +40,6 @@ impl LogisticRegression {
     /// Creates a model with default hyper-parameters and the given seed.
     pub fn seeded(seed: u64) -> Self {
         LogisticRegression { seed, ..Default::default() }
-    }
-
-    /// `P(y = 1 | x)` under the fitted model.
-    pub fn probability(&self, row: &[f64]) -> f64 {
-        sigmoid(self.decision(row))
     }
 }
 
@@ -128,9 +123,9 @@ mod tests {
         let d = blobs(300, 1.5);
         let mut lr = LogisticRegression::seeded(2);
         lr.fit(&d);
-        let p_neg = lr.probability(&[-2.0, 0.0]);
-        let p_mid = lr.probability(&[0.0, 0.0]);
-        let p_pos = lr.probability(&[2.0, 0.0]);
+        let p_neg = sigmoid(lr.decision(&[-2.0, 0.0]));
+        let p_mid = sigmoid(lr.decision(&[0.0, 0.0]));
+        let p_pos = sigmoid(lr.decision(&[2.0, 0.0]));
         assert!(p_neg < p_mid && p_mid < p_pos);
         assert!(p_neg < 0.1 && p_pos > 0.9);
     }
@@ -141,7 +136,7 @@ mod tests {
         let mut lr = LogisticRegression::seeded(3);
         lr.fit(&d);
         for x in [-100.0, -1.0, 0.0, 1.0, 100.0] {
-            let p = lr.probability(&[x, 0.0]);
+            let p = sigmoid(lr.decision(&[x, 0.0]));
             assert!((0.0..=1.0).contains(&p), "p={p} out of range");
         }
     }

@@ -77,7 +77,7 @@ fn streamed_snapshots_match_offline_builder_across_worker_counts() {
         let mut published = 0usize;
         replay_with(&server, &trace, 31, |server| {
             let pinned = server.current();
-            let oracle = offline.advance_to(pinned.snapshot.prefix_len());
+            let oracle = offline.advance_to(pinned.snapshot.prefix_len()).unwrap();
             assert_eq!(
                 &*pinned.snapshot, oracle,
                 "version {} diverged from the offline builder (workers={workers})",

@@ -113,6 +113,26 @@ fn parse_or_exit<T: std::str::FromStr>(value: &str, what: &str) -> T {
     })
 }
 
+/// The `--snapshots` value (default 10); a sequence needs at least two
+/// snapshots to predict anything.
+fn snapshot_count(args: &[String]) -> usize {
+    let count = flag_value(args, "--snapshots").map_or(10, |v| parse_or_exit(v, "--snapshots"));
+    if count < 2 {
+        eprintln!("invalid --snapshots: {count} (a sequence needs at least 2 snapshots)");
+        exit(2)
+    }
+    count
+}
+
+/// Exits 1 unless the trace at `path` holds at least `min` edges, which
+/// `purpose` needs.
+fn require_edges(path: &str, trace: &GrowthTrace, min: usize, purpose: &str) {
+    if trace.edge_count() < min {
+        eprintln!("{path}: {} edge(s), but {purpose} needs at least {min}", trace.edge_count());
+        exit(1)
+    }
+}
+
 fn load_trace(path: &str) -> GrowthTrace {
     let cache_path = format!("{path}.llc");
     if USE_CACHE.load(std::sync::atomic::Ordering::Relaxed) {
@@ -199,9 +219,9 @@ fn stats_cmd(args: &[String]) {
         eprintln!("stats needs a trace file");
         exit(2)
     };
-    let snapshots: usize =
-        flag_value(args, "--snapshots").map_or(10, |v| parse_or_exit(v, "--snapshots"));
+    let snapshots = snapshot_count(args);
     let trace = load_trace(path);
+    require_edges(path, &trace, 2, "a sequence of two snapshots");
     println!("{path}: {} nodes, {} edges", trace.node_count(), trace.edge_count());
     let seq = SnapshotSequence::with_count(&trace, snapshots);
     println!(
@@ -228,8 +248,7 @@ fn predict(args: &[String]) {
         exit(2)
     };
     let metric_name = flag_value(args, "--metric").unwrap_or("BRA");
-    let snapshots: usize =
-        flag_value(args, "--snapshots").map_or(10, |v| parse_or_exit(v, "--snapshots"));
+    let snapshots = snapshot_count(args);
     let Some(metric) = linklens::metrics::metric_by_name(metric_name) else {
         eprintln!(
             "unknown metric '{metric_name}'; available: {:?}",
@@ -238,6 +257,7 @@ fn predict(args: &[String]) {
         exit(2)
     };
     let trace = load_trace(path);
+    require_edges(path, &trace, 2, "a sequence of two snapshots");
     let seq = SnapshotSequence::with_count(&trace, snapshots);
     let eval = SequenceEvaluator::new(&seq);
     let filter = flag_value(args, "--filter").map(|name| {
@@ -277,6 +297,7 @@ fn recommend(args: &[String]) {
         exit(2)
     };
     let trace = load_trace(path);
+    require_edges(path, &trace, 1, "a snapshot");
     let snap = Snapshot::up_to(&trace, trace.edge_count());
     if (user as usize) >= snap.node_count() {
         eprintln!("user {user} not in the trace (max id {})", snap.node_count() - 1);

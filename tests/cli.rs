@@ -89,3 +89,44 @@ fn usage_on_no_command() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("commands:"));
 }
+
+/// Asserts `out` exited with `code` and a clean message: stderr names
+/// `needle`, and nothing panicked.
+fn assert_clean_exit(out: &std::process::Output, code: i32, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "stderr: {stderr}");
+    assert!(stderr.contains(needle), "stderr lacks '{needle}': {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn fewer_than_two_snapshots_is_a_usage_error() {
+    let path = tmp("snapshots.txt");
+    std::fs::write(&path, "10 20 100\n20 30 200\n10 30 300\n").unwrap();
+    for command in ["stats", "predict"] {
+        for count in ["0", "1"] {
+            let out = linklens(&[command, path.to_str().unwrap(), "--snapshots", count]);
+            assert_clean_exit(&out, 2, "--snapshots");
+        }
+    }
+}
+
+#[test]
+fn trace_too_short_for_two_snapshots_is_an_error() {
+    for (name, text) in [("no-edges.txt", ""), ("one-edge.txt", "10 20 100\n")] {
+        let path = tmp(name);
+        std::fs::write(&path, text).unwrap();
+        for command in ["stats", "predict"] {
+            let out = linklens(&[command, path.to_str().unwrap(), "--snapshots", "2"]);
+            assert_clean_exit(&out, 1, path.to_str().unwrap());
+        }
+    }
+}
+
+#[test]
+fn recommend_on_a_trace_without_edges_is_an_error() {
+    let path = tmp("nodes-only.txt");
+    std::fs::write(&path, "# linklens-trace v1\nn 3\na 0 0\na 1 0\na 2 0\n").unwrap();
+    let out = linklens(&["recommend", path.to_str().unwrap(), "--user", "0"]);
+    assert_clean_exit(&out, 1, path.to_str().unwrap());
+}
