@@ -67,7 +67,7 @@ pub(super) fn fig10(ctx: &Context, con: &mut Console) -> Value {
         let instance = pipe.instance(t, None);
         let diag = instance.diagnostics();
         let (s, u, k) = diag.iter().fold((0usize, 0.0f64, 0usize), |acc, d| {
-            (acc.0 + d.sample_size, acc.1 + d.universe, acc.2 + d.truth.len())
+            (acc.0 + d.sample.members.len(), acc.1 + d.sample.universe, acc.2 + d.truth.len())
         });
         let n = diag.len();
         instance_table.push_row(vec![

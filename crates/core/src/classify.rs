@@ -43,7 +43,7 @@
 
 use crate::filters::TemporalFilter;
 use crate::framework::PredictionOutcome;
-use crate::sampling::{Draw, DrawSummary, Judgement};
+use crate::sampling::{Draw, DrawSample, DrawSummary, Judgement};
 use osn_graph::activity::NodeActivity;
 use osn_graph::sequence::SnapshotSequence;
 use osn_graph::snapshot::Snapshot;
@@ -230,7 +230,8 @@ impl<'a> ClassificationPipeline<'a> {
         for seed_node in sample::pick_seeds(&train_snap, self.config.n_seeds, self.config.seed) {
             train_members.push(sample::snowball(&train_snap, seed_node, p));
             let members = sample::snowball(&test_snap, seed_node, p);
-            draws.push(Draw::build(&test_snap, &members, &test_truth, act.as_ref()));
+            let drawn = Arc::new(DrawSample::build(&test_snap, members, act.as_ref()));
+            draws.push(Draw::build(test_snap.node_count(), drawn, &test_truth));
         }
         SampledInstance {
             pipe: self,
@@ -325,7 +326,8 @@ impl SampledInstance<'_> {
             .iter()
             .enumerate()
             .map(|(si, draw)| {
-                let scores = self.pipe.score(&self.test_snap, &[metric], &draw.pairs).remove(0);
+                let scores =
+                    self.pipe.score(&self.test_snap, &[metric], &draw.sample.pairs).remove(0);
                 draw.judge(&scores, self.pipe.config.seed ^ si as u64)
             })
             .collect();
@@ -439,7 +441,7 @@ impl SampledInstance<'_> {
                 positives.sort_unstable();
                 SeedFeatures {
                     positives: self.pipe.features(&self.train_snap, &positives),
-                    test: self.pipe.features(&self.test_snap, &draw.pairs),
+                    test: self.pipe.features(&self.test_snap, &draw.sample.pairs),
                 }
             })
             .collect()
@@ -632,8 +634,8 @@ mod tests {
         let ph = cheap_pipeline(&seq, half);
         let (inst_f, inst_h) = (pf.instance(2, None), ph.instance(2, None));
         let (df, dh) = (&inst_f.diagnostics()[0], &inst_h.diagnostics()[0]);
-        assert!(dh.sample_size < df.sample_size, "sample size should shrink");
-        assert!(dh.universe < df.universe, "universe should shrink");
+        assert!(dh.sample.members.len() < df.sample.members.len(), "sample size should shrink");
+        assert!(dh.sample.universe < df.sample.universe, "universe should shrink");
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! per-draw pieces the §5 classification pipeline shares with it.
 //!
 //! One draw snowball-samples a node subset of the observed snapshot
-//! (`Draw::build`: the sampled universe, the optional temporal filter
-//! and the ground truth restricted to the sample), scores it, and is
-//! judged by its seeded top-k against that truth (`Draw::judge`).
+//! (`DrawSample::build`: the sampled universe and the optional temporal
+//! filter; `Draw::build`: the ground truth restricted to the sample),
+//! scores it, and is judged by its seeded top-k against that truth
+//! (`Draw::judge`). A spec's samples are memoized on the snapshot, so the
+//! metrics estimated on one snapshot share them.
 //! Repeating over `draws` samples gives a repeat-averaged accuracy ratio
 //! *with a per-draw spread* (`DrawSummary`), so reports can show how
 //! tight the sampled estimate is. The accuracy-ratio denominator always
@@ -25,6 +27,7 @@ use osn_metrics::traits::Metric;
 use osn_metrics::{exec, topk};
 use serde::Serialize;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Cap on exhaustively scored pairs per draw: a larger sample falls back
 /// to the candidate-restricted universe (see [`sampled_universe`]).
@@ -71,53 +74,70 @@ pub struct SampledEstimate {
     pub mean_sample_size: f64,
 }
 
-/// One sampled draw, ready to score: the pairs to rank, the truth to
-/// judge them against, and the sizes the accuracy ratio needs.
-#[derive(Clone, Debug)]
-pub struct Draw {
+/// What one draw takes from the snapshot alone: its sample, the pairs to
+/// rank and the exact universe count. [`evaluate_metric_sampled_on`]
+/// memoizes a spec's samples on the snapshot, so every metric sampled on
+/// it with that spec and filter ranks the same pairs.
+#[derive(Debug)]
+pub struct DrawSample {
+    /// The sampled nodes, sorted.
+    pub members: Vec<NodeId>,
     /// The scored pairs: the sampled universe after the optional temporal
     /// filter, sorted and distinct.
     pub pairs: Vec<(NodeId, NodeId)>,
-    /// The ground truth with both endpoints in the sample; its size is
-    /// the draw's `k`.
-    pub truth: HashSet<(NodeId, NodeId)>,
     /// The exact unconnected-pair count of the sample, whichever universe
     /// was scored and whatever the filter kept.
     pub universe: f64,
-    /// Sampled-node count.
-    pub sample_size: usize,
 }
 
-impl Draw {
-    /// The draw of the sorted sample `members` of `snap`: its sampled
-    /// universe ([`sampled_universe`] under [`MAX_UNIVERSE_PAIRS`]),
-    /// narrowed by the temporal filter of `prune`, `snap`'s activity
-    /// table, when one is given, and `truth_full` restricted to member
-    /// pairs.
-    pub(crate) fn build(
-        snap: &Snapshot,
-        members: &[NodeId],
-        truth_full: &HashSet<(NodeId, NodeId)>,
-        prune: Prune<'_>,
-    ) -> Draw {
-        let is_member = membership(snap.node_count(), members);
-        let inside = |x: NodeId| is_member.get(x as usize).copied().unwrap_or(false);
-        let (mut pairs, universe) = sampled_universe(snap, members, MAX_UNIVERSE_PAIRS);
+impl DrawSample {
+    /// The sample `members` (sorted) of `snap`: its sampled universe
+    /// ([`sampled_universe`] under [`MAX_UNIVERSE_PAIRS`]), narrowed by the
+    /// temporal filter of `prune`, `snap`'s activity table, when one is
+    /// given.
+    pub(crate) fn build(snap: &Snapshot, members: Vec<NodeId>, prune: Prune<'_>) -> DrawSample {
+        let (mut pairs, universe) = sampled_universe(snap, &members, MAX_UNIVERSE_PAIRS);
         if let Some(act) = prune {
             pairs.retain(|&(u, v)| act.pair_passes(snap, u, v));
         }
+        DrawSample { members, pairs, universe }
+    }
+}
+
+/// One sampled draw, ready to score: its sample and the truth to judge
+/// the sample's pairs against.
+#[derive(Clone, Debug)]
+pub struct Draw {
+    /// The sample, its scored pairs and its universe count.
+    pub sample: Arc<DrawSample>,
+    /// The ground truth with both endpoints in the sample; its size is
+    /// the draw's `k`.
+    pub truth: HashSet<(NodeId, NodeId)>,
+}
+
+impl Draw {
+    /// The draw of `sample` of a snapshot of `n` nodes: `truth_full`
+    /// restricted to member pairs.
+    pub(crate) fn build(
+        n: usize,
+        sample: Arc<DrawSample>,
+        truth_full: &HashSet<(NodeId, NodeId)>,
+    ) -> Draw {
+        let is_member = membership(n, &sample.members);
+        let inside = |x: NodeId| is_member.get(x as usize).copied().unwrap_or(false);
         let truth: HashSet<(NodeId, NodeId)> =
             truth_full.iter().copied().filter(|&(u, v)| inside(u) && inside(v)).collect();
-        Draw { pairs, truth, universe, sample_size: members.len() }
+        Draw { sample, truth }
     }
 
-    /// Judges `scores` (aligned with `pairs`): the top-k pairs, ties
-    /// broken by `seed`, against the in-sample truth.
+    /// Judges `scores` (aligned with the sample's pairs): the top-k pairs,
+    /// ties broken by `seed`, against the in-sample truth.
     pub(crate) fn judge(&self, scores: &[f64], seed: u64) -> Judgement {
         let k = self.truth.len();
-        let predicted = topk::top_k_pairs(&self.pairs, scores, k, seed);
+        let predicted = topk::top_k_pairs(&self.sample.pairs, scores, k, seed);
         let correct = predicted.iter().filter(|p| self.truth.contains(p)).count();
-        let expected = if self.universe > 0.0 { (k as f64).powi(2) / self.universe } else { 0.0 };
+        let universe = self.sample.universe;
+        let expected = if universe > 0.0 { (k as f64).powi(2) / universe } else { 0.0 };
         // A draw with no random baseline (no truth or no universe) carries
         // no signal: its ratio is NaN, which the summary skips rather than
         // counting it as zero accuracy.
@@ -257,13 +277,46 @@ fn membership(n: usize, members: &[NodeId]) -> Vec<bool> {
     is_member
 }
 
-/// Node subsets for every draw, in draw order — deterministic in
-/// `(spec.p, spec.draws, spec.seed)` and independent of thread count.
-fn draw_members(snap: &Snapshot, spec: &SampleSpec) -> Vec<Vec<NodeId>> {
-    sample::pick_seeds(snap, spec.draws, spec.seed)
-        .into_iter()
-        .map(|seed_node| sample::snowball(snap, seed_node, spec.p))
-        .collect()
+/// The samples of every draw of `spec` on `snap`, in draw order, the
+/// pairs narrowed by `filter` when one is given: built on the first call
+/// for `snap`, the spec and the filter, and memoized on `snap` for every
+/// later one, [`evaluate_metric_sampled_on`]'s included. The key is every
+/// field of the spec and of the filter, so any other value of one gets
+/// its own draws. Deterministic in the key and independent of thread
+/// count.
+pub fn draw_samples(
+    snap: &Snapshot,
+    filter: Option<&TemporalFilter>,
+    spec: &SampleSpec,
+) -> Arc<Vec<Arc<DrawSample>>> {
+    let SampleSpec { p, draws, seed } = *spec;
+    let mut key = vec![p.to_bits(), draws as u64, seed];
+    if let Some(&TemporalFilter {
+        active_idle_days,
+        inactive_idle_days,
+        window_days,
+        min_recent_edges,
+        cn_gap_days,
+    }) = filter
+    {
+        key.extend([
+            active_idle_days.to_bits(),
+            inactive_idle_days.to_bits(),
+            window_days.to_bits(),
+            min_recent_edges as u64,
+            cn_gap_days.to_bits(),
+        ]);
+    }
+    snap.derived::<SampleSpec, _>(&key, || {
+        let act = filter.map(|f| NodeActivity::build(snap, f));
+        sample::pick_seeds(snap, draws, seed)
+            .into_iter()
+            .map(|seed_node| {
+                let members = sample::snowball(snap, seed_node, p);
+                Arc::new(DrawSample::build(snap, members, act.as_ref()))
+            })
+            .collect()
+    })
 }
 
 /// Sampled evaluation of one metric on one transition, given the observed
@@ -273,7 +326,11 @@ fn draw_members(snap: &Snapshot, spec: &SampleSpec) -> Vec<Vec<NodeId>> {
 /// Each draw samples `prev`, restricts both the scored universe and the
 /// truth to the sample, predicts in-sample top-k, and scores the draw's
 /// own accuracy ratio against its own exact universe; draws aggregate by
-/// finite mean and population variance. In-core callers pass
+/// finite mean and population variance. The samples, with their scored
+/// pairs and universe counts, are memoized on `prev` per spec and filter
+/// ([`Snapshot::derived`]): every metric estimated on `prev` with them
+/// picks seeds, grows snowballs and enumerates pairs once, and each call
+/// restricts only `truth_full`. In-core callers pass
 /// `seq.snapshot(t - 1)` and the evaluator's ground truth; the streaming
 /// sweep passes its windowed snapshot and truth.
 // linklens-deterministic: draw sequence and tie-break seeds feed reported accuracy
@@ -286,16 +343,13 @@ pub fn evaluate_metric_sampled_on(
     spec: &SampleSpec,
 ) -> SampledEstimate {
     assert!(spec.draws > 0, "need at least one draw");
-    let act = filter.map(|f| NodeActivity::build(prev, f));
-    let draws: Vec<Draw> = draw_members(prev, spec)
-        .iter()
-        .map(|members| Draw::build(prev, members, truth_full, act.as_ref()))
-        .collect();
-    let judged: Vec<Judgement> = draws
+    let samples = draw_samples(prev, filter, spec);
+    let judged: Vec<Judgement> = samples
         .iter()
         .enumerate()
-        .map(|(di, draw)| {
-            let scores = exec::score_pairs_t(metric, prev, &draw.pairs, par::max_threads());
+        .map(|(di, sample)| {
+            let draw = Draw::build(prev.node_count(), Arc::clone(sample), truth_full);
+            let scores = exec::score_pairs_t(metric, prev, &sample.pairs, par::max_threads());
             draw.judge(&scores, spec.seed ^ di as u64)
         })
         .collect();
@@ -308,8 +362,8 @@ pub fn evaluate_metric_sampled_on(
         std_accuracy_ratio: summary.std_ratio,
         mean_absolute_accuracy: summary.mean_absolute,
         mean_k: summary.mean_k,
-        mean_sample_size: draws.iter().map(|d| d.sample_size).sum::<usize>() as f64
-            / draws.len().max(1) as f64,
+        mean_sample_size: samples.iter().map(|s| s.members.len()).sum::<usize>() as f64
+            / samples.len().max(1) as f64,
     }
 }
 

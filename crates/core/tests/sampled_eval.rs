@@ -6,6 +6,11 @@
 //! ratio tracks the full evaluation on a small preset in the regime where
 //! the full evaluation is itself statistically meaningful.
 //!
+//! The sampled estimate's draws are memoized on the snapshot: metrics
+//! estimated on one snapshot with one spec and filter share one set, each
+//! estimate equals the metric's on a fresh snapshot, and another spec or
+//! filter gets its own draws.
+//!
 //! Also the §5 sampled instance the classification rows read: repeated
 //! `cells` calls equal calls on fresh instances, `metric_outcome` does not
 //! depend on whether `cells` ran, and a filtered instance scores exactly
@@ -27,6 +32,7 @@ use osn_graph::{traversal, NodeId};
 use osn_metrics::fused::LocalKind;
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// One streaming-path sampled estimate: generate with the streaming
 /// generator into a sectioned cache (at `section_bytes`), then evaluate
@@ -202,16 +208,113 @@ fn filtered_instance_scores_the_unfiltered_pairs_that_pass() {
     let mut dropped = 0;
     for (p, f) in plain.diagnostics().iter().zip(filtered.diagnostics()) {
         let passing: Vec<(NodeId, NodeId)> = p
+            .sample
             .pairs
             .iter()
             .copied()
             .filter(|&(u, v)| oracles::candidates::passes(&filter, &observed, u, v))
             .collect();
-        dropped += p.pairs.len() - passing.len();
-        assert_eq!(f.pairs, passing);
+        dropped += p.sample.pairs.len() - passing.len();
+        assert_eq!(f.sample.pairs, passing);
         assert_eq!(f.truth, p.truth, "k and truth do not depend on the filter");
-        assert_eq!(f.universe.to_bits(), p.universe.to_bits());
-        assert_eq!(f.sample_size, p.sample_size);
+        assert_eq!(f.sample.universe.to_bits(), p.sample.universe.to_bits());
+        assert_eq!(f.sample.members, p.sample.members);
+    }
+    assert!(dropped > 0, "the fixture's filter must drop some pairs");
+}
+
+/// A snapshot and the truth of its next transition, from the §5 fixture's
+/// trace, with a spec of three draws of a third of the nodes.
+fn estimate_fixture() -> (Snapshot, HashSet<(NodeId, NodeId)>, SampleSpec) {
+    let (trace, _) = instance_fixture();
+    let seq = SnapshotSequence::with_count(&trace, 6);
+    let truth = seq.new_edges(4).into_iter().collect();
+    (seq.snapshot(3), truth, SampleSpec { p: 0.3, draws: 3, seed: 11 })
+}
+
+/// An estimate's numbers as bits.
+fn estimate_bits(e: &sampling::SampledEstimate) -> Vec<u64> {
+    let head = [e.mean_accuracy_ratio, e.std_accuracy_ratio, e.mean_absolute_accuracy, e.mean_k];
+    head.iter()
+        .chain(&e.per_draw_ratios)
+        .chain([&e.mean_sample_size])
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+/// CN, AA and RA on one snapshot and spec share one set of draws: the
+/// memoized samples are the same allocation after each call, and each
+/// estimate equals the metric's estimate on a fresh clone bit for bit,
+/// whichever metric came first.
+#[test]
+fn metrics_on_one_snapshot_share_one_set_of_draws() {
+    let (snap, truth, spec) = estimate_fixture();
+    let metrics = [LocalKind::Cn, LocalKind::Aa, LocalKind::Ra];
+    let fresh: Vec<Vec<u64>> = metrics
+        .iter()
+        .map(|m| {
+            let alone = snap.clone();
+            estimate_bits(&sampling::evaluate_metric_sampled_on(m, &alone, &truth, 4, None, &spec))
+        })
+        .collect();
+    for order in [[0, 1, 2], [2, 1, 0]] {
+        let shared = snap.clone();
+        let mut memo = None;
+        for i in order {
+            let est =
+                sampling::evaluate_metric_sampled_on(&metrics[i], &shared, &truth, 4, None, &spec);
+            assert!(est.mean_k > 0.0, "the fixture must have in-sample truth");
+            assert_eq!(estimate_bits(&est), fresh[i], "{:?} after {order:?}", metrics[i]);
+            let draws = sampling::draw_samples(&shared, None, &spec);
+            let first = memo.get_or_insert_with(|| Arc::clone(&draws));
+            assert!(Arc::ptr_eq(first, &draws), "{:?} built its own draws", metrics[i]);
+        }
+    }
+}
+
+/// Another `p`, seed, draw count or filter is another key: it gets its
+/// own draws, the ones a fresh clone builds for it. The filtered draws
+/// are the unfiltered draws' samples and universes, their pairs narrowed
+/// to those the per-pair filter oracle keeps.
+#[test]
+fn each_spec_and_filter_gets_its_own_draws() {
+    let (snap, _, spec) = estimate_fixture();
+    let filter = TemporalFilter::renren();
+    let base = sampling::draw_samples(&snap, None, &spec);
+    let variants = [
+        (SampleSpec { p: 0.2, ..spec }, None),
+        (SampleSpec { seed: 12, ..spec }, None),
+        (SampleSpec { draws: 2, ..spec }, None),
+        (spec, Some(&filter)),
+    ];
+    let sample_bits =
+        |d: &sampling::DrawSample| (d.members.clone(), d.pairs.clone(), d.universe.to_bits());
+    for (other, filtered) in variants {
+        let own = sampling::draw_samples(&snap, filtered, &other);
+        assert!(
+            !std::sync::Arc::ptr_eq(&own, &base),
+            "{other:?} {filtered:?} shares the base draws"
+        );
+        let want = sampling::draw_samples(&snap.clone(), filtered, &other);
+        let (own, want): (Vec<_>, Vec<_>) = (
+            own.iter().map(|d| sample_bits(d)).collect(),
+            want.iter().map(|d| sample_bits(d)).collect(),
+        );
+        assert_eq!(own, want, "{other:?} {filtered:?}");
+    }
+    let filtered = sampling::draw_samples(&snap, Some(&filter), &spec);
+    let mut dropped = 0;
+    for (plain, narrowed) in base.iter().zip(filtered.iter()) {
+        let passing: Vec<(NodeId, NodeId)> = plain
+            .pairs
+            .iter()
+            .copied()
+            .filter(|&(u, v)| oracles::candidates::passes(&filter, &snap, u, v))
+            .collect();
+        dropped += plain.pairs.len() - passing.len();
+        assert_eq!(narrowed.pairs, passing);
+        assert_eq!(narrowed.members, plain.members);
+        assert_eq!(narrowed.universe.to_bits(), plain.universe.to_bits());
     }
     assert!(dropped > 0, "the fixture's filter must drop some pairs");
 }

@@ -10,11 +10,13 @@
 //! enumerators take an optional §6.2 [`Prune`] context and a worker count,
 //! and return the same list for every worker count.
 //!
-//! [`two_hop_pairs_among`] walks member-restricted witness lists: for each
-//! node `w`, the list `Γ(w) ∩ M` of the sample `M`, filled once per call in
-//! member order. The walk from a member then visits only the 2-paths that
-//! end at a member, so it costs `Σ_w |Γ(w) ∩ M|²` plus `Σ_{u∈M} deg(u)`
-//! instead of `Σ_{u∈M} Σ_{w∈Γ(u)} deg(w)`.
+//! [`two_hop_pairs_among`] walks member-restricted witness lists
+//! ([`MemberLists`]): for each node `w`, the list `Γ(w) ∩ M` of the sample
+//! `M`, filled once per call in member order. The walk from a member then
+//! visits only the 2-paths that end at a member, so it costs
+//! `Σ_w |Γ(w) ∩ M|²` plus `Σ_{u∈M} deg(u)` instead of
+//! `Σ_{u∈M} Σ_{w∈Γ(u)} deg(w)`. The fused scoring kernel walks the same
+//! lists over a batch's targets.
 
 use crate::activity::{NodeActivity, Prune};
 use crate::snapshot::Snapshot;
@@ -476,9 +478,12 @@ impl Walk2Scan {
 }
 
 /// Member-restricted witness lists: for every node `w`, the members of a
-/// sorted subset `M` adjacent to it, `Γ(w) ∩ M`, in ascending order. Stored
-/// as one CSR of `Σ_{m∈M} deg(m)` entries.
-struct MemberLists {
+/// sorted subset `M` adjacent to it, `Γ(w) ∩ M`, in ascending order — `w`'s
+/// adjacency row less every entry outside `M`. Stored as one CSR of
+/// `Σ_{m∈M} deg(m)` entries, built by one counting pass and one
+/// back-to-front fill over `M`'s rows: `n + 2·Σ_{m∈M} deg(m)` reads and
+/// writes.
+pub struct MemberLists {
     /// `start[w]..start[w + 1]` indexes `w`'s list in `items`.
     start: Vec<usize>,
     items: Vec<NodeId>,
@@ -487,7 +492,8 @@ struct MemberLists {
 impl MemberLists {
     /// Fills every list in one pass per member. `members` must be strictly
     /// ascending.
-    fn new(snap: &Snapshot, members: &[NodeId]) -> Self {
+    pub fn new(snap: &Snapshot, members: &[NodeId]) -> Self {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         let n = snap.node_count();
         let mut start = vec![0usize; n + 1];
         for &m in members {
@@ -514,7 +520,8 @@ impl MemberLists {
     }
 
     /// `Γ(w) ∩ M`, ascending.
-    fn of(&self, w: NodeId) -> &[NodeId] {
+    #[inline]
+    pub fn of(&self, w: NodeId) -> &[NodeId] {
         let w = w as usize;
         &self.items[self.start[w]..self.start[w + 1]]
     }

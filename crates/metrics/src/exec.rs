@@ -24,7 +24,10 @@
 //! 1. **Fused metrics** (those advertising [`Metric::fused_kind`]) are
 //!    scored together by the source-batched kernel ([`crate::fused`]):
 //!    one kernel context, source-aligned chunks over the worker pool, one
-//!    witness walk per source yielding every fused column. For top-k,
+//!    witness walk per source yielding every fused column. When the
+//!    batch's targets are few against the snapshot, the walk reads a
+//!    target-row view built once per batch and shared by every chunk
+//!    (`fused::target_rows`, with its cost rule). For top-k,
 //!    each chunk streams its scores into a [`TopKAcc`], and the per-chunk
 //!    heaps merge into exactly the serial selection (see [`crate::topk`])
 //!    without materializing the column.
@@ -54,6 +57,7 @@ use crate::topk::TopKAcc;
 use crate::traits::{Metric, ScoreContract};
 use osn_graph::par;
 use osn_graph::snapshot::Snapshot;
+use osn_graph::traversal::MemberLists;
 use osn_graph::NodeId;
 use std::ops::Range;
 
@@ -146,38 +150,11 @@ where
     let threads = threads.max(1);
     let fused: Vec<(&dyn Metric, LocalKind)> =
         metrics.iter().filter_map(|&m| m.fused_kind().map(|k| (m, k))).collect();
-    // Fused metrics together: one kernel context, and one witness walk per
-    // source yields every fused column of a chunk.
     let mut fused_out = Vec::with_capacity(fused.len());
     if !fused.is_empty() {
         let kinds: Vec<LocalKind> = fused.iter().map(|&(_, k)| k).collect();
-        let ctx = fused::FusedCtx::build(snap, &kinds);
-        let chunks = source_aligned_chunks(pairs, threads);
-        let chunk_parts = par::run_indexed_init(
-            chunks.len(),
-            threads,
-            || FusedScratch::new(snap.node_count()),
-            |scratch, c| {
-                let range = chunks[c].clone();
-                let slice = &pairs[range.clone()];
-                let cols = fused::score_columns(&ctx, scratch, slice, &kinds);
-                fused
-                    .iter()
-                    .zip(cols)
-                    .map(|(&(m, _), col)| {
-                        audit_scores(m.name(), m.score_contract(), &col, range.start);
-                        reduce(slice, col)
-                    })
-                    .collect::<Vec<R>>()
-            },
-        );
-        let mut per_metric: Vec<Vec<R>> = fused.iter().map(|_| Vec::new()).collect();
-        for parts in chunk_parts {
-            for (fi, part) in parts.into_iter().enumerate() {
-                per_metric[fi].push(part);
-            }
-        }
-        fused_out.extend(per_metric.into_iter().map(&merge));
+        let rows = fused::target_rows(snap, pairs, &kinds);
+        fused_out = run_fused(&fused, snap, rows.as_ref(), pairs, threads, &reduce, &merge);
     }
     // Every other metric alone with the whole worker budget: the solver and
     // factorization hooks already parallelize internally, so running two
@@ -194,6 +171,53 @@ where
         }
     }
     out
+}
+
+/// The fused half of [`run`]: every metric of `fused` together, one
+/// kernel context and one witness walk per source run yielding every
+/// fused column of a chunk, each chunk's walk reading `rows` (the batch's
+/// target-row view, shared by every worker) or, without it, the
+/// snapshot's rows. Outputs are in `fused` order.
+fn run_fused<R, O>(
+    fused: &[(&dyn Metric, LocalKind)],
+    snap: &Snapshot,
+    rows: Option<&MemberLists>,
+    pairs: &[(NodeId, NodeId)],
+    threads: usize,
+    reduce: &(impl Fn(&[(NodeId, NodeId)], Vec<f64>) -> R + Sync),
+    merge: &impl Fn(Vec<R>) -> O,
+) -> Vec<O>
+where
+    R: Send,
+{
+    let kinds: Vec<LocalKind> = fused.iter().map(|&(_, k)| k).collect();
+    let ctx = fused::FusedCtx::build(snap, &kinds);
+    let chunks = source_aligned_chunks(pairs, threads);
+    let chunk_parts = par::run_indexed_init(
+        chunks.len(),
+        threads,
+        || FusedScratch::new(snap.node_count()),
+        |scratch, c| {
+            let range = chunks[c].clone();
+            let slice = &pairs[range.clone()];
+            let cols = fused::score_columns(&ctx, rows, scratch, slice, &kinds);
+            fused
+                .iter()
+                .zip(cols)
+                .map(|(&(m, _), col)| {
+                    audit_scores(m.name(), m.score_contract(), &col, range.start);
+                    reduce(slice, col)
+                })
+                .collect::<Vec<R>>()
+        },
+    );
+    let mut per_metric: Vec<Vec<R>> = fused.iter().map(|_| Vec::new()).collect();
+    for parts in chunk_parts {
+        for (fi, part) in parts.into_iter().enumerate() {
+            per_metric[fi].push(part);
+        }
+    }
+    per_metric.into_iter().map(merge).collect()
 }
 
 /// Scores `pairs` for one metric, dropping the solver counters: fused
@@ -313,7 +337,9 @@ pub fn score_pairs_targeted(
         "targeted scoring with a kernel context from a different snapshot"
     );
     let scores = match m.fused_kind() {
-        Some(kind) => fused::score_columns(ctx, scratch, pairs, &[kind]).pop().unwrap_or_default(),
+        Some(kind) => {
+            fused::score_columns(ctx, None, scratch, pairs, &[kind]).pop().unwrap_or_default()
+        }
         None => m.score_pairs_cached(snap, pairs, 1, cache),
     };
     audit_scores(m.name(), m.score_contract(), &scores, 0);
@@ -448,6 +474,90 @@ mod tests {
                 );
                 let batched = score_pairs_t(m.as_ref(), &batched_snap, slice, 1);
                 assert_eq!(targeted, batched, "{}", m.name());
+            }
+        }
+    }
+
+    /// A random graph of 8–60 nodes, up to 3n random edges over a ring, and
+    /// a target pool of either a few nodes or every node. The ring keeps
+    /// every degree at 2 or more, so a self pair's witnesses give AA finite
+    /// terms.
+    fn arb_batch() -> impl proptest::prelude::Strategy<Value = (Snapshot, Vec<NodeId>)> {
+        use proptest::prelude::*;
+        (8usize..=60).prop_flat_map(|n| {
+            let edge = (0..n as NodeId, 0..n as NodeId);
+            (
+                proptest::collection::vec(edge, 1..3 * n),
+                proptest::collection::vec(0..n as NodeId, 1..4),
+                0u8..2,
+            )
+                .prop_map(move |(raw, few, most)| {
+                    let mut edges: Vec<(NodeId, NodeId)> =
+                        raw.into_iter().filter(|&(u, v)| u != v).collect();
+                    edges.extend((0..n as NodeId).map(|i| (i, (i + 1) % n as NodeId)));
+                    let mut pool = if most == 1 { (0..n as NodeId).collect() } else { few };
+                    pool.sort_unstable();
+                    pool.dedup();
+                    (Snapshot::from_edges(n, &edges), pool)
+                })
+        })
+    }
+
+    /// The five shapes of a list sourcing every node at `pool`'s targets:
+    /// canonical (sorted, `u < v`), with non-canonical and self pairs,
+    /// shuffled, repeated (every pair twice in a row, then the whole list
+    /// again in later source runs), and repeated up to several chunks.
+    fn shapes(n: usize, pool: &[NodeId]) -> Vec<Vec<(NodeId, NodeId)>> {
+        let all: Vec<(NodeId, NodeId)> =
+            (0..n as NodeId).flat_map(|u| pool.iter().map(move |&t| (u, t))).collect();
+        let canonical: Vec<(NodeId, NodeId)> = {
+            let mut c: Vec<_> = all.iter().copied().filter(|&(u, v)| u < v).collect();
+            c.sort_unstable();
+            c.dedup();
+            c
+        };
+        let mut shuffled = all.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (osn_graph::mix64(i as u64) % (i as u64 + 1)) as usize);
+        }
+        let mut repeated: Vec<(NodeId, NodeId)> = all.iter().flat_map(|&p| [p, p]).collect();
+        repeated.extend_from_slice(&all);
+        let chunked: Vec<(NodeId, NodeId)> =
+            all.iter().copied().cycle().take(3 * MIN_CHUNK_PAIRS + all.len()).collect();
+        vec![canonical, all, shuffled, repeated, chunked]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Every `LocalKind` column of the engine's fused half through the
+        /// target-row view equals the walk through the snapshot's rows bit
+        /// for bit, at 1, 2 and 4 workers, on every list shape and on
+        /// target pools of a few nodes and of every node.
+        #[test]
+        fn target_row_view_scores_like_the_csr_walk((snap, pool) in arb_batch()) {
+            let kinds = LocalKind::ALL;
+            let fused: Vec<(&dyn Metric, LocalKind)> =
+                kinds.iter().map(|k| (k as &dyn Metric, *k)).collect();
+            let bits = |cols: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+                cols.iter().map(|c| c.iter().map(|x| x.to_bits()).collect()).collect()
+            };
+            let columns = |rows: Option<&MemberLists>, pairs: &[(NodeId, NodeId)], threads| {
+                bits(run_fused(&fused, &snap, rows, pairs, threads, &|_, c| c, &|p: Vec<Vec<f64>>| p.concat()))
+            };
+            // Built on the pool, a superset of each shape's targets.
+            let view = MemberLists::new(&snap, &pool);
+            for pairs in shapes(snap.node_count(), &pool) {
+                if pairs.is_empty() {
+                    continue;
+                }
+                let csr = columns(None, &pairs, 1);
+                for threads in [1, 2, 4] {
+                    proptest::prop_assert!(
+                        columns(Some(&view), &pairs, threads) == csr,
+                        "{} pairs, {} targets, {threads} workers", pairs.len(), pool.len()
+                    );
+                }
             }
         }
     }

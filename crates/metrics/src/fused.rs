@@ -9,7 +9,12 @@
 //! `u` draws its witnesses from `Γ(u)`. This kernel therefore batches by
 //! source: it stamps the targets of `u` into an epoch-stamped marker
 //! array, walks the CSR rows of `Γ(u)` **once**, and scatter-accumulates
-//! each metric's witness contribution into per-candidate slots. AA, RA
+//! each metric's witness contribution into per-candidate slots. When a
+//! batch's targets hold a small share of the adjacency, the engine hands
+//! the kernel a target-row view (`target_rows`), whose row of a witness
+//! keeps only the batch's targets, so the walk skips the entries no stamp
+//! can match; a rule compares its build cost with the entries it removes.
+//! AA, RA
 //! and the Bayes variants read their witness weights from per-snapshot
 //! degree and naive-Bayes tables, memoized on the snapshot
 //! ([`Snapshot::derived`]), so every context built on one
@@ -37,6 +42,7 @@
 
 use crate::bayes::BayesTables;
 use osn_graph::snapshot::Snapshot;
+use osn_graph::traversal::MemberLists;
 use osn_graph::NodeId;
 use std::sync::Arc;
 
@@ -338,17 +344,70 @@ impl FusedScratch {
     }
 }
 
+/// The target-row view of a batch: its distinct second endpoints' member
+/// lists ([`MemberLists`]), whose row of a witness `w` is `Γ(w)` less every
+/// entry that is no target — when scoring `kinds` walks witnesses and the
+/// view costs less than the walk it removes, else `None`. With `T` the
+/// distinct targets, `nnz` the snapshot's adjacency entries and
+/// `W = Σ_{u∈sources} Σ_{w∈Γ(u)} deg w` the entries the walk through the
+/// snapshot's rows reads (each source run reads its witnesses' rows once),
+/// the view is built iff its build cost is less than the walk entries
+/// outside the targets' share of the adjacency:
+///
+/// `n + 2·Σ_{t∈T} deg t < W·(1 − Σ_{t∈T} deg t / nnz)`.
+///
+/// A sampled draw (a thousand targets on a hundred-thousand-node snapshot)
+/// passes by a wide margin; a sweep's two-hop set, whose targets hold
+/// nearly all the adjacency, and a few pairs on a large snapshot do not,
+/// and a PA-only batch walks nothing.
+pub(crate) fn target_rows(
+    snap: &Snapshot,
+    pairs: &[(NodeId, NodeId)],
+    kinds: &[LocalKind],
+) -> Option<MemberLists> {
+    if !Needs::of(kinds).walk() {
+        return None;
+    }
+    let mut is_target = vec![false; snap.node_count()];
+    let mut targets = Vec::new();
+    let (mut target_entries, mut walk) = (0usize, 0usize);
+    let mut last = None;
+    for &(u, v) in pairs {
+        if last != Some(u) {
+            last = Some(u);
+            walk += snap.neighbors(u).iter().map(|&w| snap.degree(w)).sum::<usize>();
+        }
+        if !std::mem::replace(&mut is_target[v as usize], true) {
+            targets.push(v);
+            target_entries += snap.degree(v);
+        }
+    }
+    // Both sides times nnz, in integers: no rounding decides the rule.
+    let (n, nnz) = (snap.node_count() as u128, 2 * snap.edge_count() as u128);
+    let (t, w) = (target_entries as u128, walk as u128);
+    ((n + 2 * t) * nnz < w * (nnz - t)).then(|| {
+        targets.sort_unstable();
+        MemberLists::new(snap, &targets)
+    })
+}
+
 /// Scores `pairs` for every kind in `kinds` with one witness walk per
 /// source run, returning one column per kind (aligned with `pairs`).
 ///
 /// Pairs are processed in runs of equal source endpoint (candidate lists
 /// are canonically sorted, so runs are maximal); within a run the targets
-/// are stamped, `Γ(u)`'s CSR rows are walked once, and contributions are
-/// scattered into per-target slots. Works for *any* pair list — targets
-/// need not be two-hop, unconnected, or even distinct — and matches the
-/// per-pair path bit-for-bit (see the module docs for the argument).
+/// are stamped, `Γ(u)`'s witnesses are visited once in ascending order,
+/// and each witness's row — `rows`, the batch's target-row view (its
+/// targets' [`MemberLists`]), when the engine built one, else the
+/// snapshot's own — is scanned for stamped
+/// targets, whose slots take the witness's contribution. Works for *any*
+/// pair list — targets need not be two-hop, unconnected, or even distinct
+/// — and matches the per-pair path bit-for-bit (see the module docs for
+/// the argument). `rows` must be built from a list holding every target
+/// of `pairs`.
 pub fn score_columns(
     ctx: &FusedCtx<'_>,
+    rows: Option<&MemberLists>,
     scratch: &mut FusedScratch,
     pairs: &[(NodeId, NodeId)],
     kinds: &[LocalKind],
@@ -385,7 +444,11 @@ pub fn score_columns(
         }
         scratch.reset_acc(slots as usize, &needs);
         for &w in ctx.snap.neighbors(u) {
-            for &v in ctx.snap.neighbors(w) {
+            let row = match rows {
+                Some(view) => view.of(w),
+                None => ctx.snap.neighbors(w),
+            };
+            for &v in row {
                 if scratch.seen[v as usize] == e {
                     let s = scratch.slot[v as usize] as usize;
                     scratch.hit(ctx, &needs, w, s);
@@ -435,16 +498,20 @@ mod tests {
         let kinds = [LocalKind::Cn];
         let ctx = FusedCtx::build(&snap, &kinds);
         let mut scratch = FusedScratch::new(snap.node_count());
-        let baseline = score_columns(&ctx, &mut scratch, &pairs, &kinds);
+        let baseline = score_columns(&ctx, None, &mut scratch, &pairs, &kinds);
         // Leave stale stamps behind, then force the next two runs across
         // the wraparound boundary: both must still score correctly.
         scratch.epoch = u32::MAX - 1;
-        assert_eq!(score_columns(&ctx, &mut scratch, &pairs, &kinds), baseline, "at u32::MAX");
+        assert_eq!(
+            score_columns(&ctx, None, &mut scratch, &pairs, &kinds),
+            baseline,
+            "at u32::MAX"
+        );
         assert_eq!(scratch.epoch, u32::MAX);
-        assert_eq!(score_columns(&ctx, &mut scratch, &pairs, &kinds), baseline, "wrapped");
+        assert_eq!(score_columns(&ctx, None, &mut scratch, &pairs, &kinds), baseline, "wrapped");
         assert_eq!(scratch.epoch, 1, "wraparound restarts the epoch at 1");
         assert!(scratch.seen.iter().all(|&e| e <= 1), "stamps hard-reset on wrap");
-        assert_eq!(score_columns(&ctx, &mut scratch, &pairs, &kinds), baseline, "post-wrap");
+        assert_eq!(score_columns(&ctx, None, &mut scratch, &pairs, &kinds), baseline, "post-wrap");
     }
 
     /// Two serve workers at one version: each holds its own kernel
@@ -529,6 +596,48 @@ mod tests {
         }
     }
 
+    /// A 3,000-node graph of degree about 16: every node linked to 8
+    /// hashed others.
+    fn spread_graph() -> Snapshot {
+        let n = 3_000u32;
+        let edges: Vec<(NodeId, NodeId)> = (0..n)
+            .flat_map(|u| {
+                (0..8u64)
+                    .map(move |k| (u, (osn_graph::mix64(u as u64 * 8 + k) % n as u64) as NodeId))
+            })
+            .filter(|&(u, v)| u != v)
+            .collect();
+        Snapshot::from_edges(n as usize, &edges)
+    }
+
+    /// The rule builds the view for a sampled draw's pairs, with one row
+    /// per node holding exactly its neighbours among the draw's members,
+    /// and declines a sweep's two-hop set, one pair on a large snapshot
+    /// and a PA-only batch.
+    #[test]
+    fn target_rows_rule_builds_the_view_only_where_it_pays() {
+        use crate::candidates::CandidateSet;
+        use crate::traits::CandidatePolicy;
+        let snap = spread_graph();
+        let members = osn_graph::sample::snowball(&snap, 0, 0.02);
+        let draw: Vec<(NodeId, NodeId)> = members
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &u)| members[i + 1..].iter().map(move |&v| (u, v)))
+            .collect();
+        let view = target_rows(&snap, &draw, &[LocalKind::Cn]).expect("a draw builds the view");
+        let targets = &members[1..];
+        for w in 0..snap.node_count() as NodeId {
+            let want: Vec<NodeId> =
+                snap.neighbors(w).iter().copied().filter(|t| targets.contains(t)).collect();
+            assert_eq!(view.of(w), &want[..], "row {w}");
+        }
+        let two_hop = CandidateSet::build(&snap, CandidatePolicy::TwoHop, 0);
+        assert!(target_rows(&snap, two_hop.pairs(), &LocalKind::ALL).is_none(), "two-hop set");
+        assert!(target_rows(&snap, &[(0, 1)], &[LocalKind::Ra]).is_none(), "one pair");
+        assert!(target_rows(&snap, &draw, &[LocalKind::Pa]).is_none(), "PA walks nothing");
+    }
+
     #[test]
     fn pa_only_batch_skips_the_walk() {
         // Needs::walk() is false for PA alone; derive must not touch the
@@ -537,7 +646,7 @@ mod tests {
         let pairs = [(0u32, 4u32), (1, 7)];
         let ctx = FusedCtx::build(&snap, &[LocalKind::Pa]);
         let mut scratch = FusedScratch::new(snap.node_count());
-        let cols = score_columns(&ctx, &mut scratch, &pairs, &[LocalKind::Pa]);
+        let cols = score_columns(&ctx, None, &mut scratch, &pairs, &[LocalKind::Pa]);
         // deg(0) = 2, deg(4) = 2, deg(1) = 2, deg(7) = 1.
         assert_eq!(cols[0], vec![4.0, 2.0]);
         assert!(scratch.cn.is_empty());
